@@ -1,0 +1,174 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/bipartite"
+	"repro/internal/dp"
+	"repro/internal/hierarchy"
+	"repro/internal/partition"
+	"repro/internal/rng"
+)
+
+// goldenSpec is one way of perturbing a release: a mechanism with
+// either a calibration or an externally calibrated σ.
+type goldenSpec struct {
+	name     string
+	mech     NoiseMechanism
+	calib    Calibration
+	external bool
+	sigma    float64
+}
+
+var (
+	goldenBudget = dp.Params{Epsilon: 0.5, Delta: 1e-5}
+	goldenSpecs  = []goldenSpec{
+		{name: "gaussian-classical", mech: MechGaussian, calib: CalibrationClassical},
+		{name: "gaussian-analytic", mech: MechGaussian, calib: CalibrationAnalytic},
+		{name: "external-sigma", mech: MechGaussian, external: true, sigma: 3.5},
+		{name: "external-sigma-zero", mech: MechGaussian, external: true},
+		{name: "laplace", mech: MechLaplace, calib: CalibrationClassical},
+		{name: "geometric", mech: MechGeometric, calib: CalibrationClassical},
+	}
+)
+
+const (
+	goldenSeed       = 2024
+	goldenCountLevel = 3
+	goldenCellsLevel = 0 // 4^8 cells: eight noise chunks, so four workers all draw
+)
+
+// goldenCount releases the count under spec and returns the reported σ
+// and the released value.
+func goldenCount(t *hierarchy.Tree, spec goldenSpec) (float64, []float64, error) {
+	src := rng.New(goldenSeed)
+	var rel LevelRelease
+	var err error
+	switch {
+	case spec.external:
+		rel, err = ReleaseCountSigma(t, goldenCountLevel, ModelCells, spec.sigma, goldenBudget, src)
+	default:
+		rel, err = ReleaseCountWith(t, goldenCountLevel, goldenBudget, ModelCells, spec.calib, spec.mech, src)
+	}
+	return rel.Sigma, []float64{rel.NoisyCount}, err
+}
+
+// goldenCells releases the cell histogram under spec and returns the
+// reported σ and the released cells.
+func goldenCells(t *hierarchy.Tree, spec goldenSpec, workers int) (float64, []float64, error) {
+	src := rng.New(goldenSeed)
+	var rel CellRelease
+	var err error
+	switch {
+	case spec.external:
+		err = ReleaseCellsSigmaWorkersInto(&rel, t, goldenCellsLevel, spec.sigma, goldenBudget, src, workers)
+	case spec.mech == MechGaussian:
+		err = ReleaseCellsWorkersInto(&rel, t, goldenCellsLevel, goldenBudget, spec.calib, src, workers)
+	default:
+		err = ReleaseCellsPureInto(&rel, t, goldenCellsLevel, goldenBudget, spec.mech, src)
+	}
+	return rel.Sigma, rel.Counts, err
+}
+
+// goldenHash is the sha256 of the reported σ followed by the released
+// values, as little-endian IEEE-754 bits.
+func goldenHash(sigma float64, values []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range append([]float64{sigma}, values...) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// emptyTree is a hierarchy over a graph with no associations: every
+// level's sensitivity is 0, so no mechanism draws anything.
+func emptyTree(t testing.TB) *hierarchy.Tree {
+	t.Helper()
+	b := bipartite.NewBuilder(0)
+	b.SetNumLeft(16)
+	b.SetNumRight(16)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// goldenKernel pins every Phase-2 release path bit for bit. It was
+// generated from the twelve pre-collapse entry points
+// (ReleaseCount{,With,Sigma}, ReleaseCells{…}Into, ReleaseCellsPureInto);
+// the single release kernel that replaced them must reproduce each row,
+// and the w1/w4 rows of one spec must agree (worker-count bit-identity).
+var goldenKernel = map[string]string{
+	"gaussian-classical/count":        "0a911f738831f04c7a5caa5309fd2f9e6214594377af26e3d1a7b66f0a6db589",
+	"gaussian-classical/cells/w1":     "82e7046991dcbca413e93ef4825457b0647c2b9e3ef68d1059d575122cbbdbd0",
+	"gaussian-classical/cells/w4":     "82e7046991dcbca413e93ef4825457b0647c2b9e3ef68d1059d575122cbbdbd0",
+	"gaussian-classical/empty/count":  "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+	"gaussian-classical/empty/cells":  "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
+	"gaussian-analytic/count":         "50b412cc9515cefcc726e111046444bdedb0882d72e1bb1c3cd4f0c21448e331",
+	"gaussian-analytic/cells/w1":      "1426c435cb9627e645aa69597a2c07289dec42cabb4188f5a5099af82118bcd7",
+	"gaussian-analytic/cells/w4":      "1426c435cb9627e645aa69597a2c07289dec42cabb4188f5a5099af82118bcd7",
+	"gaussian-analytic/empty/count":   "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+	"gaussian-analytic/empty/cells":   "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
+	"external-sigma/count":            "4f3a0991af5f3b99b7611ccfc823bc29e768b93296eb36327c5923b96463da04",
+	"external-sigma/cells/w1":         "fa018b01f0c5a18773d83518b86a032c7ca08ef3b2b917f3e00cd7a7851e92a8",
+	"external-sigma/cells/w4":         "fa018b01f0c5a18773d83518b86a032c7ca08ef3b2b917f3e00cd7a7851e92a8",
+	"external-sigma/empty/count":      "f4f5610ac0312d4d8d91e2492b47286392c721f6e0c74b7bbef07c1bd07b1c59",
+	"external-sigma/empty/cells":      "4010ec2dd5b8c948b4564e3368e023f8990eb9b0c905d31a32f2258a45c06977",
+	"external-sigma-zero/count":       "c5e663147af98e3bb366667bb1b863d50ef050632c05e689e7c5270b6b40a790",
+	"external-sigma-zero/cells/w1":    "a5c1fc76e18d45904cb7f9894f7906bd8f8124b761ea85f21afc3207da8b0e6e",
+	"external-sigma-zero/cells/w4":    "a5c1fc76e18d45904cb7f9894f7906bd8f8124b761ea85f21afc3207da8b0e6e",
+	"external-sigma-zero/empty/count": "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+	"external-sigma-zero/empty/cells": "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
+	"laplace/count":                   "88c5bd319283361d1f86508359fa4d62c21326bdfd5b3320fdb86d81819dd949",
+	"laplace/cells/w1":                "15db7e6b97172f135b8e03f9cdd0cb0af33425dd5e49da857fb70403177f4a4e",
+	"laplace/cells/w4":                "15db7e6b97172f135b8e03f9cdd0cb0af33425dd5e49da857fb70403177f4a4e",
+	"laplace/empty/count":             "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+	"laplace/empty/cells":             "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
+	"geometric/count":                 "27fe000977af6c624d1727ddf40db7c8f31fc7cf67c0748a55ebdbce1eb79c56",
+	"geometric/cells/w1":              "cc2107bdeae437f3885003fe24d12c4da4af8b41a8989be21f6eeb7a0978fe35",
+	"geometric/cells/w4":              "cc2107bdeae437f3885003fe24d12c4da4af8b41a8989be21f6eeb7a0978fe35",
+	"geometric/empty/count":           "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+	"geometric/empty/cells":           "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
+}
+
+func TestReleaseKernelGolden(t *testing.T) {
+	t.Parallel()
+	full, empty := deepTree(t, 8), emptyTree(t)
+	check := func(key string, sigma float64, values []float64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Errorf("%s: %v", key, err)
+			return
+		}
+		if got := goldenHash(sigma, values); got != goldenKernel[key] {
+			t.Errorf("%s: hash %s, want %s", key, got, goldenKernel[key])
+		}
+	}
+	for _, spec := range goldenSpecs {
+		sigma, values, err := goldenCount(full, spec)
+		check(spec.name+"/count", sigma, values, err)
+		for _, workers := range []int{1, 4} {
+			sigma, values, err := goldenCells(full, spec, workers)
+			check(fmt.Sprintf("%s/cells/w%d", spec.name, workers), sigma, values, err)
+		}
+		sigma, values, err = goldenCount(empty, spec)
+		check(spec.name+"/empty/count", sigma, values, err)
+		sigma, values, err = goldenCells(empty, spec, 1)
+		check(spec.name+"/empty/cells", sigma, values, err)
+	}
+	if want := len(goldenSpecs) * 5; len(goldenKernel) != want {
+		t.Errorf("golden table has %d rows, want %d", len(goldenKernel), want)
+	}
+}
