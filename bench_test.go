@@ -23,6 +23,12 @@ import (
 	"repro/internal/rng"
 )
 
+// classicalNoise is the paper's Phase-2 perturbation: Gaussian noise
+// consuming p, calibrated with the classical bound.
+func classicalNoise(p dp.Params) core.Noise {
+	return core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: p}
+}
+
 func benchOpts() experiments.Options {
 	return experiments.Options{Quick: true, Seed: 1}
 }
@@ -187,7 +193,7 @@ func BenchmarkPhase2Release(b *testing.B) {
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ReleaseCount(tree, 4, p, core.ModelCells, core.CalibrationClassical, src); err != nil {
+		if _, err := core.ReleaseCount(tree, 4, core.ModelCells, classicalNoise(p), src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +236,7 @@ func releaseCellsTree(b *testing.B) *hierarchy.Tree {
 // BenchmarkReleaseCells isolates the Phase-2 noisy histogram release at
 // the deepest level through the engine hot path: chunked blocked-ziggurat
 // fills fused with the counts add into a reused buffer
-// (core.ReleaseCellsInto). The pre-refactor per-cell polar loop measured
+// (core.ReleaseCells, one worker). The pre-refactor per-cell polar loop measured
 // 5,734,665 ns/op and 2 allocs/op on this setup; the scalar-ziggurat
 // engine path of PR 2 measured ~1.7 ms, and the blocked 512-layer fill
 // holds it near ~1.1 ms — the engine path must stay ≥4× faster than the
@@ -248,7 +254,7 @@ func BenchmarkReleaseCells(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.ReleaseCellsInto(&rel, tree, 0, p, core.CalibrationClassical, src); err != nil {
+		if err := core.ReleaseCells(&rel, tree, 0, classicalNoise(p), src, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +280,7 @@ func BenchmarkReleaseCellsWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := core.ReleaseCellsWorkersInto(&rel, tree, 0, p, core.CalibrationClassical, src, workers); err != nil {
+				if err := core.ReleaseCells(&rel, tree, 0, classicalNoise(p), src, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -283,9 +289,9 @@ func BenchmarkReleaseCellsWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkReleaseCellsAlloc is the same release through the allocating
-// public wrapper (a fresh Counts slice per call), the path publishers
-// retaining every histogram pay.
+// BenchmarkReleaseCellsAlloc is the same release into a fresh dst (a new
+// Counts slice per call), the path publishers retaining every histogram
+// pay.
 func BenchmarkReleaseCellsAlloc(b *testing.B) {
 	tree := releaseCellsTree(b)
 	src := rng.New(5)
@@ -297,7 +303,8 @@ func BenchmarkReleaseCellsAlloc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ReleaseCells(tree, 0, p, core.CalibrationClassical, src); err != nil {
+		var rel core.CellRelease
+		if err := core.ReleaseCells(&rel, tree, 0, classicalNoise(p), src, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -584,12 +584,12 @@ func writePhase2Bench(dir string, seed uint64, workers int, strategy string) err
 		return err
 	}
 	src := rng.New(seed + 1)
-	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
+	noise := core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: dp.Params{Epsilon: 0.5, Delta: 1e-5}}
 	var rel core.CellRelease
 	const releaseIters = 25
 	start := time.Now()
 	for i := 0; i < releaseIters; i++ {
-		if err := core.ReleaseCellsInto(&rel, tree, 0, p, core.CalibrationClassical, src); err != nil {
+		if err := core.ReleaseCells(&rel, tree, 0, noise, src, 1); err != nil {
 			return err
 		}
 	}
@@ -597,7 +597,7 @@ func writePhase2Bench(dir string, seed uint64, workers int, strategy string) err
 
 	parStart := time.Now()
 	for i := 0; i < releaseIters; i++ {
-		if err := core.ReleaseCellsWorkersInto(&rel, tree, 0, p, core.CalibrationClassical, src, workers); err != nil {
+		if err := core.ReleaseCells(&rel, tree, 0, noise, src, workers); err != nil {
 			return err
 		}
 	}

@@ -204,8 +204,8 @@ func TestFigureShapeInvariants(t *testing.T) {
 	for _, eps := range grid {
 		var prevLevelRER float64 = -1
 		for li, lvl := range levels {
-			exp, err := core.ExpectedRER(tree, lvl, dp.Params{Epsilon: eps, Delta: 1e-5},
-				core.ModelCells, core.CalibrationClassical)
+			exp, err := core.ExpectedRER(tree, lvl, core.ModelCells,
+				classicalNoise(dp.Params{Epsilon: eps, Delta: 1e-5}))
 			if err != nil {
 				t.Fatal(err)
 			}

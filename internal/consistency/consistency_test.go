@@ -36,9 +36,9 @@ func releaseLevels(t testing.TB, tree *hierarchy.Tree, hi, lo int, eps float64, 
 	src := rng.New(seed)
 	var out []core.CellRelease
 	for lvl := hi; lvl >= lo; lvl-- {
-		rel, err := core.ReleaseCells(tree, lvl, dp.Params{Epsilon: eps, Delta: 1e-5},
-			core.CalibrationClassical, src.Split(uint64(lvl)))
-		if err != nil {
+		var rel core.CellRelease
+		n := core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: dp.Params{Epsilon: eps, Delta: 1e-5}}
+		if err := core.ReleaseCells(&rel, tree, lvl, n, src.Split(uint64(lvl)), 1); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, rel)

@@ -50,7 +50,7 @@ func TestReleaseCellsNoiseDistribution(t *testing.T) {
 	var sigma float64
 	const trials = 16
 	for trial := 0; trial < trials; trial++ {
-		rel, err := ReleaseCells(tree, 0, p, CalibrationClassical, src)
+		rel, err := releaseCells(tree, 0, classical(p), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,25 +103,25 @@ func TestReleaseCellsNoiseDistribution(t *testing.T) {
 
 // TestReleaseCellsIntoReusesBuffer checks the engine contract: a dst
 // passed back in keeps its Counts array when capacity suffices, and the
-// release equals a fresh ReleaseCells drawn from an identical stream.
+// release equals one into a fresh dst drawn from an identical stream.
 func TestReleaseCellsIntoReusesBuffer(t *testing.T) {
 	t.Parallel()
 	tree := deepTree(t, 4)
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
 
 	var reused CellRelease
-	if err := ReleaseCellsInto(&reused, tree, 0, p, CalibrationClassical, rng.New(3)); err != nil {
+	if err := ReleaseCells(&reused, tree, 0, classical(p), rng.New(3), 1); err != nil {
 		t.Fatal(err)
 	}
 	first := &reused.Counts[0]
-	if err := ReleaseCellsInto(&reused, tree, 1, p, CalibrationClassical, rng.New(4)); err != nil {
+	if err := ReleaseCells(&reused, tree, 1, classical(p), rng.New(4), 1); err != nil {
 		t.Fatal(err)
 	}
 	if &reused.Counts[0] != first {
-		t.Error("second ReleaseCellsInto reallocated despite sufficient capacity")
+		t.Error("second release reallocated despite sufficient capacity")
 	}
 
-	fresh, err := ReleaseCells(tree, 1, p, CalibrationClassical, rng.New(4))
+	fresh, err := releaseCells(tree, 1, classical(p), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCellReleaseJSONRoundTrip(t *testing.T) {
 	t.Parallel()
 	tree := deepTree(t, 3)
 	p := dp.Params{Epsilon: 0.7, Delta: 1e-6}
-	rel, err := ReleaseCells(tree, 1, p, CalibrationAnalytic, rng.New(8))
+	rel, err := releaseCells(tree, 1, Noise{Mech: MechGaussian, Calib: CalibrationAnalytic, Budget: p}, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCellReleaseJSONRoundTrip(t *testing.T) {
 		}
 	}
 
-	relS, err := ReleaseCellsSigma(tree, 1, 2.5, p, rng.New(9))
+	relS, err := releaseCells(tree, 1, external(2.5, p), rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,10 @@ func TestReleaseCellsSigmaIntoMatchesFresh(t *testing.T) {
 	tree := deepTree(t, 4)
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
 	var reused CellRelease
-	if err := ReleaseCellsSigmaInto(&reused, tree, 0, 3.5, p, rng.New(12)); err != nil {
+	if err := ReleaseCells(&reused, tree, 0, external(3.5, p), rng.New(12), 1); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := ReleaseCellsSigma(tree, 0, 3.5, p, rng.New(12))
+	fresh, err := releaseCells(tree, 0, external(3.5, p), rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +204,25 @@ func TestReleaseCellsSigmaIntoMatchesFresh(t *testing.T) {
 		if fresh.Counts[i] != reused.Counts[i] {
 			t.Fatalf("cell %d: fresh %v vs reused %v", i, fresh.Counts[i], reused.Counts[i])
 		}
+	}
+}
+
+// TestReleaseCellsSteadyStateAllocationFree pins the kernel's hot path:
+// a Gaussian release into a reused dst on one worker allocates nothing —
+// the Noise spec and its resolved scale stay on the stack. The serving
+// layer's TestSteadyStateQueriesAllocationFree sits on top of this.
+func TestReleaseCellsSteadyStateAllocationFree(t *testing.T) {
+	tree := deepTree(t, 6)
+	n := classical(dp.Params{Epsilon: 0.5, Delta: 1e-5})
+	src := rng.New(9)
+	var dst CellRelease
+	release := func() {
+		if err := ReleaseCells(&dst, tree, 0, n, src, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release() // sizes dst.Counts
+	if allocs := testing.AllocsPerRun(50, release); allocs != 0 {
+		t.Errorf("reused-dst Gaussian cell release allocates %v times per run, want 0", allocs)
 	}
 }

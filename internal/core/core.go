@@ -214,8 +214,7 @@ type LevelRelease struct {
 	Calibration Calibration `json:"-"`
 	ModelName   string      `json:"model"`
 	CalibName   string      `json:"calibration"`
-	// MechName records the noise mechanism ("gaussian" unless released
-	// through ReleaseCountWith).
+	// MechName records the noise mechanism.
 	MechName string `json:"mechanism,omitempty"`
 	// Params is the (εg, δ) budget this release consumed.
 	Params dp.Params `json:"-"`
@@ -224,7 +223,8 @@ type LevelRelease struct {
 	Delta   float64 `json:"delta"`
 	// Sensitivity is Δℓ, the largest group at the level.
 	Sensitivity int64 `json:"sensitivity"`
-	// Sigma is the calibrated Gaussian scale.
+	// Sigma is the noise's standard deviation: the Gaussian σ, b√2 under
+	// Laplace(b).
 	Sigma float64 `json:"sigma"`
 	// TrueCount is the exact answer. It is retained for evaluation (the
 	// curator knows it); publishers serialize releases with OmitTrue.
@@ -236,65 +236,34 @@ type LevelRelease struct {
 }
 
 // ReleaseCount answers the association-count query at one level with
-// εg-group DP.
-func ReleaseCount(t *hierarchy.Tree, level int, p dp.Params, model GroupModel, calib Calibration, src *rng.Source) (LevelRelease, error) {
-	if t == nil {
-		return LevelRelease{}, ErrNilTree
-	}
-	if src == nil {
-		return LevelRelease{}, dp.ErrNilSource
-	}
-	if err := p.Validate(); err != nil {
-		return LevelRelease{}, err
-	}
-	sens, err := Sensitivity(t, level, model)
-	if err != nil {
-		return LevelRelease{}, err
-	}
-	sigma, err := Sigma(p, sens, calib)
+// εg-group DP under the group model, perturbed as n says. An external σ
+// is honoured only by Gaussian noise (ErrBadMechanism otherwise).
+func ReleaseCount(t *hierarchy.Tree, level int, model GroupModel, n Noise, src *rng.Source) (LevelRelease, error) {
+	s, err := n.resolve(t, level, model, src, true)
 	if err != nil {
 		return LevelRelease{}, err
 	}
 	trueCount := t.NumEdges()
-	noisy := float64(trueCount) + gaussianScalar(src, sigma)
 	rel := LevelRelease{
-		Level: level, Model: model, Calibration: calib,
-		ModelName: model.String(), CalibName: calib.String(),
-		Params: p, Epsilon: p.Epsilon, Delta: p.Delta,
-		Sensitivity: sens, Sigma: sigma,
-		TrueCount: trueCount, NoisyCount: noisy,
+		Level: level, Model: model, Calibration: s.calib,
+		ModelName: model.String(), CalibName: s.calibName, MechName: n.Mech.String(),
+		Params: n.Budget, Epsilon: n.Budget.Epsilon, Delta: s.delta,
+		Sensitivity: s.sens, Sigma: s.sigma,
+		TrueCount: trueCount, NoisyCount: float64(trueCount) + s.draw(src),
 	}
 	if trueCount > 0 {
-		rel.RER = math.Abs(noisy-float64(trueCount)) / float64(trueCount)
+		rel.RER = math.Abs(rel.NoisyCount-float64(trueCount)) / float64(trueCount)
 	}
 	return rel, nil
 }
 
-// gaussianScalar draws one N(0, σ²) variate through the same batched
-// ziggurat sampler the histogram releases use (a one-element fill), so
-// every Gaussian release path shares one noise source. σ ≤ 0 (empty
-// dataset) draws nothing.
-func gaussianScalar(src *rng.Source, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	var noise [1]float64
-	src.NormalsSigma(noise[:], sigma)
-	return noise[0]
-}
-
-// ExpectedRER returns the expected relative error rate of a level release
-// without sampling: E|N(0,σ²)| / T = σ·√(2/π)/T. Used for forecasting and
-// for cross-checking measured curves.
-func ExpectedRER(t *hierarchy.Tree, level int, p dp.Params, model GroupModel, calib Calibration) (float64, error) {
-	if t == nil {
-		return 0, ErrNilTree
-	}
-	sens, err := Sensitivity(t, level, model)
-	if err != nil {
-		return 0, err
-	}
-	sigma, err := Sigma(p, sens, calib)
+// ExpectedRER returns the expected relative error rate E|noise|/T of the
+// level release ReleaseCount would make, in closed form: σ·√(2/π) for
+// Gaussian noise, b = Δℓ/ε for Laplace, 2α/(1−α²) for the two-sided
+// geometric. Used for forecasting and for cross-checking measured
+// curves.
+func ExpectedRER(t *hierarchy.Tree, level int, model GroupModel, n Noise) (float64, error) {
+	s, err := n.resolve(t, level, model, nil, false)
 	if err != nil {
 		return 0, err
 	}
@@ -302,7 +271,7 @@ func ExpectedRER(t *hierarchy.Tree, level int, p dp.Params, model GroupModel, ca
 	if total == 0 {
 		return 0, nil
 	}
-	return sigma * math.Sqrt(2/math.Pi) / float64(total), nil
+	return s.expAbs / float64(total), nil
 }
 
 // CellRelease is the εg-group-DP release of a level's full cell histogram
@@ -333,66 +302,35 @@ type CellRelease struct {
 	MechName string `json:"mechanism,omitempty"`
 }
 
-// ReleaseCells releases the noisy per-cell histogram of a level.
+// ReleaseCells releases the noisy per-cell histogram of a level into dst,
+// perturbed as n says.
 //
 // Under cell adjacency, removing one group Gi changes only coordinate i of
-// the histogram, by |Gi| records, so the histogram's L2 sensitivity equals
-// the count query's: Δℓ = max cell size. Per-coordinate Gaussian noise at
-// that scale therefore gives εg-group DP for the whole histogram.
-func ReleaseCells(t *hierarchy.Tree, level int, p dp.Params, calib Calibration, src *rng.Source) (CellRelease, error) {
-	var rel CellRelease
-	if err := ReleaseCellsInto(&rel, t, level, p, calib, src); err != nil {
-		return CellRelease{}, err
-	}
-	return rel, nil
-}
-
-// ReleaseCellsInto is ReleaseCells writing into dst, reusing dst.Counts'
-// capacity — the release engine's hot path: a caller looping releases
-// (experiment trials, repeated queries at one level) passes the same dst
-// every iteration and the per-release allocations drop to zero. The
-// level's noise comes from chunked batched ziggurat fills
-// (rng.Source.NormalsSigma) on per-chunk forked streams instead of one
-// scalar Normal call per cell; the output distribution is the same
-// N(count, σ²) per coordinate.
-func ReleaseCellsInto(dst *CellRelease, t *hierarchy.Tree, level int, p dp.Params, calib Calibration, src *rng.Source) error {
-	return ReleaseCellsWorkersInto(dst, t, level, p, calib, src, 1)
-}
-
-// ReleaseCellsWorkersInto is ReleaseCellsInto with the noise pass
-// sharded across workers goroutines at noiseChunk granularity. Each
-// chunk draws from its own stream derived by index from one fork point
-// (rng.Source.Fork), so the released histogram is bit-identical for
-// EVERY workers value — parallelism is purely a wall-clock knob, never
-// a replay change. workers < 2 (or a release smaller than two chunks)
-// runs on the calling goroutine.
-func ReleaseCellsWorkersInto(dst *CellRelease, t *hierarchy.Tree, level int, p dp.Params, calib Calibration, src *rng.Source, workers int) error {
-	if t == nil {
-		return ErrNilTree
-	}
-	if src == nil {
-		return dp.ErrNilSource
-	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	sens, err := Sensitivity(t, level, ModelCells)
+// the histogram, by |Gi| records, so the histogram's L1 and L2
+// sensitivities both equal the count query's: Δℓ = max cell size.
+// Per-coordinate noise at that scale therefore gives εg-group DP for the
+// whole histogram — (εg, δ) under Gaussian noise, δ = 0 under Laplace or
+// geometric.
+//
+// dst.Counts' capacity is reused — the release engine's hot path: a
+// caller looping releases (experiment trials, repeated queries at one
+// level) passes the same dst every iteration and the per-release
+// allocations drop to zero.
+//
+// Gaussian noise comes from chunked batched ziggurat fills
+// (rng.Source.NormalsSigma), sharded across workers goroutines at
+// noiseChunk granularity. Each chunk draws from its own stream derived
+// by index from one fork point (rng.Source.Fork), so the released
+// histogram is bit-identical for EVERY workers value — parallelism is
+// purely a wall-clock knob, never a replay change; workers < 2 (or a
+// release smaller than two chunks) runs on the calling goroutine. The
+// pure-ε mechanisms draw one variate per cell in index order and ignore
+// workers: they trade Phase-2 throughput for the stronger guarantee.
+func ReleaseCells(dst *CellRelease, t *hierarchy.Tree, level int, n Noise, src *rng.Source, workers int) error {
+	s, err := n.resolve(t, level, ModelCells, src, true)
 	if err != nil {
 		return err
 	}
-	sigma, err := Sigma(p, sens, calib)
-	if err != nil {
-		return err
-	}
-	return releaseCellsResolved(dst, t, level, sens, sigma, calib, calib.String(), p, src, workers)
-}
-
-// releaseCellsResolved assembles a cell release once the sensitivity and
-// noise scale are settled — the tail shared by the calibrated
-// (ReleaseCellsWorkersInto) and externally scaled
-// (ReleaseCellsSigmaWorkersInto) paths, so the release shape is defined
-// in exactly one place.
-func releaseCellsResolved(dst *CellRelease, t *hierarchy.Tree, level int, sens int64, sigma float64, calib Calibration, calibName string, p dp.Params, src *rng.Source, workers int) error {
 	counts, err := t.LevelCellCountsView(level)
 	if err != nil {
 		return err
@@ -401,13 +339,25 @@ func releaseCellsResolved(dst *CellRelease, t *hierarchy.Tree, level int, sens i
 	if err != nil {
 		return err
 	}
-	counts32, _ := t.LevelCellCounts32View(level)
+	buf := dst.Counts
+	if n.Mech == MechGaussian {
+		counts32, _ := t.LevelCellCounts32View(level)
+		buf = noisyCells(buf, counts, counts32, s.sigma, src, workers)
+	} else {
+		buf = growCells(buf, len(counts))
+		for i, c := range counts {
+			buf[i] = float64(c) + s.draw(src)
+		}
+	}
 	*dst = CellRelease{
-		Level: level, Model: ModelCells, Calibration: calib,
-		ModelName: ModelCells.String(), CalibName: calibName,
-		Params: p, Epsilon: p.Epsilon, Delta: p.Delta,
-		Sensitivity: sens, Sigma: sigma,
-		Counts: noisyCells(dst.Counts, counts, counts32, sigma, src, workers), SideGroups: k,
+		Level: level, Model: ModelCells, Calibration: s.calib,
+		ModelName: ModelCells.String(), CalibName: s.calibName,
+		Params: n.Budget, Epsilon: n.Budget.Epsilon, Delta: s.delta,
+		Sensitivity: s.sens, Sigma: s.sigma,
+		Counts: buf, SideGroups: k,
+	}
+	if n.Mech != MechGaussian {
+		dst.MechName = n.Mech.String()
 	}
 	return nil
 }
@@ -441,6 +391,15 @@ func noiseChunkCount(n int) int {
 	}
 }
 
+// growCells returns buf resized to n cells, reallocating only when its
+// capacity is short.
+func growCells(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // noisyCells fills buf (grown if its capacity is short) with
 // counts + N(0, σ²) noise: the histogram is cut into noiseChunk-sized
 // windows, each drawing its noise from the chunk-indexed child of one
@@ -453,11 +412,7 @@ func noiseChunkCount(n int) int {
 // is bit-identical for every worker count. σ = 0 (empty dataset)
 // copies the counts unchanged and draws nothing.
 func noisyCells(buf []float64, counts []int64, counts32 []int32, sigma float64, src *rng.Source, workers int) []float64 {
-	if cap(buf) < len(counts) {
-		buf = make([]float64, len(counts))
-	} else {
-		buf = buf[:len(counts)]
-	}
+	buf = growCells(buf, len(counts))
 	if sigma <= 0 {
 		for i, c := range counts {
 			buf[i] = float64(c)
@@ -548,10 +503,10 @@ type MultiLevelRelease struct {
 }
 
 // ReleaseLevels produces count releases for the given levels. Each level
-// consumes the full budget p (the paper's per-level reading: a level-i
+// consumes n's full budget (the paper's per-level reading: a level-i
 // user receives only release i, and releases to different tiers compose
 // in parallel). Budget-split modes live in internal/release.
-func ReleaseLevels(t *hierarchy.Tree, levels []int, p dp.Params, model GroupModel, calib Calibration, src *rng.Source) (MultiLevelRelease, error) {
+func ReleaseLevels(t *hierarchy.Tree, levels []int, model GroupModel, n Noise, src *rng.Source) (MultiLevelRelease, error) {
 	if t == nil {
 		return MultiLevelRelease{}, ErrNilTree
 	}
@@ -560,7 +515,7 @@ func ReleaseLevels(t *hierarchy.Tree, levels []int, p dp.Params, model GroupMode
 	}
 	out := MultiLevelRelease{MaxLevel: t.MaxLevel(), Levels: make([]LevelRelease, 0, len(levels))}
 	for _, lvl := range levels {
-		rel, err := ReleaseCount(t, lvl, p, model, calib, src)
+		rel, err := ReleaseCount(t, lvl, model, n, src)
 		if err != nil {
 			return MultiLevelRelease{}, fmt.Errorf("core: level %d: %w", lvl, err)
 		}

@@ -35,6 +35,24 @@ func testTree(t testing.TB) *hierarchy.Tree {
 	return tree
 }
 
+// classical is the paper's perturbation: Gaussian noise consuming p,
+// calibrated with the classical bound.
+func classical(p dp.Params) Noise {
+	return Noise{Mech: MechGaussian, Calib: CalibrationClassical, Budget: p}
+}
+
+// external is Gaussian noise at an externally calibrated σ.
+func external(sigma float64, advertised dp.Params) Noise {
+	return Noise{Mech: MechGaussian, External: true, Sigma: sigma, Budget: advertised}
+}
+
+// releaseCells is ReleaseCells into a fresh buffer on one worker.
+func releaseCells(t *hierarchy.Tree, level int, n Noise, src *rng.Source) (CellRelease, error) {
+	var rel CellRelease
+	err := ReleaseCells(&rel, t, level, n, src, 1)
+	return rel, err
+}
+
 func TestGroupModelStrings(t *testing.T) {
 	t.Parallel()
 	if ModelCells.String() != "cells" || ModelNodeGroups.String() != "node-groups" || ModelIndividual.String() != "individual" {
@@ -192,7 +210,7 @@ func TestReleaseCountBasics(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	rel, err := ReleaseCount(tree, 2, p, ModelCells, CalibrationClassical, rng.New(1))
+	rel, err := ReleaseCount(tree, 2, ModelCells, classical(p), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,20 +230,20 @@ func TestReleaseCountErrors(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	if _, err := ReleaseCount(nil, 0, p, ModelCells, CalibrationClassical, rng.New(1)); !errors.Is(err, ErrNilTree) {
+	if _, err := ReleaseCount(nil, 0, ModelCells, classical(p), rng.New(1)); !errors.Is(err, ErrNilTree) {
 		t.Errorf("nil tree: %v", err)
 	}
-	if _, err := ReleaseCount(tree, 0, p, ModelCells, CalibrationClassical, nil); !errors.Is(err, dp.ErrNilSource) {
+	if _, err := ReleaseCount(tree, 0, ModelCells, classical(p), nil); !errors.Is(err, dp.ErrNilSource) {
 		t.Errorf("nil source: %v", err)
 	}
-	if _, err := ReleaseCount(tree, 0, dp.Params{}, ModelCells, CalibrationClassical, rng.New(1)); err == nil {
+	if _, err := ReleaseCount(tree, 0, ModelCells, classical(dp.Params{}), rng.New(1)); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := ReleaseCount(tree, 9, p, ModelCells, CalibrationClassical, rng.New(1)); err == nil {
+	if _, err := ReleaseCount(tree, 9, ModelCells, classical(p), rng.New(1)); err == nil {
 		t.Error("invalid level accepted")
 	}
 	// Classical calibration rejects εg >= 1.
-	if _, err := ReleaseCount(tree, 0, dp.Params{Epsilon: 2, Delta: 1e-5}, ModelCells, CalibrationClassical, rng.New(1)); err == nil {
+	if _, err := ReleaseCount(tree, 0, ModelCells, classical(dp.Params{Epsilon: 2, Delta: 1e-5}), rng.New(1)); err == nil {
 		t.Error("classical calibration accepted eps=2")
 	}
 }
@@ -236,7 +254,7 @@ func TestReleaseNoiseGrowsWithLevel(t *testing.T) {
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
 	var prev float64 = -1
 	for level := 0; level <= 3; level++ {
-		rel, err := ReleaseCount(tree, level, p, ModelCells, CalibrationClassical, rng.New(7))
+		rel, err := ReleaseCount(tree, level, ModelCells, classical(p), rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +269,7 @@ func TestExpectedRERMatchesEmpirical(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
-	want, err := ExpectedRER(tree, 2, p, ModelCells, CalibrationClassical)
+	want, err := ExpectedRER(tree, 2, ModelCells, classical(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +277,7 @@ func TestExpectedRERMatchesEmpirical(t *testing.T) {
 	const trials = 20000
 	var sum float64
 	for i := 0; i < trials; i++ {
-		rel, err := ReleaseCount(tree, 2, p, ModelCells, CalibrationClassical, src)
+		rel, err := ReleaseCount(tree, 2, ModelCells, classical(p), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +291,7 @@ func TestExpectedRERMatchesEmpirical(t *testing.T) {
 
 func TestExpectedRERErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := ExpectedRER(nil, 0, dp.Params{Epsilon: 1}, ModelCells, CalibrationClassical); !errors.Is(err, ErrNilTree) {
+	if _, err := ExpectedRER(nil, 0, ModelCells, classical(dp.Params{Epsilon: 1})); !errors.Is(err, ErrNilTree) {
 		t.Errorf("nil tree: %v", err)
 	}
 }
@@ -282,7 +300,7 @@ func TestReleaseCells(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	rel, err := ReleaseCells(tree, 1, p, CalibrationClassical, rng.New(11))
+	rel, err := releaseCells(tree, 1, classical(p), rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,16 +320,16 @@ func TestReleaseCellsErrors(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	if _, err := ReleaseCells(nil, 0, p, CalibrationClassical, rng.New(1)); !errors.Is(err, ErrNilTree) {
+	if _, err := releaseCells(nil, 0, classical(p), rng.New(1)); !errors.Is(err, ErrNilTree) {
 		t.Errorf("nil tree: %v", err)
 	}
-	if _, err := ReleaseCells(tree, 0, p, CalibrationClassical, nil); !errors.Is(err, dp.ErrNilSource) {
+	if _, err := releaseCells(tree, 0, classical(p), nil); !errors.Is(err, dp.ErrNilSource) {
 		t.Errorf("nil source: %v", err)
 	}
-	if _, err := ReleaseCells(tree, 42, p, CalibrationClassical, rng.New(1)); err == nil {
+	if _, err := releaseCells(tree, 42, classical(p), rng.New(1)); err == nil {
 		t.Error("bad level accepted")
 	}
-	if _, err := ReleaseCells(tree, 0, dp.Params{Epsilon: -1}, CalibrationClassical, rng.New(1)); err == nil {
+	if _, err := releaseCells(tree, 0, classical(dp.Params{Epsilon: -1}), rng.New(1)); err == nil {
 		t.Error("bad params accepted")
 	}
 }
@@ -320,7 +338,7 @@ func TestReleaseLevels(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	m, err := ReleaseLevels(tree, []int{0, 1, 2}, p, ModelCells, CalibrationClassical, rng.New(4))
+	m, err := ReleaseLevels(tree, []int{0, 1, 2}, ModelCells, classical(p), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,13 +351,13 @@ func TestReleaseLevels(t *testing.T) {
 	if _, ok := m.ForLevel(9); ok {
 		t.Error("ForLevel(9) found a missing level")
 	}
-	if _, err := ReleaseLevels(tree, nil, p, ModelCells, CalibrationClassical, rng.New(4)); !errors.Is(err, ErrEmptyLevels) {
+	if _, err := ReleaseLevels(tree, nil, ModelCells, classical(p), rng.New(4)); !errors.Is(err, ErrEmptyLevels) {
 		t.Errorf("empty levels: %v", err)
 	}
-	if _, err := ReleaseLevels(nil, []int{0}, p, ModelCells, CalibrationClassical, rng.New(4)); !errors.Is(err, ErrNilTree) {
+	if _, err := ReleaseLevels(nil, []int{0}, ModelCells, classical(p), rng.New(4)); !errors.Is(err, ErrNilTree) {
 		t.Errorf("nil tree: %v", err)
 	}
-	if _, err := ReleaseLevels(tree, []int{0, 77}, p, ModelCells, CalibrationClassical, rng.New(4)); err == nil {
+	if _, err := ReleaseLevels(tree, []int{0, 77}, ModelCells, classical(p), rng.New(4)); err == nil {
 		t.Error("bad level in list accepted")
 	}
 }
@@ -348,7 +366,7 @@ func TestOmitTrue(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	m, err := ReleaseLevels(tree, []int{0, 1}, p, ModelCells, CalibrationClassical, rng.New(4))
+	m, err := ReleaseLevels(tree, []int{0, 1}, ModelCells, classical(p), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +389,7 @@ func TestLevelReleaseJSONRoundTrip(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	rel, err := ReleaseCount(tree, 1, p, ModelCells, CalibrationClassical, rng.New(2))
+	rel, err := ReleaseCount(tree, 1, ModelCells, classical(p), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}

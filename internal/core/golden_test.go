@@ -15,25 +15,18 @@ import (
 	"repro/internal/rng"
 )
 
-// goldenSpec is one way of perturbing a release: a mechanism with
-// either a calibration or an externally calibrated σ.
-type goldenSpec struct {
-	name     string
-	mech     NoiseMechanism
-	calib    Calibration
-	external bool
-	sigma    float64
-}
-
 var (
 	goldenBudget = dp.Params{Epsilon: 0.5, Delta: 1e-5}
-	goldenSpecs  = []goldenSpec{
-		{name: "gaussian-classical", mech: MechGaussian, calib: CalibrationClassical},
-		{name: "gaussian-analytic", mech: MechGaussian, calib: CalibrationAnalytic},
-		{name: "external-sigma", mech: MechGaussian, external: true, sigma: 3.5},
-		{name: "external-sigma-zero", mech: MechGaussian, external: true},
-		{name: "laplace", mech: MechLaplace, calib: CalibrationClassical},
-		{name: "geometric", mech: MechGeometric, calib: CalibrationClassical},
+	goldenSpecs  = []struct {
+		name  string
+		noise Noise
+	}{
+		{"gaussian-classical", classical(goldenBudget)},
+		{"gaussian-analytic", Noise{Mech: MechGaussian, Calib: CalibrationAnalytic, Budget: goldenBudget}},
+		{"external-sigma", external(3.5, goldenBudget)},
+		{"external-sigma-zero", external(0, goldenBudget)},
+		{"laplace", Noise{Mech: MechLaplace, Budget: goldenBudget}},
+		{"geometric", Noise{Mech: MechGeometric, Budget: goldenBudget}},
 	}
 )
 
@@ -43,35 +36,18 @@ const (
 	goldenCellsLevel = 0 // 4^8 cells: eight noise chunks, so four workers all draw
 )
 
-// goldenCount releases the count under spec and returns the reported σ
-// and the released value.
-func goldenCount(t *hierarchy.Tree, spec goldenSpec) (float64, []float64, error) {
-	src := rng.New(goldenSeed)
-	var rel LevelRelease
-	var err error
-	switch {
-	case spec.external:
-		rel, err = ReleaseCountSigma(t, goldenCountLevel, ModelCells, spec.sigma, goldenBudget, src)
-	default:
-		rel, err = ReleaseCountWith(t, goldenCountLevel, goldenBudget, ModelCells, spec.calib, spec.mech, src)
-	}
+// goldenCount releases the count under n and returns the reported σ and
+// the released value.
+func goldenCount(t *hierarchy.Tree, n Noise) (float64, []float64, error) {
+	rel, err := ReleaseCount(t, goldenCountLevel, ModelCells, n, rng.New(goldenSeed))
 	return rel.Sigma, []float64{rel.NoisyCount}, err
 }
 
-// goldenCells releases the cell histogram under spec and returns the
+// goldenCells releases the cell histogram under n and returns the
 // reported σ and the released cells.
-func goldenCells(t *hierarchy.Tree, spec goldenSpec, workers int) (float64, []float64, error) {
-	src := rng.New(goldenSeed)
+func goldenCells(t *hierarchy.Tree, n Noise, workers int) (float64, []float64, error) {
 	var rel CellRelease
-	var err error
-	switch {
-	case spec.external:
-		err = ReleaseCellsSigmaWorkersInto(&rel, t, goldenCellsLevel, spec.sigma, goldenBudget, src, workers)
-	case spec.mech == MechGaussian:
-		err = ReleaseCellsWorkersInto(&rel, t, goldenCellsLevel, goldenBudget, spec.calib, src, workers)
-	default:
-		err = ReleaseCellsPureInto(&rel, t, goldenCellsLevel, goldenBudget, spec.mech, src)
-	}
+	err := ReleaseCells(&rel, t, goldenCellsLevel, n, rng.New(goldenSeed), workers)
 	return rel.Sigma, rel.Counts, err
 }
 
@@ -106,10 +82,10 @@ func emptyTree(t testing.TB) *hierarchy.Tree {
 }
 
 // goldenKernel pins every Phase-2 release path bit for bit. It was
-// generated from the twelve pre-collapse entry points
-// (ReleaseCount{,With,Sigma}, ReleaseCells{…}Into, ReleaseCellsPureInto);
-// the single release kernel that replaced them must reproduce each row,
-// and the w1/w4 rows of one spec must agree (worker-count bit-identity).
+// generated from the twelve entry points the Noise kernel replaced (one
+// function per mechanism × scale source × buffer × worker variant), so
+// the kernel provably draws what they drew; the w1/w4 rows of one spec
+// agree (worker-count bit-identity).
 var goldenKernel = map[string]string{
 	"gaussian-classical/count":        "0a911f738831f04c7a5caa5309fd2f9e6214594377af26e3d1a7b66f0a6db589",
 	"gaussian-classical/cells/w1":     "82e7046991dcbca413e93ef4825457b0647c2b9e3ef68d1059d575122cbbdbd0",
@@ -157,15 +133,15 @@ func TestReleaseKernelGolden(t *testing.T) {
 		}
 	}
 	for _, spec := range goldenSpecs {
-		sigma, values, err := goldenCount(full, spec)
+		sigma, values, err := goldenCount(full, spec.noise)
 		check(spec.name+"/count", sigma, values, err)
 		for _, workers := range []int{1, 4} {
-			sigma, values, err := goldenCells(full, spec, workers)
+			sigma, values, err := goldenCells(full, spec.noise, workers)
 			check(fmt.Sprintf("%s/cells/w%d", spec.name, workers), sigma, values, err)
 		}
-		sigma, values, err = goldenCount(empty, spec)
+		sigma, values, err = goldenCount(empty, spec.noise)
 		check(spec.name+"/empty/count", sigma, values, err)
-		sigma, values, err = goldenCells(empty, spec, 1)
+		sigma, values, err = goldenCells(empty, spec.noise, 1)
 		check(spec.name+"/empty/cells", sigma, values, err)
 	}
 	if want := len(goldenSpecs) * 5; len(goldenKernel) != want {

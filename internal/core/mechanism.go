@@ -41,101 +41,138 @@ func (m NoiseMechanism) Valid() bool {
 	return m == MechGaussian || m == MechLaplace || m == MechGeometric
 }
 
-// ErrBadMechanism reports an unknown noise mechanism.
+// ErrBadMechanism reports an unknown noise mechanism, or an externally
+// calibrated σ paired with a mechanism other than Gaussian.
 var ErrBadMechanism = fmt.Errorf("core: unknown noise mechanism")
 
-// ReleaseCountWith answers the association-count query at one level with
-// εg-group DP using the chosen noise mechanism. The Gaussian path matches
-// ReleaseCount; Laplace and geometric ignore δ and deliver pure εg-group
-// DP at L1 sensitivity Δℓ.
-func ReleaseCountWith(t *hierarchy.Tree, level int, p dp.Params, model GroupModel, calib Calibration, mech NoiseMechanism, src *rng.Source) (LevelRelease, error) {
-	if mech == MechGaussian {
-		rel, err := ReleaseCount(t, level, p, model, calib, src)
-		if err != nil {
-			return LevelRelease{}, err
-		}
-		rel.MechName = mech.String()
-		return rel, nil
-	}
-	if !mech.Valid() {
-		return LevelRelease{}, fmt.Errorf("%w: %d", ErrBadMechanism, int(mech))
-	}
-	if t == nil {
-		return LevelRelease{}, ErrNilTree
-	}
-	if src == nil {
-		return LevelRelease{}, dp.ErrNilSource
-	}
-	if err := p.Validate(); err != nil {
-		return LevelRelease{}, err
-	}
-	sens, err := Sensitivity(t, level, model)
-	if err != nil {
-		return LevelRelease{}, err
-	}
-	trueCount := t.NumEdges()
-	rel := LevelRelease{
-		Level: level, Model: model, Calibration: calib,
-		ModelName: model.String(), CalibName: calib.String(), MechName: mech.String(),
-		Params: p, Epsilon: p.Epsilon, Delta: 0,
-		Sensitivity: sens,
-		TrueCount:   trueCount, NoisyCount: float64(trueCount),
-	}
-	if sens > 0 {
-		switch mech {
-		case MechLaplace:
-			m, err := dp.NewLaplace(p.Epsilon, float64(sens), src)
-			if err != nil {
-				return LevelRelease{}, err
-			}
-			rel.Sigma = m.Scale() * math.Sqrt2 // stddev of Laplace(b) = b√2
-			rel.NoisyCount = m.Perturb(float64(trueCount))
-		case MechGeometric:
-			m, err := dp.NewGeometric(p.Epsilon, float64(sens), src)
-			if err != nil {
-				return LevelRelease{}, err
-			}
-			rel.Sigma = m.Scale()
-			rel.NoisyCount = float64(m.PerturbInt(trueCount))
-		}
-	}
-	if trueCount > 0 {
-		rel.RER = math.Abs(rel.NoisyCount-float64(trueCount)) / float64(trueCount)
-	}
-	return rel, nil
+// Noise says how one Phase-2 release is perturbed. The scale comes from
+// one of two places:
+//
+//   - calibrated (External false): Budget is the (εg, δ) the release
+//     consumes. Gaussian noise derives σ from it and the level's
+//     sensitivity Δℓ through Calib; Laplace and geometric noise ignore
+//     Calib and δ and deliver pure εg-group DP at L1 sensitivity Δℓ.
+//   - external (External true): Sigma is a Gaussian scale calibrated
+//     elsewhere — an RDP accountant governing the global budget rather
+//     than a per-query (ε, δ) split — and Budget only advertises the
+//     per-release budget that scale implies (dp.GaussianEpsilon). σ = 0
+//     is a legal external scale (an empty level needs no noise), which is
+//     why External is a flag and not "Sigma > 0".
+type Noise struct {
+	Mech     NoiseMechanism
+	Calib    Calibration
+	Budget   dp.Params
+	External bool
+	Sigma    float64
 }
 
-// ExpectedRERWith returns the closed-form expected relative error rate of
-// a level release under the chosen mechanism.
-func ExpectedRERWith(t *hierarchy.Tree, level int, p dp.Params, model GroupModel, calib Calibration, mech NoiseMechanism) (float64, error) {
-	if mech == MechGaussian {
-		return ExpectedRER(t, level, p, model, calib)
+// Validate reports whether the spec can perturb a release at all: it
+// resolves the scale at unit sensitivity, so an unknown mechanism or
+// calibration, an external σ on a non-Gaussian mechanism, and a budget
+// the calibration cannot turn into a scale (δ = 0 or classical εg ≥ 1
+// under Gaussian noise) all fail here rather than at the first release.
+func (n Noise) Validate() error {
+	_, err := n.scale(1)
+	return err
+}
+
+// noiseScale is a Noise resolved against one sensitivity.
+type noiseScale struct {
+	mech NoiseMechanism
+	sens int64
+	// sigma is the reported standard deviation: the Gaussian σ, b√2 for
+	// Laplace(b), the two-sided geometric's stddev — what downstream
+	// variance weighting reads. Zero means nothing is drawn.
+	sigma float64
+	// param is what the sampler takes: σ, the Laplace b, the geometric α.
+	param float64
+	// expAbs is E|noise|.
+	expAbs float64
+	// calib, calibName and delta label the release; a pure mechanism
+	// reports δ = 0 whatever the budget carried.
+	calib     Calibration
+	calibName string
+	delta     float64
+}
+
+// scale resolves the spec at one sensitivity — the single place where
+// the spec is validated and a mechanism turns (budget, Δℓ) into a noise
+// scale. A zero sensitivity (empty level) resolves to no noise, except
+// under an external σ, which is used as given.
+func (n Noise) scale(sens int64) (noiseScale, error) {
+	s := noiseScale{mech: n.Mech, sens: sens, delta: n.Budget.Delta}
+	switch {
+	case !n.Mech.Valid():
+		return s, fmt.Errorf("%w: %d", ErrBadMechanism, int(n.Mech))
+	case n.External && n.Mech != MechGaussian:
+		return s, fmt.Errorf("%w: an externally calibrated sigma needs the gaussian mechanism, have %s", ErrBadMechanism, n.Mech)
+	case n.External && (!(n.Sigma >= 0) || math.IsInf(n.Sigma, 0)):
+		return s, fmt.Errorf("core: invalid sigma %v", n.Sigma)
+	case !n.External:
+		if err := n.Budget.Validate(); err != nil {
+			return s, err
+		}
 	}
-	if !mech.Valid() {
-		return 0, fmt.Errorf("%w: %d", ErrBadMechanism, int(mech))
+	switch n.Mech {
+	case MechGaussian:
+		s.sigma, s.calibName = n.Sigma, "rdp"
+		if !n.External {
+			var err error
+			if s.sigma, err = Sigma(n.Budget, sens, n.Calib); err != nil {
+				return s, err
+			}
+			s.calib, s.calibName = n.Calib, n.Calib.String()
+		}
+		s.param, s.expAbs = s.sigma, s.sigma*math.Sqrt(2/math.Pi)
+	case MechLaplace:
+		s.calibName, s.delta = "pure", 0
+		if sens > 0 {
+			b := float64(sens) / n.Budget.Epsilon
+			s.sigma, s.param, s.expAbs = b*math.Sqrt2, b, b
+		}
+	case MechGeometric:
+		s.calibName, s.delta = "pure", 0
+		if sens > 0 {
+			alpha := math.Exp(-n.Budget.Epsilon / float64(sens))
+			s.sigma, s.param, s.expAbs = math.Sqrt(2*alpha)/(1-alpha), alpha, 2*alpha/(1-alpha*alpha)
+		}
 	}
+	return s, nil
+}
+
+// resolve is the step every Phase-2 entry point starts with: the
+// preconditions, the level's sensitivity under the group model, and the
+// spec's scale at that sensitivity. needSrc is false only for the
+// closed-form ExpectedRER, which draws nothing.
+func (n Noise) resolve(t *hierarchy.Tree, level int, model GroupModel, src *rng.Source, needSrc bool) (noiseScale, error) {
 	if t == nil {
-		return 0, ErrNilTree
+		return noiseScale{}, ErrNilTree
 	}
-	if err := p.Validate(); err != nil {
-		return 0, err
+	if needSrc && src == nil {
+		return noiseScale{}, dp.ErrNilSource
 	}
 	sens, err := Sensitivity(t, level, model)
 	if err != nil {
-		return 0, err
+		return noiseScale{}, err
 	}
-	total := t.NumEdges()
-	if total == 0 || sens == 0 {
-		return 0, nil
-	}
-	switch mech {
-	case MechLaplace:
-		// E|Laplace(b)| = b = Δ/ε.
-		return float64(sens) / p.Epsilon / float64(total), nil
-	case MechGeometric:
-		alpha := math.Exp(-p.Epsilon / float64(sens))
-		return 2 * alpha / (1 - alpha*alpha) / float64(total), nil
+	return n.scale(sens)
+}
+
+// draw samples one noise variate at the resolved scale; σ = 0 draws
+// nothing. The Gaussian scalar goes through the same batched ziggurat
+// sampler the histogram fill uses (a one-element fill), so every
+// Gaussian release shares one noise source.
+func (s *noiseScale) draw(src *rng.Source) float64 {
+	switch {
+	case s.sigma <= 0:
+		return 0
+	case s.mech == MechLaplace:
+		return src.Laplace(s.param)
+	case s.mech == MechGeometric:
+		return float64(src.TwoSidedGeometric(s.param))
 	default:
-		return 0, fmt.Errorf("%w: %d", ErrBadMechanism, int(mech))
+		var noise [1]float64
+		src.NormalsSigma(noise[:], s.param)
+		return noise[0]
 	}
 }

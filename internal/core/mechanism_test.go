@@ -19,23 +19,32 @@ func TestNoiseMechanismStrings(t *testing.T) {
 	}
 }
 
+// TestReleaseCountWithGaussianMatchesDefault pins the Gaussian count to
+// its definition: the true count plus one ziggurat draw at the
+// calibrated σ, labelled gaussian.
 func TestReleaseCountWithGaussianMatchesDefault(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	a, err := ReleaseCount(tree, 2, p, ModelCells, CalibrationClassical, rng.New(4))
+	rel, err := ReleaseCount(tree, 2, ModelCells, classical(p), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReleaseCountWith(tree, 2, p, ModelCells, CalibrationClassical, MechGaussian, rng.New(4))
+	sens, err := Sensitivity(tree, 2, ModelCells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NoisyCount != b.NoisyCount {
-		t.Error("gaussian path diverged from default ReleaseCount")
+	sigma, err := Sigma(p, sens, CalibrationClassical)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.MechName != "gaussian" {
-		t.Errorf("MechName = %q", b.MechName)
+	var z [1]float64
+	rng.New(4).NormalsSigma(z[:], sigma)
+	if want := float64(tree.NumEdges()) + z[0]; rel.NoisyCount != want || rel.Sigma != sigma {
+		t.Errorf("gaussian count = %v (σ %v), want %v (σ %v)", rel.NoisyCount, rel.Sigma, want, sigma)
+	}
+	if rel.MechName != "gaussian" || rel.CalibName != "classical" || rel.Delta != p.Delta {
+		t.Errorf("labels = %q/%q/δ=%v", rel.MechName, rel.CalibName, rel.Delta)
 	}
 }
 
@@ -43,15 +52,16 @@ func TestReleaseCountWithLaplace(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9} // pure DP: no delta needed
-	rel, err := ReleaseCountWith(tree, 2, p, ModelCells, CalibrationClassical, MechLaplace, rng.New(5))
+	rel, err := ReleaseCount(tree, 2, ModelCells, Noise{Mech: MechLaplace, Budget: p}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.MechName != "laplace" || rel.Delta != 0 {
+	if rel.MechName != "laplace" || rel.CalibName != "pure" || rel.Delta != 0 {
 		t.Errorf("release = %+v", rel)
 	}
-	if rel.Sigma <= 0 {
-		t.Error("laplace release missing noise scale")
+	// Sigma reports the standard deviation b√2 of Laplace(b = Δℓ/ε).
+	if want := float64(rel.Sensitivity) / p.Epsilon * math.Sqrt2; rel.Sigma != want {
+		t.Errorf("laplace sigma = %v, want b√2 = %v", rel.Sigma, want)
 	}
 }
 
@@ -59,7 +69,7 @@ func TestReleaseCountWithGeometricIntegral(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9}
-	rel, err := ReleaseCountWith(tree, 2, p, ModelCells, CalibrationClassical, MechGeometric, rng.New(6))
+	rel, err := ReleaseCount(tree, 2, ModelCells, Noise{Mech: MechGeometric, Budget: p}, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,19 +85,19 @@ func TestReleaseCountWithErrors(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9}
-	if _, err := ReleaseCountWith(tree, 2, p, ModelCells, CalibrationClassical, NoiseMechanism(9), rng.New(1)); !errors.Is(err, ErrBadMechanism) {
+	if _, err := ReleaseCount(tree, 2, ModelCells, Noise{Mech: NoiseMechanism(9), Budget: p}, rng.New(1)); !errors.Is(err, ErrBadMechanism) {
 		t.Errorf("bad mech: %v", err)
 	}
-	if _, err := ReleaseCountWith(nil, 2, p, ModelCells, CalibrationClassical, MechLaplace, rng.New(1)); !errors.Is(err, ErrNilTree) {
+	if _, err := ReleaseCount(nil, 2, ModelCells, Noise{Mech: MechLaplace, Budget: p}, rng.New(1)); !errors.Is(err, ErrNilTree) {
 		t.Errorf("nil tree: %v", err)
 	}
-	if _, err := ReleaseCountWith(tree, 2, p, ModelCells, CalibrationClassical, MechLaplace, nil); !errors.Is(err, dp.ErrNilSource) {
+	if _, err := ReleaseCount(tree, 2, ModelCells, Noise{Mech: MechLaplace, Budget: p}, nil); !errors.Is(err, dp.ErrNilSource) {
 		t.Errorf("nil src: %v", err)
 	}
-	if _, err := ReleaseCountWith(tree, 2, dp.Params{}, ModelCells, CalibrationClassical, MechLaplace, rng.New(1)); err == nil {
+	if _, err := ReleaseCount(tree, 2, ModelCells, Noise{Mech: MechLaplace, Budget: dp.Params{}}, rng.New(1)); err == nil {
 		t.Error("bad params accepted")
 	}
-	if _, err := ReleaseCountWith(tree, 99, p, ModelCells, CalibrationClassical, MechLaplace, rng.New(1)); err == nil {
+	if _, err := ReleaseCount(tree, 99, ModelCells, Noise{Mech: MechLaplace, Budget: p}, rng.New(1)); err == nil {
 		t.Error("bad level accepted")
 	}
 }
@@ -100,7 +110,7 @@ func TestExpectedRERWithLaplaceFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExpectedRERWith(tree, 2, p, ModelCells, CalibrationClassical, MechLaplace)
+	got, err := ExpectedRER(tree, 2, ModelCells, Noise{Mech: MechLaplace, Budget: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +125,7 @@ func TestExpectedRERWithEmpiricalAgreement(t *testing.T) {
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.7}
 	for _, mech := range []NoiseMechanism{MechLaplace, MechGeometric} {
-		want, err := ExpectedRERWith(tree, 2, p, ModelCells, CalibrationClassical, mech)
+		want, err := ExpectedRER(tree, 2, ModelCells, Noise{Mech: mech, Budget: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +133,7 @@ func TestExpectedRERWithEmpiricalAgreement(t *testing.T) {
 		const trials = 30000
 		var sum float64
 		for i := 0; i < trials; i++ {
-			rel, err := ReleaseCountWith(tree, 2, p, ModelCells, CalibrationClassical, mech, src)
+			rel, err := ReleaseCount(tree, 2, ModelCells, Noise{Mech: mech, Budget: p}, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,13 +149,13 @@ func TestExpectedRERWithEmpiricalAgreement(t *testing.T) {
 func TestExpectedRERWithErrors(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
-	if _, err := ExpectedRERWith(tree, 2, dp.Params{Epsilon: 1}, ModelCells, CalibrationClassical, NoiseMechanism(9)); !errors.Is(err, ErrBadMechanism) {
+	if _, err := ExpectedRER(tree, 2, ModelCells, Noise{Mech: NoiseMechanism(9), Budget: dp.Params{Epsilon: 1}}); !errors.Is(err, ErrBadMechanism) {
 		t.Errorf("bad mech: %v", err)
 	}
-	if _, err := ExpectedRERWith(nil, 2, dp.Params{Epsilon: 1}, ModelCells, CalibrationClassical, MechLaplace); !errors.Is(err, ErrNilTree) {
+	if _, err := ExpectedRER(nil, 2, ModelCells, Noise{Mech: MechLaplace, Budget: dp.Params{Epsilon: 1}}); !errors.Is(err, ErrNilTree) {
 		t.Errorf("nil tree: %v", err)
 	}
-	if _, err := ExpectedRERWith(tree, 2, dp.Params{}, ModelCells, CalibrationClassical, MechLaplace); err == nil {
+	if _, err := ExpectedRER(tree, 2, ModelCells, Noise{Mech: MechLaplace, Budget: dp.Params{}}); err == nil {
 		t.Error("bad params accepted")
 	}
 }
@@ -157,15 +167,107 @@ func TestGaussianVsLaplaceCrossover(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
-	gauss, err := ExpectedRER(tree, 2, p, ModelCells, CalibrationClassical)
+	gauss, err := ExpectedRER(tree, 2, ModelCells, classical(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lap, err := ExpectedRERWith(tree, 2, p, ModelCells, CalibrationClassical, MechLaplace)
+	lap, err := ExpectedRER(tree, 2, ModelCells, Noise{Mech: MechLaplace, Budget: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lap >= gauss {
 		t.Errorf("laplace E[RER] %v not below classical gaussian %v for scalar count", lap, gauss)
+	}
+}
+
+// TestNoiseValidate walks the spec's rules: they are checked in one
+// place, so Validate, ReleaseCount, ReleaseCells and ExpectedRER must
+// all refuse the same specs.
+func TestNoiseValidate(t *testing.T) {
+	t.Parallel()
+	tree := testTree(t)
+	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
+	cases := []struct {
+		name string
+		n    Noise
+		want error // nil: valid; errAny: any error
+	}{
+		{"classical", classical(p), nil},
+		{"analytic eps=2", Noise{Mech: MechGaussian, Calib: CalibrationAnalytic, Budget: dp.Params{Epsilon: 2, Delta: 1e-5}}, nil},
+		{"laplace, no calibration, delta=0", Noise{Mech: MechLaplace, Budget: dp.Params{Epsilon: 2}}, nil},
+		{"geometric", Noise{Mech: MechGeometric, Budget: p}, nil},
+		{"external", external(2.5, p), nil},
+		{"external sigma=0, no budget", external(0, dp.Params{}), nil},
+		{"no mechanism", Noise{Calib: CalibrationClassical, Budget: p}, ErrBadMechanism},
+		{"unknown mechanism", Noise{Mech: NoiseMechanism(9), Budget: p}, ErrBadMechanism},
+		{"external laplace", Noise{Mech: MechLaplace, External: true, Sigma: 2.5, Budget: p}, ErrBadMechanism},
+		{"external geometric", Noise{Mech: MechGeometric, External: true, Sigma: 2.5, Budget: p}, ErrBadMechanism},
+		{"external negative sigma", external(-1, p), errAny},
+		{"external NaN sigma", external(math.NaN(), p), errAny},
+		{"external infinite sigma", external(math.Inf(1), p), errAny},
+		{"gaussian without calibration", Noise{Mech: MechGaussian, Budget: p}, ErrBadCalib},
+		{"gaussian delta=0", classical(dp.Params{Epsilon: 0.5}), errAny},
+		{"classical eps=2", classical(dp.Params{Epsilon: 2, Delta: 1e-5}), dp.ErrClassicalEpsilonRange},
+		{"laplace eps=0", Noise{Mech: MechLaplace}, dp.ErrEpsilon},
+	}
+	for _, c := range cases {
+		var cells CellRelease
+		_, countErr := ReleaseCount(tree, 1, ModelCells, c.n, rng.New(1))
+		_, rerErr := ExpectedRER(tree, 1, ModelCells, c.n)
+		for what, err := range map[string]error{
+			"Validate":     c.n.Validate(),
+			"ReleaseCount": countErr,
+			"ReleaseCells": ReleaseCells(&cells, tree, 1, c.n, rng.New(1), 1),
+			"ExpectedRER":  rerErr,
+		} {
+			switch {
+			case c.want == nil && err != nil:
+				t.Errorf("%s: %s refused a valid spec: %v", c.name, what, err)
+			case c.want == errAny && err == nil:
+				t.Errorf("%s: %s accepted the spec", c.name, what)
+			case c.want != nil && c.want != errAny && !errors.Is(err, c.want):
+				t.Errorf("%s: %s = %v, want %v", c.name, what, err, c.want)
+			}
+		}
+	}
+}
+
+var errAny = errors.New("any error")
+
+// TestPureCellRelease covers the δ = 0 histogram: labels, the reported
+// standard deviation, geometric integrality, and that the serial
+// per-cell draw ignores the worker count.
+func TestPureCellRelease(t *testing.T) {
+	t.Parallel()
+	tree := deepTree(t, 4)
+	p := dp.Params{Epsilon: 0.7, Delta: 1e-5}
+	for _, mech := range []NoiseMechanism{MechLaplace, MechGeometric} {
+		n := Noise{Mech: mech, Budget: p}
+		rel, err := releaseCells(tree, 0, n, rng.New(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.MechName != mech.String() || rel.CalibName != "pure" || rel.Delta != 0 || rel.Epsilon != p.Epsilon {
+			t.Errorf("%v: labels = %q/%q/(%v, %v)", mech, rel.MechName, rel.CalibName, rel.Epsilon, rel.Delta)
+		}
+		count, err := ReleaseCount(tree, 0, ModelCells, n, rng.New(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Sigma <= 0 || rel.Sigma != count.Sigma {
+			t.Errorf("%v: cells sigma %v, count sigma %v", mech, rel.Sigma, count.Sigma)
+		}
+		var sharded CellRelease
+		if err := ReleaseCells(&sharded, tree, 0, n, rng.New(21), 4); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range rel.Counts {
+			if sharded.Counts[i] != v {
+				t.Fatalf("%v: cell %d depends on the worker count: %v != %v", mech, i, sharded.Counts[i], v)
+			}
+			if mech == MechGeometric && v != math.Trunc(v) {
+				t.Fatalf("geometric cell %d non-integral: %v", i, v)
+			}
+		}
 	}
 }

@@ -111,12 +111,12 @@ func TestReleaseCellsWorkersBitIdentity(t *testing.T) {
 	tree := deepTree(t, 6)
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
 	var want CellRelease
-	if err := ReleaseCellsWorkersInto(&want, tree, 0, p, CalibrationClassical, rng.New(5), 1); err != nil {
+	if err := ReleaseCells(&want, tree, 0, classical(p), rng.New(5), 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 7} {
 		var got CellRelease
-		if err := ReleaseCellsWorkersInto(&got, tree, 0, p, CalibrationClassical, rng.New(5), workers); err != nil {
+		if err := ReleaseCells(&got, tree, 0, classical(p), rng.New(5), workers); err != nil {
 			t.Fatal(err)
 		}
 		if got.Sigma != want.Sigma || got.Level != want.Level || len(got.Counts) != len(want.Counts) {

@@ -256,7 +256,7 @@ func RunPartitioner(opts Options) (*Report, error) {
 				return nil, err
 			}
 			skews[ei][li] = prof.Skew
-			exp, err := core.ExpectedRER(tree, lvl, p, core.ModelCells, core.CalibrationClassical)
+			exp, err := core.ExpectedRER(tree, lvl, core.ModelCells, classical(p))
 			if err != nil {
 				return nil, err
 			}
@@ -315,11 +315,11 @@ func RunAdjacency(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cellRER, err := core.ExpectedRER(tree, lvl, p, core.ModelCells, core.CalibrationClassical)
+		cellRER, err := core.ExpectedRER(tree, lvl, core.ModelCells, classical(p))
 		if err != nil {
 			return nil, err
 		}
-		nodeRER, err := core.ExpectedRER(tree, lvl, p, core.ModelNodeGroups, core.CalibrationClassical)
+		nodeRER, err := core.ExpectedRER(tree, lvl, core.ModelNodeGroups, classical(p))
 		if err != nil {
 			return nil, err
 		}
@@ -372,8 +372,7 @@ func RunDeltaSweep(opts Options) (*Report, error) {
 	for _, delta := range deltas {
 		row := []any{delta}
 		for li, lvl := range levels {
-			exp, err := core.ExpectedRER(tree, lvl, dp.Params{Epsilon: eps, Delta: delta},
-				core.ModelCells, core.CalibrationClassical)
+			exp, err := core.ExpectedRER(tree, lvl, core.ModelCells, classical(dp.Params{Epsilon: eps, Delta: delta}))
 			if err != nil {
 				return nil, err
 			}
@@ -435,8 +434,7 @@ func RunScale(opts Options) (*Report, error) {
 		t2 := time.Now()
 		src := rng.New(opts.Seed + uint64(edges) + 2)
 		for _, lvl := range levelsFor(r) {
-			if _, err := core.ReleaseCount(tree, lvl, dp.Params{Epsilon: 0.5, Delta: 1e-5},
-				core.ModelCells, core.CalibrationClassical, src); err != nil {
+			if _, err := core.ReleaseCount(tree, lvl, core.ModelCells, classical(dp.Params{Epsilon: 0.5, Delta: 1e-5}), src); err != nil {
 				return nil, err
 			}
 		}

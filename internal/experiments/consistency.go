@@ -63,9 +63,8 @@ func RunConsistency(opts Options) (*Report, error) {
 	err = runTrials(opts.Workers, trials, func(worker, trial int) error {
 		var raw []core.CellRelease
 		for i := len(levels) - 1; i >= 0; i-- { // coarse first
-			rel, err := core.ReleaseCells(tree, levels[i], dp.Params{Epsilon: eps, Delta: 1e-5},
-				core.CalibrationClassical, srcs[trial][i])
-			if err != nil {
+			var rel core.CellRelease
+			if err := core.ReleaseCells(&rel, tree, levels[i], classical(dp.Params{Epsilon: eps, Delta: 1e-5}), srcs[trial][i], 1); err != nil {
 				return err
 			}
 			raw = append(raw, rel)

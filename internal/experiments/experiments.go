@@ -10,7 +10,9 @@ import (
 	"sort"
 
 	"repro/internal/bipartite"
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/dp"
 	"repro/internal/hierarchy"
 	"repro/internal/metrics"
 	"repro/internal/partition"
@@ -46,6 +48,12 @@ func (o Options) EffectivePreset() string {
 		return datagen.PresetDBLPTiny
 	}
 	return datagen.PresetDBLPScaled
+}
+
+// classical is the paper's Phase-2 perturbation: Gaussian noise consuming
+// p, calibrated with the classical bound.
+func classical(p dp.Params) core.Noise {
+	return core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: p}
 }
 
 // dataset resolves the configured dataset.

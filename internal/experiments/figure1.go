@@ -224,13 +224,13 @@ func runFigure1Trials(cfg Figure1Config, buildTree func(b *hierarchy.Builder, bu
 		sweepErr := runTrials(buildWorkers, len(pairSrcs), func(_, pi int) error {
 			li, ei := pi/nEps, pi%nEps
 			level, eps := cfg.Levels[li], cfg.EpsGrid[ei]
-			p := dp.Params{Epsilon: eps, Delta: cfg.Delta}
-			rel, err := core.ReleaseCount(tree, level, p, cfg.Model, cfg.Calib, pairSrcs[pi])
+			n := core.Noise{Mech: core.MechGaussian, Calib: cfg.Calib, Budget: dp.Params{Epsilon: eps, Delta: cfg.Delta}}
+			rel, err := core.ReleaseCount(tree, level, cfg.Model, n, pairSrcs[pi])
 			if err != nil {
 				return fmt.Errorf("experiments: trial %d level %d eps %v: %w", trial, level, eps, err)
 			}
 			res.rer[li][ei] = rel.RER
-			exp, err := core.ExpectedRER(tree, level, p, cfg.Model, cfg.Calib)
+			exp, err := core.ExpectedRER(tree, level, cfg.Model, n)
 			if err != nil {
 				return err
 			}

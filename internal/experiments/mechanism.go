@@ -48,7 +48,7 @@ func RunMechanism(opts Options) (*Report, error) {
 	for _, lvl := range levels {
 		row := []any{lvl}
 		for mi, m := range mechs {
-			exp, err := core.ExpectedRERWith(tree, lvl, m.p, core.ModelCells, core.CalibrationClassical, m.mech)
+			exp, err := core.ExpectedRER(tree, lvl, core.ModelCells, core.Noise{Mech: m.mech, Calib: core.CalibrationClassical, Budget: m.p})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: mechanism %s level %d: %w", m.name, lvl, err)
 			}

@@ -52,7 +52,7 @@ func RunTopK(opts Options) (*Report, error) {
 	}
 	// Pre-split every noise stream in the serial (εg, level, trial) loop
 	// order, then fan trials across Options.Workers lanes. A lane reuses
-	// one CellRelease buffer through ReleaseCellsInto — the released
+	// one CellRelease buffer through core.ReleaseCells — the released
 	// histogram is consumed by TopKPrecision before the next release
 	// overwrites it — and the precision means reduce in trial order, so
 	// the table is bit-identical for any worker count.
@@ -75,8 +75,7 @@ func RunTopK(opts Options) (*Report, error) {
 		for ei, eps := range grid {
 			res[ei] = make([]float64, len(levels))
 			for li, lvl := range levels {
-				if err := core.ReleaseCellsInto(rel, tree, lvl, dp.Params{Epsilon: eps, Delta: 1e-5},
-					core.CalibrationClassical, srcs[ei][li][trial]); err != nil {
+				if err := core.ReleaseCells(rel, tree, lvl, classical(dp.Params{Epsilon: eps, Delta: 1e-5}), srcs[ei][li][trial], 1); err != nil {
 					return err
 				}
 				p, err := query.TopKPrecision(tree, *rel, bipartite.Left, k)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/rng"
 )
 
@@ -86,11 +85,7 @@ func TestMarginalErrorGrowsWithNoise(t *testing.T) {
 	tree := testTree(t)
 	const level = 2
 	run := func(eps float64) float64 {
-		rel, err := core.ReleaseCells(tree, level, dp.Params{Epsilon: eps, Delta: 1e-5},
-			core.CalibrationClassical, rng.New(31))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rel := releaseCells(t, tree, level, eps, rng.New(31))
 		sum, err := MarginalError(tree, rel, bipartite.Left)
 		if err != nil {
 			t.Fatal(err)
@@ -139,11 +134,7 @@ func TestTopKPrecisionDegradesWithNoise(t *testing.T) {
 		var sum float64
 		const trials = 30
 		for i := 0; i < trials; i++ {
-			rel, err := core.ReleaseCells(tree, level, dp.Params{Epsilon: eps, Delta: 1e-5},
-				core.CalibrationClassical, rng.New(uint64(100+i)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rel := releaseCells(t, tree, level, eps, rng.New(uint64(100+i)))
 			p, err := TopKPrecision(tree, rel, bipartite.Left, k)
 			if err != nil {
 				t.Fatal(err)

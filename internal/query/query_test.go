@@ -30,6 +30,18 @@ func testTree(t testing.TB) *hierarchy.Tree {
 	return tree
 }
 
+// releaseCells releases a level's histogram with classically calibrated
+// Gaussian noise at (eps, 1e-5).
+func releaseCells(t testing.TB, tree *hierarchy.Tree, level int, eps float64, src *rng.Source) core.CellRelease {
+	t.Helper()
+	var rel core.CellRelease
+	n := core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: dp.Params{Epsilon: eps, Delta: 1e-5}}
+	if err := core.ReleaseCells(&rel, tree, level, n, src, 1); err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
 func TestTotalAssociations(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
@@ -111,11 +123,7 @@ func TestReleasedRect(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	const level = 2
-	rel, err := core.ReleaseCells(tree, level, dp.Params{Epsilon: 0.9, Delta: 1e-5},
-		core.CalibrationClassical, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := releaseCells(t, tree, level, 0.9, rng.New(3))
 	k := rel.SideGroups
 	full := Rect{Level: level, I0: 0, I1: k, J0: 0, J1: k}
 	got, err := ReleasedRect(rel, full)
@@ -180,11 +188,7 @@ func TestEvaluateWorkload(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	const level = 2
-	rel, err := core.ReleaseCells(tree, level, dp.Params{Epsilon: 0.9, Delta: 1e-5},
-		core.CalibrationClassical, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := releaseCells(t, tree, level, 0.9, rng.New(8))
 	rects, err := RandomRects(rng.New(9), tree, level, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -213,11 +217,7 @@ func TestEvaluateWorkload(t *testing.T) {
 func TestEvaluateEmptyWorkload(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
-	rel, err := core.ReleaseCells(tree, 1, dp.Params{Epsilon: 0.9, Delta: 1e-5},
-		core.CalibrationClassical, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := releaseCells(t, tree, 1, 0.9, rng.New(8))
 	if _, err := Evaluate(tree, rel, nil); err == nil {
 		t.Error("empty workload accepted")
 	}
@@ -232,11 +232,7 @@ func TestEvaluateMoreBudgetLessError(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(eps float64) float64 {
-		rel, err := core.ReleaseCells(tree, level, dp.Params{Epsilon: eps, Delta: 1e-5},
-			core.CalibrationClassical, rng.New(11))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rel := releaseCells(t, tree, level, eps, rng.New(11))
 		res, err := Evaluate(tree, rel, rects)
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 // Engine is the Phase-2 tail of the pipeline as a reusable component: it
 // answers count and cell-histogram releases against an already built
 // hierarchy, holding the reusable histogram buffer that makes repeated
-// releases allocation-free (core.ReleaseCellsInto's contract).
+// releases allocation-free (core.ReleaseCells' dst-reuse contract).
 //
 // Pipeline.finish runs one Engine per artifact; a serving session
 // (internal/serve) holds one Engine for its whole lifetime and answers
@@ -26,15 +26,14 @@ type Engine struct {
 	mech  core.NoiseMechanism
 
 	// cellMech is the cell-histogram noise mechanism. The default
-	// Gaussian runs the chunked parallel fill; Laplace/geometric run the
-	// serial pure-ε path (core.ReleaseCellsPureInto), which ignores the
-	// worker knob. Zero means Gaussian.
+	// Gaussian runs the chunked parallel fill; Laplace/geometric draw
+	// serially per cell with δ = 0 and ignore the worker knob
+	// (core.ReleaseCells). Zero means Gaussian.
 	cellMech core.NoiseMechanism
 
-	// workers shards each cell release's noise pass across goroutines
-	// (core.ReleaseCellsWorkersInto); releases are bit-identical for
-	// every value, so it is purely a latency knob. 0 and 1 both mean
-	// single-threaded.
+	// workers shards each Gaussian cell release's noise pass across
+	// goroutines; releases are bit-identical for every value, so it is
+	// purely a latency knob. 0 and 1 both mean single-threaded.
 	workers int
 
 	// cells is the reusable histogram buffer. Cells and CellsSigma
@@ -102,14 +101,15 @@ func (e *Engine) Workers() int {
 // Count answers the association-count query at one level, consuming the
 // given budget.
 func (e *Engine) Count(t *hierarchy.Tree, level int, budget dp.Params, src *rng.Source) (core.LevelRelease, error) {
-	return core.ReleaseCountWith(t, level, budget, e.model, e.calib, e.mech, src)
+	return core.ReleaseCount(t, level, e.model, core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}, src)
 }
 
 // CountSigma is Count with an externally calibrated Gaussian scale (the
 // RDP-accounted path); advertised records the per-release budget implied
-// by sigma.
+// by sigma. It is Gaussian-only — pure-ε mechanisms have no external σ
+// accounting — and fails with core.ErrBadMechanism on any other engine.
 func (e *Engine) CountSigma(t *hierarchy.Tree, level int, sigma float64, advertised dp.Params, src *rng.Source) (core.LevelRelease, error) {
-	return core.ReleaseCountSigma(t, level, e.model, sigma, advertised, src)
+	return core.ReleaseCount(t, level, e.model, core.Noise{Mech: e.mech, External: true, Sigma: sigma, Budget: advertised}, src)
 }
 
 // Cells releases a level's noisy cell histogram into the Engine's
@@ -117,25 +117,18 @@ func (e *Engine) CountSigma(t *hierarchy.Tree, level int, sigma float64, adverti
 // next Cells or CellsSigma call; callers that retain it across calls must
 // clone (CloneCellRelease).
 func (e *Engine) Cells(t *hierarchy.Tree, level int, budget dp.Params, src *rng.Source) (*core.CellRelease, error) {
-	if m := e.CellMechanism(); m != core.MechGaussian {
-		if err := core.ReleaseCellsPureInto(&e.cells, t, level, budget, m, src); err != nil {
-			return nil, err
-		}
-		return &e.cells, nil
-	}
-	if err := core.ReleaseCellsWorkersInto(&e.cells, t, level, budget, e.calib, src, e.Workers()); err != nil {
-		return nil, err
-	}
-	return &e.cells, nil
+	return e.releaseCells(t, level, core.Noise{Mech: e.CellMechanism(), Calib: e.calib, Budget: budget}, src)
 }
 
-// CellsSigma is Cells with an externally calibrated Gaussian scale. It
-// is Gaussian-only: pure-ε mechanisms have no external σ accounting.
+// CellsSigma is Cells with an externally calibrated Gaussian scale;
+// Gaussian-only like CountSigma.
 func (e *Engine) CellsSigma(t *hierarchy.Tree, level int, sigma float64, advertised dp.Params, src *rng.Source) (*core.CellRelease, error) {
-	if m := e.CellMechanism(); m != core.MechGaussian {
-		return nil, fmt.Errorf("%w: sigma-calibrated cells need the Gaussian mechanism, engine has %s", ErrBadOption, m)
-	}
-	if err := core.ReleaseCellsSigmaWorkersInto(&e.cells, t, level, sigma, advertised, src, e.Workers()); err != nil {
+	return e.releaseCells(t, level, core.Noise{Mech: e.CellMechanism(), External: true, Sigma: sigma, Budget: advertised}, src)
+}
+
+// releaseCells runs one cell release into the reusable buffer.
+func (e *Engine) releaseCells(t *hierarchy.Tree, level int, n core.Noise, src *rng.Source) (*core.CellRelease, error) {
+	if err := core.ReleaseCells(&e.cells, t, level, n, src, e.Workers()); err != nil {
 		return nil, err
 	}
 	return &e.cells, nil

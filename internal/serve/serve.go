@@ -276,22 +276,8 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		c.LedgerFsync = policy
 	}
-	// Fail the whole registry rather than every future session: the
-	// engine configuration must be releasable.
-	if _, err := release.NewEngine(c.Model, c.Calib, c.Mechanism); err != nil {
-		return Config{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	// Every served query under a Gaussian cell stage releases a
-	// Gaussian-calibrated histogram, so probe the calibration with the
-	// per-query budget NOW: a config the engine can never answer (e.g.
-	// δ=0) must fail Open instead of draining ledgers through post-spend
-	// engine errors. Pure-ε strategies skip the probe — they are the
-	// configuration where δ=0 budgets are legitimate. Datasets that
-	// override the strategy re-probe at AddDataset.
-	if strat.Noise.Cells == core.MechGaussian {
-		if _, err := core.Sigma(c.PerQuery, 1, c.Calib); err != nil {
-			return Config{}, fmt.Errorf("%w: per-query budget: %v", ErrBadConfig, err)
-		}
+	if err := c.checkStrategy(strat); err != nil {
+		return Config{}, err
 	}
 	return c, nil
 }
@@ -492,25 +478,40 @@ func (r *Registry) datasetStrategy(opts DatasetOptions) (*release.Strategy, erro
 		}
 		strat = s
 	}
-	// A Gaussian cell stage needs a σ-calibratable per-query budget;
-	// re-probe here because a pure-ε registry default skips the probe
-	// at Open (δ=0 budgets are legitimate there).
-	if strat.Noise.Cells == core.MechGaussian {
-		if _, err := core.Sigma(r.cfg.PerQuery, 1, r.cfg.Calib); err != nil {
-			return nil, fmt.Errorf("%w: per-query budget: %v", ErrBadConfig, err)
-		}
+	if err := r.cfg.checkStrategy(strat); err != nil {
+		return nil, err
 	}
 	return strat, nil
 }
 
-// datasetCountMech resolves a dataset's count-release mechanism: an
-// explicit Config.Mechanism overrides the strategy's count stage; the
-// cell stage always follows the strategy.
-func (r *Registry) datasetCountMech(strat *release.Strategy) core.NoiseMechanism {
-	if r.cfg.mechExplicit {
-		return r.cfg.Mechanism
+// countMech resolves a dataset's count-release mechanism: an explicit
+// Config.Mechanism overrides the strategy's count stage; the cell stage
+// always follows the strategy.
+func (c Config) countMech(strat *release.Strategy) core.NoiseMechanism {
+	if c.mechExplicit {
+		return c.Mechanism
 	}
 	return strat.Noise.Count
+}
+
+// checkStrategy reports whether sessions of a dataset served under strat
+// could ever answer: the count and the cell noise spec must each resolve
+// a scale from the per-query budget. A configuration the engine can
+// never release under (Gaussian noise at δ = 0, a classical calibration
+// at εg ≥ 1) fails the registry at Open, or the ingest at AddDataset,
+// instead of draining ledgers through post-spend engine errors; pure-ε
+// stages are where δ = 0 budgets are legitimate.
+func (c Config) checkStrategy(strat *release.Strategy) error {
+	if !c.Model.Valid() || !c.Calib.Valid() {
+		return fmt.Errorf("%w: group model %d, calibration %d", ErrBadConfig, int(c.Model), int(c.Calib))
+	}
+	for _, mech := range [...]core.NoiseMechanism{c.countMech(strat), strat.Noise.Cells} {
+		n := core.Noise{Mech: mech, Calib: c.Calib, Budget: c.PerQuery}
+		if err := n.Validate(); err != nil {
+			return fmt.Errorf("%w: per-query %s noise: %v", ErrBadConfig, mech, err)
+		}
+	}
+	return nil
 }
 
 // buildDataset runs the ledgered ingest on a checked-out lane.
@@ -649,7 +650,7 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 		remote:      remoteLedger,
 		print:       print,
 		strat:       strat,
-		countMech:   r.datasetCountMech(strat),
+		countMech:   r.cfg.countMech(strat),
 		labelPrefix: labelPrefix,
 		// A fresh cache per ingest is the invalidation story: re-adding a
 		// name (same or different data) can never serve a previous

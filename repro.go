@@ -270,7 +270,7 @@ func ExperimentNames() []string { return experiments.Names() }
 func NewRandomSeed() (uint64, error) { return rng.NewRandomSeed() }
 
 // NoiseMechanism selects the Phase-2 noise distribution for advanced
-// release paths (see core.ReleaseCountWith).
+// release paths (see core.Noise).
 type NoiseMechanism = core.NoiseMechanism
 
 // Noise mechanisms (see core.NoiseMechanism).
