@@ -516,18 +516,15 @@ func (c Config) checkStrategy(strat *release.Strategy) error {
 
 // buildDataset runs the ledgered ingest on a checked-out lane.
 //
-// With an in-memory ledger the phase-1 cost is debited before the build
-// draws a single cut. With a durable ledger the file is keyed by the
-// data fingerprint, which only exists after the build, so the order
-// inverts: build, open (replaying any prior incarnation's spends), then
-// debit phase 1 unless the replayed trail already charged it. A cheap
-// pre-check still refuses obviously over-budget specializations before
-// the expensive build, and nothing is ever released from a dataset
-// whose ledger refused the phase-1 debit — the ingest fails and the
-// name is never served.
+// A dataset's ledger is keyed by the data fingerprint (the WAL file
+// name, the sequencer key), which only exists after the build, so the
+// order is: pre-check, build, open the ledger (replaying any prior
+// incarnation's spends), then debit phase 1 unless the replayed trail
+// already charged it. The pre-check refuses obviously over-budget
+// specializations before the expensive build, and nothing is ever
+// released from a dataset whose ledger refused the phase-1 debit — the
+// ingest fails and the name is never served.
 func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *release.Strategy) (*Dataset, error) {
-	durable := r.cfg.LedgerDir != ""
-	remote := r.cfg.LedgerAddr != ""
 	salt := release.StrategySalt(strat.Name())
 	labelPrefix := ""
 	if strat.Name() != release.DefaultStrategyName {
@@ -552,26 +549,9 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 	if err != nil {
 		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 	}
-
-	var ledger accountant.Ledger
-	var durableLedger *accountant.DurableLedger
-	var remoteLedger *accountant.RemoteLedger
-	if !durable && !remote {
-		mem, err := accountant.NewLedger(r.cfg.Budget)
-		if err != nil {
-			return nil, err
-		}
-		if charge {
-			if err := mem.Spend(ingestLabel, phase1Cost); err != nil {
-				return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
-			}
-		}
-		ledger = mem
-	} else if charge {
-		// Durable and remote ledgers are keyed by the data fingerprint,
-		// which only exists after the build; pre-check against an empty
-		// budget so a misconfigured specialization fails before the
-		// build, like the mem path.
+	if charge {
+		// Pre-check against an empty budget so a misconfigured
+		// specialization fails before the build draws a single cut.
 		probe, err := accountant.NewLedger(r.cfg.Budget)
 		if err != nil {
 			return nil, err
@@ -592,63 +572,16 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 	if err != nil {
 		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 	}
-	// The strategy salt joins the fingerprint so distinct strategies
-	// over identical data never share session streams or a ledger WAL;
-	// the default strategy's salt is 0, keeping its fingerprints — and
-	// with them WAL filenames and every session stream — exactly as
-	// before the strategy seam.
-	print := fingerprintTree(tree) ^ salt
-
-	if durable {
-		path := filepath.Join(r.cfg.LedgerDir, ledgerFileName(name, print))
-		dl, err := accountant.OpenDurableLedger(r.cfg.Budget, path, accountant.DurableOptions{
-			Fsync:         r.cfg.LedgerFsync,
-			FsyncInterval: r.cfg.LedgerFsyncInterval,
-			SnapshotEvery: r.cfg.LedgerSnapshotEvery,
-			OpenWriter:    r.cfg.ledgerOpenWriter,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: ingest %q: opening ledger: %w", name, err)
-		}
-		if charge && !hasOpLabeled(dl, ingestLabel) {
-			if err := dl.Spend(ingestLabel, phase1Cost); err != nil {
-				dl.Close()
-				return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
-			}
-		}
-		ledger = dl
-		durableLedger = dl
-	}
-	if remote {
-		// Same (name, fingerprint) key as the WAL filename minus its
-		// extension: every replica that ingests the same data under the
-		// same name attaches to — and spends from — ONE sequencer budget.
-		// The phase-1 dedup below keeps reopens and replica restarts from
-		// re-charging the specialization; replicas racing the very first
-		// ingest may each charge it, which errs in the only safe
-		// direction (budget over-debited, never under-accounted).
-		rl, err := accountant.OpenRemoteLedger(r.cfg.LedgerAddr, ledgerKey(name, print), r.cfg.Budget, r.cfg.ledgerRemoteOptions)
-		if err != nil {
-			return nil, fmt.Errorf("serve: ingest %q: attaching remote ledger: %w", name, err)
-		}
-		if charge && !hasOpLabeled(rl, ingestLabel) {
-			if err := rl.Spend(ingestLabel, phase1Cost); err != nil {
-				rl.Close()
-				return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
-			}
-		}
-		ledger = rl
-		remoteLedger = rl
-	}
-
-	return &Dataset{
-		reg:         r,
-		name:        name,
-		tree:        tree,
-		ledger:      ledger,
-		durable:     durableLedger,
-		remote:      remoteLedger,
-		print:       print,
+	ds := &Dataset{
+		reg:  r,
+		name: name,
+		tree: tree,
+		// The strategy salt joins the fingerprint so distinct strategies
+		// over identical data never share session streams or a ledger WAL;
+		// the default strategy's salt is 0, keeping its fingerprints — and
+		// with them WAL filenames and every session stream — exactly as
+		// before the strategy seam.
+		print:       fingerprintTree(tree) ^ salt,
 		strat:       strat,
 		countMech:   r.cfg.countMech(strat),
 		labelPrefix: labelPrefix,
@@ -656,7 +589,52 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 		// name (same or different data) can never serve a previous
 		// incarnation's answers.
 		cache: newRespCache(func() int { return int(r.cacheCap.Load()) }),
-	}, nil
+	}
+	if err := r.openLedger(ds); err != nil {
+		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
+	}
+	// Reopens and replica restarts find the debit in the replayed trail
+	// and do not re-charge the specialization; replicas racing the very
+	// first ingest may each charge it, which errs in the only safe
+	// direction (budget over-debited, never under-accounted).
+	if charge && !hasOpLabeled(ds.ledger, ingestLabel) {
+		if err := ds.ledger.Spend(ingestLabel, phase1Cost); err != nil {
+			ds.closeLedger()
+			return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
+		}
+	}
+	return ds, nil
+}
+
+// openLedger opens the dataset's budget on the configured backend: a
+// WAL in LedgerDir, a sequencer budget at LedgerAddr, or memory. The WAL
+// file and the sequencer ledger are named by the SAME (name, fingerprint)
+// key, so every replica that ingests the same data under the same name
+// attaches to — and spends from — ONE budget.
+func (r *Registry) openLedger(ds *Dataset) (err error) {
+	switch {
+	case r.cfg.LedgerDir != "":
+		path := filepath.Join(r.cfg.LedgerDir, ledgerFileName(ds.name, ds.print))
+		ds.durable, err = accountant.OpenDurableLedger(r.cfg.Budget, path, accountant.DurableOptions{
+			Fsync:         r.cfg.LedgerFsync,
+			FsyncInterval: r.cfg.LedgerFsyncInterval,
+			SnapshotEvery: r.cfg.LedgerSnapshotEvery,
+			OpenWriter:    r.cfg.ledgerOpenWriter,
+		})
+		if err != nil {
+			return fmt.Errorf("opening ledger: %w", err)
+		}
+		ds.ledger = ds.durable
+	case r.cfg.LedgerAddr != "":
+		ds.remote, err = accountant.OpenRemoteLedger(r.cfg.LedgerAddr, ledgerKey(ds.name, ds.print), r.cfg.Budget, r.cfg.ledgerRemoteOptions)
+		if err != nil {
+			return fmt.Errorf("attaching remote ledger: %w", err)
+		}
+		ds.ledger = ds.remote
+	default:
+		ds.ledger, err = accountant.NewLedger(r.cfg.Budget)
+	}
+	return err
 }
 
 // hasOpLabeled reports whether the ledger's trail contains an op with
