@@ -231,8 +231,17 @@ type LevelRelease struct {
 	TrueCount int64 `json:"true_count,omitempty"`
 	// NoisyCount is the released answer.
 	NoisyCount float64 `json:"noisy_count"`
-	// RER is the relative error rate |P−T|/T, the paper's metric.
-	RER float64 `json:"rer"`
+	// RER is the relative error rate |P−T|/T, the paper's metric. Like
+	// TrueCount it is evaluation-only (it reveals the exact count given
+	// the noisy one) and absent from the published form.
+	RER float64 `json:"rer,omitempty"`
+}
+
+// OmitTrue returns the release with the exact count and error rate
+// removed — the form handed to data users.
+func (r LevelRelease) OmitTrue() LevelRelease {
+	r.TrueCount, r.RER = 0, 0
+	return r
 }
 
 // ReleaseCount answers the association-count query at one level with
@@ -538,10 +547,8 @@ func (m MultiLevelRelease) ForLevel(level int) (LevelRelease, bool) {
 // suitable for publication to data users.
 func (m MultiLevelRelease) OmitTrue() MultiLevelRelease {
 	out := MultiLevelRelease{MaxLevel: m.MaxLevel, Levels: make([]LevelRelease, len(m.Levels))}
-	copy(out.Levels, m.Levels)
-	for i := range out.Levels {
-		out.Levels[i].TrueCount = 0
-		out.Levels[i].RER = 0
+	for i, r := range m.Levels {
+		out.Levels[i] = r.OmitTrue()
 	}
 	return out
 }

@@ -27,7 +27,10 @@ import (
 // never change a default-strategy byte on the wire. Re-pinned when the
 // /budget durability panel grew the "backend" stamp ("mem" here): the
 // noise and audit bytes were unchanged, only the durability JSON.
-const goldenServeTranscript = "87d53447e76ddd006946c83089d458fceee257ff885f0ed1a45c6c7f3c20f9d7"
+// Re-pinned again when /level stopped serving the evaluation-only
+// view.count.true_count and view.count.rer: the transcript lost exactly
+// those two keys.
+const goldenServeTranscript = "86f73657be6608dd6099cb1a8ec6540dee33bd6280ade2e230c5ba2c87103da9"
 
 func goldenGraph(t *testing.T) *bipartite.Graph {
 	t.Helper()

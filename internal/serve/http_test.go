@@ -425,3 +425,47 @@ func TestHTTPCachedReplaySkipsDebit(t *testing.T) {
 		t.Fatalf("disabled cache recorded traffic: %v", stats)
 	}
 }
+
+// TestHTTPLevelViewOmitsEvaluationFields: a tier's view is the
+// publishable form — no /level body carries the exact count or the
+// error rate computed from it, on the cold path, on the cache-hit
+// replay, on an uncached auto session, or under a pure-ε strategy.
+func TestHTTPLevelViewOmitsEvaluationFields(t *testing.T) {
+	t.Parallel()
+	srv, _ := newTestServer(t, testConfig())
+	base := srv.URL
+	do(t, "POST", base+"/v1/datasets/dblp", testTSV(t), "", http.StatusCreated)
+	do(t, "POST", base+"/v1/datasets/lap?strategy=quadtree-laplace", testTSV(t), "", http.StatusCreated)
+	open := func(dataset, body string) string {
+		s := do(t, "POST", base+"/v1/datasets/"+dataset+"/sessions", []byte(body), "application/json", http.StatusCreated)
+		return fmt.Sprintf("%.0f", s["session"].(float64))
+	}
+	level := func(sid string) []byte {
+		return doRaw(t, "POST", base+"/v1/sessions/"+sid+"/level", []byte(`{"level": 2}`), "application/json", http.StatusOK)
+	}
+	cold := level(open("dblp", `{"stream": 9}`))
+	hit := level(open("dblp", `{"stream": 9}`))
+	if !bytes.Equal(cold, hit) {
+		t.Fatal("cached level view is not byte-identical to the cold one")
+	}
+	budget := do(t, "GET", base+"/v1/datasets/dblp/budget", nil, "", http.StatusOK)
+	if hits := budget["cache"].(map[string]any)["hits"].(float64); hits != 1 {
+		t.Fatalf("replay was not a cache hit: %v hits", hits)
+	}
+	bodies := map[string][]byte{
+		"cold":    cold,
+		"hit":     hit,
+		"auto":    level(open("dblp", `{}`)),
+		"laplace": level(open("lap", `{"stream": 9}`)),
+	}
+	for name, body := range bodies {
+		if !bytes.Contains(body, []byte(`"noisy_count"`)) {
+			t.Errorf("%s: /level body lost the released count: %s", name, body)
+		}
+		for _, key := range []string{`"true_count"`, `"rer"`} {
+			if bytes.Contains(body, []byte(key)) {
+				t.Errorf("%s: /level body carries evaluation-only key %s", name, key)
+			}
+		}
+	}
+}

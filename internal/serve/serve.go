@@ -1200,7 +1200,10 @@ func (s *Session) releaseLevelCompute(level int) (LevelView, error) {
 	if err != nil {
 		return LevelView{}, err
 	}
-	return LevelView{Level: level, Count: count, Cells: cells}, nil
+	// A tier receives the publishable form: the exact count and the
+	// error rate computed from it stay with the curator. The cached view
+	// is built from this one, so replays are stripped too.
+	return LevelView{Level: level, Count: count.OmitTrue(), Cells: cells}, nil
 }
 
 // Marginal serves the per-side-group association counts of a level: one
