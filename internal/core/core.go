@@ -348,11 +348,12 @@ func ReleaseCells(dst *CellRelease, t *hierarchy.Tree, level int, n Noise, src *
 	if err != nil {
 		return err
 	}
-	buf := dst.Counts
+	buf, mechName := dst.Counts, "" // MechName stays empty for Gaussian releases
 	if n.Mech == MechGaussian {
 		counts32, _ := t.LevelCellCounts32View(level)
 		buf = noisyCells(buf, counts, counts32, s.sigma, src, workers)
 	} else {
+		mechName = n.Mech.String()
 		buf = growCells(buf, len(counts))
 		for i, c := range counts {
 			buf[i] = float64(c) + s.draw(src)
@@ -363,10 +364,7 @@ func ReleaseCells(dst *CellRelease, t *hierarchy.Tree, level int, n Noise, src *
 		ModelName: ModelCells.String(), CalibName: s.calibName,
 		Params: n.Budget, Epsilon: n.Budget.Epsilon, Delta: s.delta,
 		Sensitivity: s.sens, Sigma: s.sigma,
-		Counts: buf, SideGroups: k,
-	}
-	if n.Mech != MechGaussian {
-		dst.MechName = n.Mech.String()
+		Counts: buf, SideGroups: k, MechName: mechName,
 	}
 	return nil
 }

@@ -101,27 +101,29 @@ type noiseScale struct {
 // under an external σ, which is used as given.
 func (n Noise) scale(sens int64) (noiseScale, error) {
 	s := noiseScale{mech: n.Mech, sens: sens, delta: n.Budget.Delta}
-	switch {
-	case !n.Mech.Valid():
+	if !n.Mech.Valid() {
 		return s, fmt.Errorf("%w: %d", ErrBadMechanism, int(n.Mech))
-	case n.External && n.Mech != MechGaussian:
-		return s, fmt.Errorf("%w: an externally calibrated sigma needs the gaussian mechanism, have %s", ErrBadMechanism, n.Mech)
-	case n.External && (!(n.Sigma >= 0) || math.IsInf(n.Sigma, 0)):
-		return s, fmt.Errorf("core: invalid sigma %v", n.Sigma)
-	case !n.External:
-		if err := n.Budget.Validate(); err != nil {
-			return s, err
+	}
+	if n.External {
+		if n.Mech != MechGaussian {
+			return s, fmt.Errorf("%w: an externally calibrated sigma needs the gaussian mechanism, have %s", ErrBadMechanism, n.Mech)
 		}
+		if !(n.Sigma >= 0) || math.IsInf(n.Sigma, 0) {
+			return s, fmt.Errorf("core: invalid sigma %v", n.Sigma)
+		}
+	} else if err := n.Budget.Validate(); err != nil {
+		return s, err
 	}
 	switch n.Mech {
 	case MechGaussian:
-		s.sigma, s.calibName = n.Sigma, "rdp"
-		if !n.External {
-			var err error
-			if s.sigma, err = Sigma(n.Budget, sens, n.Calib); err != nil {
+		if n.External {
+			s.sigma, s.calibName = n.Sigma, "rdp"
+		} else {
+			sigma, err := Sigma(n.Budget, sens, n.Calib)
+			if err != nil {
 				return s, err
 			}
-			s.calib, s.calibName = n.Calib, n.Calib.String()
+			s.sigma, s.calib, s.calibName = sigma, n.Calib, n.Calib.String()
 		}
 		s.param, s.expAbs = s.sigma, s.sigma*math.Sqrt(2/math.Pi)
 	case MechLaplace:

@@ -12,9 +12,8 @@ import (
 )
 
 // TestEngineSigmaNeedsGaussian: an externally calibrated σ is a Gaussian
-// scale, so both σ entry points refuse a pure-ε engine — CountSigma used
-// to draw Gaussian noise and label it "gaussian" regardless of the
-// engine's mechanism while CellsSigma refused.
+// scale, so both σ entry points refuse a pure-ε engine rather than draw
+// Gaussian noise the engine's mechanism never promised.
 func TestEngineSigmaNeedsGaussian(t *testing.T) {
 	t.Parallel()
 	tree, err := hierarchy.Build(testGraph(t), hierarchy.Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
