@@ -22,14 +22,17 @@
 // magic, an unreadable snapshot) refuses to open at all.
 //
 // Every SnapshotEvery WAL records the ledger compacts: the full op
-// trail is written to <path>.snap (temp file + fsync + atomic rename +
-// directory fsync) and the WAL is reset to just its header. A crash
-// between the rename and the WAL reset leaves both files describing an
-// overlapping history; replay skips WAL records at or below the
-// snapshot's sequence number.
+// trail is written to <path>.snap (WriteFileAtomic) and the WAL is reset
+// to just its header. A crash between the rename and the WAL reset
+// leaves both files describing an overlapping history; replay skips WAL
+// records at or below the snapshot's sequence number.
 //
-// All file writes go through the WriteSyncer seam so tests can fail any
-// write or fsync and assert the fail-closed contract.
+// The WAL file itself — lock, replay, torn-tail truncation, fsync
+// policy, reset, close — is a Log (log.go); this file keeps what is the
+// ledger's own: the header record, the op-sequence and snapshot-overlap
+// rules, and the snapshot. All file writes go through the WriteSyncer
+// seam so tests can fail any write or fsync and assert the fail-closed
+// contract.
 package accountant
 
 import (
@@ -38,7 +41,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/dp"
@@ -101,12 +103,6 @@ type WriteSyncer interface {
 	Close() error
 }
 
-// LockFile takes the same non-blocking exclusive advisory lock the
-// durable ledger holds on its WAL — exported so other durable logs
-// (the sequencer's replicated group log) enforce the identical
-// single-writer-per-file discipline.
-func LockFile(f *os.File) error { return lockLedgerFile(f) }
-
 // Durability defaults.
 const (
 	DefaultFsyncInterval = 100 * time.Millisecond
@@ -145,9 +141,7 @@ func (o DurableOptions) withDefaults() (DurableOptions, error) {
 		o.SnapshotEvery = DefaultSnapshotEvery
 	}
 	if o.OpenWriter == nil {
-		o.OpenWriter = func(path string) (WriteSyncer, error) {
-			return os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-		}
+		o.OpenWriter = openAppend
 	}
 	return o, nil
 }
@@ -185,17 +179,13 @@ type DurableLedger struct {
 	// mem holds the replayed/admitted state; its mutex also guards every
 	// field below (one lock keeps the check→log→commit sequence atomic).
 	mem         MemLedger
-	w           WriteSyncer
-	lockF       *os.File // flock holder; also the replay read handle
-	scratch     []byte   // payload assembly buffer
-	buf         []byte   // frame assembly buffer
+	log         *Log
+	scratch     []byte // payload assembly buffer
+	buf         []byte // frame assembly buffer
 	walRecords  int
-	walBytes    int64
 	snapOps     int
 	replayed    int
 	compactions int
-	unsynced    int
-	lastSync    time.Time
 	failed      error
 	closed      bool
 }
@@ -223,70 +213,47 @@ func OpenDurableLedger(budget dp.Params, path string, opts DurableOptions) (*Dur
 		mem:      MemLedger{budget: budget},
 	}
 
-	// The WAL file itself carries the inter-process lock, held for the
-	// ledger's lifetime through a dedicated read handle.
-	lockF, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	// Replay under the WAL's lock. The header is the first frame of every
+	// WAL — read back, or about to be written to a fresh one — and the
+	// snapshot, the compacted history the WAL appends to, loads with it.
+	headed := false
+	d.log, err = OpenLog(path, walMagic, appendHeaderPayload(nil, budget, 0, false), opts, func(payload []byte) error {
+		if headed {
+			return d.replayOp(payload)
+		}
+		headed = true
+		if err := d.loadSnapshot(); err != nil {
+			return err
+		}
+		hdr, ok := parseHeaderPayload(payload, false)
+		if !ok || hdr.version != ledgerVersion {
+			return fmt.Errorf("%w: %s: bad WAL header", ErrLedgerCorrupt, path)
+		}
+		if hdr.budget != budget {
+			return fmt.Errorf("%w: %s has budget %s, configured %s", ErrBudgetMismatch, path, hdr.budget, budget)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("accountant: opening ledger %s: %w", path, err)
-	}
-	if err := lockLedgerFile(lockF); err != nil {
-		lockF.Close()
-		return nil, fmt.Errorf("%w: %s", err, path)
-	}
-	d.lockF = lockF
-
-	fail := func(err error) (*DurableLedger, error) {
-		lockF.Close()
 		return nil, err
 	}
-
-	// Snapshot first: it is the compacted history the WAL appends to.
-	if snap, err := os.ReadFile(d.snapPath); err == nil {
-		if err := d.loadSnapshot(snap); err != nil {
-			return fail(err)
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return fail(fmt.Errorf("accountant: reading snapshot %s: %w", d.snapPath, err))
-	}
-	d.snapOps = len(d.mem.ops)
-
-	// Replay the WAL's valid prefix and truncate any torn tail so the
-	// append writer starts at a clean record boundary.
-	data, err := io.ReadAll(lockF)
-	if err != nil {
-		return fail(fmt.Errorf("accountant: reading ledger %s: %w", path, err))
-	}
-	validLen, err := d.replayWAL(data)
-	if err != nil {
-		return fail(err)
-	}
-	if validLen < int64(len(data)) {
-		if err := lockF.Truncate(validLen); err != nil {
-			return fail(fmt.Errorf("accountant: truncating torn ledger tail %s: %w", path, err))
-		}
-	}
 	d.replayed = len(d.mem.ops)
-	d.walBytes = validLen
-
-	d.w, err = opts.OpenWriter(path)
-	if err != nil {
-		return fail(fmt.Errorf("accountant: opening ledger writer %s: %w", path, err))
-	}
-	d.lastSync = time.Now()
-	if validLen == 0 {
-		if err := d.writeWALHeader(); err != nil {
-			d.w.Close()
-			return fail(fmt.Errorf("accountant: writing ledger header %s: %w", path, err))
-		}
-	}
 	return d, nil
 }
 
-// loadSnapshot applies a snapshot file. Snapshots are written atomically
-// (temp + rename), so unlike the WAL they get no torn-tail tolerance:
-// anything short of a fully valid file is ErrLedgerCorrupt — silently
-// ignoring a bad snapshot would re-arm every budget it recorded.
-func (d *DurableLedger) loadSnapshot(data []byte) error {
+// loadSnapshot applies the snapshot file, if there is one. Snapshots are
+// written atomically (temp + rename), so unlike the WAL they get no
+// torn-tail tolerance: anything short of a fully valid file is
+// ErrLedgerCorrupt — silently ignoring a bad snapshot would re-arm every
+// budget it recorded.
+func (d *DurableLedger) loadSnapshot() error {
+	data, err := os.ReadFile(d.snapPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("accountant: reading snapshot %s: %w", d.snapPath, err)
+	}
 	corrupt := func(what string) error {
 		return fmt.Errorf("%w: snapshot %s: %s", ErrLedgerCorrupt, d.snapPath, what)
 	}
@@ -322,81 +289,33 @@ func (d *DurableLedger) loadSnapshot(data []byte) error {
 	if off != len(data) {
 		return corrupt("trailing bytes after final op")
 	}
+	d.snapOps = len(d.mem.ops)
 	return nil
 }
 
-// replayWAL applies the WAL's valid prefix on top of the snapshot state
-// and returns its byte length. Records at or below the snapshot's last
-// sequence number are skipped (the compaction-crash overlap); the first
-// torn frame ends the prefix; a sequence gap is structural corruption.
-func (d *DurableLedger) replayWAL(data []byte) (int64, error) {
-	if len(data) < len(walMagic) {
-		// Empty or mid-creation: treat as fresh. Ops cannot exist past a
-		// header that was never fully written.
-		return 0, nil
-	}
-	if string(data[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("%w: %s: bad WAL magic", ErrLedgerCorrupt, d.path)
-	}
-	off := len(walMagic)
-	payload, n, ok := nextFrame(data[off:])
+// replayOp applies one WAL op frame on top of the snapshot state.
+// Records at or below the snapshot's last sequence number are skipped
+// (the compaction-crash overlap); a sequence gap is structural
+// corruption.
+func (d *DurableLedger) replayOp(payload []byte) error {
+	op, ok := parseOpPayload(payload)
 	if !ok {
-		return 0, nil // torn header: same mid-creation case
+		return errTornFrame // a non-op that still checksummed? impossible, but fail safe
 	}
-	hdr, ok := parseHeaderPayload(payload, false)
-	if !ok || hdr.version != ledgerVersion {
-		return 0, fmt.Errorf("%w: %s: bad WAL header", ErrLedgerCorrupt, d.path)
-	}
-	if hdr.budget != d.mem.budget {
-		return 0, fmt.Errorf("%w: %s has budget %s, configured %s",
-			ErrBudgetMismatch, d.path, hdr.budget, d.mem.budget)
-	}
-	off += n
-	for off < len(data) {
-		payload, n, ok := nextFrame(data[off:])
-		if !ok {
-			break // torn tail: the prefix is the ledger
+	next := uint64(len(d.mem.ops)) + 1
+	switch {
+	case op.seq < next:
+		// Overlap with the snapshot (crash between snapshot rename and
+		// WAL reset): already applied, skip.
+	case op.seq == next:
+		if op.cost.Validate() != nil {
+			return fmt.Errorf("%w: %s: op %d has invalid cost", ErrLedgerCorrupt, d.path, op.seq)
 		}
-		op, ok := parseOpPayload(payload)
-		if !ok {
-			break // torn/garbage payload that still checksummed? impossible, but fail safe
-		}
-		next := uint64(len(d.mem.ops)) + 1
-		switch {
-		case op.seq < next:
-			// Overlap with the snapshot (crash between snapshot rename
-			// and WAL reset): already applied, skip.
-		case op.seq == next:
-			if op.cost.Validate() != nil {
-				return 0, fmt.Errorf("%w: %s: op %d has invalid cost", ErrLedgerCorrupt, d.path, op.seq)
-			}
-			d.mem.commit(op.label, op.cost)
-			d.walRecords++
-		default:
-			return 0, fmt.Errorf("%w: %s: op sequence gap (have %d ops, next record is %d)",
-				ErrLedgerCorrupt, d.path, next-1, op.seq)
-		}
-		off += n
-	}
-	return int64(off), nil
-}
-
-// writeWALHeader writes magic+header to a fresh WAL through the seam.
-// Callers hold the lock (or are in Open, pre-publication).
-func (d *DurableLedger) writeWALHeader() error {
-	d.scratch = appendHeaderPayload(d.scratch[:0], d.mem.budget, 0, false)
-	d.buf = append(d.buf[:0], walMagic...)
-	d.buf = frame(d.buf, d.scratch)
-	if _, err := d.w.Write(d.buf); err != nil {
-		return err
-	}
-	d.walBytes = int64(len(d.buf))
-	d.walRecords = 0
-	if d.opts.Fsync != FsyncOff {
-		if err := d.w.Sync(); err != nil {
-			return err
-		}
-		d.lastSync = time.Now()
+		d.mem.commit(op.label, op.cost)
+		d.walRecords++
+	default:
+		return fmt.Errorf("%w: %s: op sequence gap (have %d ops, next record is %d)",
+			ErrLedgerCorrupt, d.path, next-1, op.seq)
 	}
 	return nil
 }
@@ -434,54 +353,19 @@ func (d *DurableLedger) SpendBytes(label []byte, cost dp.Params) error {
 	}
 	seq := uint64(len(l.ops)) + 1
 	d.buf, d.scratch = appendOpFrame(d.buf[:0], d.scratch, seq, cost, label)
-	if err := d.logLocked(d.buf); err != nil {
+	if err := d.log.Append(d.buf); err != nil {
 		d.failed = fmt.Errorf("%w: op %d: %v", ErrLedgerFailed, seq, err)
 		return fmt.Errorf("%w (label %q)", d.failed, label)
 	}
 	l.commit(label, cost)
 	d.walRecords++
-	d.walBytes += int64(len(d.buf))
 	return nil
 }
 
-// logLocked appends one frame and applies the fsync policy.
-func (d *DurableLedger) logLocked(frame []byte) error {
-	if _, err := d.w.Write(frame); err != nil {
-		return err
-	}
-	switch d.opts.Fsync {
-	case FsyncAlways:
-		if err := d.w.Sync(); err != nil {
-			return err
-		}
-		d.unsynced = 0
-		d.lastSync = time.Now()
-	case FsyncInterval:
-		d.unsynced++
-		if time.Since(d.lastSync) >= d.opts.FsyncInterval {
-			if err := d.w.Sync(); err != nil {
-				return err
-			}
-			d.unsynced = 0
-			d.lastSync = time.Now()
-		}
-	case FsyncOff:
-		d.unsynced++
-	}
-	return nil
-}
-
-// compactLocked snapshots the full trail and resets the WAL: temp file,
-// fsync, atomic rename, directory fsync, then truncate+re-head the WAL.
-// Callers hold the lock.
+// compactLocked snapshots the full trail and resets the WAL to its bare
+// header. Callers hold the lock.
 func (d *DurableLedger) compactLocked() error {
 	l := &d.mem
-	tmp := d.snapPath + ".tmp"
-	_ = os.Remove(tmp)
-	w, err := d.opts.OpenWriter(tmp)
-	if err != nil {
-		return fmt.Errorf("opening %s: %w", tmp, err)
-	}
 	// Assemble the whole snapshot and write it in one call; snapshots
 	// run every SnapshotEvery spends, so an O(ops) buffer here is cheap.
 	buf := append([]byte(nil), snapMagic...)
@@ -492,55 +376,19 @@ func (d *DurableLedger) compactLocked() error {
 		d.scratch = appendOpPayload(d.scratch[:0], uint64(i)+1, rec.cost, label)
 		buf = frame(buf, d.scratch)
 	}
-	if _, err := w.Write(buf); err != nil {
-		w.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("writing %s: %w", tmp, err)
+	if err := WriteFileAtomic(d.snapPath, buf, d.opts.OpenWriter); err != nil {
+		return err
 	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("syncing %s: %w", tmp, err)
+	// The snapshot now owns the history. A failure from here on latches
+	// the ledger (the WAL is mid-surgery), but the snapshot already holds
+	// every admitted op — reopening loses nothing.
+	if err := d.log.Reset(); err != nil {
+		return fmt.Errorf("resetting WAL: %w", err)
 	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, d.snapPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("publishing snapshot: %w", err)
-	}
-	syncDir(filepath.Dir(d.snapPath))
-
-	// The snapshot now owns the history; reset the WAL to a bare header.
-	// From here on a failure latches the ledger (the WAL is mid-surgery),
-	// but the snapshot already holds every admitted op — reopening loses
-	// nothing.
-	if err := d.w.Close(); err != nil {
-		return fmt.Errorf("closing WAL for reset: %w", err)
-	}
-	if err := d.lockF.Truncate(0); err != nil {
-		return fmt.Errorf("truncating WAL: %w", err)
-	}
-	if d.w, err = d.opts.OpenWriter(d.path); err != nil {
-		return fmt.Errorf("reopening WAL: %w", err)
-	}
-	if err := d.writeWALHeader(); err != nil {
-		return fmt.Errorf("rewriting WAL header: %w", err)
-	}
+	d.walRecords = 0
 	d.snapOps = len(l.ops)
 	d.compactions++
-	d.unsynced = 0
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's dirent is durable.
-// Best effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
 }
 
 // Sync flushes the WAL to stable storage regardless of policy.
@@ -550,12 +398,10 @@ func (d *DurableLedger) Sync() error {
 	if d.failed != nil {
 		return d.failed
 	}
-	if err := d.w.Sync(); err != nil {
+	if err := d.log.Sync(); err != nil {
 		d.failed = fmt.Errorf("%w: sync: %v", ErrLedgerFailed, err)
 		return d.failed
 	}
-	d.unsynced = 0
-	d.lastSync = time.Now()
 	return nil
 }
 
@@ -569,34 +415,10 @@ func (d *DurableLedger) Close() error {
 		return nil
 	}
 	d.closed = true
-	var errs []error
-	if d.w != nil {
-		// Flush even under FsyncOff/Interval: Close is the graceful-
-		// shutdown path and must leave every admitted op durable. Skip
-		// only if the ledger already latched a write failure (the tail
-		// is torn; replay will discard it).
-		if d.failed == nil {
-			if err := d.w.Sync(); err != nil {
-				errs = append(errs, fmt.Errorf("accountant: syncing ledger %s: %w", d.path, err))
-			} else {
-				d.unsynced = 0
-			}
-		}
-		if err := d.w.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("accountant: closing ledger %s: %w", d.path, err))
-		}
-		d.w = nil
-	}
-	if d.lockF != nil {
-		if err := d.lockF.Close(); err != nil { // also releases the flock
-			errs = append(errs, err)
-		}
-		d.lockF = nil
-	}
 	if d.failed == nil {
 		d.failed = ErrLedgerClosed
 	}
-	return errors.Join(errs...)
+	return d.log.Close()
 }
 
 // Status reports the ledger's durable-backing state.
@@ -607,11 +429,11 @@ func (d *DurableLedger) Status() DurableStatus {
 		Path:        d.path,
 		Policy:      string(d.opts.Fsync),
 		WALRecords:  d.walRecords,
-		WALBytes:    d.walBytes,
+		WALBytes:    d.log.Size(),
 		SnapshotOps: d.snapOps,
 		ReplayedOps: d.replayed,
 		Compactions: d.compactions,
-		Unsynced:    d.unsynced,
+		Unsynced:    d.log.Unsynced(),
 		Closed:      d.closed,
 	}
 	if d.failed != nil && !errors.Is(d.failed, ErrLedgerClosed) {

@@ -697,7 +697,7 @@ func (g *Group) Status(key string) (Status, error) {
 			Path:        g.log.path,
 			Policy:      string(accountant.FsyncAlways),
 			WALRecords:  int(g.log.len()),
-			WALBytes:    g.log.size,
+			WALBytes:    g.log.file.Size(),
 			ReplayedOps: int(g.applied),
 		},
 	}, nil

@@ -11,10 +11,12 @@
 // unchanged, so the replicated history stores precisely the op shape a
 // single-node DurableLedger would.
 //
-// Durability discipline matches durable.go: every append batch is
-// fsynced before the caller acks anything; replay tolerates exactly one
-// torn tail (truncated away) while structural corruption — bad magic,
-// an index gap, an undecodable checksum-valid frame — refuses to open.
+// The file is an accountant.Log — the same lock, replay, torn-tail
+// truncation, fsync-before-ack and truncate-and-reopen code the per-key
+// WAL runs on — under FsyncAlways: every append batch is fsynced before
+// the caller acks anything. What is the group log's own lives here:
+// entries are densely indexed, and an index gap or an undecodable
+// checksum-valid frame is structural corruption that refuses to open.
 // Truncation is only ever invoked on UNCOMMITTED suffixes (the group
 // core guarantees committed entries are never contradicted), mirroring
 // raft's conflict-resolution rule.
@@ -24,7 +26,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -136,97 +137,39 @@ func decodeEntryPayload(p []byte) (groupEntry, bool) {
 }
 
 // groupLog is the durable replicated log of one group member: the file
-// (flock'd, append-only through the WriteSyncer seam) plus the decoded
-// in-memory copy and the raw frame bytes replication re-ships verbatim.
-// Callers (the group core) serialize access.
+// plus the decoded in-memory copy and the raw frame bytes replication
+// re-ships verbatim. Callers (the group core) serialize access.
 type groupLog struct {
-	path       string
-	lockF      *os.File
-	w          accountant.WriteSyncer
-	openWriter func(path string) (accountant.WriteSyncer, error)
+	path string
+	file *accountant.Log
 
 	entries []groupEntry
 	frames  [][]byte // raw frame bytes per entry, for replication
-	offsets []int64  // file offset where entry i's frame starts
-	size    int64
 	scratch []byte
 }
 
 // openGroupLog opens (creating if absent) and replays the replicated
 // log at dir/groupLogFile, truncating a torn tail.
 func openGroupLog(dir string, openWriter func(string) (accountant.WriteSyncer, error)) (*groupLog, error) {
-	if openWriter == nil {
-		openWriter = func(path string) (accountant.WriteSyncer, error) {
-			return os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	l := &groupLog{path: filepath.Join(dir, groupLogFile)}
+	var err error
+	l.file, err = accountant.OpenLog(l.path, groupLogMagic, nil, accountant.DurableOptions{OpenWriter: openWriter}, func(payload []byte) error {
+		e, ok := decodeEntryPayload(payload)
+		if !ok {
+			// A checksum-valid frame that does not decode is structural
+			// corruption, not a tear.
+			return fmt.Errorf("%w: %s: undecodable frame after entry %d", ErrGroupLogCorrupt, l.path, len(l.entries))
 		}
-	}
-	path := filepath.Join(dir, groupLogFile)
-	lockF, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		if e.Index != l.len()+1 {
+			return fmt.Errorf("%w: %s: entry index gap (have %d, next frame is %d)",
+				ErrGroupLogCorrupt, l.path, len(l.entries), e.Index)
+		}
+		l.entries = append(l.entries, e)
+		l.frames = append(l.frames, accountant.Frame(nil, payload))
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("ledgerd: opening group log %s: %w", path, err)
-	}
-	if err := accountant.LockFile(lockF); err != nil {
-		lockF.Close()
-		return nil, fmt.Errorf("%w: %s", err, path)
-	}
-	l := &groupLog{path: path, lockF: lockF, openWriter: openWriter}
-	fail := func(err error) (*groupLog, error) {
-		lockF.Close()
 		return nil, err
-	}
-
-	data, err := io.ReadAll(lockF)
-	if err != nil {
-		return fail(fmt.Errorf("ledgerd: reading group log %s: %w", path, err))
-	}
-	validLen := int64(0)
-	if len(data) >= len(groupLogMagic) {
-		if string(data[:len(groupLogMagic)]) != groupLogMagic {
-			return fail(fmt.Errorf("%w: %s: bad magic", ErrGroupLogCorrupt, path))
-		}
-		off := len(groupLogMagic)
-		for off < len(data) {
-			payload, n, ok := accountant.NextFrame(data[off:])
-			if !ok {
-				break // torn tail: the prefix is the log
-			}
-			e, ok := decodeEntryPayload(payload)
-			if !ok {
-				// A checksum-valid frame that does not decode is structural
-				// corruption, not a tear.
-				return fail(fmt.Errorf("%w: %s: undecodable entry frame at offset %d",
-					ErrGroupLogCorrupt, path, off))
-			}
-			if e.Index != uint64(len(l.entries))+1 {
-				return fail(fmt.Errorf("%w: %s: entry index gap (have %d, next frame is %d)",
-					ErrGroupLogCorrupt, path, len(l.entries), e.Index))
-			}
-			l.offsets = append(l.offsets, int64(off))
-			l.entries = append(l.entries, e)
-			l.frames = append(l.frames, append([]byte(nil), data[off:off+n]...))
-			off += n
-		}
-		validLen = int64(off)
-	}
-	if validLen < int64(len(data)) {
-		if err := lockF.Truncate(validLen); err != nil {
-			return fail(fmt.Errorf("ledgerd: truncating torn group log tail %s: %w", path, err))
-		}
-	}
-	l.size = validLen
-
-	if l.w, err = openWriter(path); err != nil {
-		return fail(fmt.Errorf("ledgerd: opening group log writer %s: %w", path, err))
-	}
-	if validLen == 0 {
-		if _, err := l.w.Write([]byte(groupLogMagic)); err == nil {
-			err = l.w.Sync()
-		}
-		if err != nil {
-			l.w.Close()
-			return fail(fmt.Errorf("ledgerd: writing group log magic %s: %w", path, err))
-		}
-		l.size = int64(len(groupLogMagic))
 	}
 	return l, nil
 }
@@ -278,69 +221,37 @@ func (l *groupLog) appendFrames(frames [][]byte, entries []groupEntry) error {
 	for _, f := range frames {
 		buf = append(buf, f...)
 	}
-	if _, err := l.w.Write(buf); err != nil {
+	if err := l.file.Append(buf); err != nil {
 		return err
 	}
-	if err := l.w.Sync(); err != nil {
-		return err
-	}
-	off := l.size
 	for i, f := range frames {
-		l.offsets = append(l.offsets, off)
 		l.entries = append(l.entries, entries[i])
 		l.frames = append(l.frames, append([]byte(nil), f...))
-		off += int64(len(f))
 	}
-	l.size = off
 	return nil
 }
 
 // truncateFrom discards entries from index i (1-based, inclusive) —
-// raft conflict resolution on an uncommitted suffix. The file is
-// truncated at the entry boundary and the append writer reopened.
+// raft conflict resolution on an uncommitted suffix. The file is cut at
+// the entry boundary.
 func (l *groupLog) truncateFrom(i uint64) error {
 	if i > l.len() {
 		return nil
 	}
-	off := l.offsets[i-1]
-	if err := l.w.Close(); err != nil {
+	off := l.file.Size()
+	for _, f := range l.frames[i-1:] {
+		off -= int64(len(f))
+	}
+	if err := l.file.TruncateAt(off); err != nil {
 		return err
 	}
-	if err := l.lockF.Truncate(off); err != nil {
-		return err
-	}
-	w, err := l.openWriter(l.path)
-	if err != nil {
-		return err
-	}
-	l.w = w
 	l.entries = l.entries[:i-1]
 	l.frames = l.frames[:i-1]
-	l.offsets = l.offsets[:i-1]
-	l.size = off
 	return nil
 }
 
-// close releases the writer and the flock.
-func (l *groupLog) close() error {
-	var errs []error
-	if l.w != nil {
-		if err := l.w.Sync(); err != nil {
-			errs = append(errs, err)
-		}
-		if err := l.w.Close(); err != nil {
-			errs = append(errs, err)
-		}
-		l.w = nil
-	}
-	if l.lockF != nil {
-		if err := l.lockF.Close(); err != nil {
-			errs = append(errs, err)
-		}
-		l.lockF = nil
-	}
-	return errors.Join(errs...)
-}
+// close flushes the file and releases its lock.
+func (l *groupLog) close() error { return l.file.Close() }
 
 // loadTerm reads the durable term (0 when the file does not exist).
 func loadTerm(dir string) (uint64, error) {
@@ -359,34 +270,14 @@ func loadTerm(dir string) (uint64, error) {
 }
 
 // storeTerm durably persists a term BEFORE any reply that depends on it
-// (a vote grant, an append ack at that term): temp + fsync + rename +
-// dir fsync, the same discipline as the single-node epoch file. A term
-// write is this node's one vote for that term — losing it to a crash
-// could elect two primaries for the same term.
+// (a vote grant, an append ack at that term), with the same atomic
+// publish as the single-node epoch file. A term write is this node's
+// one vote for that term — losing it to a crash could elect two
+// primaries for the same term.
 func storeTerm(dir string, term uint64) error {
-	path := filepath.Join(dir, termFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	data := strconv.AppendUint(nil, term, 10)
+	if err := accountant.WriteFileAtomic(filepath.Join(dir, termFile), append(data, '\n'), nil); err != nil {
 		return fmt.Errorf("ledgerd: writing term file: %w", err)
-	}
-	if _, err := f.WriteString(strconv.FormatUint(term, 10) + "\n"); err == nil {
-		err = f.Sync()
-	}
-	if errClose := f.Close(); err == nil {
-		err = errClose
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ledgerd: writing term file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ledgerd: publishing term file: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }

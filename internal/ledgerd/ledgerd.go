@@ -167,31 +167,11 @@ func advanceEpoch(dir string) (string, error) {
 	}
 	boot++
 	token := fmt.Sprintf("%016x:%d", id, boot)
-	// Temp + fsync + rename + dir fsync: the token a client may pin must
-	// itself survive a crash, or a re-restart could hand out a token the
-	// previous boot already handed out.
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	// Atomic publish: the token a client may pin must itself survive a
+	// crash, or a re-restart could hand out a token the previous boot
+	// already handed out.
+	if err := accountant.WriteFileAtomic(path, []byte(token+"\n"), nil); err != nil {
 		return "", fmt.Errorf("ledgerd: writing epoch file: %w", err)
-	}
-	if _, err := f.WriteString(token + "\n"); err == nil {
-		err = f.Sync()
-	}
-	if errClose := f.Close(); err == nil {
-		err = errClose
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("ledgerd: writing epoch file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("ledgerd: publishing epoch file: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return token, nil
 }
