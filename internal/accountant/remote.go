@@ -141,6 +141,25 @@ type RemoteLedger struct {
 
 var _ Ledger = (*RemoteLedger)(nil)
 
+// SplitMembers parses a sequencer address list (the -ledger-addr value:
+// one address or a comma-separated group) into base URLs: entries are
+// trimmed, empty ones dropped, a missing scheme defaults to http:// and
+// a trailing slash is stripped.
+func SplitMembers(addr string) []string {
+	var members []string
+	for _, m := range strings.Split(addr, ",") {
+		m = strings.TrimSpace(m)
+		if m == "" {
+			continue
+		}
+		if !strings.Contains(m, "://") {
+			m = "http://" + m
+		}
+		members = append(members, strings.TrimSuffix(m, "/"))
+	}
+	return members
+}
+
 // OpenRemoteLedger attaches to the sequencer at base — either one
 // address ("http://127.0.0.1:8850") or a comma-separated member list
 // ("a:8850,b:8850,c:8850") for a replicated group — opening (or
@@ -156,17 +175,7 @@ func OpenRemoteLedger(base, key string, budget dp.Params, opts RemoteOptions) (*
 	if key == "" {
 		return nil, errors.New("accountant: remote ledger key is required")
 	}
-	var members []string
-	for _, m := range strings.Split(base, ",") {
-		m = strings.TrimSpace(m)
-		if m == "" {
-			continue
-		}
-		if !strings.Contains(m, "://") {
-			m = "http://" + m
-		}
-		members = append(members, strings.TrimSuffix(m, "/"))
-	}
+	members := SplitMembers(base)
 	if len(members) == 0 {
 		return nil, errors.New("accountant: remote ledger address is required")
 	}

@@ -76,11 +76,11 @@ type cacheEntry struct {
 	elem *list.Element // non-nil once completed and LRU-resident
 }
 
-// respCache is the per-dataset bounded LRU + singleflight. capFn reads
-// the live capacity (the registry's knob, overridable by the HTTP
-// handler); a non-positive capacity disables the cache entirely.
+// respCache is the per-dataset bounded LRU + singleflight. max is the
+// capacity, fixed when the dataset is built (Config.MaxCacheEntries); a
+// non-positive capacity disables the cache entirely.
 type respCache struct {
-	capFn func() int
+	max int
 
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
@@ -89,16 +89,16 @@ type respCache struct {
 	hits, misses uint64
 }
 
-func newRespCache(capFn func() int) *respCache {
+func newRespCache(max int) *respCache {
 	return &respCache{
-		capFn:   capFn,
+		max:     max,
 		entries: make(map[cacheKey]*cacheEntry),
 		lru:     list.New(),
 	}
 }
 
 // enabled reports whether queries should consult the cache at all.
-func (c *respCache) enabled() bool { return c != nil && c.capFn() > 0 }
+func (c *respCache) enabled() bool { return c != nil && c.max > 0 }
 
 // acquire returns the entry for key and whether the caller owns its
 // computation. Non-owners must wait on entry.ready; if the entry was
@@ -128,12 +128,10 @@ func (c *respCache) complete(e *cacheEntry) {
 	e.ok = true
 	c.mu.Lock()
 	e.elem = c.lru.PushFront(e)
-	if max := c.capFn(); max > 0 {
-		for c.lru.Len() > max {
-			oldest := c.lru.Back()
-			ev := c.lru.Remove(oldest).(*cacheEntry)
-			delete(c.entries, ev.key)
-		}
+	for c.lru.Len() > c.max {
+		oldest := c.lru.Back()
+		ev := c.lru.Remove(oldest).(*cacheEntry)
+		delete(c.entries, ev.key)
 	}
 	c.mu.Unlock()
 	close(e.ready)
@@ -146,27 +144,6 @@ func (c *respCache) abort(e *cacheEntry) {
 	delete(c.entries, e.key)
 	c.mu.Unlock()
 	close(e.ready)
-}
-
-// trim evicts completed entries down to max resident (max ≤ 0 evicts
-// them all). complete() trims on insertion, but a capacity DECREASE —
-// in particular disabling the cache, after which no insertion will ever
-// run again — must free the retained answers (cached level views hold
-// whole cell histograms) eagerly. In-flight entries are untouched; they
-// resolve through their owner.
-func (c *respCache) trim(max int) {
-	if c == nil {
-		return
-	}
-	if max < 0 {
-		max = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.lru.Len() > max {
-		ev := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-		delete(c.entries, ev.key)
-	}
 }
 
 // CacheStats reports the dataset cache's lifetime hit/miss counters and

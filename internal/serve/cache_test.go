@@ -353,39 +353,3 @@ func TestCacheServesReplaysAfterExhaustion(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheDisableFreesResidentEntries: shrinking or disabling the
-// capacity through the registry (the HandlerOptions override path) must
-// evict already-resident answers eagerly — after a disable no insertion
-// would ever run again to trim them, stranding retained histograms for
-// the dataset's lifetime.
-func TestCacheDisableFreesResidentEntries(t *testing.T) {
-	t.Parallel()
-	reg, ds := openTestDataset(t, testConfig())
-	sess := ds.SessionAt(2)
-	for _, level := range []int{0, 1, 2} {
-		if _, err := sess.Marginal(level, bipartite.Left); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := ds.CacheStats(); st.Entries != 3 {
-		t.Fatalf("resident entries = %d, want 3", st.Entries)
-	}
-	reg.setCacheCap(1)
-	if st := ds.CacheStats(); st.Entries != 1 {
-		t.Fatalf("after shrink to 1: entries = %d, want 1", st.Entries)
-	}
-	reg.setCacheCap(-1)
-	if st := ds.CacheStats(); st.Entries != 0 {
-		t.Fatalf("after disable: entries = %d, want 0", st.Entries)
-	}
-	// Disabled means every replay recomputes and debits.
-	ops := ds.OpCount()
-	replay := ds.SessionAt(2)
-	if _, err := replay.Marginal(0, bipartite.Left); err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.OpCount(); got != ops+1 {
-		t.Fatalf("disabled cache served a replay without a debit: %d ops, want %d", got, ops+1)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -381,3 +382,43 @@ func (w *failingWriter) Sync() error {
 }
 
 func (w *failingWriter) Close() error { return w.f.Close() }
+
+// TestHTTPLedgerStatesAreServerErrors: a ledger that is closed, held by
+// another process or damaged is the server's problem — 503 ledger-failed,
+// never 400 bad-request.
+func TestHTTPLedgerStatesAreServerErrors(t *testing.T) {
+	t.Parallel()
+	cfg := durableConfig(t)
+	srv, reg := newTestServer(t, cfg)
+	tsv := testTSV(t)
+	want503 := func(what, method, url string, body []byte) {
+		t.Helper()
+		if out := do(t, method, url, body, "", http.StatusServiceUnavailable); out["code"] != "ledger-failed" {
+			t.Fatalf("%s: response = %v, want code ledger-failed", what, out)
+		}
+	}
+	do(t, "POST", srv.URL+"/v1/datasets/d", tsv, "", http.StatusCreated)
+	sess := do(t, "POST", srv.URL+"/v1/datasets/d/sessions", nil, "", http.StatusCreated)
+	query := fmt.Sprintf("%s/v1/sessions/%.0f/marginal", srv.URL, sess["session"].(float64))
+
+	// Locked: a second registry over the same ledger dir ingests the same
+	// data while the first still holds the WAL.
+	other, _ := newTestServer(t, cfg)
+	want503("WAL held by another registry", "POST", other.URL+"/v1/datasets/d", tsv)
+
+	// Closed: the session outlives its dataset's removal.
+	if err := reg.RemoveDataset("d"); err != nil {
+		t.Fatal(err)
+	}
+	want503("query after RemoveDataset", "POST", query, []byte(`{"level": 1, "side": "left"}`))
+
+	// Corrupt: the WAL the re-ingest reopens has a foreign magic.
+	wals, err := filepath.Glob(filepath.Join(cfg.LedgerDir, "*.wal"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("want one WAL in the ledger dir, got %v (%v)", wals, err)
+	}
+	if err := os.WriteFile(wals[0], []byte("NOTAWAL1 and then some"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want503("re-ingest over a damaged WAL", "POST", srv.URL+"/v1/datasets/d", tsv)
+}

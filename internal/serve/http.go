@@ -71,12 +71,6 @@ type HandlerOptions struct {
 	// one past the cap gets 429 until a handle is DELETEd. 0 selects
 	// DefaultMaxSessions; negative disables the cap.
 	MaxSessions int
-	// MaxCacheEntries overrides the registry's per-dataset response-cache
-	// capacity (Config.MaxCacheEntries) for the whole registry this
-	// handler fronts, including datasets ingested before the handler was
-	// constructed. 0 inherits the registry's setting; negative disables
-	// response caching.
-	MaxCacheEntries int
 }
 
 // withDefaults resolves the zero-value resource caps.
@@ -96,9 +90,6 @@ func NewHandler(reg *Registry) http.Handler { return NewHandlerWith(reg, Handler
 
 // NewHandlerWith returns the HTTP front end with explicit options.
 func NewHandlerWith(reg *Registry, opts HandlerOptions) http.Handler {
-	if opts.MaxCacheEntries != 0 {
-		reg.setCacheCap(opts.MaxCacheEntries)
-	}
 	s := &httpServer{reg: reg, opts: opts.withDefaults(), sessions: make(map[uint64]*httpSession)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
@@ -208,7 +199,13 @@ func writeErr(w http.ResponseWriter, err error) {
 		status, code = http.StatusInternalServerError, "ingest-spool-failed"
 	case errors.Is(err, accountant.ErrBudgetExceeded):
 		status, code = http.StatusTooManyRequests, "budget-exhausted"
-	case errors.Is(err, accountant.ErrLedgerFailed):
+	case errors.Is(err, accountant.ErrLedgerFailed),
+		errors.Is(err, accountant.ErrLedgerClosed),
+		errors.Is(err, accountant.ErrLedgerLocked),
+		errors.Is(err, accountant.ErrLedgerCorrupt):
+		// Server-side ledger states, not the client's request: a query
+		// racing a dataset's removal, a WAL another process holds, a
+		// damaged one.
 		status, code = http.StatusServiceUnavailable, "ledger-failed"
 	case errors.Is(err, ErrUnknownDataset):
 		status, code = http.StatusNotFound, "unknown-dataset"

@@ -383,11 +383,11 @@ func TestOpenEdgeSourceFile(t *testing.T) {
 // the same query sequence; the second handle's responses are
 // byte-identical and spend nothing (the response cache covers them), and
 // the budget endpoint reports the hit. With caching disabled through
-// HandlerOptions, the same replay debits twice.
+// Config.MaxCacheEntries, the same replay debits twice.
 func TestHTTPCachedReplaySkipsDebit(t *testing.T) {
 	t.Parallel()
-	run := func(opts HandlerOptions) (first, replay []byte, ops float64, stats map[string]any) {
-		srv, _ := newTestServerWith(t, testConfig(), opts)
+	run := func(cfg Config) (first, replay []byte, ops float64, stats map[string]any) {
+		srv, _ := newTestServer(t, cfg)
 		base := srv.URL
 		do(t, "POST", base+"/v1/datasets/dblp", testTSV(t), "", http.StatusCreated)
 		open := func() string {
@@ -403,7 +403,7 @@ func TestHTTPCachedReplaySkipsDebit(t *testing.T) {
 		return first, replay, budget["ops"].(float64), budget["cache"].(map[string]any)
 	}
 
-	first, replay, ops, stats := run(HandlerOptions{})
+	first, replay, ops, stats := run(testConfig())
 	if !bytes.Equal(first, replay) {
 		t.Fatal("cached HTTP replay is not byte-identical")
 	}
@@ -414,7 +414,9 @@ func TestHTTPCachedReplaySkipsDebit(t *testing.T) {
 		t.Fatalf("budget cache stats = %v, want 1 hit / 1 miss", stats)
 	}
 
-	first, replay, ops, stats = run(HandlerOptions{MaxCacheEntries: -1})
+	uncached := testConfig()
+	uncached.MaxCacheEntries = -1
+	first, replay, ops, stats = run(uncached)
 	if !bytes.Equal(first, replay) {
 		t.Fatal("uncached replay must still be byte-identical (pinned stream contract)")
 	}

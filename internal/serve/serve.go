@@ -48,7 +48,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,12 +291,6 @@ type Registry struct {
 	// closed check can never block forever on a drained channel.
 	ingests sync.WaitGroup
 
-	// cacheCap is the live per-dataset response-cache capacity. It is
-	// read on every cache insertion (not captured at dataset build), so
-	// the HTTP handler's MaxCacheEntries override reaches datasets that
-	// already exist; ≤ 0 disables caching.
-	cacheCap atomic.Int64
-
 	mu       sync.RWMutex
 	closed   bool
 	datasets map[string]*Dataset // nil value = ingest in flight (name reserved)
@@ -329,27 +322,10 @@ func Open(cfg Config) (*Registry, error) {
 		lanes:    make(chan *hierarchy.Builder, cfg.IngestLanes),
 		datasets: make(map[string]*Dataset),
 	}
-	r.cacheCap.Store(int64(cfg.MaxCacheEntries))
 	for i := 0; i < cfg.IngestLanes; i++ {
 		r.lanes <- hierarchy.NewBuilder()
 	}
 	return r, nil
-}
-
-// setCacheCap retargets the live response-cache capacity (the HTTP
-// handler's MaxCacheEntries override) and eagerly trims every existing
-// dataset's cache to it — a shrink (or a disable, after which no
-// insertion would ever trim again) must release the retained answers,
-// not strand them until the dataset is removed.
-func (r *Registry) setCacheCap(n int) {
-	r.cacheCap.Store(int64(n))
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, ds := range r.datasets {
-		if ds != nil {
-			ds.cache.trim(n)
-		}
-	}
 }
 
 // Config returns the registry's resolved configuration.
@@ -545,13 +521,10 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 	phase1Ops := strat.Partitioner.Ops(pcfg)
 	phase1Cost := release.PhaseCost(phase1Ops)
 	charge := len(phase1Ops) > 0
-	plan, err := strat.Partitioner.PlanSource(src, pcfg, r.streamFor(name, domainPhase1, salt))
-	if err != nil {
-		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
-	}
 	if charge {
 		// Pre-check against an empty budget so a misconfigured
-		// specialization fails before the build draws a single cut.
+		// specialization fails before the plan reads the source or the
+		// build draws a single cut.
 		probe, err := accountant.NewLedger(r.cfg.Budget)
 		if err != nil {
 			return nil, err
@@ -559,6 +532,10 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 		if err := probe.Spend(ingestLabel, phase1Cost); err != nil {
 			return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 		}
+	}
+	plan, err := strat.Partitioner.PlanSource(src, pcfg, r.streamFor(name, domainPhase1, salt))
+	if err != nil {
+		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 	}
 
 	lane := <-r.lanes
@@ -588,7 +565,7 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 		// A fresh cache per ingest is the invalidation story: re-adding a
 		// name (same or different data) can never serve a previous
 		// incarnation's answers.
-		cache: newRespCache(func() int { return int(r.cacheCap.Load()) }),
+		cache: newRespCache(r.cfg.MaxCacheEntries),
 	}
 	if err := r.openLedger(ds); err != nil {
 		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
@@ -689,15 +666,8 @@ func ledgerFileName(name string, print uint64) string {
 func pingSequencer(addr string) error {
 	client := &http.Client{Timeout: 2 * time.Second}
 	var lastErr error
-	for _, member := range strings.Split(addr, ",") {
-		member = strings.TrimSpace(member)
-		if member == "" {
-			continue
-		}
-		if !strings.Contains(member, "://") {
-			member = "http://" + member
-		}
-		resp, err := client.Get(strings.TrimSuffix(member, "/") + "/readyz")
+	for _, member := range accountant.SplitMembers(addr) {
+		resp, err := client.Get(member + "/readyz")
 		if err != nil {
 			lastErr = err
 			continue

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
+	"repro/internal/release"
 )
 
 // testConfig is the shared serving setup: budget for exactly 50
@@ -179,12 +180,36 @@ func TestPhase1EpsilonDebitsIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg2.Close()
-	if _, err := reg2.AddDataset("x", testSource(t)); !errors.Is(err, accountant.ErrBudgetExceeded) {
-		t.Fatalf("over-budget phase 1: %v", err)
+	// The refusal comes before the partitioner's plan, which for
+	// community-gaussian is two passes over the source.
+	for _, strategy := range release.Strategies.Names() {
+		src := &countingSource{EdgeSource: testSource(t)}
+		if _, err := reg2.AddDatasetWith("x", src, DatasetOptions{Strategy: strategy}); !errors.Is(err, accountant.ErrBudgetExceeded) {
+			t.Fatalf("%s: over-budget phase 1: %v", strategy, err)
+		}
+		if src.reads != 0 {
+			t.Fatalf("%s: over-budget ingest read the source %d times before refusing", strategy, src.reads)
+		}
+		if _, err := reg2.Dataset("x"); !errors.Is(err, ErrUnknownDataset) {
+			t.Fatalf("%s: failed ingest left the name registered", strategy)
+		}
 	}
-	if _, err := reg2.Dataset("x"); !errors.Is(err, ErrUnknownDataset) {
-		t.Fatal("failed ingest left the name registered")
-	}
+}
+
+// countingSource counts the calls that read or rewind the source.
+type countingSource struct {
+	bipartite.EdgeSource
+	reads int
+}
+
+func (c *countingSource) NextChunk(dst []bipartite.Edge) (int, error) {
+	c.reads++
+	return c.EdgeSource.NextChunk(dst)
+}
+
+func (c *countingSource) Reset() error {
+	c.reads++
+	return c.EdgeSource.Reset()
 }
 
 // TestConcurrentSessionsDrainLedgerExactly is the serving layer's race
