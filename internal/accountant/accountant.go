@@ -7,6 +7,13 @@
 // an evaluation knob (ablation A1 in DESIGN.md). The Ledger gives every
 // pipeline run an auditable record of what was spent where, and refuses
 // operations that would exceed the configured total.
+//
+// Three Ledger backends share that contract: MemLedger, DurableLedger (a
+// WAL plus snapshot, durable.go) and RemoteLedger (a client of the
+// ledgerd sequencer, remote.go). Everything that persists ledger frames
+// — DurableLedger's WAL here, the sequencer group's replicated log in
+// internal/ledgerd — does so through one crash-safe file type, Log
+// (log.go), and every small state file is published by WriteFileAtomic.
 package accountant
 
 import (

@@ -284,7 +284,7 @@ func WriteFileAtomic(path string, data []byte, openWriter func(path string) (Wri
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		_ = os.Remove(tmp) // best effort; the next publish removes it first anyway
 		return fmt.Errorf("publishing %s: %w", path, err)
 	}
 	// Make the rename's dirent durable. Best effort: some filesystems

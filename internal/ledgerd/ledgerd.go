@@ -28,6 +28,13 @@
 // state only grows, so a rejected spend stays rejected and is safe to
 // report without dedup. Everything else — I/O faults, unknown keys,
 // stale epochs — is an error the client must latch on.
+//
+// Group mode (group.go, grouplog.go) replicates one log across an odd
+// number of members instead. Both modes keep their bytes in the same
+// crash-safe file type: a key's WAL is an accountant.DurableLedger over
+// an accountant.Log, the replicated log is an accountant.Log directly,
+// and the epoch and term files are published by
+// accountant.WriteFileAtomic.
 package ledgerd
 
 import (
