@@ -755,3 +755,19 @@ func BenchmarkServeSessionMarginalCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// TestFingerprintTreePinned pins fingerprintTree on the shared test
+// dataset. The fingerprint names WAL files and sequencer keys and keys
+// every session stream: if it moved, a re-ingest of unchanged data would
+// silently open a fresh budget.
+func TestFingerprintTreePinned(t *testing.T) {
+	t.Parallel()
+	_, ds := openTestDataset(t, testConfig())
+	const want = uint64(0xe4dd5702ea06de7c)
+	if got := fingerprintTree(ds.Tree()); got != want {
+		t.Fatalf("fingerprintTree = %#016x, pinned %#016x", got, want)
+	}
+	if ds.print != want {
+		t.Fatalf("default-strategy dataset print = %#016x, want the bare fingerprint %#016x", ds.print, want)
+	}
+}
