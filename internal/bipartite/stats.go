@@ -3,7 +3,7 @@ package bipartite
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -60,12 +60,8 @@ func StatsFromDegrees(leftDegrees, rightDegrees []int64) Stats {
 	if s.NumRight > 0 {
 		s.MeanRightDegree = float64(s.NumEdges) / float64(s.NumRight)
 	}
-	s.MaxLeftDegree = maxOf(leftDegrees)
-	s.MaxRightDegree = maxOf(rightDegrees)
-	s.MedianLeftDegree = medianOf(leftDegrees)
-	s.MedianRightDegree = medianOf(rightDegrees)
-	s.GiniLeft = gini(leftDegrees)
-	s.GiniRight = gini(rightDegrees)
+	s.MaxLeftDegree, s.MedianLeftDegree, s.GiniLeft = summarizeDegrees(leftDegrees)
+	s.MaxRightDegree, s.MedianRightDegree, s.GiniRight = summarizeDegrees(rightDegrees)
 	if s.NumLeft > 0 && s.NumRight > 0 {
 		s.Density = float64(s.NumEdges) / (float64(s.NumLeft) * float64(s.NumRight))
 	}
@@ -95,46 +91,94 @@ func degreeSlice(g *Graph, side Side) []int64 {
 	return out
 }
 
-func maxOf(v []int64) int64 {
-	var m int64
+// histogramSlack bounds the counting histogram summarizeDegrees builds:
+// past 16·n + 4096 buckets (a degree vector whose largest value dwarfs
+// its length) clearing and walking the buckets costs more than sorting
+// the n values.
+const histogramSlack = 16
+
+// summarizeDegrees returns the maximum (floored at 0), the median and the
+// Gini coefficient of one side's degree vector. All three are functionals
+// of the ascending order, which a counting histogram yields without a
+// sort; ascendingDegrees then visits the values one node at a time in
+// that order — the float operation sequence of a loop over the sorted
+// vector — so every result is bit-identical to the sort-based definition
+// (isolated nodes count with degree zero).
+func summarizeDegrees(v []int64) (max int64, median, gini float64) {
+	if len(v) == 0 {
+		return 0, 0, 0
+	}
+	min, max := v[0], v[0]
 	for _, x := range v {
-		if x > m {
-			m = x
+		if x < min {
+			min = x
+		}
+		if x > max {
+			max = x
 		}
 	}
-	return m
+	acc := ascendingDegrees{mid: int64(len(v) / 2)}
+	if min < 0 || max > histogramSlack*int64(len(v))+4096 {
+		sorted := slices.Clone(v)
+		slices.Sort(sorted)
+		for _, x := range sorted {
+			acc.add(x, 1)
+		}
+	} else {
+		counts := make([]int64, max+1)
+		for _, x := range v {
+			counts[x]++
+		}
+		for d, c := range counts {
+			if c > 0 {
+				acc.add(int64(d), c)
+			}
+		}
+	}
+	if max < 0 {
+		max = 0
+	}
+	median = float64(acc.atMid)
+	if len(v)%2 == 0 {
+		median = float64(acc.belowMid+acc.atMid) / 2
+	}
+	if acc.total != 0 {
+		n := float64(len(v))
+		gini = (2*acc.weighted - (n+1)*acc.total) / (n * acc.total)
+	}
+	return max, median, gini
 }
 
-func medianOf(v []int64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), v...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return float64(sorted[mid])
-	}
-	return float64(sorted[mid-1]+sorted[mid]) / 2
+// ascendingDegrees accumulates the order statistics and the Gini sums of
+// a degree vector presented in ascending order, as runs of equal values.
+type ascendingDegrees struct {
+	mid             int64 // rank (0-based) of the upper median
+	seen            int64 // values consumed so far
+	belowMid, atMid int64 // the values at ranks mid-1 and mid
+	total, weighted float64
 }
 
-// gini computes the Gini coefficient of a non-negative integer vector.
-func gini(v []int64) float64 {
-	if len(v) == 0 {
-		return 0
+// add consumes a run of count nodes of degree x, x no smaller than any
+// value before it. The Gini sums advance once per node, not once per
+// run: Σx and Σ rank·x round exactly as the per-node loop over the sorted
+// vector does. A run of zeros adds +0 to both sums, which changes
+// neither, so it only advances the rank.
+func (a *ascendingDegrees) add(x, count int64) {
+	lo, hi := a.seen, a.seen+count
+	if lo < a.mid && a.mid <= hi {
+		a.belowMid = x
 	}
-	sorted := append([]int64(nil), v...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var total, weighted float64
-	for i, x := range sorted {
-		total += float64(x)
-		weighted += float64(i+1) * float64(x)
+	if lo <= a.mid && a.mid < hi {
+		a.atMid = x
 	}
-	if total == 0 {
-		return 0
+	if x != 0 {
+		fx := float64(x)
+		for rank := lo + 1; rank <= hi; rank++ {
+			a.total += fx
+			a.weighted += float64(rank) * fx
+		}
 	}
-	n := float64(len(sorted))
-	return (2*weighted - (n+1)*total) / (n * total)
+	a.seen = hi
 }
 
 // DegreeHistogram returns counts[d] = number of nodes on side s with
@@ -156,8 +200,14 @@ func DegreeQuantile(g *Graph, s Side, q float64) float64 {
 	if n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	degrees := degreeSlice(g, s)
-	sort.Slice(degrees, func(i, j int) bool { return degrees[i] < degrees[j] })
-	idx := int(q * float64(n-1))
-	return float64(degrees[idx])
+	// The q-quantile is the value at rank ⌊q·(n−1)⌋ of the ascending degree
+	// order: the first histogram bucket whose cumulative count passes it.
+	rank := int64(q * float64(n-1))
+	var seen int64
+	for d, c := range DegreeHistogram(g, s) {
+		if seen += c; seen > rank {
+			return float64(d)
+		}
+	}
+	return math.NaN() // unreachable: the buckets sum to n > rank
 }

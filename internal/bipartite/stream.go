@@ -334,12 +334,19 @@ func (s *TSVEdgeSource) Sides() (int32, int32, bool) {
 
 // BinaryEdgeSource streams edges out of the package's compact binary
 // format (EncodeBinary) by walking the delta-encoded adjacency rows
-// directly — the graph's CSR arrays are never rebuilt. Node labels, when
-// present, trail the edge section and are not decoded. The format stores
-// each association exactly once, already deduplicated.
+// directly — the graph's CSR arrays are never rebuilt. Varints are decoded
+// from the reader's buffered bytes as a slice, not pulled one byte at a
+// time through an io.ByteReader. Node labels, when present, trail the
+// edge section and are not decoded. The format stores each association
+// exactly once, already deduplicated.
 type BinaryEdgeSource struct {
 	rs io.ReadSeeker
 	br *bufio.Reader
+	// win[pos:] is the undecoded rest of br's buffered bytes: NextChunk
+	// decodes varints from the slice, and br only learns what was consumed
+	// when the window runs out (see uvarintSlow).
+	win []byte
+	pos int
 
 	numLeft, numRight int64
 
@@ -383,12 +390,37 @@ func (s *BinaryEdgeSource) Reset() error {
 	if s.numRight, err = readCount(s.br, "numRight"); err != nil {
 		return err
 	}
+	s.win, s.pos = nil, 0
 	s.l, s.deg, s.prev = -1, 0, -1
 	s.done = false
 	return nil
 }
 
-// NextChunk implements EdgeSource.
+// uvarintSlow decodes the varint at win[pos:] when it is not a single
+// byte inside the window. A multi-byte value wholly in view is decoded
+// from the slice. When the window ends inside the varint (or is empty, or
+// the varint overflows) the reader is handed back at the varint's first
+// byte and binary.ReadUvarint decodes across the refill — so truncation
+// and overflow surface as exactly the errors the byte-at-a-time decoder
+// returned — and whatever the refill buffered becomes the next window.
+func (s *BinaryEdgeSource) uvarintSlow() (uint64, error) {
+	if v, n := binary.Uvarint(s.win[s.pos:]); n > 0 {
+		s.pos += n
+		return v, nil
+	}
+	s.br.Discard(s.pos) //nolint:errcheck // pos never exceeds the buffered bytes
+	v, err := binary.ReadUvarint(s.br)
+	s.win, _ = s.br.Peek(s.br.Buffered()) // never short: these bytes are buffered
+	s.pos = 0
+	return v, err
+}
+
+// NextChunk implements EdgeSource. The edge section is one run of
+// varints — per left node its degree, then that many neighbor deltas —
+// decoded out of the reader's buffered bytes: the window is held in
+// locals, a one-byte varint (most degrees, and most deltas of clustered
+// data) costs a compare and a load, and only multi-byte values and
+// window refills leave the loop for uvarintSlow.
 func (s *BinaryEdgeSource) NextChunk(dst []Edge) (int, error) {
 	if len(dst) == 0 {
 		return 0, errZeroChunk
@@ -396,44 +428,62 @@ func (s *BinaryEdgeSource) NextChunk(dst []Edge) (int, error) {
 	if s.done {
 		return 0, io.EOF
 	}
+	win, pos := s.win, s.pos
+	l, deg, prev := s.l, s.deg, s.prev
 	n := 0
+	var err error
 	for n < len(dst) {
-		for s.deg == 0 {
-			if s.l+1 >= s.numLeft {
-				s.done = true
-				if n == 0 {
-					return 0, io.EOF
-				}
-				return n, nil
-			}
-			s.l++
-			deg, err := binary.ReadUvarint(s.br)
-			if err != nil {
-				return n, fmt.Errorf("%w: degree of left %d: %v", ErrBadFormat, s.l, err)
-			}
-			if deg > uint64(s.numRight) {
-				return n, fmt.Errorf("%w: degree %d exceeds right side %d", ErrBadFormat, deg, s.numRight)
-			}
-			s.deg = deg
-			s.prev = -1
+		rowStart := deg == 0 // the next varint is a degree, not a neighbor
+		if rowStart && l+1 >= s.numLeft {
+			s.done = true
+			break
 		}
-		delta, err := binary.ReadUvarint(s.br)
-		if err != nil {
-			return n, fmt.Errorf("%w: neighbor of left %d: %v", ErrBadFormat, s.l, err)
-		}
-		var r int64
-		if s.prev < 0 {
-			r = int64(delta)
+		var v uint64
+		if pos < len(win) && win[pos] < 0x80 {
+			v = uint64(win[pos])
+			pos++
 		} else {
-			r = s.prev + 1 + int64(delta)
+			s.pos = pos
+			v, err = s.uvarintSlow()
+			win, pos = s.win, s.pos
+			if err != nil {
+				if rowStart {
+					err = fmt.Errorf("%w: degree of left %d: %v", ErrBadFormat, l+1, err)
+				} else {
+					err = fmt.Errorf("%w: neighbor of left %d: %v", ErrBadFormat, l, err)
+				}
+				break
+			}
+		}
+		if rowStart {
+			l++
+			if v > uint64(s.numRight) {
+				err = fmt.Errorf("%w: degree %d exceeds right side %d", ErrBadFormat, v, s.numRight)
+				break
+			}
+			deg, prev = v, -1
+			continue
+		}
+		r := int64(v)
+		if prev >= 0 {
+			r = prev + 1 + int64(v)
 		}
 		if r >= s.numRight {
-			return n, fmt.Errorf("%w: neighbor %d out of range", ErrBadFormat, r)
+			err = fmt.Errorf("%w: neighbor %d out of range", ErrBadFormat, r)
+			break
 		}
-		dst[n] = Edge{Left: int32(s.l), Right: int32(r)}
+		dst[n] = Edge{Left: int32(l), Right: int32(r)}
 		n++
-		s.prev = r
-		s.deg--
+		prev = r
+		deg--
+	}
+	s.pos = pos
+	s.l, s.deg, s.prev = l, deg, prev
+	if err != nil {
+		return n, err
+	}
+	if n == 0 {
+		return 0, io.EOF // only the end of the edge section leaves the loop empty-handed
 	}
 	return n, nil
 }

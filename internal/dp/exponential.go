@@ -70,6 +70,15 @@ func (m *Exponential) Select(utilities []float64) (int, error) {
 // arithmetic mirrors Probabilities/SelectLSE operation for operation, so
 // given identical source states the three samplers pick identical
 // candidates (cross-checked in tests).
+//
+// One step is elided, exactly: a candidate whose shifted score s − max
+// lies below expZeroBelow has weight math.Exp(s − max) == 0, so the call
+// is skipped and the 0 stored directly. Every later use of that weight is
+// an identity — norm + 0, 0/norm, cum + 0 — so the probability vector,
+// the chosen index and the single uniform consumed are unchanged. On
+// heavy-tailed sides most cuts of a balance utility sit thousands of
+// units below the best one, and skipping them removes most of the
+// per-candidate transcendental cost.
 func (m *Exponential) SelectFast(utilities, scratch []float64) (int, []float64, error) {
 	if len(utilities) == 0 {
 		return 0, scratch, ErrEmptyDomain
@@ -84,29 +93,54 @@ func (m *Exponential) SelectFast(utilities, scratch []float64) (int, []float64, 
 		if math.IsNaN(u) {
 			return 0, scratch, fmt.Errorf("dp: utility %d is NaN", i)
 		}
-		probs[i] = scale * u
-		if probs[i] > maxScore {
-			maxScore = probs[i]
+		if s := scale * u; s > maxScore {
+			maxScore = s
 		}
 	}
+	// [first, last] spans the candidates whose weight went through
+	// math.Exp; everything outside it is an exact 0.
 	var norm float64
-	for i, s := range probs {
-		probs[i] = math.Exp(s - maxScore)
+	first, last := 0, -1
+	for i, u := range utilities {
+		// The conversion rounds the product before the subtraction, as
+		// storing the score would: no fused multiply-subtract.
+		d := float64(scale*u) - maxScore
+		if d < expZeroBelow {
+			probs[i] = 0
+			continue
+		}
+		probs[i] = math.Exp(d)
 		norm += probs[i]
+		if last < 0 {
+			first = i
+		}
+		last = i
 	}
-	for i := range probs {
+	if math.IsNaN(norm) {
+		// Infinite utilities: x/NaN is NaN even for the exact zeros.
+		first, last = 0, len(probs)-1
+	}
+	for i := first; i <= last; i++ {
 		probs[i] /= norm
 	}
 	u := m.src.Float64()
 	var cum float64
-	for i, p := range probs {
-		cum += p
+	for i := first; i <= last; i++ {
+		cum += probs[i]
 		if u < cum {
 			return i, probs, nil
 		}
 	}
 	return len(probs) - 1, probs, nil
 }
+
+// expZeroBelow is a shifted score under which math.Exp returns exactly 0
+// on every Go target: e^-750 ≈ 10^-325.7 is below half the smallest
+// denormal float64 (2^-1075 ≈ 10^-323.6), so it rounds to zero, and both
+// the portable math.Exp and the assembly versions return 0 outright for
+// arguments under ≈ −745.13. A NaN difference compares false and still
+// goes through math.Exp.
+const expZeroBelow = -750
 
 // SelectLSE samples the same distribution by explicit inverse-CDF over
 // softmax probabilities computed with the log-sum-exp trick. It exists to

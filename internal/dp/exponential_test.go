@@ -203,6 +203,84 @@ func TestSelectFastMatchesSelectLSE(t *testing.T) {
 	}
 }
 
+// TestSelectFastElisionIsExact drives SelectFast across the exact-zero
+// cutoff: utilities spread over 0 … −1e7 (the span of balance utilities on
+// a multi-million-edge side), clustered around the cutoff itself, and with
+// ±Inf entries, at the ε values the pipeline runs. The chosen index, every
+// bit of the probability vector and the position of the RNG stream must
+// equal SelectLSE's, which calls math.Exp on every candidate.
+func TestSelectFastElisionIsExact(t *testing.T) {
+	t.Parallel()
+	if got := math.Exp(expZeroBelow); got != 0 {
+		t.Fatalf("math.Exp(%v) = %v, want exactly 0: the elision cutoff is not safe on this target", float64(expZeroBelow), got)
+	}
+	for _, eps := range []float64{0.01, 0.1, 2} {
+		srcFast, srcLSE := rng.New(31), rng.New(31)
+		mFast, err := NewExponential(eps, 1, srcFast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mLSE, err := NewExponential(eps, 1, srcLSE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := eps / 2
+		r := rng.New(32)
+		var scratch []float64
+		elided := 0
+		for trial := 0; trial < 600; trial++ {
+			utilities := make([]float64, 2+r.Intn(300))
+			for i := range utilities {
+				switch trial % 4 {
+				case 0: // the whole span, log-uniform magnitudes
+					utilities[i] = -math.Pow(10, 7*r.Float64())
+				case 1: // straddling the cutoff: shifted scores in [-760, -740]
+					utilities[i] = -(740 + 20*r.Float64()) / scale
+				case 2: // descending prefix-sum shape, like a balance utility
+					utilities[i] = -math.Abs(float64(i)*1e7/float64(len(utilities)) - 3e6)
+				default:
+					utilities[i] = -float64(r.Intn(50))
+				}
+			}
+			if trial%4 == 1 {
+				utilities[r.Intn(len(utilities))] = 0 // the maximum the others are shifted by
+			}
+			if trial%50 == 7 {
+				utilities[0] = math.Inf(-1)
+			}
+			if trial%200 == 9 {
+				utilities[1] = math.Inf(1)
+			}
+			var fastIdx int
+			fastIdx, scratch, err = mFast.SelectFast(utilities, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lseIdx, probs, err := mLSE.SelectLSE(utilities)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fastIdx != lseIdx {
+				t.Fatalf("eps=%v trial %d: SelectFast chose %d, SelectLSE chose %d", eps, trial, fastIdx, lseIdx)
+			}
+			for i := range probs {
+				if math.Float64bits(scratch[i]) != math.Float64bits(probs[i]) {
+					t.Fatalf("eps=%v trial %d: probability %d differs: %v vs %v", eps, trial, i, scratch[i], probs[i])
+				}
+				if probs[i] == 0 {
+					elided++
+				}
+			}
+		}
+		if elided == 0 {
+			t.Errorf("eps=%v: no candidate reached probability 0; the cutoff was never exercised", eps)
+		}
+		if a, b := srcFast.Uint64(), srcLSE.Uint64(); a != b {
+			t.Errorf("eps=%v: RNG streams diverged after the trials: next draws %#x vs %#x", eps, a, b)
+		}
+	}
+}
+
 func TestSelectFastErrors(t *testing.T) {
 	t.Parallel()
 	m, err := NewExponential(1, 1, rng.New(23))

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -182,46 +183,57 @@ func TestSideGroupIncidentEdgesMatchesNaive(t *testing.T) {
 }
 
 // TestRadixSortMatchesComparisonSort pins the radix path to compareItems'
-// total order on adversarial weight distributions.
+// total order on adversarial weight distributions, for every input order
+// that selects a different digit range: strictly ascending nodes
+// (contiguous and with gaps) take the weight digits only and rely on LSD
+// stability for the node tie-break; a single out-of-place node, and a
+// full shuffle, must fall back to all eight digits — with heavy weight
+// ties, skipping the node digits there would leave ties in input order
+// and fail the comparison.
 func TestRadixSortMatchesComparisonSort(t *testing.T) {
 	t.Parallel()
 	r := rng.New(41)
-	for trial := 0; trial < 20; trial++ {
-		n := radixMinLen + r.Intn(500)
-		ref := make([]rangeItem, n)
-		for i := range ref {
-			w := int64(r.Intn(5)) // heavy ties
-			if trial%2 == 0 {
-				w = int64(r.Intn(1 << 20))
+	for _, order := range []string{"ascending", "ascending-gaps", "one-swap", "shuffled"} {
+		for trial := 0; trial < 20; trial++ {
+			n := radixMinLen + r.Intn(500)
+			ref := make([]rangeItem, n)
+			node := int32(0)
+			for i := range ref {
+				w := int64(r.Intn(5)) // heavy ties
+				if trial%2 == 0 {
+					w = int64(r.Intn(1 << 20))
+				}
+				if order == "ascending-gaps" {
+					node += int32(r.Intn(1000))
+				}
+				ref[i] = rangeItem{node: node, weight: w}
+				node++
 			}
-			ref[i] = rangeItem{node: int32(i), weight: w}
-		}
-		// Shuffle node ids so ties exercise the node tie-break.
-		for i := n - 1; i > 0; i-- {
-			j := r.Intn(i + 1)
-			ref[i].node, ref[j].node = ref[j].node, ref[i].node
-		}
-		got := append([]rangeItem(nil), ref...)
-		var maxW int64
-		for _, it := range ref {
-			if it.weight > maxW {
-				maxW = it.weight
+			switch order {
+			case "one-swap":
+				i := r.Intn(n - 1)
+				ref[i].node, ref[i+1].node = ref[i+1].node, ref[i].node
+				ref[i].weight = ref[i+1].weight // a tie the node digits must break
+			case "shuffled":
+				for i := n - 1; i > 0; i-- {
+					j := r.Intn(i + 1)
+					ref[i].node, ref[j].node = ref[j].node, ref[i].node
+				}
 			}
-		}
-		radixSortItems(got, make([]uint64, n), make([]uint64, n), maxW)
-		slicesSortRef(ref)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("trial %d: index %d radix %+v, comparison %+v", trial, i, got[i], ref[i])
+			got := append([]rangeItem(nil), ref...)
+			var maxW int64
+			for _, it := range ref {
+				if it.weight > maxW {
+					maxW = it.weight
+				}
 			}
-		}
-	}
-}
-
-func slicesSortRef(items []rangeItem) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && compareItems(items[j], items[j-1]) < 0; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
+			radixSortItems(got, make([]uint64, n), make([]uint64, n), maxW)
+			slices.SortFunc(ref, compareItems)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s trial %d: index %d radix %+v, comparison %+v", order, trial, i, got[i], ref[i])
+				}
+			}
 		}
 	}
 }

@@ -2,8 +2,11 @@ package hierarchy
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/bipartite"
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
@@ -195,4 +198,76 @@ func BenchmarkBuilderReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// failingBisector wraps a bisector and fails its nth call, to drive the
+// build's error path.
+type failingBisector struct {
+	partition.Bisector
+	failAt, calls int
+}
+
+func (f *failingBisector) Bisect(weights []int64) (int, error) {
+	f.calls++
+	if f.calls == f.failAt {
+		return 0, errors.New("bisector failure injected")
+	}
+	return f.Bisector.Bisect(weights)
+}
+
+// TestBuilderReleasesBisectorAfterBuild: a retained Builder (a serving
+// ingest lane lives as long as the registry) must not keep the finished
+// build's bisector or ordering keys reachable. Each build hands the
+// Builder a bisector with a finalizer, drops its own reference, and waits
+// for the collector to run the finalizer while the Builder is still
+// alive — on the graph path, the streamed path, and a build that fails
+// mid-split.
+func TestBuilderReleasesBisectorAfterBuild(t *testing.T) {
+	g := randomGraph(t, 300, 400, 5000, 3)
+	b := NewBuilder()
+	defer b.Close()
+
+	builds := map[string]func(partition.Bisector) error{
+		"Build": func(bis partition.Bisector) error {
+			_, err := b.Build(g, Options{Rounds: 4, Bisector: bis})
+			return err
+		},
+		"BuildFromEdges": func(bis partition.Bisector) error {
+			_, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 4, Bisector: bis})
+			return err
+		},
+		"failed build": func(bis partition.Bisector) error {
+			_, err := b.Build(g, Options{Rounds: 4, Bisector: &failingBisector{Bisector: bis, failAt: 5}})
+			if err == nil {
+				return errors.New("injected bisector failure did not fail the build")
+			}
+			return nil
+		},
+	}
+	for name, build := range builds {
+		collected := make(chan struct{})
+		func() {
+			bis, err := partition.NewExpMechBisector(0.4, rng.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(bis, func(*partition.ExpMechBisector) { close(collected) })
+			if err := build(bis); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}()
+		deadline := time.After(10 * time.Second)
+	wait:
+		for {
+			runtime.GC()
+			select {
+			case <-collected:
+				break wait
+			case <-deadline:
+				t.Fatalf("%s: the Builder still pins the build's bisector", name)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+	runtime.KeepAlive(b)
 }

@@ -210,6 +210,10 @@ type Tree struct {
 	// larger counts, so the fit is decided per depth, not per tree.
 	cells32 [][]int32
 
+	// stats is the dataset summary, computed once by finishSides from the
+	// stored degrees; DatasetStats serves it.
+	stats bipartite.Stats
+
 	privateCuts int
 }
 
@@ -245,7 +249,8 @@ type Builder struct {
 	pool        *workerPool
 	poolWorkers int
 
-	// Per-build state, reset by begin.
+	// Per-build state, set by begin; opts is cleared again when the
+	// splits return.
 	opts    Options
 	private bool        // Bisector spends budget per cut (partition.PrivacyConsumer)
 	curPool *workerPool // pool for the current build; nil when Workers < 2
@@ -318,6 +323,11 @@ func (b *Builder) Build(g *bipartite.Graph, opts Options) (*Tree, error) {
 // trees.
 func (b *Builder) runSplits(t *Tree, opts Options) error {
 	b.begin(t, opts)
+	// A retained Builder (an ingest lane) outlives the build: drop the
+	// options on every exit so it does not pin the caller's bisector — an
+	// ExpMechBisector holds two O(n) float scratch slices — or ordering
+	// keys until the next build overwrites them.
+	defer func() { b.opts = Options{} }()
 	for d := 0; d < opts.Rounds; d++ {
 		if err := t.splitDepth(&t.left, bipartite.Left, d, b); err != nil {
 			return fmt.Errorf("hierarchy: splitting left side at depth %d: %w", d, err)
@@ -568,21 +578,35 @@ func (t *Tree) prepareRange(st *sideTree, lo, hi int32, bs *Builder) {
 // sort on the packed 64-bit key (maxWeight−weight)<<32 | node, whose
 // ascending order is exactly compareItems' total order. Digit histograms
 // are gathered in one pass and passes whose digit is constant across all
-// keys are skipped, so a typical degree distribution costs 4–5 scatter
-// passes. keys and tmp are caller scratch of len(items).
+// keys are skipped. keys and tmp are caller scratch of len(items).
+//
+// Ascending-input shortcut: when the span arrives in strictly ascending
+// node order — the identity permutation every side starts from, so always
+// in the one round that sorts — the four node digits are skipped
+// outright. An LSD radix sort is stable, so sorting node-ascending input
+// by the weight digits alone leaves equal weights in node order, which is
+// the (weight desc, node asc) order; a typical degree distribution then
+// costs two or three scatter passes instead of six or seven. Any other
+// input order takes all eight digits.
 func radixSortItems(items []rangeItem, keys, tmp []uint64, maxWeight int64) {
+	firstDigit := 4 // the weight digits; lowered to 0 unless nodes ascend
+	prev := int32(-1)
 	for i, it := range items {
 		keys[i] = uint64(maxWeight-it.weight)<<32 | uint64(uint32(it.node))
+		if it.node <= prev {
+			firstDigit = 0
+		}
+		prev = it.node
 	}
 	var counts [8][256]int32
 	for _, k := range keys {
-		for b := 0; b < 8; b++ {
+		for b := firstDigit; b < 8; b++ {
 			counts[b][(k>>(8*b))&0xff]++
 		}
 	}
 	n := int32(len(keys))
 	src, dst := keys, tmp
-	for b := 0; b < 8; b++ {
+	for b := firstDigit; b < 8; b++ {
 		c := &counts[b]
 		if c[(src[0]>>(8*b))&0xff] == n {
 			continue // every key shares this digit
@@ -644,8 +668,17 @@ func (t *Tree) applyCut(st *sideTree, lo, hi int32, reorder bool, bs *Builder) (
 // state from edge chunks.
 func (t *Tree) finalize(workers int) {
 	t.computeCells(workers)
+	t.finishSides()
+}
+
+// finishSides derives what the accessors serve from the per-node degrees
+// under the final permutation: the per-side degree prefix sums and the
+// dataset summary. Every build path ends here, so the summary is computed
+// exactly once per tree.
+func (t *Tree) finishSides() {
 	t.left.computeDegreePrefix()
 	t.right.computeDegreePrefix()
+	t.stats = bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
 }
 
 // computeCells fills the per-depth cell count matrices: one edge scan at
@@ -791,12 +824,12 @@ func (t *Tree) Graph() *bipartite.Graph { return t.graph }
 func (t *Tree) NumEdges() int64 { return t.left.degPrefix[len(t.left.degPrefix)-1] }
 
 // DatasetStats summarizes the dataset from the per-node degrees captured
-// at build time. For graph-backed trees it equals
+// at build time. The summary is computed once at build (graph build,
+// streamed build and DecodeBinary alike) and every call returns that
+// stored value: O(1), no allocation. For graph-backed trees it equals
 // bipartite.ComputeStats(t.Graph()) bit for bit; for streamed trees it is
 // the only dataset summary available.
-func (t *Tree) DatasetStats() bipartite.Stats {
-	return bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
-}
+func (t *Tree) DatasetStats() bipartite.Stats { return t.stats }
 
 // MaxLevel returns the root's level number.
 func (t *Tree) MaxLevel() int { return t.maxLevel }
@@ -1113,7 +1146,8 @@ func (t *Tree) ImbalanceSummary() ([]float64, error) {
 //     sums to the total record count, and every coarser matrix equals the
 //     2×2 block aggregation of its child (which, with the recount, pins
 //     all levels to the edges),
-//   - the degree prefix sums are monotone and end at the record count.
+//   - the degree prefix sums are monotone and end at the record count,
+//     and the stored dataset summary equals a fresh one from the degrees.
 //
 // The cell checks cost O(E + Σ_d 4^d) — one edge scan total, not one per
 // depth.
@@ -1181,6 +1215,9 @@ func (t *Tree) Validate() error {
 		if st.degPrefix[n] != total {
 			return fmt.Errorf("%w: %s degree prefix sums to %d, want %d", ErrInvalid, sd.name, st.degPrefix[n], total)
 		}
+	}
+	if want := bipartite.StatsFromDegrees(t.left.deg, t.right.deg); t.stats != want {
+		return fmt.Errorf("%w: stored dataset summary %+v, degrees say %+v", ErrInvalid, t.stats, want)
 	}
 	if len(t.cells) != len(t.left.bounds) {
 		return fmt.Errorf("%w: %d cell matrices for %d depths", ErrInvalid, len(t.cells), len(t.left.bounds))

@@ -294,7 +294,7 @@ func growCounts(counts []int64, id int32) []int64 {
 
 // finalizeFromSource is the streamed finalize: the deepest cell matrix
 // from one chunked scan of the source, the shared bottom-up aggregation,
-// and the degree prefix sums. It cross-checks the two passes — a source
+// and the degree prefix sums and dataset summary. It cross-checks the two passes — a source
 // whose replay yields a different edge multiset (or count) is rejected
 // rather than silently producing a tree inconsistent with its own
 // degrees.
@@ -316,8 +316,7 @@ func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
 		return fmt.Errorf("hierarchy: source changed between passes: degree pass saw %d edges, cell pass %d", degSum, cellSum)
 	}
 	t.setCells(deepest)
-	t.left.computeDegreePrefix()
-	t.right.computeDegreePrefix()
+	t.finishSides()
 	return nil
 }
 

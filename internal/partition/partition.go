@@ -53,45 +53,35 @@ type PrivacyConsumer interface {
 	Private() bool
 }
 
-// validate rejects degenerate inputs shared by all bisectors.
-func validate(weights []int64) error {
+// validate rejects degenerate inputs shared by all bisectors and returns
+// the total weight — the one sweep every weight-reading bisector needs
+// before it can score a cut.
+func validate(weights []int64) (total int64, err error) {
 	if len(weights) < 2 {
-		return fmt.Errorf("%w (n=%d)", ErrTooSmall, len(weights))
+		return 0, fmt.Errorf("%w (n=%d)", ErrTooSmall, len(weights))
 	}
 	for i, w := range weights {
 		if w < 0 {
-			return fmt.Errorf("%w (item %d = %d)", ErrNegativeWeight, i, w)
+			return 0, fmt.Errorf("%w (item %d = %d)", ErrNegativeWeight, i, w)
 		}
-	}
-	return nil
-}
-
-// appendBalanceUtilities appends utility(k) = -|S_k - (S_n - S_k)| for
-// every cut k in [1, n-1] to dst (as float64 for the exponential
-// mechanism) and returns the extended slice. Passing a reused dst[:0]
-// makes the computation allocation-free in steady state.
-func appendBalanceUtilities(dst []float64, weights []int64) []float64 {
-	n := len(weights)
-	var total int64
-	for _, w := range weights {
 		total += w
 	}
+	return total, nil
+}
+
+// fillBalanceUtilities writes utility(k) = -|S_k - (S_n - S_k)| for every
+// cut k in [1, n-1] into dst[k-1] (as float64 for the exponential
+// mechanism); total is S_n and dst holds at least n-1 entries.
+func fillBalanceUtilities(dst []float64, weights []int64, total int64) {
 	var prefix int64
-	for k := 1; k < n; k++ {
-		prefix += weights[k-1]
+	for k, w := range weights[:len(weights)-1] {
+		prefix += w
 		imbalance := prefix - (total - prefix)
 		if imbalance < 0 {
 			imbalance = -imbalance
 		}
-		dst = append(dst, -float64(imbalance))
+		dst[k] = -float64(imbalance)
 	}
-	return dst
-}
-
-// balanceUtilities materializes a fresh utility slice; kept for tests and
-// one-shot callers.
-func balanceUtilities(weights []int64) []float64 {
-	return appendBalanceUtilities(make([]float64, 0, len(weights)-1), weights)
 }
 
 // ExpMechBisector selects the cut through the exponential mechanism with
@@ -127,10 +117,16 @@ func (b *ExpMechBisector) Epsilon() float64 { return b.eps }
 
 // Bisect implements Bisector.
 func (b *ExpMechBisector) Bisect(weights []int64) (int, error) {
-	if err := validate(weights); err != nil {
+	total, err := validate(weights)
+	if err != nil {
 		return 0, err
 	}
-	b.util = appendBalanceUtilities(b.util[:0], weights)
+	n := len(weights) - 1
+	if cap(b.util) < n {
+		b.util = make([]float64, n)
+	}
+	b.util = b.util[:n]
+	fillBalanceUtilities(b.util, weights, total)
 	idx, prob, err := b.mech.SelectFast(b.util, b.prob)
 	b.prob = prob
 	if err != nil {
@@ -155,12 +151,9 @@ var _ Bisector = BalancedBisector{}
 // slice is materialized — and keeps the earliest most-balanced cut, the
 // same choice the utility-argmax formulation makes.
 func (BalancedBisector) Bisect(weights []int64) (int, error) {
-	if err := validate(weights); err != nil {
+	total, err := validate(weights)
+	if err != nil {
 		return 0, err
-	}
-	var total int64
-	for _, w := range weights {
-		total += w
 	}
 	best, bestImbalance := 1, int64(-1)
 	var prefix int64
@@ -198,7 +191,7 @@ func NewRandomBisector(src *rng.Source) (*RandomBisector, error) {
 
 // Bisect implements Bisector.
 func (b *RandomBisector) Bisect(weights []int64) (int, error) {
-	if err := validate(weights); err != nil {
+	if _, err := validate(weights); err != nil {
 		return 0, err
 	}
 	return 1 + b.src.Intn(len(weights)-1), nil
@@ -215,7 +208,7 @@ var _ Bisector = MidpointBisector{}
 
 // Bisect implements Bisector.
 func (MidpointBisector) Bisect(weights []int64) (int, error) {
-	if err := validate(weights); err != nil {
+	if _, err := validate(weights); err != nil {
 		return 0, err
 	}
 	return len(weights) / 2, nil
@@ -237,7 +230,7 @@ type CutQuality struct {
 
 // Quality evaluates a cut.
 func Quality(weights []int64, cut int) (CutQuality, error) {
-	if err := validate(weights); err != nil {
+	if _, err := validate(weights); err != nil {
 		return CutQuality{}, err
 	}
 	if cut < 1 || cut >= len(weights) {

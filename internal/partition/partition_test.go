@@ -6,8 +6,22 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dp"
 	"repro/internal/rng"
 )
+
+// balanceUtilities materializes the utility slice of a valid weight
+// vector the way ExpMechBisector.Bisect does: total from validate, then
+// one fill.
+func balanceUtilities(weights []int64) []float64 {
+	total, err := validate(weights)
+	if err != nil {
+		panic(err)
+	}
+	dst := make([]float64, len(weights)-1)
+	fillBalanceUtilities(dst, weights, total)
+	return dst
+}
 
 func TestBalanceUtilities(t *testing.T) {
 	t.Parallel()
@@ -332,4 +346,77 @@ func mustRandom(t *testing.T) *RandomBisector {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestExpMechBisectorMatchesSelectLSE pins Bisect — validate, total and
+// balance utilities folded into two sweeps over reused scratch — to the
+// plain formulation: utilities from the definition, sampled through
+// dp.Exponential.SelectLSE on an identically seeded stream. Successive
+// calls shrink and grow the weight vector so stale scratch must not leak.
+func TestExpMechBisectorMatchesSelectLSE(t *testing.T) {
+	t.Parallel()
+	const eps = 0.1
+	bis, err := NewExpMechBisector(eps, rng.New(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dp.NewExponential(eps, 1, rng.New(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(42)
+	for trial := 0; trial < 300; trial++ {
+		weights := make([]int64, 2+r.Intn(400))
+		for i := range weights {
+			weights[i] = int64(r.Intn(1 + 200_000/(i+1))) // descending heavy tail
+		}
+		var total, prefix int64
+		for _, w := range weights {
+			total += w
+		}
+		utilities := make([]float64, 0, len(weights)-1)
+		for _, w := range weights[:len(weights)-1] {
+			prefix += w
+			utilities = append(utilities, -math.Abs(float64(2*prefix-total)))
+		}
+		want, _, err := ref.SelectLSE(utilities)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bis.Bisect(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want+1 {
+			t.Fatalf("trial %d (n=%d): Bisect cut %d, reference cut %d", trial, len(weights), got, want+1)
+		}
+	}
+}
+
+var cutSink int
+
+// BenchmarkExpMechBisect times one private cut over a 700 k-node side in
+// bisector order (descending heavy-tailed weights) at the serving
+// default ε 0.1 — the unit of work Phase 1 repeats once per range per
+// round.
+func BenchmarkExpMechBisect(b *testing.B) {
+	const n = 700_000
+	weights := make([]int64, n)
+	for i := range weights {
+		weights[i] = int64(2_000_000 / (i + 1)) // Zipf-1 profile: ~2.8 M total
+	}
+	bis, err := NewExpMechBisector(0.1, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cut, err := bis.Bisect(weights)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cutSink = cut
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
 }

@@ -873,8 +873,9 @@ func (d *Dataset) Name() string { return d.name }
 // built under and is served with.
 func (d *Dataset) Strategy() string { return d.strat.Name() }
 
-// Stats summarizes the ingested dataset (computed from the streamed
-// degrees — no graph was ever resident).
+// Stats summarizes the ingested dataset (computed once, at build, from
+// the streamed degrees — no graph was ever resident; a call is a field
+// read).
 func (d *Dataset) Stats() bipartite.Stats { return d.tree.DatasetStats() }
 
 // MaxLevel returns the hierarchy's root level; queryable levels are

@@ -771,3 +771,23 @@ func TestFingerprintTreePinned(t *testing.T) {
 		t.Fatalf("default-strategy dataset print = %#016x, want the bare fingerprint %#016x", ds.print, want)
 	}
 }
+
+// TestDatasetStatsComputedOnce: the dataset summary is computed at build
+// and stored on the tree, so Dataset.Stats — called per dataset by every
+// GET /v1/datasets — returns it without touching the degree vectors: no
+// allocation, where the sort-based summary copied and sorted both sides
+// on every call.
+func TestDatasetStatsComputedOnce(t *testing.T) {
+	_, ds := openTestDataset(t, testConfig())
+	want := ds.Stats()
+	if want.NumEdges == 0 {
+		t.Fatal("test dataset has no edges")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if ds.Stats() != want {
+			t.Error("Dataset.Stats changed between calls")
+		}
+	}); allocs != 0 {
+		t.Errorf("Dataset.Stats allocates %v times per call, want 0", allocs)
+	}
+}
