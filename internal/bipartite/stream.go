@@ -401,8 +401,8 @@ func (s *BinaryEdgeSource) Reset() error {
 // from the slice. When the window ends inside the varint (or is empty, or
 // the varint overflows) the reader is handed back at the varint's first
 // byte and binary.ReadUvarint decodes across the refill — so truncation
-// and overflow surface as exactly the errors the byte-at-a-time decoder
-// returned — and whatever the refill buffered becomes the next window.
+// and overflow surface as its io.EOF, io.ErrUnexpectedEOF and overflow
+// errors — and whatever the refill buffered becomes the next window.
 func (s *BinaryEdgeSource) uvarintSlow() (uint64, error) {
 	if v, n := binary.Uvarint(s.win[s.pos:]); n > 0 {
 		s.pos += n

@@ -102,8 +102,9 @@ func (m *Exponential) SelectFast(utilities, scratch []float64) (int, []float64, 
 	var norm float64
 	first, last := 0, -1
 	for i, u := range utilities {
-		// The conversion rounds the product before the subtraction, as
-		// storing the score would: no fused multiply-subtract.
+		// The conversion rounds the product before the subtraction:
+		// Probabilities stores its scores, and a fused multiply-subtract
+		// here would round differently from that.
 		d := float64(scale*u) - maxScore
 		if d < expZeroBelow {
 			probs[i] = 0

@@ -70,6 +70,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -598,15 +599,18 @@ func radixSortItems(items []rangeItem, keys, tmp []uint64, maxWeight int64) {
 		}
 		prev = it.node
 	}
+	// Key weights are at most maxWeight, so digits past its top byte are
+	// zero in every key and need neither counting nor a pass.
+	endDigit := 4 + (bits.Len64(uint64(maxWeight))+7)/8
 	var counts [8][256]int32
 	for _, k := range keys {
-		for b := firstDigit; b < 8; b++ {
+		for b := firstDigit; b < endDigit; b++ {
 			counts[b][(k>>(8*b))&0xff]++
 		}
 	}
 	n := int32(len(keys))
 	src, dst := keys, tmp
-	for b := firstDigit; b < 8; b++ {
+	for b := firstDigit; b < endDigit; b++ {
 		c := &counts[b]
 		if c[(src[0]>>(8*b))&0xff] == n {
 			continue // every key shares this digit
