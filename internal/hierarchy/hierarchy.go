@@ -250,9 +250,11 @@ type Builder struct {
 	pool        *workerPool
 	poolWorkers int
 
-	// Per-build state, set by begin; opts is cleared again when the
-	// splits return.
-	opts    Options
+	// Per-build state, reset by begin. The build's Options are not part
+	// of it: a retained Builder (a serving ingest lane) outlives the build
+	// and must not pin the caller's bisector — an ExpMechBisector holds
+	// two O(n) float scratch slices — or ordering keys, so the bisector
+	// travels down the split calls as a parameter.
 	private bool        // Bisector spends budget per cut (partition.PrivacyConsumer)
 	curPool *workerPool // pool for the current build; nil when Workers < 2
 }
@@ -324,16 +326,11 @@ func (b *Builder) Build(g *bipartite.Graph, opts Options) (*Tree, error) {
 // trees.
 func (b *Builder) runSplits(t *Tree, opts Options) error {
 	b.begin(t, opts)
-	// A retained Builder (an ingest lane) outlives the build: drop the
-	// options on every exit so it does not pin the caller's bisector — an
-	// ExpMechBisector holds two O(n) float scratch slices — or ordering
-	// keys until the next build overwrites them.
-	defer func() { b.opts = Options{} }()
 	for d := 0; d < opts.Rounds; d++ {
-		if err := t.splitDepth(&t.left, bipartite.Left, d, b); err != nil {
+		if err := t.splitDepth(&t.left, d, opts.Bisector, b); err != nil {
 			return fmt.Errorf("hierarchy: splitting left side at depth %d: %w", d, err)
 		}
-		if err := t.splitDepth(&t.right, bipartite.Right, d, b); err != nil {
+		if err := t.splitDepth(&t.right, d, opts.Bisector, b); err != nil {
 			return fmt.Errorf("hierarchy: splitting right side at depth %d: %w", d, err)
 		}
 	}
@@ -354,7 +351,6 @@ func (b *Builder) begin(t *Tree, opts Options) {
 		b.keys = make([]uint64, n)
 		b.tmpKeys = make([]uint64, n)
 	}
-	b.opts = opts
 	b.private = false
 	if pc, ok := opts.Bisector.(partition.PrivacyConsumer); ok {
 		b.private = pc.Private()
@@ -489,7 +485,7 @@ func (p *workerPool) close() { close(p.tasks) }
 // each range's weights are read straight from weightByPos. The cut
 // decisions always run serially in range order so randomized bisectors
 // consume their stream deterministically.
-func (t *Tree) splitDepth(st *sideTree, side bipartite.Side, d int, bs *Builder) error {
+func (t *Tree) splitDepth(st *sideTree, d int, bisector partition.Bisector, bs *Builder) error {
 	cur := st.bounds[d]
 	nRanges := len(cur) - 1
 
@@ -509,7 +505,7 @@ func (t *Tree) splitDepth(st *sideTree, side bipartite.Side, d int, bs *Builder)
 	next := make([]int32, 0, 2*nRanges+1)
 	for i := 0; i < nRanges; i++ {
 		lo, hi := cur[i], cur[i+1]
-		cut, err := t.applyCut(st, lo, hi, reorder, bs)
+		cut, err := t.applyCut(st, lo, hi, reorder, bisector, bs)
 		if err != nil {
 			return fmt.Errorf("range %d [%d,%d): %w", i, lo, hi, err)
 		}
@@ -635,7 +631,7 @@ func radixSortItems(items []rangeItem, keys, tmp []uint64, maxWeight int64) {
 // and, when the range was freshly prepared, writes the order back into
 // the permutation. Ranges with fewer than two nodes return their size (an
 // empty second part).
-func (t *Tree) applyCut(st *sideTree, lo, hi int32, reorder bool, bs *Builder) (int, error) {
+func (t *Tree) applyCut(st *sideTree, lo, hi int32, reorder bool, bisector partition.Bisector, bs *Builder) (int, error) {
 	n := int(hi - lo)
 	if n < 2 {
 		// 0- and 1-item ranges cannot be cut; a 1-item "sort" is already
@@ -646,7 +642,7 @@ func (t *Tree) applyCut(st *sideTree, lo, hi int32, reorder bool, bs *Builder) (
 	if reorder {
 		weights = bs.weights[lo:hi]
 	}
-	cut, err := bs.opts.Bisector.Bisect(weights)
+	cut, err := bisector.Bisect(weights)
 	if err != nil {
 		return 0, err
 	}

@@ -294,10 +294,10 @@ func growCounts(counts []int64, id int32) []int64 {
 
 // finalizeFromSource is the streamed finalize: the deepest cell matrix
 // from one chunked scan of the source, the shared bottom-up aggregation,
-// and the degree prefix sums and dataset summary. It cross-checks the two passes — a source
-// whose replay yields a different edge multiset (or count) is rejected
-// rather than silently producing a tree inconsistent with its own
-// degrees.
+// the degree prefix sums and the dataset summary. It cross-checks the two
+// passes — a source whose replay yields a different edge multiset (or
+// count) is rejected rather than silently producing a tree inconsistent
+// with its own degrees.
 func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
 	dmax := len(t.left.bounds) - 1
 	k := 1 << dmax
