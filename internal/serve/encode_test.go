@@ -1,0 +1,310 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// The reference side of the differential tests: the response shapes as
+// the handlers built them before encode.go — a map[string]any per query
+// kind, the errorBody struct — through encoding/json's Encoder with
+// SetIndent("", "  ").
+
+// refErrorBody is the error shape the handlers marshalled.
+type refErrorBody struct {
+	Error string `json:"error"`
+	Code  string `json:"code"`
+}
+
+func refEncode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+func refLevel(dataset string, seq, stream uint64, view LevelView) map[string]any {
+	return map[string]any{"dataset": dataset, "stream": stream, "seq": seq, "view": view}
+}
+
+func refMarginal(dataset string, seq, stream uint64, level int, side string, marginals []float64) map[string]any {
+	return map[string]any{
+		"dataset": dataset, "stream": stream, "seq": seq,
+		"level": level, "side": side, "marginals": marginals,
+	}
+}
+
+func refTopK(dataset string, seq, stream uint64, level int, side string, k int, groups []int) map[string]any {
+	return map[string]any{
+		"dataset": dataset, "stream": stream, "seq": seq,
+		"level": level, "side": side, "k": k, "groups": groups,
+	}
+}
+
+// checkAgainstReference holds one encoder output to the reference: the
+// same bytes, or — when encoding/json refuses the value (NaN, ±Inf) —
+// errNonFinite.
+func checkAgainstReference(t *testing.T, shape string, got []byte, gotErr error, ref any) {
+	t.Helper()
+	want, wantErr := refEncode(ref)
+	if wantErr != nil {
+		if gotErr != errNonFinite {
+			t.Fatalf("%s: encoding/json refused the value (%v) but the encoder returned err=%v", shape, wantErr, gotErr)
+		}
+		return
+	}
+	if gotErr != nil {
+		t.Fatalf("%s: encoder failed (%v) on a value encoding/json accepts", shape, gotErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: encoder bytes differ from encoding/json\n got: %q\nwant: %q", shape, got, want)
+	}
+}
+
+// floatsToBytes packs floats as the fuzz target's raw input; the target
+// unpacks 8 bytes per value, so the fuzzer mutates bit patterns.
+func floatsToBytes(fs ...float64) []byte {
+	raw := make([]byte, 0, 8*len(fs))
+	for _, f := range fs {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(f))
+	}
+	return raw
+}
+
+func floatsFromBytes(raw []byte) []float64 {
+	fs := make([]float64, 0, len(raw)/8)
+	for ; len(raw) >= 8; raw = raw[8:] {
+		fs = append(fs, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+	}
+	return fs
+}
+
+// floatAt returns fs[i], or a fixed finite value past the end, so short
+// fuzz inputs still fill every scalar field.
+func floatAt(fs []float64, i int) float64 {
+	if i < len(fs) {
+		return fs[i]
+	}
+	return 0.5 + float64(i)
+}
+
+// edgeFloats are the values where encoding/json's number format changes
+// or strconv is most likely to disagree with a hand-rolled formatter.
+var edgeFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, 2.2250738585072014e-308,
+	1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), -1e-6, -math.Nextafter(1e-6, 0),
+	1e-7, 1.5e-9, -1e-10, 1.25e-100,
+	1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)), -1e21, -math.Nextafter(1e21, 0),
+	1e20, 123456789012345680000, 1e22, 1e100,
+	math.MaxFloat64, -math.MaxFloat64,
+	0.12345678901234568, 12345.678901234567, 5e-324, 9007199254740993, 4.35, 2.675,
+}
+
+func FuzzEncodeQueryResponses(f *testing.F) {
+	f.Add("dblp", uint64(7), uint64(0), 2, 5, floatsToBytes(edgeFloats...))
+	f.Add("a<b>&c\"d\\e", uint64(math.MaxUint64), uint64(math.MaxUint64), -3, 0, floatsToBytes(1.5, -2.25, 3))
+	f.Add("ctl\x00\x01\b\f\n\r\t\x1f\x7f", uint64(1), uint64(2), 0, 1, []byte{})
+	f.Add("bad\xff\xfeutf8\xc3(\xe2\x82", uint64(3), uint64(4), 9, 2, floatsToBytes(0))
+	f.Add("sep\u2028and\u2029\u00e9\u2603\U0001F600", uint64(5), uint64(6), 12, 3, floatsToBytes(edgeFloats[:8]...))
+	f.Add("", uint64(0), uint64(0), 0, 10, floatsToBytes(1, 2, 3, 4, 5, math.NaN()))
+	f.Add("inf", uint64(0), uint64(0), 0, 4, floatsToBytes(math.Inf(1)))
+	f.Add("neginf", uint64(0), uint64(0), 0, 4, floatsToBytes(1, 2, 3, 4, 5, 6, math.Inf(-1)))
+
+	f.Fuzz(func(t *testing.T, name string, stream, seq uint64, level, k int, raw []byte) {
+		fs := floatsFromBytes(raw)
+		half := len(name) / 2
+		side := name[half:]
+
+		// The scalar fields take the first five floats and the histogram
+		// the rest; k steers the nil / empty / absent variants.
+		var counts []float64
+		if len(fs) > 5 {
+			counts = fs[5:]
+		} else if k%2 == 0 {
+			counts = []float64{}
+		}
+		view := LevelView{
+			Level: level,
+			Count: core.LevelRelease{
+				Level: level, ModelName: name, CalibName: side, MechName: name[:half],
+				Epsilon: floatAt(fs, 0), Delta: floatAt(fs, 1), Sensitivity: int64(seq),
+				Sigma: floatAt(fs, 2), TrueCount: int64(stream), NoisyCount: floatAt(fs, 3),
+				RER: floatAt(fs, 4),
+			},
+		}
+		if k%5 != 0 {
+			view.Cells = &core.CellRelease{
+				Level: level, ModelName: side, CalibName: name, MechName: name[:half],
+				Epsilon: floatAt(fs, 1), Delta: floatAt(fs, 2), Sensitivity: int64(stream),
+				Sigma: floatAt(fs, 0), Counts: counts, SideGroups: k,
+			}
+		}
+		got, err := appendLevelResponse(nil, name, seq, stream, view)
+		checkAgainstReference(t, "level", got, err, refLevel(name, seq, stream, view))
+
+		// The marginal takes every float, so the scalar seeds reach an
+		// array position too.
+		marginals := fs
+		if len(fs) == 0 && k%2 == 0 {
+			marginals = nil
+		}
+		got, err = appendMarginalResponse(nil, name, seq, stream, level, side, marginals)
+		checkAgainstReference(t, "marginal", got, err, refMarginal(name, seq, stream, level, side, marginals))
+
+		var groups []int
+		if k%3 != 0 {
+			groups = make([]int, 0, len(raw))
+			for i, c := range raw {
+				groups = append(groups, (int(c)-128)*(i+1)*level)
+			}
+		}
+		got = appendTopKResponse(nil, name, seq, stream, level, side, k, groups)
+		checkAgainstReference(t, "topk", got, nil, refTopK(name, seq, stream, level, side, k, groups))
+
+		got = appendErrorBody(nil, name, side)
+		checkAgainstReference(t, "error", got, nil, refErrorBody{Error: name, Code: side})
+	})
+}
+
+// fillJSONFields sets every exported field encoding/json would emit to
+// a distinct non-zero value (so omitempty fields appear), following
+// pointers and nested structs. A kind it does not know fails the test:
+// the encoders would not know it either.
+func fillJSONFields(t *testing.T, v reflect.Value, next *int) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		sf := v.Type().Field(i)
+		if !sf.IsExported() || strings.Split(sf.Tag.Get("json"), ",")[0] == "-" {
+			continue
+		}
+		*next++
+		f := v.Field(i)
+		if f.Kind() == reflect.Pointer {
+			f.Set(reflect.New(f.Type().Elem()))
+			f = f.Elem()
+		}
+		switch {
+		case f.Kind() == reflect.Struct:
+			fillJSONFields(t, f, next)
+		case f.CanInt():
+			f.SetInt(int64(*next))
+		case f.CanFloat():
+			f.SetFloat(float64(*next) + 0.125)
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("<%s&%d>", sf.Name, *next))
+		case f.Type() == reflect.TypeOf([]float64(nil)):
+			f.Set(reflect.ValueOf([]float64{float64(*next) + 0.25, -float64(*next) - 0.75}))
+		default:
+			t.Fatalf("%s.%s has kind %s: teach fillJSONFields and the /level encoder about it",
+				v.Type(), sf.Name, f.Kind())
+		}
+	}
+}
+
+// TestEncodersCoverEveryField: with every JSON-visible field of
+// LevelView, core.LevelRelease and core.CellRelease non-zero, the /level
+// encoder still matches encoding/json — so a field added to core later
+// fails here instead of silently vanishing from the served view.
+func TestEncodersCoverEveryField(t *testing.T) {
+	var view LevelView
+	next := 0
+	fillJSONFields(t, reflect.ValueOf(&view).Elem(), &next)
+	if view.Cells == nil || len(view.Cells.Counts) == 0 || view.Count.RER == 0 || view.Count.TrueCount == 0 {
+		t.Fatalf("fill left a JSON field zero: %+v", view)
+	}
+	got, err := appendLevelResponse(nil, "d", 1, 2, view)
+	checkAgainstReference(t, "level", got, err, refLevel("d", 1, 2, view))
+}
+
+// benchLevelView is a level-3-sized view: 64 × 64 noisy cells around
+// small true counts, 17 significant digits each as Gaussian noise
+// leaves them.
+func benchLevelView() LevelView {
+	rnd := rand.New(rand.NewSource(1))
+	counts := make([]float64, 4096)
+	for i := range counts {
+		counts[i] = float64(rnd.Intn(40)) + 38.7*rnd.NormFloat64()
+	}
+	return LevelView{
+		Level: 3,
+		Count: core.LevelRelease{
+			Level: 3, ModelName: "cells", CalibName: "analytic", MechName: "gaussian",
+			Epsilon: 0.05, Delta: 1e-7, Sensitivity: 812, Sigma: 57712.345678901234,
+			NoisyCount: 2000123.4567890123,
+		},
+		Cells: &core.CellRelease{
+			Level: 3, ModelName: "cells", CalibName: "analytic",
+			Epsilon: 0.05, Delta: 1e-7, Sensitivity: 812, Sigma: 38.712345678901234,
+			Counts: counts, SideGroups: 64,
+		},
+	}
+}
+
+func benchMarginals() []float64 {
+	rnd := rand.New(rand.NewSource(2))
+	m := make([]float64, 64)
+	for i := range m {
+		m[i] = float64(rnd.Intn(30000)) + 310*rnd.NormFloat64()
+	}
+	return m
+}
+
+var encodeSink []byte
+
+func BenchmarkEncodeLevelView(b *testing.B) {
+	view := benchLevelView()
+	buf, err := appendLevelResponse(nil, "bench", 0, 7, view)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = appendLevelResponse(buf[:0], "bench", uint64(i), 7, view)
+	}
+	encodeSink = buf
+}
+
+func BenchmarkEncodeMarginal(b *testing.B) {
+	m := benchMarginals()
+	buf, err := appendMarginalResponse(nil, "bench", 0, 7, 3, "left", m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = appendMarginalResponse(buf[:0], "bench", uint64(i), 7, 3, "left", m)
+	}
+	encodeSink = buf
+}
+
+// TestEncodersAllocationFree: into a buffer that already has the
+// capacity, the two hot encoders allocate nothing.
+func TestEncodersAllocationFree(t *testing.T) {
+	view, m := benchLevelView(), benchMarginals()
+	buf, _ := appendLevelResponse(nil, "bench", 0, 7, view)
+	if n := testing.AllocsPerRun(20, func() {
+		buf, _ = appendLevelResponse(buf[:0], "bench", 1, 7, view)
+	}); n != 0 {
+		t.Errorf("appendLevelResponse: %v allocs/op into a sized buffer, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = appendMarginalResponse(buf[:0], "bench", 1, 7, 3, "left", m)
+	}); n != 0 {
+		t.Errorf("appendMarginalResponse: %v allocs/op into a sized buffer, want 0", n)
+	}
+}
