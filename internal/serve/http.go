@@ -128,59 +128,64 @@ type httpSession struct {
 	sess *Session
 }
 
-// errorBody is the uniform error shape.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
+// encodeBuffers pools response bodies across requests, keeping the HTTP
+// serving path allocation-flat under sustained load: a response is
+// appended whole to a pooled []byte, written, and the slice returned
+// with whatever capacity it grew. Buffers that ballooned on an unusually
+// large response are dropped instead of pooled so one outlier cannot pin
+// megabytes.
+var encodeBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeBuffer pairs a reusable byte buffer with a JSON encoder bound to
-// it; writeJSON checks one out per response so the HTTP path does not
-// allocate a fresh encoder (and its indent state) per request.
-type encodeBuffer struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// encodeBuffers pools response-encoding state across requests, keeping
-// the HTTP serving path allocation-flat under sustained load. Buffers
-// that ballooned on an unusually large response (a deep level view) are
-// dropped instead of pooled so one outlier cannot pin megabytes.
-var encodeBuffers = sync.Pool{
-	New: func() any {
-		e := &encodeBuffer{}
-		e.enc = json.NewEncoder(&e.buf)
-		e.enc.SetIndent("", "  ")
-		return e
-	},
-}
-
-// maxPooledEncodeBuffer bounds the capacity a buffer may keep when it
-// returns to the pool. It is sized to hold a deep level view (a 4^9-cell
-// histogram serializes to a few MB) so the largest — and most
+// maxPooledEncodeBuffer bounds the capacity a body buffer may keep when
+// it returns to the pool. It is sized to hold a deep level view (a
+// 4^9-cell histogram serializes to a few MB) so the largest — and most
 // reallocation-sensitive — responses benefit from pooling too; sync.Pool
 // entries are dropped across GC cycles, so a ballooned buffer is
 // retained only transiently even at this cap.
 const maxPooledEncodeBuffer = 8 << 20
 
-// writeJSON writes one JSON response through the encoder pool.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	e := encodeBuffers.Get().(*encodeBuffer)
-	e.buf.Reset()
-	encodeErr := e.enc.Encode(v)
-	body := e.buf.Bytes()
-	if encodeErr != nil {
-		// Nothing has been written to the client yet; surface a clean 500
-		// in the same JSON error shape every other response uses.
-		status = http.StatusInternalServerError
-		body = []byte(`{"error":"serve: encoding response","code":"encode-failed"}` + "\n")
+// encodeFailedBody is the 500 a response that cannot be encoded gets.
+const encodeFailedBody = `{"error":"serve: encoding response","code":"encode-failed"}` + "\n"
+
+// respond writes one response whose body encode appends to a pooled
+// buffer. The body is complete before the first byte goes out, so an
+// encode error (a NaN or ±Inf has no JSON form) surfaces as a clean 500
+// in the error shape every other response uses, and Content-Length is
+// always known — net/http does not fall back to chunked encoding past
+// its sniff buffer.
+func respond(w http.ResponseWriter, status int, encode func(b []byte) ([]byte, error)) {
+	bp := encodeBuffers.Get().(*[]byte)
+	body, err := encode((*bp)[:0])
+	if err != nil {
+		status, body = http.StatusInternalServerError, append(body[:0], encodeFailedBody...)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-	if e.buf.Cap() <= maxPooledEncodeBuffer {
-		encodeBuffers.Put(e)
+	if cap(body) <= maxPooledEncodeBuffer {
+		*bp = body
+		encodeBuffers.Put(bp)
 	}
+}
+
+// writeJSON writes one response through encoding/json: the cold shapes
+// (health, dataset list and info, budget, session open and close). The
+// query responses and the error body have append encoders (encode.go).
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	respond(w, status, func(b []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(b)
+		enc := json.NewEncoder(buf)
+		enc.SetIndent("", "  ")
+		err := enc.Encode(v)
+		return buf.Bytes(), err
+	})
+}
+
+// writeError writes the uniform error shape {error, code}.
+func writeError(w http.ResponseWriter, status int, msg, code string) {
+	respond(w, status, func(b []byte) ([]byte, error) { return appendErrorBody(b, msg, code), nil })
 }
 
 // errSpool marks server-side ingest-spool failures (temp-disk full,
@@ -218,7 +223,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrClosed):
 		status, code = http.StatusServiceUnavailable, "registry-closed"
 	}
-	writeJSON(w, status, errorBody{Error: err.Error(), Code: code})
+	writeError(w, status, err.Error(), code)
 }
 
 // decodeBody parses a bounded JSON body into v; an empty body leaves v
@@ -337,10 +342,9 @@ func (s *httpServer) ingest(w http.ResponseWriter, r *http.Request) {
 	var f *os.File
 	if mediaType, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mediaType == "application/json" {
 		if !s.opts.AllowPathIngest {
-			writeJSON(w, http.StatusForbidden, errorBody{
-				Error: "serve: server-side path ingest is disabled (start the server with path ingest enabled, or upload the edge file as the request body)",
-				Code:  "path-ingest-disabled",
-			})
+			writeError(w, http.StatusForbidden,
+				"serve: server-side path ingest is disabled (start the server with path ingest enabled, or upload the edge file as the request body)",
+				"path-ingest-disabled")
 			return
 		}
 		var req struct {
@@ -566,10 +570,9 @@ func (s *httpServer) openSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.opts.MaxSessions > 0 && len(s.sessions) >= s.opts.MaxSessions {
 		s.mu.Unlock()
-		writeJSON(w, http.StatusTooManyRequests, errorBody{
-			Error: fmt.Sprintf("serve: %d session handles already open (the handler cap); DELETE /v1/sessions/{id} to free one", s.opts.MaxSessions),
-			Code:  "too-many-sessions",
-		})
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("serve: %d session handles already open (the handler cap); DELETE /v1/sessions/{id} to free one", s.opts.MaxSessions),
+			"too-many-sessions")
 		return
 	}
 	var sess *Session
@@ -590,30 +593,46 @@ func (s *httpServer) openSession(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// session resolves a handle id from the path.
-func (s *httpServer) session(r *http.Request) (*httpSession, uint64, error) {
+// sessionID parses the handle id from the path.
+func sessionID(r *http.Request) (uint64, error) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: bad session id %q", r.PathValue("id"))
+		return 0, fmt.Errorf("serve: bad session id %q", r.PathValue("id"))
+	}
+	return id, nil
+}
+
+// session resolves the path's handle id to its open session.
+func (s *httpServer) session(r *http.Request) (*httpSession, error) {
+	id, err := sessionID(r)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	hs, ok := s.sessions[id]
 	s.mu.Unlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownSession, id)
+		return nil, fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
-	return hs, id, nil
+	return hs, nil
 }
 
 func (s *httpServer) closeSession(w http.ResponseWriter, r *http.Request) {
-	_, id, err := s.session(r)
+	id, err := sessionID(r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
+	// Look up and delete in one critical section: of concurrent DELETEs
+	// of one handle exactly one finds it.
 	s.mu.Lock()
+	_, ok := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
+	if !ok {
+		writeErr(w, fmt.Errorf("%w: %d", ErrUnknownSession, id))
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"closed": id})
 }
 
@@ -657,7 +676,7 @@ func (q queryRequest) side() (bipartite.Side, error) {
 // request's level. The level must be present: every query endpoint
 // debits the ledger, so nothing may run against a defaulted level.
 func (s *httpServer) withSession(w http.ResponseWriter, r *http.Request, fn func(hs *httpSession, req queryRequest, level int)) {
-	hs, _, err := s.session(r)
+	hs, err := s.session(r)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -688,11 +707,8 @@ func (s *httpServer) level(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"dataset": hs.sess.Dataset().Name(),
-			"stream":  hs.sess.Stream(),
-			"seq":     seq,
-			"view":    view,
+		respond(w, http.StatusOK, func(b []byte) ([]byte, error) {
+			return appendLevelResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), view)
 		})
 	})
 }
@@ -714,13 +730,8 @@ func (s *httpServer) marginal(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"dataset":   hs.sess.Dataset().Name(),
-			"stream":    hs.sess.Stream(),
-			"seq":       seq,
-			"level":     level,
-			"side":      side.String(),
-			"marginals": marginals,
+		respond(w, http.StatusOK, func(b []byte) ([]byte, error) {
+			return appendMarginalResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), level, side.String(), marginals)
 		})
 	})
 }
@@ -742,14 +753,8 @@ func (s *httpServer) topk(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"dataset": hs.sess.Dataset().Name(),
-			"stream":  hs.sess.Stream(),
-			"seq":     seq,
-			"level":   level,
-			"side":    side.String(),
-			"k":       *req.K,
-			"groups":  groups,
+		respond(w, http.StatusOK, func(b []byte) ([]byte, error) {
+			return appendTopKResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), level, side.String(), *req.K, groups), nil
 		})
 	})
 }

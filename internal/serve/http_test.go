@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -468,6 +470,168 @@ func TestHTTPLevelViewOmitsEvaluationFields(t *testing.T) {
 			if bytes.Contains(body, []byte(key)) {
 				t.Errorf("%s: /level body carries evaluation-only key %s", name, key)
 			}
+		}
+	}
+}
+
+// TestNonFiniteResponsesFailClosed: JSON has no form for NaN or ±Inf, so
+// a query response carrying one in any float field is a clean 500
+// "encode-failed" — a valid JSON body, its own Content-Length, and no
+// byte of the partly appended 200. The top-k shape is integers and
+// strings only; its path through respond is the one exercised here.
+func TestNonFiniteResponsesFailClosed(t *testing.T) {
+	t.Parallel()
+	type encoder = func(b []byte) ([]byte, error)
+	level := func(set func(v *LevelView, f float64)) func(f float64) encoder {
+		return func(f float64) encoder {
+			view := benchLevelView()
+			set(&view, f)
+			return func(b []byte) ([]byte, error) { return appendLevelResponse(b, "d", 1, 2, view) }
+		}
+	}
+	cases := map[string]func(f float64) encoder{
+		"level/count.epsilon":     level(func(v *LevelView, f float64) { v.Count.Epsilon = f }),
+		"level/count.delta":       level(func(v *LevelView, f float64) { v.Count.Delta = f }),
+		"level/count.sigma":       level(func(v *LevelView, f float64) { v.Count.Sigma = f }),
+		"level/count.noisy_count": level(func(v *LevelView, f float64) { v.Count.NoisyCount = f }),
+		"level/count.rer":         level(func(v *LevelView, f float64) { v.Count.RER = f }),
+		"level/cells.epsilon":     level(func(v *LevelView, f float64) { v.Cells.Epsilon = f }),
+		"level/cells.delta":       level(func(v *LevelView, f float64) { v.Cells.Delta = f }),
+		"level/cells.sigma":       level(func(v *LevelView, f float64) { v.Cells.Sigma = f }),
+		"level/cells.counts[0]":   level(func(v *LevelView, f float64) { v.Cells.Counts[0] = f }),
+		"level/cells.counts[last]": level(func(v *LevelView, f float64) {
+			v.Cells.Counts[len(v.Cells.Counts)-1] = f
+		}),
+		"marginal/marginals[last]": func(f float64) encoder {
+			m := benchMarginals()
+			m[len(m)-1] = f
+			return func(b []byte) ([]byte, error) { return appendMarginalResponse(b, "d", 1, 2, 3, "left", m) }
+		},
+	}
+	for name, mk := range cases {
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			rr := httptest.NewRecorder()
+			respond(rr, http.StatusOK, mk(f))
+			checkEncodeFailed(t, fmt.Sprintf("%s=%v", name, f), rr)
+		}
+	}
+	// The cold shapes fail the same way through encoding/json.
+	rr := httptest.NewRecorder()
+	writeJSON(rr, http.StatusOK, map[string]any{"x": math.NaN()})
+	checkEncodeFailed(t, "writeJSON", rr)
+}
+
+func checkEncodeFailed(t *testing.T, name string, rr *httptest.ResponseRecorder) {
+	t.Helper()
+	if rr.Code != http.StatusInternalServerError {
+		t.Errorf("%s: status %d, want 500", name, rr.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatalf("%s: body is not valid JSON (%v): %.80q", name, err, rr.Body.Bytes())
+	}
+	if body["code"] != "encode-failed" {
+		t.Errorf("%s: code %q, want encode-failed", name, body["code"])
+	}
+	if got := rr.Header().Get("Content-Length"); got != fmt.Sprint(rr.Body.Len()) {
+		t.Errorf("%s: Content-Length %q for a %d-byte body", name, got, rr.Body.Len())
+	}
+}
+
+// TestHTTPResponsesCarryContentLength: every body is complete before
+// its first Write, so over a real socket a response past net/http's
+// 2 KB sniff buffer still goes out with its length and not chunked.
+func TestHTTPResponsesCarryContentLength(t *testing.T) {
+	t.Parallel()
+	srv, _ := newTestServer(t, testConfig())
+	base := srv.URL
+	do(t, "POST", base+"/v1/datasets/dblp", testTSV(t), "", http.StatusCreated)
+	sess := do(t, "POST", base+"/v1/datasets/dblp/sessions", []byte(`{"stream": 3}`), "application/json", http.StatusCreated)
+	sid := fmt.Sprintf("%.0f", sess["session"].(float64))
+
+	for _, q := range []struct{ path, body string }{
+		{"/v1/sessions/" + sid + "/level", `{"level": 2}`},  // level view
+		{"/v1/datasets/dblp/budget", ""},                    // cold shape
+		{"/v1/sessions/" + sid + "/level", `{"level": 99}`}, // error body
+	} {
+		method := "POST"
+		if q.body == "" {
+			method = "GET"
+		}
+		req, err := http.NewRequest(method, base+q.path, strings.NewReader(q.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s %s: ContentLength %d, Transfer-Encoding %v for a %d-byte body",
+				method, q.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// TestHTTPConcurrentCloseOneWinner: of N concurrent DELETEs of one
+// session handle exactly one answers 200; the rest find it gone.
+func TestHTTPConcurrentCloseOneWinner(t *testing.T) {
+	t.Parallel()
+	reg, err := Open(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	if _, err := reg.AddDataset("dblp", testSource(t)); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(reg)
+
+	const closers = 16
+	for round := 0; round < 20; round++ {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/datasets/dblp/sessions", nil))
+		var sess struct {
+			Session uint64 `json:"session"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &sess); err != nil || rr.Code != http.StatusCreated {
+			t.Fatalf("open session: status %d, %v: %s", rr.Code, err, rr.Body)
+		}
+		path := fmt.Sprintf("/v1/sessions/%d", sess.Session)
+
+		codes := make([]int, closers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rr := httptest.NewRecorder()
+				req := httptest.NewRequest("DELETE", path, nil)
+				<-start
+				h.ServeHTTP(rr, req)
+				codes[i] = rr.Code
+			}()
+		}
+		close(start)
+		wg.Wait()
+		closed := 0
+		for _, code := range codes {
+			switch code {
+			case http.StatusOK:
+				closed++
+			case http.StatusNotFound:
+			default:
+				t.Fatalf("DELETE %s: status %d", path, code)
+			}
+		}
+		if closed != 1 {
+			t.Fatalf("round %d: %d of %d concurrent DELETEs answered 200, want exactly 1", round, closed, closers)
 		}
 	}
 }
