@@ -102,7 +102,7 @@ func TestReleaseCountWithErrors(t *testing.T) {
 	}
 }
 
-func TestExpectedRERWithLaplaceFormula(t *testing.T) {
+func TestExpectedRERLaplaceNoiseFormula(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.5}
@@ -120,7 +120,7 @@ func TestExpectedRERWithLaplaceFormula(t *testing.T) {
 	}
 }
 
-func TestExpectedRERWithEmpiricalAgreement(t *testing.T) {
+func TestExpectedRERNoiseEmpiricalAgreement(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.7}
@@ -146,7 +146,7 @@ func TestExpectedRERWithEmpiricalAgreement(t *testing.T) {
 	}
 }
 
-func TestExpectedRERWithErrors(t *testing.T) {
+func TestExpectedRERNoiseErrors(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	if _, err := ExpectedRER(tree, 2, ModelCells, Noise{Mech: NoiseMechanism(9), Budget: dp.Params{Epsilon: 1}}); !errors.Is(err, ErrBadMechanism) {
