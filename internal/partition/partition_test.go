@@ -348,19 +348,20 @@ func mustRandom(t *testing.T) *RandomBisector {
 	return b
 }
 
-// TestExpMechBisectorMatchesSelectLSE pins Bisect — validate, total and
-// balance utilities folded into two sweeps over reused scratch — to the
-// plain formulation: utilities from the definition, sampled through
+// TestExpMechBisectorMatchesSelectLSE pins Bisect to the plain
+// formulation: utilities from the definition, sampled through
 // dp.Exponential.SelectLSE on an identically seeded stream. Successive
-// calls shrink and grow the weight vector so stale scratch must not leak.
+// calls shrink and grow the weight vector so stale scratch must not leak,
+// and the two sources must end at the same position.
 func TestExpMechBisectorMatchesSelectLSE(t *testing.T) {
 	t.Parallel()
 	const eps = 0.1
-	bis, err := NewExpMechBisector(eps, rng.New(41))
+	src, refSrc := rng.New(41), rng.New(41)
+	bis, err := NewExpMechBisector(eps, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := dp.NewExponential(eps, 1, rng.New(41))
+	ref, err := dp.NewExponential(eps, 1, refSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,26 +371,13 @@ func TestExpMechBisectorMatchesSelectLSE(t *testing.T) {
 		for i := range weights {
 			weights[i] = int64(r.Intn(1 + 200_000/(i+1))) // descending heavy tail
 		}
-		var total, prefix int64
-		for _, w := range weights {
-			total += w
+		want := refExpMechCut(t, ref, weights)
+		if got := bisectWeights(t, bis, weights, trial%5); got != want {
+			t.Fatalf("trial %d (n=%d): Bisect cut %d, reference cut %d", trial, len(weights), got, want)
 		}
-		utilities := make([]float64, 0, len(weights)-1)
-		for _, w := range weights[:len(weights)-1] {
-			prefix += w
-			utilities = append(utilities, -math.Abs(float64(2*prefix-total)))
-		}
-		want, _, err := ref.SelectLSE(utilities)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bis.Bisect(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want+1 {
-			t.Fatalf("trial %d (n=%d): Bisect cut %d, reference cut %d", trial, len(weights), got, want+1)
-		}
+	}
+	if a, b := src.Uint64(), refSrc.Uint64(); a != b {
+		t.Fatalf("sources diverged after the trials: next draws %#x vs %#x", a, b)
 	}
 }
 
@@ -419,4 +407,169 @@ func BenchmarkExpMechBisect(b *testing.B) {
 		cutSink = cut
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
+}
+
+// The full-vector reference. Every cut the package samples is held to the
+// plain formulation below — the balance utility of every candidate from
+// the definition, sampled through dp.Exponential.SelectLSE, which calls
+// math.Exp on all of them — and the deterministic bisector to a linear
+// scan. The references read raw weights and share no code with the
+// bisectors.
+
+// refBalanceUtilities returns utility(k) = −|S_k − (S_n − S_k)| for every
+// cut k in [1, n−1] at index k−1.
+func refBalanceUtilities(weights []int64) []float64 {
+	var total, prefix int64
+	for _, w := range weights {
+		total += w
+	}
+	utilities := make([]float64, len(weights)-1)
+	for k, w := range weights[:len(weights)-1] {
+		prefix += w
+		imbalance := prefix - (total - prefix)
+		if imbalance < 0 {
+			imbalance = -imbalance
+		}
+		utilities[k] = -float64(imbalance)
+	}
+	return utilities
+}
+
+// refExpMechCut samples one cut of weights from mech over the whole
+// utility vector.
+func refExpMechCut(t testing.TB, mech *dp.Exponential, weights []int64) int {
+	t.Helper()
+	idx, _, err := mech.SelectLSE(refBalanceUtilities(weights))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx + 1
+}
+
+// refBalancedCut scans every cut and keeps the earliest most balanced one.
+func refBalancedCut(weights []int64) int {
+	var total, prefix int64
+	for _, w := range weights {
+		total += w
+	}
+	best, bestImbalance := 1, int64(-1)
+	for k := 1; k < len(weights); k++ {
+		prefix += weights[k-1]
+		imbalance := 2*prefix - total
+		if imbalance < 0 {
+			imbalance = -imbalance
+		}
+		if bestImbalance < 0 || imbalance < bestImbalance {
+			best, bestImbalance = k, imbalance
+		}
+	}
+	return best
+}
+
+// bisectWeights runs one cut of b over raw weights; pad is unused until
+// the bisectors read prefix-sum views.
+func bisectWeights(t testing.TB, b Bisector, weights []int64, pad int) int {
+	t.Helper()
+	cut, err := b.Bisect(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cut
+}
+
+// fuzzMaxItems bounds the weight vectors the fuzz target decodes.
+const fuzzMaxItems = 4096
+
+// fuzzWeights decodes fuzz bytes into a weight vector of 2 to
+// fuzzMaxItems items and the padding the view is embedded in. The first
+// byte selects the shape, the second places the giant, and every later
+// pair is (value, run length): a zero value makes a zero run, and the
+// magnitude shapes spread the balance utilities from a few units to
+// millions, so at every ε some vectors keep all candidates inside the
+// sampler's live window and others leave most of them exact zeros. The
+// giant shape makes one weight larger than all others combined, which
+// pins the crossing to it — at either end of the vector one side of the
+// window is empty.
+func fuzzWeights(data []byte) (weights []int64, pad int) {
+	if len(data) < 4 {
+		return nil, 0
+	}
+	shape, place := data[0], int(data[1])
+	for i := 2; i+1 < len(data) && len(weights) < fuzzMaxItems; i += 2 {
+		w := int64(data[i])
+		switch shape & 3 {
+		case 1:
+			w *= w * 17
+		case 2:
+			w <<= 12
+		case 3:
+			w = 0 // all zeros: every cut ties
+		}
+		for run := int(data[i+1])&0x3f + 1; run > 0 && len(weights) < fuzzMaxItems; run-- {
+			weights = append(weights, w)
+		}
+	}
+	if len(weights) < 2 {
+		return nil, 0
+	}
+	if shape&4 != 0 {
+		var rest int64
+		for _, w := range weights {
+			rest += w
+		}
+		at := place % len(weights)
+		switch place >> 6 {
+		case 0:
+			at = 0
+		case 1:
+			at = len(weights) - 1
+		}
+		weights[at] = rest + 1 + int64(shape>>3)
+	}
+	return weights, place & 7
+}
+
+// FuzzBisectPrefixMatchesReference holds the bisectors to the full-vector
+// reference on arbitrary weight vectors: at each ε the pipeline runs, the
+// private bisector must choose the reference's cut and leave its source at
+// the reference's position (one uniform per cut, whatever the window), and
+// the balanced bisector must choose the linear scan's cut, ties included.
+func FuzzBisectPrefixMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 0, 1, 0, 2, 0})                               // the 3,1,2 of TestBalanceUtilities
+	f.Add([]byte{2, 0, 200, 5, 0, 63, 90, 63, 3, 63, 1, 63, 0, 63})     // wide spread, zero runs
+	f.Add([]byte{6, 0, 9, 63, 0, 63, 7, 63, 7, 63, 2, 63})              // giant on the first item
+	f.Add([]byte{6, 64, 9, 63, 0, 63, 7, 63, 7, 63, 2, 63})             // giant on the last item
+	f.Add([]byte{5, 200, 9, 63, 0, 63, 7, 63, 7, 63, 2, 63, 255, 63})   // giant in the middle
+	f.Add([]byte{3, 7, 1, 63, 1, 63, 1, 63})                            // all zeros
+	f.Add([]byte{1, 3, 255, 63, 254, 63, 253, 63, 1, 63, 1, 63, 0, 63}) // descending heavy tail
+	f.Fuzz(func(t *testing.T, data []byte) {
+		weights, pad := fuzzWeights(data)
+		if weights == nil {
+			return
+		}
+		if got, want := bisectWeights(t, BalancedBisector{}, weights, pad), refBalancedCut(weights); got != want {
+			t.Fatalf("balanced: cut %d, linear scan %d (n=%d)", got, want, len(weights))
+		}
+		for _, eps := range []float64{0.01, 0.1, 2} {
+			src, refSrc := rng.New(7), rng.New(7)
+			bis, err := NewExpMechBisector(eps, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := dp.NewExponential(eps, 1, refSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two cuts per pair, so scratch left by the first cannot leak
+			// into the second.
+			for i := 0; i < 2; i++ {
+				if got, want := bisectWeights(t, bis, weights, pad), refExpMechCut(t, ref, weights); got != want {
+					t.Fatalf("eps=%v cut %d: Bisect %d, reference %d (n=%d)", eps, i, got, want, len(weights))
+				}
+			}
+			if a, b := src.Uint64(), refSrc.Uint64(); a != b {
+				t.Fatalf("eps=%v: sources diverged after the cuts: next draws %#x vs %#x", eps, a, b)
+			}
+		}
+	})
 }
