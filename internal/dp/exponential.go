@@ -3,6 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/rng"
 )
@@ -58,81 +59,76 @@ func (m *Exponential) Select(utilities []float64) (int, error) {
 	return best, nil
 }
 
-// SelectFast samples exactly the same distribution as Select and
-// SelectLSE via inverse-CDF over softmax probabilities, but into a
-// caller-provided scratch buffer: no allocation in steady state, one
-// uniform draw per call regardless of domain size, and one exponential
-// per candidate — about half the transcendental cost of the Gumbel-max
-// path, which pays two logarithms per candidate. It is the hot-path
-// sampler for Phase-1 specialization, where Build invokes the mechanism
-// once per cut over every node of the side. The (possibly grown) scratch
-// is returned for reuse; its contents are the probability vector. The
-// arithmetic mirrors Probabilities/SelectLSE operation for operation, so
-// given identical source states the three samplers pick identical
-// candidates (cross-checked in tests).
+// SelectFast samples exactly the distribution of Select and SelectLSE
+// over a unimodal utility without visiting the whole domain. The n
+// candidates' utilities are read through utility(i), which must be
+// non-decreasing up to index peak and non-increasing after it, and
+// finite at peak — the shape of Phase 1's balance utility, where Build
+// invokes the mechanism once per cut over every node of a range.
 //
-// One step is elided, exactly: a candidate whose shifted score s − max
-// lies below expZeroBelow has weight math.Exp(s − max) == 0, so the call
-// is skipped and the 0 stored directly. Every later use of that weight is
-// an identity — norm + 0, 0/norm, cum + 0 — so the probability vector,
-// the chosen index and the single uniform consumed are unchanged. On
-// heavy-tailed sides most cuts of a balance utility sit thousands of
-// units below the best one, and skipping them removes most of the
-// per-candidate transcendental cost.
-func (m *Exponential) SelectFast(utilities, scratch []float64) (int, []float64, error) {
-	if len(utilities) == 0 {
+// A candidate whose shifted score s − max lies below expZeroBelow has
+// weight math.Exp(s − max) == 0, and every use of such a weight is an
+// identity: norm + 0, 0/norm, cum + 0. Scaling by a positive constant and
+// subtracting the maximum are monotone under IEEE rounding, so on a
+// unimodal utility the candidates that are not exact zeros form one
+// contiguous window around the peak. Both ends are found by binary search
+// with the float predicate itself, and the fill, sum, divide and
+// cumulative scan of Probabilities/SelectLSE then run over the window
+// alone, in index order, operation for operation: given identical source
+// states the samplers pick identical candidates and consume the same
+// single uniform, and the window's probabilities equal SelectLSE's bit
+// for bit (cross-checked in tests). On heavy-tailed sides most cuts sit
+// thousands of units below the best one, so a call costs O(log n + window)
+// where the full vector costs O(n).
+//
+// The window's probability vector is written to scratch, which grows as
+// needed and is returned for reuse. A NaN among the utilities the call
+// reads is an error.
+func (m *Exponential) SelectFast(n, peak int, utility func(i int) float64, scratch []float64) (int, []float64, error) {
+	if n <= 0 {
 		return 0, scratch, ErrEmptyDomain
 	}
-	if cap(scratch) < len(utilities) {
-		scratch = make([]float64, len(utilities))
+	if peak < 0 || peak >= n {
+		return 0, scratch, fmt.Errorf("dp: peak %d outside the domain [0,%d)", peak, n)
 	}
-	probs := scratch[:len(utilities)]
 	scale := m.epsilon / (2 * m.utilitySens)
-	maxScore := math.Inf(-1)
-	for i, u := range utilities {
-		if math.IsNaN(u) {
-			return 0, scratch, fmt.Errorf("dp: utility %d is NaN", i)
-		}
-		if s := scale * u; s > maxScore {
-			maxScore = s
-		}
+	maxScore := scale * utility(peak)
+	if math.IsNaN(maxScore) || math.IsInf(maxScore, 0) {
+		return 0, scratch, fmt.Errorf("dp: utility %d, the peak, is %v", peak, utility(peak))
 	}
-	// [first, last] spans the candidates whose weight went through
-	// math.Exp; everything outside it is an exact 0.
+	// The conversion rounds the product before the subtraction:
+	// Probabilities stores its scores, and a fused multiply-subtract here
+	// would round differently from that.
+	zero := func(i int) bool { return float64(scale*utility(i))-maxScore < expZeroBelow }
+	first := sort.Search(peak, func(i int) bool { return !zero(i) })
+	last := peak + sort.Search(n-1-peak, func(i int) bool { return zero(peak + 1 + i) })
+	if cap(scratch) < last-first+1 {
+		scratch = make([]float64, last-first+1)
+	}
+	probs := scratch[:last-first+1]
 	var norm float64
-	first, last := 0, -1
-	for i, u := range utilities {
-		// The conversion rounds the product before the subtraction:
-		// Probabilities stores its scores, and a fused multiply-subtract
-		// here would round differently from that.
-		d := float64(scale*u) - maxScore
-		if d < expZeroBelow {
-			probs[i] = 0
-			continue
+	for i := range probs {
+		u := utility(first + i)
+		if math.IsNaN(u) {
+			return 0, scratch, fmt.Errorf("dp: utility %d is NaN", first+i)
 		}
-		probs[i] = math.Exp(d)
+		probs[i] = math.Exp(float64(scale*u) - maxScore)
 		norm += probs[i]
-		if last < 0 {
-			first = i
-		}
-		last = i
 	}
-	if math.IsNaN(norm) {
-		// Infinite utilities: x/NaN is NaN even for the exact zeros.
-		first, last = 0, len(probs)-1
-	}
-	for i := first; i <= last; i++ {
+	for i := range probs {
 		probs[i] /= norm
 	}
 	u := m.src.Float64()
 	var cum float64
-	for i := first; i <= last; i++ {
-		cum += probs[i]
+	for i, p := range probs {
+		cum += p
 		if u < cum {
-			return i, probs, nil
+			return first + i, probs, nil
 		}
 	}
-	return len(probs) - 1, probs, nil
+	// Past the window cum only gains zeros, so the scan over the whole
+	// domain would run to its last candidate.
+	return n - 1, probs, nil
 }
 
 // expZeroBelow is a shifted score under which math.Exp returns exactly 0

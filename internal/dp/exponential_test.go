@@ -2,7 +2,9 @@ package dp
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -163,9 +165,71 @@ func TestSelectLSEMatchesProbabilities(t *testing.T) {
 	}
 }
 
-// TestSelectFastMatchesSelectLSE asserts the allocation-free sampler
-// makes exactly the choices SelectLSE makes given identical RNG states —
-// the two share the inverse-CDF arithmetic operation for operation.
+// unimodal arranges magnitudes into a utility vector that climbs to its
+// maximum at index peak and falls after it: the values before the peak
+// ascend, the values after it descend, and the largest sits on it. Equal
+// magnitudes make plateaus, at the peak too.
+func unimodal(magnitudes []float64, peak int) []float64 {
+	u := append([]float64(nil), magnitudes...)
+	sort.Float64s(u)
+	out := make([]float64, len(u))
+	copy(out, u[:peak])
+	out[peak] = u[len(u)-1]
+	for i, v := range u[peak : len(u)-1] {
+		out[len(u)-1-i] = v
+	}
+	return out
+}
+
+// checkFastAgainstLSE draws one candidate from each mechanism — mFast
+// through SelectFast over the function form of utilities, mLSE through
+// SelectLSE over the vector — and requires the same index, a window that
+// is exactly the span a linear scan of the float predicate finds, the
+// window's probabilities equal to SelectLSE's bit for bit, and an exact 0
+// from SelectLSE for every candidate outside it. It returns the scratch
+// and how many candidates the window left out.
+func checkFastAgainstLSE(t *testing.T, label string, mFast, mLSE *Exponential, utilities []float64, peak int, scratch []float64) ([]float64, int) {
+	t.Helper()
+	fastIdx, window, err := mFast.SelectFast(len(utilities), peak, func(i int) float64 { return utilities[i] }, scratch)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	lseIdx, probs, err := mLSE.SelectLSE(utilities)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if fastIdx != lseIdx {
+		t.Fatalf("%s: SelectFast chose %d, SelectLSE chose %d", label, fastIdx, lseIdx)
+	}
+	scale := mLSE.epsilon / (2 * mLSE.utilitySens)
+	first, last := -1, -1
+	for i, u := range utilities {
+		if float64(scale*u)-scale*utilities[peak] < expZeroBelow {
+			if probs[i] != 0 {
+				t.Fatalf("%s: candidate %d is outside the window but SelectLSE gives it %v", label, i, probs[i])
+			}
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		last = i
+	}
+	if len(window) != last-first+1 {
+		t.Fatalf("%s: window holds %d candidates, the linear scan finds [%d,%d]", label, len(window), first, last)
+	}
+	for i, p := range window {
+		if math.Float64bits(p) != math.Float64bits(probs[first+i]) {
+			t.Fatalf("%s: probability %d differs: %v vs %v", label, first+i, p, probs[first+i])
+		}
+	}
+	return window, len(utilities) - len(window)
+}
+
+// TestSelectFastMatchesSelectLSE asserts the windowed sampler makes
+// exactly the choices SelectLSE makes given identical RNG states — the
+// two share the inverse-CDF arithmetic operation for operation — on
+// small unimodal domains whose every candidate stays inside the window.
 func TestSelectFastMatchesSelectLSE(t *testing.T) {
 	t.Parallel()
 	mFast, err := NewExponential(1.2, 1, rng.New(21))
@@ -179,36 +243,28 @@ func TestSelectFastMatchesSelectLSE(t *testing.T) {
 	r := rng.New(22)
 	var scratch []float64
 	for trial := 0; trial < 2000; trial++ {
-		utilities := make([]float64, 2+r.Intn(40))
-		for i := range utilities {
-			utilities[i] = -float64(r.Intn(50))
+		magnitudes := make([]float64, 1+r.Intn(40))
+		for i := range magnitudes {
+			magnitudes[i] = -float64(r.Intn(50))
 		}
-		var fastIdx int
-		fastIdx, scratch, err = mFast.SelectFast(utilities, scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lseIdx, probs, err := mLSE.SelectLSE(utilities)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fastIdx != lseIdx {
-			t.Fatalf("trial %d: SelectFast chose %d, SelectLSE chose %d", trial, fastIdx, lseIdx)
-		}
-		for i := range probs {
-			if scratch[i] != probs[i] {
-				t.Fatalf("trial %d: probability %d differs: %v vs %v", trial, i, scratch[i], probs[i])
-			}
+		peak := r.Intn(len(magnitudes))
+		var outside int
+		scratch, outside = checkFastAgainstLSE(t, fmt.Sprintf("trial %d", trial), mFast, mLSE, unimodal(magnitudes, peak), peak, scratch)
+		if outside != 0 {
+			t.Fatalf("trial %d: %d candidates fell outside the window of a domain spanning 50 units", trial, outside)
 		}
 	}
 }
 
 // TestSelectFastElisionIsExact drives SelectFast across the exact-zero
-// cutoff: utilities spread over 0 … −1e7 (the span of balance utilities on
-// a multi-million-edge side), clustered around the cutoff itself, and with
-// ±Inf entries, at the ε values the pipeline runs. The chosen index, every
-// bit of the probability vector and the position of the RNG stream must
-// equal SelectLSE's, which calls math.Exp on every candidate.
+// cutoff: unimodal utilities spread over 0 … −1e7 (the span of balance
+// utilities on a multi-million-edge side), clustered around the cutoff
+// itself, shaped like a balance utility, and with −Inf tails, at the ε
+// values the pipeline runs and with the peak anywhere from the first
+// candidate to the last — at either end one side of the window is empty.
+// The chosen index, the window's extent, every bit of its probabilities
+// and the position of the RNG stream must equal what SelectLSE, which
+// calls math.Exp on every candidate, produces.
 func TestSelectFastElisionIsExact(t *testing.T) {
 	t.Parallel()
 	if got := math.Exp(expZeroBelow); got != 0 {
@@ -229,51 +285,38 @@ func TestSelectFastElisionIsExact(t *testing.T) {
 		var scratch []float64
 		elided := 0
 		for trial := 0; trial < 600; trial++ {
-			utilities := make([]float64, 2+r.Intn(300))
-			for i := range utilities {
+			magnitudes := make([]float64, 2+r.Intn(300))
+			for i := range magnitudes {
 				switch trial % 4 {
 				case 0: // the whole span, log-uniform magnitudes
-					utilities[i] = -math.Pow(10, 7*r.Float64())
+					magnitudes[i] = -math.Pow(10, 7*r.Float64())
 				case 1: // straddling the cutoff: shifted scores in [-760, -740]
-					utilities[i] = -(740 + 20*r.Float64()) / scale
-				case 2: // descending prefix-sum shape, like a balance utility
-					utilities[i] = -math.Abs(float64(i)*1e7/float64(len(utilities)) - 3e6)
-				default:
-					utilities[i] = -float64(r.Intn(50))
+					magnitudes[i] = -(740 + 20*r.Float64()) / scale
+				case 2: // prefix-sum shape, like a balance utility
+					magnitudes[i] = -math.Abs(float64(i)*1e7/float64(len(magnitudes)) - 3e6)
+				default: // everything inside the window, many ties
+					magnitudes[i] = -float64(r.Intn(50))
 				}
 			}
 			if trial%4 == 1 {
-				utilities[r.Intn(len(utilities))] = 0 // the maximum the others are shifted by
+				magnitudes[0] = 0 // the maximum the others are shifted by
 			}
 			if trial%50 == 7 {
-				utilities[0] = math.Inf(-1)
+				magnitudes[1] = math.Inf(-1)
 			}
-			if trial%200 == 9 {
-				utilities[1] = math.Inf(1)
+			peak := r.Intn(len(magnitudes))
+			switch trial % 7 {
+			case 0:
+				peak = 0
+			case 1:
+				peak = len(magnitudes) - 1
 			}
-			var fastIdx int
-			fastIdx, scratch, err = mFast.SelectFast(utilities, scratch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lseIdx, probs, err := mLSE.SelectLSE(utilities)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fastIdx != lseIdx {
-				t.Fatalf("eps=%v trial %d: SelectFast chose %d, SelectLSE chose %d", eps, trial, fastIdx, lseIdx)
-			}
-			for i := range probs {
-				if math.Float64bits(scratch[i]) != math.Float64bits(probs[i]) {
-					t.Fatalf("eps=%v trial %d: probability %d differs: %v vs %v", eps, trial, i, scratch[i], probs[i])
-				}
-				if probs[i] == 0 {
-					elided++
-				}
-			}
+			var outside int
+			scratch, outside = checkFastAgainstLSE(t, fmt.Sprintf("eps=%v trial %d", eps, trial), mFast, mLSE, unimodal(magnitudes, peak), peak, scratch)
+			elided += outside
 		}
 		if elided == 0 {
-			t.Errorf("eps=%v: no candidate reached probability 0; the cutoff was never exercised", eps)
+			t.Errorf("eps=%v: no candidate fell outside a window; the cutoff was never exercised", eps)
 		}
 		if a, b := srcFast.Uint64(), srcLSE.Uint64(); a != b {
 			t.Errorf("eps=%v: RNG streams diverged after the trials: next draws %#x vs %#x", eps, a, b)
@@ -283,15 +326,36 @@ func TestSelectFastElisionIsExact(t *testing.T) {
 
 func TestSelectFastErrors(t *testing.T) {
 	t.Parallel()
-	m, err := NewExponential(1, 1, rng.New(23))
+	src := rng.New(23)
+	m, err := NewExponential(1, 1, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.SelectFast(nil, nil); !errors.Is(err, ErrEmptyDomain) {
-		t.Errorf("SelectFast(nil): %v", err)
+	constant := func(v float64) func(int) float64 { return func(int) float64 { return v } }
+	if _, _, err := m.SelectFast(0, 0, constant(0), nil); !errors.Is(err, ErrEmptyDomain) {
+		t.Errorf("SelectFast over an empty domain: %v", err)
 	}
-	if _, _, err := m.SelectFast([]float64{0, math.NaN()}, nil); err == nil {
+	for _, peak := range []int{-1, 3} {
+		if _, _, err := m.SelectFast(3, peak, constant(0), nil); err == nil {
+			t.Errorf("SelectFast accepted peak %d of a 3-candidate domain", peak)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := m.SelectFast(3, 1, constant(v), nil); err == nil {
+			t.Errorf("SelectFast accepted a peak utility of %v", v)
+		}
+	}
+	nanBeside := func(i int) float64 {
+		if i == 2 {
+			return math.NaN()
+		}
+		return 0
+	}
+	if _, _, err := m.SelectFast(3, 1, nanBeside, nil); err == nil {
 		t.Error("SelectFast accepted NaN utility")
+	}
+	if a, b := src.Uint64(), rng.New(23).Uint64(); a != b {
+		t.Error("a refused call consumed randomness")
 	}
 }
 

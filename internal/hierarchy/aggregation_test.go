@@ -1,6 +1,9 @@
 package hierarchy
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -182,60 +185,102 @@ func TestSideGroupIncidentEdgesMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestRadixSortMatchesComparisonSort pins the radix path to compareItems'
-// total order on adversarial weight distributions, for every input order
-// that selects a different digit range: strictly ascending nodes
-// (contiguous and with gaps) take the weight digits only and rely on LSD
-// stability for the node tie-break; a single out-of-place node, and a
-// full shuffle, must fall back to all eight digits — with heavy weight
-// ties, skipping the node digits there would leave ties in input order
-// and fail the comparison.
+// TestRadixSortMatchesComparisonSort pins the side sort to a comparison
+// sort of the order's definition — (degree desc, node asc) for the
+// counting sort, (key asc, node asc) for Options.Keys — on adversarial
+// degree distributions: heavy ties at both ends of the range, which only
+// the sort's stability orders, and largest degrees on each side of 2^16,
+// 2^32 and 2^48, so one, two, three and four digit passes all run and the
+// result lands in either ping-pong buffer. index must then invert
+// whichever buffer became the permutation.
 func TestRadixSortMatchesComparisonSort(t *testing.T) {
 	t.Parallel()
 	r := rng.New(41)
-	for _, order := range []string{"ascending", "ascending-gaps", "one-swap", "shuffled"} {
-		for trial := 0; trial < 20; trial++ {
-			n := radixMinLen + r.Intn(500)
-			ref := make([]rangeItem, n)
-			node := int32(0)
-			for i := range ref {
-				w := int64(r.Intn(5)) // heavy ties
-				if trial%2 == 0 {
-					w = int64(r.Intn(1 << 20))
-				}
-				if order == "ascending-gaps" {
-					node += int32(r.Intn(1000))
-				}
-				ref[i] = rangeItem{node: node, weight: w}
-				node++
-			}
-			switch order {
-			case "one-swap":
-				i := r.Intn(n - 1)
-				ref[i].node, ref[i+1].node = ref[i+1].node, ref[i].node
-				ref[i].weight = ref[i+1].weight // a tie the node digits must break
-			case "shuffled":
-				for i := n - 1; i > 0; i-- {
-					j := r.Intn(i + 1)
-					ref[i].node, ref[j].node = ref[j].node, ref[i].node
-				}
-			}
-			got := append([]rangeItem(nil), ref...)
-			var maxW int64
-			for _, it := range ref {
-				if it.weight > maxW {
-					maxW = it.weight
-				}
-			}
-			radixSortItems(got, make([]uint64, n), make([]uint64, n), maxW)
-			slices.SortFunc(ref, compareItems)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("%s trial %d: index %d radix %+v, comparison %+v", order, trial, i, got[i], ref[i])
-				}
-			}
+	sorted := func(n int, cmpNodes func(a, b int32) int) []int32 {
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortFunc(want, cmpNodes)
+		return want
+	}
+	check := func(label string, st *sideTree, want []int32) {
+		t.Helper()
+		st.index()
+		if !slices.Equal(st.perm, want) {
+			t.Fatalf("%s: side sort and comparison sort disagree", label)
+		}
+		if err := checkPerm(st.perm, st.pos); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
+	for _, maxDeg := range []int64{0, 1, 4, 1<<16 - 1, 1 << 16, 1 << 20, 1<<32 - 1, 1 << 32, 1 << 40, 1 << 48, 1 << 55} {
+		for trial := 0; trial < 12; trial++ {
+			n := 1 + r.Intn(600)
+			deg := make([]int64, n)
+			for i := range deg {
+				switch r.Intn(3) {
+				case 0:
+					deg[i] = min(int64(r.Intn(4)), maxDeg) // ties at the small end
+				case 1:
+					deg[i] = max(maxDeg-int64(r.Intn(4)), 0) // ties at the large end
+				default:
+					deg[i] = int64(r.Uint64n(uint64(maxDeg) + 1))
+				}
+			}
+			deg[r.Intn(n)] = maxDeg // the largest degree decides the digit count
+			st := newSideTree(deg)
+			st.sortByDegree(maxDeg)
+			check(fmt.Sprintf("maxDeg=%d trial %d", maxDeg, trial), &st, sorted(n, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(deg[b], deg[a]), cmp.Compare(a, b))
+			}))
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + r.Intn(600)
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = r.Uint64()
+			if trial%2 == 0 {
+				keys[i] %= 5 // heavy ties
+			}
+		}
+		st := newSideTree(make([]int64, n))
+		if err := st.sortByKeys(keys); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("keys trial %d", trial), &st, sorted(n, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+		}))
+	}
+	if err := new(sideTree).sortByKeys(make([]uint64, 3)); !errors.Is(err, ErrBadKeys) {
+		t.Fatalf("3 keys for an empty side: %v", err)
+	}
+}
+
+// BenchmarkSideSort times ordering and indexing one 700 k-node side with
+// Zipf degrees drawn in node order — the per-side work a build does
+// before its first cut. Everything it allocates belongs to the tree,
+// apart from one digit histogram.
+func BenchmarkSideSort(b *testing.B) {
+	const n = 700_000
+	z, err := rng.NewZipf(rng.New(1), 2, 1, 1<<15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deg := make([]int64, n)
+	for i := range deg {
+		deg[i] = int64(z.Next())
+	}
+	maxDeg := slices.Max(deg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := newSideTree(deg)
+		st.sortByDegree(maxDeg)
+		st.index()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/node")
 }
 
 // BenchmarkComputeCells isolates the cell-matrix computation: one edge

@@ -62,10 +62,9 @@ func assertTreesIdentical(t *testing.T, label string, a, b *Tree) {
 	}
 }
 
-// TestBuilderReuseMatchesFreshBuild is the golden test for scratch and
-// pool retention: one Builder serves a sequence of builds over graphs of
-// different sizes (including a shrink, so stale scratch contents must not
-// leak), varying worker counts (pool recreation) and both private and
+// TestBuilderReuseMatchesFreshBuild is the golden test for Builder reuse:
+// one Builder serves a sequence of builds over graphs of different sizes
+// (including a shrink), varying worker counts and both private and
 // non-private bisectors, and every tree must be bit-identical to one from
 // a fresh hierarchy.Build with an identically seeded bisector.
 func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
@@ -79,8 +78,8 @@ func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
 	}{
 		{200, 300, 3000, 5, 1, 3, 0.4},
 		{512, 256, 8000, 6, 4, 4, 0.2},
-		{40, 30, 200, 3, 4, 5, 0},      // shrink: scratch larger than needed
-		{512, 256, 8000, 6, 2, 4, 0.2}, // pool recreated for a new count
+		{40, 30, 200, 3, 4, 5, 0}, // shrink
+		{512, 256, 8000, 6, 2, 4, 0.2},
 		{300, 450, 6000, 5, 1, 7, 0.3},
 	}
 	for ci, tc := range cases {
@@ -111,8 +110,7 @@ func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestBuilderCloseThenRebuild checks Close releases the pool but leaves
-// the Builder usable.
+// TestBuilderCloseThenRebuild checks Close leaves the Builder usable.
 func TestBuilderCloseThenRebuild(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 100, 100, 1000, 2)
@@ -185,8 +183,8 @@ func TestLevelCellCountsViewAliasesStorage(t *testing.T) {
 	}
 }
 
-// BenchmarkBuilderReuse measures the retained-scratch build against the
-// throwaway-Builder wrapper on the same graph.
+// BenchmarkBuilderReuse measures repeated in-memory builds of one graph
+// through a held Builder.
 func BenchmarkBuilderReuse(b *testing.B) {
 	g := randomGraph(b, 2000, 3000, 40000, 11)
 	bld := NewBuilder()
@@ -207,12 +205,12 @@ type failingBisector struct {
 	failAt, calls int
 }
 
-func (f *failingBisector) Bisect(weights []int64) (int, error) {
+func (f *failingBisector) Bisect(prefix []int64) (int, error) {
 	f.calls++
 	if f.calls == f.failAt {
 		return 0, errors.New("bisector failure injected")
 	}
-	return f.Bisector.Bisect(weights)
+	return f.Bisector.Bisect(prefix)
 }
 
 // TestBuilderReleasesBisectorAfterBuild: a retained Builder (a serving
@@ -270,4 +268,51 @@ func TestBuilderReleasesBisectorAfterBuild(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(b)
+}
+
+// TestBuilderPinsNoPerNodeMemoryAfterBuild: a serving ingest lane holds
+// its Builder for the life of the registry, so anything a build left
+// reachable from it would be paid per lane, forever. After builds over
+// two half-million-node sides, on both paths and through both orderings,
+// with the trees dropped and the Builder still held, the live heap must
+// be back within one byte per node of where it started — no array indexed
+// by node or position can have survived.
+func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
+	const n = 1 << 19
+	edges := make([]bipartite.Edge, n)
+	keys := &OrderKeys{Left: make([]uint64, n), Right: make([]uint64, n)}
+	for i := range edges {
+		edges[i] = bipartite.Edge{Left: int32(i), Right: int32((i * 7) % n)}
+		keys.Left[i], keys.Right[i] = uint64(i%5), uint64(i%3)
+	}
+	g, err := bipartite.FromEdges(n, n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	b := NewBuilder()
+	defer b.Close()
+	before := liveHeap()
+	for _, k := range []*OrderKeys{nil, keys} {
+		opts := Options{Rounds: 9, Bisector: streamBisector(t, true, 3), Keys: k}
+		if _, err := b.Build(g, opts); err != nil {
+			t.Fatal(err)
+		}
+		opts.Bisector = streamBisector(t, true, 3)
+		if _, err := b.BuildFromEdges(bipartite.NewSliceSource(n, n, edges), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := liveHeap(); after > before+2*n {
+		t.Fatalf("live heap grew from %d to %d bytes across four dropped builds of %d nodes", before, after, 2*n)
+	}
+	runtime.KeepAlive(b)
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(keys)
 }

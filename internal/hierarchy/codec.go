@@ -115,7 +115,6 @@ func DecodeBinary(r io.Reader, g *bipartite.Graph) (*Tree, error) {
 				return nil, fmt.Errorf("%w: perm entry %d out of range", ErrBadTreeFormat, v)
 			}
 			st.perm[i] = int32(v)
-			st.pos[v] = int32(i)
 		}
 	}
 	for d := 0; d <= int(maxLevel); d++ {
@@ -147,7 +146,10 @@ func DecodeBinary(r io.Reader, g *bipartite.Graph) (*Tree, error) {
 	}
 	t.privateCuts = int(cuts)
 
-	t.finalize(0)
+	t.stats = bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
+	t.left.index()
+	t.right.index()
+	t.computeCells(0)
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTreeFormat, err)
 	}

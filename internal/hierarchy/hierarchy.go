@@ -28,49 +28,48 @@
 // the paper's nine rounds the root is level 9 and level 0 is the finest.
 //
 // Representation: per side, a permutation of node ids plus, per depth, the
-// boundaries of the 2^d contiguous ranges over that permutation. Splits
-// reorder nodes only inside their own range, so deeper levels strictly
-// refine shallower ones and all levels share one permutation.
+// boundaries of the 2^d contiguous ranges over that permutation. The
+// permutation is the side's bisector order, fixed before the first cut; a
+// split only adds a boundary inside its own range, so deeper levels
+// strictly refine shallower ones and all levels share one permutation.
 //
-// # Builder reuse
+// # Builder
 //
-// Build allocates position-indexed scratch (items, weights, radix keys)
-// and, when Options.Workers > 1, a worker pool — costs that repeated-
-// trial experiments pay per build. A Builder retains both across builds:
-// construct once with NewBuilder, call Builder.Build per trial (buffers
-// grow to the largest side seen and stay), and Close when done. Build
-// itself is a thin wrapper that creates and closes a throwaway Builder,
-// and a reused Builder produces trees bit-identical to fresh Build calls
-// (pinned by TestBuilderReuseMatchesFreshBuild). A Builder is NOT safe
-// for concurrent use; fan trial parallelism out with one Builder per
-// goroutine.
+// A build keeps nothing behind: every array it allocates either belongs
+// to the returned Tree or is garbage when the call returns, so a Builder
+// carries no state — no scratch, no goroutines, no reference to a
+// finished build's bisector or keys. It remains as the handle repeated-
+// build callers (experiment trials, serving ingest lanes) are written
+// against: NewBuilder, Builder.Build or Builder.BuildFromEdges per build,
+// Close when done. Build and BuildFromEdges, the package functions, are
+// the same calls on a throwaway Builder.
 //
 // # Complexity and parallelism
 //
-// Build runs in O(E + n·log n + n·rounds + Σ_d 4^d) time: the per-cell
-// record counts are computed once at the deepest level in a single scan
-// of the edge array (zero-callback CSR view, sharded across
-// Options.Workers goroutines with per-worker count buffers merged at the
-// end) and every coarser level is derived by summing 2×2 child blocks
-// bottom-up — never by rescanning edges. The bisector ordering is a
-// static total order (degree descending, node id ascending), so each side
-// is sorted once in the first round and every deeper range — a contiguous
-// span of a sorted span — needs no further preparation: its weights are
-// read straight from a position-indexed weight array maintained alongside
-// the permutation. Per-side degree prefix sums over the final permutation
-// make SideGroupIncidentEdges O(groups) per call. Range preparation, when
-// it does run, reuses two position-indexed scratch buffers for the whole
-// build and fans out over one worker pool that stays alive across all
-// rounds; only the cut decisions are serial, in range order, so
-// randomized bisectors consume their stream deterministically and the
-// built tree is bit-identical for every worker count.
+// Build runs in O(E + n + cuts·log n + Σ_d 4^d) time plus the private
+// sampler's live windows. The bisector ordering is a static total order
+// (degree descending, node id ascending — or Options.Keys), so each side
+// is sorted once, before the first round, by a stable counting sort of
+// the node ids; its degree prefix sums are taken once, right after; and
+// every range of every round — a contiguous span of the sorted side — is
+// handed to the bisector as a window of that one prefix array, with no
+// per-range preparation at all. The same prefix sums make
+// SideGroupIncidentEdges O(groups) per call. The cut decisions are
+// serial, in range order, so randomized bisectors consume their stream
+// deterministically. The per-cell record counts are computed once at the
+// deepest level in a single scan of the edge array (zero-callback CSR
+// view, sharded across Options.Workers goroutines with per-worker count
+// buffers merged at the end) and every coarser level is derived by
+// summing 2×2 child blocks bottom-up — never by rescanning edges. Workers
+// shards only order-independent integer sums, so the built tree is
+// bit-identical for every worker count.
 package hierarchy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -134,10 +133,10 @@ type Options struct {
 	// Keys, when non-nil, overrides Order with an explicit per-node
 	// static ordering (see OrderKeys).
 	Keys *OrderKeys
-	// Workers parallelizes the per-range weight computation and ordering,
-	// and shards the deepest-level cell scan, across goroutines. Cut
-	// decisions remain serial in range order, so the built tree is
-	// identical for any worker count. Values < 2 run single-threaded.
+	// Workers shards the deepest-level cell scan — and, for streamed
+	// builds, the degree pass — across goroutines. Sorting and the cut
+	// decisions are serial, so the built tree is identical for any worker
+	// count. Values < 2 run single-threaded.
 	Workers int
 }
 
@@ -163,23 +162,12 @@ type sideTree struct {
 	// bounds[d] holds the 2^d+1 range boundaries at depth d:
 	// range i spans positions [bounds[d][i], bounds[d][i+1]).
 	bounds [][]int32
-	// weightByPos[p] is the degree of perm[p], maintained alongside every
-	// permutation write so range weights never need a fresh lookup pass.
-	weightByPos []int64
-	// inOrder records that every current range already sits in bisector
-	// order. Ordering is a static total order (degree desc, node asc — or
-	// key asc when orderKeys is set), so once one specialization round
-	// has sorted the side, every deeper range is a contiguous span of a
-	// sorted span and stays sorted; from then on splitting skips
-	// preparation entirely.
-	inOrder bool
-	// orderKeys, when non-nil, is the per-node key array of an explicit
-	// static ordering (Options.Keys); ranges sort by key ascending
-	// instead of by weight.
-	orderKeys []uint64
-	// degPrefix[p] is the summed degree of perm[0:p] under the final
-	// permutation, so any depth's group-incident-edge sums are boundary
-	// differences. Filled by finalize.
+	// degPrefix[p] is the summed degree of perm[0:p]. The permutation is
+	// final once the side is ordered, before the first cut, so the array
+	// is filled once, by index, and serves both ends of the tree's life:
+	// the window degPrefix[lo:hi+1] is the bisector's whole input for
+	// range [lo, hi), and any depth's group-incident-edge sums are
+	// boundary differences.
 	degPrefix []int64
 }
 
@@ -202,7 +190,7 @@ type Tree struct {
 	// sensitivity — consulted by every Phase-2 release — is O(1) instead
 	// of a 4^d scan per query.
 	maxCells []int64
-	// cells32[d] is the int32 image of cells[d], materialized at finalize
+	// cells32[d] is the int32 image of cells[d], materialized by setCells
 	// for every depth whose largest cell fits int32 (nil otherwise). The
 	// Phase-2 add pass reads counts once per release; serving them as
 	// 4-byte values halves that pass's memory traffic on the dominant
@@ -211,66 +199,30 @@ type Tree struct {
 	// larger counts, so the fit is decided per depth, not per tree.
 	cells32 [][]int32
 
-	// stats is the dataset summary, computed once by finishSides from the
-	// stored degrees; DatasetStats serves it.
+	// stats is the dataset summary, computed once per tree from the stored
+	// degrees (specialize, DecodeBinary); DatasetStats serves it.
 	stats bipartite.Stats
 
 	privateCuts int
 }
 
-// Build runs Phase-1 specialization and returns the tree. It is a thin
-// wrapper over a throwaway Builder; repeated-build callers (experiment
-// trials, pipelines rerun on many graphs) should hold a Builder instead
-// so the scratch buffers and worker pool survive between builds.
+// Build runs Phase-1 specialization and returns the tree.
 func Build(g *bipartite.Graph, opts Options) (*Tree, error) {
-	b := NewBuilder()
-	defer b.Close()
-	return b.Build(g, opts)
+	return NewBuilder().Build(g, opts)
 }
 
-// Builder runs specialization builds while retaining the position-indexed
-// scratch buffers and the worker pool across calls, so repeated builds
-// (one per experiment trial) stop paying per-build allocation and
-// goroutine startup. The zero value is not usable; construct with
-// NewBuilder and Close when done to release the pool's goroutines.
-//
-// A Builder is NOT safe for concurrent use: give each trial-fanning
-// goroutine its own Builder. Trees built through a reused Builder are
-// bit-identical to ones from fresh Build calls.
-type Builder struct {
-	// Retained across builds: two position-indexed scratch buffers (the
-	// ranges of any one depth are disjoint [lo, hi) position spans, so
-	// concurrent workers write disjoint subslices without
-	// synchronization), the radix-sort key buffers, and the worker pool.
-	items   []rangeItem // node+weight per position of the side being split
-	weights []int64     // weights in prepared order, the bisector's input
-	keys    []uint64    // radix-sort keys, position-indexed like items
-	tmpKeys []uint64    // radix-sort ping-pong buffer
+// Builder is the handle repeated-build callers hold. It is stateless — a
+// build retains nothing, see the package comment — so one Builder may
+// serve any number of builds, concurrently too, and trees built through
+// it are bit-identical to ones from the package functions.
+type Builder struct{}
 
-	pool        *workerPool
-	poolWorkers int
-
-	// Per-build state, reset by begin. The build's Options are not part
-	// of it: a retained Builder (a serving ingest lane) outlives the build
-	// and must not pin the caller's bisector — an ExpMechBisector holds
-	// two O(n) float scratch slices — or ordering keys, so the bisector
-	// travels down the split calls as a parameter.
-	private bool        // Bisector spends budget per cut (partition.PrivacyConsumer)
-	curPool *workerPool // pool for the current build; nil when Workers < 2
-}
-
-// NewBuilder returns an empty Builder; the first Build sizes its scratch.
+// NewBuilder returns a Builder.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Close releases the retained worker pool's goroutines. The Builder
-// remains usable: a later Build recreates the pool on demand.
-func (b *Builder) Close() {
-	if b.pool != nil {
-		b.pool.close()
-		b.pool = nil
-		b.poolWorkers = 0
-	}
-}
+// Close is a no-op, kept so callers that pair NewBuilder with Close keep
+// compiling; the Builder remains usable.
+func (b *Builder) Close() {}
 
 // normalizeOptions validates opts and fills defaults; shared by the graph
 // and streamed build entry points.
@@ -290,8 +242,7 @@ func normalizeOptions(opts *Options) error {
 	return nil
 }
 
-// Build runs Phase-1 specialization and returns the tree, reusing the
-// Builder's scratch and pool from previous calls.
+// Build runs Phase-1 specialization and returns the tree.
 func (b *Builder) Build(g *bipartite.Graph, opts Options) (*Tree, error) {
 	if g == nil {
 		return nil, ErrNilGraph
@@ -299,386 +250,160 @@ func (b *Builder) Build(g *bipartite.Graph, opts Options) (*Tree, error) {
 	if err := normalizeOptions(&opts); err != nil {
 		return nil, err
 	}
-
 	t := &Tree{
 		graph:    g,
 		maxLevel: opts.Rounds,
-		left:     newSideTree(g.NumLeft()),
-		right:    newSideTree(g.NumRight()),
+		left:     newSideTree(g.Degrees(bipartite.Left)),
+		right:    newSideTree(g.Degrees(bipartite.Right)),
 	}
-	t.left.deg = g.Degrees(bipartite.Left)
-	t.right.deg = g.Degrees(bipartite.Right)
-	t.left.initWeights(opts.Order)
-	t.right.initWeights(opts.Order)
-	if err := t.applyOrderKeys(opts.Keys); err != nil {
+	if err := t.specialize(opts); err != nil {
 		return nil, err
 	}
-	if err := b.runSplits(t, opts); err != nil {
-		return nil, err
-	}
-	t.finalize(opts.Workers)
+	t.computeCells(opts.Workers)
 	return t, nil
 }
 
-// runSplits executes every specialization round — the part of a build that
-// is identical whether the edges live in a Graph or behind an EdgeSource,
-// because cuts consume only the per-node degrees captured in the side
-// trees.
-func (b *Builder) runSplits(t *Tree, opts Options) error {
-	b.begin(t, opts)
+// specialize summarizes, orders and indexes both sides, then executes
+// every specialization round — the part of a build that is identical
+// whether the edges live in a Graph or behind an EdgeSource, because cuts
+// consume only the per-node degrees captured in the side trees.
+func (t *Tree) specialize(opts Options) error {
+	t.stats = bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
+	if err := t.orderSides(opts); err != nil {
+		return err
+	}
+	t.left.index()
+	t.right.index()
+	private := false
+	if pc, ok := opts.Bisector.(partition.PrivacyConsumer); ok {
+		private = pc.Private()
+	}
 	for d := 0; d < opts.Rounds; d++ {
-		if err := t.splitDepth(&t.left, d, opts.Bisector, b); err != nil {
-			return fmt.Errorf("hierarchy: splitting left side at depth %d: %w", d, err)
-		}
-		if err := t.splitDepth(&t.right, d, opts.Bisector, b); err != nil {
-			return fmt.Errorf("hierarchy: splitting right side at depth %d: %w", d, err)
+		for _, side := range []struct {
+			name string
+			st   *sideTree
+		}{{"left", &t.left}, {"right", &t.right}} {
+			cuts, err := side.st.splitDepth(d, opts.Bisector)
+			if err != nil {
+				return fmt.Errorf("hierarchy: splitting %s side at depth %d: %w", side.name, d, err)
+			}
+			if private {
+				t.privateCuts += cuts
+			}
 		}
 	}
 	return nil
 }
 
-// begin readies the Builder for one build: grows the scratch to the
-// larger side, resolves the privacy-consumer flag, and selects the pool
-// (recreated only when the requested worker count changed).
-func (b *Builder) begin(t *Tree, opts Options) {
-	n := len(t.left.perm)
-	if r := len(t.right.perm); r > n {
-		n = r
-	}
-	if n > len(b.items) {
-		b.items = make([]rangeItem, n)
-		b.weights = make([]int64, n)
-		b.keys = make([]uint64, n)
-		b.tmpKeys = make([]uint64, n)
-	}
-	b.private = false
-	if pc, ok := opts.Bisector.(partition.PrivacyConsumer); ok {
-		b.private = pc.Private()
-	}
-	b.curPool = nil
-	if opts.Workers > 1 {
-		if b.pool == nil || b.poolWorkers != opts.Workers {
-			if b.pool != nil {
-				b.pool.close()
-			}
-			b.pool = newWorkerPool(opts.Workers)
-			b.poolWorkers = opts.Workers
-		}
-		b.curPool = b.pool
-	}
-}
-
-func newSideTree(n int) sideTree {
+// newSideTree returns the unsplit side over the given per-node degrees,
+// in node order.
+func newSideTree(deg []int64) sideTree {
+	n := len(deg)
 	st := sideTree{
 		perm:   make([]int32, n),
 		pos:    make([]int32, n),
+		deg:    deg,
 		bounds: [][]int32{{0, int32(n)}},
 	}
-	for i := 0; i < n; i++ {
+	for i := range st.perm {
 		st.perm[i] = int32(i)
-		st.pos[i] = int32(i)
 	}
 	return st
 }
 
-// initWeights fills weightByPos from st.deg for the initial identity
-// permutation. OrderNatural keeps permutation order, so the side starts in
-// bisector order; OrderWeightDesc needs one sorting pass first.
-func (st *sideTree) initWeights(order Order) {
-	st.weightByPos = make([]int64, len(st.perm))
-	for p, node := range st.perm {
-		st.weightByPos[p] = st.deg[node]
+// orderSides arranges both permutations in bisector order. The order is
+// static and total, so this one arrangement serves every round: each
+// deeper range is a contiguous span of an ordered span.
+func (t *Tree) orderSides(opts Options) error {
+	if keys := opts.Keys; keys != nil {
+		if err := t.left.sortByKeys(keys.Left); err != nil {
+			return fmt.Errorf("left side: %w", err)
+		}
+		if err := t.right.sortByKeys(keys.Right); err != nil {
+			return fmt.Errorf("right side: %w", err)
+		}
+		return nil
 	}
-	st.inOrder = order == OrderNatural
+	if opts.Order == OrderWeightDesc {
+		t.left.sortByDegree(t.stats.MaxLeftDegree)
+		t.right.sortByDegree(t.stats.MaxRightDegree)
+	}
+	return nil // OrderNatural is the identity the sides start in
 }
 
-// setOrderKeys installs an explicit static ordering for the side: the
-// first split round sorts every range by key ascending, after which the
-// usual sorted-span invariant holds.
-func (st *sideTree) setOrderKeys(keys []uint64) error {
+// sortByKeys arranges perm by key ascending, node id breaking ties
+// (Options.Keys).
+func (st *sideTree) sortByKeys(keys []uint64) error {
 	if len(keys) != len(st.perm) {
 		return fmt.Errorf("%w: got %d keys for a %d-node side", ErrBadKeys, len(keys), len(st.perm))
 	}
-	st.orderKeys = keys
-	st.inOrder = false
+	slices.SortFunc(st.perm, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+	})
 	return nil
 }
 
-// applyOrderKeys wires Options.Keys into both sides; shared by the graph
-// and streamed builds.
-func (t *Tree) applyOrderKeys(keys *OrderKeys) error {
-	if keys == nil {
-		return nil
-	}
-	if err := t.left.setOrderKeys(keys.Left); err != nil {
-		return fmt.Errorf("left side: %w", err)
-	}
-	if err := t.right.setOrderKeys(keys.Right); err != nil {
-		return fmt.Errorf("right side: %w", err)
-	}
-	return nil
-}
-
-// rangeItem pairs a node with its weight during range preparation.
-type rangeItem struct {
-	node   int32
-	weight int64
-}
-
-// compareItems orders by weight descending with a deterministic node-id
-// tie-break: a total order, so any (unstable) sort yields the same
-// permutation.
-func compareItems(a, b rangeItem) int {
-	switch {
-	case a.weight > b.weight:
-		return -1
-	case a.weight < b.weight:
-		return 1
-	default:
-		return int(a.node) - int(b.node)
-	}
-}
-
-// workerPool is a fixed set of goroutines that processes integer-indexed
-// task batches. One pool serves every split round of a Build, so range
-// preparation spawns goroutines once, not per depth. (The final cell
-// scan manages its own short-lived goroutines instead: finalize also
-// runs for decoded trees, which never have a pool.)
-type workerPool struct {
-	tasks chan int
-	wg    sync.WaitGroup
-	run   func(int)
-}
-
-func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{tasks: make(chan int, 4*workers)}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range p.tasks {
-				p.run(i)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// dispatch runs run(0..n-1) across the pool and returns when all calls
-// completed. It must not be called concurrently with itself: the previous
-// batch's wg.Wait orders all worker reads of p.run before the next write.
-func (p *workerPool) dispatch(n int, run func(int)) {
-	p.run = run
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		p.tasks <- i
-	}
-	p.wg.Wait()
-}
-
-func (p *workerPool) close() { close(p.tasks) }
-
-// splitDepth refines every depth-d range of one side into two, appending
-// the depth d+1 boundaries. On an unordered side, preparation (weight
-// lookup and ordering) is pure per range and fans out across the pool;
-// once the side is in bisector order — after the first OrderWeightDesc
-// round, or from the start for OrderNatural — preparation vanishes and
-// each range's weights are read straight from weightByPos. The cut
-// decisions always run serially in range order so randomized bisectors
-// consume their stream deterministically.
-func (t *Tree) splitDepth(st *sideTree, d int, bisector partition.Bisector, bs *Builder) error {
-	cur := st.bounds[d]
-	nRanges := len(cur) - 1
-
-	reorder := !st.inOrder
-	if reorder {
-		if bs.curPool != nil && nRanges > 1 {
-			bs.curPool.dispatch(nRanges, func(i int) {
-				t.prepareRange(st, cur[i], cur[i+1], bs)
-			})
-		} else {
-			for i := 0; i < nRanges; i++ {
-				t.prepareRange(st, cur[i], cur[i+1], bs)
-			}
-		}
-	}
-
-	next := make([]int32, 0, 2*nRanges+1)
-	for i := 0; i < nRanges; i++ {
-		lo, hi := cur[i], cur[i+1]
-		cut, err := t.applyCut(st, lo, hi, reorder, bisector, bs)
-		if err != nil {
-			return fmt.Errorf("range %d [%d,%d): %w", i, lo, hi, err)
-		}
-		next = append(next, lo, lo+int32(cut))
-	}
-	next = append(next, cur[nRanges])
-	st.bounds = append(st.bounds, next)
-	// Ordering is a static total order over nodes, so the freshly written
-	// (or verified) ranges and every contiguous subrange of them remain in
-	// order for all deeper rounds.
-	st.inOrder = true
-	return nil
-}
-
-// radixMinLen is the range size below which the comparison sort beats the
-// radix sort's fixed bucket overhead.
-const radixMinLen = 128
-
-// prepareRange sorts the items of [lo, hi) into the shared scratch. It
-// reads only immutable state (graph degrees, the current permutation
-// span) and writes only its own position span, so disjoint ranges prepare
-// concurrently. Large ranges with 32-bit weight spread take an LSD radix
-// sort over a packed (weight desc, node asc) key — the same total order
-// compareItems defines, so the result is identical.
-func (t *Tree) prepareRange(st *sideTree, lo, hi int32, bs *Builder) {
-	if hi <= lo {
-		return
-	}
-	items := bs.items[lo:hi]
-	var maxWeight int64
-	for i := range items {
-		p := lo + int32(i)
-		w := st.weightByPos[p]
-		items[i] = rangeItem{node: st.perm[p], weight: w}
-		if w > maxWeight {
-			maxWeight = w
-		}
-	}
-	if keys := st.orderKeys; keys != nil {
-		// An explicit static ordering: key ascending, node id tie-break
-		// (the same shape of total order, so the sorted-span invariant
-		// holds for deeper rounds). Arbitrary 64-bit keys skip the radix
-		// path, which packs weights into 32 bits.
-		slices.SortFunc(items, func(a, b rangeItem) int {
-			ka, kb := keys[a.node], keys[b.node]
-			switch {
-			case ka < kb:
-				return -1
-			case ka > kb:
-				return 1
-			default:
-				return int(a.node) - int(b.node)
-			}
-		})
-	} else if len(items) >= radixMinLen && maxWeight < 1<<31 {
-		radixSortItems(items, bs.keys[lo:hi], bs.tmpKeys[lo:hi], maxWeight)
-	} else {
-		slices.SortFunc(items, compareItems)
-	}
-	weights := bs.weights[lo:hi]
-	for i := range items {
-		weights[i] = items[i].weight
-	}
-}
-
-// radixSortItems sorts items by (weight desc, node asc) via an LSD radix
-// sort on the packed 64-bit key (maxWeight−weight)<<32 | node, whose
-// ascending order is exactly compareItems' total order. Digit histograms
-// are gathered in one pass and passes whose digit is constant across all
-// keys are skipped. keys and tmp are caller scratch of len(items).
-//
-// Ascending-input shortcut: when the span arrives in strictly ascending
-// node order — the identity permutation every side starts from, so always
-// in the one round that sorts — the four node digits are skipped
-// outright. An LSD radix sort is stable, so sorting node-ascending input
-// by the weight digits alone leaves equal weights in node order, which is
-// the (weight desc, node asc) order; a typical degree distribution then
-// costs two or three scatter passes instead of six or seven. Any other
-// input order takes all eight digits.
-func radixSortItems(items []rangeItem, keys, tmp []uint64, maxWeight int64) {
-	firstDigit := 4 // the weight digits; lowered to 0 unless nodes ascend
-	prev := int32(-1)
-	for i, it := range items {
-		keys[i] = uint64(maxWeight-it.weight)<<32 | uint64(uint32(it.node))
-		if it.node <= prev {
-			firstDigit = 0
-		}
-		prev = it.node
-	}
-	// Key weights are at most maxWeight, so digits past its top byte are
-	// zero in every key and need neither counting nor a pass.
-	endDigit := 4 + (bits.Len64(uint64(maxWeight))+7)/8
-	var counts [8][256]int32
-	for _, k := range keys {
-		for b := firstDigit; b < endDigit; b++ {
-			counts[b][(k>>(8*b))&0xff]++
-		}
-	}
-	n := int32(len(keys))
-	src, dst := keys, tmp
-	for b := firstDigit; b < endDigit; b++ {
-		c := &counts[b]
-		if c[(src[0]>>(8*b))&0xff] == n {
-			continue // every key shares this digit
+// sortByDegree arranges perm by degree descending, node id breaking ties:
+// a stable LSD counting sort of the node ids on the 16-bit digits of
+// maxDeg − deg, where maxDeg is the side's largest degree (the dataset
+// summary has it). The side starts as the identity permutation, so
+// stability alone leaves equal degrees in node order and no digit is spent
+// on the ids; a side whose largest degree is under 2^16 — any realistic
+// one — takes a single pass over a histogram of maxDeg+1 counters. pos is
+// the ping-pong buffer: it holds no information until index fills it.
+func (st *sideTree) sortByDegree(maxDeg int64) {
+	src, dst := st.perm, st.pos
+	for shift := 0; maxDeg>>shift > 0; shift += 16 {
+		counts := make([]int32, min(maxDeg>>shift, 0xffff)+1)
+		for _, d := range st.deg {
+			counts[(maxDeg-d)>>shift&0xffff]++
 		}
 		var sum int32
-		for d := 0; d < 256; d++ {
-			c[d], sum = sum, sum+c[d]
+		for digit, c := range counts {
+			counts[digit], sum = sum, sum+c
 		}
-		for _, k := range src {
-			d := (k >> (8 * b)) & 0xff
-			dst[c[d]] = k
-			c[d]++
+		for _, node := range src {
+			digit := (maxDeg - st.deg[node]) >> shift & 0xffff
+			dst[counts[digit]] = node
+			counts[digit]++
 		}
 		src, dst = dst, src
 	}
-	for i, k := range src {
-		items[i] = rangeItem{node: int32(uint32(k)), weight: maxWeight - int64(k>>32)}
+	st.perm, st.pos = src, dst
+}
+
+// index derives the inverse permutation and the degree prefix sums from
+// perm and deg.
+func (st *sideTree) index() {
+	st.degPrefix = make([]int64, len(st.perm)+1)
+	for p, node := range st.perm {
+		st.pos[node] = int32(p)
+		st.degPrefix[p+1] = st.degPrefix[p] + st.deg[node]
 	}
 }
 
-// applyCut asks the bisector for a cut over the range's ordered weights
-// and, when the range was freshly prepared, writes the order back into
-// the permutation. Ranges with fewer than two nodes return their size (an
-// empty second part).
-func (t *Tree) applyCut(st *sideTree, lo, hi int32, reorder bool, bisector partition.Bisector, bs *Builder) (int, error) {
-	n := int(hi - lo)
-	if n < 2 {
-		// 0- and 1-item ranges cannot be cut; a 1-item "sort" is already
-		// the identity, so there is nothing to write back either.
-		return n, nil
-	}
-	weights := st.weightByPos[lo:hi]
-	if reorder {
-		weights = bs.weights[lo:hi]
-	}
-	cut, err := bisector.Bisect(weights)
-	if err != nil {
-		return 0, err
-	}
-	if bs.private {
-		t.privateCuts++
-	}
-	if reorder {
-		for i, it := range bs.items[lo:hi] {
-			p := lo + int32(i)
-			st.perm[p] = it.node
-			st.pos[it.node] = p
-			st.weightByPos[p] = it.weight
+// splitDepth refines every depth-d range of the side into two, appending
+// the depth d+1 boundaries, and returns how many cuts the bisector made.
+// A range's whole input is its window of the side's degree prefix sums.
+// Ranges with fewer than two nodes cannot be cut and keep an empty second
+// part. The decisions run serially in range order so randomized bisectors
+// consume their stream deterministically.
+func (st *sideTree) splitDepth(d int, bisector partition.Bisector) (cuts int, err error) {
+	cur := st.bounds[d]
+	next := make([]int32, 0, 2*len(cur)-1)
+	for i := 0; i+1 < len(cur); i++ {
+		lo, hi := cur[i], cur[i+1]
+		cut := int(hi - lo)
+		if cut >= 2 {
+			if cut, err = bisector.Bisect(st.degPrefix[lo : hi+1]); err != nil {
+				return 0, fmt.Errorf("range %d [%d,%d): %w", i, lo, hi, err)
+			}
+			cuts++
 		}
+		next = append(next, lo, lo+int32(cut))
 	}
-	return cut, nil
-}
-
-// finalize derives everything Build's accessors serve: the deepest cell
-// matrix from one sharded edge scan, every coarser matrix by 2×2 block
-// aggregation, and the per-side degree prefix sums. DecodeBinary calls it
-// too, so decoded trees answer queries through the same fast paths. The
-// streamed build runs finalizeFromSource instead, which computes the same
-// state from edge chunks.
-func (t *Tree) finalize(workers int) {
-	t.computeCells(workers)
-	t.finishSides()
-}
-
-// finishSides derives what the accessors serve from the per-node degrees
-// under the final permutation: the per-side degree prefix sums and the
-// dataset summary. Every build path ends here, so the summary is computed
-// exactly once per tree.
-func (t *Tree) finishSides() {
-	t.left.computeDegreePrefix()
-	t.right.computeDegreePrefix()
-	t.stats = bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
+	st.bounds = append(st.bounds, append(next, cur[len(cur)-1]))
+	return cuts, nil
 }
 
 // computeCells fills the per-depth cell count matrices: one edge scan at
@@ -803,15 +528,6 @@ func (st *sideTree) groupOfNode(d int) []int32 {
 		}
 	}
 	return idx
-}
-
-// computeDegreePrefix fills degPrefix over the final permutation from the
-// stored per-node degrees.
-func (st *sideTree) computeDegreePrefix() {
-	st.degPrefix = make([]int64, len(st.perm)+1)
-	for p, node := range st.perm {
-		st.degPrefix[p+1] = st.degPrefix[p] + st.deg[node]
-	}
 }
 
 // Graph returns the underlying graph, or nil for a tree built through
@@ -1006,12 +722,18 @@ func (t *Tree) SideGroupIncidentEdges(level int, side bipartite.Side) ([]int64, 
 	if err != nil {
 		return nil, err
 	}
+	return st.groupDegrees(d), nil
+}
+
+// groupDegrees returns the summed degree of every depth-d range: one
+// degree-prefix-sum difference each.
+func (st *sideTree) groupDegrees(d int) []int64 {
 	bounds := st.bounds[d]
 	out := make([]int64, len(bounds)-1)
 	for i := range out {
 		out[i] = st.degPrefix[bounds[i+1]] - st.degPrefix[bounds[i]]
 	}
-	return out, nil
+	return out
 }
 
 // MaxCellEdges returns the largest cell at the level — the group-DP

@@ -345,14 +345,14 @@ func TestNumPrivateCuts(t *testing.T) {
 }
 
 // forwardingBisector wraps another bisector, forwarding privacy status
-// through partition.PrivacyConsumer — the pattern applyCut must account
+// through partition.PrivacyConsumer — the pattern the build must account
 // for without knowing concrete types.
 type forwardingBisector struct {
 	inner partition.Bisector
 }
 
-func (f forwardingBisector) Bisect(weights []int64) (int, error) { return f.inner.Bisect(weights) }
-func (f forwardingBisector) Name() string                        { return "wrapped-" + f.inner.Name() }
+func (f forwardingBisector) Bisect(prefix []int64) (int, error) { return f.inner.Bisect(prefix) }
+func (f forwardingBisector) Name() string                       { return "wrapped-" + f.inner.Name() }
 func (f forwardingBisector) Private() bool {
 	pc, ok := f.inner.(partition.PrivacyConsumer)
 	return ok && pc.Private()

@@ -38,18 +38,13 @@ var ErrNilSource = errors.New("hierarchy: nil edge source")
 const streamChunkEdges = bipartite.DefaultChunkEdges
 
 // BuildFromEdges runs Phase-1 specialization over an edge stream and
-// returns the tree. Like Build it is a thin wrapper over a throwaway
-// Builder; repeated-build callers should hold a Builder. The source is
-// Reset before each of the two passes, and the returned tree has no
-// backing Graph (Tree.Graph returns nil).
+// returns the tree. The source is Reset before each of the two passes,
+// and the returned tree has no backing Graph (Tree.Graph returns nil).
 func BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree, error) {
-	b := NewBuilder()
-	defer b.Close()
-	return b.BuildFromEdges(src, opts)
+	return NewBuilder().BuildFromEdges(src, opts)
 }
 
-// BuildFromEdges is the streamed counterpart of Builder.Build, reusing the
-// Builder's scratch and pool across calls.
+// BuildFromEdges is the streamed counterpart of Builder.Build.
 func (b *Builder) BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree, error) {
 	if src == nil {
 		return nil, ErrNilSource
@@ -68,17 +63,10 @@ func (b *Builder) BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree,
 
 	t := &Tree{
 		maxLevel: opts.Rounds,
-		left:     newSideTree(len(leftDeg)),
-		right:    newSideTree(len(rightDeg)),
+		left:     newSideTree(leftDeg),
+		right:    newSideTree(rightDeg),
 	}
-	t.left.deg = leftDeg
-	t.right.deg = rightDeg
-	t.left.initWeights(opts.Order)
-	t.right.initWeights(opts.Order)
-	if err := t.applyOrderKeys(opts.Keys); err != nil {
-		return nil, err
-	}
-	if err := b.runSplits(t, opts); err != nil {
+	if err := t.specialize(opts); err != nil {
 		return nil, err
 	}
 
@@ -292,12 +280,11 @@ func growCounts(counts []int64, id int32) []int64 {
 	return grown
 }
 
-// finalizeFromSource is the streamed finalize: the deepest cell matrix
-// from one chunked scan of the source, the shared bottom-up aggregation,
-// the degree prefix sums and the dataset summary. It cross-checks the two
-// passes — a source whose replay yields a different edge multiset (or
-// count) is rejected rather than silently producing a tree inconsistent
-// with its own degrees.
+// finalizeFromSource is the streamed tail of a build: the deepest cell
+// matrix from one chunked scan of the source and the shared bottom-up
+// aggregation. It cross-checks the two passes — a source whose replay
+// yields a different edge multiset (or count) is rejected rather than
+// silently producing a tree inconsistent with its own degrees.
 func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
 	dmax := len(t.left.bounds) - 1
 	k := 1 << dmax
@@ -305,18 +292,14 @@ func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
 	if err != nil {
 		return fmt.Errorf("hierarchy: cell pass: %w", err)
 	}
-	var cellSum, degSum int64
+	var cellSum int64
 	for _, c := range deepest {
 		cellSum += c
 	}
-	for _, d := range t.left.deg {
-		degSum += d
-	}
-	if cellSum != degSum {
+	if degSum := t.NumEdges(); cellSum != degSum {
 		return fmt.Errorf("hierarchy: source changed between passes: degree pass saw %d edges, cell pass %d", degSum, cellSum)
 	}
 	t.setCells(deepest)
-	t.finishSides()
 	return nil
 }
 

@@ -2,14 +2,22 @@
 // the specialization step that splits a node side in two, selected through
 // the exponential mechanism so the split itself is differentially private.
 //
-// A bisector sees only an ordered slice of per-item weights (each item is a
-// node of the cell being specialized; its weight is the number of
-// associations it contributes to the cell) and chooses a cut index k: items
-// [0,k) form the first subgroup and [k,n) the second. The private bisector
-// scores each cut by edge balance — utility(k) = −|S_k − (S_n − S_k)| where
-// S_k is the prefix weight sum — and samples a cut through the exponential
-// mechanism. Adding or removing a single association changes any prefix sum
-// by at most 1, so the balance utility has sensitivity 1.
+// A bisector sees only the prefix sums of an ordered sequence of per-item
+// weights (each item is a node of the cell being specialized; its weight
+// is the number of associations it contributes to the cell) and chooses a
+// cut index k: items [0,k) form the first subgroup and [k,n) the second.
+// The private bisector scores each cut by edge balance — utility(k) =
+// −|S_k − (S_n − S_k)| where S_k is the prefix weight sum — and samples a
+// cut through the exponential mechanism. Adding or removing a single
+// association changes any prefix sum by at most 1, so the balance utility
+// has sensitivity 1.
+//
+// The utility is unimodal in k — non-decreasing up to the crossing
+// 2·S_k ≥ S_n, non-increasing after it — so the most balanced cut is a
+// binary search over the prefix sums, and the private sampler visits only
+// the candidates around it whose probability is not an exact zero
+// (dp.Exponential.SelectFast): a cut costs O(log n + live window), never
+// a sweep of the range.
 //
 // Non-private baselines (deterministic balanced cut, uniform random cut,
 // midpoint cut) support ablation A3 in DESIGN.md.
@@ -18,6 +26,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/dp"
 	"repro/internal/rng"
@@ -34,11 +43,14 @@ var (
 
 // Bisector chooses a cut index in [1, n-1] for a weighted item sequence.
 type Bisector interface {
-	// Bisect returns the cut index for the given per-item weights. The
-	// weights slice is read-only: implementations must not modify or
-	// retain it — hierarchy.Build hands bisectors a view of live internal
-	// state on its hot path.
-	Bisect(weights []int64) (int, error)
+	// Bisect returns the cut index for the n items whose weights are
+	// given as a prefix-sum view of n+1 entries: item i weighs
+	// prefix[i+1] − prefix[i] ≥ 0. The base prefix[0] is arbitrary —
+	// hierarchy.Build sorts a side once, sums it once and hands every
+	// range of every round a window of that one array; PrefixSums builds
+	// a view from raw weights. The view is read-only: implementations
+	// must not modify or retain it.
+	Bisect(prefix []int64) (int, error)
 	// Name identifies the strategy in experiment output.
 	Name() string
 }
@@ -53,48 +65,67 @@ type PrivacyConsumer interface {
 	Private() bool
 }
 
-// validate rejects degenerate inputs shared by all bisectors and returns
-// the total weight — the one sweep every weight-reading bisector needs
-// before it can score a cut.
-func validate(weights []int64) (total int64, err error) {
-	if len(weights) < 2 {
-		return 0, fmt.Errorf("%w (n=%d)", ErrTooSmall, len(weights))
-	}
+// PrefixSums returns the view Bisect reads for raw per-item weights:
+// len(weights)+1 entries starting at 0. It is where negative weights are
+// rejected, once per sequence, so no cut has to look at the items again.
+func PrefixSums(weights []int64) ([]int64, error) {
+	prefix := make([]int64, len(weights)+1)
 	for i, w := range weights {
 		if w < 0 {
-			return 0, fmt.Errorf("%w (item %d = %d)", ErrNegativeWeight, i, w)
+			return nil, fmt.Errorf("%w (item %d = %d)", ErrNegativeWeight, i, w)
 		}
-		total += w
+		prefix[i+1] = prefix[i] + w
 	}
-	return total, nil
+	return prefix, nil
 }
 
-// fillBalanceUtilities writes utility(k) = -|S_k - (S_n - S_k)| for every
-// cut k in [1, n-1] into dst[k-1] (as float64 for the exponential
-// mechanism); total is S_n and dst holds at least n-1 entries.
-func fillBalanceUtilities(dst []float64, weights []int64, total int64) {
-	var prefix int64
-	for k, w := range weights[:len(weights)-1] {
-		prefix += w
-		imbalance := prefix - (total - prefix)
-		if imbalance < 0 {
-			imbalance = -imbalance
-		}
-		dst[k] = -float64(imbalance)
+// numItems returns how many items a view covers, rejecting views no
+// bisector can cut.
+func numItems(prefix []int64) (int, error) {
+	n := max(len(prefix)-1, 0)
+	if n < 2 {
+		return 0, fmt.Errorf("%w (n=%d)", ErrTooSmall, n)
 	}
+	return n, nil
+}
+
+// balanceUtility is utility(k) = -|S_k - (S_n - S_k)| of cut k (as float64
+// for the exponential mechanism); sum is prefix[0] + prefix[n], which
+// cancels the view's base.
+func balanceUtility(prefix []int64, sum int64, k int) float64 {
+	imbalance := 2*prefix[k] - sum
+	if imbalance < 0 {
+		imbalance = -imbalance
+	}
+	return -float64(imbalance)
+}
+
+// balancedCut returns the earliest most balanced cut of a view of n ≥ 2
+// items. The imbalance 2·S_k − S_n is non-decreasing in k, so its absolute
+// value is smallest on one side of the crossing: at the first cut at or
+// past it, or on the run of equal prefix sums that ends just before it.
+func balancedCut(prefix []int64) int {
+	n := len(prefix) - 1
+	sum := prefix[0] + prefix[n]
+	k := 1 + sort.Search(n-1, func(i int) bool { return 2*prefix[i+1] >= sum })
+	if k == 1 {
+		return 1
+	}
+	if before := sum - 2*prefix[k-1]; k < n && 2*prefix[k]-sum < before {
+		return k
+	}
+	return 1 + sort.Search(k-2, func(i int) bool { return prefix[i+1] >= prefix[k-1] })
 }
 
 // ExpMechBisector selects the cut through the exponential mechanism with
 // the balance utility, consuming ε per invocation. It samples through
-// dp.Exponential.SelectFast — the allocation-free inverse-CDF path, one
-// uniform draw per cut — and reuses internal scratch buffers across
-// calls, so a single ExpMechBisector is not safe for concurrent use (its
-// RNG stream already is not); hierarchy.Build serializes all cut
-// decisions.
+// dp.Exponential.SelectFast — the windowed inverse-CDF path, one uniform
+// draw per cut — and reuses the window's scratch buffer across calls, so
+// a single ExpMechBisector is not safe for concurrent use (its RNG stream
+// already is not); hierarchy.Build serializes all cut decisions.
 type ExpMechBisector struct {
 	mech *dp.Exponential
 	eps  float64
-	util []float64 // balance utilities, reused across Bisect calls
 	prob []float64 // SelectFast scratch, reused across Bisect calls
 }
 
@@ -115,19 +146,16 @@ func NewExpMechBisector(epsilon float64, src *rng.Source) (*ExpMechBisector, err
 // Epsilon returns the per-cut privacy cost.
 func (b *ExpMechBisector) Epsilon() float64 { return b.eps }
 
-// Bisect implements Bisector.
-func (b *ExpMechBisector) Bisect(weights []int64) (int, error) {
-	total, err := validate(weights)
+// Bisect implements Bisector. Candidate i of the mechanism is cut i+1.
+func (b *ExpMechBisector) Bisect(prefix []int64) (int, error) {
+	n, err := numItems(prefix)
 	if err != nil {
 		return 0, err
 	}
-	n := len(weights) - 1
-	if cap(b.util) < n {
-		b.util = make([]float64, n)
-	}
-	b.util = b.util[:n]
-	fillBalanceUtilities(b.util, weights, total)
-	idx, prob, err := b.mech.SelectFast(b.util, b.prob)
+	sum := prefix[0] + prefix[n]
+	idx, prob, err := b.mech.SelectFast(n-1, balancedCut(prefix)-1, func(i int) float64 {
+		return balanceUtility(prefix, sum, i+1)
+	}, b.prob)
 	b.prob = prob
 	if err != nil {
 		return 0, err
@@ -141,33 +169,19 @@ func (b *ExpMechBisector) Name() string { return "expmech" }
 // Private implements PrivacyConsumer.
 func (b *ExpMechBisector) Private() bool { return true }
 
-// BalancedBisector deterministically picks the most edge-balanced cut. It
-// is the non-private skyline for ablation A3.
+// BalancedBisector deterministically picks the most edge-balanced cut —
+// the earliest one on ties, the choice the utility argmax makes. It is
+// the non-private skyline for ablation A3.
 type BalancedBisector struct{}
 
 var _ Bisector = BalancedBisector{}
 
-// Bisect implements Bisector. It scans prefix sums directly — no utility
-// slice is materialized — and keeps the earliest most-balanced cut, the
-// same choice the utility-argmax formulation makes.
-func (BalancedBisector) Bisect(weights []int64) (int, error) {
-	total, err := validate(weights)
-	if err != nil {
+// Bisect implements Bisector.
+func (BalancedBisector) Bisect(prefix []int64) (int, error) {
+	if _, err := numItems(prefix); err != nil {
 		return 0, err
 	}
-	best, bestImbalance := 1, int64(-1)
-	var prefix int64
-	for k := 1; k < len(weights); k++ {
-		prefix += weights[k-1]
-		imbalance := 2*prefix - total
-		if imbalance < 0 {
-			imbalance = -imbalance
-		}
-		if bestImbalance < 0 || imbalance < bestImbalance {
-			best, bestImbalance = k, imbalance
-		}
-	}
-	return best, nil
+	return balancedCut(prefix), nil
 }
 
 // Name implements Bisector.
@@ -190,11 +204,12 @@ func NewRandomBisector(src *rng.Source) (*RandomBisector, error) {
 }
 
 // Bisect implements Bisector.
-func (b *RandomBisector) Bisect(weights []int64) (int, error) {
-	if _, err := validate(weights); err != nil {
+func (b *RandomBisector) Bisect(prefix []int64) (int, error) {
+	n, err := numItems(prefix)
+	if err != nil {
 		return 0, err
 	}
-	return 1 + b.src.Intn(len(weights)-1), nil
+	return 1 + b.src.Intn(n-1), nil
 }
 
 // Name implements Bisector.
@@ -207,11 +222,12 @@ type MidpointBisector struct{}
 var _ Bisector = MidpointBisector{}
 
 // Bisect implements Bisector.
-func (MidpointBisector) Bisect(weights []int64) (int, error) {
-	if _, err := validate(weights); err != nil {
+func (MidpointBisector) Bisect(prefix []int64) (int, error) {
+	n, err := numItems(prefix)
+	if err != nil {
 		return 0, err
 	}
-	return len(weights) / 2, nil
+	return n / 2, nil
 }
 
 // Name implements Bisector.
@@ -228,22 +244,16 @@ type CutQuality struct {
 	Imbalance float64
 }
 
-// Quality evaluates a cut.
+// Quality evaluates a cut of raw per-item weights.
 func Quality(weights []int64, cut int) (CutQuality, error) {
-	if _, err := validate(weights); err != nil {
+	prefix, err := PrefixSums(weights)
+	if err != nil {
 		return CutQuality{}, err
 	}
 	if cut < 1 || cut >= len(weights) {
 		return CutQuality{}, fmt.Errorf("partition: cut %d outside [1,%d)", cut, len(weights))
 	}
-	var q CutQuality
-	for i, w := range weights {
-		if i < cut {
-			q.LeftWeight += w
-		} else {
-			q.RightWeight += w
-		}
-	}
+	q := CutQuality{LeftWeight: prefix[cut], RightWeight: prefix[len(weights)] - prefix[cut]}
 	if total := q.LeftWeight + q.RightWeight; total > 0 {
 		diff := q.LeftWeight - q.RightWeight
 		if diff < 0 {

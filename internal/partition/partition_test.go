@@ -10,17 +10,25 @@ import (
 	"repro/internal/rng"
 )
 
-// balanceUtilities materializes the utility slice of a valid weight
-// vector the way ExpMechBisector.Bisect does: total from validate, then
-// one fill.
-func balanceUtilities(weights []int64) []float64 {
-	total, err := validate(weights)
-	if err != nil {
-		panic(err)
+// prefixView returns the prefix-sum view of valid weights the way
+// hierarchy hands it out: a window of a longer array, pad items of
+// other ranges on either side, so the view's base is not zero and its
+// capacity runs past its end.
+func prefixView(t testing.TB, weights []int64, pad int) []int64 {
+	t.Helper()
+	padded := make([]int64, 0, len(weights)+2*pad)
+	for i := 0; i < pad; i++ {
+		padded = append(padded, int64(1000+i))
 	}
-	dst := make([]float64, len(weights)-1)
-	fillBalanceUtilities(dst, weights, total)
-	return dst
+	padded = append(padded, weights...)
+	for i := 0; i < pad; i++ {
+		padded = append(padded, int64(7*i))
+	}
+	full, err := PrefixSums(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full[pad : pad+len(weights)+1]
 }
 
 func TestBalanceUtilities(t *testing.T) {
@@ -28,20 +36,33 @@ func TestBalanceUtilities(t *testing.T) {
 	// weights 3,1,2: total 6.
 	// k=1: |3-3| = 0 -> 0
 	// k=2: |4-2| = 2 -> -2
-	utilities := balanceUtilities([]int64{3, 1, 2})
 	want := []float64{0, -2}
-	if len(utilities) != len(want) {
-		t.Fatalf("len = %d, want %d", len(utilities), len(want))
+	for _, pad := range []int{0, 3} {
+		prefix := prefixView(t, []int64{3, 1, 2}, pad)
+		for i := range want {
+			if u := balanceUtility(prefix, prefix[0]+prefix[3], i+1); u != want[i] {
+				t.Errorf("pad %d: u[%d] = %v, want %v", pad, i, u, want[i])
+			}
+		}
 	}
-	for i := range want {
-		if utilities[i] != want[i] {
-			t.Errorf("u[%d] = %v, want %v", i, utilities[i], want[i])
+	// Every cut of a random vector, against the definition.
+	r := rng.New(5)
+	weights := make([]int64, 200)
+	for i := range weights {
+		weights[i] = int64(r.Intn(1000))
+	}
+	prefix := prefixView(t, weights, 4)
+	for i, want := range refBalanceUtilities(weights) {
+		if u := balanceUtility(prefix, prefix[0]+prefix[len(weights)], i+1); u != want {
+			t.Fatalf("u[%d] = %v, definition says %v", i, u, want)
 		}
 	}
 }
 
-// TestBalancedBisectorMatchesUtilityArgmax pins the scan-based Bisect to
-// the utility-argmax formulation it replaced: earliest maximum utility.
+// TestBalancedBisectorMatchesUtilityArgmax pins the crossing search to the
+// utility-argmax formulation: earliest maximum utility. Small weights over
+// short vectors make zero runs and ties on both sides of the crossing
+// common.
 func TestBalancedBisectorMatchesUtilityArgmax(t *testing.T) {
 	t.Parallel()
 	r := rng.New(33)
@@ -49,12 +70,12 @@ func TestBalancedBisectorMatchesUtilityArgmax(t *testing.T) {
 		weights := make([]int64, 2+r.Intn(60))
 		for i := range weights {
 			weights[i] = int64(r.Intn(20))
+			if trial%2 == 0 {
+				weights[i] = int64(r.Intn(3)) / 2 // mostly zeros
+			}
 		}
-		got, err := (BalancedBisector{}).Bisect(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		utilities := balanceUtilities(weights)
+		got := bisectWeights(t, BalancedBisector{}, weights, trial%4)
+		utilities := refBalanceUtilities(weights)
 		want := 0
 		for i, u := range utilities {
 			if u > utilities[want] {
@@ -92,12 +113,19 @@ func TestValidateErrors(t *testing.T) {
 		if _, err := b.Bisect(nil); !errors.Is(err, ErrTooSmall) {
 			t.Errorf("%s: nil input error = %v", b.Name(), err)
 		}
-		if _, err := b.Bisect([]int64{5}); !errors.Is(err, ErrTooSmall) {
+		if _, err := b.Bisect([]int64{0}); !errors.Is(err, ErrTooSmall) {
+			t.Errorf("%s: empty view error = %v", b.Name(), err)
+		}
+		if _, err := b.Bisect(prefixView(t, []int64{5}, 2)); !errors.Is(err, ErrTooSmall) {
 			t.Errorf("%s: single item error = %v", b.Name(), err)
 		}
-		if _, err := b.Bisect([]int64{1, -2}); !errors.Is(err, ErrNegativeWeight) {
-			t.Errorf("%s: negative weight error = %v", b.Name(), err)
-		}
+	}
+	// Negative weights are refused where views are built, before any cut.
+	if _, err := PrefixSums([]int64{1, -2}); !errors.Is(err, ErrNegativeWeight) {
+		t.Errorf("PrefixSums: negative weight error = %v", err)
+	}
+	if _, err := Quality([]int64{1, -2}, 1); !errors.Is(err, ErrNegativeWeight) {
+		t.Errorf("Quality: negative weight error = %v", err)
 	}
 }
 
@@ -118,11 +146,7 @@ func TestBalancedBisectorExact(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			got, err := BalancedBisector{}.Bisect(tc.weights)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
+			if got := bisectWeights(t, BalancedBisector{}, tc.weights, 1); got != tc.want {
 				t.Errorf("cut = %d, want %d", got, tc.want)
 			}
 		})
@@ -131,11 +155,7 @@ func TestBalancedBisectorExact(t *testing.T) {
 
 func TestMidpointBisector(t *testing.T) {
 	t.Parallel()
-	got, err := MidpointBisector{}.Bisect([]int64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
+	if got := bisectWeights(t, MidpointBisector{}, []int64{1, 2, 3, 4, 5}, 1); got != 2 {
 		t.Errorf("cut = %d, want 2", got)
 	}
 }
@@ -146,10 +166,7 @@ func TestRandomBisectorRange(t *testing.T) {
 	weights := []int64{1, 1, 1, 1, 1}
 	seen := map[int]bool{}
 	for i := 0; i < 1000; i++ {
-		cut, err := b.Bisect(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cut := bisectWeights(t, b, weights, 0)
 		if cut < 1 || cut >= len(weights) {
 			t.Fatalf("cut %d outside [1,%d)", cut, len(weights))
 		}
@@ -175,11 +192,7 @@ func TestExpMechBisectorConcentratesOnBalance(t *testing.T) {
 	counts := map[int]int{}
 	const n = 5000
 	for i := 0; i < n; i++ {
-		cut, err := b.Bisect(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[cut]++
+		counts[bisectWeights(t, b, weights, 0)]++
 	}
 	if frac := float64(counts[2]) / n; frac < 0.75 {
 		t.Errorf("balanced cut chosen %.2f of the time, want > 0.75 (counts %v)", frac, counts)
@@ -193,11 +206,7 @@ func TestExpMechBisectorRandomizes(t *testing.T) {
 	weights := []int64{5, 1, 1, 1, 5}
 	seen := map[int]bool{}
 	for i := 0; i < 2000; i++ {
-		cut, err := b.Bisect(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[cut] = true
+		seen[bisectWeights(t, b, weights, 0)] = true
 	}
 	if len(seen) < 3 {
 		t.Errorf("low-budget bisector too deterministic: %v", seen)
@@ -271,8 +280,9 @@ func TestQuickCutsInRange(t *testing.T) {
 		for i := range weights {
 			weights[i] = int64(r.Intn(100))
 		}
+		prefix := prefixView(t, weights, int(seed%3))
 		for _, b := range []Bisector{expMech, BalancedBisector{}, random, MidpointBisector{}} {
-			cut, err := b.Bisect(weights)
+			cut, err := b.Bisect(prefix)
 			if err != nil {
 				return false
 			}
@@ -305,14 +315,8 @@ func TestExpMechBeatsRandomOnImbalance(t *testing.T) {
 			weights[i] = int64(r.Intn(20))
 		}
 		weights[0] = 200 // strong skew
-		cutE, err := expMech.Bisect(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cutR, err := random.Bisect(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cutE := bisectWeights(t, expMech, weights, 0)
+		cutR := bisectWeights(t, random, weights, 0)
 		qe, err := Quality(weights, cutE)
 		if err != nil {
 			t.Fatal(err)
@@ -383,16 +387,17 @@ func TestExpMechBisectorMatchesSelectLSE(t *testing.T) {
 
 var cutSink int
 
-// BenchmarkExpMechBisect times one private cut over a 700 k-node side in
-// bisector order (descending heavy-tailed weights) at the serving
-// default ε 0.1 — the unit of work Phase 1 repeats once per range per
-// round.
+// BenchmarkExpMechBisect times one private cut over the prefix-sum view
+// of a 700 k-node side in bisector order (descending heavy-tailed
+// weights) at the serving default ε 0.1 — the unit of work Phase 1
+// repeats once per range per round.
 func BenchmarkExpMechBisect(b *testing.B) {
 	const n = 700_000
 	weights := make([]int64, n)
 	for i := range weights {
 		weights[i] = int64(2_000_000 / (i + 1)) // Zipf-1 profile: ~2.8 M total
 	}
+	prefix := prefixView(b, weights, 0)
 	bis, err := NewExpMechBisector(0.1, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
@@ -400,7 +405,7 @@ func BenchmarkExpMechBisect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cut, err := bis.Bisect(weights)
+		cut, err := bis.Bisect(prefix)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -466,11 +471,11 @@ func refBalancedCut(weights []int64) int {
 	return best
 }
 
-// bisectWeights runs one cut of b over raw weights; pad is unused until
-// the bisectors read prefix-sum views.
+// bisectWeights runs one cut of b over the prefix-sum view of raw
+// weights, embedded pad items deep in a longer array.
 func bisectWeights(t testing.TB, b Bisector, weights []int64, pad int) int {
 	t.Helper()
-	cut, err := b.Bisect(weights)
+	cut, err := b.Bisect(prefixView(t, weights, pad))
 	if err != nil {
 		t.Fatal(err)
 	}
