@@ -283,8 +283,16 @@ func growCounts(counts []int64, id int32) []int64 {
 // finalizeFromSource is the streamed tail of a build: the deepest cell
 // matrix from one chunked scan of the source and the shared bottom-up
 // aggregation. It cross-checks the two passes — a source whose replay
-// yields a different edge multiset (or count) is rejected rather than
-// silently producing a tree inconsistent with its own degrees.
+// yields a different edge count, or re-points an edge at a node of another
+// finest group, is rejected rather than silently producing a tree whose
+// cells contradict its own degrees: every row of the deepest matrix must
+// sum to the degree sum of its left group and every column to that of its
+// right group, which the degree prefix sums give in O(4^rounds). Validate
+// cannot stand in for this on a streamed tree: it has no edges to
+// recount. (A replay that keeps every one of those sums — edges moved
+// within a finest cell, or traded between cells so that each group keeps
+// its count — yields a tree consistent with its degrees; telling it apart
+// would take a retained copy of the first pass.)
 func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
 	dmax := len(t.left.bounds) - 1
 	k := 1 << dmax
@@ -292,12 +300,29 @@ func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
 	if err != nil {
 		return fmt.Errorf("hierarchy: cell pass: %w", err)
 	}
+	rows, cols := make([]int64, k), make([]int64, k)
 	var cellSum int64
-	for _, c := range deepest {
-		cellSum += c
+	for i := range rows {
+		for j, c := range deepest[i*k : (i+1)*k] {
+			rows[i] += c
+			cols[j] += c
+		}
+		cellSum += rows[i]
 	}
 	if degSum := t.NumEdges(); cellSum != degSum {
 		return fmt.Errorf("hierarchy: source changed between passes: degree pass saw %d edges, cell pass %d", degSum, cellSum)
+	}
+	for _, side := range []struct {
+		name  string
+		cells []int64
+		want  []int64
+	}{{"left", rows, t.left.groupDegrees(dmax)}, {"right", cols, t.right.groupDegrees(dmax)}} {
+		for i, want := range side.want {
+			if side.cells[i] != want {
+				return fmt.Errorf("hierarchy: source changed between passes: degree pass saw %d edges at %s group %d, cell pass %d",
+					want, side.name, i, side.cells[i])
+			}
+		}
 	}
 	t.setCells(deepest)
 	return nil

@@ -168,18 +168,15 @@ func TestBuilderReuseStreamed(t *testing.T) {
 // unstableSource yields a different edge multiset on its second pass —
 // the two-pass cross-check must reject it.
 type unstableSource struct {
-	passes int
-	next   int
+	first, replay []bipartite.Edge
+	passes, next  int
 }
 
 func (s *unstableSource) edges() []bipartite.Edge {
-	edges := []bipartite.Edge{
-		{Left: 0, Right: 0}, {Left: 1, Right: 1}, {Left: 2, Right: 2}, {Left: 3, Right: 0},
-	}
 	if s.passes > 1 {
-		return edges[:3] // an edge vanishes on replay
+		return s.replay
 	}
-	return edges
+	return s.first
 }
 
 func (s *unstableSource) NextChunk(dst []bipartite.Edge) (int, error) {
@@ -198,12 +195,33 @@ func (s *unstableSource) Sides() (int32, int32, bool) { return 4, 3, true }
 
 func TestBuildFromEdgesRejectsUnstableSource(t *testing.T) {
 	t.Parallel()
-	_, err := BuildFromEdges(&unstableSource{}, Options{Rounds: 2, Bisector: partition.BalancedBisector{}})
-	if err == nil {
-		t.Fatal("want error for a source whose replay differs")
+	first := []bipartite.Edge{
+		{Left: 0, Right: 0}, {Left: 1, Right: 1}, {Left: 2, Right: 2}, {Left: 3, Right: 0},
 	}
-	if !strings.Contains(err.Error(), "changed between passes") {
-		t.Fatalf("unexpected error: %v", err)
+	// Two rounds over 4 × 3 nodes leave every node of a side but one pair
+	// of the right side in a finest group of its own, so moving one
+	// endpoint of one edge changes a row sum or a column sum.
+	for name, replay := range map[string][]bipartite.Edge{
+		"an edge vanishes":               first[:3],
+		"an edge moves to another left":  {{Left: 0, Right: 0}, {Left: 1, Right: 1}, {Left: 2, Right: 2}, {Left: 2, Right: 0}},
+		"an edge moves to another right": {{Left: 0, Right: 0}, {Left: 1, Right: 1}, {Left: 2, Right: 2}, {Left: 3, Right: 1}},
+	} {
+		for _, workers := range []int{1, 3} {
+			_, err := BuildFromEdges(&unstableSource{first: first, replay: replay},
+				Options{Rounds: 2, Bisector: partition.BalancedBisector{}, Workers: workers})
+			if err == nil {
+				t.Fatalf("%s (workers=%d): want error for a source whose replay differs", name, workers)
+			}
+			if !strings.Contains(err.Error(), "source changed between passes") {
+				t.Fatalf("%s (workers=%d): unexpected error: %v", name, workers, err)
+			}
+		}
+	}
+	// The same edges in another order are the same multiset: no error.
+	reordered := []bipartite.Edge{first[3], first[1], first[0], first[2]}
+	if _, err := BuildFromEdges(&unstableSource{first: first, replay: reordered},
+		Options{Rounds: 2, Bisector: partition.BalancedBisector{}}); err != nil {
+		t.Fatalf("a replay in another order was rejected: %v", err)
 	}
 }
 
