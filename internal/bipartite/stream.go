@@ -396,9 +396,9 @@ func (s *BinaryEdgeSource) Reset() error {
 	return nil
 }
 
-// uvarintSlow decodes the varint at win[pos:] when it is not a single
-// byte inside the window. A multi-byte value wholly in view is decoded
-// from the slice. When the window ends inside the varint (or is empty, or
+// uvarintSlow decodes the varint at win[pos:] when it is not one or two
+// bytes inside the window. A longer value wholly in view is decoded from
+// the slice. When the window ends inside the varint (or is empty, or
 // the varint overflows) the reader is handed back at the varint's first
 // byte and binary.ReadUvarint decodes across the refill — so truncation
 // and overflow surface as its io.EOF, io.ErrUnexpectedEOF and overflow
@@ -419,8 +419,9 @@ func (s *BinaryEdgeSource) uvarintSlow() (uint64, error) {
 // varints — per left node its degree, then that many neighbor deltas —
 // decoded out of the reader's buffered bytes: the window is held in
 // locals, a one-byte varint (most degrees, and most deltas of clustered
-// data) costs a compare and a load, and only multi-byte values and
-// window refills leave the loop for uvarintSlow.
+// data) costs a compare and a load, a two-byte one (most gaps between
+// the neighbors of a sparse row) one more of each, and only longer
+// values and window refills leave the loop for uvarintSlow.
 func (s *BinaryEdgeSource) NextChunk(dst []Edge) (int, error) {
 	if len(dst) == 0 {
 		return 0, errZeroChunk
@@ -442,6 +443,9 @@ func (s *BinaryEdgeSource) NextChunk(dst []Edge) (int, error) {
 		if pos < len(win) && win[pos] < 0x80 {
 			v = uint64(win[pos])
 			pos++
+		} else if pos+1 < len(win) && win[pos+1] < 0x80 {
+			v = uint64(win[pos]&0x7f) | uint64(win[pos+1])<<7
+			pos += 2
 		} else {
 			s.pos = pos
 			v, err = s.uvarintSlow()
