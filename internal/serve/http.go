@@ -335,7 +335,9 @@ func (s *httpServer) listDatasets(w http.ResponseWriter, r *http.Request) {
 // The release strategy is selected per dataset with the ?strategy=
 // query parameter (raw uploads, whose body is edge data) or the
 // "strategy" JSON field (path ingest; it wins when both are given).
-// Unknown names fail with 400 "bad-config" before any build work.
+// Unknown names fail with 400 "bad-config" before any build work, and —
+// like a name that is already taken, 409 "dataset-exists" — before a raw
+// upload's body is read.
 func (s *httpServer) ingest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	opts := DatasetOptions{Strategy: r.URL.Query().Get("strategy")}
@@ -369,6 +371,12 @@ func (s *httpServer) ingest(w http.ResponseWriter, r *http.Request) {
 		}
 		f = file
 	} else {
+		// Refuse what needs no edge data — an unknown strategy, a taken
+		// name — before spooling up to MaxUploadBytes of body to disk.
+		if err := s.reg.checkIngest(name, opts); err != nil {
+			writeErr(w, err)
+			return
+		}
 		body := io.Reader(r.Body)
 		if s.opts.MaxUploadBytes > 0 {
 			body = http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)

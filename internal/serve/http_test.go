@@ -294,6 +294,75 @@ func TestHTTPIngestUploadBounded(t *testing.T) {
 	do(t, "POST", srv.URL+"/v1/datasets/big", tsv, "text/tab-separated-values", http.StatusCreated)
 }
 
+// unreadBody is an upload body that fails the test when the server
+// reads it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("ingest read the upload body of a request it could refuse without it")
+	return 0, io.EOF
+}
+
+// TestHTTPIngestRefusesBeforeSpooling: a raw upload to a taken name, to a
+// name whose build is still running, or with an unknown ?strategy= is
+// answered without reading (and so without spooling up to MaxUploadBytes
+// of) its body, with the status, code and message AddDatasetWith gives
+// once the edges are in hand; the refusal reserves nothing.
+func TestHTTPIngestRefusesBeforeSpooling(t *testing.T) {
+	t.Parallel()
+	reg, err := Open(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	h := NewHandler(reg)
+	tsv := testTSV(t)
+	post := func(path string, body io.Reader) (int, map[string]any) {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", path, body))
+		var out map[string]any
+		if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+			t.Fatalf("POST %s: bad JSON: %v\n%s", path, err, rr.Body.Bytes())
+		}
+		return rr.Code, out
+	}
+	if code, out := post("/v1/datasets/taken", bytes.NewReader(tsv)); code != http.StatusCreated {
+		t.Fatalf("first ingest: %d %v", code, out)
+	}
+	reg.mu.Lock()
+	reg.datasets["building"] = nil // a name reserved by an ingest in flight
+	reg.mu.Unlock()
+
+	src := func() bipartite.EdgeSource {
+		src, err := bipartite.NewTSVEdgeSource(bytes.NewReader(tsv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	for _, tc := range []struct {
+		name, query, code string
+		status            int
+	}{
+		{"taken", "", "dataset-exists", http.StatusConflict},
+		{"building", "", "dataset-exists", http.StatusConflict},
+		{"fresh", "?strategy=no-such-strategy", "bad-config", http.StatusBadRequest},
+	} {
+		status, out := post("/v1/datasets/"+tc.name+tc.query, unreadBody{t})
+		if status != tc.status || out["code"] != tc.code {
+			t.Errorf("%s%s: got %d %v, want %d %s", tc.name, tc.query, status, out, tc.status, tc.code)
+		}
+		_, want := reg.AddDatasetWith(tc.name, src(), DatasetOptions{Strategy: strings.TrimPrefix(tc.query, "?strategy=")})
+		if want == nil || out["error"] != want.Error() {
+			t.Errorf("%s%s: message %q, AddDatasetWith says %v", tc.name, tc.query, out["error"], want)
+		}
+	}
+	if code, out := post("/v1/datasets/fresh", bytes.NewReader(tsv)); code != http.StatusCreated {
+		t.Fatalf("ingest after a refusal under the same name: %d %v", code, out)
+	}
+}
+
 // TestHTTPSessionHandleCap: the handle map is bounded — opening past
 // MaxSessions yields 429 until a handle is DELETEd.
 func TestHTTPSessionHandleCap(t *testing.T) {

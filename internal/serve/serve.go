@@ -409,13 +409,9 @@ func (r *Registry) AddDatasetWith(name string, src bipartite.EdgeSource, opts Da
 		return nil, err
 	}
 	r.mu.Lock()
-	if r.closed {
+	if err := r.ingestRefusal(name); err != nil {
 		r.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if _, ok := r.datasets[name]; ok {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDatasetExists, name)
+		return nil, err
 	}
 	r.datasets[name] = nil // reserve the name while the build runs unlocked
 	r.ingests.Add(1)       // under r.mu, so Close cannot start draining between the closed check and here
@@ -431,6 +427,34 @@ func (r *Registry) AddDatasetWith(name string, src bipartite.EdgeSource, opts Da
 	}
 	r.mu.Unlock()
 	return ds, err
+}
+
+// ingestRefusal reports why no dataset called name can be added right
+// now: the registry is closed, or the name is taken — served, or reserved
+// by a build still running. Callers hold r.mu.
+func (r *Registry) ingestRefusal(name string) error {
+	if r.closed {
+		return ErrClosed
+	}
+	if _, ok := r.datasets[name]; ok {
+		return fmt.Errorf("%w: %q", ErrDatasetExists, name)
+	}
+	return nil
+}
+
+// checkIngest answers, without reserving anything, with the refusal
+// AddDatasetWith(name, src, opts) would give whatever src holds: an
+// unknown or unservable strategy, a closed registry, a taken name. It is
+// advisory — the name may be taken a moment later, and AddDatasetWith's
+// own check under the write lock stays the authority — and exists so a
+// front end can refuse a request before it accepts the upload.
+func (r *Registry) checkIngest(name string, opts DatasetOptions) error {
+	if _, err := r.datasetStrategy(opts); err != nil {
+		return err
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.ingestRefusal(name)
 }
 
 // phase1Label is the audit label of the ingest-time specialization
