@@ -74,7 +74,7 @@ func parseArgs(args []string) (cfg repro.ServeConfig, hopts repro.ServeHandlerOp
 		strategy   = fs.String("strategy", "", "release strategy for ingested datasets (empty = "+repro.DefaultReleaseStrategy+"; per-dataset override via ingest ?strategy=); one of: "+strings.Join(repro.ReleaseStrategyNames(), ", "))
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "ingest build parallelism")
 		relWorkers = fs.Int("release-workers", 1, "per-query noise-pass parallelism (responses are bit-identical for any value; >1 trades cores per query for single-query latency on large levels)")
-		lanes      = fs.Int("lanes", 2, "concurrent ingest lanes (each retains a hierarchy builder)")
+		lanes      = fs.Int("lanes", 2, "concurrent ingest lanes: how many dataset builds may run at once")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060; empty = disabled)")
 		pathIngest = fs.Bool("allow-path-ingest", false, "allow HTTP clients to ingest server-side files via JSON {\"path\": ...} (file-read oracle on open listeners; uploads are always allowed)")
 		maxUpload  = fs.Int64("max-upload-bytes", 0, "cap on one ingest upload body spooled to temp disk (0 = 1 GiB default, negative = unlimited)")

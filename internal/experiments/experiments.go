@@ -161,8 +161,8 @@ func levelsFor(r int) []int {
 // buildTrialTree generates Phase 1 once for a trial: a private
 // exponential-mechanism hierarchy when phase1Eps > 0, else the balanced
 // baseline. workers parallelizes the build without changing its output.
-// b retains scratch across the caller's builds (one Builder per trial
-// lane, or one shared Builder in a serial sweep).
+// b is the caller's build handle (one Builder per trial lane, or one
+// shared Builder in a serial sweep).
 func buildTrialTree(b *hierarchy.Builder, g *bipartite.Graph, rnds int, phase1Eps float64, workers int, src *rng.Source) (*hierarchy.Tree, error) {
 	var bis partition.Bisector
 	if phase1Eps > 0 {

@@ -78,8 +78,8 @@ func numTrialWorkers(workers, trials int) int {
 	return workers
 }
 
-// trialBuilders allocates one retained hierarchy.Builder per lane; the
-// caller defers close.
+// trialBuilders allocates one hierarchy.Builder per lane; the caller
+// defers close.
 func trialBuilders(lanes int) []*hierarchy.Builder {
 	out := make([]*hierarchy.Builder, lanes)
 	for i := range out {

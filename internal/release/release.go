@@ -229,13 +229,11 @@ func WithBisector(b partition.Bisector) Option {
 	}
 }
 
-// WithBuilder runs Phase 1 through a caller-provided hierarchy.Builder,
-// whose scratch buffers and worker pool then persist across Run calls
-// (and across pipelines sharing the Builder). The caller owns the
-// Builder's lifecycle — the pipeline never closes it — and must not use
-// one Builder from concurrent Runs. Without this option each Run builds
-// through a throwaway Builder, which is correct but pays per-build
-// allocation; repeated-trial experiments pass one Builder per worker.
+// WithBuilder runs Phase 1 through a caller-provided hierarchy.Builder.
+// The caller owns the Builder's lifecycle — the pipeline never closes it.
+// A Builder keeps nothing between builds, so the option changes no
+// output and no cost; without it each Run builds through a throwaway
+// Builder.
 func WithBuilder(b *hierarchy.Builder) Option {
 	return func(c *config) error {
 		if b == nil {

@@ -6,8 +6,9 @@
 // bipartite.EdgeSource through the streamed two-pass
 // hierarchy.BuildFromEdges, so the process never holds an O(E) graph per
 // dataset — only the built Tree (degrees, permutations, cell matrices).
-// Ingest runs on a bounded set of lanes, each retaining one
-// hierarchy.Builder so repeated ingests reuse scratch and worker pools.
+// Ingest runs on a bounded set of lanes. A lane is an admission slot:
+// it bounds how many builds run at once and holds no memory between
+// them (a hierarchy.Builder keeps nothing of a finished build).
 //
 // Every dataset carries one accountant.Ledger with the dataset's total
 // (ε, δ) budget. Every query debits the ledger BEFORE any noise is
@@ -142,8 +143,9 @@ type Config struct {
 	// on large levels; under high query concurrency 1 (the default)
 	// usually wins because concurrent sessions already fill the machine.
 	ReleaseWorkers int
-	// IngestLanes bounds concurrent dataset builds; each lane retains
-	// one hierarchy.Builder across ingests (default 1).
+	// IngestLanes bounds concurrent dataset builds (default 1). A lane
+	// is an admission slot and costs nothing while idle; each build in
+	// flight holds O(chunk + sides + 4^Rounds) of memory.
 	IngestLanes int
 	// LedgerDir enables crash-correct privacy accounting: each dataset's
 	// ledger becomes an accountant.DurableLedger backed by an
@@ -331,10 +333,10 @@ func Open(cfg Config) (*Registry, error) {
 // Config returns the registry's resolved configuration.
 func (r *Registry) Config() Config { return r.cfg }
 
-// Close releases the ingest lanes' worker pools (waiting for in-flight
-// ingests to return their Builders) and flushes and closes every
-// dataset's durable ledger WAL — the graceful-shutdown path that makes
-// "every admitted spend is on disk" hold even under FsyncInterval/Off.
+// Close waits for in-flight ingests to return their lanes, then flushes
+// and closes every dataset's durable ledger WAL — the graceful-shutdown
+// path that makes "every admitted spend is on disk" hold even under
+// FsyncInterval/Off.
 // Further AddDataset calls fail with ErrClosed. Datasets with in-memory
 // ledgers stay queryable; durable datasets fail closed on their next
 // spend (their WAL is gone — admitting unlogged ops would violate the
@@ -387,11 +389,10 @@ type DatasetOptions struct {
 
 // AddDataset cold-starts a named dataset from an edge stream under the
 // registry's configured strategy: the two-pass streamed build runs on
-// one ingest lane's retained Builder, and the dataset's ledger is
-// opened with the configured budget (minus the phase-1 specialization
-// cost when Phase1Epsilon > 0, debited before the build draws a single
-// cut). The source's edges are never materialized — peak ingest memory
-// is O(chunk + sides + 4^Rounds).
+// one ingest lane, and the dataset's ledger is opened with the configured
+// budget (minus the phase-1 specialization cost when Phase1Epsilon > 0,
+// debited before the build draws a single cut). The source's edges are
+// never materialized — peak ingest memory is O(chunk + sides + 4^Rounds).
 func (r *Registry) AddDataset(name string, src bipartite.EdgeSource) (*Dataset, error) {
 	return r.AddDatasetWith(name, src, DatasetOptions{})
 }
