@@ -387,31 +387,42 @@ func TestExpMechBisectorMatchesSelectLSE(t *testing.T) {
 
 var cutSink int
 
-// BenchmarkExpMechBisect times one private cut over the prefix-sum view
-// of a 700 k-node side in bisector order (descending heavy-tailed
-// weights) at the serving default ε 0.1 — the unit of work Phase 1
-// repeats once per range per round.
+// BenchmarkExpMechBisect times one private cut at the serving default
+// ε 0.1 over prefix-sum views of a 700 k-node side in bisector order
+// (descending Zipf-1 weights, ~28 M total) — the unit of work Phase 1
+// repeats once per range per round. "side" is the whole side, the first
+// round's cut: the crossing sits among weights in the thousands, so the
+// live window is a handful of candidates and the cost is the binary
+// searches. "tail" is a 64 k-node range of the flat tail, a window of the
+// same array as deep rounds see it: weights of 5 keep a few thousand
+// candidates alive, and the cost is their math.Exp calls.
 func BenchmarkExpMechBisect(b *testing.B) {
 	const n = 700_000
 	weights := make([]int64, n)
 	for i := range weights {
-		weights[i] = int64(2_000_000 / (i + 1)) // Zipf-1 profile: ~2.8 M total
+		weights[i] = int64(2_000_000 / (i + 1))
 	}
 	prefix := prefixView(b, weights, 0)
-	bis, err := NewExpMechBisector(0.1, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
+	for _, view := range []struct {
+		name   string
+		prefix []int64
+	}{{"side", prefix}, {"tail", prefix[n/2 : n/2+1<<16+1]}} {
+		b.Run(view.name, func(b *testing.B) {
+			bis, err := NewExpMechBisector(0.1, rng.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cut, err := bis.Bisect(view.prefix)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cutSink = cut
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cut, err := bis.Bisect(prefix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cutSink = cut
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
 }
 
 // The full-vector reference. Every cut the package samples is held to the
