@@ -79,7 +79,8 @@ func (m *Exponential) Select(utilities []float64) (int, error) {
 // single uniform, and the window's probabilities equal SelectLSE's bit
 // for bit (cross-checked in tests). On heavy-tailed sides most cuts sit
 // thousands of units below the best one, so a call costs O(log n + window)
-// where the full vector costs O(n).
+// where the full vector costs O(n), and math.Exp runs once per distinct
+// consecutive utility in the window.
 //
 // The window's probability vector is written to scratch, which grows as
 // needed and is returned for reuse. A NaN among the utilities the call
@@ -102,18 +103,27 @@ func (m *Exponential) SelectFast(n, peak int, utility func(i int) float64, scrat
 	zero := func(i int) bool { return float64(scale*utility(i))-maxScore < expZeroBelow }
 	first := sort.Search(peak, func(i int) bool { return !zero(i) })
 	last := peak + sort.Search(n-1-peak, func(i int) bool { return zero(peak + 1 + i) })
-	if cap(scratch) < last-first+1 {
-		scratch = make([]float64, last-first+1)
+	window := last - first + 1
+	if cap(scratch) < window {
+		// Doubled, up to the domain: a later call's window can be wider,
+		// and a reused scratch should settle after a few growths.
+		scratch = make([]float64, min(2*window, n))
 	}
-	probs := scratch[:last-first+1]
+	probs := scratch[:window]
 	var norm float64
+	// A run of equal utilities — zero-weight items between two cuts —
+	// shares one math.Exp call: the same argument gives the same bits.
+	prevD, prevP := math.NaN(), 0.0
 	for i := range probs {
 		u := utility(first + i)
 		if math.IsNaN(u) {
 			return 0, scratch, fmt.Errorf("dp: utility %d is NaN", first+i)
 		}
-		probs[i] = math.Exp(float64(scale*u) - maxScore)
-		norm += probs[i]
+		if d := float64(scale*u) - maxScore; d != prevD {
+			prevD, prevP = d, math.Exp(d)
+		}
+		probs[i] = prevP
+		norm += prevP
 	}
 	for i := range probs {
 		probs[i] /= norm

@@ -295,40 +295,45 @@ func (t *Tree) specialize(opts Options) error {
 	return nil
 }
 
-// newSideTree returns the unsplit side over the given per-node degrees,
-// in node order.
+// newSideTree returns the unsplit side over the given per-node degrees.
+// Its permutation is unset until orderSides arranges it.
 func newSideTree(deg []int64) sideTree {
 	n := len(deg)
-	st := sideTree{
+	return sideTree{
 		perm:   make([]int32, n),
 		pos:    make([]int32, n),
 		deg:    deg,
 		bounds: [][]int32{{0, int32(n)}},
 	}
-	for i := range st.perm {
-		st.perm[i] = int32(i)
-	}
-	return st
 }
 
 // orderSides arranges both permutations in bisector order. The order is
 // static and total, so this one arrangement serves every round: each
 // deeper range is a contiguous span of an ordered span.
 func (t *Tree) orderSides(opts Options) error {
-	if keys := opts.Keys; keys != nil {
+	switch keys := opts.Keys; {
+	case keys != nil:
 		if err := t.left.sortByKeys(keys.Left); err != nil {
 			return fmt.Errorf("left side: %w", err)
 		}
 		if err := t.right.sortByKeys(keys.Right); err != nil {
 			return fmt.Errorf("right side: %w", err)
 		}
-		return nil
-	}
-	if opts.Order == OrderWeightDesc {
+	case opts.Order == OrderWeightDesc:
 		t.left.sortByDegree(t.stats.MaxLeftDegree)
 		t.right.sortByDegree(t.stats.MaxRightDegree)
+	default: // OrderNatural
+		t.left.sortByNode()
+		t.right.sortByNode()
 	}
-	return nil // OrderNatural is the identity the sides start in
+	return nil
+}
+
+// sortByNode arranges perm in node order, the identity (OrderNatural).
+func (st *sideTree) sortByNode() {
+	for i := range st.perm {
+		st.perm[i] = int32(i)
+	}
 }
 
 // sortByKeys arranges perm by key ascending, node id breaking ties
@@ -337,23 +342,25 @@ func (st *sideTree) sortByKeys(keys []uint64) error {
 	if len(keys) != len(st.perm) {
 		return fmt.Errorf("%w: got %d keys for a %d-node side", ErrBadKeys, len(keys), len(st.perm))
 	}
+	st.sortByNode()
 	slices.SortFunc(st.perm, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
 	})
 	return nil
 }
 
-// sortByDegree arranges perm by degree descending, node id breaking ties:
-// a stable LSD counting sort of the node ids on the 16-bit digits of
-// maxDeg − deg, where maxDeg is the side's largest degree (the dataset
-// summary has it). The side starts as the identity permutation, so
-// stability alone leaves equal degrees in node order and no digit is spent
-// on the ids; a side whose largest degree is under 2^16 — any realistic
-// one — takes a single pass over a histogram of maxDeg+1 counters. pos is
-// the ping-pong buffer: it holds no information until index fills it.
+// sortByDegree arranges perm by degree descending, node id breaking ties
+// (OrderWeightDesc): a stable LSD counting sort of the node ids on the
+// 16-bit digits of maxDeg − deg, where maxDeg is the side's largest degree
+// (the dataset summary has it). The first pass scatters the nodes in id
+// order straight off the degree array, so stability alone leaves equal
+// degrees in node order and no digit is spent on the ids; a side whose
+// largest degree is under 2^16 — any realistic one — takes that single
+// pass, over a histogram of maxDeg+1 counters. Further passes ping-pong
+// between perm and pos, which holds no information until index fills it.
 func (st *sideTree) sortByDegree(maxDeg int64) {
-	src, dst := st.perm, st.pos
-	for shift := 0; maxDeg>>shift > 0; shift += 16 {
+	src, dst := st.pos, st.perm
+	for shift := 0; shift == 0 || maxDeg>>shift > 0; shift += 16 {
 		counts := make([]int32, min(maxDeg>>shift, 0xffff)+1)
 		for _, d := range st.deg {
 			counts[(maxDeg-d)>>shift&0xffff]++
@@ -362,10 +369,18 @@ func (st *sideTree) sortByDegree(maxDeg int64) {
 		for digit, c := range counts {
 			counts[digit], sum = sum, sum+c
 		}
-		for _, node := range src {
-			digit := (maxDeg - st.deg[node]) >> shift & 0xffff
-			dst[counts[digit]] = node
-			counts[digit]++
+		if shift == 0 {
+			for node, d := range st.deg {
+				digit := (maxDeg - d) & 0xffff
+				dst[counts[digit]] = int32(node)
+				counts[digit]++
+			}
+		} else {
+			for _, node := range src {
+				digit := (maxDeg - st.deg[node]) >> shift & 0xffff
+				dst[counts[digit]] = node
+				counts[digit]++
+			}
 		}
 		src, dst = dst, src
 	}
