@@ -93,9 +93,10 @@ func (m *Exponential) SelectFast(n, peak int, utility func(i int) float64, scrat
 		return 0, scratch, fmt.Errorf("dp: peak %d outside the domain [0,%d)", peak, n)
 	}
 	scale := m.epsilon / (2 * m.utilitySens)
-	maxScore := scale * utility(peak)
+	best := utility(peak)
+	maxScore := scale * best
 	if math.IsNaN(maxScore) || math.IsInf(maxScore, 0) {
-		return 0, scratch, fmt.Errorf("dp: utility %d, the peak, is %v", peak, utility(peak))
+		return 0, scratch, fmt.Errorf("dp: utility %d, the peak, is %v", peak, best)
 	}
 	// The conversion rounds the product before the subtraction:
 	// Probabilities stores its scores, and a fused multiply-subtract here
@@ -145,8 +146,9 @@ func (m *Exponential) SelectFast(n, peak int, utility func(i int) float64, scrat
 // on every Go target: e^-750 ≈ 10^-325.7 is below half the smallest
 // denormal float64 (2^-1075 ≈ 10^-323.6), so it rounds to zero, and both
 // the portable math.Exp and the assembly versions return 0 outright for
-// arguments under ≈ −745.13. A NaN difference compares false and still
-// goes through math.Exp.
+// arguments under ≈ −745.13. A NaN difference compares false, so a NaN
+// utility is never taken for a zero: it stays inside the window, where
+// the fill rejects it.
 const expZeroBelow = -750
 
 // SelectLSE samples the same distribution by explicit inverse-CDF over

@@ -279,7 +279,7 @@ func (t *Tree) specialize(opts Options) error {
 		private = pc.Private()
 	}
 	for d := 0; d < opts.Rounds; d++ {
-		for _, side := range []struct {
+		for _, side := range [...]struct {
 			name string
 			st   *sideTree
 		}{{"left", &t.left}, {"right", &t.right}} {
@@ -311,12 +311,12 @@ func newSideTree(deg []int64) sideTree {
 // static and total, so this one arrangement serves every round: each
 // deeper range is a contiguous span of an ordered span.
 func (t *Tree) orderSides(opts Options) error {
-	switch keys := opts.Keys; {
-	case keys != nil:
-		if err := t.left.sortByKeys(keys.Left); err != nil {
+	switch {
+	case opts.Keys != nil:
+		if err := t.left.sortByKeys(opts.Keys.Left); err != nil {
 			return fmt.Errorf("left side: %w", err)
 		}
-		if err := t.right.sortByKeys(keys.Right); err != nil {
+		if err := t.right.sortByKeys(opts.Keys.Right); err != nil {
 			return fmt.Errorf("right side: %w", err)
 		}
 	case opts.Order == OrderWeightDesc:
