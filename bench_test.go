@@ -1,4 +1,5 @@
-// Benchmarks regenerating every figure and ablation in DESIGN.md §5.
+// Benchmarks regenerating every figure and ablation of
+// internal/experiments (Figure 1, A1–A6).
 //
 // Each benchmark runs the corresponding experiment end to end (Phase 1
 // specialization + Phase 2 noise injection + metric assembly) on the
@@ -240,8 +241,8 @@ func releaseCellsTree(b *testing.B) *hierarchy.Tree {
 // 5,734,665 ns/op and 2 allocs/op on this setup; the scalar-ziggurat
 // engine path of PR 2 measured ~1.7 ms, and the blocked 512-layer fill
 // holds it near ~1.1 ms — the engine path must stay ≥4× faster than the
-// polar loop and allocation-free (CI diffs the BENCH_phase2.json record
-// against bench/baseline via cmd/benchdiff).
+// polar loop and allocation-free (the gated record of the same kernel
+// is the fine_kernel workload of benchmark/, release.cells_us.l0).
 func BenchmarkReleaseCells(b *testing.B) {
 	tree := releaseCellsTree(b)
 	src := rng.New(5)

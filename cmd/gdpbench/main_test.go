@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/datagen"
-	"repro/internal/release"
+	"repro/internal/experiments"
 )
 
 func TestRunSingleExperimentQuick(t *testing.T) {
@@ -36,60 +36,6 @@ func TestRunWithCSVOutput(t *testing.T) {
 	}
 	if !strings.Contains(string(blob), ",") {
 		t.Error("CSV content malformed")
-	}
-}
-
-func TestRunWithBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-exp", "adjacency", "-quick", "-workers", "2", "-benchjson", dir}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, "BENCH_adjacency.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		t.Fatalf("bench record is not valid JSON: %v", err)
-	}
-	if rec.Experiment != "adjacency" || !rec.Quick || rec.Workers != 2 {
-		t.Errorf("bench record = %+v", rec)
-	}
-	if rec.WallMS <= 0 {
-		t.Errorf("wall_ms = %v, want > 0", rec.WallMS)
-	}
-	// Single-experiment runs must not pay the Phase-2 sweep.
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_phase2.json")); err == nil {
-		t.Error("phase-2 record written for a single-experiment run")
-	}
-}
-
-func TestPhase2BenchRecord(t *testing.T) {
-	dir := t.TempDir()
-	if err := writePhase2Bench(dir, 1, 2, "all"); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, "BENCH_phase2.json"))
-	if err != nil {
-		t.Fatalf("phase-2 record missing: %v", err)
-	}
-	var p2 phase2Record
-	if err := json.Unmarshal(blob, &p2); err != nil {
-		t.Fatalf("phase-2 record is not valid JSON: %v", err)
-	}
-	if p2.Cells != 1<<18 {
-		t.Errorf("cells = %d, want %d", p2.Cells, 1<<18)
-	}
-	if p2.ReleaseCellsNsPerOp <= 0 || p2.CellsPerSec <= 0 {
-		t.Errorf("release throughput not measured: %+v", p2)
-	}
-	if p2.TrialsSerialMS <= 0 || p2.TrialsParallelMS <= 0 || p2.Workers != 2 {
-		t.Errorf("trial timings not measured: %+v", p2)
-	}
-	for _, name := range release.Strategies.Names() {
-		if ms := p2.StrategyReleaseMS[name]; ms <= 0 {
-			t.Errorf("strategy %s release not timed: %v", name, ms)
-		}
 	}
 }
 
@@ -121,34 +67,17 @@ func writeEdgeFile(t *testing.T, path, format string) {
 
 // TestRunEdgesStreamedIngest drives -edges end to end for both file
 // formats with verification on: the streamed release must match the
-// in-memory path byte for byte, and the BENCH_stream.json record must
-// land with a positive ingest rate.
+// in-memory path byte for byte.
 func TestRunEdgesStreamedIngest(t *testing.T) {
 	for _, format := range []string{"tsv", "binary"} {
 		t.Run(format, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "edges."+format)
+			path := filepath.Join(t.TempDir(), "edges."+format)
 			writeEdgeFile(t, path, format)
 			err := run([]string{
-				"-edges", path, "-rounds", "6", "-workers", "2",
-				"-streamverify", "-benchjson", dir,
+				"-edges", path, "-rounds", "6", "-workers", "2", "-streamverify",
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			blob, err := os.ReadFile(filepath.Join(dir, "BENCH_stream.json"))
-			if err != nil {
-				t.Fatalf("stream record missing: %v", err)
-			}
-			var rec streamRecord
-			if err := json.Unmarshal(blob, &rec); err != nil {
-				t.Fatalf("stream record is not valid JSON: %v", err)
-			}
-			if rec.Format != format || rec.Edges != 2100 || rec.Rounds != 6 || !rec.Verified {
-				t.Errorf("stream record = %+v", rec)
-			}
-			if rec.EdgesSec <= 0 || rec.WallMS <= 0 {
-				t.Errorf("ingest rate not measured: %+v", rec)
 			}
 		})
 	}
@@ -161,8 +90,19 @@ func TestRunEdgesMissingFile(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "bogus"}); err == nil {
-		t.Error("unknown experiment accepted")
+	if err := run([]string{"-exp", "bogus"}); !errors.Is(err, experiments.ErrUnknownExperiment) {
+		t.Errorf("unknown experiment: err = %v", err)
+	}
+	// The retired perf-record flags must fail loudly, so a stale CI line
+	// or recipe cannot silently record nothing.
+	for _, args := range [][]string{
+		{"-exp", "adjacency", "-quick", "-benchjson", "out/"},
+		{"-exp", "adjacency", "-quick", "-strategy", "all"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v): err = %v, want the flag package's unknown-flag error", args, err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 //	gdploadgen -addr 127.0.0.1:8080 -dataset load -qps 200 -duration 10s
 //	gdploadgen -hit-ratio 0.9 -mix marginal=0.7,topk=0.2,level=0.1
-//	gdploadgen -benchjson BENCH_load.json
+//	gdploadgen -benchjson load.json
 //
 // Sessions come in groups pinned to one RNG stream each. Every member
 // of a group replays the same deterministic query sequence, so after a
@@ -22,8 +22,8 @@
 // the miss rate, not the request rate.
 //
 // Latencies land in an HDR-style log-linear histogram (64 sub-buckets
-// per power of two, ≤ ~3% relative error) and the run can emit a
-// BENCH_load.json consumed by cmd/benchdiff.
+// per power of two, ≤ ~3% relative error) and -benchjson writes the
+// run's report as JSON (the CI load smoke asserts on it).
 package main
 
 import (
@@ -136,7 +136,7 @@ func parseArgs(args []string) (config, error) {
 		qps      = fs.Float64("qps", 200, "target request rate (open loop: the schedule never slows down for the server)")
 		duration = fs.Duration("duration", 10*time.Second, "run length")
 		groups   = fs.Int("sessions", 8, "session stream groups (each pins one RNG stream)")
-		hit      = fs.Float64("hit-ratio", 0.5, "target response-cache hit fraction in [0,1); members per group = round(1/(1-h)), capped at 16")
+		hit      = fs.Float64("hit-ratio", 0.5, "target response-cache hit fraction in [0,1]; members per group = round(1/(1-h)), capped at 16")
 		mixFlag  = fs.String("mix", "marginal=0.7,topk=0.2,level=0.1", "query-kind weights")
 		levelMax = fs.Int("level-max", 3, "queries draw levels in [1, level-max]")
 		kMax     = fs.Int("k-max", 8, "top-k queries draw k in [1, k-max]")
@@ -159,6 +159,9 @@ func parseArgs(args []string) (config, error) {
 	cfg.base = strings.TrimRight(cfg.base, "/")
 	if cfg.qps <= 0 || math.IsInf(cfg.qps, 0) || math.IsNaN(cfg.qps) {
 		return config{}, fmt.Errorf("bad -qps %v", cfg.qps)
+	}
+	if cfg.qps > 1e6 {
+		return config{}, fmt.Errorf("bad -qps %v: the tick interval would be under 1µs", cfg.qps)
 	}
 	if cfg.duration <= 0 {
 		return config{}, fmt.Errorf("bad -duration %v", cfg.duration)
@@ -291,9 +294,8 @@ func (h *hdrHist) percentile(q float64) uint64 {
 	return h.max.Load()
 }
 
-// loadReport is the BENCH_load.json shape; cmd/benchdiff gates
-// achieved_qps and the CPU-stamp fields let it skip cross-machine
-// comparisons.
+// loadReport is the -benchjson report; the CPU-stamp fields say which
+// machine the latencies belong to.
 type loadReport struct {
 	Bench       string  `json:"bench"`
 	Dataset     string  `json:"dataset"`
@@ -318,14 +320,22 @@ type loadReport struct {
 	UnixMS      int64   `json:"unix_ms"`
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	cfg, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
 	client := &http.Client{Timeout: cfg.timeout}
 
+	// Handles count against the server's open-session cap until they are
+	// deleted, so every one this run opened — also when opening stopped
+	// part-way — is closed before it returns.
 	members, err := openSessions(client, &cfg)
+	defer func() {
+		if cerr := closeSessions(client, &cfg, members); err == nil {
+			err = cerr
+		}
+	}()
 	if err != nil {
 		return err
 	}
@@ -341,12 +351,13 @@ func run(args []string, out io.Writer) error {
 		ready <- m
 	}
 
-	interval := time.Duration(float64(time.Second) / cfg.qps)
 	start := time.Now()
 	deadline := start.Add(cfg.duration)
 	var wg sync.WaitGroup
 	for n := 0; ; n++ {
-		scheduled := start.Add(time.Duration(n) * interval)
+		// From n, not from a running sum of a truncated interval: the
+		// rounding error stays under a nanosecond however long the run.
+		scheduled := start.Add(time.Duration(float64(n) / cfg.qps * 1e9))
 		if scheduled.After(deadline) {
 			break
 		}
@@ -429,7 +440,8 @@ func run(args []string, out io.Writer) error {
 
 // openSessions opens groups × membersPerGroup session handles; all
 // members of group g pin stream streamBase + g and seed identical query
-// sources.
+// sources. On failure it returns the handles opened so far with the
+// error.
 func openSessions(client *http.Client, cfg *config) ([]*member, error) {
 	d := membersPerGroup(cfg.hitRatio)
 	members := make([]*member, 0, cfg.groups*d)
@@ -438,14 +450,14 @@ func openSessions(client *http.Client, cfg *config) ([]*member, error) {
 		for i := 0; i < d; i++ {
 			body, err := json.Marshal(map[string]uint64{"stream": stream})
 			if err != nil {
-				return nil, err
+				return members, err
 			}
 			var resp struct {
 				Session uint64 `json:"session"`
 			}
 			err = postJSON(client, fmt.Sprintf("%s/v1/datasets/%s/sessions", cfg.base, cfg.dataset), body, &resp)
 			if err != nil {
-				return nil, fmt.Errorf("opening session (group %d member %d): %w", g, i, err)
+				return members, fmt.Errorf("opening session (group %d member %d): %w", g, i, err)
 			}
 			members = append(members, &member{
 				session: resp.Session,
@@ -454,6 +466,23 @@ func openSessions(client *http.Client, cfg *config) ([]*member, error) {
 		}
 	}
 	return members, nil
+}
+
+// closeSessions deletes every handle in members and returns the first
+// failure, after trying them all.
+func closeSessions(client *http.Client, cfg *config, members []*member) error {
+	var first error
+	for _, m := range members {
+		url := fmt.Sprintf("%s/v1/sessions/%d", cfg.base, m.session)
+		req, err := http.NewRequest(http.MethodDelete, url, nil)
+		if err == nil {
+			err = doJSON(client, req, nil)
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("closing session %d: %w", m.session, err)
+		}
+	}
+	return first
 }
 
 // fire issues one query and checks for HTTP success.
@@ -486,14 +515,24 @@ func mustJSON(v any) []byte {
 // non-nil); non-2xx statuses are errors carrying the server's error
 // body.
 func postJSON(client *http.Client, url string, body []byte, dst any) error {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return doJSON(client, req, dst)
+}
+
+// doJSON sends req under postJSON's response rules.
+func doJSON(client *http.Client, req *http.Request, dst any) error {
+	resp, err := client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(blob)))
+		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) // best effort: the status is the error
+		return fmt.Errorf("%s: %s: %s", req.URL, resp.Status, strings.TrimSpace(string(blob)))
 	}
 	if dst == nil {
 		_, err := io.Copy(io.Discard, resp.Body)

@@ -74,8 +74,10 @@ func TestHdrHist(t *testing.T) {
 
 // TestLoadRunEndToEnd stands up an in-process server, runs a short
 // fixed-QPS open-loop pass and checks the run completes with zero
-// errors, writes BENCH_load.json, and that the replay scheme produced
-// server-side cache hits.
+// errors, writes its JSON report, and that the replay scheme produced
+// server-side cache hits. The server admits exactly the 2 × 4 session
+// handles one run opens, and the run goes twice: the second can only
+// open its sessions if the first closed every one of its own.
 func TestLoadRunEndToEnd(t *testing.T) {
 	g, err := repro.GenerateDataset(repro.PresetDBLPTiny, 3)
 	if err != nil {
@@ -94,37 +96,40 @@ func TestLoadRunEndToEnd(t *testing.T) {
 	if _, err := reg.AddDataset("load", repro.NewGraphEdgeSource(g)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(repro.NewServeHandler(reg))
+	srv := httptest.NewServer(repro.NewServeHandlerWith(reg, repro.ServeHandlerOptions{MaxSessions: 8}))
 	defer srv.Close()
 
-	benchPath := filepath.Join(t.TempDir(), "BENCH_load.json")
+	benchPath := filepath.Join(t.TempDir(), "load.json")
 	var out bytes.Buffer
-	err = run([]string{
-		"-addr", srv.URL,
-		"-dataset", "load",
-		"-qps", "50",
-		"-duration", "2s",
-		"-sessions", "2",
-		"-hit-ratio", "0.75",
-		"-level-max", "3",
-		"-seed", "9",
-		"-benchjson", benchPath,
-		"-timeout", "10s",
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-
-	blob, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rep loadReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("errors = %d, want 0\n%s", rep.Errors, out.String())
+	for i := 0; i < 2; i++ {
+		out.Reset()
+		err = run([]string{
+			"-addr", srv.URL,
+			"-dataset", "load",
+			"-qps", "50",
+			"-duration", "2s",
+			"-sessions", "2",
+			"-hit-ratio", "0.75",
+			"-level-max", "3",
+			"-seed", "9",
+			"-benchjson", benchPath,
+			"-timeout", "10s",
+		}, &out)
+		if err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, out.String())
+		}
+
+		blob, err := os.ReadFile(benchPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(blob, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 {
+			t.Errorf("run %d: errors = %d, want 0\n%s", i, rep.Errors, out.String())
+		}
 	}
 	if rep.Requests == 0 {
 		t.Fatal("no requests completed")
@@ -152,6 +157,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-qps", "0"},
 		{"-qps", "-5"},
+		{"-qps", "2e9"},
 		{"-duration", "0s"},
 		{"-sessions", "0"},
 		{"-hit-ratio", "1.5"},

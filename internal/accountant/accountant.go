@@ -4,7 +4,7 @@
 // The paper's multi-level release runs one specialization phase and one
 // noise-injection phase per group level; whether those consume independent
 // budgets (the paper's per-level reading) or compose into one global εg is
-// an evaluation knob (ablation A1 in DESIGN.md). The Ledger gives every
+// an evaluation knob (gdpbench's ablation A1). The Ledger gives every
 // pipeline run an auditable record of what was spent where, and refuses
 // operations that would exceed the configured total.
 //

@@ -15,7 +15,7 @@ import (
 // <article>, <inproceedings> etc. containing <author> children and a key
 // attribute — so the pipeline can run on the real dataset when it is
 // available. The synthetic generator in internal/datagen is the default
-// substitute (see DESIGN.md §3).
+// substitute (see its package comment).
 //
 // Parsing is streaming: memory is proportional to the output graph, not
 // the XML text. Entity definitions beyond XML's builtin five are mapped

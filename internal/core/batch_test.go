@@ -101,10 +101,10 @@ func TestReleaseCellsNoiseDistribution(t *testing.T) {
 	}
 }
 
-// TestReleaseCellsIntoReusesBuffer checks the engine contract: a dst
+// TestReleaseCellsReusesDst checks the engine contract: a dst
 // passed back in keeps its Counts array when capacity suffices, and the
 // release equals one into a fresh dst drawn from an identical stream.
-func TestReleaseCellsIntoReusesBuffer(t *testing.T) {
+func TestReleaseCellsReusesDst(t *testing.T) {
 	t.Parallel()
 	tree := deepTree(t, 4)
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
@@ -186,9 +186,9 @@ func TestCellReleaseJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReleaseCellsSigmaIntoMatchesFresh mirrors the reuse test for the
+// TestReleaseCellsExternalSigmaMatchesFresh mirrors the reuse test for the
 // externally calibrated path.
-func TestReleaseCellsSigmaIntoMatchesFresh(t *testing.T) {
+func TestReleaseCellsExternalSigmaMatchesFresh(t *testing.T) {
 	t.Parallel()
 	tree := deepTree(t, 4)
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}

@@ -14,7 +14,7 @@
 // Laplace) mechanism to sensitivity Δℓ = max group size at level ℓ yields
 // εg-group DP at that level. This package computes those sensitivities
 // from a hierarchy.Tree under two group semantics (cells and node groups,
-// DESIGN.md §2), calibrates the paper's Phase-2 Gaussian noise, and
+// see GroupModel), calibrates the paper's Phase-2 Gaussian noise, and
 // produces single-level and multi-level releases.
 package core
 

@@ -19,10 +19,10 @@ func TestNoiseMechanismStrings(t *testing.T) {
 	}
 }
 
-// TestReleaseCountWithGaussianMatchesDefault pins the Gaussian count to
+// TestReleaseCountGaussianIsCountPlusDraw pins the Gaussian count to
 // its definition: the true count plus one ziggurat draw at the
 // calibrated σ, labelled gaussian.
-func TestReleaseCountWithGaussianMatchesDefault(t *testing.T) {
+func TestReleaseCountGaussianIsCountPlusDraw(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}

@@ -3,13 +3,13 @@
 //
 // The paper evaluates on the real DBLP dump (1,295,100 authors; 2,281,341
 // papers; 6,384,117 author-paper associations), which this repository
-// cannot ship. Per DESIGN.md §3 the generator substitutes a Zipf-degree
-// bipartite graph matched to DBLP's published shape: the experiment's
-// behaviour depends only on the total record count and the per-level
-// maximum cell size produced by specialization on a heavy-tailed graph,
-// both of which the generator preserves. Presets exist for the paper's
-// full scale, a laptop-friendly 1/20 scale used by default, and the
-// intro's motivating scenarios (pharmacy purchases, movie ratings).
+// cannot ship. The generator substitutes a Zipf-degree bipartite graph
+// matched to DBLP's published shape: the experiment's behaviour depends
+// only on the total record count and the per-level maximum cell size
+// produced by specialization on a heavy-tailed graph, both of which the
+// generator preserves. Presets exist for the paper's full scale, a
+// laptop-friendly 1/20 scale used by default, and the intro's motivating
+// scenarios (pharmacy purchases, movie ratings).
 package datagen
 
 import (

@@ -40,18 +40,16 @@ func RunBudgetSplit(opts Options) (*Report, error) {
 	}
 
 	// One job per (mode, trial) pair; every pipeline is independently
-	// seeded, so jobs fan out across lanes (each lane reusing one
-	// hierarchy.Builder) and the per-mode means reduce in trial order —
-	// bit-identical to the serial nesting for any worker count.
+	// seeded, so jobs fan out across lanes and the per-mode means reduce
+	// in trial order — bit-identical to the serial nesting for any worker
+	// count.
 	jobs := len(modes) * trials
 	perTrialRER := make([][][]float64, len(modes))
 	for mi := range perTrialRER {
 		perTrialRER[mi] = make([][]float64, trials)
 	}
-	builders := trialBuilders(numTrialWorkers(opts.Workers, jobs))
-	defer closeBuilders(builders)
 	buildWorkers := buildWorkersFor(opts.Workers, jobs)
-	err = runTrials(opts.Workers, jobs, func(worker, job int) error {
+	err = runTrials(opts.Workers, jobs, func(_, job int) error {
 		mi, trial := job/trials, job%trials
 		p, err := release.New(budget,
 			release.WithRounds(r),
@@ -60,7 +58,6 @@ func RunBudgetSplit(opts Options) (*Report, error) {
 			release.WithSeed(opts.Seed+uint64(trial)*7919),
 			release.WithPhase1Epsilon(0.1),
 			release.WithWorkers(buildWorkers),
-			release.WithBuilder(builders[worker]),
 		)
 		if err != nil {
 			return err
@@ -224,9 +221,6 @@ func RunPartitioner(opts Options) (*Report, error) {
 		{name: "midpoint", bis: partition.MidpointBisector{}},
 	}
 
-	builder := hierarchy.NewBuilder()
-	defer builder.Close()
-
 	p := dp.Params{Epsilon: 0.999, Delta: 1e-5}
 	skewTable := metrics.Table{
 		Title:   "A3 — cell skew by bisector (max cell / balanced cell)",
@@ -243,7 +237,7 @@ func RunPartitioner(opts Options) (*Report, error) {
 	for ei, e := range entries {
 		skewTable.Headers = append(skewTable.Headers, e.name)
 		rerTable.Headers = append(rerTable.Headers, e.name)
-		tree, err := builder.Build(g, hierarchy.Options{Rounds: r, Bisector: e.bis, Workers: opts.Workers})
+		tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: r, Bisector: e.bis, Workers: opts.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: partitioner %s: %w", e.name, err)
 		}
@@ -409,8 +403,6 @@ func RunScale(opts Options) (*Report, error) {
 		Headers: []string{"edges", "gen ms", "phase1 ms", "phase2 ms", "edges/s (phase1)"},
 	}
 	speed := metrics.Series{Name: "phase1 edges/s"}
-	builder := hierarchy.NewBuilder()
-	defer builder.Close()
 	for _, edges := range sizes {
 		cfg := datagen.Config{
 			Name:    fmt.Sprintf("scale-%d", edges),
@@ -425,7 +417,7 @@ func RunScale(opts Options) (*Report, error) {
 		genMS := time.Since(t0).Seconds() * 1000
 
 		t1 := time.Now()
-		tree, err := buildTrialTree(builder, g, r, 0.1, opts.Workers, rng.New(opts.Seed+uint64(edges)+1))
+		tree, err := buildTrialTree(g, r, 0.1, opts.Workers, rng.New(opts.Seed+uint64(edges)+1))
 		if err != nil {
 			return nil, err
 		}

@@ -1,5 +1,5 @@
 // Package experiments regenerates the paper's evaluation (Figure 1) and
-// the ablations listed in DESIGN.md §5 (A1–A6). Every experiment is a
+// the ablations A1–A6 (ablations.go). Every experiment is a
 // named Runner producing a Report of tables, series and ASCII figures;
 // cmd/gdpbench and the repository benchmarks drive this registry.
 package experiments
@@ -94,7 +94,7 @@ type Runner func(Options) (*Report, error)
 var ErrUnknownExperiment = errors.New("experiments: unknown experiment")
 
 // registry maps experiment names to runners. Populated in init-free style
-// via the literal below; keys match DESIGN.md §5.
+// via the literal below; keys are the names gdpbench -exp takes.
 var registry = map[string]Runner{
 	"figure1":      RunFigure1Registry,
 	"budget-split": RunBudgetSplit,
@@ -161,9 +161,7 @@ func levelsFor(r int) []int {
 // buildTrialTree generates Phase 1 once for a trial: a private
 // exponential-mechanism hierarchy when phase1Eps > 0, else the balanced
 // baseline. workers parallelizes the build without changing its output.
-// b is the caller's build handle (one Builder per trial lane, or one
-// shared Builder in a serial sweep).
-func buildTrialTree(b *hierarchy.Builder, g *bipartite.Graph, rnds int, phase1Eps float64, workers int, src *rng.Source) (*hierarchy.Tree, error) {
+func buildTrialTree(g *bipartite.Graph, rnds int, phase1Eps float64, workers int, src *rng.Source) (*hierarchy.Tree, error) {
 	var bis partition.Bisector
 	if phase1Eps > 0 {
 		eb, err := partition.NewExpMechBisector(phase1Eps, src)
@@ -174,14 +172,14 @@ func buildTrialTree(b *hierarchy.Builder, g *bipartite.Graph, rnds int, phase1Ep
 	} else {
 		bis = partition.BalancedBisector{}
 	}
-	return b.Build(g, hierarchy.Options{Rounds: rnds, Bisector: bis, Workers: workers})
+	return hierarchy.Build(g, hierarchy.Options{Rounds: rnds, Bisector: bis, Workers: workers})
 }
 
 // buildTrialTreeFromEdges is buildTrialTree over a chunked edge stream:
 // the hierarchy is specialized by hierarchy.BuildFromEdges without a
 // materialized Graph. Trees are bit-identical to the graph path for the
 // same edges, so experiments can mix the two freely.
-func buildTrialTreeFromEdges(b *hierarchy.Builder, src bipartite.EdgeSource, rnds int, phase1Eps float64, workers int, rsrc *rng.Source) (*hierarchy.Tree, error) {
+func buildTrialTreeFromEdges(src bipartite.EdgeSource, rnds int, phase1Eps float64, workers int, rsrc *rng.Source) (*hierarchy.Tree, error) {
 	var bis partition.Bisector
 	if phase1Eps > 0 {
 		eb, err := partition.NewExpMechBisector(phase1Eps, rsrc)
@@ -192,5 +190,5 @@ func buildTrialTreeFromEdges(b *hierarchy.Builder, src bipartite.EdgeSource, rnd
 	} else {
 		bis = partition.BalancedBisector{}
 	}
-	return b.BuildFromEdges(src, hierarchy.Options{Rounds: rnds, Bisector: bis, Workers: workers})
+	return hierarchy.BuildFromEdges(src, hierarchy.Options{Rounds: rnds, Bisector: bis, Workers: workers})
 }

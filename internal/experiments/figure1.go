@@ -35,8 +35,8 @@ type Figure1Config struct {
 	Levels []int
 	// EpsGrid is the εg sweep (paper: 0.1..1).
 	EpsGrid []float64
-	// Delta is the Gaussian δ (the paper does not report one; DESIGN.md
-	// pins 1e-5).
+	// Delta is the Gaussian δ (the paper does not report one;
+	// DefaultFigure1Config pins 1e-5 and ablation A5 sweeps it).
 	Delta float64
 	// Trials averages the RER over this many independent noise draws.
 	Trials int
@@ -141,9 +141,9 @@ func RunFigure1Streamed(cfg Figure1Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: synthesizing edge list: %w", err)
 	}
-	return runFigure1Trials(cfg, func(b *hierarchy.Builder, buildWorkers int, src *rng.Source) (*hierarchy.Tree, error) {
+	return runFigure1Trials(cfg, func(buildWorkers int, src *rng.Source) (*hierarchy.Tree, error) {
 		es := bipartite.NewSliceSource(numLeft, numRight, edges)
-		return buildTrialTreeFromEdges(b, es, cfg.Rounds, cfg.Phase1Epsilon, buildWorkers, src)
+		return buildTrialTreeFromEdges(es, cfg.Rounds, cfg.Phase1Epsilon, buildWorkers, src)
 	})
 }
 
@@ -169,15 +169,15 @@ func RunFigure1On(g *bipartite.Graph, cfg Figure1Config) (*Figure1Result, error)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return runFigure1Trials(cfg, func(b *hierarchy.Builder, buildWorkers int, src *rng.Source) (*hierarchy.Tree, error) {
-		return buildTrialTree(b, g, cfg.Rounds, cfg.Phase1Epsilon, buildWorkers, src)
+	return runFigure1Trials(cfg, func(buildWorkers int, src *rng.Source) (*hierarchy.Tree, error) {
+		return buildTrialTree(g, cfg.Rounds, cfg.Phase1Epsilon, buildWorkers, src)
 	})
 }
 
 // runFigure1Trials is the shared trial loop: buildTree produces one
 // trial's Phase-1 hierarchy (from a Graph or an edge stream — the loop
 // does not care), everything downstream of the build is common.
-func runFigure1Trials(cfg Figure1Config, buildTree func(b *hierarchy.Builder, buildWorkers int, src *rng.Source) (*hierarchy.Tree, error)) (*Figure1Result, error) {
+func runFigure1Trials(cfg Figure1Config, buildTree func(buildWorkers int, src *rng.Source) (*hierarchy.Tree, error)) (*Figure1Result, error) {
 	src := rng.New(cfg.Seed)
 
 	// Per trial: rer[li][ei] and exp[li][ei] measured on the trial's own
@@ -188,12 +188,10 @@ func runFigure1Trials(cfg Figure1Config, buildTree func(b *hierarchy.Builder, bu
 	}
 	trialSrcs := splitPerTrial(src, cfg.Trials)
 	results := make([]trialResult, cfg.Trials)
-	builders := trialBuilders(numTrialWorkers(cfg.Workers, cfg.Trials))
-	defer closeBuilders(builders)
 	buildWorkers := buildWorkersFor(cfg.Workers, cfg.Trials)
-	err := runTrials(cfg.Workers, cfg.Trials, func(worker, trial int) error {
+	err := runTrials(cfg.Workers, cfg.Trials, func(_, trial int) error {
 		trialSrc := trialSrcs[trial]
-		tree, err := buildTree(builders[worker], buildWorkers, trialSrc.Split(1))
+		tree, err := buildTree(buildWorkers, trialSrc.Split(1))
 		if err != nil {
 			return fmt.Errorf("experiments: trial %d phase 1: %w", trial, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/hierarchy"
 	"repro/internal/rng"
 )
 
@@ -22,10 +21,10 @@ import (
 // runTrials runs fn(worker, trial) for every trial in [0, trials) across
 // min(workers, trials) goroutines, or inline when that is fewer than
 // two. worker identifies the executing lane in [0, numTrialWorkers): fn
-// may index per-worker state (a hierarchy.Builder, a reusable release
-// buffer) with it, because a lane runs at most one fn at a time. fn must
-// write results only into trial-indexed slots; callers reduce those in
-// trial order afterwards.
+// may index per-worker state (a reusable release buffer) with it,
+// because a lane runs at most one fn at a time. fn must write results
+// only into trial-indexed slots; callers reduce those in trial order
+// afterwards.
 //
 // On failure the error returned is always the failing trial with the
 // lowest index, so the reported failure is deterministic; the inline
@@ -76,22 +75,6 @@ func numTrialWorkers(workers, trials int) int {
 		return 1
 	}
 	return workers
-}
-
-// trialBuilders allocates one hierarchy.Builder per lane; the caller
-// defers close.
-func trialBuilders(lanes int) []*hierarchy.Builder {
-	out := make([]*hierarchy.Builder, lanes)
-	for i := range out {
-		out[i] = hierarchy.NewBuilder()
-	}
-	return out
-}
-
-func closeBuilders(bs []*hierarchy.Builder) {
-	for _, b := range bs {
-		b.Close()
-	}
 }
 
 // buildWorkersFor returns the intra-trial parallelism each trial should

@@ -10,7 +10,7 @@
 // side nodes of the bipartite graph and the other two sub groups refer to
 // the right side nodes".
 //
-// Two group semantics are derived from the side trees (DESIGN.md §2):
+// Two group semantics are derived from the side trees (core.GroupModel):
 //
 //   - Cell model (primary): the level-ℓ groups of the record universe are
 //     the crossings (Li, Rj) of the 2^d left ranges and 2^d right ranges

@@ -20,7 +20,7 @@
 // a sweep of the range.
 //
 // Non-private baselines (deterministic balanced cut, uniform random cut,
-// midpoint cut) support ablation A3 in DESIGN.md.
+// midpoint cut) support ablation A3 (gdpbench -exp partitioner).
 package partition
 
 import (

@@ -103,7 +103,6 @@ type config struct {
 	strategy       *Strategy
 	phase1Epsilon  float64
 	bisector       partition.Bisector
-	builder        *hierarchy.Builder
 	order          hierarchy.Order
 	cellHistograms bool
 	grouping       bool
@@ -225,21 +224,6 @@ func WithBisector(b partition.Bisector) Option {
 			return fmt.Errorf("%w: nil bisector", ErrBadOption)
 		}
 		c.bisector = b
-		return nil
-	}
-}
-
-// WithBuilder runs Phase 1 through a caller-provided hierarchy.Builder.
-// The caller owns the Builder's lifecycle — the pipeline never closes it.
-// A Builder keeps nothing between builds, so the option changes no
-// output and no cost; without it each Run builds through a throwaway
-// Builder.
-func WithBuilder(b *hierarchy.Builder) Option {
-	return func(c *config) error {
-		if b == nil {
-			return fmt.Errorf("%w: nil builder", ErrBadOption)
-		}
-		c.builder = b
 		return nil
 	}
 }
@@ -427,11 +411,7 @@ func (p *Pipeline) Run(g *bipartite.Graph) (*Release, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := hierarchy.Build
-	if p.cfg.builder != nil {
-		build = p.cfg.builder.Build
-	}
-	tree, err := build(g, p.hierarchyOptions(plan))
+	tree, err := hierarchy.Build(g, p.hierarchyOptions(plan))
 	if err != nil {
 		return nil, fmt.Errorf("release: phase 1: %w", err)
 	}
@@ -454,11 +434,7 @@ func (p *Pipeline) RunFromEdges(src bipartite.EdgeSource) (*Release, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := hierarchy.BuildFromEdges
-	if p.cfg.builder != nil {
-		build = p.cfg.builder.BuildFromEdges
-	}
-	tree, err := build(src, p.hierarchyOptions(plan))
+	tree, err := hierarchy.BuildFromEdges(src, p.hierarchyOptions(plan))
 	if err != nil {
 		return nil, fmt.Errorf("release: phase 1: %w", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/datagen"
 	"repro/internal/dp"
-	"repro/internal/hierarchy"
 )
 
 // TestRunFromEdgesMatchesRun pins the streamed pipeline end to end: the
@@ -61,48 +60,6 @@ func TestRunFromEdgesMatchesRun(t *testing.T) {
 	}
 	if relStream.Tree().Graph() != nil {
 		t.Fatal("streamed release unexpectedly materialized a graph")
-	}
-}
-
-// TestRunFromEdgesWithBuilder: a caller-retained Builder serves the
-// streamed path too, and stays bit-identical to the throwaway path.
-func TestRunFromEdgesWithBuilder(t *testing.T) {
-	t.Parallel()
-	g, err := datagen.Generate(datagen.DBLPTiny(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	builder := hierarchy.NewBuilder()
-	defer builder.Close()
-	p1, err := New(dp.Params{Epsilon: 0.5, Delta: 1e-5}, WithRounds(5), WithSeed(7), WithBuilder(builder))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := New(dp.Params{Epsilon: 0.5, Delta: 1e-5}, WithRounds(5), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	for i := 0; i < 2; i++ { // twice: the second run exercises retained scratch
-		a.Reset()
-		b.Reset()
-		withBuilder, err := p1.RunFromEdges(bipartite.NewGraphSource(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		throwaway, err := p2.RunFromEdges(bipartite.NewGraphSource(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := withBuilder.WriteJSON(&a, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := throwaway.WriteJSON(&b, true); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("run %d: retained-Builder release differs from throwaway", i)
-		}
 	}
 }
 

@@ -477,8 +477,8 @@ func (s *httpServer) datasetInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // durabilityJSON is the /budget "durability" field: every dataset
-// stamps its accounting backend ("mem", "wal" or "remote" — consumers
-// like benchdiff must never compare numbers across backends); durable
+// stamps its accounting backend ("mem", "wal" or "remote" — a debit is
+// on the query path, so timings never compare across backends); durable
 // datasets embed the full accountant.DurableStatus, remote datasets
 // their sequencer binding, in-memory ones report only the stamp.
 type durabilityJSON struct {

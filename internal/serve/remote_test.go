@@ -375,8 +375,8 @@ func TestBudgetEndpointOpsCap(t *testing.T) {
 	}
 }
 
-// TestDurableBackendStamp: the wal and mem backends stamp themselves
-// too — benchdiff keys on this to refuse cross-backend comparisons.
+// TestBackendStamps: the wal and mem backends stamp themselves too —
+// a reader of /budget keys on this to refuse cross-backend comparisons.
 func TestBackendStamps(t *testing.T) {
 	t.Parallel()
 	memCfg := testConfig()

@@ -20,8 +20,8 @@
 //	view, _ := rel.ViewFor(3) // what a privilege-3 user sees
 //
 // The facade re-exports the stable surface of the internal packages; see
-// DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-// paper-vs-measured evaluation.
+// README.md ("Package map") for the full system inventory and run
+// cmd/gdpbench for the paper-vs-measured evaluation.
 package repro
 
 import (
