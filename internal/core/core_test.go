@@ -420,22 +420,25 @@ func TestGroupPrivacyEmpirical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma, err := Sigma(p, sens, CalibrationClassical)
-	if err != nil {
-		t.Fatal(err)
+	release := func(src *rng.Source) LevelRelease {
+		rel, err := ReleaseCount(tree, level, ModelCells, classical(p), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
 	}
-	// Removing the largest group shifts the true count by sens; the two
-	// output distributions are N(T, σ²) and N(T−sens, σ²). Empirically
-	// verify the ratio bound on coarse bins around the means.
+	// Removing the largest group shifts the true count by sens, and the
+	// noise is additive: the neighbour's release has the law of this
+	// release moved down by sens. Empirically verify the ratio bound on
+	// coarse bins around the means.
 	src := rng.New(999)
-	T := float64(tree.Graph().NumEdges())
 	const n = 400000
-	binW := sigma / 2
+	binW := release(src).Sigma / 2
 	h1 := map[int]float64{}
 	h2 := map[int]float64{}
 	for i := 0; i < n; i++ {
-		v1 := T + src.NormalSigma(sigma)
-		v2 := (T - float64(sens)) + src.NormalSigma(sigma)
+		v1 := release(src).NoisyCount
+		v2 := release(src).NoisyCount - float64(sens)
 		h1[int(math.Floor(v1/binW))]++
 		h2[int(math.Floor(v2/binW))]++
 	}

@@ -48,7 +48,7 @@ func TestReleaseCountGaussianIsCountPlusDraw(t *testing.T) {
 	}
 }
 
-func TestReleaseCountWithLaplace(t *testing.T) {
+func TestReleaseCountLaplace(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9} // pure DP: no delta needed
@@ -65,7 +65,7 @@ func TestReleaseCountWithLaplace(t *testing.T) {
 	}
 }
 
-func TestReleaseCountWithGeometricIntegral(t *testing.T) {
+func TestReleaseCountGeometricIntegral(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9}
@@ -81,7 +81,7 @@ func TestReleaseCountWithGeometricIntegral(t *testing.T) {
 	}
 }
 
-func TestReleaseCountWithErrors(t *testing.T) {
+func TestReleaseCountPureErrors(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)
 	p := dp.Params{Epsilon: 0.9}
@@ -99,6 +99,76 @@ func TestReleaseCountWithErrors(t *testing.T) {
 	}
 	if _, err := ReleaseCount(tree, 99, ModelCells, Noise{Mech: MechLaplace, Budget: p}, rng.New(1)); err == nil {
 		t.Error("bad level accepted")
+	}
+}
+
+// TestNoiseDrawMoments holds each mechanism's draws, taken through
+// ReleaseCount at a level's resolved scale, to the law its labels claim:
+// zero mean, the reported standard deviation (σ, b√2, √(2α)/(1−α)) and the
+// closed-form E|noise| ExpectedRER forecasts, with the scale itself
+// checked against the textbook formula at Δℓ. Geometric draws stay
+// integral.
+func TestNoiseDrawMoments(t *testing.T) {
+	t.Parallel()
+	tree := testTree(t)
+	const level = 2
+	sens, err := Sensitivity(tree, level, ModelCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
+	delta := float64(sens)
+	alpha := math.Exp(-p.Epsilon / delta)
+	cases := []struct {
+		n         Noise
+		wantSigma float64
+		wantAbs   float64
+	}{
+		{classical(p), delta * math.Sqrt(2*math.Log(1.25/p.Delta)) / p.Epsilon, 0},
+		{Noise{Mech: MechLaplace, Budget: p}, delta / p.Epsilon * math.Sqrt2, delta / p.Epsilon},
+		{Noise{Mech: MechGeometric, Budget: p}, math.Sqrt(2*alpha) / (1 - alpha), 2 * alpha / (1 - alpha*alpha)},
+	}
+	cases[0].wantAbs = cases[0].wantSigma * math.Sqrt(2/math.Pi)
+	for i, c := range cases {
+		c, seed := c, uint64(40+i)
+		t.Run(c.n.Mech.String(), func(t *testing.T) {
+			t.Parallel()
+			rer, err := ExpectedRER(tree, level, ModelCells, c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rer * float64(tree.NumEdges()); math.Abs(got-c.wantAbs) > 1e-9*c.wantAbs {
+				t.Errorf("forecast E|noise| = %v, want %v", got, c.wantAbs)
+			}
+			src := rng.New(seed)
+			const draws = 200000
+			var sum, sumAbs, sumSq float64
+			for i := 0; i < draws; i++ {
+				rel, err := ReleaseCount(tree, level, ModelCells, c.n, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(rel.Sigma-c.wantSigma) > 1e-9*c.wantSigma {
+					t.Fatalf("reported sigma = %v, want %v", rel.Sigma, c.wantSigma)
+				}
+				x := rel.NoisyCount - float64(rel.TrueCount)
+				if c.n.Mech == MechGeometric && x != math.Trunc(x) {
+					t.Fatalf("geometric draw %v is not integral", x)
+				}
+				sum += x
+				sumAbs += math.Abs(x)
+				sumSq += x * x
+			}
+			if mean := sum / draws; math.Abs(mean) > 0.02*c.wantSigma {
+				t.Errorf("mean noise = %v, want about 0 (σ = %v)", mean, c.wantSigma)
+			}
+			if sd := math.Sqrt(sumSq / draws); math.Abs(sd-c.wantSigma) > 0.02*c.wantSigma {
+				t.Errorf("sample sd = %v, want about %v", sd, c.wantSigma)
+			}
+			if meanAbs := sumAbs / draws; math.Abs(meanAbs-c.wantAbs) > 0.03*c.wantAbs {
+				t.Errorf("E|noise| = %v, want about %v", meanAbs, c.wantAbs)
+			}
+		})
 	}
 }
 
@@ -209,6 +279,7 @@ func TestNoiseValidate(t *testing.T) {
 		{"gaussian delta=0", classical(dp.Params{Epsilon: 0.5}), errAny},
 		{"classical eps=2", classical(dp.Params{Epsilon: 2, Delta: 1e-5}), dp.ErrClassicalEpsilonRange},
 		{"laplace eps=0", Noise{Mech: MechLaplace}, dp.ErrEpsilon},
+		{"geometric eps=0", Noise{Mech: MechGeometric}, dp.ErrEpsilon},
 	}
 	for _, c := range cases {
 		var cells CellRelease

@@ -1,13 +1,14 @@
-// Package dp implements the differential-privacy mechanism suite the
-// disclosure pipeline is built on: the Laplace, Gaussian (classical and
-// analytic calibration), exponential and geometric mechanisms, together
-// with parameter validation shared by all of them.
+// Package dp holds what the disclosure pipeline needs of differential
+// privacy besides the noise itself: the (ε, δ) budget type and its
+// validation, the Gaussian calibrations (classical, analytic and the
+// inverse that reads ε off a fixed σ), and the exponential mechanism
+// Phase 1 cuts with. The Phase-2 noise mechanisms — scale formulas and
+// draws — live in internal/core (core.Noise), the one copy every binary
+// runs.
 //
 // All randomness flows through internal/rng so experiments are exactly
-// reproducible under a fixed seed. Mechanisms are constructed once with
-// validated parameters and then used for any number of perturbations; each
-// Perturb call corresponds to one query answer, and budget accounting is
-// the caller's responsibility (see internal/accountant).
+// reproducible under a fixed seed; budget accounting is the caller's
+// responsibility (see internal/accountant).
 package dp
 
 import (
@@ -61,18 +62,6 @@ func validateSensitivity(s float64) error {
 		return fmt.Errorf("%w (got %v)", ErrSensitivity, s)
 	}
 	return nil
-}
-
-// Additive is the interface shared by the noise-adding mechanisms.
-type Additive interface {
-	// Perturb returns the private answer for the exact query value.
-	Perturb(value float64) float64
-	// Scale returns the mechanism's noise scale parameter (b for
-	// Laplace, σ for Gaussian).
-	Scale() float64
-	// ExpectedAbsError returns E|noise|, the expected absolute error a
-	// single perturbation adds.
-	ExpectedAbsError() float64
 }
 
 // phi is the standard normal CDF.

@@ -34,33 +34,8 @@ func NewExponential(epsilon, utilitySensitivity float64, src *rng.Source) (*Expo
 	return &Exponential{epsilon: epsilon, utilitySens: utilitySensitivity, src: src}, nil
 }
 
-// Select returns the index of the chosen candidate given per-candidate
-// utilities. It uses the Gumbel-max trick — argmax of scaled utility plus
-// independent Gumbel noise — which samples from exactly the exponential
-// mechanism's distribution while staying numerically stable for widely
-// spread utilities.
-func (m *Exponential) Select(utilities []float64) (int, error) {
-	if len(utilities) == 0 {
-		return 0, ErrEmptyDomain
-	}
-	scale := m.epsilon / (2 * m.utilitySens)
-	best := -1
-	bestScore := math.Inf(-1)
-	for i, u := range utilities {
-		if math.IsNaN(u) {
-			return 0, fmt.Errorf("dp: utility %d is NaN", i)
-		}
-		score := scale*u + m.src.Gumbel()
-		if score > bestScore {
-			bestScore = score
-			best = i
-		}
-	}
-	return best, nil
-}
-
-// SelectFast samples exactly the distribution of Select and SelectLSE
-// over a unimodal utility without visiting the whole domain. The n
+// SelectFast samples exactly the distribution of SelectLSE over a
+// unimodal utility without visiting the whole domain. The n
 // candidates' utilities are read through utility(i), which must be
 // non-decreasing up to index peak and non-increasing after it, and
 // finite at peak — the shape of Phase 1's balance utility, where Build
@@ -151,10 +126,10 @@ func (m *Exponential) SelectFast(n, peak int, utility func(i int) float64, scrat
 // the fill rejects it.
 const expZeroBelow = -750
 
-// SelectLSE samples the same distribution by explicit inverse-CDF over
-// softmax probabilities computed with the log-sum-exp trick. It exists to
-// cross-validate Select in tests and for callers that also need the
-// probability vector.
+// SelectLSE samples the mechanism's distribution by explicit inverse-CDF over
+// softmax probabilities computed with the log-sum-exp trick, visiting the
+// whole domain. It is SelectFast's reference: the tests hold the two to
+// identical picks and bit-identical probabilities.
 func (m *Exponential) SelectLSE(utilities []float64) (int, []float64, error) {
 	probs, err := m.Probabilities(utilities)
 	if err != nil {

@@ -30,9 +30,6 @@ func TestExponentialEmptyDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Select(nil); !errors.Is(err, ErrEmptyDomain) {
-		t.Errorf("Select(nil): %v", err)
-	}
 	if _, _, err := m.SelectLSE(nil); !errors.Is(err, ErrEmptyDomain) {
 		t.Errorf("SelectLSE(nil): %v", err)
 	}
@@ -47,8 +44,8 @@ func TestExponentialRejectsNaNUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Select([]float64{0, math.NaN()}); err == nil {
-		t.Error("Select accepted NaN utility")
+	if _, _, err := m.SelectLSE([]float64{0, math.NaN()}); err == nil {
+		t.Error("SelectLSE accepted NaN utility")
 	}
 	if _, err := m.Probabilities([]float64{math.NaN()}); err == nil {
 		t.Error("Probabilities accepted NaN utility")
@@ -103,34 +100,6 @@ func TestProbabilitiesStableForHugeUtilities(t *testing.T) {
 	}
 	if probs[0] < probs[1] || probs[1] < probs[2] {
 		t.Errorf("probabilities not ordered by utility: %v", probs)
-	}
-}
-
-func TestSelectMatchesProbabilities(t *testing.T) {
-	t.Parallel()
-	m, err := NewExponential(1.5, 2, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	utilities := []float64{0, 3, 5, 1}
-	want, err := m.Probabilities(utilities)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 400000
-	counts := make([]int, len(utilities))
-	for i := 0; i < n; i++ {
-		idx, err := m.Select(utilities)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	for i := range utilities {
-		got := float64(counts[i]) / n
-		if math.Abs(got-want[i]) > 0.01 {
-			t.Errorf("candidate %d: empirical %v, want %v", i, got, want[i])
-		}
 	}
 }
 
@@ -365,9 +334,9 @@ func TestSelectSingleCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := m.Select([]float64{42})
-	if err != nil || idx != 0 {
-		t.Errorf("Select single = (%d, %v), want (0, nil)", idx, err)
+	idx, probs, err := m.SelectLSE([]float64{42})
+	if err != nil || idx != 0 || len(probs) != 1 || probs[0] != 1 {
+		t.Errorf("SelectLSE single = (%d, %v, %v), want (0, [1], nil)", idx, probs, err)
 	}
 }
 

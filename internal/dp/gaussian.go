@@ -4,103 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/rng"
 )
-
-// Gaussian is the Gaussian mechanism: it guarantees (ε, δ)-DP for queries
-// with bounded L2 sensitivity by adding N(0, σ²) noise. Two calibrations
-// are provided:
-//
-//   - Classical (Dwork–Roth): σ = Δ2·√(2 ln(1.25/δ))/ε, valid for ε < 1.
-//     This is the calibration the paper cites ([3]).
-//   - Analytic (Balle–Wang 2018): the exact characterization of Gaussian
-//     DP, valid for every ε > 0 and strictly tighter. Exposed as an
-//     extension and compared in ablation A2.
-type Gaussian struct {
-	sigma float64
-	src   *rng.Source
-}
-
-var _ Additive = (*Gaussian)(nil)
 
 // ErrClassicalEpsilonRange reports an ε for which the classical Gaussian
 // calibration is not valid.
 var ErrClassicalEpsilonRange = errors.New(
-	"dp: classical gaussian calibration requires epsilon < 1 (use NewGaussianAnalytic)")
+	"dp: classical gaussian calibration requires epsilon < 1 (use the analytic calibration)")
 
-// NewGaussian returns a classically calibrated Gaussian mechanism.
-func NewGaussian(p Params, l2Sensitivity float64, src *rng.Source) (*Gaussian, error) {
-	sigma, err := ClassicalGaussianSigma(p, l2Sensitivity)
-	if err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, ErrNilSource
-	}
-	return &Gaussian{sigma: sigma, src: src}, nil
-}
-
-// NewGaussianAnalytic returns a Gaussian mechanism calibrated with the
-// analytic (Balle–Wang) bound, valid for any ε > 0.
-func NewGaussianAnalytic(p Params, l2Sensitivity float64, src *rng.Source) (*Gaussian, error) {
-	sigma, err := AnalyticGaussianSigma(p, l2Sensitivity)
-	if err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, ErrNilSource
-	}
-	return &Gaussian{sigma: sigma, src: src}, nil
-}
-
-// NewGaussianWithSigma returns a Gaussian mechanism with an explicit noise
-// standard deviation, for callers that calibrate externally.
-func NewGaussianWithSigma(sigma float64, src *rng.Source) (*Gaussian, error) {
-	if !(sigma > 0) || math.IsInf(sigma, 0) || math.IsNaN(sigma) {
-		return nil, fmt.Errorf("dp: sigma must be > 0 and finite (got %v)", sigma)
-	}
-	if src == nil {
-		return nil, ErrNilSource
-	}
-	return &Gaussian{sigma: sigma, src: src}, nil
-}
-
-// Perturb returns value + N(0, σ²) noise.
-func (m *Gaussian) Perturb(value float64) float64 {
-	return value + m.src.NormalSigma(m.sigma)
-}
-
-// Scale returns the noise standard deviation σ.
-func (m *Gaussian) Scale() float64 { return m.sigma }
-
-// ExpectedAbsError returns E|noise| = σ·√(2/π).
-func (m *Gaussian) ExpectedAbsError() float64 {
-	return m.sigma * math.Sqrt(2/math.Pi)
-}
-
-// ConfidenceInterval returns the half-width w such that the true value
-// lies within ±w of the answer with the given confidence level in (0, 1).
-func (m *Gaussian) ConfidenceInterval(level float64) float64 {
-	if !(level > 0 && level < 1) {
-		return math.NaN()
-	}
-	// Invert the normal CDF by bisection on phi; precision far beyond
-	// what utility reporting needs.
-	target := 0.5 + level/2
-	lo, hi := 0.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if phi(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return m.sigma * (lo + hi) / 2
-}
-
-// ClassicalGaussianSigma returns the Dwork–Roth σ for (ε, δ) and Δ2.
+// ClassicalGaussianSigma returns the Dwork–Roth σ for (ε, δ) and Δ2,
+// σ = Δ2·√(2 ln(1.25/δ))/ε, valid for ε < 1 — the calibration the paper
+// cites ([3]).
 func ClassicalGaussianSigma(p Params, l2Sensitivity float64) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
@@ -119,7 +32,8 @@ func ClassicalGaussianSigma(p Params, l2Sensitivity float64) (float64, error) {
 
 // AnalyticGaussianSigma returns the smallest σ for which the Gaussian
 // mechanism with L2 sensitivity Δ2 satisfies (ε, δ)-DP, per the exact
-// characterization of Balle & Wang (ICML 2018, Theorem 8):
+// characterization of Balle & Wang (ICML 2018, Theorem 8), valid for every
+// ε > 0 and strictly tighter than the classical bound (ablation A2):
 //
 //	δ(σ) = Φ(Δ/(2σ) − εσ/Δ) − e^ε · Φ(−Δ/(2σ) − εσ/Δ)
 //

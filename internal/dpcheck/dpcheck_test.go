@@ -1,9 +1,16 @@
 package dpcheck
 
+// Audits of the Phase-2 kernel that ships. D1 is a release made by
+// core.ReleaseCount or core.ReleaseCells; D2 is the same release moved
+// down by the level's core.Sensitivity — the noise is additive, so that
+// is the law of releasing the neighbour's count T − Δℓ at the same scale.
+// Nothing here computes a scale or draws a variate of its own.
+
 import (
 	"errors"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
@@ -12,152 +19,52 @@ import (
 	"repro/internal/rng"
 )
 
-// laplacePair returns mechanism closures for a Laplace count query on two
-// adjacent databases (true counts t and t+1, sensitivity 1).
-func laplacePair(t *testing.T, eps float64) (MechanismFunc, MechanismFunc) {
+// uniformLevel is the level of uniformTree the audits release at: its
+// finest, 128 × 128 cells of four records each. That is two chunks of the
+// Gaussian noise grid, so a cell audit samples every position of the
+// blocked ziggurat fill and the chunk seam, and a sensitivity small enough
+// that the geometric audit can bin by exact value.
+const uniformLevel = 0
+
+// uniformTree returns the hierarchy of the complete bipartite graph on
+// 256 + 256 nodes, seven balanced rounds deep. Every cell of a level holds
+// the same count, so every cell of one released histogram is a draw of the
+// same law and one core.ReleaseCells call is thousands of samples.
+func uniformTree(t testing.TB) *hierarchy.Tree {
 	t.Helper()
-	scale := 1 / eps
-	onD1 := func(src *rng.Source) float64 { return 100 + src.Laplace(scale) }
-	onD2 := func(src *rng.Source) float64 { return 101 + src.Laplace(scale) }
-	return onD1, onD2
-}
-
-func TestEstimateEpsilonLaplace(t *testing.T) {
-	t.Parallel()
-	for _, eps := range []float64{0.5, 1, 2} {
-		eps := eps
-		onD1, onD2 := laplacePair(t, eps)
-		res, err := EstimateEpsilon(onD1, onD2, Config{Seed: 42})
-		if err != nil {
-			t.Fatalf("eps=%v: %v", eps, err)
-		}
-		// The empirical loss must be near ε: well above ε/2 (the
-		// mechanism is tight) and no more than ~25% above (sampling).
-		if res.EpsilonHat > eps*1.25 {
-			t.Errorf("eps=%v: estimate %v too high", eps, res.EpsilonHat)
-		}
-		if res.EpsilonHat < eps*0.5 {
-			t.Errorf("eps=%v: estimate %v implausibly low", eps, res.EpsilonHat)
-		}
-		if res.BinsUsed == 0 {
-			t.Error("no bins used")
+	const side = 256
+	b := bipartite.NewBuilder(side * side)
+	b.SetNumLeft(side)
+	b.SetNumRight(side)
+	for l := int32(0); l < side; l++ {
+		for r := int32(0); r < side; r++ {
+			b.AddEdge(l, r)
 		}
 	}
-}
-
-// TestEstimateEpsilonCatchesUnderNoising is the negative control: a
-// mechanism that claims ε=1 but adds noise for ε=3 must be flagged.
-func TestEstimateEpsilonCatchesUnderNoising(t *testing.T) {
-	t.Parallel()
-	onD1, onD2 := laplacePair(t, 3) // actual loss 3
-	res, err := EstimateEpsilon(onD1, onD2, Config{Seed: 7})
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const claimed = 1.0
-	if res.EpsilonHat <= claimed*1.5 {
-		t.Errorf("under-noised mechanism not caught: estimate %v vs claimed %v", res.EpsilonHat, claimed)
-	}
-}
-
-func TestEstimateEpsilonGaussianWithinBudget(t *testing.T) {
-	t.Parallel()
-	p := dp.Params{Epsilon: 0.8, Delta: 1e-5}
-	sigma, err := dp.ClassicalGaussianSigma(p, 1)
+	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 7, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	onD1 := func(src *rng.Source) float64 { return 50 + src.NormalSigma(sigma) }
-	onD2 := func(src *rng.Source) float64 { return 51 + src.NormalSigma(sigma) }
-	res, err := EstimateEpsilon(onD1, onD2, Config{Seed: 9})
+	counts, err := tree.LevelCellCountsView(uniformLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Classical calibration is conservative; the bulk loss sits well
-	// under ε. Allow sampling slack above ε but flag gross violations.
-	if res.EpsilonHat > p.Epsilon*1.3 {
-		t.Errorf("gaussian empirical loss %v exceeds ε=%v", res.EpsilonHat, p.Epsilon)
-	}
-}
-
-func TestEstimateEpsilonIdenticalInputs(t *testing.T) {
-	t.Parallel()
-	m := func(src *rng.Source) float64 { return src.Laplace(1) }
-	res, err := EstimateEpsilon(m, m, Config{Seed: 3, Samples: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EpsilonHat > 0.15 {
-		t.Errorf("identical distributions estimated at %v", res.EpsilonHat)
-	}
-}
-
-func TestEstimateEpsilonConstantMechanism(t *testing.T) {
-	t.Parallel()
-	m := func(src *rng.Source) float64 { return 5 }
-	res, err := EstimateEpsilon(m, m, Config{Seed: 3, Samples: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EpsilonHat != 0 {
-		t.Errorf("constant identical mechanism estimate = %v", res.EpsilonHat)
-	}
-	// Disjoint constants: no shared mass at all.
-	m2 := func(src *rng.Source) float64 { return 6 }
-	if _, err := EstimateEpsilon(m, m2, Config{Seed: 3, Samples: 1000}); !errors.Is(err, ErrNoBins) {
-		t.Errorf("disjoint constants error = %v", err)
-	}
-}
-
-func TestEstimateEpsilonNilMechanism(t *testing.T) {
-	t.Parallel()
-	m := func(src *rng.Source) float64 { return 0 }
-	if _, err := EstimateEpsilon(nil, m, Config{}); !errors.Is(err, ErrNilMechanism) {
-		t.Errorf("nil first: %v", err)
-	}
-	if _, err := EstimateEpsilon(m, nil, Config{}); !errors.Is(err, ErrNilMechanism) {
-		t.Errorf("nil second: %v", err)
-	}
-}
-
-func TestEstimateEpsilonDiscreteGeometric(t *testing.T) {
-	t.Parallel()
-	const eps = 1.0
-	mk := func(value int64) DiscreteMechanismFunc {
-		return func(src *rng.Source) int64 {
-			m, err := dp.NewGeometric(eps, 1, src)
-			if err != nil {
-				panic(err)
-			}
-			return m.PerturbInt(value)
+	for i, c := range counts {
+		if c != counts[0] {
+			t.Fatalf("cell %d holds %d records, cell 0 holds %d: the tree is not uniform", i, c, counts[0])
 		}
 	}
-	res, err := EstimateEpsilonDiscrete(mk(100), mk(101), Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EpsilonHat > eps*1.25 {
-		t.Errorf("geometric empirical loss %v exceeds ε=%v", res.EpsilonHat, eps)
-	}
-	if res.EpsilonHat < eps*0.5 {
-		t.Errorf("geometric empirical loss %v implausibly low", res.EpsilonHat)
-	}
+	return tree
 }
 
-func TestEstimateEpsilonDiscreteNil(t *testing.T) {
-	t.Parallel()
-	m := func(src *rng.Source) int64 { return 0 }
-	if _, err := EstimateEpsilonDiscrete(nil, m, Config{}); !errors.Is(err, ErrNilMechanism) {
-		t.Errorf("nil first: %v", err)
-	}
-}
-
-// TestGroupDPReleaseWithinBudget is the headline integration check: the
-// paper's Phase-2 release, run on a dataset and on its group-adjacent
-// neighbour (the largest level group removed), must show empirical
-// privacy loss at or below εg.
-func TestGroupDPReleaseWithinBudget(t *testing.T) {
-	t.Parallel()
+// skewedTree is a small heavy-tailed dataset's hierarchy: unequal groups,
+// so a level's sensitivity is its largest group and not every group's.
+func skewedTree(t testing.TB) *hierarchy.Tree {
+	t.Helper()
 	g, err := datagen.Generate(datagen.Config{
 		Name: "dpcheck", NumLeft: 120, NumRight: 160, NumEdges: 1500,
 		LeftZipf: 1.9, RightZipf: 2.8, Seed: 21,
@@ -169,22 +76,172 @@ func TestGroupDPReleaseWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tree
+}
+
+func sensitivity(t testing.TB, tree *hierarchy.Tree, level int, model core.GroupModel) float64 {
+	t.Helper()
+	sens, err := core.Sensitivity(tree, level, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(sens)
+}
+
+// countDraws draws one core.ReleaseCount per sample and moves it down by
+// shift.
+func countDraws(tree *hierarchy.Tree, level int, model core.GroupModel, n core.Noise, shift float64) MechanismFunc {
+	return func(src *rng.Source) float64 {
+		rel, err := core.ReleaseCount(tree, level, model, n, src)
+		if err != nil {
+			panic(err)
+		}
+		return rel.NoisyCount - shift
+	}
+}
+
+// cellDraws hands out the cells of successive core.ReleaseCells
+// histograms one per sample, each moved down by shift. The tree must be
+// uniform at the level (uniformTree).
+func cellDraws(tree *hierarchy.Tree, level int, n core.Noise, shift float64) MechanismFunc {
+	var rel core.CellRelease
+	next := 0
+	return func(src *rng.Source) float64 {
+		if next == len(rel.Counts) {
+			if err := core.ReleaseCells(&rel, tree, level, n, src, 1); err != nil {
+				panic(err)
+			}
+			next = 0
+		}
+		next++
+		return rel.Counts[next-1] - shift
+	}
+}
+
+// stage names the kernel entry point an audit samples.
+type stage string
+
+const (
+	countStage stage = "ReleaseCount"
+	cellStage  stage = "ReleaseCells" // one cell per sample
+)
+
+// estimateLoss estimates the privacy loss of releasing uniformTree's
+// uniformLevel as n says, through the stage's entry point, against the
+// release shifted by the level's sensitivity. Geometric releases are
+// binned by exact value.
+func estimateLoss(t *testing.T, tree *hierarchy.Tree, n core.Noise, s stage, seed uint64) Result {
+	t.Helper()
+	draws := func(shift float64) MechanismFunc {
+		if s == cellStage {
+			return cellDraws(tree, uniformLevel, n, shift)
+		}
+		return countDraws(tree, uniformLevel, core.ModelCells, n, shift)
+	}
+	onD1, onD2 := draws(0), draws(sensitivity(t, tree, uniformLevel, core.ModelCells))
+	var (
+		res Result
+		err error
+	)
+	if n.Mech == core.MechGeometric {
+		exact := func(m MechanismFunc) DiscreteMechanismFunc {
+			return func(src *rng.Source) int64 { return int64(m(src)) }
+		}
+		res, err = EstimateEpsilonDiscrete(exact(onD1), exact(onD2), Config{Seed: seed})
+	} else {
+		res, err = EstimateEpsilon(onD1, onD2, Config{Seed: seed})
+	}
+	if err != nil {
+		t.Fatalf("%v %s: %v", n.Mech, s, err)
+	}
+	t.Logf("%v %s at ε=%v: empirical loss %.3f over %d bins", n.Mech, s, n.Budget.Epsilon, res.EpsilonHat, res.BinsUsed)
+	return res
+}
+
+// auditMechanism checks one mechanism at one stage against the budget it
+// is calibrated to: the empirical loss is never meaningfully above ε,
+// and for the pure-ε families (whose loss is tight at ε) not implausibly
+// below either.
+func auditMechanism(t *testing.T, tree *hierarchy.Tree, mech core.NoiseMechanism, s stage) {
+	t.Helper()
+	eps := 1.0
+	if mech == core.MechGaussian {
+		// Classical Gaussian calibration is defined for ε < 1 only.
+		eps = 0.8
+	}
+	// The spec release.Engine builds for a stage: mechanism, calibration,
+	// the per-release budget.
+	n := core.Noise{Mech: mech, Calib: core.CalibrationClassical, Budget: dp.Params{Epsilon: eps, Delta: 1e-5}}
+	res := estimateLoss(t, tree, n, s, 51+uint64(mech))
+	if res.EpsilonHat > eps*1.3 {
+		t.Errorf("%v %s: empirical loss %v exceeds ε=%v", mech, s, res.EpsilonHat, eps)
+	}
+	if mech != core.MechGaussian && res.EpsilonHat < eps*0.5 {
+		t.Errorf("%v %s: empirical loss %v implausibly low for a tight pure-ε mechanism", mech, s, res.EpsilonHat)
+	}
+}
+
+// TestAuditFlagsUnderNoisedRelease is the negative control through the
+// kernel: a Laplace release that spends ε = 3 while claiming ε = 1 must
+// fail the bound auditMechanism applies, at both stages.
+func TestAuditFlagsUnderNoisedRelease(t *testing.T) {
+	t.Parallel()
+	tree := uniformTree(t)
+	const claimed = 1.0
+	n := core.Noise{Mech: core.MechLaplace, Budget: dp.Params{Epsilon: 3 * claimed}}
+	for _, s := range []stage{countStage, cellStage} {
+		if res := estimateLoss(t, tree, n, s, 7); res.EpsilonHat <= claimed*1.3 {
+			t.Errorf("%s: under-noised release not caught: estimate %v vs claimed %v", s, res.EpsilonHat, claimed)
+		}
+	}
+}
+
+// TestEstimateEpsilonGaussianWithinBudget audits the externally
+// calibrated Gaussian path (the RDP-accounted release): σ comes from the
+// analytic calibration at the level's sensitivity and is handed to the
+// kernel as given.
+func TestEstimateEpsilonGaussianWithinBudget(t *testing.T) {
+	t.Parallel()
+	tree := uniformTree(t)
+	p := dp.Params{Epsilon: 0.8, Delta: 1e-5}
+	sigma, err := dp.AnalyticGaussianSigma(p, sensitivity(t, tree, uniformLevel, core.ModelCells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := core.Noise{Mech: core.MechGaussian, External: true, Sigma: sigma, Budget: p}
+	for _, s := range []stage{countStage, cellStage} {
+		// The bulk loss sits under ε; allow sampling slack above it but
+		// flag gross violations.
+		if res := estimateLoss(t, tree, n, s, 9); res.EpsilonHat > p.Epsilon*1.3 {
+			t.Errorf("%s: gaussian empirical loss %v exceeds ε=%v", s, res.EpsilonHat, p.Epsilon)
+		}
+	}
+}
+
+// TestEstimateEpsilonDiscreteGeometric audits the geometric mechanism,
+// which no registered strategy serves yet, at both stages.
+func TestEstimateEpsilonDiscreteGeometric(t *testing.T) {
+	t.Parallel()
+	tree := uniformTree(t)
+	auditMechanism(t, tree, core.MechGeometric, countStage)
+	auditMechanism(t, tree, core.MechGeometric, cellStage)
+}
+
+// TestGroupDPReleaseWithinBudget is the headline check: the paper's
+// Phase-2 count release at a level of a skewed dataset, against the
+// release its group-adjacent neighbour (the largest level group removed)
+// would get, must show empirical privacy loss at or below εg.
+func TestGroupDPReleaseWithinBudget(t *testing.T) {
+	t.Parallel()
+	tree := skewedTree(t)
 	const level = 2
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-4}
-	sens, err := core.Sensitivity(tree, level, core.ModelCells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma, err := core.Sigma(p, sens, core.CalibrationClassical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := float64(g.NumEdges())
-	// D2 = D1 minus the largest level-2 group (the worst-case adjacent
-	// dataset for the count query).
-	onD1 := func(src *rng.Source) float64 { return total + src.NormalSigma(sigma) }
-	onD2 := func(src *rng.Source) float64 { return total - float64(sens) + src.NormalSigma(sigma) }
-	res, err := EstimateEpsilon(onD1, onD2, Config{Seed: 31})
+	n := core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: p}
+	res, err := EstimateEpsilon(
+		countDraws(tree, level, core.ModelCells, n, 0),
+		countDraws(tree, level, core.ModelCells, n, sensitivity(t, tree, level, core.ModelCells)),
+		Config{Seed: 31},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,20 +251,20 @@ func TestGroupDPReleaseWithinBudget(t *testing.T) {
 }
 
 // TestGroupDPIndividualNoiseFailsGroupPrivacy is the paper's motivating
-// negative result: calibrating noise for individual DP (Δ=1) does NOT
-// protect the group — the empirical group-level loss blows past εg.
+// negative result: a release calibrated for individual DP (Δ = 1) does
+// NOT protect the group — against the neighbour missing the level's
+// largest group the empirical loss blows past εg.
 func TestGroupDPIndividualNoiseFailsGroupPrivacy(t *testing.T) {
 	t.Parallel()
-	const eps = 0.9
-	p := dp.Params{Epsilon: eps, Delta: 1e-4}
-	sigmaIndividual, err := dp.ClassicalGaussianSigma(p, 1) // record-level noise
-	if err != nil {
-		t.Fatal(err)
-	}
-	const groupSize = 200.0
-	onD1 := func(src *rng.Source) float64 { return 1500 + src.NormalSigma(sigmaIndividual) }
-	onD2 := func(src *rng.Source) float64 { return 1500 - groupSize + src.NormalSigma(sigmaIndividual) }
-	res, err := EstimateEpsilon(onD1, onD2, Config{Seed: 33})
+	tree := skewedTree(t)
+	const level = 2
+	p := dp.Params{Epsilon: 0.9, Delta: 1e-4}
+	n := core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: p}
+	res, err := EstimateEpsilon(
+		countDraws(tree, level, core.ModelIndividual, n, 0),
+		countDraws(tree, level, core.ModelIndividual, n, sensitivity(t, tree, level, core.ModelCells)),
+		Config{Seed: 33},
+	)
 	if err != nil {
 		// Distributions so far apart that no bin overlaps: that too
 		// demonstrates the privacy failure.
@@ -216,7 +273,7 @@ func TestGroupDPIndividualNoiseFailsGroupPrivacy(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	if res.EpsilonHat < eps*2 {
-		t.Errorf("individual-DP noise should leak group membership: loss %v vs εg=%v", res.EpsilonHat, eps)
+	if res.EpsilonHat < p.Epsilon*2 {
+		t.Errorf("individual-DP noise should leak group membership: loss %v vs εg=%v", res.EpsilonHat, p.Epsilon)
 	}
 }

@@ -4,20 +4,22 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/release"
 	"repro/internal/rng"
 )
 
 // TestRegisteredStrategiesNoiseWithinBudget audits every registered
-// release strategy's Phase-2 cell mechanism: the exact noise family the
-// strategy serves (Gaussian, Laplace, or geometric), run on adjacent
-// counts at sensitivity 1, must show empirical privacy loss at or below
-// its claimed ε. This is the gate that keeps a newly registered
-// composition from shipping an under-noised mechanism.
+// release strategy's Phase-2 stages through the kernel that serves them:
+// the count mechanism through core.ReleaseCount and the cell mechanism
+// through core.ReleaseCells (the chunked ziggurat fill for Gaussian, the
+// serial per-cell draw for the pure-ε families), each against its release
+// shifted by the level's sensitivity, must show empirical privacy loss at
+// or below the claimed ε. This is the gate that keeps a newly registered
+// composition — or a change to the kernel's scale or sampler — from
+// shipping an under-noised mechanism.
 func TestRegisteredStrategiesNoiseWithinBudget(t *testing.T) {
 	t.Parallel()
+	tree := uniformTree(t)
 	for _, name := range release.Strategies.Names() {
 		name := name
 		strat, err := release.Strategies.Resolve(name)
@@ -26,74 +28,9 @@ func TestRegisteredStrategiesNoiseWithinBudget(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			auditMechanism(t, strat.Noise.Cells)
-			if strat.Noise.Count != strat.Noise.Cells {
-				auditMechanism(t, strat.Noise.Count)
-			}
+			auditMechanism(t, tree, strat.Noise.Count, countStage)
+			auditMechanism(t, tree, strat.Noise.Cells, cellStage)
 		})
-	}
-}
-
-// auditMechanism estimates the empirical ε of one noise mechanism on
-// adjacent counts (100 vs 101, sensitivity 1) and checks it against the
-// claimed budget: never meaningfully above, and for the pure-ε families
-// (whose loss is tight at ε) not implausibly below either.
-func auditMechanism(t *testing.T, mech core.NoiseMechanism) {
-	t.Helper()
-	eps := 1.0
-	if mech == core.MechGaussian {
-		// Classical Gaussian calibration is defined for ε < 1 only.
-		eps = 0.8
-	}
-	var (
-		res Result
-		err error
-	)
-	switch mech {
-	case core.MechGaussian:
-		p := dp.Params{Epsilon: eps, Delta: 1e-5}
-		sigma, serr := dp.ClassicalGaussianSigma(p, 1)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		res, err = EstimateEpsilon(
-			func(src *rng.Source) float64 { return 100 + src.NormalSigma(sigma) },
-			func(src *rng.Source) float64 { return 101 + src.NormalSigma(sigma) },
-			Config{Seed: 51},
-		)
-	case core.MechLaplace:
-		mk := func(value float64) MechanismFunc {
-			return func(src *rng.Source) float64 {
-				m, merr := dp.NewLaplace(eps, 1, src)
-				if merr != nil {
-					panic(merr)
-				}
-				return m.Perturb(value)
-			}
-		}
-		res, err = EstimateEpsilon(mk(100), mk(101), Config{Seed: 52})
-	case core.MechGeometric:
-		mk := func(value int64) DiscreteMechanismFunc {
-			return func(src *rng.Source) int64 {
-				m, merr := dp.NewGeometric(eps, 1, src)
-				if merr != nil {
-					panic(merr)
-				}
-				return m.PerturbInt(value)
-			}
-		}
-		res, err = EstimateEpsilonDiscrete(mk(100), mk(101), Config{Seed: 53})
-	default:
-		t.Fatalf("unknown mechanism %v", mech)
-	}
-	if err != nil {
-		t.Fatalf("%v: %v", mech, err)
-	}
-	if res.EpsilonHat > eps*1.3 {
-		t.Errorf("%v: empirical loss %v exceeds ε=%v", mech, res.EpsilonHat, eps)
-	}
-	if mech != core.MechGaussian && res.EpsilonHat < eps*0.5 {
-		t.Errorf("%v: empirical loss %v implausibly low for a tight pure-ε mechanism", mech, res.EpsilonHat)
 	}
 }
 

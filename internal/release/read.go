@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/hierarchy"
 )
 
 // ErrBadArtifact reports a release JSON that fails validation.
@@ -27,9 +29,12 @@ func ReadJSON(r io.Reader) (*Release, error) {
 	return &rel, nil
 }
 
+// validateArtifact is the data-user trust boundary: whatever it accepts,
+// the consumer-side queries (ViewFor, the query package's marginals and
+// top-k) can run on without a size they did not read from the file.
 func validateArtifact(rel *Release) error {
-	if rel.Rounds < 1 {
-		return fmt.Errorf("%w: rounds %d", ErrBadArtifact, rel.Rounds)
+	if rel.Rounds < 1 || rel.Rounds > hierarchy.MaxRounds {
+		return fmt.Errorf("%w: rounds %d outside [1,%d]", ErrBadArtifact, rel.Rounds, hierarchy.MaxRounds)
 	}
 	if !(rel.BudgetEpsilon > 0) {
 		return fmt.Errorf("%w: budget epsilon %v", ErrBadArtifact, rel.BudgetEpsilon)
@@ -56,20 +61,33 @@ func validateArtifact(rel *Release) error {
 		if !(lr.Epsilon > 0) {
 			return fmt.Errorf("%w: level %d epsilon %v", ErrBadArtifact, lr.Level, lr.Epsilon)
 		}
+		if !finiteNonNegative(lr.Sigma) || !finiteNonNegative(lr.Delta) {
+			return fmt.Errorf("%w: level %d sigma %v, delta %v", ErrBadArtifact, lr.Level, lr.Sigma, lr.Delta)
+		}
 	}
 	if rel.Grouping != nil {
 		if err := rel.Grouping.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadArtifact, err)
 		}
 	}
+	cellSeen := make(map[int]bool, len(rel.Cells))
 	for i, c := range rel.Cells {
-		if c.SideGroups < 1 || len(c.Counts) != c.SideGroups*c.SideGroups {
-			return fmt.Errorf("%w: cell release %d has %d counts for %d side groups",
-				ErrBadArtifact, i, len(c.Counts), c.SideGroups)
+		// The cap comes first: it keeps the square below from wrapping
+		// (a side_groups of 2^32 squares to 0 and would match no counts).
+		if c.SideGroups < 1 || c.SideGroups > 1<<rel.Rounds || len(c.Counts) != c.SideGroups*c.SideGroups {
+			return fmt.Errorf("%w: cell release %d has %d counts for %d side groups (at most %d)",
+				ErrBadArtifact, i, len(c.Counts), c.SideGroups, 1<<rel.Rounds)
 		}
 		if !seen[c.Level] {
 			return fmt.Errorf("%w: cell release %d for level %d without a count release",
 				ErrBadArtifact, i, c.Level)
+		}
+		if cellSeen[c.Level] {
+			return fmt.Errorf("%w: duplicate cell release for level %d", ErrBadArtifact, c.Level)
+		}
+		cellSeen[c.Level] = true
+		if !finiteNonNegative(c.Sigma) || !finiteNonNegative(c.Delta) {
+			return fmt.Errorf("%w: cell release %d sigma %v, delta %v", ErrBadArtifact, i, c.Sigma, c.Delta)
 		}
 		for _, v := range c.Counts {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -79,3 +97,6 @@ func validateArtifact(rel *Release) error {
 	}
 	return nil
 }
+
+// finiteNonNegative is what a published sigma or delta must be.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }

@@ -7,10 +7,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/bipartite"
+	"repro/internal/hierarchy"
+	"repro/internal/query"
 )
 
 // publishedArtifact runs a pipeline and returns the publishable JSON.
-func publishedArtifact(t *testing.T, opts ...Option) []byte {
+func publishedArtifact(t testing.TB, opts ...Option) []byte {
 	t.Helper()
 	base := []Option{WithRounds(4), WithSeed(5), WithCellHistograms(true)}
 	p, err := New(defaultBudget(), append(base, opts...)...)
@@ -80,6 +84,22 @@ func TestReadJSONValidation(t *testing.T) {
 		{name: "no levels", mutate: func(r *Release) { r.Counts.Levels = nil }},
 		{name: "cell grid mismatch", mutate: func(r *Release) { r.Cells[0].SideGroups = 7 }},
 		{name: "orphan cell release", mutate: func(r *Release) { r.Cells[0].Level = 99 }},
+		{name: "rounds above the cap", mutate: func(r *Release) { r.Rounds = hierarchy.MaxRounds + 1 }},
+		{name: "side groups above 2^rounds", mutate: func(r *Release) {
+			k := 2 << r.Rounds
+			r.Cells[0].SideGroups, r.Cells[0].Counts = k, make([]float64, k*k)
+		}},
+		// "side_groups":4294967296,"counts":[] — the square wraps to 0 and
+		// used to match the empty counts; the next marginal then died in
+		// a 32 GiB make.
+		{name: "side groups squared wraps to zero", mutate: func(r *Release) {
+			r.Cells[0].SideGroups, r.Cells[0].Counts = wrappingSideGroups, []float64{}
+		}},
+		{name: "second cell release for a level", mutate: func(r *Release) { r.Cells = append(r.Cells, r.Cells[0]) }},
+		{name: "negative level sigma", mutate: func(r *Release) { r.Counts.Levels[0].Sigma = -1 }},
+		{name: "negative level delta", mutate: func(r *Release) { r.Counts.Levels[0].Delta = -1e-6 }},
+		{name: "negative cell sigma", mutate: func(r *Release) { r.Cells[0].Sigma = -1 }},
+		{name: "negative cell delta", mutate: func(r *Release) { r.Cells[0].Delta = -1e-6 }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -123,4 +143,57 @@ func TestValidateArtifactNonFinite(t *testing.T) {
 	if err := validateArtifact(rel); !errors.Is(err, ErrBadArtifact) {
 		t.Errorf("inf cell count: %v", err)
 	}
+	for name, mutate := range map[string]func(*Release){
+		"nan level sigma": func(r *Release) { r.Counts.Levels[0].Sigma = math.NaN() },
+		"inf level delta": func(r *Release) { r.Counts.Levels[0].Delta = math.Inf(1) },
+		"inf cell sigma":  func(r *Release) { r.Cells[0].Sigma = math.Inf(1) },
+		"nan cell delta":  func(r *Release) { r.Cells[0].Delta = math.NaN() },
+	} {
+		rel = load()
+		mutate(rel)
+		if err := validateArtifact(rel); !errors.Is(err, ErrBadArtifact) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// wrappingSideGroups is 2^32 where int holds it: its square is 0 in
+// 64-bit arithmetic.
+var wrappingSideGroups = int(int64(1) << 32)
+
+// FuzzReadRelease holds ReadJSON to the consumer's contract: it never
+// panics, and whatever it accepts, every released level's view and both
+// marginals of every cell histogram can be computed.
+func FuzzReadRelease(f *testing.F) {
+	// Small seeds: the fuzzer spends its time minimizing what it finds,
+	// and a four-round artifact is 20 kB of cells.
+	f.Add(publishedArtifact(f, WithRounds(1)))
+	f.Add([]byte(`{"rounds":3,"budget_epsilon":1,"counts":{"levels":[{"level":1,"epsilon":0.5,"noisy_count":10}]},` +
+		`"cells":[{"level":1,"side_groups":4294967296,"counts":[]}]}`))
+	f.Add([]byte(`{"rounds":1,"budget_epsilon":1,"counts":{"levels":[{"level":0,"epsilon":1,"noisy_count":3}]},` +
+		`"cells":[{"level":0,"side_groups":2,"counts":[1,0,0,2]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rel, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadArtifact) {
+				t.Fatalf("refusal is not ErrBadArtifact: %v", err)
+			}
+			return
+		}
+		for _, level := range rel.Levels() {
+			view, err := rel.ViewFor(level)
+			if err != nil {
+				t.Fatalf("accepted artifact has no view for level %d: %v", level, err)
+			}
+			if view.Cells == nil {
+				continue
+			}
+			for _, side := range []bipartite.Side{bipartite.Left, bipartite.Right} {
+				m, err := query.MarginalCounts(*view.Cells, side)
+				if err != nil || len(m) != view.Cells.SideGroups {
+					t.Fatalf("level %d %v marginal of an accepted artifact: %d groups, %v", level, side, len(m), err)
+				}
+			}
+		}
+	})
 }

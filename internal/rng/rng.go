@@ -7,9 +7,10 @@
 // so this package implements its own generator: xoshiro256++ seeded through
 // SplitMix64, with a Split operation that derives statistically independent
 // child streams from a parent stream and a label. All samplers used by the
-// privacy mechanisms (normal, Laplace, Gumbel, two-sided geometric) and by
-// the synthetic data generator (Zipf, permutations) live here so that every
-// random decision in the system flows through one auditable source.
+// privacy mechanisms (normal, Laplace, two-sided geometric; the exponential
+// mechanism inverts its CDF on one uniform) and by the synthetic data
+// generator (Zipf, permutations) live here so that every random decision
+// in the system flows through one auditable source.
 //
 // Normal variates come in two forms: the scalar Normal/NormalSigma
 // (Marsaglia polar, kept draw-for-draw stable for existing seeded
@@ -267,17 +268,10 @@ func (r *Source) Exponential() float64 {
 	return -math.Log(r.OpenFloat64())
 }
 
-// Gumbel returns a standard Gumbel variate (location 0, scale 1). The
-// exponential mechanism samples via the Gumbel-max trick, which is
-// numerically stable even for widely spread utility scores.
-func (r *Source) Gumbel() float64 {
-	return -math.Log(-math.Log(r.OpenFloat64()))
-}
-
 // TwoSidedGeometric returns a two-sided geometric variate with decay alpha
 // in (0, 1): P(k) ∝ alpha^|k| for integer k. With alpha = exp(-ε/Δ) this is
 // the geometric mechanism's noise distribution. It panics if alpha is
-// outside (0, 1); the dp package validates parameters before sampling.
+// outside (0, 1); core.Noise validates its budget before sampling.
 func (r *Source) TwoSidedGeometric(alpha float64) int64 {
 	if !(alpha > 0 && alpha < 1) {
 		panic("rng: TwoSidedGeometric alpha must be in (0,1)")

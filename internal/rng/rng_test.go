@@ -181,20 +181,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestGumbelMean(t *testing.T) {
-	t.Parallel()
-	r := New(15)
-	const n = 300000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Gumbel()
-	}
-	const eulerMascheroni = 0.5772156649015329
-	if mean := sum / n; math.Abs(mean-eulerMascheroni) > 0.02 {
-		t.Errorf("gumbel mean = %v, want about %v", mean, eulerMascheroni)
-	}
-}
-
 func TestTwoSidedGeometricSymmetryAndDecay(t *testing.T) {
 	t.Parallel()
 	r := New(16)
