@@ -118,17 +118,18 @@ func TestNoiseDrawMoments(t *testing.T) {
 	}
 	p := dp.Params{Epsilon: 0.5, Delta: 1e-5}
 	delta := float64(sens)
+	sigma := delta * math.Sqrt(2*math.Log(1.25/p.Delta)) / p.Epsilon
+	b := delta / p.Epsilon
 	alpha := math.Exp(-p.Epsilon / delta)
 	cases := []struct {
 		n         Noise
 		wantSigma float64
 		wantAbs   float64
 	}{
-		{classical(p), delta * math.Sqrt(2*math.Log(1.25/p.Delta)) / p.Epsilon, 0},
-		{Noise{Mech: MechLaplace, Budget: p}, delta / p.Epsilon * math.Sqrt2, delta / p.Epsilon},
+		{classical(p), sigma, sigma * math.Sqrt(2/math.Pi)},
+		{Noise{Mech: MechLaplace, Budget: p}, b * math.Sqrt2, b},
 		{Noise{Mech: MechGeometric, Budget: p}, math.Sqrt(2*alpha) / (1 - alpha), 2 * alpha / (1 - alpha*alpha)},
 	}
-	cases[0].wantAbs = cases[0].wantSigma * math.Sqrt(2/math.Pi)
 	for i, c := range cases {
 		c, seed := c, uint64(40+i)
 		t.Run(c.n.Mech.String(), func(t *testing.T) {

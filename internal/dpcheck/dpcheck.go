@@ -9,9 +9,13 @@
 // the δ-mass tails that the MinBinCount threshold excludes).
 //
 // This is a lightweight relative of privacy auditors such as DP-Sniper:
-// it cannot prove a guarantee, but it reliably catches calibration bugs —
-// an implementation that under-noises by even 20% shows up immediately in
-// the tests that drive it.
+// it cannot prove a guarantee, but it catches calibration bugs. The
+// package's tests drive it with the release kernel that ships
+// (core.ReleaseCount, core.ReleaseCells) against the same release shifted
+// by the level's sensitivity. For the pure-ε families, whose loss is
+// tight at ε in the bulk, a scale a third too small fails them; the
+// classical Gaussian calibration keeps its bulk loss near ε/2, so only a
+// σ about three times too small does.
 package dpcheck
 
 import (

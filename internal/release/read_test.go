@@ -126,32 +126,20 @@ func TestReadJSONValidation(t *testing.T) {
 func TestValidateArtifactNonFinite(t *testing.T) {
 	t.Parallel()
 	blob := publishedArtifact(t)
-	load := func() *Release {
-		var rel Release
-		if err := json.Unmarshal(blob, &rel); err != nil {
-			t.Fatal(err)
-		}
-		return &rel
-	}
-	rel := load()
-	rel.Counts.Levels[0].NoisyCount = math.NaN()
-	if err := validateArtifact(rel); !errors.Is(err, ErrBadArtifact) {
-		t.Errorf("nan noisy count: %v", err)
-	}
-	rel = load()
-	rel.Cells[0].Counts[0] = math.Inf(1)
-	if err := validateArtifact(rel); !errors.Is(err, ErrBadArtifact) {
-		t.Errorf("inf cell count: %v", err)
-	}
 	for name, mutate := range map[string]func(*Release){
+		"nan noisy count": func(r *Release) { r.Counts.Levels[0].NoisyCount = math.NaN() },
+		"inf cell count":  func(r *Release) { r.Cells[0].Counts[0] = math.Inf(1) },
 		"nan level sigma": func(r *Release) { r.Counts.Levels[0].Sigma = math.NaN() },
 		"inf level delta": func(r *Release) { r.Counts.Levels[0].Delta = math.Inf(1) },
 		"inf cell sigma":  func(r *Release) { r.Cells[0].Sigma = math.Inf(1) },
 		"nan cell delta":  func(r *Release) { r.Cells[0].Delta = math.NaN() },
 	} {
-		rel = load()
-		mutate(rel)
-		if err := validateArtifact(rel); !errors.Is(err, ErrBadArtifact) {
+		var rel Release
+		if err := json.Unmarshal(blob, &rel); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&rel)
+		if err := validateArtifact(&rel); !errors.Is(err, ErrBadArtifact) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
