@@ -20,6 +20,11 @@ import (
 const (
 	goldenDefaultArtifact = "caef744d6d0b56a73a070b532eab67d07954fe06b338105c57f6ca85e5c0d09b"
 	goldenLoadedArtifact  = "b23d91a126fa659c5dc599d925f95ea4a3a52e4159007c764e45b46554d6b661"
+	// goldenLoadedRawArtifact is the loaded configuration the binaries
+	// can produce: cell histograms and a Phase-1 budget, but neither the
+	// consistency post-processing nor the published grouping. Captured on
+	// the engine that still had both options.
+	goldenLoadedRawArtifact = "163f1969673ca93ca4d31fbe70bc0c0f5c7623ce6be22ca9c6a0b5120b2b3c4b"
 )
 
 func artifactHash(t *testing.T, rel *Release) string {
@@ -63,6 +68,20 @@ func TestDefaultStrategyGoldenPinned(t *testing.T) {
 	}
 	if got := artifactHash(t, rel); got != goldenLoadedArtifact {
 		t.Errorf("loaded artifact hash = %s, want pre-strategy golden %s", got, goldenLoadedArtifact)
+	}
+
+	raw, err := New(defaultBudget(),
+		WithRounds(6), WithSeed(3), WithCellHistograms(true),
+		WithPhase1Epsilon(0.2), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err = raw.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := artifactHash(t, rel); got != goldenLoadedRawArtifact {
+		t.Errorf("loaded artifact (no consistency, no grouping) hash = %s, want golden %s", got, goldenLoadedRawArtifact)
 	}
 }
 
