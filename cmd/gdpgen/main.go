@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro"
@@ -24,7 +25,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gdpgen", flag.ContinueOnError)
 	var (
 		preset = fs.String("preset", "", fmt.Sprintf("dataset preset %v; empty for custom sizes", datagen.Presets()))
@@ -44,9 +45,18 @@ func run(args []string) error {
 		return err
 	}
 
+	var write func(io.Writer, *repro.Graph) error
+	switch *format {
+	case "tsv":
+		write = repro.SaveTSV
+	case "binary":
+		write = repro.EncodeBinary
+	default:
+		return fmt.Errorf("unknown format %q (want tsv or binary)", *format)
+	}
+
 	var cfg datagen.Config
 	if *preset != "" {
-		var err error
 		cfg, err = datagen.ByName(*preset, *seed)
 		if err != nil {
 			return err
@@ -67,9 +77,9 @@ func run(args []string) error {
 
 	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*out)
+		if ferr != nil {
+			return ferr
 		}
 		defer func() {
 			if cerr := f.Close(); cerr != nil && err == nil {
@@ -78,12 +88,5 @@ func run(args []string) error {
 		}()
 		w = f
 	}
-	switch *format {
-	case "tsv":
-		return repro.SaveTSV(w, g)
-	case "binary":
-		return repro.EncodeBinary(w, g)
-	default:
-		return fmt.Errorf("unknown format %q (want tsv or binary)", *format)
-	}
+	return write(w, g)
 }

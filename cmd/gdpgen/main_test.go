@@ -62,6 +62,18 @@ func TestRunCustomSizes(t *testing.T) {
 	}
 }
 
+// TestRunBadFormatWritesNothing: an unknown -format is refused before
+// the -out file is created, so no empty file is left behind.
+func TestRunBadFormatWritesNothing(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x")
+	if err := run([]string{"-preset", "dblp-tiny", "-format", "bogus", "-out", out}); err == nil {
+		t.Fatal("unknown format accepted")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("-out file left behind: %v", err)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-preset", "bogus"},

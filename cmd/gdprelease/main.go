@@ -27,7 +27,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gdprelease", flag.ContinueOnError)
 	var (
 		preset      = fs.String("preset", "", "generate input from a preset instead of reading a file")
@@ -118,11 +118,13 @@ func run(args []string) error {
 		}
 	}
 
+	// The output file is created only once there is an artifact to write,
+	// and its Close error is run's error.
 	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*out)
+		if ferr != nil {
+			return ferr
 		}
 		defer func() {
 			if cerr := f.Close(); cerr != nil && err == nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -80,6 +81,20 @@ func TestRunArgumentErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestRunRepeatedLevelWritesNothing: a level listed twice would be
+// charged twice and published as an artifact ReadRelease refuses; the
+// pipeline refuses it first, before the -out file exists.
+func TestRunRepeatedLevelWritesNothing(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "rel.json")
+	err := run([]string{"-preset", "dblp-tiny", "-rounds", "4", "-seed", "3", "-levels", "2,2", "-out", out})
+	if !errors.Is(err, release.ErrBadOption) {
+		t.Fatalf("-levels 2,2: got %v, want ErrBadOption", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("-out file written: %v", err)
 	}
 }
 

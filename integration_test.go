@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/dp"
 )
 
 // TestEndToEndCuratorConsumerFlow exercises the complete curator→consumer
 // path across every module: synthetic data, private specialization, noisy
-// multi-level release with histograms + grouping + consistency, JSON
-// publication, consumer-side load, and downstream analytics.
+// multi-level release with histograms, JSON publication, consumer-side
+// load, and downstream analytics.
 func TestEndToEndCuratorConsumerFlow(t *testing.T) {
 	t.Parallel()
 	g, err := repro.GenerateDataset(repro.PresetDBLPTiny, 77)
@@ -25,8 +24,6 @@ func TestEndToEndCuratorConsumerFlow(t *testing.T) {
 		repro.WithRounds(6),
 		repro.WithPhase1Epsilon(0.1),
 		repro.WithCellHistograms(true),
-		repro.WithConsistency(true),
-		repro.WithGrouping(true),
 		repro.WithWorkers(4),
 		repro.WithSeed(31),
 	)
@@ -51,26 +48,7 @@ func TestEndToEndCuratorConsumerFlow(t *testing.T) {
 	if artifact.BudgetEpsilon != 0.9 || artifact.ModeName != "per-level" {
 		t.Errorf("artifact claims = %v / %s", artifact.BudgetEpsilon, artifact.ModeName)
 	}
-	// Histograms are consistent across levels (coarse-first order).
-	if err := consistency.CheckConsistent(artifact.Cells, 1e-6); err != nil {
-		t.Errorf("published cells not consistent: %v", err)
-	}
-	// Grouping answers membership queries.
-	if artifact.Grouping == nil {
-		t.Fatal("grouping missing")
-	}
 	lvl := artifact.Counts.Levels[len(artifact.Counts.Levels)-1].Level
-	grp, err := artifact.Grouping.GroupOf(repro.Left, 5, lvl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := artifact.Grouping.NumGroups(lvl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grp < 0 || grp >= k {
-		t.Errorf("group index %d outside [0,%d)", grp, k)
-	}
 	// Downstream analytics from noisy data alone.
 	view, err := artifact.ViewFor(lvl)
 	if err != nil {

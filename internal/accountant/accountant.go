@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -334,19 +333,11 @@ func AdvancedPerQueryEpsilon(epsTotal float64, k int, deltaSlack float64) (float
 	return lo, nil
 }
 
-// Splitter divides a total budget across n sub-releases.
-type Splitter interface {
-	// Split returns n per-release budgets whose basic composition does
-	// not exceed total.
-	Split(total dp.Params, n int) ([]dp.Params, error)
-}
-
 // UniformSplitter gives every release total/n.
 type UniformSplitter struct{}
 
-var _ Splitter = UniformSplitter{}
-
-// Split implements Splitter.
+// Split returns n per-release budgets whose basic composition does not
+// exceed total.
 func (UniformSplitter) Split(total dp.Params, n int) ([]dp.Params, error) {
 	if err := total.Validate(); err != nil {
 		return nil, err
@@ -359,66 +350,4 @@ func (UniformSplitter) Split(total dp.Params, n int) ([]dp.Params, error) {
 		out[i] = dp.Params{Epsilon: total.Epsilon / float64(n), Delta: total.Delta / float64(n)}
 	}
 	return out, nil
-}
-
-// GeometricSplitter assigns budgets proportional to Ratio^i, i = 0..n-1.
-// Ratio > 1 favors later (finer, lower-sensitivity) releases; Ratio < 1
-// favors earlier ones. Ratio must be positive and not 1 (use
-// UniformSplitter for equal shares).
-type GeometricSplitter struct {
-	Ratio float64
-}
-
-var _ Splitter = GeometricSplitter{}
-
-// Split implements Splitter.
-func (s GeometricSplitter) Split(total dp.Params, n int) ([]dp.Params, error) {
-	if err := total.Validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: n=%d", ErrBadSplit, n)
-	}
-	if !(s.Ratio > 0) || s.Ratio == 1 || math.IsInf(s.Ratio, 0) || math.IsNaN(s.Ratio) {
-		return nil, fmt.Errorf("%w: ratio=%v", ErrBadSplit, s.Ratio)
-	}
-	weights := make([]float64, n)
-	w := 1.0
-	for i := range weights {
-		weights[i] = w
-		w *= s.Ratio
-	}
-	return SplitWeighted(total, weights)
-}
-
-// SplitWeighted divides total proportionally to the given positive
-// weights.
-func SplitWeighted(total dp.Params, weights []float64) ([]dp.Params, error) {
-	if err := total.Validate(); err != nil {
-		return nil, err
-	}
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("%w: no weights", ErrBadSplit)
-	}
-	var sum float64
-	for i, w := range weights {
-		if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) {
-			return nil, fmt.Errorf("%w: weight %d = %v", ErrBadSplit, i, w)
-		}
-		sum += w
-	}
-	out := make([]dp.Params, len(weights))
-	for i, w := range weights {
-		frac := w / sum
-		out[i] = dp.Params{Epsilon: total.Epsilon * frac, Delta: total.Delta * frac}
-	}
-	return out, nil
-}
-
-// SortOpsByCost returns the audit trail sorted by descending ε, for
-// reporting which phases dominate expenditure.
-func SortOpsByCost(ops []Op) []Op {
-	out := append([]Op(nil), ops...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost.Epsilon > out[j].Cost.Epsilon })
-	return out
 }

@@ -298,83 +298,27 @@ func TestUniformSplitter(t *testing.T) {
 	}
 }
 
-func TestGeometricSplitter(t *testing.T) {
-	t.Parallel()
-	shares, err := GeometricSplitter{Ratio: 2}.Split(dp.Params{Epsilon: 0.7}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// weights 1,2,4 -> shares 0.1, 0.2, 0.4
-	want := []float64{0.1, 0.2, 0.4}
-	for i := range want {
-		if math.Abs(shares[i].Epsilon-want[i]) > 1e-12 {
-			t.Errorf("share %d = %v, want %v", i, shares[i].Epsilon, want[i])
-		}
-	}
-	for _, ratio := range []float64{0, 1, -2, math.NaN()} {
-		sp := GeometricSplitter{Ratio: ratio}
-		if _, err := sp.Split(dp.Params{Epsilon: 1}, 3); !errors.Is(err, ErrBadSplit) {
-			t.Errorf("ratio=%v: %v", ratio, err)
-		}
-	}
-}
-
-func TestSplitWeightedValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := SplitWeighted(dp.Params{Epsilon: 1}, nil); !errors.Is(err, ErrBadSplit) {
-		t.Errorf("no weights: %v", err)
-	}
-	if _, err := SplitWeighted(dp.Params{Epsilon: 1}, []float64{1, -1}); !errors.Is(err, ErrBadSplit) {
-		t.Errorf("negative weight: %v", err)
-	}
-}
-
-// TestQuickSplittersConserveBudget: any splitter output composes back to
+// TestQuickSplittersConserveBudget: the uniform split composes back to
 // (at most) the input budget.
 func TestQuickSplittersConserveBudget(t *testing.T) {
 	t.Parallel()
-	f := func(epsRaw, deltaRaw uint32, nRaw uint8, ratioRaw uint8) bool {
+	f := func(epsRaw, deltaRaw uint32, nRaw uint8) bool {
 		total := dp.Params{
 			Epsilon: 0.001 + float64(epsRaw%10000)/1000,
 			Delta:   float64(deltaRaw%1000) * 1e-9,
 		}
 		n := int(nRaw%12) + 1
-		ratio := 0.25 + float64(ratioRaw%8)*0.5
-		if ratio == 1 {
-			ratio = 1.5
+		shares, err := UniformSplitter{}.Split(total, n)
+		if err != nil {
+			return false
 		}
-		for _, sp := range []Splitter{UniformSplitter{}, GeometricSplitter{Ratio: ratio}} {
-			shares, err := sp.Split(total, n)
-			if err != nil {
-				return false
-			}
-			sum, err := ComposeBasic(shares)
-			if err != nil {
-				return false
-			}
-			if sum.Epsilon > total.Epsilon*(1+1e-9) || sum.Delta > total.Delta*(1+1e-9)+1e-18 {
-				return false
-			}
+		sum, err := ComposeBasic(shares)
+		if err != nil {
+			return false
 		}
-		return true
+		return sum.Epsilon <= total.Epsilon*(1+1e-9) && sum.Delta <= total.Delta*(1+1e-9)+1e-18
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSortOpsByCost(t *testing.T) {
-	t.Parallel()
-	ops := []Op{
-		{Seq: 1, Label: "small", Cost: dp.Params{Epsilon: 0.1}},
-		{Seq: 2, Label: "big", Cost: dp.Params{Epsilon: 0.9}},
-		{Seq: 3, Label: "mid", Cost: dp.Params{Epsilon: 0.5}},
-	}
-	sorted := SortOpsByCost(ops)
-	if sorted[0].Label != "big" || sorted[2].Label != "small" {
-		t.Errorf("sorted = %v", sorted)
-	}
-	if ops[0].Label != "small" {
-		t.Error("SortOpsByCost mutated its input")
 	}
 }

@@ -22,7 +22,6 @@ type RDPAccountant struct {
 	mu     sync.Mutex
 	orders []float64
 	eps    []float64
-	count  int
 }
 
 // DefaultRDPOrders returns the standard order grid (1+small fractions
@@ -68,48 +67,7 @@ func (a *RDPAccountant) AddGaussian(sigma, l2Sensitivity float64) error {
 	for i, order := range a.orders {
 		a.eps[i] += order * base
 	}
-	a.count++
 	return nil
-}
-
-// AddPure records one pure ε-DP release. Rényi divergence is bounded by
-// the max divergence, so an ε-DP mechanism is (α, ε)-RDP for every α; the
-// tighter Bun–Steinke bound min(ε, 2αε²) is used where it helps.
-func (a *RDPAccountant) AddPure(epsilon float64) error {
-	if !(epsilon > 0) || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
-		return fmt.Errorf("accountant: rdp pure epsilon %v must be > 0", epsilon)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, order := range a.orders {
-		bound := epsilon
-		if quad := 2 * order * epsilon * epsilon; quad < bound {
-			bound = quad
-		}
-		a.eps[i] += bound
-	}
-	a.count++
-	return nil
-}
-
-// Count returns how many releases have been recorded.
-func (a *RDPAccountant) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.count
-}
-
-// Epsilons returns a copy of the per-order cumulative RDP ε values,
-// aligned with Orders.
-func (a *RDPAccountant) Epsilons() []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]float64(nil), a.eps...)
-}
-
-// Orders returns a copy of the order grid.
-func (a *RDPAccountant) Orders() []float64 {
-	return append([]float64(nil), a.orders...)
 }
 
 // ToApproxDP converts the accumulated RDP guarantee to (ε, δ)-DP, taking

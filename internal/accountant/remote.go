@@ -223,17 +223,6 @@ func (r *RemoteLedger) opContext(parent context.Context) (context.Context, conte
 	return context.WithTimeout(parent, r.opts.OpTimeout)
 }
 
-// Addr returns the sequencer base URL the client currently believes is
-// primary.
-func (r *RemoteLedger) Addr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.members[r.member]
-}
-
-// Key returns the budget key this ledger spends under.
-func (r *RemoteLedger) Key() string { return r.key }
-
 // RemoteStatus is the remote ledger's durability panel (the serving
 // layer's /budget endpoint embeds it).
 type RemoteStatus struct {

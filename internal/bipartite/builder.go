@@ -81,10 +81,6 @@ func (b *Builder) SetNumRight(n int32) {
 	}
 }
 
-// NumEdgesAdded returns the number of AddEdge/AddAssociation calls so far
-// (before deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // ErrMixedIDSpaces reports a builder that received both named and raw-id
 // records.
 var ErrMixedIDSpaces = errors.New("bipartite: builder mixed AddAssociation and AddEdge id spaces")

@@ -95,7 +95,7 @@ func LoadDBLPXML(r io.Reader) (*Graph, error) {
 			}
 		}
 	}
-	if b.NumEdgesAdded() == 0 {
+	if len(b.edges) == 0 {
 		return nil, errors.New("bipartite: dblp xml contained no author-publication associations")
 	}
 	return b.Build()

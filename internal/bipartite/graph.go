@@ -37,18 +37,6 @@ func (s Side) String() string {
 	}
 }
 
-// Other returns the opposite side.
-func (s Side) Other() Side {
-	switch s {
-	case Left:
-		return Right
-	case Right:
-		return Left
-	default:
-		return s
-	}
-}
-
 // Valid reports whether s is Left or Right.
 func (s Side) Valid() bool { return s == Left || s == Right }
 
@@ -84,9 +72,6 @@ func (g *Graph) NumLeft() int { return int(g.numLeft) }
 
 // NumRight returns the number of right-side nodes.
 func (g *Graph) NumRight() int { return int(g.numRight) }
-
-// NumNodes returns the total node count across both sides.
-func (g *Graph) NumNodes() int { return int(g.numLeft) + int(g.numRight) }
 
 // NumEdges returns the number of association records.
 func (g *Graph) NumEdges() int64 { return int64(len(g.leftAdj)) }
@@ -218,18 +203,6 @@ func (g *Graph) RightName(id int32) string {
 
 // HasNames reports whether the graph carries node labels.
 func (g *Graph) HasNames() bool { return g.leftNames != nil || g.rightNames != nil }
-
-// MaxDegree returns the maximum degree on side s, or 0 for an empty side.
-func (g *Graph) MaxDegree(s Side) int64 {
-	var max int64
-	n := int32(g.NumSide(s))
-	for id := int32(0); id < n; id++ {
-		if d := g.Degree(s, id); d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 // errValidate prefixes validation failures.
 var errValidate = errors.New("bipartite: invalid graph")

@@ -36,11 +36,8 @@ func TestSideString(t *testing.T) {
 	}
 }
 
-func TestSideOtherAndValid(t *testing.T) {
+func TestSideValid(t *testing.T) {
 	t.Parallel()
-	if Left.Other() != Right || Right.Other() != Left {
-		t.Error("Other does not flip sides")
-	}
 	if !Left.Valid() || !Right.Valid() || Side(0).Valid() || Side(3).Valid() {
 		t.Error("Valid misclassifies sides")
 	}
@@ -49,8 +46,8 @@ func TestSideOtherAndValid(t *testing.T) {
 func TestGraphCounts(t *testing.T) {
 	t.Parallel()
 	g := buildTestGraph(t)
-	if g.NumLeft() != 3 || g.NumRight() != 3 || g.NumNodes() != 6 {
-		t.Errorf("counts = %d/%d/%d", g.NumLeft(), g.NumRight(), g.NumNodes())
+	if g.NumLeft() != 3 || g.NumRight() != 3 {
+		t.Errorf("counts = %d/%d", g.NumLeft(), g.NumRight())
 	}
 	if g.NumEdges() != 6 {
 		t.Errorf("NumEdges = %d, want 6", g.NumEdges())
@@ -184,21 +181,6 @@ func TestForEachEdgeOrderAndEarlyStop(t *testing.T) {
 	})
 	if count != 3 {
 		t.Errorf("early stop visited %d edges, want 3", count)
-	}
-}
-
-func TestMaxDegree(t *testing.T) {
-	t.Parallel()
-	g := buildTestGraph(t)
-	if got := g.MaxDegree(Left); got != 3 {
-		t.Errorf("MaxDegree(Left) = %d, want 3", got)
-	}
-	if got := g.MaxDegree(Right); got != 3 {
-		t.Errorf("MaxDegree(Right) = %d, want 3", got)
-	}
-	empty := &Graph{}
-	if empty.MaxDegree(Left) != 0 {
-		t.Error("MaxDegree of empty graph should be 0")
 	}
 }
 

@@ -2,7 +2,6 @@ package bipartite
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 )
@@ -179,35 +178,4 @@ func (a *ascendingDegrees) add(x, count int64) {
 		}
 	}
 	a.seen = hi
-}
-
-// DegreeHistogram returns counts[d] = number of nodes on side s with
-// degree d, up to and including the maximum degree.
-func DegreeHistogram(g *Graph, s Side) []int64 {
-	max := g.MaxDegree(s)
-	counts := make([]int64, max+1)
-	n := g.NumSide(s)
-	for i := 0; i < n; i++ {
-		counts[g.Degree(s, int32(i))]++
-	}
-	return counts
-}
-
-// DegreeQuantile returns the q-quantile (q in [0,1]) of the side-s degree
-// distribution. NaN is returned for an empty side or invalid q.
-func DegreeQuantile(g *Graph, s Side, q float64) float64 {
-	n := g.NumSide(s)
-	if n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	// The q-quantile is the value at rank ⌊q·(n−1)⌋ of the ascending degree
-	// order: the first histogram bucket whose cumulative count passes it.
-	rank := int64(q * float64(n-1))
-	var seen int64
-	for d, c := range DegreeHistogram(g, s) {
-		if seen += c; seen > rank {
-			return float64(d)
-		}
-	}
-	return math.NaN() // unreachable: the buckets sum to n > rank
 }

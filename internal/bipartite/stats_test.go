@@ -80,39 +80,6 @@ func TestGiniConcentrated(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	t.Parallel()
-	g := buildTestGraph(t)
-	h := DegreeHistogram(g, Left)
-	// degrees on left: 2, 1, 3 -> hist[1]=1, hist[2]=1, hist[3]=1
-	want := []int64{0, 1, 1, 1}
-	if len(h) != len(want) {
-		t.Fatalf("hist len = %d, want %d", len(h), len(want))
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("hist[%d] = %d, want %d", i, h[i], want[i])
-		}
-	}
-}
-
-func TestDegreeQuantile(t *testing.T) {
-	t.Parallel()
-	g := buildTestGraph(t)
-	if q := DegreeQuantile(g, Left, 0); q != 1 {
-		t.Errorf("q0 = %v, want 1", q)
-	}
-	if q := DegreeQuantile(g, Left, 1); q != 3 {
-		t.Errorf("q1 = %v, want 3", q)
-	}
-	if !math.IsNaN(DegreeQuantile(g, Left, -0.5)) {
-		t.Error("negative quantile should be NaN")
-	}
-	if !math.IsNaN(DegreeQuantile(&Graph{}, Left, 0.5)) {
-		t.Error("quantile of empty side should be NaN")
-	}
-}
-
 // referenceStats is the sort-based definition of the summary — the
 // implementation StatsFromDegrees had before it moved to one counting
 // histogram per side — kept here, and only here, as the reference every
@@ -220,23 +187,6 @@ func TestStatsFromDegreesMatchesSortedReference(t *testing.T) {
 		got, want := StatsFromDegrees(c[0], c[1]), referenceStats(c[0], c[1])
 		if got != want {
 			t.Errorf("%s:\n  got  %+v\n  want %+v", name, got, want)
-		}
-	}
-}
-
-// TestDegreeQuantileMatchesSortedDegrees walks the histogram form of
-// DegreeQuantile against indexing the sorted degree vector.
-func TestDegreeQuantileMatchesSortedDegrees(t *testing.T) {
-	t.Parallel()
-	g := buildTestGraph(t)
-	for _, side := range []Side{Left, Right} {
-		sorted := g.Degrees(side)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.99, 1} {
-			want := float64(sorted[int(q*float64(len(sorted)-1))])
-			if got := DegreeQuantile(g, side, q); got != want {
-				t.Errorf("side %v q=%v: %v, want %v", side, q, got, want)
-			}
 		}
 	}
 }

@@ -101,10 +101,9 @@ func (c Calibration) Valid() bool {
 
 // Errors returned by this package.
 var (
-	ErrNilTree     = errors.New("core: nil hierarchy tree")
-	ErrBadModel    = errors.New("core: unknown group model")
-	ErrBadCalib    = errors.New("core: unknown calibration")
-	ErrEmptyLevels = errors.New("core: no levels requested")
+	ErrNilTree  = errors.New("core: nil hierarchy tree")
+	ErrBadModel = errors.New("core: unknown group model")
+	ErrBadCalib = errors.New("core: unknown calibration")
 )
 
 // GroupUniverse describes the group partition at one level under one
@@ -507,28 +506,6 @@ type MultiLevelRelease struct {
 	MaxLevel int `json:"max_level"`
 	// Levels holds the per-level releases, indexed by request order.
 	Levels []LevelRelease `json:"levels"`
-}
-
-// ReleaseLevels produces count releases for the given levels. Each level
-// consumes n's full budget (the paper's per-level reading: a level-i
-// user receives only release i, and releases to different tiers compose
-// in parallel). Budget-split modes live in internal/release.
-func ReleaseLevels(t *hierarchy.Tree, levels []int, model GroupModel, n Noise, src *rng.Source) (MultiLevelRelease, error) {
-	if t == nil {
-		return MultiLevelRelease{}, ErrNilTree
-	}
-	if len(levels) == 0 {
-		return MultiLevelRelease{}, ErrEmptyLevels
-	}
-	out := MultiLevelRelease{MaxLevel: t.MaxLevel(), Levels: make([]LevelRelease, 0, len(levels))}
-	for _, lvl := range levels {
-		rel, err := ReleaseCount(t, lvl, model, n, src)
-		if err != nil {
-			return MultiLevelRelease{}, fmt.Errorf("core: level %d: %w", lvl, err)
-		}
-		out.Levels = append(out.Levels, rel)
-	}
-	return out, nil
 }
 
 // ForLevel returns the release protecting the given group level.

@@ -334,14 +334,25 @@ func TestReleaseCellsErrors(t *testing.T) {
 	}
 }
 
-func TestReleaseLevels(t *testing.T) {
-	t.Parallel()
-	tree := testTree(t)
+// multiLevel releases the given levels' counts at the full budget each,
+// the way release.Pipeline assembles its MultiLevelRelease.
+func multiLevel(t *testing.T, tree *hierarchy.Tree, levels ...int) MultiLevelRelease {
+	t.Helper()
 	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	m, err := ReleaseLevels(tree, []int{0, 1, 2}, ModelCells, classical(p), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
+	m := MultiLevelRelease{MaxLevel: tree.MaxLevel()}
+	for _, lvl := range levels {
+		rel, err := ReleaseCount(tree, lvl, ModelCells, classical(p), rng.New(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Levels = append(m.Levels, rel)
 	}
+	return m
+}
+
+func TestMultiLevelForLevel(t *testing.T) {
+	t.Parallel()
+	m := multiLevel(t, testTree(t), 0, 1, 2)
 	if m.MaxLevel != 3 || len(m.Levels) != 3 {
 		t.Errorf("multi release = %+v", m)
 	}
@@ -351,25 +362,11 @@ func TestReleaseLevels(t *testing.T) {
 	if _, ok := m.ForLevel(9); ok {
 		t.Error("ForLevel(9) found a missing level")
 	}
-	if _, err := ReleaseLevels(tree, nil, ModelCells, classical(p), rng.New(4)); !errors.Is(err, ErrEmptyLevels) {
-		t.Errorf("empty levels: %v", err)
-	}
-	if _, err := ReleaseLevels(nil, []int{0}, ModelCells, classical(p), rng.New(4)); !errors.Is(err, ErrNilTree) {
-		t.Errorf("nil tree: %v", err)
-	}
-	if _, err := ReleaseLevels(tree, []int{0, 77}, ModelCells, classical(p), rng.New(4)); err == nil {
-		t.Error("bad level in list accepted")
-	}
 }
 
 func TestOmitTrue(t *testing.T) {
 	t.Parallel()
-	tree := testTree(t)
-	p := dp.Params{Epsilon: 0.9, Delta: 1e-5}
-	m, err := ReleaseLevels(tree, []int{0, 1}, ModelCells, classical(p), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := multiLevel(t, testTree(t), 0, 1)
 	pub := m.OmitTrue()
 	for _, r := range pub.Levels {
 		if r.TrueCount != 0 || r.RER != 0 {

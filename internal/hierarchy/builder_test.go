@@ -146,9 +146,6 @@ func TestBuilderValidation(t *testing.T) {
 	if _, err := b.Build(g, Options{Rounds: 0, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrBadRounds) {
 		t.Errorf("bad rounds: got %v", err)
 	}
-	if _, err := b.Build(g, Options{Rounds: 2, Bisector: partition.BalancedBisector{}, Order: Order(9)}); err == nil {
-		t.Error("bad order accepted")
-	}
 }
 
 // TestLevelCellCountsViewAliasesStorage pins the view accessor to the

@@ -2,161 +2,47 @@ package hierarchy
 
 import (
 	"bytes"
-	"errors"
-	"strings"
 	"testing"
 
-	"repro/internal/bipartite"
 	"repro/internal/partition"
-	"repro/internal/rng"
 )
 
-func TestTreeBinaryRoundTrip(t *testing.T) {
+// TestTreeEncodeBinaryCanonical pins what gdpbench -streamverify relies
+// on: one structure encodes to one byte string (whatever the worker
+// count), and a different arrangement of the same graph encodes to a
+// different one.
+func TestTreeEncodeBinaryCanonical(t *testing.T) {
 	t.Parallel()
 	g := smallGraph(t)
-	bis, err := partition.NewExpMechBisector(0.5, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := buildTree(t, g, 3, bis)
-
-	var buf bytes.Buffer
-	if err := tree.EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBinary(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxLevel() != tree.MaxLevel() {
-		t.Errorf("maxLevel = %d, want %d", got.MaxLevel(), tree.MaxLevel())
-	}
-	if got.NumPrivateCuts() != tree.NumPrivateCuts() {
-		t.Errorf("privateCuts = %d, want %d", got.NumPrivateCuts(), tree.NumPrivateCuts())
-	}
-	// Cell counts must be identical at every level.
-	for level := 0; level <= tree.MaxLevel(); level++ {
-		want, err := tree.LevelCellCounts(level)
+	encode := func(opts Options) []byte {
+		t.Helper()
+		tree, err := Build(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotCounts, err := got.LevelCellCounts(level)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := tree.EncodeBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if want[i] != gotCounts[i] {
-				t.Fatalf("level %d cell %d: %d != %d", level, i, gotCounts[i], want[i])
-			}
-		}
+		return buf.Bytes()
 	}
-	// Side groups match too.
-	nodes1, err := tree.SideGroupNodes(1, bipartite.Left, 0)
-	if err != nil {
-		t.Fatal(err)
+	serial := encode(Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
+	sharded := encode(Options{Rounds: 3, Bisector: partition.BalancedBisector{}, Workers: 4})
+	if !bytes.Equal(serial, sharded) {
+		t.Fatal("worker count changed the encoding")
 	}
-	nodes2, err := got.SideGroupNodes(1, bipartite.Left, 0)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(serial, treeMagic[:]) {
+		t.Fatalf("encoding starts %q, want the tree magic", serial[:4])
 	}
-	if len(nodes1) != len(nodes2) {
-		t.Fatal("side group sizes differ after round trip")
+	// Keys that reverse node order move every permutation entry.
+	keys := &OrderKeys{Left: make([]uint64, g.NumLeft()), Right: make([]uint64, g.NumRight())}
+	for i := range keys.Left {
+		keys.Left[i] = uint64(len(keys.Left) - i)
 	}
-	for i := range nodes1 {
-		if nodes1[i] != nodes2[i] {
-			t.Fatal("side group nodes differ after round trip")
-		}
+	for i := range keys.Right {
+		keys.Right[i] = uint64(len(keys.Right) - i)
 	}
-}
-
-func TestTreeDecodeErrors(t *testing.T) {
-	t.Parallel()
-	g := smallGraph(t)
-	tree := buildTree(t, g, 2, partition.BalancedBisector{})
-	var buf bytes.Buffer
-	if err := tree.EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-
-	if _, err := DecodeBinary(bytes.NewReader(full), nil); !errors.Is(err, ErrNilGraph) {
-		t.Errorf("nil graph: %v", err)
-	}
-	if _, err := DecodeBinary(strings.NewReader("BOGUS..."), g); !errors.Is(err, ErrBadTreeFormat) {
-		t.Errorf("bad magic: %v", err)
-	}
-	// Graph mismatch: different side sizes.
-	other, err := bipartite.FromEdges(3, 3, []bipartite.Edge{{Left: 0, Right: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeBinary(bytes.NewReader(full), other); !errors.Is(err, ErrBadTreeFormat) {
-		t.Errorf("graph mismatch: %v", err)
-	}
-	// Every strict prefix fails cleanly.
-	for cut := 0; cut < len(full); cut += 3 {
-		if _, err := DecodeBinary(bytes.NewReader(full[:cut]), g); err == nil {
-			t.Fatalf("decode of %d-byte prefix succeeded", cut)
-		}
-	}
-}
-
-func TestTreeDecodeDetectsCorruption(t *testing.T) {
-	t.Parallel()
-	g := smallGraph(t)
-	tree := buildTree(t, g, 2, partition.BalancedBisector{})
-	var buf bytes.Buffer
-	if err := tree.EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Flip bytes one at a time past the magic; decode must never succeed
-	// with an invalid tree (it may succeed if the flip is benign, but
-	// then Validate inside DecodeBinary has passed).
-	for i := 4; i < len(full); i++ {
-		mutated := append([]byte(nil), full...)
-		mutated[i] ^= 0x7f
-		got, err := DecodeBinary(bytes.NewReader(mutated), g)
-		if err != nil {
-			continue
-		}
-		if vErr := got.Validate(); vErr != nil {
-			t.Fatalf("byte %d corruption produced an invalid tree that decoded: %v", i, vErr)
-		}
-	}
-}
-
-func TestTreeDecodeMatchesDifferentGraphEdges(t *testing.T) {
-	t.Parallel()
-	// Same side sizes, different edges: decode succeeds (the structure
-	// is valid for any graph with those sides) and recomputes cell
-	// counts for the new graph.
-	g := smallGraph(t)
-	tree := buildTree(t, g, 2, partition.BalancedBisector{})
-	var buf bytes.Buffer
-	if err := tree.EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(77)
-	b := bipartite.NewBuilder(0)
-	b.SetNumLeft(int32(g.NumLeft()))
-	b.SetNumRight(int32(g.NumRight()))
-	for i := 0; i < 20; i++ {
-		b.AddEdge(int32(r.Intn(g.NumLeft())), int32(r.Intn(g.NumRight())))
-	}
-	g2, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBinary(bytes.NewReader(buf.Bytes()), g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, err := got.MaxCellEdges(got.MaxLevel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != g2.NumEdges() {
-		t.Errorf("recomputed root cell = %d, want %d", total, g2.NumEdges())
+	if bytes.Equal(serial, encode(Options{Rounds: 3, Bisector: partition.BalancedBisector{}, Keys: keys})) {
+		t.Fatal("a different node order encoded identically")
 	}
 }

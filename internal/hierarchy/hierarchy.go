@@ -92,24 +92,9 @@ const maxShardCells = 1 << 24
 // not worth the goroutine handoff.
 const minShardEdges = 1 << 14
 
-// Order controls how a range's nodes are arranged before the bisector
-// chooses a prefix cut.
-type Order int
-
-// Orderings. OrderWeightDesc sorts nodes by degree descending with a
-// deterministic tie-break on node id, which lets balance-seeking bisectors
-// find good cuts; OrderNatural keeps the current permutation order.
-const (
-	OrderWeightDesc Order = iota + 1
-	OrderNatural
-)
-
-// Valid reports whether o is a known ordering.
-func (o Order) Valid() bool { return o == OrderWeightDesc || o == OrderNatural }
-
 // OrderKeys is an explicit static ordering over both node sides: node n
 // of a side sorts by its key ascending (node id breaks ties), replacing
-// the Order-based arrangement for every range of every round. Keys let
+// the degree-descending arrangement for every range of every round. Keys let
 // partitioners impose externally computed structure — a community
 // assignment, say — on the contiguous ranges the bisector cuts. The
 // slices must be indexed by node id and match the side sizes; they are
@@ -127,11 +112,8 @@ type Options struct {
 	Rounds int
 	// Bisector chooses every cut. Required.
 	Bisector partition.Bisector
-	// Order arranges range nodes before cutting; defaults to
-	// OrderWeightDesc.
-	Order Order
-	// Keys, when non-nil, overrides Order with an explicit per-node
-	// static ordering (see OrderKeys).
+	// Keys, when non-nil, replaces the degree-descending node order with
+	// an explicit per-node static ordering (see OrderKeys).
 	Keys *OrderKeys
 	// Workers shards the deepest-level cell scan — and, for streamed
 	// builds, the degree pass — across goroutines. Sorting and the cut
@@ -200,7 +182,7 @@ type Tree struct {
 	cells32 [][]int32
 
 	// stats is the dataset summary, computed once per tree from the stored
-	// degrees (specialize, DecodeBinary); DatasetStats serves it.
+	// degrees (specialize); DatasetStats serves it.
 	stats bipartite.Stats
 
 	privateCuts int
@@ -224,20 +206,14 @@ func NewBuilder() *Builder { return &Builder{} }
 // compiling; the Builder remains usable.
 func (b *Builder) Close() {}
 
-// normalizeOptions validates opts and fills defaults; shared by the graph
-// and streamed build entry points.
+// normalizeOptions validates opts; shared by the graph and streamed build
+// entry points.
 func normalizeOptions(opts *Options) error {
 	if opts.Bisector == nil {
 		return ErrNilBisector
 	}
 	if opts.Rounds < 1 || opts.Rounds > MaxRounds {
 		return fmt.Errorf("%w (got %d)", ErrBadRounds, opts.Rounds)
-	}
-	if opts.Order == 0 {
-		opts.Order = OrderWeightDesc
-	}
-	if !opts.Order.Valid() {
-		return fmt.Errorf("hierarchy: unknown order %d", opts.Order)
 	}
 	return nil
 }
@@ -307,33 +283,23 @@ func newSideTree(deg []int64) sideTree {
 	}
 }
 
-// orderSides arranges both permutations in bisector order. The order is
-// static and total, so this one arrangement serves every round: each
-// deeper range is a contiguous span of an ordered span.
+// orderSides arranges both permutations in bisector order: degree
+// descending, or by Options.Keys when set. The order is static and total,
+// so this one arrangement serves every round: each deeper range is a
+// contiguous span of an ordered span.
 func (t *Tree) orderSides(opts Options) error {
-	switch {
-	case opts.Keys != nil:
-		if err := t.left.sortByKeys(opts.Keys.Left); err != nil {
-			return fmt.Errorf("left side: %w", err)
-		}
-		if err := t.right.sortByKeys(opts.Keys.Right); err != nil {
-			return fmt.Errorf("right side: %w", err)
-		}
-	case opts.Order == OrderWeightDesc:
+	if opts.Keys == nil {
 		t.left.sortByDegree(t.stats.MaxLeftDegree)
 		t.right.sortByDegree(t.stats.MaxRightDegree)
-	default: // OrderNatural
-		t.left.sortByNode()
-		t.right.sortByNode()
+		return nil
+	}
+	if err := t.left.sortByKeys(opts.Keys.Left); err != nil {
+		return fmt.Errorf("left side: %w", err)
+	}
+	if err := t.right.sortByKeys(opts.Keys.Right); err != nil {
+		return fmt.Errorf("right side: %w", err)
 	}
 	return nil
-}
-
-// sortByNode arranges perm in node order, the identity (OrderNatural).
-func (st *sideTree) sortByNode() {
-	for i := range st.perm {
-		st.perm[i] = int32(i)
-	}
 }
 
 // sortByKeys arranges perm by key ascending, node id breaking ties
@@ -342,7 +308,9 @@ func (st *sideTree) sortByKeys(keys []uint64) error {
 	if len(keys) != len(st.perm) {
 		return fmt.Errorf("%w: got %d keys for a %d-node side", ErrBadKeys, len(keys), len(st.perm))
 	}
-	st.sortByNode()
+	for i := range st.perm {
+		st.perm[i] = int32(i)
+	}
 	slices.SortFunc(st.perm, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
 	})
@@ -350,7 +318,7 @@ func (st *sideTree) sortByKeys(keys []uint64) error {
 }
 
 // sortByDegree arranges perm by degree descending, node id breaking ties
-// (OrderWeightDesc): a stable LSD counting sort of the node ids on the
+// (the default order): a stable LSD counting sort of the node ids on the
 // 16-bit digits of maxDeg − deg, where maxDeg is the side's largest degree
 // (the dataset summary has it). The first pass scatters the nodes in id
 // order straight off the degree array, so stability alone leaves equal
@@ -555,8 +523,8 @@ func (t *Tree) Graph() *bipartite.Graph { return t.graph }
 func (t *Tree) NumEdges() int64 { return t.left.degPrefix[len(t.left.degPrefix)-1] }
 
 // DatasetStats summarizes the dataset from the per-node degrees captured
-// at build time. The summary is computed once at build (graph build,
-// streamed build and DecodeBinary alike) and every call returns that
+// at build time. The summary is computed once at build (graph build and
+// streamed build alike) and every call returns that
 // stored value: O(1), no allocation. For graph-backed trees it equals
 // bipartite.ComputeStats(t.Graph()) bit for bit; for streamed trees it is
 // the only dataset summary available.
@@ -599,19 +567,6 @@ func (t *Tree) NumCells(level int) (int, error) {
 	return k * k, nil
 }
 
-// CellEdges returns the record count of cell (i, j) at the level.
-func (t *Tree) CellEdges(level, i, j int) (int64, error) {
-	d, err := t.DepthOfLevel(level)
-	if err != nil {
-		return 0, err
-	}
-	k := 1 << d
-	if i < 0 || i >= k || j < 0 || j >= k {
-		return 0, fmt.Errorf("hierarchy: cell (%d,%d) outside %dx%d grid", i, j, k, k)
-	}
-	return t.cells[d][i*k+j], nil
-}
-
 // LevelCellCounts returns a copy of the row-major cell count matrix at the
 // level.
 func (t *Tree) LevelCellCounts(level int) ([]int64, error) {
@@ -652,21 +607,9 @@ func (t *Tree) LevelCellCounts32View(level int) ([]int32, bool) {
 	return t.cells32[d], true
 }
 
-// CellOfEdge returns the cell coordinates containing association (l, r) at
-// the level.
-func (t *Tree) CellOfEdge(level int, l, r int32) (i, j int, err error) {
-	d, err := t.DepthOfLevel(level)
-	if err != nil {
-		return 0, 0, err
-	}
-	if l < 0 || int(l) >= len(t.left.pos) || r < 0 || int(r) >= len(t.right.pos) {
-		return 0, 0, fmt.Errorf("hierarchy: edge (%d,%d) out of range", l, r)
-	}
-	return findRange(t.left.bounds[d], t.left.pos[l]), findRange(t.right.bounds[d], t.right.pos[r]), nil
-}
-
 // findRange locates the range containing position p via binary search over
-// the boundary array.
+// the boundary array — the per-edge lookup the cell aggregation replaced,
+// kept as its test oracle (naiveCellCounts).
 func findRange(bounds []int32, p int32) int {
 	// bounds is sorted; find the last boundary <= p.
 	idx := sort.Search(len(bounds), func(i int) bool { return bounds[i] > p }) - 1
@@ -694,23 +637,6 @@ func (t *Tree) SideGroupNodes(level int, side bipartite.Side, i int) ([]int32, e
 		return nil, fmt.Errorf("hierarchy: side group %d outside [0,%d)", i, len(bounds)-1)
 	}
 	return append([]int32(nil), st.perm[bounds[i]:bounds[i+1]]...), nil
-}
-
-// SideGroupOfNode returns the index of the side group containing the node
-// at the level.
-func (t *Tree) SideGroupOfNode(level int, side bipartite.Side, node int32) (int, error) {
-	d, err := t.DepthOfLevel(level)
-	if err != nil {
-		return 0, err
-	}
-	st, err := t.sideTree(side)
-	if err != nil {
-		return 0, err
-	}
-	if node < 0 || int(node) >= len(st.pos) {
-		return 0, fmt.Errorf("hierarchy: node %d out of range", node)
-	}
-	return findRange(st.bounds[d], st.pos[node]), nil
 }
 
 func (t *Tree) sideTree(side bipartite.Side) (*sideTree, error) {
@@ -842,35 +768,6 @@ func (t *Tree) Profile(level int) (LevelProfile, error) {
 		p.Skew = float64(p.MaxCellEdges) / (float64(p.TotalEdges) / float64(p.NumCells))
 	}
 	return p, nil
-}
-
-// SensitivityProfile returns the cell-model sensitivity for every level
-// from the root down; index i holds level MaxLevel−i.
-func (t *Tree) SensitivityProfile() ([]int64, error) {
-	out := make([]int64, len(t.cells))
-	for d := range t.cells {
-		s, err := t.MaxCellEdges(t.maxLevel - d)
-		if err != nil {
-			return nil, err
-		}
-		out[d] = s
-	}
-	return out, nil
-}
-
-// ImbalanceSummary returns the per-level skew (max cell / balanced cell),
-// used by ablation A3 to compare bisectors; index i holds level
-// MaxLevel−i.
-func (t *Tree) ImbalanceSummary() ([]float64, error) {
-	out := make([]float64, len(t.cells))
-	for d := range t.cells {
-		p, err := t.Profile(t.maxLevel - d)
-		if err != nil {
-			return nil, err
-		}
-		out[d] = p.Skew
-	}
-	return out, nil
 }
 
 // Validate checks the structural invariants the rest of the system relies

@@ -50,9 +50,6 @@ func TestBuildValidation(t *testing.T) {
 			t.Errorf("rounds=%d: %v", rounds, err)
 		}
 	}
-	if _, err := Build(g, Options{Rounds: 1, Bisector: partition.BalancedBisector{}, Order: Order(99)}); err == nil {
-		t.Error("bad order accepted")
-	}
 }
 
 func TestBuildSmallTreeShape(t *testing.T) {
@@ -80,12 +77,12 @@ func TestBuildSmallTreeShape(t *testing.T) {
 			t.Errorf("level %d has %d side groups, want %d", lvl, n, wantGroups)
 		}
 	}
-	rootEdges, err := tree.CellEdges(2, 0, 0)
+	root, err := tree.LevelCellCounts(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rootEdges != g.NumEdges() {
-		t.Errorf("root cell edges = %d, want %d", rootEdges, g.NumEdges())
+	if root[0] != g.NumEdges() {
+		t.Errorf("root cell edges = %d, want %d", root[0], g.NumEdges())
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
@@ -101,9 +98,6 @@ func TestLevelOutOfRange(t *testing.T) {
 	if _, err := tree.NumCells(-1); !errors.Is(err, ErrBadLevel) {
 		t.Errorf("level below leaves: %v", err)
 	}
-	if _, err := tree.CellEdges(1, 4, 0); err == nil {
-		t.Error("cell index out of grid accepted")
-	}
 	if _, err := tree.LevelCellCounts(5); !errors.Is(err, ErrBadLevel) {
 		t.Error("LevelCellCounts accepted bad level")
 	}
@@ -118,15 +112,10 @@ func TestEdgePartitionPerLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := make([]int64, k*k)
-		g.ForEachEdge(func(l, r int32) bool {
-			i, j, err := tree.CellOfEdge(level, l, r)
-			if err != nil {
-				t.Fatalf("level %d edge (%d,%d): %v", level, l, r, err)
-			}
-			counts[i*k+j]++
-			return true
-		})
+		counts := naiveCellCounts(tree, tree.MaxLevel()-level)
+		if len(counts) != k*k {
+			t.Fatalf("level %d: %d cells for %d side groups", level, len(counts), k)
+		}
 		stored, err := tree.LevelCellCounts(level)
 		if err != nil {
 			t.Fatal(err)
@@ -141,17 +130,6 @@ func TestEdgePartitionPerLevel(t *testing.T) {
 		if total != g.NumEdges() {
 			t.Errorf("level %d total %d != %d", level, total, g.NumEdges())
 		}
-	}
-}
-
-func TestCellOfEdgeErrors(t *testing.T) {
-	t.Parallel()
-	tree := buildTree(t, smallGraph(t), 1, partition.BalancedBisector{})
-	if _, _, err := tree.CellOfEdge(0, -1, 0); err == nil {
-		t.Error("negative node accepted")
-	}
-	if _, _, err := tree.CellOfEdge(5, 0, 0); !errors.Is(err, ErrBadLevel) {
-		t.Error("level above root accepted")
 	}
 }
 
@@ -188,36 +166,6 @@ func TestSideGroupNodesPartitionSide(t *testing.T) {
 	}
 	if _, err := tree.SideGroupNodes(1, bipartite.Left, 5); err == nil {
 		t.Error("group index out of range accepted")
-	}
-}
-
-func TestSideGroupOfNodeConsistent(t *testing.T) {
-	t.Parallel()
-	g := smallGraph(t)
-	tree := buildTree(t, g, 2, partition.BalancedBisector{})
-	for level := 0; level <= 2; level++ {
-		k, err := tree.NumSideGroups(level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < k; i++ {
-			nodes, err := tree.SideGroupNodes(level, bipartite.Left, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, node := range nodes {
-				got, err := tree.SideGroupOfNode(level, bipartite.Left, node)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != i {
-					t.Errorf("level %d: node %d reported in group %d, want %d", level, node, got, i)
-				}
-			}
-		}
-	}
-	if _, err := tree.SideGroupOfNode(1, bipartite.Left, 99); err == nil {
-		t.Error("out-of-range node accepted")
 	}
 }
 
@@ -272,14 +220,26 @@ func TestMaxSideGroupIncidentEdges(t *testing.T) {
 	}
 }
 
+// sensitivityByDepth is the cell-model sensitivity of every level, root
+// first.
+func sensitivityByDepth(t *testing.T, tree *Tree) []int64 {
+	t.Helper()
+	out := make([]int64, tree.MaxLevel()+1)
+	for d := range out {
+		s, err := tree.MaxCellEdges(tree.MaxLevel() - d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[d] = s
+	}
+	return out
+}
+
 func TestSensitivityProfileMonotone(t *testing.T) {
 	t.Parallel()
 	g := smallGraph(t)
 	tree := buildTree(t, g, 3, partition.BalancedBisector{})
-	prof, err := tree.SensitivityProfile()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := sensitivityByDepth(t, tree)
 	if prof[0] != g.NumEdges() {
 		t.Errorf("root sensitivity = %d, want %d", prof[0], g.NumEdges())
 	}
@@ -306,22 +266,6 @@ func TestProfileAndSkew(t *testing.T) {
 	}
 	if p.MeanCellEdges <= 0 {
 		t.Errorf("mean cell edges = %v", p.MeanCellEdges)
-	}
-}
-
-func TestOrderNatural(t *testing.T) {
-	t.Parallel()
-	g := smallGraph(t)
-	tree, err := Build(g, Options{
-		Rounds:   2,
-		Bisector: partition.MidpointBisector{},
-		Order:    OrderNatural,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -391,61 +335,6 @@ func TestDepthOfLevel(t *testing.T) {
 	}
 }
 
-func TestImbalanceSummary(t *testing.T) {
-	t.Parallel()
-	tree := buildTree(t, smallGraph(t), 2, partition.BalancedBisector{})
-	skews, err := tree.ImbalanceSummary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skews) != 3 {
-		t.Fatalf("len = %d, want 3", len(skews))
-	}
-	if skews[0] != 1 {
-		t.Errorf("root skew = %v, want 1", skews[0])
-	}
-}
-
-func TestEmptyGraphTree(t *testing.T) {
-	t.Parallel()
-	b := bipartite.NewBuilder(0)
-	b.SetNumLeft(4)
-	b.SetNumRight(4)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := buildTree(t, g, 2, partition.MidpointBisector{})
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := tree.MaxCellEdges(0)
-	if err != nil || s != 0 {
-		t.Errorf("MaxCellEdges = %d, %v", s, err)
-	}
-}
-
-func TestDeeperThanNodesTree(t *testing.T) {
-	t.Parallel()
-	// 2x2 graph split 4 rounds: ranges bottom out at single nodes and
-	// empty ranges; invariants must hold throughout.
-	g, err := bipartite.FromEdges(2, 2, []bipartite.Edge{{Left: 0, Right: 0}, {Left: 1, Right: 1}, {Left: 0, Right: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := buildTree(t, g, 4, partition.BalancedBisector{})
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := tree.MaxCellEdges(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s < 1 {
-		t.Errorf("finest sensitivity = %d, want >= 1", s)
-	}
-}
-
 // TestQuickTreeInvariants builds trees over random graphs with random
 // bisector choices and checks Validate plus sensitivity monotonicity.
 func TestQuickTreeInvariants(t *testing.T) {
@@ -486,10 +375,7 @@ func TestQuickTreeInvariants(t *testing.T) {
 		if err := tree.Validate(); err != nil {
 			return false
 		}
-		prof, err := tree.SensitivityProfile()
-		if err != nil {
-			return false
-		}
+		prof := sensitivityByDepth(t, tree)
 		for i := 1; i < len(prof); i++ {
 			if prof[i] > prof[i-1] {
 				return false

@@ -1,7 +1,6 @@
 package hierarchy
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -70,38 +69,6 @@ func TestLevelCellCounts32ViewOverflow(t *testing.T) {
 		wide, err := tree.LevelCellCountsView(lvl)
 		if err != nil || len(wide) == 0 {
 			t.Fatalf("level %d: wide view broken after overflow: %v", lvl, err)
-		}
-	}
-}
-
-// TestNarrowCacheSurvivesCodec checks the decode path rebuilds the
-// narrow cache: DecodeBinary recomputes cells through the same setCells
-// tail as the graph build.
-func TestNarrowCacheSurvivesCodec(t *testing.T) {
-	t.Parallel()
-	g := randomGraph(t, 48, 48, 500, 5)
-	tree, err := Build(g, Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tree.EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeBinary(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lvl := 0; lvl <= decoded.MaxLevel(); lvl++ {
-		want, okW := tree.LevelCellCounts32View(lvl)
-		got, okG := decoded.LevelCellCounts32View(lvl)
-		if okW != okG {
-			t.Fatalf("level %d: narrow presence differs after decode (%v vs %v)", lvl, okW, okG)
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("level %d cell %d: %d != %d after decode", lvl, i, want[i], got[i])
-			}
 		}
 	}
 }

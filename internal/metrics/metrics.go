@@ -68,20 +68,6 @@ func Summarize(values []float64) (Summary, error) {
 	}, nil
 }
 
-// Quantile returns the q-quantile (q in [0,1]) of the sample by linear
-// interpolation.
-func Quantile(values []float64, q float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("metrics: quantile %v outside [0,1]", q)
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]

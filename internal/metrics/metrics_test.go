@@ -59,34 +59,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	t.Parallel()
-	vals := []float64{1, 2, 3, 4}
-	q, err := Quantile(vals, 0)
-	if err != nil || q != 1 {
-		t.Errorf("q0 = %v, %v", q, err)
-	}
-	q, err = Quantile(vals, 1)
-	if err != nil || q != 4 {
-		t.Errorf("q1 = %v, %v", q, err)
-	}
-	q, err = Quantile(vals, 0.5)
-	if err != nil || q != 2.5 {
-		t.Errorf("median = %v, %v", q, err)
-	}
-	if _, err := Quantile(vals, 1.5); err == nil {
-		t.Error("q=1.5 accepted")
-	}
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrEmpty) {
-		t.Error("empty accepted")
-	}
-	// Single element.
-	q, err = Quantile([]float64{7}, 0.3)
-	if err != nil || q != 7 {
-		t.Errorf("single-element quantile = %v, %v", q, err)
-	}
-}
-
 func TestSeriesValidate(t *testing.T) {
 	t.Parallel()
 	ok := Series{Name: "a", X: []float64{1}, Y: []float64{2}}

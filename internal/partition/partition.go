@@ -125,7 +125,6 @@ func balancedCut(prefix []int64) int {
 // already is not); hierarchy.Build serializes all cut decisions.
 type ExpMechBisector struct {
 	mech *dp.Exponential
-	eps  float64
 	prob []float64 // SelectFast scratch, reused across Bisect calls
 }
 
@@ -140,11 +139,8 @@ func NewExpMechBisector(epsilon float64, src *rng.Source) (*ExpMechBisector, err
 	if err != nil {
 		return nil, fmt.Errorf("partition: building exponential mechanism: %w", err)
 	}
-	return &ExpMechBisector{mech: mech, eps: epsilon}, nil
+	return &ExpMechBisector{mech: mech}, nil
 }
-
-// Epsilon returns the per-cut privacy cost.
-func (b *ExpMechBisector) Epsilon() float64 { return b.eps }
 
 // Bisect implements Bisector. Candidate i of the mechanism is cut i+1.
 func (b *ExpMechBisector) Bisect(prefix []int64) (int, error) {
@@ -232,34 +228,3 @@ func (MidpointBisector) Bisect(prefix []int64) (int, error) {
 
 // Name implements Bisector.
 func (MidpointBisector) Name() string { return "midpoint" }
-
-// CutQuality describes how balanced a chosen cut is, for diagnostics and
-// experiment reporting.
-type CutQuality struct {
-	// LeftWeight and RightWeight are the summed weights of the two parts.
-	LeftWeight  int64
-	RightWeight int64
-	// Imbalance is |LeftWeight − RightWeight| / TotalWeight in [0, 1];
-	// zero for a perfectly balanced cut. It is 0 when the total is 0.
-	Imbalance float64
-}
-
-// Quality evaluates a cut of raw per-item weights.
-func Quality(weights []int64, cut int) (CutQuality, error) {
-	prefix, err := PrefixSums(weights)
-	if err != nil {
-		return CutQuality{}, err
-	}
-	if cut < 1 || cut >= len(weights) {
-		return CutQuality{}, fmt.Errorf("partition: cut %d outside [1,%d)", cut, len(weights))
-	}
-	q := CutQuality{LeftWeight: prefix[cut], RightWeight: prefix[len(weights)] - prefix[cut]}
-	if total := q.LeftWeight + q.RightWeight; total > 0 {
-		diff := q.LeftWeight - q.RightWeight
-		if diff < 0 {
-			diff = -diff
-		}
-		q.Imbalance = float64(diff) / float64(total)
-	}
-	return q, nil
-}

@@ -124,9 +124,6 @@ func TestValidateErrors(t *testing.T) {
 	if _, err := PrefixSums([]int64{1, -2}); !errors.Is(err, ErrNegativeWeight) {
 		t.Errorf("PrefixSums: negative weight error = %v", err)
 	}
-	if _, err := Quality([]int64{1, -2}, 1); !errors.Is(err, ErrNegativeWeight) {
-		t.Errorf("Quality: negative weight error = %v", err)
-	}
 }
 
 func TestBalancedBisectorExact(t *testing.T) {
@@ -213,13 +210,9 @@ func TestExpMechBisectorRandomizes(t *testing.T) {
 	}
 }
 
-func TestExpMechBisectorEpsilon(t *testing.T) {
+func TestExpMechBisectorName(t *testing.T) {
 	t.Parallel()
-	b := mustExpMech(t, 0.7)
-	if b.Epsilon() != 0.7 {
-		t.Errorf("Epsilon = %v", b.Epsilon())
-	}
-	if b.Name() != "expmech" {
+	if b := mustExpMech(t, 0.7); b.Name() != "expmech" {
 		t.Errorf("Name = %q", b.Name())
 	}
 }
@@ -231,38 +224,6 @@ func TestNewExpMechBisectorValidation(t *testing.T) {
 	}
 	if _, err := NewExpMechBisector(1, nil); err == nil {
 		t.Error("nil source accepted")
-	}
-}
-
-func TestQuality(t *testing.T) {
-	t.Parallel()
-	q, err := Quality([]int64{3, 1, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.LeftWeight != 3 || q.RightWeight != 3 || q.Imbalance != 0 {
-		t.Errorf("quality = %+v", q)
-	}
-	q, err = Quality([]int64{3, 1, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.LeftWeight != 4 || q.RightWeight != 2 || math.Abs(q.Imbalance-2.0/6.0) > 1e-12 {
-		t.Errorf("quality = %+v", q)
-	}
-	if _, err := Quality([]int64{1, 2}, 0); err == nil {
-		t.Error("cut=0 accepted")
-	}
-	if _, err := Quality([]int64{1, 2}, 2); err == nil {
-		t.Error("cut=n accepted")
-	}
-	// All-zero weights: imbalance defined as 0.
-	q, err = Quality([]int64{0, 0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Imbalance != 0 {
-		t.Errorf("zero-weight imbalance = %v", q.Imbalance)
 	}
 }
 
@@ -297,6 +258,19 @@ func TestQuickCutsInRange(t *testing.T) {
 	}
 }
 
+// imbalance is |left − right| / total of the two parts a cut makes.
+func imbalance(weights []int64, cut int) float64 {
+	var left, right int64
+	for i, w := range weights {
+		if i < cut {
+			left += w
+		} else {
+			right += w
+		}
+	}
+	return math.Abs(float64(left-right)) / float64(left+right)
+}
+
 // TestExpMechBeatsRandomOnImbalance compares mean cut imbalance: with a
 // skewed weight vector, the exponential mechanism should find more
 // balanced cuts than uniform random cutting. This is the mechanism-level
@@ -317,16 +291,8 @@ func TestExpMechBeatsRandomOnImbalance(t *testing.T) {
 		weights[0] = 200 // strong skew
 		cutE := bisectWeights(t, expMech, weights, 0)
 		cutR := bisectWeights(t, random, weights, 0)
-		qe, err := Quality(weights, cutE)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qr, err := Quality(weights, cutR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		expTotal += qe.Imbalance
-		randTotal += qr.Imbalance
+		expTotal += imbalance(weights, cutE)
+		randTotal += imbalance(weights, cutR)
 	}
 	if expTotal >= randTotal {
 		t.Errorf("expmech mean imbalance %.4f not better than random %.4f",

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/hierarchy"
-	"repro/internal/metrics"
 )
 
 // MarginalCounts returns the per-side-group association counts implied by
@@ -64,30 +63,6 @@ func MarginalCountsInto(dst []float64, c core.CellRelease, side bipartite.Side) 
 		}
 	}
 	return dst, nil
-}
-
-// MarginalError compares released marginals against the exact incident
-// edge counts from the hierarchy and summarizes the absolute error.
-func MarginalError(t *hierarchy.Tree, c core.CellRelease, side bipartite.Side) (metrics.Summary, error) {
-	if t == nil {
-		return metrics.Summary{}, ErrNilTree
-	}
-	released, err := MarginalCounts(c, side)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	exact, err := t.SideGroupIncidentEdges(c.Level, side)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	if len(exact) != len(released) {
-		return metrics.Summary{}, fmt.Errorf("query: release has %d groups, tree has %d", len(released), len(exact))
-	}
-	errs := make([]float64, len(exact))
-	for i := range exact {
-		errs[i] = metrics.AbsError(released[i], float64(exact[i]))
-	}
-	return metrics.Summarize(errs)
 }
 
 // TopKGroups returns the indices of the k largest released marginals on a

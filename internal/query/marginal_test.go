@@ -64,39 +64,6 @@ func TestMarginalCountsValidation(t *testing.T) {
 	}
 }
 
-func TestMarginalErrorZeroForNoiseless(t *testing.T) {
-	t.Parallel()
-	tree := testTree(t)
-	rel := noiselessRelease(t, 2)
-	sum, err := MarginalError(tree, rel, bipartite.Left)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Max > 1e-9 {
-		t.Errorf("noiseless marginal error = %+v", sum)
-	}
-	if _, err := MarginalError(nil, rel, bipartite.Left); err == nil {
-		t.Error("nil tree accepted")
-	}
-}
-
-func TestMarginalErrorGrowsWithNoise(t *testing.T) {
-	t.Parallel()
-	tree := testTree(t)
-	const level = 2
-	run := func(eps float64) float64 {
-		rel := releaseCells(t, tree, level, eps, rng.New(31))
-		sum, err := MarginalError(tree, rel, bipartite.Left)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sum.Mean
-	}
-	if low, high := run(0.9), run(0.1); high <= low {
-		t.Errorf("marginal error at eps=0.1 (%v) not above eps=0.9 (%v)", high, low)
-	}
-}
-
 func TestTopKGroupsNoiseless(t *testing.T) {
 	t.Parallel()
 	tree := testTree(t)

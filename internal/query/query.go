@@ -14,15 +14,11 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 )
-
-// TotalAssociations returns the exact answer to the paper's count query.
-func TotalAssociations(g *bipartite.Graph) int64 { return g.NumEdges() }
 
 // Rect is a rectangle over a level's cell grid: side-group index ranges
 // [I0, I1) × [J0, J1).
@@ -48,9 +44,6 @@ func (r Rect) validate(k int) error {
 	}
 	return nil
 }
-
-// NumCells returns the number of cells the rectangle covers.
-func (r Rect) NumCells() int { return (r.I1 - r.I0) * (r.J1 - r.J0) }
 
 // ExactRect answers the rectangle query from the exact hierarchy.
 func ExactRect(t *hierarchy.Tree, r Rect) (int64, error) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
@@ -40,18 +39,6 @@ func releaseCells(t testing.TB, tree *hierarchy.Tree, level int, eps float64, sr
 		t.Fatal(err)
 	}
 	return rel
-}
-
-func TestTotalAssociations(t *testing.T) {
-	t.Parallel()
-	tree := testTree(t)
-	if TotalAssociations(tree.Graph()) != tree.Graph().NumEdges() {
-		t.Error("TotalAssociations disagrees with graph")
-	}
-	var empty bipartite.Graph
-	if TotalAssociations(&empty) != 0 {
-		t.Error("empty graph should count 0")
-	}
 }
 
 func TestExactRectFullGridEqualsTotal(t *testing.T) {
@@ -108,14 +95,6 @@ func TestRectValidation(t *testing.T) {
 	}
 	if _, err := ExactRect(tree, Rect{Level: 99, I1: 1, J1: 1}); err == nil {
 		t.Error("bad level accepted")
-	}
-}
-
-func TestRectNumCells(t *testing.T) {
-	t.Parallel()
-	r := Rect{I0: 1, I1: 3, J0: 0, J1: 4}
-	if r.NumCells() != 8 {
-		t.Errorf("NumCells = %d, want 8", r.NumCells())
 	}
 }
 

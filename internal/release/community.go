@@ -62,16 +62,6 @@ func (CommunityPartitioner) Ops(cfg PartitionConfig) []PhaseOp {
 // before the tree exists, independent of whether any cut is private.
 func (CommunityPartitioner) ChargeAlways() bool { return true }
 
-// PlanGraph implements Partitioner by streaming the graph's edges, so
-// the in-memory and streamed build paths share one code path and are
-// identical by construction.
-func (c CommunityPartitioner) PlanGraph(g *bipartite.Graph, cfg PartitionConfig, src *rng.Source) (PartitionPlan, error) {
-	if g == nil {
-		return PartitionPlan{}, ErrNilGraph
-	}
-	return c.PlanSource(bipartite.NewGraphSource(g), cfg, src)
-}
-
 // PlanSource implements Partitioner.
 func (c CommunityPartitioner) PlanSource(es bipartite.EdgeSource, cfg PartitionConfig, src *rng.Source) (PartitionPlan, error) {
 	if es == nil {
@@ -109,13 +99,9 @@ func (c CommunityPartitioner) PlanSource(es bipartite.EdgeSource, cfg PartitionC
 		Right: communityKeys(rightRank, rightDeg),
 	}
 
-	bisector := cfg.Override
-	if bisector == nil {
-		// The ordering already encodes the (perturbed) grouping and the
-		// budget is spent on it, so the cuts themselves stay public.
-		bisector = partition.BalancedBisector{}
-	}
-	return PartitionPlan{Bisector: bisector, Keys: keys}, nil
+	// The ordering already encodes the (perturbed) grouping and the
+	// budget is spent on it, so the cuts themselves stay public.
+	return PartitionPlan{Bisector: partition.BalancedBisector{}, Keys: keys}, nil
 }
 
 // communityDegrees is the partitioner's degree pass, sized by the same

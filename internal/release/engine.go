@@ -56,9 +56,6 @@ func NewEngine(model core.GroupModel, calib core.Calibration, mech core.NoiseMec
 	return &Engine{model: model, calib: calib, mech: mech}, nil
 }
 
-// Model returns the configured group-adjacency model.
-func (e *Engine) Model() core.GroupModel { return e.model }
-
 // SetCellMechanism selects the cell-histogram noise mechanism. Gaussian
 // (the default) keeps the chunked worker-sharded fill; Laplace and
 // geometric switch Cells to the serial pure-ε path with δ = 0.

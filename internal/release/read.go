@@ -65,11 +65,6 @@ func validateArtifact(rel *Release) error {
 			return fmt.Errorf("%w: level %d sigma %v, delta %v", ErrBadArtifact, lr.Level, lr.Sigma, lr.Delta)
 		}
 	}
-	if rel.Grouping != nil {
-		if err := rel.Grouping.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadArtifact, err)
-		}
-	}
 	cellSeen := make(map[int]bool, len(rel.Cells))
 	for i, c := range rel.Cells {
 		// The cap comes first: it keeps the square below from wrapping

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
-	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
@@ -102,11 +101,7 @@ type config struct {
 	mechSet        bool
 	strategy       *Strategy
 	phase1Epsilon  float64
-	bisector       partition.Bisector
-	order          hierarchy.Order
 	cellHistograms bool
-	grouping       bool
-	consistency    bool
 	seed           uint64
 	workers        int
 }
@@ -188,7 +183,7 @@ func WithMechanism(m core.NoiseMechanism) Option {
 }
 
 // WithStrategy selects a registered release strategy by name — the
-// composed partitioner × noise × consistency plan the pipeline runs.
+// composed partitioner × noise plan the pipeline runs.
 // The empty name selects the default (the paper's quadtree + Gaussian
 // pipeline); unknown names fail here with ErrUnknownStrategy, never as
 // a late failure inside a run.
@@ -216,58 +211,12 @@ func WithPhase1Epsilon(eps float64) Option {
 	}
 }
 
-// WithBisector overrides the Phase-1 bisector entirely (ablation A3).
-// Takes precedence over WithPhase1Epsilon.
-func WithBisector(b partition.Bisector) Option {
-	return func(c *config) error {
-		if b == nil {
-			return fmt.Errorf("%w: nil bisector", ErrBadOption)
-		}
-		c.bisector = b
-		return nil
-	}
-}
-
-// WithOrder sets the node ordering used before each cut.
-func WithOrder(o hierarchy.Order) Option {
-	return func(c *config) error {
-		if !o.Valid() {
-			return fmt.Errorf("%w: order %d", ErrBadOption, int(o))
-		}
-		c.order = o
-		return nil
-	}
-}
-
 // WithCellHistograms also releases each level's noisy cell histogram (the
 // paper's "noise injected into the subgraphs induced by each group
 // level"), doubling the per-level query count.
 func WithCellHistograms(enabled bool) Option {
 	return func(c *config) error {
 		c.cellHistograms = enabled
-		return nil
-	}
-}
-
-// WithConsistency post-processes the released cell histograms so that
-// every parent cell equals the sum of its children (hierarchical
-// constrained inference). Post-processing of DP outputs is free — no
-// extra budget — and strictly reduces expected error. Requires
-// WithCellHistograms and contiguous levels.
-func WithConsistency(enabled bool) Option {
-	return func(c *config) error {
-		c.consistency = enabled
-		return nil
-	}
-}
-
-// WithGrouping publishes the Phase-1 group structure (node → group per
-// level) in the artifact, which data users need to interpret per-group
-// histograms. The grouping was built under the Phase-1 budget, so
-// publishing it consumes nothing further.
-func WithGrouping(enabled bool) Option {
-	return func(c *config) error {
-		c.grouping = enabled
 		return nil
 	}
 }
@@ -311,7 +260,6 @@ func New(budget dp.Params, opts ...Option) (*Pipeline, error) {
 		model:     core.ModelCells,
 		calib:     core.CalibrationClassical,
 		mechanism: core.MechGaussian,
-		order:     hierarchy.OrderWeightDesc,
 		seed:      1,
 	}
 	for _, opt := range opts {
@@ -335,10 +283,17 @@ func New(budget dp.Params, opts ...Option) (*Pipeline, error) {
 			cfg.levels = append(cfg.levels, lvl)
 		}
 	}
+	// A repeated level would be charged twice and released twice, and
+	// ReadJSON refuses the artifact that carries it.
+	seen := make(map[int]bool, len(cfg.levels))
 	for _, lvl := range cfg.levels {
 		if lvl < 0 || lvl > cfg.rounds {
 			return nil, fmt.Errorf("%w: level %d outside [0,%d]", ErrBadOption, lvl, cfg.rounds)
 		}
+		if seen[lvl] {
+			return nil, fmt.Errorf("%w: level %d listed twice", ErrBadOption, lvl)
+		}
+		seen[lvl] = true
 	}
 	return &Pipeline{cfg: cfg}, nil
 }
@@ -388,9 +343,6 @@ type Release struct {
 	Counts core.MultiLevelRelease `json:"counts"`
 	// Cells holds the optional per-level histogram releases.
 	Cells []core.CellRelease `json:"cells,omitempty"`
-	// Grouping publishes the node → group assignment per level when the
-	// pipeline ran with WithGrouping.
-	Grouping *Grouping `json:"grouping,omitempty"`
 	// Audit is the privacy ledger trail.
 	Audit []accountant.Op `json:"-"`
 
@@ -401,13 +353,14 @@ type Release struct {
 // itself is curator-side state, not part of the published artifact).
 func (r *Release) Tree() *hierarchy.Tree { return r.tree }
 
-// Run executes both phases on g.
+// Run executes both phases on g. The partitioner plans over g's edge
+// stream, the one plan path RunFromEdges also takes.
 func (p *Pipeline) Run(g *bipartite.Graph) (*Release, error) {
 	if g == nil {
 		return nil, ErrNilGraph
 	}
 	phase1Src, phase2Src := p.splitSources()
-	plan, err := p.cfg.strategy.Partitioner.PlanGraph(g, p.partitionConfig(), phase1Src)
+	plan, err := p.cfg.strategy.Partitioner.PlanSource(bipartite.NewGraphSource(g), p.partitionConfig(), phase1Src)
 	if err != nil {
 		return nil, err
 	}
@@ -457,10 +410,9 @@ func (p *Pipeline) splitSources() (phase1, phase2 *rng.Source) {
 // Phase-1 stage consumes.
 func (p *Pipeline) partitionConfig() PartitionConfig {
 	return PartitionConfig{
-		Rounds:   p.cfg.rounds,
-		Epsilon:  p.cfg.phase1Epsilon,
-		Override: p.cfg.bisector,
-		Workers:  p.cfg.workers,
+		Rounds:  p.cfg.rounds,
+		Epsilon: p.cfg.phase1Epsilon,
+		Workers: p.cfg.workers,
 	}
 }
 
@@ -480,7 +432,6 @@ func (p *Pipeline) hierarchyOptions(plan PartitionPlan) hierarchy.Options {
 	return hierarchy.Options{
 		Rounds:   p.cfg.rounds,
 		Bisector: plan.Bisector,
-		Order:    p.cfg.order,
 		Keys:     plan.Keys,
 		Workers:  p.cfg.workers,
 	}
@@ -613,25 +564,6 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 			}
 			rel.Cells = append(rel.Cells, CloneCellRelease(*cells))
 		}
-	}
-
-	if cfg.consistency {
-		if !cfg.cellHistograms {
-			return nil, fmt.Errorf("%w: consistency requires cell histograms", ErrBadOption)
-		}
-		fixed, err := strat.Consistency.Apply(rel.Cells)
-		if err != nil {
-			return nil, fmt.Errorf("release: enforcing consistency: %w", err)
-		}
-		rel.Cells = fixed
-	}
-
-	if cfg.grouping {
-		grouping, err := GroupingFromTree(tree, cfg.levels)
-		if err != nil {
-			return nil, fmt.Errorf("release: extracting grouping: %w", err)
-		}
-		rel.Grouping = grouping
 	}
 
 	costs := make([]dp.Params, len(perQuery))

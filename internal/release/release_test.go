@@ -12,7 +12,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
-	"repro/internal/partition"
 
 	"repro/internal/bipartite"
 )
@@ -44,8 +43,7 @@ func TestNewValidation(t *testing.T) {
 		WithModel(core.GroupModel(9)),
 		WithCalibration(core.Calibration(9)),
 		WithPhase1Epsilon(-1),
-		WithBisector(nil),
-		WithOrder(hierarchy.Order(9)),
+		WithLevels([]int{2, 2}),
 	}
 	for i, opt := range bad {
 		if _, err := New(defaultBudget(), opt); !errors.Is(err, ErrBadOption) {
@@ -344,21 +342,6 @@ func TestViewFor(t *testing.T) {
 	}
 }
 
-func TestWithBisectorOverride(t *testing.T) {
-	t.Parallel()
-	p, err := New(defaultBudget(), WithRounds(4), WithBisector(partition.MidpointBisector{}), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := p.Run(testGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Phase1Epsilon != 0 {
-		t.Error("non-private override should cost nothing")
-	}
-}
-
 func TestClassicalCalibrationRejectsLargeEpsilon(t *testing.T) {
 	t.Parallel()
 	p, err := New(dp.Params{Epsilon: 1.5, Delta: 1e-5}, WithRounds(4))
@@ -560,55 +543,6 @@ func TestComposedRDPValidation(t *testing.T) {
 	}
 	if _, err := p2.Run(g); !errors.Is(err, ErrBadOption) {
 		t.Errorf("laplace + rdp: %v", err)
-	}
-}
-
-func TestWithConsistency(t *testing.T) {
-	t.Parallel()
-	p, err := New(defaultBudget(), WithRounds(4), WithSeed(5),
-		WithCellHistograms(true), WithConsistency(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := p.Run(testGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cells ordered coarse-first after enforcement; every parent equals
-	// its children's sum.
-	if len(rel.Cells) < 2 {
-		t.Fatal("expected multiple cell releases")
-	}
-	for d := 0; d < len(rel.Cells)-1; d++ {
-		parent, child := rel.Cells[d], rel.Cells[d+1]
-		if child.SideGroups != 2*parent.SideGroups {
-			t.Fatalf("cells not ordered coarse-first: k=%d then k=%d", parent.SideGroups, child.SideGroups)
-		}
-		k, ck := parent.SideGroups, child.SideGroups
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				var sum float64
-				for a := 0; a < 2; a++ {
-					for b := 0; b < 2; b++ {
-						sum += child.Counts[(2*i+a)*ck+(2*j+b)]
-					}
-				}
-				if math.Abs(parent.Counts[i*k+j]-sum) > 1e-6 {
-					t.Fatalf("inconsistent after WithConsistency at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestWithConsistencyRequiresHistograms(t *testing.T) {
-	t.Parallel()
-	p, err := New(defaultBudget(), WithRounds(4), WithConsistency(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(testGraph(t)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("consistency without histograms: %v", err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/bipartite"
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
@@ -16,11 +15,10 @@ import (
 	"repro/internal/rng"
 )
 
-// A Strategy decomposes the two-phase release into three composable
-// stages — how Phase 1 groups the nodes (Partitioner), what noise Phase
-// 2 injects (NoiseStage), and how the released histograms are
-// post-processed (ConsistencyStep) — so the engine is a registry of
-// named release plans instead of one hard-coded finish. The paper's
+// A Strategy decomposes the two-phase release into two composable
+// stages — how Phase 1 groups the nodes (Partitioner) and what noise
+// Phase 2 injects (NoiseStage) — so the engine is a registry of named
+// release plans instead of one hard-coded finish. The paper's
 // quadtree + Gaussian pipeline is the default strategy and stays
 // byte-identical; alternates (community-aware partitioning in the
 // PrivGraph shape, pure-ε Laplace cells) plug in beside it and are
@@ -39,8 +37,7 @@ var (
 )
 
 // DefaultStrategyName is the paper's pipeline: exponential-mechanism
-// quadtree specialization with Gaussian cells and hierarchical
-// consistency. Its artifacts, noise streams and ledger labels are
+// quadtree specialization with Gaussian counts and cells. Its artifacts, noise streams and ledger labels are
 // pinned byte-identical to the pre-strategy engine.
 const DefaultStrategyName = "quadtree-gaussian"
 
@@ -103,8 +100,6 @@ type PartitionConfig struct {
 	// per-side randomized-response budget for the community family.
 	// Zero means a public (uncharged) grouping.
 	Epsilon float64
-	// Override is the WithBisector escape hatch, or nil.
-	Override partition.Bisector
 	// Workers bounds any internal parallelism; plans must be identical
 	// for every value.
 	Workers int
@@ -132,9 +127,9 @@ type Partitioner interface {
 	// tree records no private cuts (true for partitioners that spend
 	// budget outside the bisector, e.g. on perturbed assignments).
 	ChargeAlways() bool
-	// PlanGraph and PlanSource resolve the plan for one build; exactly
-	// one is called per run, matching the build path.
-	PlanGraph(g *bipartite.Graph, cfg PartitionConfig, src *rng.Source) (PartitionPlan, error)
+	// PlanSource resolves the plan for one build. Pipeline.Run passes
+	// its graph as a bipartite.NewGraphSource, so both build paths plan
+	// through this one call.
 	PlanSource(es bipartite.EdgeSource, cfg PartitionConfig, src *rng.Source) (PartitionPlan, error)
 }
 
@@ -147,51 +142,15 @@ type NoiseStage struct {
 	Cells core.NoiseMechanism
 }
 
-// ConsistencyStep post-processes the released per-level histograms.
-// Post-processing of DP outputs is free, so steps never touch the
-// ledger.
-type ConsistencyStep interface {
-	Name() string
-	Apply(cells []core.CellRelease) ([]core.CellRelease, error)
-}
-
-// HierarchicalConsistency enforces parent = Σ children across levels
-// (consistency.Enforce), the variance-weighted constrained inference
-// the default strategy uses.
-type HierarchicalConsistency struct{}
-
-// Name implements ConsistencyStep.
-func (HierarchicalConsistency) Name() string { return "hierarchical" }
-
-// Apply implements ConsistencyStep.
-func (HierarchicalConsistency) Apply(cells []core.CellRelease) ([]core.CellRelease, error) {
-	return consistency.Enforce(cells)
-}
-
-// IdentityConsistency publishes the raw noisy histograms unchanged —
-// the right step for the geometric mechanism (averaging would destroy
-// integer counts) and for strategies whose variance bookkeeping the
-// hierarchical solver does not model.
-type IdentityConsistency struct{}
-
-// Name implements ConsistencyStep.
-func (IdentityConsistency) Name() string { return "identity" }
-
-// Apply implements ConsistencyStep.
-func (IdentityConsistency) Apply(cells []core.CellRelease) ([]core.CellRelease, error) {
-	return cells, nil
-}
-
-// Strategy is one named composition of the three stages.
+// Strategy is one named composition of the two stages.
 type Strategy struct {
 	name        string
 	Partitioner Partitioner
 	Noise       NoiseStage
-	Consistency ConsistencyStep
 }
 
 // NewStrategy validates and assembles a strategy.
-func NewStrategy(name string, p Partitioner, n NoiseStage, c ConsistencyStep) (*Strategy, error) {
+func NewStrategy(name string, p Partitioner, n NoiseStage) (*Strategy, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty name", ErrBadStrategy)
 	}
@@ -204,21 +163,11 @@ func NewStrategy(name string, p Partitioner, n NoiseStage, c ConsistencyStep) (*
 	if !n.Cells.Valid() {
 		return nil, fmt.Errorf("%w: %q cell mechanism %d", ErrBadStrategy, name, int(n.Cells))
 	}
-	if c == nil {
-		return nil, fmt.Errorf("%w: %q has no consistency step", ErrBadStrategy, name)
-	}
-	return &Strategy{name: name, Partitioner: p, Noise: n, Consistency: c}, nil
+	return &Strategy{name: name, Partitioner: p, Noise: n}, nil
 }
 
 // Name returns the registry name.
 func (s *Strategy) Name() string { return s.name }
-
-// PureEpsilon reports whether the strategy's Phase-2 releases carry
-// δ = 0 (no Gaussian stage), which serving layers consult to skip
-// Gaussian-only calibration probes.
-func (s *Strategy) PureEpsilon() bool {
-	return s.Noise.Count != core.MechGaussian && s.Noise.Cells != core.MechGaussian
-}
 
 // StrategyRegistry is a named set of strategies. The zero value is not
 // usable; construct with NewStrategyRegistry. The package-level
@@ -286,8 +235,8 @@ func (r *StrategyRegistry) Names() []string {
 var Strategies = NewStrategyRegistry()
 
 func init() {
-	mustRegister := func(name string, p Partitioner, n NoiseStage, c ConsistencyStep) {
-		s, err := NewStrategy(name, p, n, c)
+	mustRegister := func(name string, p Partitioner, n NoiseStage) {
+		s, err := NewStrategy(name, p, n)
 		if err == nil {
 			err = Strategies.Register(s)
 		}
@@ -297,26 +246,20 @@ func init() {
 	}
 	// The paper's pipeline, byte-identical to the pre-strategy engine.
 	mustRegister(DefaultStrategyName, QuadtreePartitioner{},
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian},
-		HierarchicalConsistency{})
+		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian})
 	// Pure-ε alternative: Laplace counts and cells, δ = 0 end to end.
-	// Identity consistency keeps the variance bookkeeping honest (the
-	// hierarchical solver weights by Gaussian σ²).
 	mustRegister("quadtree-laplace", QuadtreePartitioner{},
-		NoiseStage{Count: core.MechLaplace, Cells: core.MechLaplace},
-		IdentityConsistency{})
+		NoiseStage{Count: core.MechLaplace, Cells: core.MechLaplace})
 	// Community-aware partitioning in the PrivGraph shape: modularity-
 	// style label grouping on the side projections, DP-perturbed
 	// assignment charged to the Phase-1 budget, Gaussian Phase 2.
 	mustRegister("community-gaussian", CommunityPartitioner{},
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian},
-		HierarchicalConsistency{})
+		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian})
 }
 
 // QuadtreePartitioner is the paper's Phase 1: degree-descending range
 // order cut by the exponential-mechanism bisector when a Phase-1 budget
-// is configured, the public balanced bisector otherwise. WithBisector
-// overrides the bisector entirely (ablation A3).
+// is configured, the public balanced bisector otherwise.
 type QuadtreePartitioner struct{}
 
 // Name implements Partitioner.
@@ -345,13 +288,10 @@ func (QuadtreePartitioner) Ops(cfg PartitionConfig) []PhaseOp {
 // the bisector, so a build with no private cuts owes nothing.
 func (QuadtreePartitioner) ChargeAlways() bool { return false }
 
-// plan resolves the bisector with the historical precedence: explicit
-// override, then the exponential mechanism when a budget is set, then
-// the public balanced bisector.
-func (QuadtreePartitioner) plan(cfg PartitionConfig, src *rng.Source) (PartitionPlan, error) {
-	if cfg.Override != nil {
-		return PartitionPlan{Bisector: cfg.Override}, nil
-	}
+// PlanSource implements Partitioner: the exponential mechanism when a
+// Phase-1 budget is set, the public balanced bisector otherwise. The
+// quadtree orders by degree, so it never reads the source.
+func (QuadtreePartitioner) PlanSource(_ bipartite.EdgeSource, cfg PartitionConfig, src *rng.Source) (PartitionPlan, error) {
 	if cfg.Epsilon > 0 {
 		b, err := partition.NewExpMechBisector(cfg.Epsilon, src)
 		if err != nil {
@@ -360,14 +300,4 @@ func (QuadtreePartitioner) plan(cfg PartitionConfig, src *rng.Source) (Partition
 		return PartitionPlan{Bisector: b}, nil
 	}
 	return PartitionPlan{Bisector: partition.BalancedBisector{}}, nil
-}
-
-// PlanGraph implements Partitioner.
-func (q QuadtreePartitioner) PlanGraph(_ *bipartite.Graph, cfg PartitionConfig, src *rng.Source) (PartitionPlan, error) {
-	return q.plan(cfg, src)
-}
-
-// PlanSource implements Partitioner.
-func (q QuadtreePartitioner) PlanSource(_ bipartite.EdgeSource, cfg PartitionConfig, src *rng.Source) (PartitionPlan, error) {
-	return q.plan(cfg, src)
 }

@@ -19,11 +19,9 @@ import (
 // the default strategy IS the old pipeline.
 const (
 	goldenDefaultArtifact = "caef744d6d0b56a73a070b532eab67d07954fe06b338105c57f6ca85e5c0d09b"
-	goldenLoadedArtifact  = "b23d91a126fa659c5dc599d925f95ea4a3a52e4159007c764e45b46554d6b661"
-	// goldenLoadedRawArtifact is the loaded configuration the binaries
-	// can produce: cell histograms and a Phase-1 budget, but neither the
-	// consistency post-processing nor the published grouping. Captured on
-	// the engine that still had both options.
+	// goldenLoadedRawArtifact is the loaded configuration: cell
+	// histograms and a Phase-1 budget. Captured on the engine that still
+	// had the consistency and grouping options, without either.
 	goldenLoadedRawArtifact = "163f1969673ca93ca4d31fbe70bc0c0f5c7623ce6be22ca9c6a0b5120b2b3c4b"
 )
 
@@ -57,8 +55,8 @@ func TestDefaultStrategyGoldenPinned(t *testing.T) {
 	}
 
 	loaded, err := New(defaultBudget(),
-		WithRounds(6), WithSeed(3), WithCellHistograms(true), WithConsistency(true),
-		WithGrouping(true), WithPhase1Epsilon(0.2), WithWorkers(4))
+		WithRounds(6), WithSeed(3), WithCellHistograms(true),
+		WithPhase1Epsilon(0.2), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +64,8 @@ func TestDefaultStrategyGoldenPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := artifactHash(t, rel); got != goldenLoadedArtifact {
-		t.Errorf("loaded artifact hash = %s, want pre-strategy golden %s", got, goldenLoadedArtifact)
-	}
-
-	raw, err := New(defaultBudget(),
-		WithRounds(6), WithSeed(3), WithCellHistograms(true),
-		WithPhase1Epsilon(0.2), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err = raw.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := artifactHash(t, rel); got != goldenLoadedRawArtifact {
-		t.Errorf("loaded artifact (no consistency, no grouping) hash = %s, want golden %s", got, goldenLoadedRawArtifact)
+		t.Errorf("loaded artifact hash = %s, want golden %s", got, goldenLoadedRawArtifact)
 	}
 }
 
@@ -100,8 +84,7 @@ func TestStrategyMatrixDeterminism(t *testing.T) {
 			for _, workers := range []int{1, 4, 7} {
 				p, err := New(defaultBudget(),
 					WithStrategy(name), WithRounds(6), WithSeed(3),
-					WithCellHistograms(true), WithConsistency(true),
-					WithGrouping(true), WithPhase1Epsilon(0.2), WithWorkers(workers))
+					WithCellHistograms(true), WithPhase1Epsilon(0.2), WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +165,7 @@ func TestStrategyRegistryValidation(t *testing.T) {
 	reg := NewStrategyRegistry()
 
 	valid, err := NewStrategy("s1", QuadtreePartitioner{},
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}, IdentityConsistency{})
+		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,20 +183,16 @@ func TestStrategyRegistryValidation(t *testing.T) {
 	}
 
 	if _, err := NewStrategy("", QuadtreePartitioner{},
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}, IdentityConsistency{}); !errors.Is(err, ErrBadStrategy) {
+		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}); !errors.Is(err, ErrBadStrategy) {
 		t.Errorf("empty name: got %v, want ErrBadStrategy", err)
 	}
 	if _, err := NewStrategy("x", nil,
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}, IdentityConsistency{}); !errors.Is(err, ErrBadStrategy) {
+		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}); !errors.Is(err, ErrBadStrategy) {
 		t.Errorf("nil partitioner: got %v, want ErrBadStrategy", err)
 	}
 	if _, err := NewStrategy("x", QuadtreePartitioner{},
-		NoiseStage{Count: core.NoiseMechanism(99), Cells: core.MechGaussian}, IdentityConsistency{}); !errors.Is(err, ErrBadStrategy) {
+		NoiseStage{Count: core.NoiseMechanism(99), Cells: core.MechGaussian}); !errors.Is(err, ErrBadStrategy) {
 		t.Errorf("bad count mechanism: got %v, want ErrBadStrategy", err)
-	}
-	if _, err := NewStrategy("x", QuadtreePartitioner{},
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}, nil); !errors.Is(err, ErrBadStrategy) {
-		t.Errorf("nil consistency: got %v, want ErrBadStrategy", err)
 	}
 
 	if _, err := reg.Resolve("absent"); !errors.Is(err, ErrUnknownStrategy) {

@@ -11,7 +11,7 @@ import (
 
 // TestRunFromEdgesMatchesRun pins the streamed pipeline end to end: the
 // full artifact — dataset stats, profiles, noisy counts, cell histograms,
-// grouping, audit-bearing costs — must serialize byte-identically whether
+// audit-bearing costs — must serialize byte-identically whether
 // Phase 1 ran over the materialized graph or over an edge stream of the
 // same associations.
 func TestRunFromEdgesMatchesRun(t *testing.T) {
@@ -29,8 +29,6 @@ func TestRunFromEdgesMatchesRun(t *testing.T) {
 			WithSeed(42),
 			WithPhase1Epsilon(0.2),
 			WithCellHistograms(true),
-			WithConsistency(true),
-			WithGrouping(true),
 		)
 		if err != nil {
 			t.Fatal(err)

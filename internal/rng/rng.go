@@ -9,7 +9,7 @@
 // child streams from a parent stream and a label. All samplers used by the
 // privacy mechanisms (normal, Laplace, two-sided geometric; the exponential
 // mechanism inverts its CDF on one uniform) and by the synthetic data
-// generator (Zipf, permutations) live here so that every random decision
+// generator (Zipf) live here so that every random decision
 // in the system flows through one auditable source.
 //
 // Normal variates come in two forms: the scalar Normal/NormalSigma
@@ -148,8 +148,8 @@ func (r *Source) SplitTo(dst *Source, label uint64) {
 }
 
 // Fork captures an indexed stream-derivation point: one parent draw
-// (the parent advances by exactly one Uint64) from which Stream and
-// StreamTo derive the child stream of any index as a pure function of
+// (the parent advances by exactly one Uint64) from which StreamTo
+// derives the child stream of any index as a pure function of
 // (fork point, index). Unlike a chain of Split calls, deriving child i
 // does not disturb the derivation of child j, so parallel workers can
 // claim indexed work items in any order — or any worker count — and
@@ -164,17 +164,10 @@ type Fork struct{ base uint64 }
 // point, advancing the parent by one Uint64.
 func (r *Source) Fork() Fork { return Fork{base: r.Uint64()} }
 
-// Stream returns the fork's index-th child stream.
-func (f Fork) Stream(index uint64) *Source {
-	child := new(Source)
-	f.StreamTo(child, index)
-	return child
-}
-
 // StreamTo writes the fork's index-th child stream into dst without
 // allocating — the per-chunk scratch path of the parallel Phase-2
-// release. The derived state is identical to Stream's (and to Split's
-// at the fork point) for the same index.
+// release. The derived state is identical to Split's at the fork point
+// for the same index.
 func (f Fork) StreamTo(dst *Source, index uint64) {
 	sm := f.base ^ (index * 0x9e3779b97f4a7c15)
 	for i := range dst.s {
@@ -263,11 +256,6 @@ func (r *Source) Laplace(b float64) float64 {
 	return -b * math.Log(1-2*u)
 }
 
-// Exponential returns an Exp(1) variate.
-func (r *Source) Exponential() float64 {
-	return -math.Log(r.OpenFloat64())
-}
-
 // TwoSidedGeometric returns a two-sided geometric variate with decay alpha
 // in (0, 1): P(k) ∝ alpha^|k| for integer k. With alpha = exp(-ε/Δ) this is
 // the geometric mechanism's noise distribution. It panics if alpha is
@@ -295,24 +283,6 @@ func (r *Source) oneSidedGeometric(alpha float64) int64 {
 		return math.MaxInt64 / 2
 	}
 	return int64(k)
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle performs a Fisher-Yates shuffle over n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // ErrZipfParams reports invalid Zipf parameters.

@@ -222,17 +222,14 @@ var (
 	WithCalibration    = release.WithCalibration
 	WithMechanism      = release.WithMechanism
 	WithPhase1Epsilon  = release.WithPhase1Epsilon
-	WithOrder          = release.WithOrder
 	WithCellHistograms = release.WithCellHistograms
-	WithConsistency    = release.WithConsistency
-	WithGrouping       = release.WithGrouping
 	WithSeed           = release.WithSeed
 	WithStrategy       = release.WithStrategy
 	WithWorkers        = release.WithWorkers
 )
 
 // ReleaseStrategyNames lists the registered release strategies
-// (partitioner × noise × consistency compositions) selectable with
+// (partitioner × noise compositions) selectable with
 // WithStrategy, ServeConfig.Strategy, DatasetOptions.Strategy, or the
 // HTTP ingest ?strategy= parameter.
 func ReleaseStrategyNames() []string { return release.Strategies.Names() }
@@ -241,9 +238,6 @@ func ReleaseStrategyNames() []string { return release.Strategies.Names() }
 // artifacts are byte-identical to releases produced before strategies
 // existed.
 const DefaultReleaseStrategy = release.DefaultStrategyName
-
-// Grouping is the published node → group assignment per level.
-type Grouping = release.Grouping
 
 // GroupSensitivity returns the count-query sensitivity at a level of a
 // built hierarchy under the given adjacency model.
