@@ -155,9 +155,9 @@ type sideTree struct {
 
 // Tree is the built hierarchy. It is immutable after Build.
 type Tree struct {
-	// graph is the backing graph for in-memory builds and decoded trees;
-	// it is nil for trees built through BuildFromEdges, whose accessors
-	// all run off the side trees' degree and cell state instead.
+	// graph is the backing graph for in-memory builds; it is nil for
+	// trees built through BuildFromEdges, whose accessors all run off
+	// the side trees' degree and cell state instead.
 	graph    *bipartite.Graph
 	maxLevel int
 

@@ -335,6 +335,46 @@ func TestDepthOfLevel(t *testing.T) {
 	}
 }
 
+func TestEmptyGraphTree(t *testing.T) {
+	t.Parallel()
+	b := bipartite.NewBuilder(0)
+	b.SetNumLeft(4)
+	b.SetNumRight(4)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := buildTree(t, g, 2, partition.MidpointBisector{})
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := tree.MaxCellEdges(0)
+	if err != nil || s != 0 {
+		t.Errorf("MaxCellEdges = %d, %v", s, err)
+	}
+}
+
+func TestDeeperThanNodesTree(t *testing.T) {
+	t.Parallel()
+	// 2x2 graph split 4 rounds: ranges bottom out at single nodes and
+	// empty ranges; invariants must hold throughout.
+	g, err := bipartite.FromEdges(2, 2, []bipartite.Edge{{Left: 0, Right: 0}, {Left: 1, Right: 1}, {Left: 0, Right: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := buildTree(t, g, 4, partition.BalancedBisector{})
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := tree.MaxCellEdges(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s < 1 {
+		t.Errorf("finest sensitivity = %d, want >= 1", s)
+	}
+}
+
 // TestQuickTreeInvariants builds trees over random graphs with random
 // bisector choices and checks Validate plus sensitivity monotonicity.
 func TestQuickTreeInvariants(t *testing.T) {
