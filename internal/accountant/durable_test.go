@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dp"
@@ -64,7 +66,7 @@ func openFault(fn func(*faultSyncer)) DurableOptions {
 	}
 }
 
-func mustOpen(t *testing.T, budget dp.Params, path string, opts DurableOptions) *DurableLedger {
+func mustOpen(t testing.TB, budget dp.Params, path string, opts DurableOptions) *DurableLedger {
 	t.Helper()
 	d, err := OpenDurableLedger(budget, path, opts)
 	if err != nil {
@@ -540,5 +542,61 @@ func TestZeroDeltaBudgetRejectsDelta(t *testing.T) {
 		if err := l2.Spend("slice", dp.Params{Epsilon: 1.0 / 7}); err != nil {
 			t.Fatalf("slice %d of ε/7: %v", i, err)
 		}
+	}
+}
+
+// syncCounter counts the fsyncs of the writer it wraps.
+type syncCounter struct {
+	WriteSyncer
+	syncs *atomic.Int64
+}
+
+func (c syncCounter) Sync() error {
+	c.syncs.Add(1)
+	return c.WriteSyncer.Sync()
+}
+
+// BenchmarkDurableSpend prices one FsyncAlways spend on the default
+// writer with one and with two concurrent spenders, and counts the
+// fsyncs per spend. Compaction is off, so every fsync is a spend's.
+func BenchmarkDurableSpend(b *testing.B) {
+	label := []byte("s1000/q4711/marginal/level3")
+	cost := dp.Params{Epsilon: 1e-3, Delta: 1e-12}
+	for _, spenders := range []int{1, 2} {
+		b.Run(fmt.Sprintf("spenders=%d", spenders), func(b *testing.B) {
+			var syncs atomic.Int64
+			opts := DurableOptions{SnapshotEvery: -1, OpenWriter: func(path string) (WriteSyncer, error) {
+				w, err := openAppend(path)
+				if err != nil {
+					return nil, err
+				}
+				return syncCounter{w, &syncs}, nil
+			}}
+			d := mustOpen(b, dp.Params{Epsilon: 1e9, Delta: 0.5}, filepath.Join(b.TempDir(), "bench.wal"), opts)
+			defer d.Close()
+			syncs.Store(0)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < spenders; g++ {
+				n := b.N / spenders
+				if g < b.N%spenders {
+					n++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if err := d.SpendBytes(label, cost); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
+			b.ReportMetric(float64(syncs.Load())/float64(b.N), "fsyncs/op")
+		})
 	}
 }
