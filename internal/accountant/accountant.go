@@ -159,24 +159,31 @@ func (l *MemLedger) Check(cost dp.Params) error {
 	return l.check(cost)
 }
 
-// check reports whether the budget can admit cost, mutating nothing —
-// the durable ledger relies on that, logging the op between check and
-// commit. Only a RELATIVE tolerance absorbs floating-point drift (so n
-// spends of total/n always fit); there is deliberately no absolute
-// slack, because a strictly zero-delta budget is a pure-ε guarantee and
-// must reject ANY op with Delta > 0, however tiny. Callers hold l.mu.
+// check reports whether the budget can admit cost on top of the
+// committed ops. Callers hold l.mu.
 func (l *MemLedger) check(cost dp.Params) error {
+	return checkSpend(l.budget, dp.Params{Epsilon: l.eps, Delta: l.delta}, cost)
+}
+
+// checkSpend reports whether budget can admit cost on top of spent,
+// mutating nothing: MemLedger checks its committed total, DurableLedger
+// its admitted one, which also counts the ops not yet durable. Only a
+// RELATIVE tolerance absorbs floating-point drift (so n spends of
+// total/n always fit); there is deliberately no absolute slack, because
+// a strictly zero-delta budget is a pure-ε guarantee and must reject ANY
+// op with Delta > 0, however tiny.
+func checkSpend(budget, spent, cost dp.Params) error {
 	const tol = 1e-9
-	if l.eps+cost.Epsilon > l.budget.Epsilon*(1+tol) ||
-		l.delta+cost.Delta > l.budget.Delta*(1+tol) {
+	if spent.Epsilon+cost.Epsilon > budget.Epsilon*(1+tol) ||
+		spent.Delta+cost.Delta > budget.Delta*(1+tol) {
 		return fmt.Errorf("%w: spent %s + requested %s > budget %s",
-			ErrBudgetExceeded, dp.Params{Epsilon: l.eps, Delta: l.delta}, cost, l.budget)
+			ErrBudgetExceeded, spent, cost, budget)
 	}
 	return nil
 }
 
-// commit records a checked op. Callers hold l.mu and have ensured
-// check(cost) passed (replay of a durable trail recommits historical
+// commit records a checked op. Callers hold l.mu and have checked
+// cost (replay of a durable trail recommits historical
 // ops without rechecking — their admission is already fact).
 func (l *MemLedger) commit(label []byte, cost dp.Params) {
 	l.eps += cost.Epsilon

@@ -5,19 +5,28 @@
 // that forgets its debits on restart silently re-arms exhausted budgets
 // — a privacy violation, not an ops gap. DurableLedger writes every
 // operation to an append-only write-ahead log and (under FsyncAlways)
-// fsyncs it BEFORE the spend is admitted, so no caller ever releases
-// noisy bytes for an op that is not durably logged. Reopening the same
-// path replays the log: spent budget stays spent, the audit trail is
+// fsyncs it BEFORE the spend returns, so no caller ever releases noisy
+// bytes for an op that is not durably logged. Reopening the same path
+// replays the log: spent budget stays spent, the audit trail is
 // bit-identical, and an exhausted ledger reopens exhausted.
 //
+// Spends are group-committed. The budget check, the sequence number and
+// the frame's place in the log are fixed under the ledger lock, in
+// admission order, and the check counts the ops already admitted whose
+// frames are not yet durable. The write and fsync then run outside the
+// lock, one batch at a time, shared by every spender queued in the batch
+// (Log.Queue/Wait). An op enters Spent, Ops and OpCount only once the
+// fsync covering its frame has returned.
+//
 // Failure semantics are strictly fail-closed. If a WAL write or fsync
-// fails, the spend is NOT admitted, the in-memory state is untouched,
-// and the ledger latches the failure: every subsequent spend returns
-// ErrLedgerFailed until the ledger is reopened (a failed write may have
-// left a torn record on disk; appending more records after it would put
-// durable spends beyond a tear that replay must truncate at). Replay
-// tolerates exactly one torn tail — the prefix up to the first frame
-// that fails its checksum is the ledger, the tail is discarded and the
+// fails, no member of the failed batch, nor any op queued behind it, is
+// admitted, the in-memory state is untouched, and the ledger latches the
+// failure: every subsequent spend returns ErrLedgerFailed until the
+// ledger is reopened (a failed write may have left a torn record on
+// disk; appending more records after it would put durable spends beyond
+// a tear that replay must truncate at). Replay tolerates exactly one
+// torn tail — the prefix up to the first frame that fails its checksum
+// is the ledger, the tail (a zero tail included) is discarded and the
 // file truncated — while structural corruption (sequence gaps, foreign
 // magic, an unreadable snapshot) refuses to open at all.
 //
@@ -121,10 +130,11 @@ type DurableOptions struct {
 	// DefaultSnapshotEvery; negative disables compaction).
 	SnapshotEvery int
 	// OpenWriter opens a path for appending — the fault-injection seam.
-	// nil uses os.OpenFile(O_WRONLY|O_APPEND|O_CREATE). Replay reads
-	// and the flock are NOT routed through it: injected faults hit
-	// writes and syncs, exactly the failures the ledger must fail
-	// closed on.
+	// nil writes the WAL through a writer that keeps zeros ahead of its
+	// position (log.go) and the snapshot through
+	// os.OpenFile(O_WRONLY|O_APPEND|O_CREATE). Replay reads and the flock
+	// are NOT routed through it: injected faults hit writes and syncs,
+	// exactly the failures the ledger must fail closed on.
 	OpenWriter func(path string) (WriteSyncer, error)
 }
 
@@ -139,9 +149,6 @@ func (o DurableOptions) withDefaults() (DurableOptions, error) {
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if o.OpenWriter == nil {
-		o.OpenWriter = openAppend
 	}
 	return o, nil
 }
@@ -176,18 +183,34 @@ type DurableLedger struct {
 	snapPath string
 	opts     DurableOptions
 
-	// mem holds the replayed/admitted state; its mutex also guards every
-	// field below (one lock keeps the check→log→commit sequence atomic).
-	mem         MemLedger
-	log         *Log
-	scratch     []byte // payload assembly buffer
-	buf         []byte // frame assembly buffer
+	// mem holds the replayed and committed state; its mutex also guards
+	// every field below (one lock keeps check→number→queue atomic, and
+	// commits in sequence order).
+	mem     MemLedger
+	log     *Log
+	scratch []byte // payload assembly buffer
+	buf     []byte // frame assembly buffer
+	// admitted composes every admitted op, committed or pending, in
+	// admission order — the spent the budget check runs against.
+	admitted dp.Params
+	// pending holds the admitted ops whose frames are queued or being
+	// synced, in sequence order.
+	pending     []pendingOp
 	walRecords  int
 	snapOps     int
 	replayed    int
 	compactions int
 	failed      error
 	closed      bool
+}
+
+// pendingOp is an admitted op waiting for the fsync that covers its
+// frame. label aliases the spender's bytes: the spender stays inside
+// SpendBytes until the op is committed or, its batch failed, dropped.
+type pendingOp struct {
+	ticket uint64
+	label  []byte
+	cost   dp.Params
 }
 
 // OpenDurableLedger opens (creating if absent) the WAL at path and
@@ -238,6 +261,7 @@ func OpenDurableLedger(budget dp.Params, path string, opts DurableOptions) (*Dur
 		return nil, err
 	}
 	d.replayed = len(d.mem.ops)
+	d.admitted = dp.Params{Epsilon: d.mem.eps, Delta: d.mem.delta}
 	return d, nil
 }
 
@@ -325,46 +349,105 @@ func (d *DurableLedger) Spend(label string, cost dp.Params) error {
 	return d.SpendBytes([]byte(label), cost)
 }
 
-// SpendBytes implements Ledger: check the budget, log the op, make it
-// durable per the fsync policy, and only then admit it. Any logging
-// failure latches the ledger (see the package comment) and admits
-// nothing.
+// SpendBytes implements Ledger: check the budget, queue the op, wait
+// for the fsync that covers it (per the fsync policy), and only then
+// commit it. Any logging failure latches the ledger (see the package
+// comment) and admits nothing.
 func (d *DurableLedger) SpendBytes(label []byte, cost dp.Params) error {
 	if err := cost.Validate(); err != nil {
 		return err
 	}
 	l := &d.mem
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if d.failed != nil {
+		l.mu.Unlock()
 		return fmt.Errorf("%w (label %q)", d.failed, label)
 	}
-	if err := l.check(cost); err != nil {
+	if err := checkSpend(l.budget, d.admitted, cost); err != nil {
+		l.mu.Unlock()
 		return fmt.Errorf("%w (label %q)", err, label)
 	}
-	// Compact BEFORE appending the new record: a compaction failure then
+	// Compact BEFORE queueing the new record: a compaction failure then
 	// cleanly aborts this spend instead of leaving an already-admitted
 	// op entangled with a half-reset WAL.
 	if d.opts.SnapshotEvery > 0 && d.walRecords >= d.opts.SnapshotEvery {
 		if err := d.compactLocked(); err != nil {
-			d.failed = fmt.Errorf("%w: compaction: %v", ErrLedgerFailed, err)
+			d.latch(fmt.Errorf("%w: compaction: %v", ErrLedgerFailed, err))
+			l.mu.Unlock()
 			return fmt.Errorf("%w (label %q)", d.failed, label)
 		}
 	}
-	seq := uint64(len(l.ops)) + 1
+	seq := uint64(len(l.ops)+len(d.pending)) + 1
 	d.buf, d.scratch = appendOpFrame(d.buf[:0], d.scratch, seq, cost, label)
-	if err := d.log.Append(d.buf); err != nil {
-		d.failed = fmt.Errorf("%w: op %d: %v", ErrLedgerFailed, seq, err)
+	ticket := d.log.Queue(d.buf)
+	d.pending = append(d.pending, pendingOp{ticket: ticket, label: label, cost: cost})
+	d.admitted.Epsilon += cost.Epsilon
+	d.admitted.Delta += cost.Delta
+	d.walRecords++
+	l.mu.Unlock()
+
+	err := d.log.Wait(ticket)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		// This batch and every later one failed: drop their ops, which
+		// also ends the aliasing of their spenders' labels.
+		for i, p := range d.pending {
+			if p.ticket >= ticket {
+				d.pending = d.pending[:i]
+				break
+			}
+		}
+		d.latch(fmt.Errorf("op %d: %w", seq, err))
 		return fmt.Errorf("%w (label %q)", d.failed, label)
 	}
-	l.commit(label, cost)
-	d.walRecords++
+	d.commitThrough(ticket)
 	return nil
 }
 
-// compactLocked snapshots the full trail and resets the WAL to its bare
-// header. Callers hold the lock.
+// commitThrough commits, in sequence order, every pending op whose batch
+// is at or before ticket — durable, since batches complete in order.
+// Callers hold the lock.
+func (d *DurableLedger) commitThrough(ticket uint64) {
+	n := 0
+	for _, p := range d.pending {
+		if p.ticket > ticket {
+			break
+		}
+		d.mem.commit(p.label, p.cost)
+		n++
+	}
+	d.pending = d.pending[:copy(d.pending, d.pending[n:])]
+}
+
+// drainLocked waits, holding the lock, until every pending op is durable
+// and commits them all. Callers hold the lock.
+func (d *DurableLedger) drainLocked() error {
+	if len(d.pending) == 0 {
+		return nil
+	}
+	last := d.pending[len(d.pending)-1].ticket
+	if err := d.log.Wait(last); err != nil {
+		return err
+	}
+	d.commitThrough(last)
+	return nil
+}
+
+// latch records the ledger's first failure. Callers hold the lock.
+func (d *DurableLedger) latch(err error) {
+	if d.failed == nil {
+		d.failed = err
+	}
+}
+
+// compactLocked drains the pending ops, snapshots the full trail and
+// resets the WAL to its bare header. Callers hold the lock.
 func (d *DurableLedger) compactLocked() error {
+	if err := d.drainLocked(); err != nil {
+		return err
+	}
 	l := &d.mem
 	// Assemble the whole snapshot and write it in one call; snapshots
 	// run every SnapshotEvery spends, so an O(ops) buffer here is cheap.
@@ -399,15 +482,15 @@ func (d *DurableLedger) Sync() error {
 		return d.failed
 	}
 	if err := d.log.Sync(); err != nil {
-		d.failed = fmt.Errorf("%w: sync: %v", ErrLedgerFailed, err)
+		d.latch(fmt.Errorf("%w: sync: %v", ErrLedgerFailed, err))
 		return d.failed
 	}
 	return nil
 }
 
-// Close flushes and closes the WAL and releases the file lock. The
-// ledger fails closed afterwards: further spends return ErrLedgerClosed.
-// Close is idempotent.
+// Close commits what is pending, flushes and closes the WAL and releases
+// the file lock. The ledger fails closed afterwards: further spends
+// return ErrLedgerClosed. Close is idempotent.
 func (d *DurableLedger) Close() error {
 	d.mem.mu.Lock()
 	defer d.mem.mu.Unlock()
@@ -415,10 +498,12 @@ func (d *DurableLedger) Close() error {
 		return nil
 	}
 	d.closed = true
+	var err error
 	if d.failed == nil {
+		err = d.drainLocked()
 		d.failed = ErrLedgerClosed
 	}
-	return d.log.Close()
+	return errors.Join(err, d.log.Close())
 }
 
 // Status reports the ledger's durable-backing state.

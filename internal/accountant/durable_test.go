@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dp"
 )
@@ -24,10 +25,16 @@ type faultSyncer struct {
 	failWrite    int // 1-based write call to fail; 0 = never
 	failSync     int // 1-based sync call to fail; 0 = never
 	partialWrite bool
+	// beforeWrite, if set, runs at the start of every write, after the
+	// count: a hook to hold a batch in flight.
+	beforeWrite func()
 }
 
 func (s *faultSyncer) Write(p []byte) (int, error) {
 	s.writes++
+	if s.beforeWrite != nil {
+		s.beforeWrite()
+	}
 	if s.failWrite != 0 && s.writes >= s.failWrite {
 		if s.partialWrite && len(p) > 1 {
 			n, _ := s.f.Write(p[:len(p)/2])
@@ -307,6 +314,215 @@ func TestDurableFailClosed(t *testing.T) {
 			run(t, func(fs *faultSyncer) { fs.failSync = s }, false)
 		})
 	}
+
+	// Batch boundaries: spenders arrive in waves, and the leader's write
+	// of batch j holds until wave j+1 is queued behind it, so batch j is
+	// exactly wave j. The fault hits batch f; wave f+1 is queued behind it.
+	waves := []int{1, 2, 3, 2}
+	for f := 0; f < len(waves)-1; f++ {
+		for _, kind := range []string{"write", "partial", "sync"} {
+			t.Run(fmt.Sprintf("batch%d_of%d_%s", f+1, waves[f], kind), func(t *testing.T) {
+				runBatchFault(t, budget, cost, waves, f, kind)
+			})
+		}
+	}
+}
+
+// runBatchFault drives waves[:f+2] of concurrent spenders, one batch per
+// wave, fails batch f's write, partial write or sync, and asserts: every
+// member of batch f and of the wave behind it errors with
+// ErrLedgerFailed, none of them is committed, every earlier member is,
+// and the reopened ledger lies between the acked spend and the acked
+// spend plus batch f.
+func runBatchFault(t *testing.T, budget, cost dp.Params, waves []int, f int, kind string) {
+	path := filepath.Join(t.TempDir(), "ledger.wal")
+	started := make(chan int, len(waves))
+	var d *DurableLedger
+	d = mustOpen(t, budget, path, openFault(func(fs *faultSyncer) {
+		// Call 1 is the WAL header; batch j is call j+2.
+		switch kind {
+		case "write":
+			fs.failWrite = f + 2
+		case "partial":
+			fs.failWrite, fs.partialWrite = f+2, true
+		case "sync":
+			fs.failSync = f + 2
+		}
+		fs.beforeWrite = func() {
+			j := fs.writes - 2
+			if j < 0 {
+				return
+			}
+			started <- j
+			if j+1 < len(waves) {
+				waitQueued(t, d.log, waves[j+1])
+			}
+		}
+	}))
+
+	last := f + 1
+	errs := make([][]error, last+1)
+	var wg sync.WaitGroup
+	for j := 0; j <= last; j++ {
+		errs[j] = make([]error, waves[j])
+		for i := range errs[j] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[j][i] = d.Spend(fmt.Sprintf("b%d/m%d", j, i), cost)
+			}()
+		}
+		if j < last {
+			// Launch the next wave only once this batch is in flight.
+			select {
+			case got := <-started:
+				if got != j {
+					t.Fatalf("batch %d started while waiting for %d", got, j)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("batch %d never started", j)
+			}
+		}
+	}
+	wg.Wait()
+
+	acked := 0
+	for j, wave := range errs {
+		for i, err := range wave {
+			if j < f && err != nil {
+				t.Fatalf("b%d/m%d, before the fault: %v", j, i, err)
+			}
+			if j >= f && !errors.Is(err, ErrLedgerFailed) {
+				t.Fatalf("b%d/m%d, in or behind the failed batch: got %v, want ErrLedgerFailed", j, i, err)
+			}
+		}
+		if j < f {
+			acked += len(wave)
+		}
+	}
+	var ackedSpent, batchSpent dp.Params
+	for i := 0; i < acked; i++ {
+		ackedSpent.Epsilon += cost.Epsilon
+		ackedSpent.Delta += cost.Delta
+	}
+	batchSpent = ackedSpent
+	for i := 0; i < waves[f]; i++ {
+		batchSpent.Epsilon += cost.Epsilon
+		batchSpent.Delta += cost.Delta
+	}
+	if got := d.Spent(); got != ackedSpent {
+		t.Fatalf("Spent after fault = %s, want the acked %s", got, ackedSpent)
+	}
+	for _, op := range d.Ops() {
+		var j, i int
+		if _, err := fmt.Sscanf(op.Label, "b%d/m%d", &j, &i); err != nil || j >= f {
+			t.Fatalf("op %q committed; only waves before batch %d may be", op.Label, f+1)
+		}
+	}
+	d.Close()
+
+	re := mustOpen(t, budget, path, DurableOptions{})
+	defer re.Close()
+	got := re.Spent()
+	if got.Epsilon < ackedSpent.Epsilon || got.Epsilon > batchSpent.Epsilon ||
+		got.Delta < ackedSpent.Delta || got.Delta > batchSpent.Delta {
+		t.Fatalf("reopened Spent %s outside [acked %s, acked + failed batch %s]", got, ackedSpent, batchSpent)
+	}
+	if n := re.OpCount(); n < acked || n > acked+waves[f] {
+		t.Fatalf("reopened OpCount = %d, want %d..%d", n, acked, acked+waves[f])
+	}
+}
+
+// waitQueued blocks until the log's open batch holds at least n records.
+func waitQueued(t *testing.T, l *Log, n int) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+		l.mu.Lock()
+		q := l.queued
+		l.mu.Unlock()
+		if q >= n {
+			return
+		}
+	}
+	t.Errorf("the open batch never reached %d records", n)
+}
+
+// TestDurableReopenAfterConcurrentDrain races 8 spenders through a
+// ledger that compacts every 5 records, so compactions land between
+// batches, then reopens it twice: after Close, and from a copy of the
+// WAL and snapshot taken while the ledger is still open, zero tail and
+// all — the image a crash leaves. Both must replay exactly the acked
+// ops, numbered without a gap or a repeat.
+func TestDurableReopenAfterConcurrentDrain(t *testing.T) {
+	const spenders, tries = 8, 12
+	budget := dp.Params{Epsilon: 10, Delta: 1e-4}
+	cost := dp.Params{Epsilon: 0.1, Delta: 1e-6} // 100 fit; 96 are tried
+	opts := DurableOptions{SnapshotEvery: 5}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ledger.wal")
+	d := mustOpen(t, budget, path, opts)
+
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		acked = map[string]bool{}
+	)
+	for g := 0; g < spenders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < tries; i++ {
+				label := fmt.Sprintf("g%d/i%d", g, i)
+				if err := d.Spend(label, cost); err != nil {
+					t.Errorf("spend %s: %v", label, err)
+					return
+				}
+				mu.Lock()
+				acked[label] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	live := d.Ops()
+	if len(live) != len(acked) {
+		t.Fatalf("live trail has %d ops, %d were acked", len(live), len(acked))
+	}
+	for i, op := range live {
+		if op.Seq != i+1 || !acked[op.Label] {
+			t.Fatalf("live op %d = %+v: want seq %d and an acked label", i, op, i+1)
+		}
+	}
+	if st := d.Status(); st.Compactions == 0 {
+		t.Fatal("no compaction ran")
+	}
+
+	// The crash image: both files copied while the ledger is open.
+	image := filepath.Join(dir, "image.wal")
+	wal := readFile(t, path)
+	if int64(len(wal)) <= d.Status().WALBytes {
+		t.Fatalf("open WAL is %d bytes, no zero tail past its %d", len(wal), d.Status().WALBytes)
+	}
+	for src, dst := range map[string]string{path: image, path + ".snap": image + ".snap"} {
+		if err := os.WriteFile(dst, readFile(t, src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, p := range []string{path, image} {
+		re := mustOpen(t, budget, p, opts)
+		if got := re.Ops(); !reflect.DeepEqual(got, live) {
+			re.Close()
+			t.Fatalf("%s reopened to %d ops that differ from the %d live ones", filepath.Base(p), len(got), len(live))
+		}
+		if got := re.Spent(); got != d.Spent() {
+			re.Close()
+			t.Fatalf("%s reopened Spent = %s, want %s", filepath.Base(p), got, d.Spent())
+		}
+		re.Close()
+	}
 }
 
 func TestDurableSnapshotCompaction(t *testing.T) {
@@ -566,7 +782,7 @@ func BenchmarkDurableSpend(b *testing.B) {
 		b.Run(fmt.Sprintf("spenders=%d", spenders), func(b *testing.B) {
 			var syncs atomic.Int64
 			opts := DurableOptions{SnapshotEvery: -1, OpenWriter: func(path string) (WriteSyncer, error) {
-				w, err := openAppend(path)
+				w, err := openZeroTail(path)
 				if err != nil {
 					return nil, err
 				}

@@ -54,8 +54,13 @@ func TestLog(t *testing.T) {
 		if len(got) != 0 || l.Size() != int64(len(testMagic)) {
 			t.Fatalf("fresh log replayed %d frames, size %d", len(got), l.Size())
 		}
-		if b := readFile(t, path); string(b) != testMagic {
-			t.Fatalf("fresh file holds %q, want the magic", b)
+		// The file is open: past its Size() bytes lies the zero tail.
+		b := readFile(t, path)
+		if int64(len(b)) < l.Size() || string(b[:l.Size()]) != testMagic {
+			t.Fatalf("fresh file starts %q, want the magic", b[:min(int64(len(b)), l.Size())])
+		}
+		if rest := bytes.TrimLeft(b[l.Size():], "\x00"); len(rest) != 0 {
+			t.Fatalf("the %d bytes after the magic end in %d that are not zeros", len(b)-int(l.Size()), len(rest))
 		}
 	})
 
@@ -211,6 +216,12 @@ func FuzzLogReplay(f *testing.F) {
 		f.Add(b[len(walMagic):])
 	}
 	f.Add([]byte{})
+	// What an open or crashed file holds under the default writer: whole
+	// frames, or whole frames and a torn one, ahead of a zero tail.
+	whole := append(Frame(nil, []byte("one")), Frame(nil, []byte("two"))...)
+	zeros := make([]byte, 64)
+	f.Add(append(whole[:len(whole):len(whole)], zeros...))
+	f.Add(append(append(whole[:len(whole):len(whole)], Frame(nil, []byte("three"))[:6]...), zeros...))
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.log")
 		if err := os.WriteFile(path, append([]byte(testMagic), tail...), 0o644); err != nil {

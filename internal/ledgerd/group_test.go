@@ -382,6 +382,9 @@ func TestGroupFailoverMidDrainExactness(t *testing.T) {
 
 	var admits, rejects atomic.Int64
 	var wg sync.WaitGroup
+	// third closes at the slots/3-th admit, from the spender that made
+	// it: the rest of the drain is still ahead when the cut lands.
+	third := make(chan struct{})
 	const spenders = 8
 	for g := 0; g < spenders; g++ {
 		wg.Add(1)
@@ -391,7 +394,9 @@ func TestGroupFailoverMidDrainExactness(t *testing.T) {
 				err := rl.Spend(fmt.Sprintf("g%d-i%d", g, i), per)
 				switch {
 				case err == nil:
-					admits.Add(1)
+					if admits.Add(1) == slots/3 {
+						close(third)
+					}
 				case errors.Is(err, accountant.ErrBudgetExceeded):
 					rejects.Add(1)
 				default:
@@ -407,7 +412,11 @@ func TestGroupFailoverMidDrainExactness(t *testing.T) {
 	// Majority fsync means the two survivors can legitimately differ by
 	// an in-flight entry, and a voter refuses any candidate behind its
 	// own log — so try them longest-log-first and retry briefly.
-	waitFor(t, 10*time.Second, "half the budget drained", func() bool { return admits.Load() >= slots/3 })
+	select {
+	case <-third:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for a third of the budget to drain")
+	}
 	c.partition("n1")
 	promoted := ""
 	deadline := time.Now().Add(5 * time.Second)
