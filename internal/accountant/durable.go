@@ -37,9 +37,9 @@
 // records at or below the snapshot's sequence number.
 //
 // The WAL file itself — lock, replay, torn-tail truncation, fsync
-// policy, reset, close — is a Log (log.go); this file keeps what is the
-// ledger's own: the header record, the op-sequence and snapshot-overlap
-// rules, and the snapshot. All file writes go through the WriteSyncer
+// policy, batching, reset, close — is a Log (log.go); this file keeps
+// what is the ledger's own: the header record, the op-sequence and
+// snapshot-overlap rules, the pending ops, and the snapshot. All file writes go through the WriteSyncer
 // seam so tests can fail any write or fsync and assert the fail-closed
 // contract.
 package accountant

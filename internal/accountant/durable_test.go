@@ -447,7 +447,7 @@ func waitQueued(t *testing.T, l *Log, n int) {
 }
 
 // TestDurableReopenAfterConcurrentDrain races 8 spenders through a
-// ledger that compacts every 5 records, so compactions land between
+// ledger that compacts every 40 records, so compactions land between
 // batches, then reopens it twice: after Close, and from a copy of the
 // WAL and snapshot taken while the ledger is still open, zero tail and
 // all — the image a crash leaves. Both must replay exactly the acked
@@ -456,7 +456,7 @@ func TestDurableReopenAfterConcurrentDrain(t *testing.T) {
 	const spenders, tries = 8, 12
 	budget := dp.Params{Epsilon: 10, Delta: 1e-4}
 	cost := dp.Params{Epsilon: 0.1, Delta: 1e-6} // 100 fit; 96 are tried
-	opts := DurableOptions{SnapshotEvery: 5}
+	opts := DurableOptions{SnapshotEvery: 40}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.wal")
 	d := mustOpen(t, budget, path, opts)
