@@ -55,13 +55,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gdpbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and writes the experiments' (or -edges') report to w.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("gdpbench", flag.ContinueOnError)
 	var (
 		exp     = fs.String("exp", "figure1", fmt.Sprintf("experiment name or 'all' %v", experiments.Names()))
@@ -108,7 +109,7 @@ func run(args []string) error {
 		}()
 	}
 	if *edgesFile != "" {
-		return runEdges(*edgesFile, *rounds, *workers, *seed, *streamVerify)
+		return runEdges(w, *edgesFile, *rounds, *workers, *seed, *streamVerify)
 	}
 
 	opts := repro.ExperimentOptions{
@@ -127,7 +128,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", name, err)
 		}
-		if err := emit(report, *csvDir); err != nil {
+		if err := emit(w, report, *csvDir); err != nil {
 			return err
 		}
 	}
@@ -137,7 +138,7 @@ func run(args []string) error {
 // runEdges is the -edges mode: stream the file through the chunked build,
 // report the ingest rate, and optionally pin the result against the
 // in-memory path.
-func runEdges(path string, rounds, workers int, seed uint64, verify bool) error {
+func runEdges(w io.Writer, path string, rounds, workers int, seed uint64, verify bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -176,18 +177,18 @@ func runEdges(path string, rounds, workers int, seed uint64, verify bool) error 
 	wall := time.Since(start)
 	stats := tree.DatasetStats()
 	edgesSec := float64(stats.NumEdges) / wall.Seconds()
-	fmt.Printf("## streamed ingest — %s (%s)\n\n", path, format)
-	fmt.Printf("dataset: %s\n", stats)
-	fmt.Printf("build:   rounds=%d workers=%d wall=%.1fms ingest=%.0f edges/s (two passes, O(chunk+sides) peak)\n",
+	fmt.Fprintf(w, "## streamed ingest — %s (%s)\n\n", path, format)
+	fmt.Fprintf(w, "dataset: %s\n", stats)
+	fmt.Fprintf(w, "build:   rounds=%d workers=%d wall=%.1fms ingest=%.0f edges/s (two passes, O(chunk+sides) peak)\n",
 		rounds, workers, float64(wall.Nanoseconds())/1e6, edgesSec)
 
 	if verify {
 		if err := verifyStreamedRelease(f, format, tree, rounds, workers, seed, src); err != nil {
 			return err
 		}
-		fmt.Println("verify:  streamed release is byte-identical to the in-memory path")
+		fmt.Fprintln(w, "verify:  streamed release is byte-identical to the in-memory path")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -265,13 +266,13 @@ func verifyStreamedRelease(f *os.File, format string, streamedTree *hierarchy.Tr
 	return nil
 }
 
-func emit(report *repro.ExperimentReport, csvDir string) error {
-	fmt.Printf("## %s\n\n", report.Title)
+func emit(w io.Writer, report *repro.ExperimentReport, csvDir string) error {
+	fmt.Fprintf(w, "## %s\n\n", report.Title)
 	for _, fig := range report.Figures {
-		fmt.Println(fig)
+		fmt.Fprintln(w, fig)
 	}
 	for ti, table := range report.Tables {
-		fmt.Println(table.Markdown())
+		fmt.Fprintln(w, table.Markdown())
 		if csvDir != "" {
 			if err := os.MkdirAll(csvDir, 0o755); err != nil {
 				return err
@@ -281,13 +282,13 @@ func emit(report *repro.ExperimentReport, csvDir string) error {
 			if err := os.WriteFile(path, []byte(table.CSV()), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("(csv written to %s)\n\n", path)
+			fmt.Fprintf(w, "(csv written to %s)\n\n", path)
 		}
 	}
 	for _, note := range report.Notes {
-		fmt.Printf("> %s\n", note)
+		fmt.Fprintf(w, "> %s\n", note)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
