@@ -311,7 +311,11 @@ type CellRelease struct {
 }
 
 // ReleaseCells releases the noisy per-cell histogram of a level into dst,
-// perturbed as n says.
+// perturbed as n says. Every released cell is rounded to the nearest
+// integer, ties to even, and is never −0: a count released as an integer
+// carries no low-order noise bits (Mironov, CCS 2012), and rounding is
+// post-processing, so σ, the guarantee and the draw stream are the
+// unrounded release's. Geometric cells are integers already.
 //
 // Under cell adjacency, removing one group Gi changes only coordinate i of
 // the histogram, by |Gi| records, so the histogram's L1 and L2
@@ -355,7 +359,7 @@ func ReleaseCells(dst *CellRelease, t *hierarchy.Tree, level int, n Noise, src *
 		mechName = n.Mech.String()
 		buf = growCells(buf, len(counts))
 		for i, c := range counts {
-			buf[i] = float64(c) + s.draw(src)
+			buf[i] = roundCell(float64(c) + s.draw(src))
 		}
 	}
 	*dst = CellRelease{
@@ -407,16 +411,19 @@ func growCells(buf []float64, n int) []float64 {
 }
 
 // noisyCells fills buf (grown if its capacity is short) with
-// counts + N(0, σ²) noise: the histogram is cut into noiseChunk-sized
-// windows, each drawing its noise from the chunk-indexed child of one
-// fork point on src (rng.Fork) with the counts add fused into the fill
-// window while it is cache-resident. When counts32 is non-nil (the
-// level's counts all fit int32 — hierarchy.Tree.LevelCellCounts32View)
-// the add pass reads 4-byte counts, halving its memory traffic.
-// workers > 1 shards the chunks across goroutines; because every
-// chunk's stream depends only on (fork point, chunk index), the result
-// is bit-identical for every worker count. σ = 0 (empty dataset)
-// copies the counts unchanged and draws nothing.
+// counts + N(0, σ²) noise rounded to integers: the histogram is cut into
+// noiseChunk-sized windows, each drawing its noise from the
+// chunk-indexed child of one fork point on src (rng.Fork) with the
+// counts add and the rounding fused into the fill window while it is
+// cache-resident. When counts32 is non-nil (the level's counts all fit
+// int32 — hierarchy.Tree.LevelCellCounts32View) and σ is below
+// maxFastRoundSigma, the add pass reads 4-byte counts, halving its
+// memory traffic, and rounds with roundFast; otherwise it reads the
+// int64 counts and rounds with roundCell. workers > 1 shards the chunks
+// across goroutines; because every chunk's stream depends only on
+// (fork point, chunk index), the result is bit-identical for every
+// worker count. σ = 0 (empty dataset) copies the counts unchanged and
+// draws nothing.
 func noisyCells(buf []float64, counts []int64, counts32 []int32, sigma float64, src *rng.Source, workers int) []float64 {
 	buf = growCells(buf, len(counts))
 	if sigma <= 0 {
@@ -424,6 +431,9 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, sigma float64, 
 			buf[i] = float64(c)
 		}
 		return buf
+	}
+	if sigma >= maxFastRoundSigma {
+		counts32 = nil // the shift trick's range no longer covers count + noise
 	}
 	fork := src.Fork()
 	chunks := noiseChunkCount(len(buf))
@@ -467,9 +477,41 @@ func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, sigma f
 	wg.Wait()
 }
 
+// Rounding the Gaussian cells: roundFast is exact only for |x| < 2^51,
+// and it has no branch, so noisyCells checks that range once per release
+// instead of per cell. The ziggurat's largest |variate| is its tail
+// sampler's r − ln(u)/r with r = 3.852… and u ≥ 2^-54 (rng.OpenFloat64):
+// below 14 (rng's TestNormalsSigmaBelow14 pins it), so σ <
+// maxFastRoundSigma = 2^47 keeps |noise| < 14·2^47, and an int32 count on
+// top still leaves |count + noise| < 2^51.
+const (
+	roundShift        = 0x1.8p52
+	maxFastRoundSigma = 1 << 47
+)
+
+// roundFast rounds x to the nearest integer, ties to even, for
+// |x| < 2^51: adding roundShift = 1.5·2^52 lands the sum in
+// [2^52, 2^53), where adjacent floats are 1 apart, so the add itself
+// rounds (roundShift is even, so ties go to even), and subtracting
+// roundShift back is exact. A zero result is +0, never −0.
+func roundFast(x float64) float64 {
+	return x + roundShift - roundShift
+}
+
+// roundCell rounds a released cell to the nearest integer, ties to even,
+// for any magnitude, turning the −0 math.RoundToEven returns for
+// x ∈ [−0.5, 0] into +0 (encoding/json would write it as -0).
+func roundCell(x float64) float64 {
+	if r := math.RoundToEven(x); r != 0 {
+		return r
+	}
+	return 0
+}
+
 // noisyChunk fills chunk c of the grid: one batched ziggurat fill on the
-// chunk's own stream, then the counts add over the still-resident
-// window through the narrow (int32) counts when available.
+// chunk's own stream, then the counts add and the rounding over the
+// still-resident window, through the narrow (int32) counts and
+// roundFast when noisyCells passed them.
 func noisyChunk(buf []float64, counts []int64, counts32 []int32, sigma float64, cs *rng.Source, c, chunks int) {
 	off := c * noiseChunk
 	end := off + noiseChunk
@@ -480,11 +522,11 @@ func noisyChunk(buf []float64, counts []int64, counts32 []int32, sigma float64, 
 	cs.NormalsSigma(window, sigma)
 	if counts32 != nil {
 		for i, v := range counts32[off:end] {
-			window[i] += float64(v)
+			window[i] = roundFast(window[i] + float64(v))
 		}
 	} else {
 		for i, v := range counts[off:end] {
-			window[i] += float64(v)
+			window[i] = roundCell(window[i] + float64(v))
 		}
 	}
 }

@@ -85,31 +85,34 @@ func emptyTree(t testing.TB) *hierarchy.Tree {
 // generated from the twelve entry points the Noise kernel replaced (one
 // function per mechanism × scale source × buffer × worker variant), so
 // the kernel provably draws what they drew; the w1/w4 rows of one spec
-// agree (worker-count bit-identity).
+// agree (worker-count bit-identity). The cells rows of every spec that
+// draws non-integer noise were re-pinned once, when released cells
+// became integers; every count row, every geometric row and every σ = 0
+// row is still the original.
 var goldenKernel = map[string]string{
 	"gaussian-classical/count":        "0a911f738831f04c7a5caa5309fd2f9e6214594377af26e3d1a7b66f0a6db589",
-	"gaussian-classical/cells/w1":     "82e7046991dcbca413e93ef4825457b0647c2b9e3ef68d1059d575122cbbdbd0",
-	"gaussian-classical/cells/w4":     "82e7046991dcbca413e93ef4825457b0647c2b9e3ef68d1059d575122cbbdbd0",
+	"gaussian-classical/cells/w1":     "6dac30b968e2e7032a392925edf07d1511d9ae854918311cb27711972894b1c3",
+	"gaussian-classical/cells/w4":     "6dac30b968e2e7032a392925edf07d1511d9ae854918311cb27711972894b1c3",
 	"gaussian-classical/empty/count":  "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
 	"gaussian-classical/empty/cells":  "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
 	"gaussian-analytic/count":         "50b412cc9515cefcc726e111046444bdedb0882d72e1bb1c3cd4f0c21448e331",
-	"gaussian-analytic/cells/w1":      "1426c435cb9627e645aa69597a2c07289dec42cabb4188f5a5099af82118bcd7",
-	"gaussian-analytic/cells/w4":      "1426c435cb9627e645aa69597a2c07289dec42cabb4188f5a5099af82118bcd7",
+	"gaussian-analytic/cells/w1":      "8b1a04c85dbd7e4031ef40afe04733a9ee9ece81f55ef45f67866f98b3e547dd",
+	"gaussian-analytic/cells/w4":      "8b1a04c85dbd7e4031ef40afe04733a9ee9ece81f55ef45f67866f98b3e547dd",
 	"gaussian-analytic/empty/count":   "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
 	"gaussian-analytic/empty/cells":   "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
 	"external-sigma/count":            "4f3a0991af5f3b99b7611ccfc823bc29e768b93296eb36327c5923b96463da04",
-	"external-sigma/cells/w1":         "fa018b01f0c5a18773d83518b86a032c7ca08ef3b2b917f3e00cd7a7851e92a8",
-	"external-sigma/cells/w4":         "fa018b01f0c5a18773d83518b86a032c7ca08ef3b2b917f3e00cd7a7851e92a8",
+	"external-sigma/cells/w1":         "7f29a3520efb510485f76a91389b199ddbd7b3653fa9d30533d6aa2c36ec3cc6",
+	"external-sigma/cells/w4":         "7f29a3520efb510485f76a91389b199ddbd7b3653fa9d30533d6aa2c36ec3cc6",
 	"external-sigma/empty/count":      "f4f5610ac0312d4d8d91e2492b47286392c721f6e0c74b7bbef07c1bd07b1c59",
-	"external-sigma/empty/cells":      "4010ec2dd5b8c948b4564e3368e023f8990eb9b0c905d31a32f2258a45c06977",
+	"external-sigma/empty/cells":      "acedb174f51c2af77aeff07c25d62a4a80444d7717e1bcdb111c0246ff5960b4",
 	"external-sigma-zero/count":       "c5e663147af98e3bb366667bb1b863d50ef050632c05e689e7c5270b6b40a790",
 	"external-sigma-zero/cells/w1":    "a5c1fc76e18d45904cb7f9894f7906bd8f8124b761ea85f21afc3207da8b0e6e",
 	"external-sigma-zero/cells/w4":    "a5c1fc76e18d45904cb7f9894f7906bd8f8124b761ea85f21afc3207da8b0e6e",
 	"external-sigma-zero/empty/count": "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
 	"external-sigma-zero/empty/cells": "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
 	"laplace/count":                   "88c5bd319283361d1f86508359fa4d62c21326bdfd5b3320fdb86d81819dd949",
-	"laplace/cells/w1":                "15db7e6b97172f135b8e03f9cdd0cb0af33425dd5e49da857fb70403177f4a4e",
-	"laplace/cells/w4":                "15db7e6b97172f135b8e03f9cdd0cb0af33425dd5e49da857fb70403177f4a4e",
+	"laplace/cells/w1":                "88c31cfc715dca4b61da501faeb2dde2d4ca5cff7fc03159a795032b1c1521b1",
+	"laplace/cells/w4":                "88c31cfc715dca4b61da501faeb2dde2d4ca5cff7fc03159a795032b1c1521b1",
 	"laplace/empty/count":             "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
 	"laplace/empty/cells":             "20aa497d9bd4c19e851e3df6e386700faada213db38acf7679f6365832830b3d",
 	"geometric/count":                 "27fe000977af6c624d1727ddf40db7c8f31fc7cf67c0748a55ebdbce1eb79c56",

@@ -145,6 +145,33 @@ func TestValidateArtifactNonFinite(t *testing.T) {
 	}
 }
 
+// fractionalCellsArtifact is an artifact as written before released
+// cells became integers: float cells with fractional parts. The JSON
+// type of a count did not change, so it still loads.
+const fractionalCellsArtifact = `{"rounds":1,"budget_epsilon":1,"counts":{"levels":[{"level":0,"epsilon":1,"noisy_count":3.25}]},` +
+	`"cells":[{"level":0,"side_groups":2,"counts":[1.5,-0.25,7.000001,-3.75]}]}`
+
+// TestReadJSONAcceptsFractionalCells: older artifacts keep loading, and
+// their cells and marginals come back exactly as written.
+func TestReadJSONAcceptsFractionalCells(t *testing.T) {
+	t.Parallel()
+	rel, err := ReadJSON(strings.NewReader(fractionalCellsArtifact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := rel.ViewFor(0)
+	if err != nil || view.Cells == nil {
+		t.Fatalf("view: %+v, %v", view, err)
+	}
+	m, err := query.MarginalCounts(*view.Cells, bipartite.Left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1.5 - 0.25, 7.000001 - 3.75}; m[0] != want[0] || m[1] != want[1] {
+		t.Errorf("marginals %v, want %v", m, want)
+	}
+}
+
 // wrappingSideGroups is 2^32 where int holds it: its square is 0 in
 // 64-bit arithmetic.
 var wrappingSideGroups = int(int64(1) << 32)
@@ -160,6 +187,7 @@ func FuzzReadRelease(f *testing.F) {
 		`"cells":[{"level":1,"side_groups":4294967296,"counts":[]}]}`))
 	f.Add([]byte(`{"rounds":1,"budget_epsilon":1,"counts":{"levels":[{"level":0,"epsilon":1,"noisy_count":3}]},` +
 		`"cells":[{"level":0,"side_groups":2,"counts":[1,0,0,2]}]}`))
+	f.Add([]byte(fractionalCellsArtifact))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rel, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {

@@ -21,8 +21,10 @@ const (
 	goldenDefaultArtifact = "caef744d6d0b56a73a070b532eab67d07954fe06b338105c57f6ca85e5c0d09b"
 	// goldenLoadedRawArtifact is the loaded configuration: cell
 	// histograms and a Phase-1 budget. Captured on the engine that still
-	// had the consistency and grouping options, without either.
-	goldenLoadedRawArtifact = "163f1969673ca93ca4d31fbe70bc0c0f5c7623ce6be22ca9c6a0b5120b2b3c4b"
+	// had the consistency and grouping options, without either; re-pinned
+	// once when released cells became integers (only the cell counts
+	// moved). The default artifact carries no cells and did not move.
+	goldenLoadedRawArtifact = "996a320be4ab3dfffaa16380b75df68ac13869774d5a998d3c4d03c853cb7b30"
 )
 
 func artifactHash(t *testing.T, rel *Release) string {

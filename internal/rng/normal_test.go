@@ -183,6 +183,36 @@ func TestNormalsSigmaTailCoverage(t *testing.T) {
 	}
 }
 
+// TestNormalsSigmaBelow14 pins the bound core's fast rounding relies
+// on: no ziggurat variate reaches 14 in magnitude. The rectangles and
+// wedges stay inside x_i ≤ r; the tail returns r + x with
+// x = −ln(u)/r, largest at OpenFloat64's least value 2^-54.
+func TestNormalsSigmaBelow14(t *testing.T) {
+	const bound = 14
+	if least := (0 + 0.5) / float64(1<<53); least != 0x1p-54 {
+		t.Fatalf("OpenFloat64's least value %v, want 2^-54", least)
+	}
+	if tail := zigTailR - math.Log(0x1p-54)/zigTailR; !(tail < bound) {
+		t.Fatalf("tail sampler reaches %v", tail)
+	}
+	// Fast path: |j| < 2^54, accepted in layer 0 only below zigK[0].
+	if top := float64(zigK[0]) * zigW[0]; !(top < bound) {
+		t.Fatalf("layer 0 rectangle reaches %v", top)
+	}
+	for i := 1; i < zigLayers; i++ {
+		if top := zigM * zigW[i]; !(top < bound) {
+			t.Fatalf("layer %d reaches %v", i, top)
+		}
+	}
+	samples := make([]float64, 1<<20)
+	New(37).NormalsSigma(samples, 1)
+	for i, x := range samples {
+		if !(math.Abs(x) < bound) {
+			t.Fatalf("sample %d = %v", i, x)
+		}
+	}
+}
+
 // TestNormalsSigmaScales checks the sigma multiplier is applied.
 func TestNormalsSigmaScales(t *testing.T) {
 	a := make([]float64, 4096)

@@ -15,13 +15,21 @@ import (
 // the same values (map keys sorted, struct fields in declaration order,
 // omitempty honoured, trailing newline) — to a caller-owned buffer, so
 // a 4 096-cell level view costs its float formatting and not a
-// reflective walk, a compact pass and an indent pass over 114 KB.
+// reflective walk, a compact pass and an indent pass. Released cells and
+// marginals are integers (core.ReleaseCells rounds them), so the arrays
+// go out through strconv.AppendInt: a 4 096-cell view is ≈ 60 KB.
 // encode_test.go holds them to encoding/json byte for byte.
 
 // errNonFinite reports a NaN or ±Inf in a response. JSON has no literal
 // for either (encoding/json refuses them with UnsupportedValueError), so
 // the response fails closed instead of shipping a body no client parses.
 var errNonFinite = errors.New("serve: non-finite value in response")
+
+// errNotCount reports a released count or marginal that is not an
+// integer of magnitude below 2^53, or is −0: the kernel never releases
+// one, so the response fails closed rather than write a value the count
+// encoder cannot write the way encoding/json would.
+var errNotCount = errors.New("serve: released count is not an integer")
 
 // finite reports whether every value has a JSON number form.
 func finite(fs ...float64) bool {
@@ -33,10 +41,10 @@ func finite(fs ...float64) bool {
 	return true
 }
 
-// appendFloat formats a finite float the way encoding/json does (the
-// ES6 number-to-string rules): shortest round-trip digits, positional
-// unless |f| < 1e-6 or ≥ 1e21, and a one-digit negative exponent
-// without its padding zero (1e-07 → 1e-7).
+// appendFloat formats a finite scalar (ε, δ, σ, noisy_count, rer) the
+// way encoding/json does (the ES6 number-to-string rules): shortest
+// round-trip digits, positional unless |f| < 1e-6 or ≥ 1e21, and a
+// one-digit negative exponent without its padding zero (1e-07 → 1e-7).
 func appendFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -105,11 +113,13 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendFloatArray appends fs as an indented array. indent is the
-// newline plus leading spaces of an element; the closing bracket sits
-// one step (two spaces) further out. nil encodes as null and an empty
-// slice as [], as encoding/json has them.
-func appendFloatArray(b []byte, fs []float64, indent string) ([]byte, error) {
+// appendCountArray appends integer-valued counts as an indented array
+// of integers. indent is the newline plus leading spaces of an element;
+// the closing bracket sits one step (two spaces) further out. nil
+// encodes as null and an empty slice as [], as encoding/json has them.
+// One check per value admits exactly the floats in (−2^53, 2^53) that
+// equal an integer, +0 included and −0 not; NaN and ±Inf fail it too.
+func appendCountArray(b []byte, fs []float64, indent string) ([]byte, error) {
 	if len(fs) == 0 {
 		if fs == nil {
 			return append(b, "null"...), nil
@@ -118,19 +128,20 @@ func appendFloatArray(b []byte, fs []float64, indent string) ([]byte, error) {
 	}
 	sep := byte('[')
 	for _, f := range fs {
-		if !finite(f) {
-			return b, errNonFinite
+		i := int64(f)
+		if float64(i) != f || i >= 1<<53 || i <= -1<<53 || math.Float64bits(f) == 1<<63 {
+			return b, errNotCount
 		}
 		b = append(b, sep)
 		b = append(b, indent...)
-		b = appendFloat(b, f)
+		b = strconv.AppendInt(b, i, 10)
 		sep = ','
 	}
 	b = append(b, indent[:len(indent)-2]...)
 	return append(b, ']'), nil
 }
 
-// appendIntArray is appendFloatArray for the top-k group ids.
+// appendIntArray is appendCountArray for the top-k group ids.
 func appendIntArray(b []byte, xs []int, indent string) []byte {
 	if len(xs) == 0 {
 		if xs == nil {
@@ -239,7 +250,7 @@ func appendCellRelease(b []byte, c *core.CellRelease) ([]byte, error) {
 	b = append(b, ",\n      \"sigma\": "...)
 	b = appendFloat(b, c.Sigma)
 	b = append(b, ",\n      \"counts\": "...)
-	b, err := appendFloatArray(b, c.Counts, "\n        ")
+	b, err := appendCountArray(b, c.Counts, "\n        ")
 	if err != nil {
 		return b, err
 	}
@@ -271,7 +282,7 @@ func appendMarginalResponse(b []byte, dataset string, seq, stream uint64, level 
 	b = append(b, ",\n  \"level\": "...)
 	b = strconv.AppendInt(b, int64(level), 10)
 	b = append(b, ",\n  \"marginals\": "...)
-	b, err := appendFloatArray(b, marginals, "\n    ")
+	b, err := appendCountArray(b, marginals, "\n    ")
 	if err != nil {
 		return b, err
 	}

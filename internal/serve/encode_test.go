@@ -52,11 +52,22 @@ func refTopK(dataset string, seq, stream uint64, level int, side string, k int, 
 }
 
 // checkAgainstReference holds one encoder output to the reference: the
-// same bytes, or — when encoding/json refuses the value (NaN, ±Inf) —
-// errNonFinite.
-func checkAgainstReference(t *testing.T, shape string, got []byte, gotErr error, ref any) {
+// same bytes, or — when encoding/json refuses a scalar (NaN, ±Inf) —
+// errNonFinite. counts are the response's count and marginal arrays:
+// when one of them holds a value that is not a count, the encoder must
+// refuse it with errNotCount (or with errNonFinite, when a non-finite
+// scalar comes first).
+func checkAgainstReference(t *testing.T, shape string, got []byte, gotErr error, ref any, counts ...[]float64) {
 	t.Helper()
 	want, wantErr := refEncode(ref)
+	for _, c := range counts {
+		if !isCounts(c) {
+			if gotErr != errNotCount && !(gotErr == errNonFinite && wantErr != nil) {
+				t.Fatalf("%s: a released count that is not an integer below 2^53 was encoded (err=%v)", shape, gotErr)
+			}
+			return
+		}
+	}
 	if wantErr != nil {
 		if gotErr != errNonFinite {
 			t.Fatalf("%s: encoding/json refused the value (%v) but the encoder returned err=%v", shape, wantErr, gotErr)
@@ -69,6 +80,32 @@ func checkAgainstReference(t *testing.T, shape string, got []byte, gotErr error,
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: encoder bytes differ from encoding/json\n got: %q\nwant: %q", shape, got, want)
 	}
+}
+
+// isCounts is the reference for appendCountArray's admission check:
+// every value is a whole number below 2^53 in magnitude and not −0.
+func isCounts(fs []float64) bool {
+	for _, f := range fs {
+		if f != math.Trunc(f) || !(math.Abs(f) < 1<<53) || (f == 0 && math.Signbit(f)) {
+			return false
+		}
+	}
+	return true
+}
+
+// integral maps a fuzzed float to a count the encoders must accept: its
+// integer part wrapped below 2^53, with NaN, ±Inf and −0 mapped to 0.
+func integral(fs []float64) []float64 {
+	if fs == nil {
+		return nil
+	}
+	out := make([]float64, len(fs))
+	for i, f := range fs {
+		if f = math.Trunc(math.Mod(f, 1<<53)); f == f && f != 0 {
+			out[i] = f
+		}
+	}
+	return out
 }
 
 // floatsToBytes packs floats as the fuzz target's raw input; the target
@@ -120,6 +157,13 @@ func FuzzEncodeQueryResponses(f *testing.F) {
 	f.Add("", uint64(0), uint64(0), 0, 10, floatsToBytes(1, 2, 3, 4, 5, math.NaN()))
 	f.Add("inf", uint64(0), uint64(0), 0, 4, floatsToBytes(math.Inf(1)))
 	f.Add("neginf", uint64(0), uint64(0), 0, 4, floatsToBytes(1, 2, 3, 4, 5, 6, math.Inf(-1)))
+	// Counts as the kernel releases them, the edges of the count range,
+	// and the values the count encoder must refuse.
+	f.Add("ints", uint64(1), uint64(2), 3, 1, floatsToBytes(0.5, 1e-5, 2, 3, 4, 0, 1, -1, 9, -10, 99, -100, 12345, -6789012))
+	f.Add("edge", uint64(1), uint64(2), 3, 3, floatsToBytes(0.5, 1e-5, 2, 3, 4, 1<<53-1, -(1<<53-1), 1<<52+1, 1<<53, -(1<<53)))
+	f.Add("frac", uint64(1), uint64(2), 3, 7, floatsToBytes(0.5, 1e-5, 2, 3, 4, 7, 1.5, -2.5, 0.1))
+	f.Add("negzero", uint64(1), uint64(2), 3, 9, floatsToBytes(0.5, 1e-5, 2, 3, 4, 3, math.Copysign(0, -1)))
+	f.Add("nancount", uint64(1), uint64(2), 3, 11, floatsToBytes(0.5, 1e-5, 2, 3, 4, 8, math.NaN(), math.Inf(1)))
 
 	f.Fuzz(func(t *testing.T, name string, stream, seq uint64, level, k int, raw []byte) {
 		fs := floatsFromBytes(raw)
@@ -127,40 +171,51 @@ func FuzzEncodeQueryResponses(f *testing.F) {
 		side := name[half:]
 
 		// The scalar fields take the first five floats and the histogram
-		// the rest; k steers the nil / empty / absent variants.
+		// the rest; k steers the nil / empty / absent variants. Each
+		// array runs twice: as fuzzed (mostly refused: not counts) and
+		// mapped to counts (accepted, byte for byte).
 		var counts []float64
 		if len(fs) > 5 {
 			counts = fs[5:]
 		} else if k%2 == 0 {
 			counts = []float64{}
 		}
-		view := LevelView{
-			Level: level,
-			Count: core.LevelRelease{
-				Level: level, ModelName: name, CalibName: side, MechName: name[:half],
-				Epsilon: floatAt(fs, 0), Delta: floatAt(fs, 1), Sensitivity: int64(seq),
-				Sigma: floatAt(fs, 2), TrueCount: int64(stream), NoisyCount: floatAt(fs, 3),
-				RER: floatAt(fs, 4),
-			},
-		}
-		if k%5 != 0 {
-			view.Cells = &core.CellRelease{
-				Level: level, ModelName: side, CalibName: name, MechName: name[:half],
-				Epsilon: floatAt(fs, 1), Delta: floatAt(fs, 2), Sensitivity: int64(stream),
-				Sigma: floatAt(fs, 0), Counts: counts, SideGroups: k,
-			}
-		}
-		got, err := appendLevelResponse(nil, name, seq, stream, view)
-		checkAgainstReference(t, "level", got, err, refLevel(name, seq, stream, view))
-
 		// The marginal takes every float, so the scalar seeds reach an
 		// array position too.
 		marginals := fs
 		if len(fs) == 0 && k%2 == 0 {
 			marginals = nil
 		}
-		got, err = appendMarginalResponse(nil, name, seq, stream, level, side, marginals)
-		checkAgainstReference(t, "marginal", got, err, refMarginal(name, seq, stream, level, side, marginals))
+		for _, countsOf := range []func([]float64) []float64{
+			func(fs []float64) []float64 { return fs },
+			integral,
+		} {
+			cells := countsOf(counts)
+			view := LevelView{
+				Level: level,
+				Count: core.LevelRelease{
+					Level: level, ModelName: name, CalibName: side, MechName: name[:half],
+					Epsilon: floatAt(fs, 0), Delta: floatAt(fs, 1), Sensitivity: int64(seq),
+					Sigma: floatAt(fs, 2), TrueCount: int64(stream), NoisyCount: floatAt(fs, 3),
+					RER: floatAt(fs, 4),
+				},
+			}
+			if k%5 != 0 {
+				view.Cells = &core.CellRelease{
+					Level: level, ModelName: side, CalibName: name, MechName: name[:half],
+					Epsilon: floatAt(fs, 1), Delta: floatAt(fs, 2), Sensitivity: int64(stream),
+					Sigma: floatAt(fs, 0), Counts: cells, SideGroups: k,
+				}
+			} else {
+				cells = nil
+			}
+			got, err := appendLevelResponse(nil, name, seq, stream, view)
+			checkAgainstReference(t, "level", got, err, refLevel(name, seq, stream, view), cells)
+
+			m := countsOf(marginals)
+			got, err = appendMarginalResponse(nil, name, seq, stream, level, side, m)
+			checkAgainstReference(t, "marginal", got, err, refMarginal(name, seq, stream, level, side, m), m)
+		}
 
 		var groups []int
 		if k%3 != 0 {
@@ -169,7 +224,7 @@ func FuzzEncodeQueryResponses(f *testing.F) {
 				groups = append(groups, (int(c)-128)*(i+1)*level)
 			}
 		}
-		got = appendTopKResponse(nil, name, seq, stream, level, side, k, groups)
+		got := appendTopKResponse(nil, name, seq, stream, level, side, k, groups)
 		checkAgainstReference(t, "topk", got, nil, refTopK(name, seq, stream, level, side, k, groups))
 
 		got = appendErrorBody(nil, name, side)
@@ -203,8 +258,8 @@ func fillJSONFields(t *testing.T, v reflect.Value, next *int) {
 			f.SetFloat(float64(*next) + 0.125)
 		case f.Kind() == reflect.String:
 			f.SetString(fmt.Sprintf("<%s&%d>", sf.Name, *next))
-		case f.Type() == reflect.TypeOf([]float64(nil)):
-			f.Set(reflect.ValueOf([]float64{float64(*next) + 0.25, -float64(*next) - 0.75}))
+		case f.Type() == reflect.TypeOf([]float64(nil)): // released counts are integers
+			f.Set(reflect.ValueOf([]float64{float64(*next), -float64(*next) - 1}))
 		default:
 			t.Fatalf("%s.%s has kind %s: teach fillJSONFields and the /level encoder about it",
 				v.Type(), sf.Name, f.Kind())
@@ -228,13 +283,13 @@ func TestEncodersCoverEveryField(t *testing.T) {
 }
 
 // benchLevelView is a level-3-sized view: 64 × 64 noisy cells around
-// small true counts, 17 significant digits each as Gaussian noise
-// leaves them.
+// small true counts, rounded to integers as core.ReleaseCells releases
+// them.
 func benchLevelView() LevelView {
 	rnd := rand.New(rand.NewSource(1))
 	counts := make([]float64, 4096)
 	for i := range counts {
-		counts[i] = float64(rnd.Intn(40)) + 38.7*rnd.NormFloat64()
+		counts[i] = float64(int64(math.RoundToEven(float64(rnd.Intn(40)) + 38.7*rnd.NormFloat64())))
 	}
 	return LevelView{
 		Level: 3,
@@ -251,11 +306,12 @@ func benchLevelView() LevelView {
 	}
 }
 
+// benchMarginals is a level-3 marginal: 64 sums of integer cells.
 func benchMarginals() []float64 {
 	rnd := rand.New(rand.NewSource(2))
 	m := make([]float64, 64)
 	for i := range m {
-		m[i] = float64(rnd.Intn(30000)) + 310*rnd.NormFloat64()
+		m[i] = float64(int64(math.RoundToEven(float64(rnd.Intn(30000)) + 310*rnd.NormFloat64())))
 	}
 	return m
 }

@@ -149,10 +149,10 @@ const encodeFailedBody = `{"error":"serve: encoding response","code":"encode-fai
 
 // respond writes one response whose body encode appends to a pooled
 // buffer. The body is complete before the first byte goes out, so an
-// encode error (a NaN or ±Inf has no JSON form) surfaces as a clean 500
-// in the error shape every other response uses, and Content-Length is
-// always known — net/http does not fall back to chunked encoding past
-// its sniff buffer.
+// encode error (a NaN or ±Inf has no JSON form; a released count that is
+// not an integer) surfaces as a clean 500 in the error shape every other
+// response uses, and Content-Length is always known — net/http does not
+// fall back to chunked encoding past its sniff buffer.
 func respond(w http.ResponseWriter, status int, encode func(b []byte) ([]byte, error)) {
 	bp := encodeBuffers.Get().(*[]byte)
 	body, err := encode((*bp)[:0])
@@ -336,12 +336,14 @@ func (s *httpServer) listDatasets(w http.ResponseWriter, r *http.Request) {
 // query parameter (raw uploads, whose body is edge data) or the
 // "strategy" JSON field (path ingest; it wins when both are given).
 // Unknown names fail with 400 "bad-config" before any build work, and —
-// like a name that is already taken, 409 "dataset-exists" — before a raw
-// upload's body is read.
+// like a name that is already taken, 409 "dataset-exists" — before a
+// server-side file is opened or a raw upload's body is read. A path that
+// names anything but a regular file (a FIFO, a directory, a device) is a
+// 400, refused without blocking.
 func (s *httpServer) ingest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	opts := DatasetOptions{Strategy: r.URL.Query().Get("strategy")}
-	var f *os.File
+	var path string
 	if mediaType, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mediaType == "application/json" {
 		if !s.opts.AllowPathIngest {
 			writeError(w, http.StatusForbidden,
@@ -364,19 +366,24 @@ func (s *httpServer) ingest(w http.ResponseWriter, r *http.Request) {
 		if req.Strategy != "" {
 			opts.Strategy = req.Strategy
 		}
-		file, err := os.Open(req.Path)
+		path = req.Path
+	}
+	// Refuse what needs no edge data — an unknown strategy, a taken name
+	// — before touching the named file or spooling up to MaxUploadBytes of
+	// body to disk.
+	if err := s.reg.checkIngest(name, opts); err != nil {
+		writeErr(w, err)
+		return
+	}
+	var f *os.File
+	if path != "" {
+		file, err := openIngestPath(path)
 		if err != nil {
-			writeErr(w, fmt.Errorf("serve: opening %q: %w", req.Path, err))
+			writeErr(w, err)
 			return
 		}
 		f = file
 	} else {
-		// Refuse what needs no edge data — an unknown strategy, a taken
-		// name — before spooling up to MaxUploadBytes of body to disk.
-		if err := s.reg.checkIngest(name, opts); err != nil {
-			writeErr(w, err)
-			return
-		}
 		body := io.Reader(r.Body)
 		if s.opts.MaxUploadBytes > 0 {
 			body = http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
@@ -402,6 +409,26 @@ func (s *httpServer) ingest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, describeDataset(ds))
+}
+
+// openIngestPath opens a server-side edge file for path ingest. The
+// open never blocks (openNonblock: a FIFO with no writer opens at once
+// instead of parking the handler), and anything but a regular file is
+// refused.
+func openIngestPath(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDONLY|openNonblock, 0)
+	if err != nil {
+		return nil, fmt.Errorf("serve: opening %q: %w", path, err)
+	}
+	fi, err := f.Stat()
+	if err == nil && !fi.Mode().IsRegular() {
+		err = fmt.Errorf("serve: %q is not a regular file", path)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // spoolBody writes an upload to an unlinked-on-ingest temp file so the

@@ -546,8 +546,10 @@ func TestHTTPLevelViewOmitsEvaluationFields(t *testing.T) {
 // TestNonFiniteResponsesFailClosed: JSON has no form for NaN or ±Inf, so
 // a query response carrying one in any float field is a clean 500
 // "encode-failed" — a valid JSON body, its own Content-Length, and no
-// byte of the partly appended 200. The top-k shape is integers and
-// strings only; its path through respond is the one exercised here.
+// byte of the partly appended 200. A cell count or marginal that is not
+// an integer below 2^53, or is −0, fails the same way. The top-k shape
+// is integers and strings only; its path through respond is the one
+// exercised here.
 func TestNonFiniteResponsesFailClosed(t *testing.T) {
 	t.Parallel()
 	type encoder = func(b []byte) ([]byte, error)
@@ -578,7 +580,11 @@ func TestNonFiniteResponsesFailClosed(t *testing.T) {
 		},
 	}
 	for name, mk := range cases {
-		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		if strings.Contains(name, "[") {
+			bad = append(bad, 0.5, -2.5, math.Copysign(0, -1), 1<<53, -(1 << 53), 1e300)
+		}
+		for _, f := range bad {
 			rr := httptest.NewRecorder()
 			respond(rr, http.StatusOK, mk(f))
 			checkEncodeFailed(t, fmt.Sprintf("%s=%v", name, f), rr)
