@@ -489,6 +489,10 @@ const (
 	maxFastRoundSigma = 1 << 47
 )
 
+// 14·maxFastRoundSigma + MaxInt32 < 2^51, or this constant overflows
+// uint64 and the package does not compile.
+const _ = uint64(1<<51 - 1 - (14*maxFastRoundSigma + math.MaxInt32))
+
 // roundFast rounds x to the nearest integer, ties to even, for
 // |x| < 2^51: adding roundShift = 1.5·2^52 lands the sum in
 // [2^52, 2^53), where adjacent floats are 1 apart, so the add itself

@@ -47,16 +47,6 @@ func TestRoundFastMatchesRoundToEven(t *testing.T) {
 	}
 }
 
-// TestFastRoundRangeCoversKernel pins the arithmetic behind
-// maxFastRoundSigma: a variate below 14 (rng's TestNormalsSigmaBelow14)
-// times σ below the threshold, plus an int32 count, stays below 2^51.
-func TestFastRoundRangeCoversKernel(t *testing.T) {
-	t.Parallel()
-	if bound := 14*float64(maxFastRoundSigma) + math.MaxInt32; !(bound < 1<<51) {
-		t.Fatalf("14·maxFastRoundSigma + MaxInt32 = %v, not below 2^51", bound)
-	}
-}
-
 // unroundedCells is the Gaussian release before rounding: the same chunk
 // grid and per-chunk streams noisyCells draws, plus the counts.
 func unroundedCells(counts []int64, sigma float64, seed uint64) []float64 {

@@ -186,13 +186,14 @@ func TestNormalsSigmaTailCoverage(t *testing.T) {
 // TestNormalsSigmaBelow14 pins the bound core's fast rounding relies
 // on: no ziggurat variate reaches 14 in magnitude. The rectangles and
 // wedges stay inside x_i ≤ r; the tail returns r + x with
-// x = −ln(u)/r, largest at OpenFloat64's least value 2^-54.
+// x = −ln(u)/r, largest at OpenFloat64's least value openUnit(0).
 func TestNormalsSigmaBelow14(t *testing.T) {
 	const bound = 14
-	if least := (0 + 0.5) / float64(1<<53); least != 0x1p-54 {
+	least := openUnit(0)
+	if least != 0x1p-54 {
 		t.Fatalf("OpenFloat64's least value %v, want 2^-54", least)
 	}
-	if tail := zigTailR - math.Log(0x1p-54)/zigTailR; !(tail < bound) {
+	if tail := zigTailR - math.Log(least)/zigTailR; !(tail < bound) {
 		t.Fatalf("tail sampler reaches %v", tail)
 	}
 	// Fast path: |j| < 2^54, accepted in layer 0 only below zigK[0].

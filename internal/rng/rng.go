@@ -188,11 +188,17 @@ func (r *Source) Float64() float64 {
 // Samplers that take logarithms use it to avoid log(0).
 func (r *Source) OpenFloat64() float64 {
 	for {
-		u := (float64(r.Uint64()>>11) + 0.5) / (1 << 53)
-		if u > 0 && u < 1 {
+		if u := openUnit(r.Uint64()); u > 0 && u < 1 {
 			return u
 		}
 	}
+}
+
+// openUnit maps a raw draw to OpenFloat64's grid (k + 0.5)/2^53. Its
+// least value, openUnit(0) = 2^-54, bounds the ziggurat tail below 14,
+// which core's maxFastRoundSigma depends on (TestNormalsSigmaBelow14).
+func openUnit(x uint64) float64 {
+	return (float64(x>>11) + 0.5) / (1 << 53)
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0; callers

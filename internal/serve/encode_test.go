@@ -217,6 +217,19 @@ func FuzzEncodeQueryResponses(f *testing.F) {
 			checkAgainstReference(t, "marginal", got, err, refMarginal(name, seq, stream, level, side, m), m)
 		}
 
+		// Every float also reaches a scalar field: one cell-less /level
+		// encode per further window of five, so each seeded number-format
+		// boundary runs through appendFloat.
+		for w := fs; len(w) > 5; {
+			w = w[5:]
+			view := LevelView{Level: level, Count: core.LevelRelease{
+				Level: level, ModelName: name, Epsilon: floatAt(w, 0), Delta: floatAt(w, 1),
+				Sigma: floatAt(w, 2), NoisyCount: floatAt(w, 3), RER: floatAt(w, 4),
+			}}
+			got, err := appendLevelResponse(nil, name, seq, stream, view)
+			checkAgainstReference(t, "level scalars", got, err, refLevel(name, seq, stream, view))
+		}
+
 		var groups []int
 		if k%3 != 0 {
 			groups = make([]int, 0, len(raw))
