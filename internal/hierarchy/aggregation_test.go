@@ -2,7 +2,6 @@ package hierarchy
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -186,8 +185,7 @@ func TestSideGroupIncidentEdgesMatchesNaive(t *testing.T) {
 }
 
 // TestRadixSortMatchesComparisonSort pins the side sort to a comparison
-// sort of the order's definition — (degree desc, node asc) for the
-// counting sort, (key asc, node asc) for Options.Keys — on adversarial
+// sort of the order's definition, (degree desc, node asc), on adversarial
 // degree distributions: heavy ties at both ends of the range, which only
 // the sort's stability orders, and largest degrees on each side of 2^16,
 // 2^32 and 2^48, so one, two, three and four digit passes all run and the
@@ -235,26 +233,6 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 				return cmp.Or(cmp.Compare(deg[b], deg[a]), cmp.Compare(a, b))
 			}))
 		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + r.Intn(600)
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = r.Uint64()
-			if trial%2 == 0 {
-				keys[i] %= 5 // heavy ties
-			}
-		}
-		st := newSideTree(make([]int64, n))
-		if err := st.sortByKeys(keys); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("keys trial %d", trial), &st, sorted(n, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
-		}))
-	}
-	if err := new(sideTree).sortByKeys(make([]uint64, 3)); !errors.Is(err, ErrBadKeys) {
-		t.Fatalf("3 keys for an empty side: %v", err)
 	}
 }
 

@@ -212,7 +212,7 @@ func (f *failingBisector) Bisect(prefix []int64) (int, error) {
 
 // TestBuilderReleasesBisectorAfterBuild: a retained Builder (a serving
 // ingest lane lives as long as the registry) must not keep the finished
-// build's bisector or ordering keys reachable. Each build hands the
+// build's bisector reachable. Each build hands the
 // Builder a bisector with a finalizer, drops its own reference, and waits
 // for the collector to run the finalizer while the Builder is still
 // alive — on the graph path, the streamed path, and a build that fails
@@ -270,17 +270,15 @@ func TestBuilderReleasesBisectorAfterBuild(t *testing.T) {
 // TestBuilderPinsNoPerNodeMemoryAfterBuild: a serving ingest lane holds
 // its Builder for the life of the registry, so anything a build left
 // reachable from it would be paid per lane, forever. After builds over
-// two half-million-node sides, on both paths and through both orderings,
-// with the trees dropped and the Builder still held, the live heap must
+// two half-million-node sides, on both paths and with both the balanced
+// and a private bisector, with the trees dropped and the Builder still held, the live heap must
 // be back within one byte per node of where it started — no array indexed
 // by node or position can have survived.
 func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
 	const n = 1 << 19
 	edges := make([]bipartite.Edge, n)
-	keys := &OrderKeys{Left: make([]uint64, n), Right: make([]uint64, n)}
 	for i := range edges {
 		edges[i] = bipartite.Edge{Left: int32(i), Right: int32((i * 7) % n)}
-		keys.Left[i], keys.Right[i] = uint64(i%5), uint64(i%3)
 	}
 	g, err := bipartite.FromEdges(n, n, edges)
 	if err != nil {
@@ -296,12 +294,12 @@ func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
 	b := NewBuilder()
 	defer b.Close()
 	before := liveHeap()
-	for _, k := range []*OrderKeys{nil, keys} {
-		opts := Options{Rounds: 9, Bisector: streamBisector(t, true, 3), Keys: k}
+	for _, private := range []bool{false, true} {
+		opts := Options{Rounds: 9, Bisector: streamBisector(t, private, 3)}
 		if _, err := b.Build(g, opts); err != nil {
 			t.Fatal(err)
 		}
-		opts.Bisector = streamBisector(t, true, 3)
+		opts.Bisector = streamBisector(t, private, 3)
 		if _, err := b.BuildFromEdges(bipartite.NewSliceSource(n, n, edges), opts); err != nil {
 			t.Fatal(err)
 		}
@@ -311,5 +309,4 @@ func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
 	}
 	runtime.KeepAlive(b)
 	runtime.KeepAlive(g)
-	runtime.KeepAlive(keys)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/rng"
 )
 
 // TestTreeEncodeBinaryCanonical pins what gdpbench -streamverify relies
@@ -34,15 +35,12 @@ func TestTreeEncodeBinaryCanonical(t *testing.T) {
 	if !bytes.HasPrefix(serial, treeMagic[:]) {
 		t.Fatalf("encoding starts %q, want the tree magic", serial[:4])
 	}
-	// Keys that reverse node order move every permutation entry.
-	keys := &OrderKeys{Left: make([]uint64, g.NumLeft()), Right: make([]uint64, g.NumRight())}
-	for i := range keys.Left {
-		keys.Left[i] = uint64(len(keys.Left) - i)
+	// Exponential-mechanism cuts over the same order move the boundaries.
+	bis, err := partition.NewExpMechBisector(0.4, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range keys.Right {
-		keys.Right[i] = uint64(len(keys.Right) - i)
-	}
-	if bytes.Equal(serial, encode(Options{Rounds: 3, Bisector: partition.BalancedBisector{}, Keys: keys})) {
-		t.Fatal("a different node order encoded identically")
+	if bytes.Equal(serial, encode(Options{Rounds: 3, Bisector: bis})) {
+		t.Fatal("a different arrangement encoded identically")
 	}
 }

@@ -38,7 +38,7 @@
 // A build keeps nothing behind: every array it allocates either belongs
 // to the returned Tree or is garbage when the call returns, so a Builder
 // carries no state — no scratch, no goroutines, no reference to a
-// finished build's bisector or keys. It remains as the handle repeated-
+// finished build's bisector. It remains as the handle repeated-
 // build callers (experiment trials, serving ingest lanes) are written
 // against: NewBuilder, Builder.Build or Builder.BuildFromEdges per build,
 // Close when done. Build and BuildFromEdges, the package functions, are
@@ -48,7 +48,7 @@
 //
 // Build runs in O(E + n + cuts·log n + Σ_d 4^d) time plus the private
 // sampler's live windows. The bisector ordering is a static total order
-// (degree descending, node id ascending — or Options.Keys), so each side
+// (degree descending, node id ascending), so each side
 // is sorted once, before the first round, by a stable counting sort of
 // the node ids; its degree prefix sums are taken once, right after; and
 // every range of every round — a contiguous span of the sorted side — is
@@ -66,11 +66,9 @@
 package hierarchy
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -92,18 +90,6 @@ const maxShardCells = 1 << 24
 // not worth the goroutine handoff.
 const minShardEdges = 1 << 14
 
-// OrderKeys is an explicit static ordering over both node sides: node n
-// of a side sorts by its key ascending (node id breaks ties), replacing
-// the degree-descending arrangement for every range of every round. Keys let
-// partitioners impose externally computed structure — a community
-// assignment, say — on the contiguous ranges the bisector cuts. The
-// slices must be indexed by node id and match the side sizes; they are
-// read during the build and must not be mutated concurrently.
-type OrderKeys struct {
-	Left  []uint64
-	Right []uint64
-}
-
 // Options configures Build.
 type Options struct {
 	// Rounds is the number of specialization rounds; the resulting tree
@@ -112,9 +98,6 @@ type Options struct {
 	Rounds int
 	// Bisector chooses every cut. Required.
 	Bisector partition.Bisector
-	// Keys, when non-nil, replaces the degree-descending node order with
-	// an explicit per-node static ordering (see OrderKeys).
-	Keys *OrderKeys
 	// Workers shards the deepest-level cell scan — and, for streamed
 	// builds, the degree pass — across goroutines. Sorting and the cut
 	// decisions are serial, so the built tree is identical for any worker
@@ -128,7 +111,6 @@ var (
 	ErrNilBisector = errors.New("hierarchy: nil bisector")
 	ErrBadRounds   = errors.New("hierarchy: rounds must be in [1, 12]")
 	ErrBadLevel    = errors.New("hierarchy: level out of range")
-	ErrBadKeys     = errors.New("hierarchy: ordering keys do not match side sizes")
 	ErrInvalid     = errors.New("hierarchy: invalid tree")
 )
 
@@ -245,9 +227,11 @@ func (b *Builder) Build(g *bipartite.Graph, opts Options) (*Tree, error) {
 // consume only the per-node degrees captured in the side trees.
 func (t *Tree) specialize(opts Options) error {
 	t.stats = bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
-	if err := t.orderSides(opts); err != nil {
-		return err
-	}
+	// Both sides in bisector order. The order is static and total, so
+	// this one arrangement serves every round: each deeper range is a
+	// contiguous span of an ordered span.
+	t.left.sortByDegree(t.stats.MaxLeftDegree)
+	t.right.sortByDegree(t.stats.MaxRightDegree)
 	t.left.index()
 	t.right.index()
 	private := false
@@ -272,7 +256,7 @@ func (t *Tree) specialize(opts Options) error {
 }
 
 // newSideTree returns the unsplit side over the given per-node degrees.
-// Its permutation is unset until orderSides arranges it.
+// Its permutation is unset until sortByDegree arranges it.
 func newSideTree(deg []int64) sideTree {
 	n := len(deg)
 	return sideTree{
@@ -283,42 +267,8 @@ func newSideTree(deg []int64) sideTree {
 	}
 }
 
-// orderSides arranges both permutations in bisector order: degree
-// descending, or by Options.Keys when set. The order is static and total,
-// so this one arrangement serves every round: each deeper range is a
-// contiguous span of an ordered span.
-func (t *Tree) orderSides(opts Options) error {
-	if opts.Keys == nil {
-		t.left.sortByDegree(t.stats.MaxLeftDegree)
-		t.right.sortByDegree(t.stats.MaxRightDegree)
-		return nil
-	}
-	if err := t.left.sortByKeys(opts.Keys.Left); err != nil {
-		return fmt.Errorf("left side: %w", err)
-	}
-	if err := t.right.sortByKeys(opts.Keys.Right); err != nil {
-		return fmt.Errorf("right side: %w", err)
-	}
-	return nil
-}
-
-// sortByKeys arranges perm by key ascending, node id breaking ties
-// (Options.Keys).
-func (st *sideTree) sortByKeys(keys []uint64) error {
-	if len(keys) != len(st.perm) {
-		return fmt.Errorf("%w: got %d keys for a %d-node side", ErrBadKeys, len(keys), len(st.perm))
-	}
-	for i := range st.perm {
-		st.perm[i] = int32(i)
-	}
-	slices.SortFunc(st.perm, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
-	})
-	return nil
-}
-
 // sortByDegree arranges perm by degree descending, node id breaking ties
-// (the default order): a stable LSD counting sort of the node ids on the
+// (the bisector order): a stable LSD counting sort of the node ids on the
 // 16-bit digits of maxDeg − deg, where maxDeg is the side's largest degree
 // (the dataset summary has it). The first pass scatters the nodes in id
 // order straight off the degree array, so stability alone leaves equal

@@ -151,24 +151,31 @@ func TestValidateArtifactNonFinite(t *testing.T) {
 const fractionalCellsArtifact = `{"rounds":1,"budget_epsilon":1,"counts":{"levels":[{"level":0,"epsilon":1,"noisy_count":3.25}]},` +
 	`"cells":[{"level":0,"side_groups":2,"counts":[1.5,-0.25,7.000001,-3.75]}]}`
 
+// retiredStrategyArtifact is the same artifact as written by
+// community-gaussian, a strategy that is no longer built in. Reading
+// resolves no strategy, so the name is data and the artifact still loads.
+var retiredStrategyArtifact = `{"strategy":"community-gaussian",` + fractionalCellsArtifact[1:]
+
 // TestReadJSONAcceptsFractionalCells: older artifacts keep loading, and
 // their cells and marginals come back exactly as written.
 func TestReadJSONAcceptsFractionalCells(t *testing.T) {
 	t.Parallel()
-	rel, err := ReadJSON(strings.NewReader(fractionalCellsArtifact))
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := rel.ViewFor(0)
-	if err != nil || view.Cells == nil {
-		t.Fatalf("view: %+v, %v", view, err)
-	}
-	m, err := query.MarginalCounts(*view.Cells, bipartite.Left)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []float64{1.5 - 0.25, 7.000001 - 3.75}; m[0] != want[0] || m[1] != want[1] {
-		t.Errorf("marginals %v, want %v", m, want)
+	for _, blob := range []string{fractionalCellsArtifact, retiredStrategyArtifact} {
+		rel, err := ReadJSON(strings.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := rel.ViewFor(0)
+		if err != nil || view.Cells == nil {
+			t.Fatalf("view: %+v, %v", view, err)
+		}
+		m, err := query.MarginalCounts(*view.Cells, bipartite.Left)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []float64{1.5 - 0.25, 7.000001 - 3.75}; m[0] != want[0] || m[1] != want[1] {
+			t.Errorf("marginals %v, want %v", m, want)
+		}
 	}
 }
 
@@ -188,6 +195,7 @@ func FuzzReadRelease(f *testing.F) {
 	f.Add([]byte(`{"rounds":1,"budget_epsilon":1,"counts":{"levels":[{"level":0,"epsilon":1,"noisy_count":3}]},` +
 		`"cells":[{"level":0,"side_groups":2,"counts":[1,0,0,2]}]}`))
 	f.Add([]byte(fractionalCellsArtifact))
+	f.Add([]byte(retiredStrategyArtifact))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rel, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
+	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
@@ -182,8 +183,8 @@ func WithMechanism(m core.NoiseMechanism) Option {
 	}
 }
 
-// WithStrategy selects a registered release strategy by name — the
-// composed partitioner × noise plan the pipeline runs.
+// WithStrategy selects a built-in release strategy by name — the noise
+// stage the pipeline runs after the paper's Phase 1.
 // The empty name selects the default (the paper's quadtree + Gaussian
 // pipeline); unknown names fail here with ErrUnknownStrategy, never as
 // a late failure inside a run.
@@ -353,18 +354,17 @@ type Release struct {
 // itself is curator-side state, not part of the published artifact).
 func (r *Release) Tree() *hierarchy.Tree { return r.tree }
 
-// Run executes both phases on g. The partitioner plans over g's edge
-// stream, the one plan path RunFromEdges also takes.
+// Run executes both phases on g.
 func (p *Pipeline) Run(g *bipartite.Graph) (*Release, error) {
 	if g == nil {
 		return nil, ErrNilGraph
 	}
 	phase1Src, phase2Src := p.splitSources()
-	plan, err := p.cfg.strategy.Partitioner.PlanSource(bipartite.NewGraphSource(g), p.partitionConfig(), phase1Src)
+	opts, err := p.hierarchyOptions(phase1Src)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := hierarchy.Build(g, p.hierarchyOptions(plan))
+	tree, err := hierarchy.Build(g, opts)
 	if err != nil {
 		return nil, fmt.Errorf("release: phase 1: %w", err)
 	}
@@ -383,11 +383,11 @@ func (p *Pipeline) RunFromEdges(src bipartite.EdgeSource) (*Release, error) {
 		return nil, ErrNilSource
 	}
 	phase1Src, phase2Src := p.splitSources()
-	plan, err := p.cfg.strategy.Partitioner.PlanSource(src, p.partitionConfig(), phase1Src)
+	opts, err := p.hierarchyOptions(phase1Src)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := hierarchy.BuildFromEdges(src, p.hierarchyOptions(plan))
+	tree, err := hierarchy.BuildFromEdges(src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("release: phase 1: %w", err)
 	}
@@ -406,16 +406,6 @@ func (p *Pipeline) splitSources() (phase1, phase2 *rng.Source) {
 	return src.Split(1), src.Split(2)
 }
 
-// partitionConfig is the slice of the configuration the strategy's
-// Phase-1 stage consumes.
-func (p *Pipeline) partitionConfig() PartitionConfig {
-	return PartitionConfig{
-		Rounds:  p.cfg.rounds,
-		Epsilon: p.cfg.phase1Epsilon,
-		Workers: p.cfg.workers,
-	}
-}
-
 // countMechanism resolves the effective count-release mechanism: the
 // explicit WithMechanism override when set, the strategy's noise stage
 // otherwise.
@@ -426,15 +416,23 @@ func (p *Pipeline) countMechanism() core.NoiseMechanism {
 	return p.cfg.strategy.Noise.Count
 }
 
-// hierarchyOptions assembles the Phase-1 build options from the
-// partitioner's plan.
-func (p *Pipeline) hierarchyOptions(plan PartitionPlan) hierarchy.Options {
-	return hierarchy.Options{
+// hierarchyOptions assembles the Phase-1 build options: the
+// exponential-mechanism bisector on the phase-1 stream when a Phase-1
+// budget is set, the public balanced bisector otherwise.
+func (p *Pipeline) hierarchyOptions(phase1Src *rng.Source) (hierarchy.Options, error) {
+	opts := hierarchy.Options{
 		Rounds:   p.cfg.rounds,
-		Bisector: plan.Bisector,
-		Keys:     plan.Keys,
+		Bisector: partition.BalancedBisector{},
 		Workers:  p.cfg.workers,
 	}
+	if p.cfg.phase1Epsilon > 0 {
+		b, err := partition.NewExpMechBisector(p.cfg.phase1Epsilon, phase1Src)
+		if err != nil {
+			return hierarchy.Options{}, fmt.Errorf("release: phase 1 bisector: %w", err)
+		}
+		opts.Bisector = b
+	}
+	return opts, nil
 }
 
 // finish runs Phase 2 and assembles the artifact from a built tree — the
@@ -445,16 +443,12 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 	strat := cfg.strategy
 	var err error
 
-	// The partitioner declares its Phase-1 charges; they apply when the
-	// grouping actually consumed budget — always for partitioners that
-	// spend outside the bisector (ChargeAlways), otherwise only when the
-	// build recorded private cuts.
-	phase1Ops := strat.Partitioner.Ops(p.partitionConfig())
-	charge := len(phase1Ops) > 0 &&
-		(strat.Partitioner.ChargeAlways() || tree.NumPrivateCuts() > 0)
+	// Phase 1 is charged when the build actually consumed budget: a
+	// Phase-1 ε is set and the tree recorded private cuts.
+	var phase1Ops []PhaseOp
 	var phase1Cost dp.Params
-	if charge {
-		phase1Cost = PhaseCost(phase1Ops)
+	if cfg.phase1Epsilon > 0 && tree.NumPrivateCuts() > 0 {
+		phase1Ops, phase1Cost = PhaseCost(cfg.rounds, cfg.phase1Epsilon)
 	}
 	phase1Eps := phase1Cost.Epsilon
 
@@ -483,11 +477,9 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 	if err != nil {
 		return nil, fmt.Errorf("release: ledger: %w", err)
 	}
-	if charge {
-		for _, op := range phase1Ops {
-			if err := ledger.Spend(op.Label, op.Cost); err != nil {
-				return nil, fmt.Errorf("release: accounting phase 1: %w", err)
-			}
+	for _, op := range phase1Ops {
+		if err := ledger.Spend(op.Label, op.Cost); err != nil {
+			return nil, fmt.Errorf("release: accounting phase 1: %w", err)
 		}
 	}
 

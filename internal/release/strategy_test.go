@@ -5,8 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"io"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -148,78 +147,44 @@ func TestStrategySalt(t *testing.T) {
 	if StrategySalt(DefaultStrategyName) != 0 {
 		t.Error("default strategy must salt to 0")
 	}
-	a, b := StrategySalt("quadtree-laplace"), StrategySalt("community-gaussian")
-	if a == 0 || b == 0 || a == b {
-		t.Errorf("non-default salts must be distinct and nonzero, got %d and %d", a, b)
+	if StrategySalt("quadtree-laplace") == 0 {
+		t.Error("the non-default strategy must salt to nonzero")
 	}
 }
 
 func TestWithStrategyUnknown(t *testing.T) {
 	t.Parallel()
-	_, err := New(defaultBudget(), WithStrategy("no-such-strategy"))
-	if !errors.Is(err, ErrUnknownStrategy) {
-		t.Errorf("unknown strategy: got %v, want ErrUnknownStrategy", err)
+	// community-gaussian was a built-in until its Phase-1 privacy claim
+	// was shown not to hold; the name must fail loudly, not fall back.
+	for _, name := range []string{"no-such-strategy", "community-gaussian"} {
+		_, err := New(defaultBudget(), WithStrategy(name))
+		if !errors.Is(err, ErrUnknownStrategy) {
+			t.Errorf("strategy %q: got %v, want ErrUnknownStrategy", name, err)
+		}
 	}
 }
 
 func TestStrategyRegistryValidation(t *testing.T) {
 	t.Parallel()
-	reg := NewStrategyRegistry()
-
-	valid, err := NewStrategy("s1", QuadtreePartitioner{},
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range Strategies.Names() {
+		s, err := Strategies.Resolve(name)
+		if err != nil || s.Name() != name {
+			t.Fatalf("Resolve(%q) = %v, %v", name, s, err)
+		}
+		if !s.Noise.Count.Valid() || !s.Noise.Cells.Valid() {
+			t.Errorf("%s: invalid noise stage %+v", name, s.Noise)
+		}
 	}
-	if err := reg.Register(valid); err != nil {
-		t.Fatalf("registering a valid strategy: %v", err)
-	}
-	if err := reg.Register(valid); !errors.Is(err, ErrBadStrategy) {
-		t.Errorf("duplicate registration: got %v, want ErrBadStrategy", err)
-	}
-	if err := reg.Register(nil); !errors.Is(err, ErrBadStrategy) {
-		t.Errorf("nil registration: got %v, want ErrBadStrategy", err)
-	}
-	if err := reg.Register(&Strategy{}); !errors.Is(err, ErrBadStrategy) {
-		t.Errorf("empty-name registration: got %v, want ErrBadStrategy", err)
-	}
-
-	if _, err := NewStrategy("", QuadtreePartitioner{},
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}); !errors.Is(err, ErrBadStrategy) {
-		t.Errorf("empty name: got %v, want ErrBadStrategy", err)
-	}
-	if _, err := NewStrategy("x", nil,
-		NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}); !errors.Is(err, ErrBadStrategy) {
-		t.Errorf("nil partitioner: got %v, want ErrBadStrategy", err)
-	}
-	if _, err := NewStrategy("x", QuadtreePartitioner{},
-		NoiseStage{Count: core.NoiseMechanism(99), Cells: core.MechGaussian}); !errors.Is(err, ErrBadStrategy) {
-		t.Errorf("bad count mechanism: got %v, want ErrBadStrategy", err)
-	}
-
-	if _, err := reg.Resolve("absent"); !errors.Is(err, ErrUnknownStrategy) {
+	if _, err := Strategies.Resolve("absent"); !errors.Is(err, ErrUnknownStrategy) {
 		t.Errorf("unknown resolve: got %v, want ErrUnknownStrategy", err)
 	}
 }
 
 func TestStrategiesRegistryBuiltins(t *testing.T) {
 	t.Parallel()
-	names := Strategies.Names()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("Names() not sorted: %v", names)
-	}
-	want := []string{"community-gaussian", DefaultStrategyName, "quadtree-laplace"}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("built-in %q missing from registry (have %v)", w, names)
-		}
+	// Sorted, and exactly the two built-ins.
+	if names, want := Strategies.Names(), []string{DefaultStrategyName, "quadtree-laplace"}; !slices.Equal(names, want) {
+		t.Errorf("Names() = %v, want %v", names, want)
 	}
 	s, err := Strategies.Resolve("")
 	if err != nil || s.Name() != DefaultStrategyName {
@@ -265,95 +230,3 @@ func TestPureStrategyDeltaZero(t *testing.T) {
 		}
 	}
 }
-
-// TestCommunityStrategyAccounting pins that the community partitioner
-// charges its randomized response exactly once per side, even when no
-// cut is private (ChargeAlways).
-func TestCommunityStrategyAccounting(t *testing.T) {
-	t.Parallel()
-	g := testGraph(t)
-	p, err := New(defaultBudget(),
-		WithStrategy("community-gaussian"), WithRounds(5), WithPhase1Epsilon(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := p.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rel.Phase1Epsilon, 2*0.3; got != want {
-		t.Errorf("Phase1Epsilon = %v, want %v (one RR per side)", got, want)
-	}
-	var labels []string
-	for _, op := range rel.Audit {
-		labels = append(labels, op.Label)
-	}
-	wantPrefix := []string{"phase1/community/left", "phase1/community/right"}
-	for i, w := range wantPrefix {
-		if i >= len(labels) || labels[i] != w {
-			t.Fatalf("audit trail starts %v, want prefix %v", labels, wantPrefix)
-		}
-	}
-
-	// Without a Phase-1 budget the grouping is public and free.
-	free, err := New(defaultBudget(), WithStrategy("community-gaussian"), WithRounds(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err = free.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Phase1Epsilon != 0 {
-		t.Errorf("unbudgeted community run charged phase 1: %v", rel.Phase1Epsilon)
-	}
-	for _, op := range rel.Audit {
-		if op.Label == "phase1/community/left" || op.Label == "phase1/community/right" {
-			t.Errorf("unbudgeted community run spent %s", op.Label)
-		}
-	}
-}
-
-// TestCommunityKeysMatchTreeSides exercises the explicit-ordering path
-// against a source that does not declare its sides, where both the
-// partitioner's degree pass and the hierarchy's must discover identical
-// side sizes or the build fails with ErrBadKeys.
-func TestCommunityStreamedUndeclaredSides(t *testing.T) {
-	t.Parallel()
-	g := testGraph(t)
-	var edges []bipartite.Edge
-	g.ForEachEdge(func(l, r int32) bool {
-		edges = append(edges, bipartite.Edge{Left: l, Right: r})
-		return true
-	})
-	src := undeclaredSource{edges: edges}
-
-	p, err := New(defaultBudget(),
-		WithStrategy("community-gaussian"), WithRounds(5), WithPhase1Epsilon(0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunFromEdges(&src); err != nil {
-		t.Fatalf("streamed community build over undeclared sides: %v", err)
-	}
-}
-
-// undeclaredSource is an EdgeSource that never declares its sides,
-// forcing every consumer through the max-observed-id sizing rule.
-type undeclaredSource struct {
-	edges []bipartite.Edge
-	next  int
-}
-
-func (s *undeclaredSource) NextChunk(dst []bipartite.Edge) (int, error) {
-	if s.next >= len(s.edges) {
-		return 0, io.EOF
-	}
-	n := copy(dst, s.edges[s.next:])
-	s.next += n
-	return n, nil
-}
-
-func (s *undeclaredSource) Reset() error { s.next = 0; return nil }
-
-func (s *undeclaredSource) Sides() (int32, int32, bool) { return 0, 0, false }

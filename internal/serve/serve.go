@@ -58,6 +58,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
+	"repro/internal/partition"
 	"repro/internal/query"
 	"repro/internal/release"
 	"repro/internal/rng"
@@ -121,8 +122,8 @@ type Config struct {
 	Calib     core.Calibration
 	Mechanism core.NoiseMechanism
 	// Strategy names the registry-wide default release strategy
-	// (release.Strategies): the composed partitioner × noise ×
-	// consistency plan ingests build under and sessions answer with.
+	// (release.Strategies): the noise stage sessions answer with over
+	// the paper's Phase 1, and the salt of every stream and fingerprint.
 	// Empty selects release.DefaultStrategyName, the paper's quadtree +
 	// Gaussian pipeline. Individual datasets may override it at
 	// AddDatasetWith / the HTTP ingest request. Unknown names fail Open
@@ -533,23 +534,17 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 	}
 	ingestLabel := labelPrefix + phase1Label
 
-	// The strategy's partitioner declares the ingest cost (the
-	// quadtree's 2·Rounds side-depths, the community partitioner's one
-	// randomized response per side) and resolves the build plan. Its
-	// phase-1 stream is salted per strategy, so two strategies over the
-	// same data never share a cut or assignment draw.
-	pcfg := release.PartitionConfig{
-		Rounds:  r.cfg.Rounds,
-		Epsilon: r.cfg.Phase1Epsilon,
-		Workers: r.cfg.Workers,
-	}
-	phase1Ops := strat.Partitioner.Ops(pcfg)
-	phase1Cost := release.PhaseCost(phase1Ops)
-	charge := len(phase1Ops) > 0
+	// The ingest costs the quadtree's 2·Rounds side-depths, debited as
+	// one op. The exponential-mechanism cuts draw from a phase-1 stream
+	// salted per strategy, so two strategies over the same data never
+	// share a cut draw; without a Phase-1 budget the balanced bisector
+	// cuts for free.
+	_, phase1Cost := release.PhaseCost(r.cfg.Rounds, r.cfg.Phase1Epsilon)
+	charge := r.cfg.Phase1Epsilon > 0
+	var bisector partition.Bisector = partition.BalancedBisector{}
 	if charge {
 		// Pre-check against an empty budget so a misconfigured
-		// specialization fails before the plan reads the source or the
-		// build draws a single cut.
+		// specialization fails before the build draws a single cut.
 		probe, err := accountant.NewLedger(r.cfg.Budget)
 		if err != nil {
 			return nil, err
@@ -557,17 +552,16 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 		if err := probe.Spend(ingestLabel, phase1Cost); err != nil {
 			return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 		}
-	}
-	plan, err := strat.Partitioner.PlanSource(src, pcfg, r.streamFor(name, domainPhase1, salt))
-	if err != nil {
-		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
+		bisector, err = partition.NewExpMechBisector(r.cfg.Phase1Epsilon, r.streamFor(name, domainPhase1, salt))
+		if err != nil {
+			return nil, fmt.Errorf("serve: ingest %q: phase 1 bisector: %w", name, err)
+		}
 	}
 
 	lane := <-r.lanes
 	tree, err := lane.BuildFromEdges(src, hierarchy.Options{
 		Rounds:   r.cfg.Rounds,
-		Bisector: plan.Bisector,
-		Keys:     plan.Keys,
+		Bisector: bisector,
 		Workers:  r.cfg.Workers,
 	})
 	r.lanes <- lane

@@ -180,8 +180,7 @@ func TestPhase1EpsilonDebitsIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg2.Close()
-	// The refusal comes before the partitioner's plan, which for
-	// community-gaussian is two passes over the source.
+	// The refusal comes before the build reads the source.
 	for _, strategy := range release.Strategies.Names() {
 		src := &countingSource{EdgeSource: testSource(t)}
 		if _, err := reg2.AddDatasetWith("x", src, DatasetOptions{Strategy: strategy}); !errors.Is(err, accountant.ErrBudgetExceeded) {

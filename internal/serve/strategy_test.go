@@ -74,42 +74,31 @@ func TestDatasetStrategyAudit(t *testing.T) {
 	}
 }
 
-// TestStrategySessionStreamsDisjoint pins that datasets of the same
-// data under different strategies never share noise: the strategy salt
-// re-keys every session stream.
+// TestStrategySessionStreamsDisjoint pins that the same data under the
+// same name but different strategies never shares noise or a budget: the
+// strategy salt moves the fingerprint, which re-keys every session stream
+// (streamFor(...).Split(print)) and names a different ledger WAL.
 func TestStrategySessionStreamsDisjoint(t *testing.T) {
 	t.Parallel()
-	reg, err := Open(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { reg.Close() })
-
-	marginals := map[string][]float64{}
-	for _, name := range []string{release.DefaultStrategyName, "community-gaussian"} {
-		ds, err := reg.AddDatasetWith("ds-"+name, testSource(t), DatasetOptions{Strategy: name})
+	var datasets []*Dataset
+	for _, name := range release.Strategies.Names() {
+		reg, err := Open(testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := ds.SessionAt(9).Marginal(1, bipartite.Left)
+		t.Cleanup(func() { reg.Close() })
+		ds, err := reg.AddDatasetWith("ds", testSource(t), DatasetOptions{Strategy: name})
 		if err != nil {
 			t.Fatal(err)
 		}
-		marginals[name] = append([]float64(nil), m...)
+		datasets = append(datasets, ds)
 	}
-	a := marginals[release.DefaultStrategyName]
-	b := marginals["community-gaussian"]
-	if len(a) == len(b) {
-		same := true
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Error("default and community strategies drew identical marginal noise at one (stream, seq)")
-		}
+	a, b := datasets[0], datasets[1]
+	if a.print == b.print {
+		t.Errorf("%s and %s share the fingerprint %#016x", a.Strategy(), b.Strategy(), a.print)
+	}
+	if fa, fb := ledgerFileName(a.name, a.print), ledgerFileName(b.name, b.print); fa == fb {
+		t.Errorf("%s and %s share the ledger WAL %s", a.Strategy(), b.Strategy(), fa)
 	}
 }
 

@@ -228,8 +228,8 @@ var (
 	WithWorkers        = release.WithWorkers
 )
 
-// ReleaseStrategyNames lists the registered release strategies
-// (partitioner × noise compositions) selectable with
+// ReleaseStrategyNames lists the built-in release strategies (a noise
+// stage over the paper's Phase 1) selectable with
 // WithStrategy, ServeConfig.Strategy, DatasetOptions.Strategy, or the
 // HTTP ingest ?strategy= parameter.
 func ReleaseStrategyNames() []string { return release.Strategies.Names() }
