@@ -329,15 +329,13 @@ type CellRelease struct {
 // level) passes the same dst every iteration and the per-release
 // allocations drop to zero.
 //
-// Gaussian noise comes from chunked batched ziggurat fills
-// (rng.Source.NormalsSigma), sharded across workers goroutines at
-// noiseChunk granularity. Each chunk draws from its own stream derived
-// by index from one fork point (rng.Source.Fork), so the released
-// histogram is bit-identical for EVERY workers value — parallelism is
-// purely a wall-clock knob, never a replay change; workers < 2 (or a
-// release smaller than two chunks) runs on the calling goroutine. The
-// pure-ε mechanisms draw one variate per cell in index order and ignore
-// workers: they trade Phase-2 throughput for the stronger guarantee.
+// The noise is filled in noiseChunk-sized windows, sharded across
+// workers goroutines. Each chunk draws from its own stream derived by
+// index from one fork point (rng.Source.Fork), so the released
+// histogram is bit-identical for EVERY workers value and every
+// mechanism — parallelism is purely a wall-clock knob, never a replay
+// change; workers < 2 (or a release smaller than two chunks) runs on the
+// calling goroutine.
 func ReleaseCells(dst *CellRelease, t *hierarchy.Tree, level int, n Noise, src *rng.Source, workers int) error {
 	s, err := n.resolve(t, level, ModelCells, src, true)
 	if err != nil {
@@ -351,23 +349,14 @@ func ReleaseCells(dst *CellRelease, t *hierarchy.Tree, level int, n Noise, src *
 	if err != nil {
 		return err
 	}
-	buf, mechName := dst.Counts, "" // MechName stays empty for Gaussian releases
-	if n.Mech == MechGaussian {
-		counts32, _ := t.LevelCellCounts32View(level)
-		buf = noisyCells(buf, counts, counts32, s.sigma, src, workers)
-	} else {
-		mechName = n.Mech.String()
-		buf = growCells(buf, len(counts))
-		for i, c := range counts {
-			buf[i] = roundCell(float64(c) + s.draw(src))
-		}
-	}
+	counts32, _ := t.LevelCellCounts32View(level)
+	buf := noisyCells(dst.Counts, counts, counts32, n.Mech, s.param, src, workers)
 	*dst = CellRelease{
 		Level: level, Model: ModelCells, Calibration: s.calib,
 		ModelName: ModelCells.String(), CalibName: s.calibName,
 		Params: n.Budget, Epsilon: n.Budget.Epsilon, Delta: s.delta,
 		Sensitivity: s.sens, Sigma: s.sigma,
-		Counts: buf, SideGroups: k, MechName: mechName,
+		Counts: buf, SideGroups: k, MechName: s.cellMechName,
 	}
 	return nil
 }
@@ -410,29 +399,30 @@ func growCells(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// noisyCells fills buf (grown if its capacity is short) with
-// counts + N(0, σ²) noise rounded to integers: the histogram is cut into
-// noiseChunk-sized windows, each drawing its noise from the
-// chunk-indexed child of one fork point on src (rng.Fork) with the
-// counts add and the rounding fused into the fill window while it is
-// cache-resident. When counts32 is non-nil (the level's counts all fit
-// int32 — hierarchy.Tree.LevelCellCounts32View) and σ is below
-// maxFastRoundSigma, the add pass reads 4-byte counts, halving its
+// noisyCells fills buf (grown if its capacity is short) with counts plus
+// mech's noise at its sampler parameter (σ, the Laplace b, the geometric
+// α), rounded to integers: the histogram is cut into noiseChunk-sized
+// windows, each drawing its noise from the chunk-indexed child of one
+// fork point on src (rng.Fork) with the counts add and the rounding
+// fused into the fill window while it is cache-resident. When counts32
+// is non-nil (the level's counts all fit int32 —
+// hierarchy.Tree.LevelCellCounts32View) and the noise is Gaussian with σ
+// below maxFastRoundSigma, the add pass reads 4-byte counts, halving its
 // memory traffic, and rounds with roundFast; otherwise it reads the
 // int64 counts and rounds with roundCell. workers > 1 shards the chunks
 // across goroutines; because every chunk's stream depends only on
 // (fork point, chunk index), the result is bit-identical for every
-// worker count. σ = 0 (empty dataset) copies the counts unchanged and
-// draws nothing.
-func noisyCells(buf []float64, counts []int64, counts32 []int32, sigma float64, src *rng.Source, workers int) []float64 {
+// worker count. A zero parameter (empty dataset) copies the counts
+// unchanged and draws nothing.
+func noisyCells(buf []float64, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, src *rng.Source, workers int) []float64 {
 	buf = growCells(buf, len(counts))
-	if sigma <= 0 {
+	if param <= 0 {
 		for i, c := range counts {
 			buf[i] = float64(c)
 		}
 		return buf
 	}
-	if sigma >= maxFastRoundSigma {
+	if mech != MechGaussian || param >= maxFastRoundSigma {
 		counts32 = nil // the shift trick's range no longer covers count + noise
 	}
 	fork := src.Fork()
@@ -444,11 +434,11 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, sigma float64, 
 		var cs rng.Source
 		for c := 0; c < chunks; c++ {
 			fork.StreamTo(&cs, uint64(c))
-			noisyChunk(buf, counts, counts32, sigma, &cs, c, chunks)
+			noisyChunk(buf, counts, counts32, mech, param, &cs, c, chunks)
 		}
 		return buf
 	}
-	noisyCellsParallel(buf, counts, counts32, sigma, fork, chunks, workers)
+	noisyCellsParallel(buf, counts, counts32, mech, param, fork, chunks, workers)
 	return buf
 }
 
@@ -456,7 +446,7 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, sigma float64, 
 // noisyCells so the goroutine closure does not force the single-worker
 // path's locals to the heap (the serving layer's steady-state queries
 // are allocation-free through workers == 1).
-func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, sigma float64, fork rng.Fork, chunks, workers int) {
+func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, fork rng.Fork, chunks, workers int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -470,7 +460,7 @@ func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, sigma f
 					return
 				}
 				fork.StreamTo(&cs, uint64(c))
-				noisyChunk(buf, counts, counts32, sigma, &cs, c, chunks)
+				noisyChunk(buf, counts, counts32, mech, param, &cs, c, chunks)
 			}
 		}()
 	}
@@ -483,7 +473,10 @@ func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, sigma f
 // sampler's r − ln(u)/r with r = 3.852… and u ≥ 2^-54 (rng.OpenFloat64):
 // below 14 (rng's TestNormalsSigmaBelow14 pins it), so σ <
 // maxFastRoundSigma = 2^47 keeps |noise| < 14·2^47, and an int32 count on
-// top still leaves |count + noise| < 2^51.
+// top still leaves |count + noise| < 2^51. The pure-ε samplers have no
+// such bound at any scale this guard would admit — a Laplace variate
+// reaches ln(2^53)·b ≈ 36.7·b, a geometric one MaxInt64/2 — so their
+// chunks always round with roundCell.
 const (
 	roundShift        = 0x1.8p52
 	maxFastRoundSigma = 1 << 47
@@ -512,18 +505,31 @@ func roundCell(x float64) float64 {
 	return 0
 }
 
-// noisyChunk fills chunk c of the grid: one batched ziggurat fill on the
-// chunk's own stream, then the counts add and the rounding over the
-// still-resident window, through the narrow (int32) counts and
-// roundFast when noisyCells passed them.
-func noisyChunk(buf []float64, counts []int64, counts32 []int32, sigma float64, cs *rng.Source, c, chunks int) {
+// noisyChunk fills chunk c of the grid: the mechanism's sampler on the
+// chunk's own stream — one batched ziggurat fill for Gaussian noise, one
+// draw per cell in index order for Laplace and geometric noise — then
+// the counts add and the rounding over the still-resident window,
+// through the narrow (int32) counts and roundFast when noisyCells passed
+// them.
+func noisyChunk(buf []float64, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, cs *rng.Source, c, chunks int) {
 	off := c * noiseChunk
 	end := off + noiseChunk
 	if c == chunks-1 {
 		end = len(buf)
 	}
 	window := buf[off:end]
-	cs.NormalsSigma(window, sigma)
+	switch mech {
+	case MechLaplace:
+		for i := range window {
+			window[i] = cs.Laplace(param)
+		}
+	case MechGeometric:
+		for i := range window {
+			window[i] = float64(cs.TwoSidedGeometric(param))
+		}
+	default:
+		cs.NormalsSigma(window, param)
+	}
 	if counts32 != nil {
 		for i, v := range counts32[off:end] {
 			window[i] = roundFast(window[i] + float64(v))

@@ -89,10 +89,13 @@ type noiseScale struct {
 	// expAbs is E|noise|.
 	expAbs float64
 	// calib, calibName and delta label the release; a pure mechanism
-	// reports δ = 0 whatever the budget carried.
-	calib     Calibration
-	calibName string
-	delta     float64
+	// reports δ = 0 whatever the budget carried. cellMechName is the cell
+	// release's MechName: empty for Gaussian, keeping Gaussian artifacts
+	// byte-stable.
+	calib        Calibration
+	calibName    string
+	delta        float64
+	cellMechName string
 }
 
 // scale resolves the spec at one sensitivity — the single place where
@@ -127,13 +130,13 @@ func (n Noise) scale(sens int64) (noiseScale, error) {
 		}
 		s.param, s.expAbs = s.sigma, s.sigma*math.Sqrt(2/math.Pi)
 	case MechLaplace:
-		s.calibName, s.delta = "pure", 0
+		s.calibName, s.delta, s.cellMechName = "pure", 0, n.Mech.String()
 		if sens > 0 {
 			b := float64(sens) / n.Budget.Epsilon
 			s.sigma, s.param, s.expAbs = b*math.Sqrt2, b, b
 		}
 	case MechGeometric:
-		s.calibName, s.delta = "pure", 0
+		s.calibName, s.delta, s.cellMechName = "pure", 0, n.Mech.String()
 		if sens > 0 {
 			alpha := math.Exp(-n.Budget.Epsilon / float64(sens))
 			s.sigma, s.param, s.expAbs = math.Sqrt(2*alpha)/(1-alpha), alpha, 2*alpha/(1-alpha*alpha)

@@ -307,8 +307,8 @@ func TestNoiseValidate(t *testing.T) {
 var errAny = errors.New("any error")
 
 // TestPureCellRelease covers the δ = 0 histogram: labels, the reported
-// standard deviation, geometric integrality, and that the serial
-// per-cell draw ignores the worker count.
+// standard deviation, geometric integrality, and that the chunked fill
+// is bit-identical at one and four workers.
 func TestPureCellRelease(t *testing.T) {
 	t.Parallel()
 	tree := deepTree(t, 4)

@@ -19,25 +19,39 @@ var noisySizes = []int{
 	3*noiseChunk + 77,
 }
 
+// chunkMechs is each mechanism at a sampler parameter that draws
+// non-trivial noise: σ, the Laplace b, the geometric α.
+var chunkMechs = []struct {
+	mech  NoiseMechanism
+	param float64
+}{
+	{MechGaussian, 3.5},
+	{MechLaplace, 3.5},
+	{MechGeometric, 0.8},
+}
+
 // TestNoisyCellsWorkerBitIdentity is the tentpole contract: the sharded
 // noise pass must produce bit-identical output for every worker count,
-// across histogram lengths straddling every chunk/block boundary.
+// under every mechanism, across histogram lengths straddling every
+// chunk/block boundary.
 func TestNoisyCellsWorkerBitIdentity(t *testing.T) {
 	t.Parallel()
-	for _, n := range noisySizes {
-		counts := make([]int64, n)
-		for i := range counts {
-			counts[i] = int64(i % 9001)
-		}
-		want := noisyCells(nil, counts, nil, 3.5, rng.New(42), 1)
-		for _, workers := range []int{2, 4, 7} {
-			got := noisyCells(nil, counts, nil, 3.5, rng.New(42), workers)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d workers=%d: len %d != %d", n, workers, len(got), len(want))
+	for _, m := range chunkMechs {
+		for _, n := range noisySizes {
+			counts := make([]int64, n)
+			for i := range counts {
+				counts[i] = int64(i % 9001)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d workers=%d: cell %d differs: %v != %v", n, workers, i, got[i], want[i])
+			want := noisyCells(nil, counts, nil, m.mech, m.param, rng.New(42), 1)
+			for _, workers := range []int{2, 4, 7} {
+				got := noisyCells(nil, counts, nil, m.mech, m.param, rng.New(42), workers)
+				if len(got) != len(want) {
+					t.Fatalf("%v n=%d workers=%d: len %d != %d", m.mech, n, workers, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%v n=%d workers=%d: cell %d differs: %v != %v", m.mech, n, workers, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -58,8 +72,8 @@ func TestNoisyCellsNarrowPathBitIdentity(t *testing.T) {
 			counts32[i] = int32(v)
 		}
 		for _, workers := range []int{1, 4} {
-			wide := noisyCells(nil, counts, nil, 2.25, rng.New(7), workers)
-			narrow := noisyCells(nil, counts, counts32, 2.25, rng.New(7), workers)
+			wide := noisyCells(nil, counts, nil, MechGaussian, 2.25, rng.New(7), workers)
+			narrow := noisyCells(nil, counts, counts32, MechGaussian, 2.25, rng.New(7), workers)
 			for i := range wide {
 				if wide[i] != narrow[i] {
 					t.Fatalf("n=%d workers=%d: cell %d: wide %v != narrow %v", n, workers, i, wide[i], narrow[i])
@@ -132,20 +146,22 @@ func TestReleaseCellsWorkersBitIdentity(t *testing.T) {
 
 // TestNoisyCellsZeroSigma covers the σ=0 copy path (empty
 // dataset edge case) under the worker plumbing: no draws, exact counts,
-// any worker count.
+// any worker count, every mechanism.
 func TestNoisyCellsZeroSigma(t *testing.T) {
 	t.Parallel()
 	counts := []int64{3, 1, 4, 1, 5}
-	for _, workers := range []int{1, 4} {
-		src := rng.New(1)
-		before := *src
-		got := noisyCells(nil, counts, nil, 0, src, workers)
-		if *src != before {
-			t.Fatalf("workers=%d: σ=0 consumed parent stream state", workers)
-		}
-		for i, c := range counts {
-			if got[i] != float64(c) {
-				t.Fatalf("workers=%d: cell %d: %v != %d", workers, i, got[i], c)
+	for _, m := range chunkMechs {
+		for _, workers := range []int{1, 4} {
+			src := rng.New(1)
+			before := *src
+			got := noisyCells(nil, counts, nil, m.mech, 0, src, workers)
+			if *src != before {
+				t.Fatalf("%v workers=%d: σ=0 consumed parent stream state", m.mech, workers)
+			}
+			for i, c := range counts {
+				if got[i] != float64(c) {
+					t.Fatalf("%v workers=%d: cell %d: %v != %d", m.mech, workers, i, got[i], c)
+				}
 			}
 		}
 	}

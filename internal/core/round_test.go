@@ -47,9 +47,10 @@ func TestRoundFastMatchesRoundToEven(t *testing.T) {
 	}
 }
 
-// unroundedCells is the Gaussian release before rounding: the same chunk
-// grid and per-chunk streams noisyCells draws, plus the counts.
-func unroundedCells(counts []int64, sigma float64, seed uint64) []float64 {
+// unroundedCells is the release before rounding: the same chunk grid
+// and per-chunk streams noisyCells draws, each chunk filled by the
+// mechanism's own sampler, plus the counts.
+func unroundedCells(counts []int64, mech NoiseMechanism, param float64, seed uint64) []float64 {
 	out := make([]float64, len(counts))
 	fork := rng.New(seed).Fork()
 	chunks := noiseChunkCount(len(out))
@@ -60,8 +61,16 @@ func unroundedCells(counts []int64, sigma float64, seed uint64) []float64 {
 			end = len(out)
 		}
 		fork.StreamTo(&cs, uint64(c))
-		cs.NormalsSigma(out[off:end], sigma)
+		if mech == MechGaussian {
+			cs.NormalsSigma(out[off:end], param)
+		}
 		for i := off; i < end; i++ {
+			switch mech {
+			case MechLaplace:
+				out[i] = cs.Laplace(param)
+			case MechGeometric:
+				out[i] = float64(cs.TwoSidedGeometric(param))
+			}
 			out[i] += float64(counts[i])
 		}
 	}
@@ -69,9 +78,12 @@ func unroundedCells(counts []int64, sigma float64, seed uint64) []float64 {
 }
 
 // TestNoisyCellsRoundTheUnroundedRelease: rounding is post-processing.
-// Below and above maxFastRoundSigma, through the narrow and the wide
+// For every mechanism — Gaussian below and above maxFastRoundSigma,
+// Laplace below and above it too — through the narrow and the wide
 // counts, at one and four workers, every released cell is roundCell of
-// the cell the unrounded kernel draws from the same streams.
+// the cell the unrounded kernel draws from the same streams. A Laplace
+// scale past the Gaussian guard puts most noise beyond roundFast's
+// range, so a pure-ε chunk rounding with it fails here.
 func TestNoisyCellsRoundTheUnroundedRelease(t *testing.T) {
 	t.Parallel()
 	n := 2*noiseChunk + rng.ZigBlock + 5
@@ -81,18 +93,28 @@ func TestNoisyCellsRoundTheUnroundedRelease(t *testing.T) {
 		counts[i] = int64(i % 7)
 		counts32[i] = int32(counts[i])
 	}
-	for _, sigma := range []float64{0.4, 3.5, maxFastRoundSigma / 2, maxFastRoundSigma, 1 << 60} {
-		want := unroundedCells(counts, sigma, 9)
+	cases := []struct {
+		mech  NoiseMechanism
+		param float64
+	}{
+		{MechGaussian, 0.4}, {MechGaussian, 3.5}, {MechGaussian, maxFastRoundSigma / 2},
+		{MechGaussian, maxFastRoundSigma}, {MechGaussian, 1 << 60},
+		{MechLaplace, 0.4}, {MechLaplace, 3.5}, {MechLaplace, maxFastRoundSigma / 2},
+		{MechLaplace, 1 << 52}, {MechLaplace, 1 << 60},
+		{MechGeometric, 0.3}, {MechGeometric, 0.9}, {MechGeometric, 1 - 1e-15},
+	}
+	for _, tc := range cases {
+		want := unroundedCells(counts, tc.mech, tc.param, 9)
 		for i := range want {
 			want[i] = roundCell(want[i])
 		}
 		for _, narrow := range []([]int32){nil, counts32} {
 			for _, workers := range []int{1, 4} {
-				got := noisyCells(nil, counts, narrow, sigma, rng.New(9), workers)
+				got := noisyCells(nil, counts, narrow, tc.mech, tc.param, rng.New(9), workers)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("σ=%v narrow=%t workers=%d: cell %d = %v, want %v",
-							sigma, narrow != nil, workers, i, got[i], want[i])
+						t.Fatalf("%v at %v narrow=%t workers=%d: cell %d = %v, want %v",
+							tc.mech, tc.param, narrow != nil, workers, i, got[i], want[i])
 					}
 				}
 			}
