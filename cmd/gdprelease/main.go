@@ -41,7 +41,7 @@ func run(args []string) (err error) {
 		mode        = fs.String("mode", "per-level", "budget mode: per-level, composed-basic, composed-advanced, composed-rdp")
 		model       = fs.String("model", "cells", "adjacency model: cells, node-groups, individual")
 		calib       = fs.String("calib", "classical", "gaussian calibration: classical or analytic")
-		mech        = fs.String("mech", "gaussian", "noise mechanism: gaussian, laplace, geometric")
+		mech        = fs.String("mech", "gaussian", "noise mechanism: gaussian, laplace, geometric (the release strategy quadtree-<mech>)")
 		phase1      = fs.Float64("phase1-eps", 0.1, "per-cut exponential-mechanism budget; 0 = non-private grouping")
 		seed        = fs.Uint64("seed", 0, "random seed; 0 draws one from OS entropy")
 		cells       = fs.Bool("cells", false, "also release per-level cell histograms")
@@ -71,6 +71,7 @@ func run(args []string) (err error) {
 		repro.WithPhase1Epsilon(*phase1),
 		repro.WithCellHistograms(*cells),
 		repro.WithWorkers(*workers),
+		repro.WithStrategy("quadtree-" + *mech),
 	}
 	m, err := parseMode(*mode)
 	if err != nil {
@@ -87,11 +88,6 @@ func run(args []string) (err error) {
 		return err
 	}
 	opts = append(opts, repro.WithCalibration(cal))
-	nm, err := parseMech(*mech)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, repro.WithMechanism(nm))
 	if *levels != "" {
 		lv, err := parseLevels(*levels)
 		if err != nil {
@@ -193,19 +189,6 @@ func parseCalib(s string) (repro.Calibration, error) {
 		return core.CalibrationAnalytic, nil
 	default:
 		return 0, fmt.Errorf("unknown calibration %q", s)
-	}
-}
-
-func parseMech(s string) (repro.NoiseMechanism, error) {
-	switch s {
-	case "gaussian":
-		return core.MechGaussian, nil
-	case "laplace":
-		return core.MechLaplace, nil
-	case "geometric":
-		return core.MechGeometric, nil
-	default:
-		return 0, fmt.Errorf("unknown mechanism %q", s)
 	}
 }
 

@@ -66,6 +66,37 @@ func TestRunFromTSVFile(t *testing.T) {
 	}
 }
 
+// TestRunMechSelectsStrategy: -mech names the quadtree-<mech> strategy,
+// so a pure-ε artifact carries the strategy and its cells follow the
+// mechanism, not only its counts.
+func TestRunMechSelectsStrategy(t *testing.T) {
+	for _, mech := range []string{"laplace", "geometric"} {
+		out := filepath.Join(t.TempDir(), "rel.json")
+		err := run([]string{"-preset", "dblp-tiny", "-rounds", "4", "-seed", "7",
+			"-mech", mech, "-cells", "-out", out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := repro.ReadRelease(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Strategy != "quadtree-"+mech || rel.MechName != mech {
+			t.Errorf("-mech %s: strategy %q, mechanism %q", mech, rel.Strategy, rel.MechName)
+		}
+		for _, c := range rel.Cells {
+			if c.MechName != mech || c.Delta != 0 {
+				t.Errorf("-mech %s: level %d cells mechanism %q, δ %v", mech, c.Level, c.MechName, c.Delta)
+			}
+		}
+	}
+}
+
 func TestRunArgumentErrors(t *testing.T) {
 	cases := [][]string{
 		{},                                     // neither -preset nor -in
@@ -108,9 +139,6 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if c, err := parseCalib("analytic"); err != nil || c != core.CalibrationAnalytic {
 		t.Errorf("parseCalib = %v, %v", c, err)
-	}
-	if n, err := parseMech("geometric"); err != nil || n != core.MechGeometric {
-		t.Errorf("parseMech = %v, %v", n, err)
 	}
 	lv, err := parseLevels("0, 2,4")
 	if err != nil || len(lv) != 3 || lv[1] != 2 {

@@ -113,8 +113,8 @@ func TestAllModesProduceValidArtifacts(t *testing.T) {
 	}
 }
 
-// TestMechanismsProduceValidArtifacts covers the noise-mechanism options
-// end to end.
+// TestMechanismsProduceValidArtifacts covers every noise mechanism end to
+// end, each through its quadtree-<mech> release strategy.
 func TestMechanismsProduceValidArtifacts(t *testing.T) {
 	t.Parallel()
 	g, err := repro.GenerateDataset(repro.PresetDBLPTiny, 4)
@@ -135,7 +135,7 @@ func TestMechanismsProduceValidArtifacts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			pipe, err := repro.NewPipeline(tc.budget,
-				repro.WithRounds(5), repro.WithMechanism(tc.mech), repro.WithSeed(10))
+				repro.WithRounds(5), repro.WithStrategy("quadtree-"+tc.mech.String()), repro.WithSeed(10))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -218,15 +218,6 @@ func TestEstimateEpsilonGaussianWithinBudget(t *testing.T) {
 	}
 }
 
-// TestEstimateEpsilonDiscreteGeometric audits the geometric mechanism,
-// which no registered strategy serves yet, at both stages.
-func TestEstimateEpsilonDiscreteGeometric(t *testing.T) {
-	t.Parallel()
-	tree := uniformTree(t)
-	auditMechanism(t, tree, core.MechGeometric, countStage)
-	auditMechanism(t, tree, core.MechGeometric, cellStage)
-}
-
 // TestGroupDPReleaseWithinBudget is the headline check: the paper's
 // Phase-2 count release at a level of a skewed dataset, against the
 // release its group-adjacent neighbour (the largest level group removed)

@@ -7,14 +7,13 @@ import (
 )
 
 // TestRegisteredStrategiesNoiseWithinBudget audits every registered
-// release strategy's Phase-2 stages through the kernel that serves them:
-// the count mechanism through core.ReleaseCount and the cell mechanism
-// through core.ReleaseCells (the chunked ziggurat fill for Gaussian, the
-// serial per-cell draw for the pure-ε families), each against its release
-// shifted by the level's sensitivity, must show empirical privacy loss at
-// or below the claimed ε. This is the gate that keeps a newly registered
-// composition — or a change to the kernel's scale or sampler — from
-// shipping an under-noised mechanism.
+// release strategy's mechanism at both Phase-2 stages through the kernel
+// that serves them: core.ReleaseCount and core.ReleaseCells (the chunked
+// fill every mechanism shares), each against its release shifted by the
+// level's sensitivity, must show empirical privacy loss at or below the
+// claimed ε. This is the gate that keeps a newly registered strategy —
+// or a change to the kernel's scale or sampler — from shipping an
+// under-noised mechanism.
 func TestRegisteredStrategiesNoiseWithinBudget(t *testing.T) {
 	t.Parallel()
 	tree := uniformTree(t)
@@ -26,8 +25,8 @@ func TestRegisteredStrategiesNoiseWithinBudget(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			auditMechanism(t, tree, strat.Noise.Count, countStage)
-			auditMechanism(t, tree, strat.Noise.Cells, cellStage)
+			auditMechanism(t, tree, strat.Mech, countStage)
+			auditMechanism(t, tree, strat.Mech, cellStage)
 		})
 	}
 }

@@ -23,17 +23,12 @@ import (
 type Engine struct {
 	model core.GroupModel
 	calib core.Calibration
-	mech  core.NoiseMechanism
+	// mech perturbs every count and cell release.
+	mech core.NoiseMechanism
 
-	// cellMech is the cell-histogram noise mechanism. The default
-	// Gaussian runs the chunked parallel fill; Laplace/geometric draw
-	// serially per cell with δ = 0 and ignore the worker knob
-	// (core.ReleaseCells). Zero means Gaussian.
-	cellMech core.NoiseMechanism
-
-	// workers shards each Gaussian cell release's noise pass across
-	// goroutines; releases are bit-identical for every value, so it is
-	// purely a latency knob. 0 and 1 both mean single-threaded.
+	// workers shards each cell release's noise pass across goroutines;
+	// releases are bit-identical for every value, so it is purely a
+	// latency knob. 0 and 1 both mean single-threaded.
 	workers int
 
 	// cells is the reusable histogram buffer. Cells and CellsSigma
@@ -42,7 +37,8 @@ type Engine struct {
 	cells core.CellRelease
 }
 
-// NewEngine validates the release configuration and returns an Engine.
+// NewEngine validates the release configuration and returns an Engine
+// whose counts and cells are both perturbed by mech.
 func NewEngine(model core.GroupModel, calib core.Calibration, mech core.NoiseMechanism) (*Engine, error) {
 	if !model.Valid() {
 		return nil, fmt.Errorf("%w: model %d", ErrBadOption, int(model))
@@ -54,26 +50,6 @@ func NewEngine(model core.GroupModel, calib core.Calibration, mech core.NoiseMec
 		return nil, fmt.Errorf("%w: mechanism %d", ErrBadOption, int(mech))
 	}
 	return &Engine{model: model, calib: calib, mech: mech}, nil
-}
-
-// SetCellMechanism selects the cell-histogram noise mechanism. Gaussian
-// (the default) keeps the chunked worker-sharded fill; Laplace and
-// geometric switch Cells to the serial pure-ε path with δ = 0.
-func (e *Engine) SetCellMechanism(m core.NoiseMechanism) error {
-	if !m.Valid() {
-		return fmt.Errorf("%w: cell mechanism %d", ErrBadOption, int(m))
-	}
-	e.cellMech = m
-	return nil
-}
-
-// CellMechanism returns the cell-histogram noise mechanism (Gaussian
-// when unset).
-func (e *Engine) CellMechanism() core.NoiseMechanism {
-	if e.cellMech == 0 {
-		return core.MechGaussian
-	}
-	return e.cellMech
 }
 
 // SetWorkers sets the per-release noise-pass parallelism. Every cell
@@ -114,13 +90,13 @@ func (e *Engine) CountSigma(t *hierarchy.Tree, level int, sigma float64, adverti
 // next Cells or CellsSigma call; callers that retain it across calls must
 // clone (CloneCellRelease).
 func (e *Engine) Cells(t *hierarchy.Tree, level int, budget dp.Params, src *rng.Source) (*core.CellRelease, error) {
-	return e.releaseCells(t, level, core.Noise{Mech: e.CellMechanism(), Calib: e.calib, Budget: budget}, src)
+	return e.releaseCells(t, level, core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}, src)
 }
 
 // CellsSigma is Cells with an externally calibrated Gaussian scale;
 // Gaussian-only like CountSigma.
 func (e *Engine) CellsSigma(t *hierarchy.Tree, level int, sigma float64, advertised dp.Params, src *rng.Source) (*core.CellRelease, error) {
-	return e.releaseCells(t, level, core.Noise{Mech: e.CellMechanism(), External: true, Sigma: sigma, Budget: advertised}, src)
+	return e.releaseCells(t, level, core.Noise{Mech: e.mech, External: true, Sigma: sigma, Budget: advertised}, src)
 }
 
 // releaseCells runs one cell release into the reusable buffer.

@@ -26,9 +26,6 @@ func TestEngineSigmaNeedsGaussian(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.SetCellMechanism(mech); err != nil {
-			t.Fatal(err)
-		}
 		count, countErr := eng.CountSigma(tree, 2, 3.5, advertised, rng.New(1))
 		cells, cellsErr := eng.CellsSigma(tree, 2, 3.5, advertised, rng.New(1))
 		if mech != core.MechGaussian {

@@ -98,8 +98,6 @@ type config struct {
 	mode           Mode
 	model          core.GroupModel
 	calib          core.Calibration
-	mechanism      core.NoiseMechanism
-	mechSet        bool
 	strategy       *Strategy
 	phase1Epsilon  float64
 	cellHistograms bool
@@ -168,23 +166,8 @@ func WithCalibration(cal core.Calibration) Option {
 	}
 }
 
-// WithMechanism overrides the strategy's count-release noise mechanism
-// (ablation A2). Default: whatever the active strategy composes —
-// core.MechGaussian for the paper's pipeline. The cell-histogram
-// mechanism always follows the strategy's noise stage.
-func WithMechanism(m core.NoiseMechanism) Option {
-	return func(c *config) error {
-		if !m.Valid() {
-			return fmt.Errorf("%w: mechanism %d", ErrBadOption, int(m))
-		}
-		c.mechanism = m
-		c.mechSet = true
-		return nil
-	}
-}
-
 // WithStrategy selects a built-in release strategy by name — the noise
-// stage the pipeline runs after the paper's Phase 1.
+// mechanism the pipeline runs after the paper's Phase 1.
 // The empty name selects the default (the paper's quadtree + Gaussian
 // pipeline); unknown names fail here with ErrUnknownStrategy, never as
 // a late failure inside a run.
@@ -255,13 +238,12 @@ func New(budget dp.Params, opts ...Option) (*Pipeline, error) {
 		return nil, err
 	}
 	cfg := config{
-		budget:    budget,
-		rounds:    9,
-		mode:      ModePerLevel,
-		model:     core.ModelCells,
-		calib:     core.CalibrationClassical,
-		mechanism: core.MechGaussian,
-		seed:      1,
+		budget: budget,
+		rounds: 9,
+		mode:   ModePerLevel,
+		model:  core.ModelCells,
+		calib:  core.CalibrationClassical,
+		seed:   1,
 	}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
@@ -406,16 +388,6 @@ func (p *Pipeline) splitSources() (phase1, phase2 *rng.Source) {
 	return src.Split(1), src.Split(2)
 }
 
-// countMechanism resolves the effective count-release mechanism: the
-// explicit WithMechanism override when set, the strategy's noise stage
-// otherwise.
-func (p *Pipeline) countMechanism() core.NoiseMechanism {
-	if p.cfg.mechSet {
-		return p.cfg.mechanism
-	}
-	return p.cfg.strategy.Noise.Count
-}
-
 // hierarchyOptions assembles the Phase-1 build options: the
 // exponential-mechanism bisector on the phase-1 stream when a Phase-1
 // budget is set, the public balanced bisector otherwise.
@@ -483,7 +455,6 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 		}
 	}
 
-	countMech := p.countMechanism()
 	strategyName := ""
 	if strat.Name() != DefaultStrategyName {
 		strategyName = strat.Name()
@@ -494,7 +465,7 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 		ModeName:      cfg.mode.String(),
 		ModelName:     cfg.model.String(),
 		CalibName:     cfg.calib.String(),
-		MechName:      countMech.String(),
+		MechName:      strat.Mech.String(),
 		Strategy:      strategyName,
 		Rounds:        cfg.rounds,
 		BudgetEpsilon: cfg.budget.Epsilon,
@@ -511,11 +482,8 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 		rel.Profiles = append(rel.Profiles, prof)
 	}
 
-	eng, err := NewEngine(cfg.model, cfg.calib, countMech)
+	eng, err := NewEngine(cfg.model, cfg.calib, strat.Mech)
 	if err != nil {
-		return nil, err
-	}
-	if err := eng.SetCellMechanism(strat.Noise.Cells); err != nil {
 		return nil, err
 	}
 	// The pipeline's Workers option shards each histogram's noise pass
@@ -594,11 +562,8 @@ func (p *Pipeline) rdpPlan(tree *hierarchy.Tree) ([]dp.Params, []float64, error)
 	if cfg.budget.Delta <= 0 {
 		return nil, nil, fmt.Errorf("%w: composed-rdp requires delta > 0", ErrBadOption)
 	}
-	if p.countMechanism() != core.MechGaussian {
+	if cfg.strategy.Mech != core.MechGaussian {
 		return nil, nil, fmt.Errorf("%w: composed-rdp requires the gaussian mechanism", ErrBadOption)
-	}
-	if cfg.cellHistograms && cfg.strategy.Noise.Cells != core.MechGaussian {
-		return nil, nil, fmt.Errorf("%w: composed-rdp requires gaussian cell histograms", ErrBadOption)
 	}
 	queries := len(cfg.levels)
 	if cfg.cellHistograms {

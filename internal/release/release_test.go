@@ -402,12 +402,12 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestWithMechanismLaplacePureDP(t *testing.T) {
+func TestLaplaceStrategyPureDP(t *testing.T) {
 	t.Parallel()
-	// Laplace mechanism handles a pure budget (no delta) and stays
-	// integral-free but valid even for eps >= 1.
+	// The Laplace strategy handles a pure budget (no delta) and stays
+	// valid even for eps >= 1.
 	p, err := New(dp.Params{Epsilon: 1.5}, WithRounds(4), WithSeed(5),
-		WithMechanism(core.MechLaplace))
+		WithStrategy("quadtree-laplace"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,15 +423,12 @@ func TestWithMechanismLaplacePureDP(t *testing.T) {
 			t.Errorf("level release = %+v", lr)
 		}
 	}
-	if _, err := New(dp.Params{Epsilon: 1}, WithMechanism(core.NoiseMechanism(9))); !errors.Is(err, ErrBadOption) {
-		t.Error("bad mechanism accepted")
-	}
 }
 
-func TestWithMechanismGeometricIntegral(t *testing.T) {
+func TestGeometricStrategyIntegral(t *testing.T) {
 	t.Parallel()
 	p, err := New(dp.Params{Epsilon: 0.9}, WithRounds(4), WithSeed(6),
-		WithMechanism(core.MechGeometric))
+		WithStrategy("quadtree-geometric"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +534,7 @@ func TestComposedRDPValidation(t *testing.T) {
 	}
 	// Requires the gaussian mechanism.
 	p2, err := New(dp.Params{Epsilon: 1, Delta: 1e-5}, WithRounds(4),
-		WithMode(ModeComposedRDP), WithMechanism(core.MechLaplace))
+		WithMode(ModeComposedRDP), WithStrategy("quadtree-laplace"))
 	if err != nil {
 		t.Fatal(err)
 	}

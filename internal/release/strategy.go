@@ -11,10 +11,12 @@ import (
 
 // A Strategy names one release plan: the paper's Phase 1
 // (exponential-mechanism quadtree cuts over the degree order) followed
-// by a Phase-2 noise stage. The paper's quadtree + Gaussian pipeline is
-// the default strategy and stays byte-identical; the pure-ε Laplace
-// stage is the one alternate, selectable per dataset at
-// serve.AddDataset / gdpserve -strategy / the HTTP ingest request.
+// by Phase-2 noise from one mechanism, for counts and cells alike. The
+// paper's quadtree + Gaussian pipeline is the default strategy and stays
+// byte-identical; the pure-ε Laplace and geometric mechanisms are the
+// alternates, selectable per dataset at serve.AddDataset / gdpserve
+// -strategy / the HTTP ingest request, and per artifact at gdprelease
+// -mech.
 
 // ErrUnknownStrategy reports a strategy name absent from the table —
 // surfaced at configuration time (Pipeline.New, serve.AddDataset, HTTP
@@ -22,8 +24,9 @@ import (
 var ErrUnknownStrategy = errors.New("release: unknown strategy")
 
 // DefaultStrategyName is the paper's pipeline: exponential-mechanism
-// quadtree specialization with Gaussian counts and cells. Its artifacts, noise streams and ledger labels are
-// pinned byte-identical to the pre-strategy engine.
+// quadtree specialization with Gaussian counts and cells. Its artifacts,
+// noise streams and ledger labels are pinned byte-identical to the
+// pre-strategy engine.
 const DefaultStrategyName = "quadtree-gaussian"
 
 // StrategySalt maps a strategy name to the RNG salt folded into stream
@@ -69,19 +72,12 @@ func PhaseCost(rounds int, eps float64) ([]PhaseOp, dp.Params) {
 	return ops, dp.Params{Epsilon: float64(len(ops)) * eps}
 }
 
-// NoiseStage is the Phase-2 stage: the mechanism for scalar count
-// releases and the mechanism for cell-histogram releases. Gaussian
-// cells run the chunked worker-sharded fill; Laplace/geometric cells
-// run the serial pure-ε path with δ = 0.
-type NoiseStage struct {
-	Count core.NoiseMechanism
-	Cells core.NoiseMechanism
-}
-
-// Strategy is one named noise stage over the paper's Phase 1.
+// Strategy is one named Phase-2 noise mechanism over the paper's
+// Phase 1. Mech perturbs every count and cell release; the pure-ε
+// mechanisms release with δ = 0.
 type Strategy struct {
-	name  string
-	Noise NoiseStage
+	name string
+	Mech core.NoiseMechanism
 }
 
 // Name returns the strategy's name.
@@ -119,7 +115,9 @@ func (r StrategyRegistry) Names() []string {
 // the CLIs resolve against.
 var Strategies = StrategyRegistry{
 	// The paper's pipeline, byte-identical to the pre-strategy engine.
-	{name: DefaultStrategyName, Noise: NoiseStage{Count: core.MechGaussian, Cells: core.MechGaussian}},
-	// Pure-ε alternative: Laplace counts and cells, δ = 0 end to end.
-	{name: "quadtree-laplace", Noise: NoiseStage{Count: core.MechLaplace, Cells: core.MechLaplace}},
+	{name: DefaultStrategyName, Mech: core.MechGaussian},
+	// Pure-ε alternatives, δ = 0 end to end; geometric counts and cells
+	// are integers before rounding.
+	{name: "quadtree-geometric", Mech: core.MechGeometric},
+	{name: "quadtree-laplace", Mech: core.MechLaplace},
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/dp"
+	"repro/internal/rng"
 )
 
 // Golden hashes of the default strategy's artifacts, captured on the
@@ -144,11 +145,73 @@ func TestStrategySalt(t *testing.T) {
 	if StrategySalt("") != 0 {
 		t.Error("empty name must salt to 0")
 	}
-	if StrategySalt(DefaultStrategyName) != 0 {
-		t.Error("default strategy must salt to 0")
+	seen := map[uint64]string{}
+	for _, name := range Strategies.Names() {
+		salt := StrategySalt(name)
+		if (salt == 0) != (name == DefaultStrategyName) {
+			t.Errorf("%s salts to %#x: only the default strategy salts to 0", name, salt)
+		}
+		if other, ok := seen[salt]; ok {
+			t.Errorf("%s and %s share the salt %#x", name, other, salt)
+		}
+		seen[salt] = name
 	}
-	if StrategySalt("quadtree-laplace") == 0 {
-		t.Error("the non-default strategy must salt to nonzero")
+}
+
+// TestStrategyCountNoiseStreamsDisjoint: the same seed under the default
+// strategy and a pure-ε one must not draw count noise from the same
+// stream. At every level the Laplace strategy's count is the Laplace
+// draw on its own salted level stream, and not the one on the default
+// strategy's level stream — what a count-only mechanism override over
+// the default strategy released.
+func TestStrategyCountNoiseStreamsDisjoint(t *testing.T) {
+	t.Parallel()
+	g := testGraph(t)
+	const seed = 11
+	run := func(name string) *Release {
+		p, err := New(defaultBudget(), WithStrategy(name), WithRounds(6), WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := p.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	gauss, lap := run(DefaultStrategyName), run("quadtree-laplace")
+	// laplaceCounts replays the pipeline's phase-2 stream derivation
+	// (splitSources, then one split per level in release order) under
+	// salt, drawing each level's count with Laplace noise.
+	laplaceCounts := func(salt uint64) []float64 {
+		src := rng.New(seed)
+		if salt != 0 {
+			src = src.Split(salt)
+		}
+		src.Split(1)
+		phase2 := src.Split(2)
+		n := core.Noise{Mech: core.MechLaplace, Budget: defaultBudget()}
+		var out []float64
+		for _, lr := range lap.Counts.Levels {
+			rel, err := core.ReleaseCount(lap.Tree(), lr.Level, core.ModelCells, n, phase2.Split(uint64(lr.Level)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rel.NoisyCount)
+		}
+		return out
+	}
+	own, shared := laplaceCounts(StrategySalt("quadtree-laplace")), laplaceCounts(0)
+	for i, lr := range lap.Counts.Levels {
+		if gauss.Counts.Levels[i].NoisyCount == lr.NoisyCount {
+			t.Errorf("level %d: gaussian and laplace strategies released the same count %v", lr.Level, lr.NoisyCount)
+		}
+		if lr.NoisyCount != own[i] {
+			t.Errorf("level %d: laplace count %v, want the draw on its own stream %v", lr.Level, lr.NoisyCount, own[i])
+		}
+		if lr.NoisyCount == shared[i] {
+			t.Errorf("level %d: laplace count %v drawn from the default strategy's stream", lr.Level, shared[i])
+		}
 	}
 }
 
@@ -171,8 +234,8 @@ func TestStrategyRegistryValidation(t *testing.T) {
 		if err != nil || s.Name() != name {
 			t.Fatalf("Resolve(%q) = %v, %v", name, s, err)
 		}
-		if !s.Noise.Count.Valid() || !s.Noise.Cells.Valid() {
-			t.Errorf("%s: invalid noise stage %+v", name, s.Noise)
+		if !s.Mech.Valid() {
+			t.Errorf("%s: invalid mechanism %v", name, s.Mech)
 		}
 	}
 	if _, err := Strategies.Resolve("absent"); !errors.Is(err, ErrUnknownStrategy) {
@@ -182,9 +245,19 @@ func TestStrategyRegistryValidation(t *testing.T) {
 
 func TestStrategiesRegistryBuiltins(t *testing.T) {
 	t.Parallel()
-	// Sorted, and exactly the two built-ins.
-	if names, want := Strategies.Names(), []string{DefaultStrategyName, "quadtree-laplace"}; !slices.Equal(names, want) {
+	// Sorted, and exactly the three built-ins: one per mechanism.
+	want := []string{DefaultStrategyName, "quadtree-geometric", "quadtree-laplace"}
+	if names := Strategies.Names(); !slices.Equal(names, want) {
 		t.Errorf("Names() = %v, want %v", names, want)
+	}
+	for _, name := range want {
+		s, err := Strategies.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := "quadtree-" + s.Mech.String(); got != name {
+			t.Errorf("%s releases %v noise", name, s.Mech)
+		}
 	}
 	s, err := Strategies.Resolve("")
 	if err != nil || s.Name() != DefaultStrategyName {

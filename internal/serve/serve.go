@@ -114,15 +114,15 @@ type Config struct {
 	// balanced hierarchy; positive values debit 2·Rounds·Phase1Epsilon
 	// from the dataset's ledger at ingest.
 	Phase1Epsilon float64
-	// Model, Calib and Mechanism configure the Phase-2 releases
-	// (defaults: cells, classical, and the strategy's count mechanism —
-	// gaussian for the default strategy). A non-zero Mechanism overrides
-	// the strategy's count mechanism for every dataset.
+	// Model and Calib configure the Phase-2 releases (defaults: cells,
+	// classical). Mechanism reports the noise mechanism of Strategy; Open
+	// fills it in, and refuses a non-zero value naming another mechanism
+	// with ErrBadConfig — the mechanism is chosen by naming a strategy.
 	Model     core.GroupModel
 	Calib     core.Calibration
 	Mechanism core.NoiseMechanism
 	// Strategy names the registry-wide default release strategy
-	// (release.Strategies): the noise stage sessions answer with over
+	// (release.Strategies): the noise mechanism sessions answer with over
 	// the paper's Phase 1, and the salt of every stream and fingerprint.
 	// Empty selects release.DefaultStrategyName, the paper's quadtree +
 	// Gaussian pipeline. Individual datasets may override it at
@@ -197,11 +197,8 @@ type Config struct {
 	// retains its whole cell histogram.
 	MaxCacheEntries int
 
-	// strategy is the resolved registry-wide default; mechExplicit
-	// records whether Mechanism was set by the caller (and so overrides
-	// every dataset strategy's count mechanism) or defaulted.
-	strategy     *release.Strategy
-	mechExplicit bool
+	// strategy is the resolved registry-wide default.
+	strategy *release.Strategy
 }
 
 // withDefaults validates cfg and fills the serving defaults.
@@ -235,10 +232,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Calib == 0 {
 		c.Calib = core.CalibrationClassical
 	}
-	c.mechExplicit = c.Mechanism != 0
-	if c.Mechanism == 0 {
-		c.Mechanism = strat.Noise.Count
+	if c.Mechanism != 0 && c.Mechanism != strat.Mech {
+		return Config{}, fmt.Errorf("%w: mechanism %s, but strategy %s releases %s noise", ErrBadConfig, c.Mechanism, strat.Name(), strat.Mech)
 	}
+	c.Mechanism = strat.Mech
 	if c.IngestLanes == 0 {
 		c.IngestLanes = 1
 	}
@@ -486,32 +483,20 @@ func (r *Registry) datasetStrategy(opts DatasetOptions) (*release.Strategy, erro
 	return strat, nil
 }
 
-// countMech resolves a dataset's count-release mechanism: an explicit
-// Config.Mechanism overrides the strategy's count stage; the cell stage
-// always follows the strategy.
-func (c Config) countMech(strat *release.Strategy) core.NoiseMechanism {
-	if c.mechExplicit {
-		return c.Mechanism
-	}
-	return strat.Noise.Count
-}
-
 // checkStrategy reports whether sessions of a dataset served under strat
-// could ever answer: the count and the cell noise spec must each resolve
-// a scale from the per-query budget. A configuration the engine can
-// never release under (Gaussian noise at δ = 0, a classical calibration
-// at εg ≥ 1) fails the registry at Open, or the ingest at AddDataset,
-// instead of draining ledgers through post-spend engine errors; pure-ε
-// stages are where δ = 0 budgets are legitimate.
+// could ever answer: the strategy's noise spec must resolve a scale from
+// the per-query budget. A configuration the engine can never release
+// under (Gaussian noise at δ = 0, a classical calibration at εg ≥ 1)
+// fails the registry at Open, or the ingest at AddDataset, instead of
+// draining ledgers through post-spend engine errors; pure-ε strategies
+// are where δ = 0 budgets are legitimate.
 func (c Config) checkStrategy(strat *release.Strategy) error {
 	if !c.Model.Valid() || !c.Calib.Valid() {
 		return fmt.Errorf("%w: group model %d, calibration %d", ErrBadConfig, int(c.Model), int(c.Calib))
 	}
-	for _, mech := range [...]core.NoiseMechanism{c.countMech(strat), strat.Noise.Cells} {
-		n := core.Noise{Mech: mech, Calib: c.Calib, Budget: c.PerQuery}
-		if err := n.Validate(); err != nil {
-			return fmt.Errorf("%w: per-query %s noise: %v", ErrBadConfig, mech, err)
-		}
+	n := core.Noise{Mech: strat.Mech, Calib: c.Calib, Budget: c.PerQuery}
+	if err := n.Validate(); err != nil {
+		return fmt.Errorf("%w: per-query %s noise: %v", ErrBadConfig, strat.Mech, err)
 	}
 	return nil
 }
@@ -579,7 +564,6 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 		// before the strategy seam.
 		print:       fingerprintTree(tree) ^ salt,
 		strat:       strat,
-		countMech:   r.cfg.countMech(strat),
 		labelPrefix: labelPrefix,
 		// A fresh cache per ingest is the invalidation story: re-adding a
 		// name (same or different data) can never serve a previous
@@ -824,12 +808,11 @@ type Dataset struct {
 	// (Config.LedgerAddr set).
 	remote *accountant.RemoteLedger
 	print  uint64 // data fingerprint (strategy-salted) folded into every session stream
-	// strat is the strategy the dataset was built under; countMech its
-	// resolved count-release mechanism; labelPrefix the "strategy=…/"
-	// audit prefix (empty for the default strategy, whose trail must
-	// stay byte-identical to the pre-strategy serving layer).
+	// strat is the strategy the dataset was built under and serves
+	// with; labelPrefix the "strategy=…/" audit prefix (empty for the
+	// default strategy, whose trail must stay byte-identical to the
+	// pre-strategy serving layer).
 	strat       *release.Strategy
-	countMech   core.NoiseMechanism
 	labelPrefix string
 	cache       *respCache
 	nextID      atomic.Uint64
@@ -947,10 +930,7 @@ func (d *Dataset) SessionAt(stream uint64) *Session {
 
 // session constructs a handle on one (domain, stream id) noise stream.
 func (d *Dataset) session(stream, domain uint64, pinned bool) *Session {
-	eng, err := release.NewEngine(d.reg.cfg.Model, d.reg.cfg.Calib, d.countMech)
-	if err == nil {
-		err = eng.SetCellMechanism(d.strat.Noise.Cells)
-	}
+	eng, err := release.NewEngine(d.reg.cfg.Model, d.reg.cfg.Calib, d.strat.Mech)
 	if err != nil {
 		// withDefaults and datasetStrategy pre-validated the engine
 		// configuration.

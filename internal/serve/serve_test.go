@@ -576,11 +576,34 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Open(bad); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("zero per-query delta: %v", err)
 	}
-	// The cell histogram is Gaussian-calibrated regardless of the count
-	// mechanism, so a pure-DP mechanism does not lift the requirement.
+	// The mechanism is the strategy's: naming another one does not
+	// lift the requirement, it fails Open on its own.
 	bad.Mechanism = core.MechLaplace
 	if _, err := Open(bad); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("zero per-query delta under laplace: %v", err)
+	}
+	bad = testConfig()
+	bad.Mechanism = core.MechLaplace
+	if _, err := Open(bad); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("laplace mechanism under the gaussian strategy: %v", err)
+	}
+	for _, strategy := range release.Strategies.Names() {
+		want, err := release.Strategies.Resolve(strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mech := range []core.NoiseMechanism{0, want.Mech} {
+			cfg := testConfig()
+			cfg.Strategy, cfg.Mechanism = strategy, mech
+			reg, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("%s with mechanism %d: %v", strategy, mech, err)
+			}
+			if got := reg.Config().Mechanism; got != want.Mech {
+				t.Errorf("%s: Config().Mechanism = %v, want %v", strategy, got, want.Mech)
+			}
+			reg.Close()
+		}
 	}
 
 	// PerQuery defaulting: Budget/64 on both components.

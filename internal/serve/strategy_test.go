@@ -93,12 +93,15 @@ func TestStrategySessionStreamsDisjoint(t *testing.T) {
 		}
 		datasets = append(datasets, ds)
 	}
-	a, b := datasets[0], datasets[1]
-	if a.print == b.print {
-		t.Errorf("%s and %s share the fingerprint %#016x", a.Strategy(), b.Strategy(), a.print)
-	}
-	if fa, fb := ledgerFileName(a.name, a.print), ledgerFileName(b.name, b.print); fa == fb {
-		t.Errorf("%s and %s share the ledger WAL %s", a.Strategy(), b.Strategy(), fa)
+	for i, a := range datasets {
+		for _, b := range datasets[i+1:] {
+			if a.print == b.print {
+				t.Errorf("%s and %s share the fingerprint %#016x", a.Strategy(), b.Strategy(), a.print)
+			}
+			if fa, fb := ledgerFileName(a.name, a.print), ledgerFileName(b.name, b.print); fa == fb {
+				t.Errorf("%s and %s share the ledger WAL %s", a.Strategy(), b.Strategy(), fa)
+			}
+		}
 	}
 }
 

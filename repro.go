@@ -220,7 +220,6 @@ var (
 	WithMode           = release.WithMode
 	WithModel          = release.WithModel
 	WithCalibration    = release.WithCalibration
-	WithMechanism      = release.WithMechanism
 	WithPhase1Epsilon  = release.WithPhase1Epsilon
 	WithCellHistograms = release.WithCellHistograms
 	WithSeed           = release.WithSeed
@@ -229,7 +228,7 @@ var (
 )
 
 // ReleaseStrategyNames lists the built-in release strategies (a noise
-// stage over the paper's Phase 1) selectable with
+// mechanism over the paper's Phase 1) selectable with
 // WithStrategy, ServeConfig.Strategy, DatasetOptions.Strategy, or the
 // HTTP ingest ?strategy= parameter.
 func ReleaseStrategyNames() []string { return release.Strategies.Names() }
