@@ -264,7 +264,8 @@ func BenchmarkReleaseCells(b *testing.B) {
 
 // BenchmarkReleaseCellsWorkers shards the same release's noise pass
 // across goroutines at noiseChunk granularity (per-chunk forked
-// streams, so the output is bit-identical to workers=1). Speedup needs
+// streams, so the output is bit-identical to workers=1), for the
+// paper's Gaussian noise and the pure-ε Laplace noise. Speedup needs
 // cores: on a 1-CPU runner the sub-benchmarks are flat and only the
 // goroutine overhead shows.
 func BenchmarkReleaseCellsWorkers(b *testing.B) {
@@ -274,19 +275,21 @@ func BenchmarkReleaseCellsWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 4, 7} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			src := rng.New(5)
-			var rel core.CellRelease
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := core.ReleaseCells(&rel, tree, 0, classicalNoise(p), src, workers); err != nil {
-					b.Fatal(err)
+	for _, n := range []core.Noise{classicalNoise(p), {Mech: core.MechLaplace, Budget: p}} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			b.Run(fmt.Sprintf("mech=%v/workers=%d", n.Mech, workers), func(b *testing.B) {
+				src := rng.New(5)
+				var rel core.CellRelease
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := core.ReleaseCells(&rel, tree, 0, n, src, workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.SetBytes(int64(cells) * 8)
-		})
+				b.SetBytes(int64(cells) * 8)
+			})
+		}
 	}
 }
 

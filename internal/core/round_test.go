@@ -61,17 +61,21 @@ func unroundedCells(counts []int64, mech NoiseMechanism, param float64, seed uin
 			end = len(out)
 		}
 		fork.StreamTo(&cs, uint64(c))
-		if mech == MechGaussian {
-			cs.NormalsSigma(out[off:end], param)
-		}
-		for i := off; i < end; i++ {
-			switch mech {
-			case MechLaplace:
-				out[i] = cs.Laplace(param)
-			case MechGeometric:
-				out[i] = float64(cs.TwoSidedGeometric(param))
+		window := out[off:end]
+		switch mech {
+		case MechGaussian:
+			cs.NormalsSigma(window, param)
+		case MechLaplace:
+			for i := range window {
+				window[i] = cs.Laplace(param)
 			}
-			out[i] += float64(counts[i])
+		case MechGeometric:
+			for i := range window {
+				window[i] = float64(cs.TwoSidedGeometric(param))
+			}
+		}
+		for i := range window {
+			window[i] += float64(counts[off+i])
 		}
 	}
 	return out
