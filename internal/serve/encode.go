@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -17,7 +19,8 @@ import (
 // a 4 096-cell level view costs its float formatting and not a
 // reflective walk, a compact pass and an indent pass. Released cells and
 // marginals are integers (core.ReleaseCells rounds them), so the arrays
-// go out through strconv.AppendInt: a 4 096-cell view is ≈ 60 KB.
+// go out as integers written digit pair by digit pair (putInt): a
+// 4 096-cell view is ≈ 60 KB.
 // encode_test.go holds them to encoding/json byte for byte.
 
 // errNonFinite reports a NaN or ±Inf in a response. JSON has no literal
@@ -126,19 +129,18 @@ func appendCountArray(b []byte, fs []float64, indent string) ([]byte, error) {
 		}
 		return append(b, "[]"...), nil
 	}
-	sep := byte('[')
+	start := len(b)
+	b, sep := openArray(b, len(fs), indent, maxCountBytes)
+	n := start
 	for _, f := range fs {
 		i := int64(f)
 		if float64(i) != f || i >= 1<<53 || i <= -1<<53 || math.Float64bits(f) == 1<<63 {
-			return b, errNotCount
+			return b[:start], errNotCount
 		}
-		b = append(b, sep)
-		b = append(b, indent...)
-		b = strconv.AppendInt(b, i, 10)
-		sep = ','
+		*(*[16]byte)(b[n:]) = sep.words
+		n = putInt(b, n+sep.len, i)
 	}
-	b = append(b, indent[:len(indent)-2]...)
-	return append(b, ']'), nil
+	return closeArray(b, start, n, indent), nil
 }
 
 // appendIntArray is appendCountArray for the top-k group ids.
@@ -149,15 +151,102 @@ func appendIntArray(b []byte, xs []int, indent string) []byte {
 		}
 		return append(b, "[]"...)
 	}
-	sep := byte('[')
+	start := len(b)
+	b, sep := openArray(b, len(xs), indent, maxIntBytes)
+	n := start
 	for _, x := range xs {
-		b = append(b, sep)
-		b = append(b, indent...)
-		b = strconv.AppendInt(b, int64(x), 10)
-		sep = ','
+		*(*[16]byte)(b[n:]) = sep.words
+		n = putInt(b, n+sep.len, int64(x))
 	}
+	return closeArray(b, start, n, indent)
+}
+
+// The array encoders write their elements into room reserved once per
+// array instead of appending per element: each element's separator and
+// indent go out as one 16-byte store (the next element's bytes
+// overwrite what runs past them) and its digits straight from
+// digitPairs, with no strconv scratch buffer to copy out of.
+const (
+	maxCountBytes = 17 // a sign and the 16 digits of a count below 2^53
+	maxIntBytes   = 20 // a sign and the 19 digits of an int64
+)
+
+// arraySep is ",", then an element's indent, padded to one store.
+type arraySep struct {
+	words [16]byte
+	len   int
+}
+
+// openArray reserves room for n elements of at most width bytes each,
+// their separators, the last separator store's overrun and the close,
+// and returns b extended to its capacity; the caller writes from the
+// old length on. indent is at most 15 bytes.
+func openArray(b []byte, n int, indent string, width int) ([]byte, arraySep) {
+	sep := arraySep{len: 1 + len(indent)}
+	sep.words[0] = ','
+	copy(sep.words[1:], indent)
+	b = slices.Grow(b, n*(sep.len+width)+len(sep.words)+len(indent))
+	return b[:cap(b)], sep
+}
+
+// closeArray turns the first separator into the opening bracket and
+// closes the array after the element that ends at n.
+func closeArray(b []byte, start, n int, indent string) []byte {
+	b[start] = '['
+	b = b[:n]
 	b = append(b, indent[:len(indent)-2]...)
 	return append(b, ']')
+}
+
+// digitPairs holds "00" through "99".
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds 10^0 through 10^19.
+var pow10 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// putInt writes i in decimal at b[n:], as strconv.AppendInt formats it,
+// and returns the index after its last digit.
+func putInt(b []byte, n int, i int64) int {
+	u := uint64(i)
+	if i < 0 {
+		b[n] = '-'
+		n++
+		u = -u
+	}
+	// bits.Len64 · log10(2) is the digit count or one less. u|1 sits on
+	// u's side of every power of ten above 1 (they are even) and gives
+	// 0 its one digit.
+	t := bits.Len64(u|1) * 1233 >> 12
+	if u|1 >= pow10[t] {
+		t++
+	}
+	n += t
+	p := n
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		p -= 2
+		b[p], b[p+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		b[p-2], b[p-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[p-1] = byte('0' + u)
+	}
+	return n
 }
 
 // appendDataset opens a query response with the key that sorts first

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -164,6 +165,10 @@ func FuzzEncodeQueryResponses(f *testing.F) {
 	f.Add("frac", uint64(1), uint64(2), 3, 7, floatsToBytes(0.5, 1e-5, 2, 3, 4, 7, 1.5, -2.5, 0.1))
 	f.Add("negzero", uint64(1), uint64(2), 3, 9, floatsToBytes(0.5, 1e-5, 2, 3, 4, 3, math.Copysign(0, -1)))
 	f.Add("nancount", uint64(1), uint64(2), 3, 11, floatsToBytes(0.5, 1e-5, 2, 3, 4, 8, math.NaN(), math.Inf(1)))
+	// Where the digit writer's count and pair loop change: one each
+	// side of every power of ten, both signs (and, mapped to ints, the
+	// top-k ids).
+	f.Add("digits", uint64(10), uint64(99), 100, 7, floatsToBytes(append([]float64{0.5, 1e-5, 2, 3, 4}, digitBoundaries()...)...))
 
 	f.Fuzz(func(t *testing.T, name string, stream, seq uint64, level, k int, raw []byte) {
 		fs := floatsFromBytes(raw)
@@ -232,9 +237,12 @@ func FuzzEncodeQueryResponses(f *testing.F) {
 
 		var groups []int
 		if k%3 != 0 {
-			groups = make([]int, 0, len(raw))
+			groups = make([]int, 0, len(raw)+len(fs))
 			for i, c := range raw {
 				groups = append(groups, (int(c)-128)*(i+1)*level)
+			}
+			for _, f := range integral(fs) {
+				groups = append(groups, int(f))
 			}
 		}
 		got := appendTopKResponse(nil, name, seq, stream, level, side, k, groups)
@@ -243,6 +251,62 @@ func FuzzEncodeQueryResponses(f *testing.F) {
 		got = appendErrorBody(nil, name, side)
 		checkAgainstReference(t, "error", got, nil, refErrorBody{Error: name, Code: side})
 	})
+}
+
+// digitBoundaries are 10^k − 1, 10^k and 10^k + 1 for k = 0..15 and
+// ±(2^53 − 1), each with both signs.
+func digitBoundaries() []float64 {
+	var fs []float64
+	for k, p := 0, 1.0; k <= 15; k, p = k+1, p*10 {
+		fs = append(fs, p-1, p, p+1, 1-p, -p, -p-1)
+	}
+	return append(fs, 1<<53-1, -(1<<53 - 1))
+}
+
+// TestAppendCountArrayMatchesStrconv holds the digit writer to
+// strconv.AppendInt at every digit-count boundary of a count, under
+// both indents the responses use, after a prefix, one value per array
+// and all in one; the top-k id array also gets the ends of int64.
+func TestAppendCountArrayMatchesStrconv(t *testing.T) {
+	counts := digitBoundaries()
+	ints := []int{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+	for _, f := range counts {
+		ints = append(ints, int(f))
+	}
+	want := func(prefix string, xs []int, indent string) string {
+		b := []byte(prefix)
+		for i, x := range xs {
+			if i == 0 {
+				b = append(b, '[')
+			} else {
+				b = append(b, ',')
+			}
+			b = append(b, indent...)
+			b = strconv.AppendInt(b, int64(x), 10)
+		}
+		b = append(b, indent[:len(indent)-2]...)
+		return string(append(b, ']'))
+	}
+	for _, indent := range []string{"\n    ", "\n        "} {
+		for i, f := range counts {
+			got, err := appendCountArray([]byte("x"), counts[i:i+1], indent)
+			if w := want("x", []int{int(f)}, indent); err != nil || string(got) != w {
+				t.Fatalf("appendCountArray([%v]) = %q, %v; want %q", f, got, err, w)
+			}
+		}
+		got, err := appendCountArray([]byte("x"), counts, indent)
+		if w := want("x", ints[4:], indent); err != nil || string(got) != w {
+			t.Fatalf("appendCountArray(boundaries) = %q, %v\nwant %q", got, err, w)
+		}
+		for i, x := range ints {
+			if got, w := appendIntArray([]byte("x"), ints[i:i+1], indent), want("x", []int{x}, indent); string(got) != w {
+				t.Fatalf("appendIntArray([%d]) = %q, want %q", x, got, w)
+			}
+		}
+		if got, w := appendIntArray([]byte("x"), ints, indent), want("x", ints, indent); string(got) != w {
+			t.Fatalf("appendIntArray(boundaries) = %q\nwant %q", got, w)
+		}
+	}
 }
 
 // fillJSONFields sets every exported field encoding/json would emit to

@@ -128,21 +128,30 @@ type httpSession struct {
 	sess *Session
 }
 
-// encodeBuffers pools response bodies across requests, keeping the HTTP
-// serving path allocation-flat under sustained load: a response is
-// appended whole to a pooled []byte, written, and the slice returned
+// bodyBuffers pools request and response bodies across requests,
+// keeping the HTTP serving path allocation-flat under sustained load: a
+// request body is read whole into a pooled []byte and parsed, a
+// response is appended whole to one, written, and the slice returned
 // with whatever capacity it grew. Buffers that ballooned on an unusually
-// large response are dropped instead of pooled so one outlier cannot pin
+// large body are dropped instead of pooled so one outlier cannot pin
 // megabytes.
-var encodeBuffers = sync.Pool{New: func() any { return new([]byte) }}
+var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxPooledEncodeBuffer bounds the capacity a body buffer may keep when
-// it returns to the pool. It is sized to hold a deep level view (a
+// maxPooledBody bounds the capacity a body buffer may keep when it
+// returns to the pool. It is sized to hold a deep level view (a
 // 4^9-cell histogram serializes to a few MB) so the largest — and most
 // reallocation-sensitive — responses benefit from pooling too; sync.Pool
 // entries are dropped across GC cycles, so a ballooned buffer is
 // retained only transiently even at this cap.
-const maxPooledEncodeBuffer = 8 << 20
+const maxPooledBody = 8 << 20
+
+// putBody returns a body buffer, now holding b, to bodyBuffers.
+func putBody(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyBuffers.Put(bp)
+	}
+}
 
 // encodeFailedBody is the 500 a response that cannot be encoded gets.
 const encodeFailedBody = `{"error":"serve: encoding response","code":"encode-failed"}` + "\n"
@@ -154,7 +163,7 @@ const encodeFailedBody = `{"error":"serve: encoding response","code":"encode-fai
 // response uses, and Content-Length is always known — net/http does not
 // fall back to chunked encoding past its sniff buffer.
 func respond(w http.ResponseWriter, status int, encode func(b []byte) ([]byte, error)) {
-	bp := encodeBuffers.Get().(*[]byte)
+	bp := bodyBuffers.Get().(*[]byte)
 	body, err := encode((*bp)[:0])
 	if err != nil {
 		status, body = http.StatusInternalServerError, append(body[:0], encodeFailedBody...)
@@ -164,10 +173,7 @@ func respond(w http.ResponseWriter, status int, encode func(b []byte) ([]byte, e
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-	if cap(body) <= maxPooledEncodeBuffer {
-		*bp = body
-		encodeBuffers.Put(bp)
-	}
+	putBody(bp, body)
 }
 
 // writeJSON writes one response through encoding/json: the cold shapes
@@ -224,32 +230,6 @@ func writeErr(w http.ResponseWriter, err error) {
 		status, code = http.StatusServiceUnavailable, "registry-closed"
 	}
 	writeError(w, status, err.Error(), code)
-}
-
-// decodeBody parses a bounded JSON body into v; an empty body leaves v
-// at its zero value. Unknown fields are rejected: a misspelled key must
-// fail the request up front, not silently run a defaulted query that
-// debits the permanent privacy ledger.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
-	if err != nil {
-		return fmt.Errorf("serve: reading body: %w", err)
-	}
-	if len(body) == 0 {
-		return nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: parsing body: %w", err)
-	}
-	// Reject trailing content after the value: an ambiguous body (two
-	// concatenated requests, appended garbage) must not run as whatever
-	// its first object happens to say.
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("serve: parsing body: trailing data after JSON value")
-	}
-	return nil
 }
 
 func (s *httpServer) healthz(w http.ResponseWriter, r *http.Request) {
@@ -680,6 +660,10 @@ type queryRequest struct {
 	Level *int   `json:"level"`
 	Side  string `json:"side"`
 	K     *int   `json:"k"`
+
+	// level and k are what a scanned body's Level and K point at
+	// (scan), sparing the fast path an allocation each.
+	level, k int
 }
 
 // reject returns an error when the request carries fields the endpoint

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/datagen"
+	"repro/internal/dp"
 )
 
 // newTestServer spins an HTTP front end over a fresh registry.
@@ -496,6 +497,93 @@ func TestHTTPCachedReplaySkipsDebit(t *testing.T) {
 	}
 	if stats["hits"].(float64) != 0 || stats["misses"].(float64) != 0 {
 		t.Fatalf("disabled cache recorded traffic: %v", stats)
+	}
+}
+
+// replayWriter is a ResponseWriter reused across requests: it keeps
+// the status and the body's length and nothing else.
+type replayWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (w *replayWriter) Header() http.Header         { return w.header }
+func (w *replayWriter) WriteHeader(status int)      { w.status = status }
+func (w *replayWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// maxCacheHitAllocs is the measured allocation count of one /marginal
+// cache hit through the handler (TestHTTPMarginalCacheHitAllocs):
+// net/http's route match and response header values, and the decoded
+// request. With encoding/json decoding the body it was 16.
+const maxCacheHitAllocs = 5
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestHTTPMarginalCacheHitAllocs holds the replay path's allocations
+// to maxCacheHitAllocs: a /marginal cache hit served by Handler into a
+// reused ResponseWriter, from a reused request.
+func TestHTTPMarginalCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through sync.Pool vary under -race")
+	}
+	reg, err := Open(Config{
+		Budget:   dp.Params{Epsilon: 1e12, Delta: 0.5},
+		PerQuery: dp.Params{Epsilon: 1e-3, Delta: 1e-12},
+		Rounds:   6,
+		Seed:     71,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ds, err := reg.AddDataset("tiny", testSource(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(reg)
+	call := func(path string, body []byte) []byte {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		if rr.Code/100 != 2 {
+			t.Fatalf("POST %s: %d %s", path, rr.Code, rr.Body)
+		}
+		return rr.Body.Bytes()
+	}
+	// Two handles on one pinned stream: the first pays for runs+1
+	// answers, the second replays them from the cache.
+	open := func() string {
+		var out struct{ Session uint64 }
+		if err := json.Unmarshal(call("/v1/datasets/tiny/sessions", []byte(`{"stream":7}`)), &out); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(out.Session)
+	}
+	const runs = 100
+	query := []byte(`{"level":3,"side":"left"}`)
+	first := open()
+	for i := 0; i <= runs; i++ {
+		call("/v1/sessions/"+first+"/marginal", query)
+	}
+	body := bytes.NewReader(nil)
+	req := httptest.NewRequest("POST", "/v1/sessions/"+open()+"/marginal", nil)
+	req.Body = io.NopCloser(body)
+	w := &replayWriter{header: http.Header{}}
+	hits := ds.CacheStats().Hits
+	allocs := testing.AllocsPerRun(runs, func() {
+		body.Reset(query)
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("replayed /marginal: status %d", w.status)
+		}
+	})
+	if got := ds.CacheStats().Hits - hits; got != runs+1 {
+		t.Fatalf("%d of %d replays were cache hits", got, runs+1)
+	}
+	t.Logf("/marginal cache hit: %.1f allocs/op", allocs)
+	if allocs > maxCacheHitAllocs {
+		t.Errorf("/marginal cache hit through the handler: %.1f allocs/op, ceiling %d", allocs, maxCacheHitAllocs)
 	}
 }
 
