@@ -130,7 +130,7 @@ func appendCountArray(b []byte, fs []float64, indent string) ([]byte, error) {
 		return append(b, "[]"...), nil
 	}
 	start := len(b)
-	b, sep := openArray(b, len(fs), indent, maxCountBytes)
+	b, sep := openArray(b, len(fs), indent)
 	n := start
 	for _, f := range fs {
 		i := int64(f)
@@ -152,7 +152,7 @@ func appendIntArray(b []byte, xs []int, indent string) []byte {
 		return append(b, "[]"...)
 	}
 	start := len(b)
-	b, sep := openArray(b, len(xs), indent, maxIntBytes)
+	b, sep := openArray(b, len(xs), indent)
 	n := start
 	for _, x := range xs {
 		*(*[16]byte)(b[n:]) = sep.words
@@ -166,10 +166,9 @@ func appendIntArray(b []byte, xs []int, indent string) []byte {
 // indent go out as one 16-byte store (the next element's bytes
 // overwrite what runs past them) and its digits straight from
 // digitPairs, with no strconv scratch buffer to copy out of.
-const (
-	maxCountBytes = 17 // a sign and the 16 digits of a count below 2^53
-	maxIntBytes   = 20 // a sign and the 19 digits of an int64
-)
+
+// maxIntBytes is the longest int64 in decimal: a sign and 19 digits.
+const maxIntBytes = 20
 
 // arraySep is ",", then an element's indent, padded to one store.
 type arraySep struct {
@@ -177,15 +176,15 @@ type arraySep struct {
 	len   int
 }
 
-// openArray reserves room for n elements of at most width bytes each,
-// their separators, the last separator store's overrun and the close,
-// and returns b extended to its capacity; the caller writes from the
-// old length on. indent is at most 15 bytes.
-func openArray(b []byte, n int, indent string, width int) ([]byte, arraySep) {
+// openArray reserves room for n elements, their separators, the last
+// separator store's overrun and the close, and returns b extended to
+// its capacity; the caller writes from the old length on. indent is at
+// most 15 bytes.
+func openArray(b []byte, n int, indent string) ([]byte, arraySep) {
 	sep := arraySep{len: 1 + len(indent)}
 	sep.words[0] = ','
 	copy(sep.words[1:], indent)
-	b = slices.Grow(b, n*(sep.len+width)+len(sep.words)+len(indent))
+	b = slices.Grow(b, n*(sep.len+maxIntBytes)+len(sep.words)+len(indent))
 	return b[:cap(b)], sep
 }
 
