@@ -501,16 +501,15 @@ func TestHTTPCachedReplaySkipsDebit(t *testing.T) {
 }
 
 // replayWriter is a ResponseWriter reused across requests: it keeps
-// the status and the body's length and nothing else.
+// the status and drops the body.
 type replayWriter struct {
 	header http.Header
 	status int
-	n      int
 }
 
 func (w *replayWriter) Header() http.Header         { return w.header }
 func (w *replayWriter) WriteHeader(status int)      { w.status = status }
-func (w *replayWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+func (w *replayWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // maxCacheHitAllocs is the measured allocation count of one /marginal
 // cache hit through the handler (TestHTTPMarginalCacheHitAllocs):
