@@ -1,5 +1,5 @@
 // Command gdpledgerd is the shared privacy-ledger sequencer: a
-// single-writer service that owns one durable (WAL + snapshot) budget
+// single-writer service that owns one durable (WAL) budget
 // per (dataset, data-fingerprint) key and admits spends over an
 // idempotent HTTP/JSON protocol. Point N gdpserve replicas at it with
 // -ledger-addr and they spend ONE (ε, δ) budget per dataset — the
@@ -89,7 +89,6 @@ func parseArgs(args []string) (config, error) {
 		ledgerDir  = fs.String("ledger-dir", "", "directory holding the durable budget WALs (required)")
 		fsync      = fs.String("fsync", "", "WAL fsync policy: always (the default; every admission is durable before its ack), interval, or off")
 		fsyncEvery = fs.Duration("fsync-interval", 0, "max unsynced window under -fsync interval (0 = 100ms default)")
-		snapEvery  = fs.Int("snapshot-every", 0, "compact each WAL into a snapshot after this many records (0 = 1024 default, negative = never compact)")
 		pprofFlag  = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6061; empty = disabled)")
 		nodeID     = fs.String("node-id", "", "this member's ID in a replicated group (requires -peers)")
 		peersFlag  = fs.String("peers", "", "replicated-group membership as id=host:port[,id=host:port...], including this node (requires -node-id)")
@@ -111,7 +110,6 @@ func parseArgs(args []string) (config, error) {
 			Dir:           *ledgerDir,
 			Fsync:         policy,
 			FsyncInterval: *fsyncEvery,
-			SnapshotEvery: *snapEvery,
 		},
 		addr:            *addrFlag,
 		pprofAddr:       *pprofFlag,

@@ -23,7 +23,7 @@ func TestParseArgs(t *testing.T) {
 	cfg, err := parseArgs([]string{
 		"-addr", "127.0.0.1:9999", "-ledger-dir", dir,
 		"-fsync", "interval", "-fsync-interval", "50ms",
-		"-snapshot-every", "128", "-pprof", "127.0.0.1:6061",
+		"-pprof", "127.0.0.1:6061",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestParseArgs(t *testing.T) {
 		t.Fatalf("addr %q pprof %q", cfg.addr, cfg.pprofAddr)
 	}
 	if cfg.opts.Dir != dir || cfg.opts.Fsync != accountant.FsyncInterval ||
-		cfg.opts.FsyncInterval != 50*time.Millisecond || cfg.opts.SnapshotEvery != 128 {
+		cfg.opts.FsyncInterval != 50*time.Millisecond {
 		t.Fatalf("opts = %+v", cfg.opts)
 	}
 

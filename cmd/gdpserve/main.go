@@ -80,11 +80,10 @@ func parseArgs(args []string) (cfg repro.ServeConfig, hopts repro.ServeHandlerOp
 		maxUpload  = fs.Int64("max-upload-bytes", 0, "cap on one ingest upload body spooled to temp disk (0 = 1 GiB default, negative = unlimited)")
 		maxSess    = fs.Int("max-sessions", 0, "cap on concurrently open session handles (0 = 1024 default, negative = unlimited)")
 		maxCache   = fs.Int("max-cache-entries", 0, "per-dataset response-cache capacity; replayed (stream, seq, query) keys serve their prior answer without re-debiting the ledger (0 = 1024 default, negative = disable caching)")
-		ledgerDir  = fs.String("ledger-dir", "", "directory for durable per-dataset privacy ledgers (WAL + snapshot); restarts replay spent budget so exhausted datasets stay exhausted (empty = in-memory ledgers, forgotten on exit)")
-		ledgerAddr = fs.String("ledger-addr", "", "address of a shared gdpledgerd privacy-ledger sequencer (host:port, or a comma-separated replicated-group member list a:8850,b:8850,c:8850); all replicas pointed at it spend ONE budget per dataset; mutually exclusive with -ledger-dir and the -fsync*/-snapshot-every knobs")
+		ledgerDir  = fs.String("ledger-dir", "", "directory for durable per-dataset privacy ledgers (one WAL each); restarts replay spent budget so exhausted datasets stay exhausted (empty = in-memory ledgers, forgotten on exit)")
+		ledgerAddr = fs.String("ledger-addr", "", "address of a shared gdpledgerd privacy-ledger sequencer (host:port, or a comma-separated replicated-group member list a:8850,b:8850,c:8850); all replicas pointed at it spend ONE budget per dataset; mutually exclusive with -ledger-dir and the -fsync* knobs")
 		fsync      = fs.String("fsync", "", "durable-ledger fsync policy: always (the default; sync before every admitted spend), interval, or off")
 		fsyncEvery = fs.Duration("fsync-interval", 0, "max unsynced window under -fsync interval (0 = 100ms default)")
-		snapEvery  = fs.Int("snapshot-every", 0, "compact each ledger WAL into a snapshot after this many records (0 = 1024 default, negative = never compact)")
 	)
 	fs.Var(preloadFlag{&loads}, "dataset", "preload a dataset as name=path (repeatable; TSV or binary, sniffed)")
 	if err := fs.Parse(args); err != nil {
@@ -115,7 +114,6 @@ func parseArgs(args []string) (cfg repro.ServeConfig, hopts repro.ServeHandlerOp
 		LedgerAddr:          *ledgerAddr,
 		LedgerFsync:         repro.LedgerFsyncPolicy(*fsync),
 		LedgerFsyncInterval: *fsyncEvery,
-		LedgerSnapshotEvery: *snapEvery,
 	}
 	hopts = repro.ServeHandlerOptions{
 		AllowPathIngest: *pathIngest,

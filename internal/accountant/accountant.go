@@ -9,7 +9,7 @@
 // operations that would exceed the configured total.
 //
 // Three Ledger backends share that contract: MemLedger, DurableLedger (a
-// WAL plus snapshot, durable.go) and RemoteLedger (a client of the
+// WAL, durable.go) and RemoteLedger (a client of the
 // ledgerd sequencer, remote.go). Everything that persists ledger frames
 // — DurableLedger's WAL here, the sequencer group's replicated log in
 // internal/ledgerd — does so through one crash-safe file type, Log

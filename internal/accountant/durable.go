@@ -28,20 +28,20 @@
 // torn tail — the prefix up to the first frame that fails its checksum
 // is the ledger, the tail (a zero tail included) is discarded and the
 // file truncated — while structural corruption (sequence gaps, foreign
-// magic, an unreadable snapshot) refuses to open at all.
+// magic, a legacy snapshot file) refuses to open at all.
 //
-// Every SnapshotEvery WAL records the ledger compacts: the full op
-// trail is written to <path>.snap (WriteFileAtomic) and the WAL is reset
-// to just its header. A crash between the rename and the WAL reset
-// leaves both files describing an overlapping history; replay skips WAL
-// records at or below the snapshot's sequence number.
+// The WAL is the ledger's only file and holds the whole audit trail:
+// the magic, a header frame, then one frame per admitted op. Older
+// builds also compacted the trail into <path>.snap; that format is
+// gone, and a .snap beside the WAL refuses to open (ErrLedgerCorrupt)
+// before anything is replayed or truncated, so no budget it recorded
+// is ever re-armed.
 //
 // The WAL file itself — lock, replay, torn-tail truncation, fsync
-// policy, batching, reset, close — is a Log (log.go); this file keeps
-// what is the ledger's own: the header record, the op-sequence and
-// snapshot-overlap rules, the pending ops, and the snapshot. All file writes go through the WriteSyncer
-// seam so tests can fail any write or fsync and assert the fail-closed
-// contract.
+// policy, batching, close — is a Log (log.go); this file keeps what is
+// the ledger's own: the header record, the op-sequence rule and the
+// pending ops. All file writes go through the WriteSyncer seam so tests
+// can fail any write or fsync and assert the fail-closed contract.
 package accountant
 
 import (
@@ -65,8 +65,8 @@ var (
 	// reopened (which replays the durable prefix).
 	ErrLedgerFailed = errors.New("accountant: durable ledger write failed; ledger is latched closed, reopen to recover")
 	// ErrLedgerCorrupt marks structural corruption replay cannot repair
-	// by truncating a torn tail: sequence gaps, foreign file magic, an
-	// invalid snapshot.
+	// by truncating a torn tail: sequence gaps, foreign file magic, a
+	// legacy snapshot file.
 	ErrLedgerCorrupt = errors.New("accountant: ledger file corrupt")
 	// ErrBudgetMismatch refuses to reopen a ledger under a different
 	// total budget than it was created with — raising the budget of a
@@ -112,29 +112,23 @@ type WriteSyncer interface {
 	Close() error
 }
 
-// Durability defaults.
-const (
-	DefaultFsyncInterval = 100 * time.Millisecond
-	DefaultSnapshotEvery = 1024
-)
+// DefaultFsyncInterval bounds the unsynced window under FsyncInterval
+// when DurableOptions.FsyncInterval is unset.
+const DefaultFsyncInterval = 100 * time.Millisecond
 
 // DurableOptions configures OpenDurableLedger. The zero value selects
-// FsyncAlways, the default snapshot cadence, and real files.
+// FsyncAlways and real files.
 type DurableOptions struct {
 	// Fsync is the WAL sync policy; "" selects FsyncAlways.
 	Fsync FsyncPolicy
 	// FsyncInterval bounds the unsynced window under FsyncInterval
 	// (default DefaultFsyncInterval).
 	FsyncInterval time.Duration
-	// SnapshotEvery compacts the WAL after this many records (0 selects
-	// DefaultSnapshotEvery; negative disables compaction).
-	SnapshotEvery int
 	// OpenWriter opens a path for appending — the fault-injection seam.
 	// nil writes the WAL through a writer that keeps zeros ahead of its
-	// position (log.go) and the snapshot through
-	// os.OpenFile(O_WRONLY|O_APPEND|O_CREATE). Replay reads and the flock
-	// are NOT routed through it: injected faults hit writes and syncs,
-	// exactly the failures the ledger must fail closed on.
+	// position (log.go). Replay reads and the flock are NOT routed
+	// through it: injected faults hit writes and syncs, exactly the
+	// failures the ledger must fail closed on.
 	OpenWriter func(path string) (WriteSyncer, error)
 }
 
@@ -147,9 +141,6 @@ func (o DurableOptions) withDefaults() (DurableOptions, error) {
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = DefaultFsyncInterval
 	}
-	if o.SnapshotEvery == 0 {
-		o.SnapshotEvery = DefaultSnapshotEvery
-	}
 	return o, nil
 }
 
@@ -158,16 +149,15 @@ func (o DurableOptions) withDefaults() (DurableOptions, error) {
 type DurableStatus struct {
 	Path   string `json:"path"`
 	Policy string `json:"policy"`
-	// WALRecords / WALBytes describe the live WAL segment (records
-	// since the last snapshot; bytes include the header).
+	// WALRecords counts the op records in the WAL; WALBytes is its
+	// length, magic and header frame included.
 	WALRecords int   `json:"wal_records"`
 	WALBytes   int64 `json:"wal_bytes"`
-	// SnapshotOps is the op count captured in the snapshot file.
-	SnapshotOps int `json:"snapshot_ops"`
 	// ReplayedOps is how many ops the last open restored from disk.
 	ReplayedOps int `json:"replayed_ops"`
-	// Compactions counts snapshot+truncate cycles this ledger ran.
-	Compactions int `json:"compactions"`
+	// Compactions is always 0: the ledger no longer compacts. The field
+	// stays for Go callers that read it and is not serialized.
+	Compactions int `json:"-"`
 	// Unsynced counts records written since the last fsync (always 0
 	// under FsyncAlways) — the worst-case admission loss of a crash now.
 	Unsynced int  `json:"unsynced"`
@@ -176,12 +166,11 @@ type DurableStatus struct {
 	Err string `json:"error,omitempty"`
 }
 
-// DurableLedger is the WAL+snapshot-backed Ledger implementation. The
-// in-memory MemLedger state is the cache; the log is the truth.
+// DurableLedger is the WAL-backed Ledger implementation. The in-memory
+// MemLedger state is the cache; the log is the truth.
 type DurableLedger struct {
-	path     string
-	snapPath string
-	opts     DurableOptions
+	path string
+	opts DurableOptions
 
 	// mem holds the replayed and committed state; its mutex also guards
 	// every field below (one lock keeps check→number→queue atomic, and
@@ -195,13 +184,10 @@ type DurableLedger struct {
 	admitted dp.Params
 	// pending holds the admitted ops whose frames are queued or being
 	// synced, in sequence order.
-	pending     []pendingOp
-	walRecords  int
-	snapOps     int
-	replayed    int
-	compactions int
-	failed      error
-	closed      bool
+	pending  []pendingOp
+	replayed int
+	failed   error
+	closed   bool
 }
 
 // pendingOp is an admitted op waiting for the fsync that covers its
@@ -214,13 +200,13 @@ type pendingOp struct {
 }
 
 // OpenDurableLedger opens (creating if absent) the WAL at path and
-// replays it, together with its snapshot at path+".snap", into a live
-// ledger with the given total budget. A reopened ledger resumes exactly
-// where the durable prefix left off: Spent, OpCount and Ops reproduce
-// the prior process's admitted history, and an exhausted budget stays
-// exhausted. Reopening under a different budget fails with
-// ErrBudgetMismatch. The file is flock'd for the ledger's lifetime; a
-// second live process gets ErrLedgerLocked.
+// replays it into a live ledger with the given total budget. A reopened
+// ledger resumes exactly where the durable prefix left off: Spent,
+// OpCount and Ops reproduce the prior process's admitted history, and an
+// exhausted budget stays exhausted. Reopening under a different budget
+// fails with ErrBudgetMismatch, and a legacy snapshot at path+".snap"
+// with ErrLedgerCorrupt, both files untouched. The file is flock'd for
+// the ledger's lifetime; a second live process gets ErrLedgerLocked.
 func OpenDurableLedger(budget dp.Params, path string, opts DurableOptions) (*DurableLedger, error) {
 	if err := budget.Validate(); err != nil {
 		return nil, err
@@ -229,26 +215,30 @@ func OpenDurableLedger(budget dp.Params, path string, opts DurableOptions) (*Dur
 	if err != nil {
 		return nil, err
 	}
+	// A legacy snapshot holds history the WAL beside it no longer
+	// repeats: refuse before OpenLog can truncate or rewrite either file.
+	snap := path + ".snap"
+	switch _, err := os.Lstat(snap); {
+	case err == nil:
+		return nil, fmt.Errorf("%w: %s: legacy snapshot file, a ledger format this build no longer reads", ErrLedgerCorrupt, snap)
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("accountant: checking for legacy snapshot %s: %w", snap, err)
+	}
 	d := &DurableLedger{
-		path:     path,
-		snapPath: path + ".snap",
-		opts:     opts,
-		mem:      MemLedger{budget: budget},
+		path: path,
+		opts: opts,
+		mem:  MemLedger{budget: budget},
 	}
 
 	// Replay under the WAL's lock. The header is the first frame of every
-	// WAL — read back, or about to be written to a fresh one — and the
-	// snapshot, the compacted history the WAL appends to, loads with it.
+	// WAL — read back, or about to be written to a fresh one.
 	headed := false
-	d.log, err = OpenLog(path, walMagic, appendHeaderPayload(nil, budget, 0, false), opts, func(payload []byte) error {
+	d.log, err = OpenLog(path, walMagic, appendHeaderPayload(nil, budget), opts, func(payload []byte) error {
 		if headed {
 			return d.replayOp(payload)
 		}
 		headed = true
-		if err := d.loadSnapshot(); err != nil {
-			return err
-		}
-		hdr, ok := parseHeaderPayload(payload, false)
+		hdr, ok := parseHeaderPayload(payload)
 		if !ok || hdr.version != ledgerVersion {
 			return fmt.Errorf("%w: %s: bad WAL header", ErrLedgerCorrupt, path)
 		}
@@ -265,82 +255,22 @@ func OpenDurableLedger(budget dp.Params, path string, opts DurableOptions) (*Dur
 	return d, nil
 }
 
-// loadSnapshot applies the snapshot file, if there is one. Snapshots are
-// written atomically (temp + rename), so unlike the WAL they get no
-// torn-tail tolerance: anything short of a fully valid file is
-// ErrLedgerCorrupt — silently ignoring a bad snapshot would re-arm every
-// budget it recorded.
-func (d *DurableLedger) loadSnapshot() error {
-	data, err := os.ReadFile(d.snapPath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("accountant: reading snapshot %s: %w", d.snapPath, err)
-	}
-	corrupt := func(what string) error {
-		return fmt.Errorf("%w: snapshot %s: %s", ErrLedgerCorrupt, d.snapPath, what)
-	}
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
-		return corrupt("bad magic")
-	}
-	off := len(snapMagic)
-	payload, n, ok := nextFrame(data[off:])
-	if !ok {
-		return corrupt("bad header frame")
-	}
-	hdr, ok := parseHeaderPayload(payload, true)
-	if !ok || hdr.version != ledgerVersion {
-		return corrupt("bad header record")
-	}
-	if hdr.budget != d.mem.budget {
-		return fmt.Errorf("%w: snapshot %s has budget %s, configured %s",
-			ErrBudgetMismatch, d.snapPath, hdr.budget, d.mem.budget)
-	}
-	off += n
-	for i := uint64(0); i < hdr.opCount; i++ {
-		payload, n, ok := nextFrame(data[off:])
-		if !ok {
-			return corrupt(fmt.Sprintf("op frame %d torn or missing", i+1))
-		}
-		op, ok := parseOpPayload(payload)
-		if !ok || op.seq != i+1 || op.cost.Validate() != nil {
-			return corrupt(fmt.Sprintf("op record %d invalid", i+1))
-		}
-		d.mem.commit(op.label, op.cost)
-		off += n
-	}
-	if off != len(data) {
-		return corrupt("trailing bytes after final op")
-	}
-	d.snapOps = len(d.mem.ops)
-	return nil
-}
-
-// replayOp applies one WAL op frame on top of the snapshot state.
-// Records at or below the snapshot's last sequence number are skipped
-// (the compaction-crash overlap); a sequence gap is structural
-// corruption.
+// replayOp applies one WAL op frame. Its sequence number must be the
+// next one; anything else is structural corruption.
 func (d *DurableLedger) replayOp(payload []byte) error {
 	op, ok := parseOpPayload(payload)
 	if !ok {
 		return errTornFrame // a non-op that still checksummed? impossible, but fail safe
 	}
 	next := uint64(len(d.mem.ops)) + 1
-	switch {
-	case op.seq < next:
-		// Overlap with the snapshot (crash between snapshot rename and
-		// WAL reset): already applied, skip.
-	case op.seq == next:
-		if op.cost.Validate() != nil {
-			return fmt.Errorf("%w: %s: op %d has invalid cost", ErrLedgerCorrupt, d.path, op.seq)
-		}
-		d.mem.commit(op.label, op.cost)
-		d.walRecords++
-	default:
-		return fmt.Errorf("%w: %s: op sequence gap (have %d ops, next record is %d)",
-			ErrLedgerCorrupt, d.path, next-1, op.seq)
+	if op.seq != next {
+		return fmt.Errorf("%w: %s: op record %d out of sequence (have %d ops)",
+			ErrLedgerCorrupt, d.path, op.seq, next-1)
 	}
+	if op.cost.Validate() != nil {
+		return fmt.Errorf("%w: %s: op %d has invalid cost", ErrLedgerCorrupt, d.path, op.seq)
+	}
+	d.mem.commit(op.label, op.cost)
 	return nil
 }
 
@@ -367,23 +297,12 @@ func (d *DurableLedger) SpendBytes(label []byte, cost dp.Params) error {
 		l.mu.Unlock()
 		return fmt.Errorf("%w (label %q)", err, label)
 	}
-	// Compact BEFORE queueing the new record: a compaction failure then
-	// cleanly aborts this spend instead of leaving an already-admitted
-	// op entangled with a half-reset WAL.
-	if d.opts.SnapshotEvery > 0 && d.walRecords >= d.opts.SnapshotEvery {
-		if err := d.compactLocked(); err != nil {
-			d.latch(fmt.Errorf("%w: compaction: %v", ErrLedgerFailed, err))
-			l.mu.Unlock()
-			return fmt.Errorf("%w (label %q)", d.failed, label)
-		}
-	}
 	seq := uint64(len(l.ops)+len(d.pending)) + 1
 	d.buf, d.scratch = appendOpFrame(d.buf[:0], d.scratch, seq, cost, label)
 	ticket := d.log.Queue(d.buf)
 	d.pending = append(d.pending, pendingOp{ticket: ticket, label: label, cost: cost})
 	d.admitted.Epsilon += cost.Epsilon
 	d.admitted.Delta += cost.Delta
-	d.walRecords++
 	l.mu.Unlock()
 
 	err := d.log.Wait(ticket)
@@ -442,38 +361,6 @@ func (d *DurableLedger) latch(err error) {
 	}
 }
 
-// compactLocked drains the pending ops, snapshots the full trail and
-// resets the WAL to its bare header. Callers hold the lock.
-func (d *DurableLedger) compactLocked() error {
-	if err := d.drainLocked(); err != nil {
-		return err
-	}
-	l := &d.mem
-	// Assemble the whole snapshot and write it in one call; snapshots
-	// run every SnapshotEvery spends, so an O(ops) buffer here is cheap.
-	buf := append([]byte(nil), snapMagic...)
-	d.scratch = appendHeaderPayload(d.scratch[:0], l.budget, uint64(len(l.ops)), true)
-	buf = frame(buf, d.scratch)
-	for i, rec := range l.ops {
-		label := l.arena[rec.labelOff : rec.labelOff+rec.labelLen]
-		d.scratch = appendOpPayload(d.scratch[:0], uint64(i)+1, rec.cost, label)
-		buf = frame(buf, d.scratch)
-	}
-	if err := WriteFileAtomic(d.snapPath, buf, d.opts.OpenWriter); err != nil {
-		return err
-	}
-	// The snapshot now owns the history. A failure from here on latches
-	// the ledger (the WAL is mid-surgery), but the snapshot already holds
-	// every admitted op — reopening loses nothing.
-	if err := d.log.Reset(); err != nil {
-		return fmt.Errorf("resetting WAL: %w", err)
-	}
-	d.walRecords = 0
-	d.snapOps = len(l.ops)
-	d.compactions++
-	return nil
-}
-
 // Sync flushes the WAL to stable storage regardless of policy.
 func (d *DurableLedger) Sync() error {
 	d.mem.mu.Lock()
@@ -513,11 +400,9 @@ func (d *DurableLedger) Status() DurableStatus {
 	st := DurableStatus{
 		Path:        d.path,
 		Policy:      string(d.opts.Fsync),
-		WALRecords:  d.walRecords,
+		WALRecords:  len(d.mem.ops),
 		WALBytes:    d.log.Size(),
-		SnapshotOps: d.snapOps,
 		ReplayedOps: d.replayed,
-		Compactions: d.compactions,
 		Unsynced:    d.log.Unsynced(),
 		Closed:      d.closed,
 	}

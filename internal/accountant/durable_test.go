@@ -1,6 +1,7 @@
 package accountant
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -447,19 +448,17 @@ func waitQueued(t *testing.T, l *Log, n int) {
 }
 
 // TestDurableReopenAfterConcurrentDrain races 8 spenders through a
-// ledger that compacts every 40 records, so compactions land between
-// batches, then reopens it twice: after Close, and from a copy of the
-// WAL and snapshot taken while the ledger is still open, zero tail and
-// all — the image a crash leaves. Both must replay exactly the acked
-// ops, numbered without a gap or a repeat.
+// ledger, then reopens it twice: after Close, and from a copy of the WAL
+// taken while the ledger is still open, zero tail and all — the image a
+// crash leaves. Both must replay exactly the acked ops, numbered without
+// a gap or a repeat.
 func TestDurableReopenAfterConcurrentDrain(t *testing.T) {
 	const spenders, tries = 8, 12
 	budget := dp.Params{Epsilon: 10, Delta: 1e-4}
 	cost := dp.Params{Epsilon: 0.1, Delta: 1e-6} // 100 fit; 96 are tried
-	opts := DurableOptions{SnapshotEvery: 40}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.wal")
-	d := mustOpen(t, budget, path, opts)
+	d := mustOpen(t, budget, path, DurableOptions{})
 
 	var (
 		wg    sync.WaitGroup
@@ -492,27 +491,22 @@ func TestDurableReopenAfterConcurrentDrain(t *testing.T) {
 			t.Fatalf("live op %d = %+v: want seq %d and an acked label", i, op, i+1)
 		}
 	}
-	if st := d.Status(); st.Compactions == 0 {
-		t.Fatal("no compaction ran")
-	}
 
-	// The crash image: both files copied while the ledger is open.
+	// The crash image: the WAL copied while the ledger is open.
 	image := filepath.Join(dir, "image.wal")
 	wal := readFile(t, path)
 	if int64(len(wal)) <= d.Status().WALBytes {
 		t.Fatalf("open WAL is %d bytes, no zero tail past its %d", len(wal), d.Status().WALBytes)
 	}
-	for src, dst := range map[string]string{path: image, path + ".snap": image + ".snap"} {
-		if err := os.WriteFile(dst, readFile(t, src), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(image, wal, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, p := range []string{path, image} {
-		re := mustOpen(t, budget, p, opts)
+		re := mustOpen(t, budget, p, DurableOptions{})
 		if got := re.Ops(); !reflect.DeepEqual(got, live) {
 			re.Close()
 			t.Fatalf("%s reopened to %d ops that differ from the %d live ones", filepath.Base(p), len(got), len(live))
@@ -525,92 +519,53 @@ func TestDurableReopenAfterConcurrentDrain(t *testing.T) {
 	}
 }
 
-func TestDurableSnapshotCompaction(t *testing.T) {
+// TestDurableWALHoldsWholeTrail spends well past the 1024 records an
+// older build compacted at: the ledger stays one file, exactly the
+// magic, the header frame and one frame per op, and reopens to the
+// same trail.
+func TestDurableWALHoldsWholeTrail(t *testing.T) {
+	const n = 3000
 	budget := dp.Params{Epsilon: 10, Delta: 1e-4}
-	path := filepath.Join(t.TempDir(), "ledger.wal")
-	opts := DurableOptions{SnapshotEvery: 3}
-
-	d := mustOpen(t, budget, path, opts)
-	const n = 11
-	for i := 0; i < n; i++ {
-		if err := d.Spend(fmt.Sprintf("op%d", i), dp.Params{Epsilon: 0.1, Delta: 1e-7}); err != nil {
-			t.Fatalf("spend %d: %v", i, err)
-		}
-	}
-	st := d.Status()
-	if st.Compactions == 0 {
-		t.Fatal("no compaction ran at SnapshotEvery=3 over 11 ops")
-	}
-	if st.SnapshotOps == 0 {
-		t.Fatal("snapshot holds no ops after compaction")
-	}
-	if st.WALRecords >= n {
-		t.Fatalf("WAL was never reset: %d records", st.WALRecords)
-	}
-	ops, spent := d.Ops(), d.Spent()
-	d.Close()
-
-	re := mustOpen(t, budget, path, opts)
-	defer re.Close()
-	if got := re.Spent(); got != spent {
-		t.Fatalf("reopened Spent = %s, want %s", got, spent)
-	}
-	if got := re.Ops(); !reflect.DeepEqual(got, ops) {
-		t.Fatalf("reopened Ops after compaction diverge:\n got %+v\nwant %+v", got, ops)
-	}
-}
-
-// TestDurableCompactionCrashOverlap simulates a crash between the
-// snapshot rename and the WAL reset: the snapshot and the old WAL then
-// describe overlapping history, and replay must not double-count it.
-func TestDurableCompactionCrashOverlap(t *testing.T) {
-	budget := dp.Params{Epsilon: 10, Delta: 1e-4}
+	cost := dp.Params{Epsilon: 1e-3, Delta: 1e-8}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.wal")
-	opts := DurableOptions{SnapshotEvery: 100} // no compaction during setup
-
-	d := mustOpen(t, budget, path, opts)
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := d.Spend(fmt.Sprintf("op%d", i), dp.Params{Epsilon: 0.1, Delta: 1e-7}); err != nil {
+	d := mustOpen(t, budget, path, DurableOptions{})
+	want := frame([]byte(walMagic), appendHeaderPayload(nil, budget))
+	var scratch []byte
+	for i := 1; i <= n; i++ {
+		label := []byte(fmt.Sprintf("s%d/q%d/marginal/level2", i%7, i))
+		if err := d.SpendBytes(label, cost); err != nil {
 			t.Fatalf("spend %d: %v", i, err)
 		}
+		want, scratch = appendOpFrame(want, scratch, uint64(i), cost, label)
 	}
 	ops, spent := d.Ops(), d.Spent()
-	d.Close()
-	oldWAL, err := os.ReadFile(path)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Force a compaction (SnapshotEvery=1 compacts before the 6th spend),
-	// then restore the pre-compaction WAL over the reset one — the exact
-	// state a crash at the rename/reset boundary leaves behind, with the
-	// snapshot covering everything the stale WAL repeats.
-	d2 := mustOpen(t, budget, path, DurableOptions{SnapshotEvery: 1})
-	if err := d2.Spend("trigger", dp.Params{Epsilon: 0.1, Delta: 1e-7}); err != nil {
-		t.Fatalf("trigger spend: %v", err)
+	if len(entries) != 1 || entries[0].Name() != "ledger.wal" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("ledger directory holds %v, want only ledger.wal", names)
 	}
-	if st := d2.Status(); st.Compactions == 0 {
-		t.Fatal("setup failed: no compaction triggered")
-	}
-	d2.Close()
-	if err := os.WriteFile(path, oldWAL, 0o644); err != nil {
-		t.Fatal(err)
+	if got := readFile(t, path); !bytes.Equal(got, want) {
+		t.Fatalf("WAL is %d bytes, want the %d bytes of magic + header + %d op frames", len(got), len(want), n)
 	}
 
 	re := mustOpen(t, budget, path, DurableOptions{})
 	defer re.Close()
-	// The snapshot holds ops 1..n (all of the stale WAL's records), so
-	// replay must skip every one of them: total ops = n, not 2n.
-	if got := re.OpCount(); got != n {
-		t.Fatalf("overlap replay OpCount = %d, want %d (double-counted)", got, n)
+	if got := re.Ops(); !reflect.DeepEqual(got, ops) {
+		t.Fatalf("reopened to %d ops that differ from the %d written", len(got), len(ops))
 	}
 	if got := re.Spent(); got != spent {
-		t.Fatalf("overlap replay Spent = %s, want %s", got, spent)
-	}
-	if got := re.Ops(); !reflect.DeepEqual(got, ops) {
-		t.Fatalf("overlap replay Ops diverge:\n got %+v\nwant %+v", got, ops)
+		t.Fatalf("reopened Spent = %s, want %s", got, spent)
 	}
 }
 
@@ -646,29 +601,38 @@ func TestDurableCorruptMagic(t *testing.T) {
 	}
 }
 
-func TestDurableCorruptSnapshot(t *testing.T) {
+// TestDurableSequenceBreak refuses a WAL whose op records skip or
+// repeat a sequence number, and leaves the file as it was.
+func TestDurableSequenceBreak(t *testing.T) {
+	budget := dp.Params{Epsilon: 1, Delta: 1e-5}
+	cost := dp.Params{Epsilon: 0.1}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.wal")
-	budget := dp.Params{Epsilon: 1, Delta: 1e-5}
-	d := mustOpen(t, budget, path, DurableOptions{SnapshotEvery: 1})
+	d := mustOpen(t, budget, path, DurableOptions{})
 	for i := 0; i < 3; i++ {
-		if err := d.Spend(fmt.Sprintf("op%d", i), dp.Params{Epsilon: 0.1}); err != nil {
+		if err := d.Spend(fmt.Sprintf("op%d", i), cost); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d.Close()
-	snap := path + ".snap"
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatalf("expected a snapshot at %s: %v", snap, err)
-	}
-	// Unlike the WAL, a snapshot gets no torn-tail tolerance: it was
-	// written atomically, so a short file is corruption, not a crash.
-	if err := os.WriteFile(snap, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDurableLedger(budget, path, DurableOptions{}); !errors.Is(err, ErrLedgerCorrupt) {
-		t.Fatalf("truncated snapshot: got %v, want ErrLedgerCorrupt", err)
+	clean := readFile(t, path)
+	for name, seq := range map[string]uint64{"repeat": 2, "gap": 5} {
+		t.Run(name, func(t *testing.T) {
+			broken, _ := appendOpFrame(clean[:len(clean):len(clean)], nil, seq, cost, []byte("extra"))
+			p := filepath.Join(dir, name+".wal")
+			if err := os.WriteFile(p, broken, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if d, err := OpenDurableLedger(budget, p, DurableOptions{}); !errors.Is(err, ErrLedgerCorrupt) {
+				if err == nil {
+					d.Close()
+				}
+				t.Fatalf("op %d after op 3: got %v, want ErrLedgerCorrupt", seq, err)
+			}
+			if got := readFile(t, p); !bytes.Equal(got, broken) {
+				t.Fatalf("refused open changed the file: %d bytes, want %d", len(got), len(broken))
+			}
+		})
 	}
 }
 
@@ -774,14 +738,14 @@ func (c syncCounter) Sync() error {
 
 // BenchmarkDurableSpend prices one FsyncAlways spend on the default
 // writer with one and with two concurrent spenders, and counts the
-// fsyncs per spend. Compaction is off, so every fsync is a spend's.
+// fsyncs per spend.
 func BenchmarkDurableSpend(b *testing.B) {
 	label := []byte("s1000/q4711/marginal/level3")
 	cost := dp.Params{Epsilon: 1e-3, Delta: 1e-12}
 	for _, spenders := range []int{1, 2} {
 		b.Run(fmt.Sprintf("spenders=%d", spenders), func(b *testing.B) {
 			var syncs atomic.Int64
-			opts := DurableOptions{SnapshotEvery: -1, OpenWriter: func(path string) (WriteSyncer, error) {
+			opts := DurableOptions{OpenWriter: func(path string) (WriteSyncer, error) {
 				w, err := openZeroTail(path)
 				if err != nil {
 					return nil, err

@@ -2,6 +2,7 @@ package accountant
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -80,12 +81,12 @@ func checkTrail(t *testing.T, l Ledger, n int) {
 	}
 }
 
-// TestGoldenWALFixtures pins the WAL and snapshot bytes: a WAL holding
-// header + 3 ops + a torn 4th frame, and the WAL/.snap pair one
-// compaction later. The live code must write the same bytes, open the
-// fixtures to the same state, and cut the torn tail at the same offset.
+// TestGoldenWALFixtures pins the WAL bytes: a WAL holding header + 3
+// ops + a torn 4th frame. The live code must write the same bytes, open
+// the fixture to the same state, and cut the torn tail at the same
+// offset. The WAL/.snap pair an older build left one compaction later
+// must refuse to open and stay byte for byte as it was.
 func TestGoldenWALFixtures(t *testing.T) {
-	opts := DurableOptions{SnapshotEvery: 3}
 	spend := func(d *DurableLedger, ops []Op) {
 		t.Helper()
 		for _, op := range ops {
@@ -98,7 +99,7 @@ func TestGoldenWALFixtures(t *testing.T) {
 	// Re-encode: the live code writes header + 3 ops byte-identically.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "live.wal")
-	d := mustOpen(t, goldenBudget, path, opts)
+	d := mustOpen(t, goldenBudget, path, DurableOptions{})
 	spend(d, goldenTrail[:3])
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestGoldenWALFixtures(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d = mustOpen(t, goldenBudget, path, opts)
+	d = mustOpen(t, goldenBudget, path, DurableOptions{})
 	checkTrail(t, d, 3)
 	if got := readFile(t, path); !bytes.Equal(got, clean) {
 		t.Fatalf("torn tail: file is %d bytes after open, want the %d-byte clean prefix", len(got), len(clean))
@@ -122,30 +123,35 @@ func TestGoldenWALFixtures(t *testing.T) {
 		t.Fatalf("Status after replay = %+v, want %d bytes / 3 records / 3 replayed", st, len(clean))
 	}
 
-	// The 4th spend compacts first: the snapshot takes ops 1..3 and the
-	// WAL restarts as header + op 4.
+	// The 4th spend lands where the torn frame was cut.
 	spend(d, goldenTrail[3:])
-	if st := d.Status(); st.Compactions != 1 || st.SnapshotOps != 3 || st.WALRecords != 1 {
-		t.Fatalf("Status after compaction = %+v, want 1 compaction / 3 snapshot ops / 1 record", st)
-	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap := golden(t, "compacted.wal.snap", readFile(t, path+".snap"))
-	wal := golden(t, "compacted.wal", readFile(t, path))
+	if got, want := readFile(t, path), append(clean[:len(clean):len(clean)], frame4...); !bytes.Equal(got, want) {
+		t.Fatalf("after the 4th spend the WAL is %d bytes, want the %d-byte clean prefix + op 4", len(got), len(want))
+	}
 
-	// The compacted pair reopens to all four ops.
-	path = filepath.Join(dir, "compacted.wal")
-	if err := os.WriteFile(path, wal, 0o644); err != nil {
-		t.Fatal(err)
+	// The legacy compacted pair is a format break: it refuses to open and
+	// neither file is touched.
+	legacy := t.TempDir()
+	path = filepath.Join(legacy, "compacted.wal")
+	files := map[string][]byte{}
+	for _, name := range []string{"compacted.wal", "compacted.wal.snap"} {
+		files[name] = readFile(t, filepath.Join("testdata", name))
+		if err := os.WriteFile(filepath.Join(legacy, name), files[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(path+".snap", snap, 0o644); err != nil {
-		t.Fatal(err)
+	if d, err := OpenDurableLedger(goldenBudget, path, DurableOptions{}); !errors.Is(err, ErrLedgerCorrupt) {
+		if err == nil {
+			d.Close()
+		}
+		t.Fatalf("open beside a legacy .snap: got %v, want ErrLedgerCorrupt", err)
 	}
-	d = mustOpen(t, goldenBudget, path, opts)
-	defer d.Close()
-	checkTrail(t, d, 4)
-	if st := d.Status(); st.SnapshotOps != 3 || st.WALRecords != 1 || st.WALBytes != int64(len(wal)) {
-		t.Fatalf("Status of compacted pair = %+v, want 3 snapshot ops / 1 record / %d bytes", st, len(wal))
+	for name, want := range files {
+		if got := readFile(t, filepath.Join(legacy, name)); !bytes.Equal(got, want) {
+			t.Fatalf("%s changed on the refused open: %d bytes, want %d", name, len(got), len(want))
+		}
 	}
 }

@@ -54,7 +54,7 @@ var errTornFrame = errors.New("accountant: frame treated as torn")
 // Log is an open log file, safe for concurrent use.
 type Log struct {
 	path  string
-	head  []byte // what a fresh or Reset file starts with: magic + header frame
+	head  []byte // what a fresh file starts with: magic + header frame
 	opts  DurableOptions
 	lockF *os.File // flock holder; also the replay read handle
 
@@ -194,7 +194,7 @@ func (l *Log) latch(err error) error {
 }
 
 // writeHead starts an empty file: the head in one write, fsynced unless
-// the policy is FsyncOff. Callers hold l.mu, or own l outright.
+// the policy is FsyncOff. Callers own l outright.
 func (l *Log) writeHead() error {
 	if _, err := l.w.Write(l.head); err != nil {
 		return l.latch(err)
@@ -320,10 +320,6 @@ func (l *Log) syncLocked() error {
 func (l *Log) TruncateAt(off int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.truncateLocked(off)
-}
-
-func (l *Log) truncateLocked(off int64) error {
 	if err := l.settle(); err != nil {
 		return err
 	}
@@ -341,17 +337,6 @@ func (l *Log) truncateLocked(off int64) error {
 	}
 	l.w, l.size = w, off
 	return nil
-}
-
-// Reset empties the file and restarts it from its head (WAL compaction,
-// once a snapshot owns the history).
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.truncateLocked(0); err != nil {
-		return err
-	}
-	return l.writeHead()
 }
 
 // Close writes what is queued and flushes (under every policy: Close is
@@ -454,23 +439,12 @@ func (z *zeroTailFile) Close() error {
 	return errors.Join(z.f.Truncate(z.off), z.f.Close())
 }
 
-// openAppend opens the real file for appending: WriteFileAtomic's
-// default writer, since a published file must never carry a zero tail.
-func openAppend(path string) (WriteSyncer, error) {
-	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-}
-
 // WriteFileAtomic publishes data at path so a crash leaves either the
 // old file or the new one, never a mix: temp file, fsync, rename,
-// directory fsync. openWriter is the fault-injection seam (nil: real
-// files).
-func WriteFileAtomic(path string, data []byte, openWriter func(path string) (WriteSyncer, error)) error {
-	if openWriter == nil {
-		openWriter = openAppend
-	}
+// directory fsync.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	_ = os.Remove(tmp) // the writer appends: a stale temp must not survive into the new file
-	w, err := openWriter(tmp)
+	w, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("opening %s: %w", tmp, err)
 	}
@@ -484,7 +458,7 @@ func WriteFileAtomic(path string, data []byte, openWriter func(path string) (Wri
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		_ = os.Remove(tmp) // best effort; the next publish removes it first anyway
+		_ = os.Remove(tmp) // best effort; the next publish truncates it anyway
 		return fmt.Errorf("publishing %s: %w", path, err)
 	}
 	// Make the rename's dirent durable. Best effort: some filesystems

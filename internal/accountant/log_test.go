@@ -188,7 +188,7 @@ func TestLog(t *testing.T) {
 				t.Fatal("injected fault did not surface")
 			}
 			for name, err := range map[string]error{
-				"Append": l.Append(frames[2]), "Sync": l.Sync(), "TruncateAt": l.TruncateAt(l.Size()), "Reset": l.Reset(),
+				"Append": l.Append(frames[2]), "Sync": l.Sync(), "TruncateAt": l.TruncateAt(l.Size()),
 			} {
 				if !errors.Is(err, ErrLedgerFailed) {
 					t.Fatalf("%s on a latched log: got %v, want ErrLedgerFailed", name, err)

@@ -1,15 +1,13 @@
-// WAL and snapshot frame codec for the durable ledger.
+// WAL frame codec for the durable ledger.
 //
-// Both files share one frame shape so replay and snapshot loading use a
-// single parser:
+// Every record is one frame:
 //
 //	u32 payloadLen | payload | u32 crc32c(payload)
 //
-// A WAL file is the 8-byte magic "GDPWAL1\n", a header frame, then op
-// frames; a snapshot file is the magic "GDPSNP1\n", a header frame that
-// additionally records the op count, then exactly that many op frames.
-// Payloads open with a one-byte record type so a future version can mix
-// record kinds without changing the framing.
+// A WAL file is the 8-byte magic "GDPWAL1\n", a header frame, then one
+// op frame per admitted op. Payloads open with a one-byte record type
+// so a future version can mix record kinds without changing the
+// framing.
 //
 // Torn-tail tolerance lives entirely in the parser: a frame whose
 // length field, payload, or checksum does not fully verify is treated
@@ -25,8 +23,7 @@ import (
 )
 
 const (
-	walMagic  = "GDPWAL1\n"
-	snapMagic = "GDPSNP1\n"
+	walMagic = "GDPWAL1\n"
 	// ledgerVersion is the on-disk format version, checked on replay.
 	ledgerVersion = 1
 	// maxWALFrame bounds a frame's payload: op labels are short audit
@@ -106,48 +103,32 @@ func nextFrame(b []byte) (payload []byte, n int, ok bool) {
 	return payload, 4 + plen + 4, true
 }
 
-// walHeader is the decoded header record of a WAL or snapshot file.
+// walHeader is the decoded header record of a WAL.
 type walHeader struct {
 	version uint32
 	budget  dp.Params
-	// opCount is the snapshot's op tally; always 0 in WAL headers.
-	opCount uint64
 }
 
-// appendHeaderPayload encodes a header record. snapshot headers carry
-// the op count; WAL headers pass 0 and a parser flag distinguishes the
-// two widths.
-func appendHeaderPayload(dst []byte, budget dp.Params, opCount uint64, snapshot bool) []byte {
+// appendHeaderPayload encodes a header record.
+func appendHeaderPayload(dst []byte, budget dp.Params) []byte {
 	dst = append(dst, recHeader)
 	dst = appendU32(dst, ledgerVersion)
 	dst = appendF64(dst, budget.Epsilon)
-	dst = appendF64(dst, budget.Delta)
-	if snapshot {
-		dst = appendU64(dst, opCount)
-	}
-	return dst
+	return appendF64(dst, budget.Delta)
 }
 
 // parseHeaderPayload decodes a header record payload.
-func parseHeaderPayload(p []byte, snapshot bool) (walHeader, bool) {
-	want := 1 + 4 + 8 + 8
-	if snapshot {
-		want += 8
-	}
-	if len(p) != want || p[0] != recHeader {
+func parseHeaderPayload(p []byte) (walHeader, bool) {
+	if len(p) != 1+4+8+8 || p[0] != recHeader {
 		return walHeader{}, false
 	}
-	h := walHeader{
+	return walHeader{
 		version: binary.LittleEndian.Uint32(p[1:]),
 		budget: dp.Params{
 			Epsilon: math.Float64frombits(binary.LittleEndian.Uint64(p[5:])),
 			Delta:   math.Float64frombits(binary.LittleEndian.Uint64(p[13:])),
 		},
-	}
-	if snapshot {
-		h.opCount = binary.LittleEndian.Uint64(p[21:])
-	}
-	return h, true
+	}, true
 }
 
 // walOp is one decoded op record.

@@ -276,7 +276,7 @@ func loadTerm(dir string) (uint64, error) {
 // primaries for the same term.
 func storeTerm(dir string, term uint64) error {
 	data := strconv.AppendUint(nil, term, 10)
-	if err := accountant.WriteFileAtomic(filepath.Join(dir, termFile), append(data, '\n'), nil); err != nil {
+	if err := accountant.WriteFileAtomic(filepath.Join(dir, termFile), append(data, '\n')); err != nil {
 		return fmt.Errorf("ledgerd: writing term file: %w", err)
 	}
 	return nil

@@ -84,14 +84,13 @@ const epochFile = ".sequencer-epoch"
 // mirror accountant.DurableOptions and apply to every ledger the
 // service opens.
 type Options struct {
-	// Dir holds one WAL (+snapshot) per ledger key, plus the epoch file.
+	// Dir holds one WAL per ledger key, plus the epoch file.
 	Dir string
-	// Fsync, FsyncInterval and SnapshotEvery configure every
-	// DurableLedger the service opens ("" selects FsyncAlways — the only
-	// policy under which an ack implies durability across power loss).
+	// Fsync and FsyncInterval configure every DurableLedger the service
+	// opens ("" selects FsyncAlways — the only policy under which an ack
+	// implies durability across power loss).
 	Fsync         accountant.FsyncPolicy
 	FsyncInterval time.Duration
-	SnapshotEvery int
 	// OpenWriter is the accountant fault-injection seam, threaded into
 	// every ledger (tests only).
 	OpenWriter func(path string) (accountant.WriteSyncer, error)
@@ -177,7 +176,7 @@ func advanceEpoch(dir string) (string, error) {
 	// Atomic publish: the token a client may pin must itself survive a
 	// crash, or a re-restart could hand out a token the previous boot
 	// already handed out.
-	if err := accountant.WriteFileAtomic(path, []byte(token+"\n"), nil); err != nil {
+	if err := accountant.WriteFileAtomic(path, []byte(token+"\n")); err != nil {
 		return "", fmt.Errorf("ledgerd: writing epoch file: %w", err)
 	}
 	return token, nil
@@ -300,7 +299,6 @@ func (s *Service) entry(key string, budget dp.Params) (*ledgerEntry, error) {
 	dl, err := accountant.OpenDurableLedger(budget, filepath.Join(s.opts.Dir, key+".wal"), accountant.DurableOptions{
 		Fsync:         s.opts.Fsync,
 		FsyncInterval: s.opts.FsyncInterval,
-		SnapshotEvery: s.opts.SnapshotEvery,
 		OpenWriter:    s.opts.OpenWriter,
 	})
 	if err != nil {

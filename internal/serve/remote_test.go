@@ -51,7 +51,6 @@ func TestLedgerConfigConflicts(t *testing.T) {
 		{"dir+addr", func(c *Config) { c.LedgerDir = t.TempDir(); c.LedgerAddr = "127.0.0.1:1" }},
 		{"addr+fsync", func(c *Config) { c.LedgerAddr = "127.0.0.1:1"; c.LedgerFsync = accountant.FsyncAlways }},
 		{"addr+fsync-interval", func(c *Config) { c.LedgerAddr = "127.0.0.1:1"; c.LedgerFsyncInterval = time.Second }},
-		{"addr+snapshot-every", func(c *Config) { c.LedgerAddr = "127.0.0.1:1"; c.LedgerSnapshotEvery = 10 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -150,7 +150,7 @@ type Config struct {
 	IngestLanes int
 	// LedgerDir enables crash-correct privacy accounting: each dataset's
 	// ledger becomes an accountant.DurableLedger backed by an
-	// append-only WAL (plus periodic snapshot) under this directory,
+	// append-only WAL under this directory,
 	// keyed by dataset name AND data fingerprint — re-ingesting the same
 	// data reopens the same file and replays its spent budget (exhausted
 	// stays exhausted across restarts), while different data under a
@@ -167,8 +167,8 @@ type Config struct {
 	// it. With a member list the client walks the membership on network
 	// errors and primary fences, so spends survive any minority of
 	// sequencer failures. Mutually exclusive with LedgerDir and with the
-	// LedgerFsync*/LedgerSnapshotEvery knobs (durability policy lives
-	// with the sequencer); conflicts fail Open with ErrBadConfig.
+	// LedgerFsync* knobs (durability policy lives with the sequencer);
+	// conflicts fail Open with ErrBadConfig.
 	LedgerAddr string
 	// LedgerFsync is the WAL fsync policy when LedgerDir is set:
 	// accountant.FsyncAlways (default — every admission is durable
@@ -177,9 +177,6 @@ type Config struct {
 	// LedgerFsyncInterval bounds the unsynced window under
 	// FsyncInterval (0 selects the accountant default).
 	LedgerFsyncInterval time.Duration
-	// LedgerSnapshotEvery compacts each WAL after this many records
-	// (0 selects the accountant default; negative disables compaction).
-	LedgerSnapshotEvery int
 	// ledgerOpenWriter is the test-only fault-injection seam threaded
 	// into accountant.DurableOptions.OpenWriter.
 	ledgerOpenWriter func(path string) (accountant.WriteSyncer, error)
@@ -255,8 +252,8 @@ func (c Config) withDefaults() (Config, error) {
 		return Config{}, fmt.Errorf("%w: ledger dir %q and ledger addr %q are mutually exclusive — accounting is either local-durable or delegated to a sequencer, never both", ErrBadConfig, c.LedgerDir, c.LedgerAddr)
 	}
 	if c.LedgerAddr != "" {
-		// Durability policy lives with the sequencer; a local fsync or
-		// snapshot knob alongside a remote ledger would be silently
+		// Durability policy lives with the sequencer; a local fsync knob
+		// alongside a remote ledger would be silently
 		// ignored, and silently ignored durability config is exactly the
 		// misconfiguration this layer exists to refuse.
 		switch {
@@ -264,8 +261,6 @@ func (c Config) withDefaults() (Config, error) {
 			return Config{}, fmt.Errorf("%w: ledger fsync policy %q has no effect with a remote ledger (set it on gdpledgerd)", ErrBadConfig, c.LedgerFsync)
 		case c.LedgerFsyncInterval != 0:
 			return Config{}, fmt.Errorf("%w: ledger fsync interval has no effect with a remote ledger (set it on gdpledgerd)", ErrBadConfig)
-		case c.LedgerSnapshotEvery != 0:
-			return Config{}, fmt.Errorf("%w: ledger snapshot cadence has no effect with a remote ledger (set it on gdpledgerd)", ErrBadConfig)
 		}
 	}
 	if c.LedgerDir != "" {
@@ -598,7 +593,6 @@ func (r *Registry) openLedger(ds *Dataset) (err error) {
 		ds.durable, err = accountant.OpenDurableLedger(r.cfg.Budget, path, accountant.DurableOptions{
 			Fsync:         r.cfg.LedgerFsync,
 			FsyncInterval: r.cfg.LedgerFsyncInterval,
-			SnapshotEvery: r.cfg.LedgerSnapshotEvery,
 			OpenWriter:    r.cfg.ledgerOpenWriter,
 		})
 		if err != nil {

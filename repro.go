@@ -46,8 +46,6 @@ import (
 type (
 	// Graph is an immutable bipartite association graph.
 	Graph = bipartite.Graph
-	// GraphBuilder accumulates associations and freezes them into a Graph.
-	GraphBuilder = bipartite.Builder
 	// Edge is one association record.
 	Edge = bipartite.Edge
 	// Side selects the left or right node side.
@@ -82,9 +80,6 @@ type (
 
 	// Tree is the multi-level group hierarchy (curator-side state).
 	Tree = hierarchy.Tree
-
-	// DatasetConfig describes a synthetic dataset.
-	DatasetConfig = datagen.Config
 
 	// ExperimentOptions configures RunExperiment.
 	ExperimentOptions = experiments.Options
@@ -128,11 +123,6 @@ const (
 	PresetMovies     = datagen.PresetMovies
 )
 
-// NewGraphBuilder returns an empty graph builder with a capacity hint.
-func NewGraphBuilder(edgeCapacity int) *GraphBuilder {
-	return bipartite.NewBuilder(edgeCapacity)
-}
-
 // FromEdges builds a Graph from explicit edges and side sizes.
 func FromEdges(numLeft, numRight int32, edges []Edge) (*Graph, error) {
 	return bipartite.FromEdges(numLeft, numRight, edges)
@@ -164,37 +154,10 @@ type EdgeSource = bipartite.EdgeSource
 // holding its pairs in memory.
 func NewTSVEdgeSource(rs io.ReadSeeker) (EdgeSource, error) { return bipartite.NewTSVEdgeSource(rs) }
 
-// NewBinaryEdgeSource streams the compact binary graph format as edge
-// chunks without rebuilding the CSR arrays.
-func NewBinaryEdgeSource(rs io.ReadSeeker) (EdgeSource, error) {
-	return bipartite.NewBinaryEdgeSource(rs)
-}
-
 // NewGraphEdgeSource streams an in-memory graph's edges in left-major
 // order (useful for verifying the streamed path against the in-memory
 // one).
 func NewGraphEdgeSource(g *Graph) EdgeSource { return bipartite.NewGraphSource(g) }
-
-// NewSliceEdgeSource streams an explicit edge slice with declared side
-// sizes; many cursors may share one immutable slice.
-func NewSliceEdgeSource(numLeft, numRight int32, edges []Edge) EdgeSource {
-	return bipartite.NewSliceSource(numLeft, numRight, edges)
-}
-
-// NewDatasetStream yields a synthetic dataset's edges as chunks without
-// materializing the Graph.
-func NewDatasetStream(cfg DatasetConfig) (EdgeSource, error) { return datagen.NewStream(cfg) }
-
-// BuildHierarchyFromEdges runs Phase-1 specialization over an edge stream
-// in two passes, with peak memory independent of the edge count. The tree
-// is bit-identical to one built from a materialized Graph holding the
-// same associations.
-func BuildHierarchyFromEdges(src EdgeSource, opts HierarchyOptions) (*Tree, error) {
-	return hierarchy.BuildFromEdges(src, opts)
-}
-
-// HierarchyOptions configures a direct hierarchy build.
-type HierarchyOptions = hierarchy.Options
 
 // GenerateDataset builds a synthetic dataset from a preset name.
 func GenerateDataset(preset string, seed uint64) (*Graph, error) {
@@ -204,9 +167,6 @@ func GenerateDataset(preset string, seed uint64) (*Graph, error) {
 	}
 	return datagen.Generate(cfg)
 }
-
-// GenerateCustom builds a synthetic dataset from an explicit config.
-func GenerateCustom(cfg DatasetConfig) (*Graph, error) { return datagen.Generate(cfg) }
 
 // NewPipeline returns a configured two-phase disclosure pipeline.
 func NewPipeline(budget Params, opts ...Option) (*Pipeline, error) {
@@ -289,22 +249,6 @@ func TopKGroups(c CellRelease, side Side, k int) ([]int, error) {
 	return query.TopKGroups(c, side, k)
 }
 
-// MarginalCountsInto is MarginalCounts reusing dst's capacity — the
-// zero-allocation form for callers looping over releases.
-func MarginalCountsInto(dst []float64, c CellRelease, side Side) ([]float64, error) {
-	return query.MarginalCountsInto(dst, c, side)
-}
-
-// TopKScratch holds TopKGroupsInto's reusable ranking buffers; the zero
-// value is ready to use.
-type TopKScratch = query.TopKScratch
-
-// TopKGroupsInto is TopKGroups ranking through the caller's scratch;
-// the returned slice is valid until the scratch's next use.
-func TopKGroupsInto(s *TopKScratch, c CellRelease, side Side, k int) ([]int, error) {
-	return query.TopKGroupsInto(s, c, side, k)
-}
-
 // Serving API — the long-lived, budget-accounted, multi-tenant layer
 // over the release engine (internal/serve; cmd/gdpserve is the server
 // binary).
@@ -359,7 +303,7 @@ const (
 	// ServeConfig.LedgerFsyncInterval — a crash may forget spends
 	// admitted within the window (budget-unsafe but faster).
 	LedgerFsyncInterval = accountant.FsyncInterval
-	// LedgerFsyncOff syncs only on snapshot, close, and explicit Sync.
+	// LedgerFsyncOff syncs only on close and explicit Sync.
 	LedgerFsyncOff = accountant.FsyncOff
 )
 
@@ -384,19 +328,16 @@ var ErrBudgetExhausted = accountant.ErrBudgetExceeded
 // noise.
 var ErrLedgerFailed = accountant.ErrLedgerFailed
 
-// NewServeHandler returns the HTTP/JSON front end over a registry —
-// dataset ingest, budget inspection, level views, marginal and top-k
-// queries (see cmd/gdpserve for the standalone server). Server-side
-// path ingest is disabled; see NewServeHandlerWith.
-func NewServeHandler(r *Registry) http.Handler { return serve.NewHandler(r) }
-
 // ServeHandlerOptions configures NewServeHandlerWith.
 type ServeHandlerOptions = serve.HandlerOptions
 
-// NewServeHandlerWith is NewServeHandler with explicit options: enabling
-// JSON {"path": ...} ingest of server-side files (safe only on trusted
-// or loopback listeners), and the resource caps on upload size and open
-// session handles.
+// NewServeHandlerWith returns the HTTP/JSON front end over a registry —
+// dataset ingest, budget inspection, level views, marginal and top-k
+// queries (see cmd/gdpserve for the standalone server) — with explicit
+// options: enabling JSON {"path": ...} ingest of server-side files (safe
+// only on trusted or loopback listeners), and the resource caps on
+// upload size and open session handles. The zero options disable path
+// ingest.
 func NewServeHandlerWith(r *Registry, opts ServeHandlerOptions) http.Handler {
 	return serve.NewHandlerWith(r, opts)
 }
