@@ -37,13 +37,13 @@ type clusterNode struct {
 // the same bootstrap order real deployments use (addresses are config,
 // processes come and go).
 type cluster struct {
-	t     *testing.T
+	t     testing.TB
 	ids   []string
 	nodes map[string]*clusterNode
 	peers map[string]string
 }
 
-func newCluster(t *testing.T, n int, electionTimeout time.Duration) *cluster {
+func newCluster(t testing.TB, n int, electionTimeout time.Duration) *cluster {
 	t.Helper()
 	c := &cluster{t: t, nodes: make(map[string]*clusterNode), peers: make(map[string]string)}
 	for i := 0; i < n; i++ {
