@@ -1,13 +1,12 @@
-// Command gdpledgerd is the shared privacy-ledger sequencer: a
-// single-writer service that owns one durable (WAL) budget
-// per (dataset, data-fingerprint) key and admits spends over an
-// idempotent HTTP/JSON protocol. Point N gdpserve replicas at it with
+// Command gdpledgerd is the shared privacy-ledger sequencer: it keeps
+// one durable budget per (dataset, data-fingerprint) key in one log and
+// admits spends over an idempotent HTTP/JSON protocol. Point N gdpserve replicas at it with
 // -ledger-addr and they spend ONE (ε, δ) budget per dataset — the
 // deployment shape where accounting stays centralized even when
 // answering is not, closing the classic "two replicas silently double
 // the budget" failure of distributed DP systems.
 //
-// Usage (single node):
+// Usage (a single node — a group of one):
 //
 //	gdpledgerd -addr 127.0.0.1:8850 -ledger-dir /var/lib/gdpledgerd
 //	gdpserve   -addr 127.0.0.1:8080 -ledger-addr 127.0.0.1:8850 ...
@@ -28,15 +27,18 @@
 //	GET  /v1/ledgers/{key}/ops      audit trail
 //	GET  /healthz                   liveness
 //	GET  /readyz                    readiness (primary with quorum, or follower with live leader)
-//	POST /v1/group/{append,vote}    replication stream (group mode)
-//	GET  /v1/group/{state,status}   durable position / operator panel (group mode)
-//	POST /v1/group/promote          manual failover (group mode)
+//	POST /v1/group/{append,vote}    replication stream (with -peers)
+//	GET  /v1/group/{state,status}   durable position / operator panel (with -peers)
+//	POST /v1/group/promote          manual failover (with -peers)
 //
-// Every admitted spend is fsynced into the WAL before the ack — in group
-// mode, fsynced on a MAJORITY of members before the ack — so an
-// admission can never be forgotten; a restart replays the log and fences
-// stale writers through the epoch token (single node) or the monotonic
-// term (group). Budgets are permanent: an exhausted key stays exhausted.
+// Every admitted spend is fsynced into the log before the ack — with
+// -peers, fsynced on a MAJORITY of members before the ack — so an
+// admission can never be forgotten. A restart replays the log; the
+// epoch token carries the term, which a single node bumps on every start
+// and a group on every election, so stale writers are fenced. A
+// directory an older build's single-node mode wrote (per-key WALs and a
+// .sequencer-epoch file) is refused, not read. Budgets are permanent: an
+// exhausted key stays exhausted.
 package main
 
 import (
@@ -67,18 +69,11 @@ func main() {
 	}
 }
 
-// config is the parsed command line: single-node options plus the
-// optional group membership.
+// config is the parsed command line.
 type config struct {
 	opts      ledgerd.Options
 	addr      string
 	pprofAddr string
-	// Group mode (both set): this node's ID and the full member map.
-	nodeID string
-	peers  map[string]string
-	// heartbeat / electionTimeout tune the group pacemaker.
-	heartbeat       time.Duration
-	electionTimeout time.Duration
 }
 
 // parseArgs resolves flags into the sequencer configuration.
@@ -86,8 +81,8 @@ func parseArgs(args []string) (config, error) {
 	fs := flag.NewFlagSet("gdpledgerd", flag.ContinueOnError)
 	var (
 		addrFlag   = fs.String("addr", "127.0.0.1:8850", "listen address")
-		ledgerDir  = fs.String("ledger-dir", "", "directory holding the durable budget WALs (required)")
-		fsync      = fs.String("fsync", "", "WAL fsync policy: always (the default; every admission is durable before its ack), interval, or off")
+		ledgerDir  = fs.String("ledger-dir", "", "directory holding the durable budget log and term file (required)")
+		fsync      = fs.String("fsync", "", "log fsync policy: always (the default; every admission is durable before its ack), interval, or off (a single node only)")
 		fsyncEvery = fs.Duration("fsync-interval", 0, "max unsynced window under -fsync interval (0 = 100ms default)")
 		pprofFlag  = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6061; empty = disabled)")
 		nodeID     = fs.String("node-id", "", "this member's ID in a replicated group (requires -peers)")
@@ -107,15 +102,15 @@ func parseArgs(args []string) (config, error) {
 	}
 	cfg := config{
 		opts: ledgerd.Options{
-			Dir:           *ledgerDir,
-			Fsync:         policy,
-			FsyncInterval: *fsyncEvery,
+			Dir:             *ledgerDir,
+			Fsync:           policy,
+			FsyncInterval:   *fsyncEvery,
+			NodeID:          *nodeID,
+			HeartbeatEvery:  *heartbeat,
+			ElectionTimeout: *election,
 		},
-		addr:            *addrFlag,
-		pprofAddr:       *pprofFlag,
-		nodeID:          *nodeID,
-		heartbeat:       *heartbeat,
-		electionTimeout: *election,
+		addr:      *addrFlag,
+		pprofAddr: *pprofFlag,
 	}
 	if (*peersFlag == "") != (*nodeID == "") {
 		return config{}, errors.New("-peers and -node-id must be set together")
@@ -124,20 +119,23 @@ func parseArgs(args []string) (config, error) {
 		if policy != accountant.FsyncAlways {
 			return config{}, errors.New("group mode always fsyncs (a majority ack IS the durability guarantee); drop -fsync")
 		}
-		cfg.peers, err = parsePeers(*peersFlag)
+		cfg.opts.Peers, err = parsePeers(*peersFlag)
 		if err != nil {
 			return config{}, err
 		}
-		if _, ok := cfg.peers[*nodeID]; !ok {
+		if _, ok := cfg.opts.Peers[*nodeID]; !ok {
 			return config{}, fmt.Errorf("-peers must include this node's -node-id (%q)", *nodeID)
 		}
 	}
 	return cfg, nil
 }
 
-// parsePeers parses "id=host:port,id=host:port,...".
+// parsePeers parses "id=host:port,id=host:port,...". Member IDs and
+// addresses must both be distinct: a member listed twice under one
+// address would send its replication and vote RPCs to itself.
 func parsePeers(s string) (map[string]string, error) {
 	peers := make(map[string]string)
+	owner := make(map[string]string)
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -150,7 +148,10 @@ func parsePeers(s string) (map[string]string, error) {
 		if _, dup := peers[id]; dup {
 			return nil, fmt.Errorf("-peers repeats member id %q", id)
 		}
-		peers[id] = addr
+		if prev, dup := owner[addr]; dup {
+			return nil, fmt.Errorf("-peers gives members %s and %s the same address %q", prev, id, addr)
+		}
+		peers[id], owner[addr] = addr, id
 	}
 	if len(peers) == 0 {
 		return nil, errors.New("-peers is empty")
@@ -186,44 +187,24 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		defer stopProf()
 	}
 
-	var handler http.Handler
-	var closeSvc func() error
-	if cfg.peers != nil {
-		group, err := ledgerd.NewGroup(ledgerd.GroupOptions{
-			NodeID:          cfg.nodeID,
-			Peers:           cfg.peers,
-			Dir:             cfg.opts.Dir,
-			HeartbeatEvery:  cfg.heartbeat,
-			ElectionTimeout: cfg.electionTimeout,
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		handler = ledgerd.NewGroupHandler(group)
-		closeSvc = group.Close
-		ids := make([]string, 0, len(cfg.peers))
-		for id := range cfg.peers {
+	cfg.opts.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	group, err := ledgerd.New(cfg.opts)
+	if err != nil {
+		return err
+	}
+	// Close flushes and syncs the log — the graceful path that makes the
+	// interval/off fsync policies safe across clean shutdowns.
+	defer func() { _ = group.Close() }()
+	who := "group of one"
+	if len(cfg.opts.Peers) > 0 {
+		ids := make([]string, 0, len(cfg.opts.Peers))
+		for id := range cfg.opts.Peers {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
-		fmt.Printf("gdpledgerd: group member %s of %s (dir %s, epoch %s)\n",
-			cfg.nodeID, strings.Join(ids, ","), cfg.opts.Dir, group.Epoch())
-	} else {
-		svc, err := ledgerd.New(cfg.opts)
-		if err != nil {
-			return err
-		}
-		handler = ledgerd.NewHandler(svc)
-		// Close flushes and syncs every budget WAL — the graceful path
-		// that makes interval/off fsync policies safe across clean
-		// shutdowns.
-		closeSvc = svc.Close
-		fmt.Printf("gdpledgerd: single node (ledger dir %s, epoch %s)\n", cfg.opts.Dir, svc.Epoch())
+		who = "group member " + cfg.opts.NodeID + " of " + strings.Join(ids, ",")
 	}
-	defer func() { _ = closeSvc() }()
+	fmt.Printf("gdpledgerd: %s (ledger dir %s, epoch %s)\n", who, cfg.opts.Dir, group.Epoch())
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
@@ -234,7 +215,7 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		started(ln.Addr().String())
 	}
 
-	srv := httpServer(handler)
+	srv := httpServer(ledgerd.NewHandler(group))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -249,7 +230,7 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
-		return closeSvc()
+		return group.Close()
 	}
 }
 

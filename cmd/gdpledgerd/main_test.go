@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +50,7 @@ func TestParseArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grp.nodeID != "n1" || len(grp.peers) != 3 || grp.peers["n2"] != "127.0.0.1:2" {
+	if grp.opts.NodeID != "n1" || len(grp.opts.Peers) != 3 || grp.opts.Peers["n2"] != "127.0.0.1:2" {
 		t.Fatalf("group cfg = %+v", grp)
 	}
 	if _, err := parseArgs([]string{"-ledger-dir", dir, "-node-id", "n1"}); err == nil {
@@ -63,6 +64,12 @@ func TestParseArgs(t *testing.T) {
 	}
 	if _, err := parseArgs([]string{"-ledger-dir", dir, "-node-id", "n1", "-peers", "n1=a:1", "-fsync", "off"}); err == nil {
 		t.Fatal("group mode with -fsync off accepted")
+	}
+	// One address under two member IDs: the member would replicate to
+	// itself while holding its own lock.
+	_, err = parseArgs([]string{"-ledger-dir", dir, "-node-id", "n1", "-peers", "n1=a:1,n2=a:1"})
+	if err == nil || !strings.Contains(err.Error(), `"a:1"`) {
+		t.Fatalf("repeated member address: got %v, want an error naming a:1", err)
 	}
 }
 

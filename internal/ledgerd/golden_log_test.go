@@ -48,7 +48,7 @@ func readFile(t *testing.T, path string) []byte {
 func TestGoldenGroupLogFixture(t *testing.T) {
 	mustOpen := func(dir string) *groupLog {
 		t.Helper()
-		l, err := openGroupLog(dir, nil)
+		l, err := openGroupLog(dir, accountant.DurableOptions{})
 		if err != nil {
 			t.Fatalf("openGroupLog(%s): %v", dir, err)
 		}
@@ -59,8 +59,8 @@ func TestGoldenGroupLogFixture(t *testing.T) {
 	live := t.TempDir()
 	l := mustOpen(live)
 	for _, e := range goldenEntries {
-		if _, err := l.appendEntry(e); err != nil {
-			t.Fatalf("appendEntry(%d): %v", e.Index, err)
+		if err := l.appendEntries(e); err != nil {
+			t.Fatalf("appendEntries(%d): %v", e.Index, err)
 		}
 	}
 	if err := l.close(); err != nil {
@@ -118,7 +118,7 @@ func TestGoldenGroupLogFixture(t *testing.T) {
 		t.Fatalf("truncateFrom(4): file is %d bytes, want the first %d of the fixture", len(got), cut)
 	}
 	repl := groupEntry{Index: 4, Term: 3, Kind: entryNoop}
-	if _, err := l.appendEntry(repl); err != nil {
+	if err := l.appendEntries(repl); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.close(); err != nil {
@@ -132,24 +132,23 @@ func TestGoldenGroupLogFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The term and epoch files are one line of text each.
-	if err := storeTerm(dir, 7); err != nil {
+	// The term file is one line of text: the epoch token.
+	if err := storeTerm(dir, 0x0123456789abcdef, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got := string(readFile(t, filepath.Join(dir, termFile))); got != "7\n" {
-		t.Fatalf("term file = %q, want %q", got, "7\n")
+	termPath := filepath.Join(dir, termFile)
+	if got := string(readFile(t, termPath)); got != "0123456789abcdef:7\n" {
+		t.Fatalf("term file = %q, want %q", got, "0123456789abcdef:7\n")
 	}
-	if term, err := loadTerm(dir); err != nil || term != 7 {
-		t.Fatalf("loadTerm = %d, %v; want 7", term, err)
+	if id, term, err := loadTerm(dir); err != nil || id != 0x0123456789abcdef || term != 7 {
+		t.Fatalf("loadTerm = %x, %d, %v; want 0123456789abcdef, 7", id, term, err)
 	}
-	epochPath := filepath.Join(dir, epochFile)
-	if err := os.WriteFile(epochPath, []byte("0123456789abcdef:41\n"), 0o644); err != nil {
+	// A term file written before the identity joined it reads as
+	// identity 0 (New then draws one).
+	if err := os.WriteFile(termPath, []byte("41\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if tok, err := advanceEpoch(dir); err != nil || tok != "0123456789abcdef:42" {
-		t.Fatalf("advanceEpoch = %q, %v; want 0123456789abcdef:42", tok, err)
-	}
-	if got := string(readFile(t, epochPath)); got != "0123456789abcdef:42\n" {
-		t.Fatalf("epoch file = %q after advance", got)
+	if id, term, err := loadTerm(dir); err != nil || id != 0 || term != 41 {
+		t.Fatalf("loadTerm of a term-only file = %x, %d, %v; want 0, 41", id, term, err)
 	}
 }

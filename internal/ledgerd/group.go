@@ -1,19 +1,19 @@
-// Group mode: the quorum-replicated sequencer.
+// The sequencer group.
 //
-// One primary accepts spends and synchronously streams checksummed WAL
+// One primary accepts spends and synchronously streams checksummed log
 // frames to its followers, acking a spend only after a majority of the
 // group (itself included) has fsynced the frame — so any surviving
-// majority reconstructs the exact spent/ops state. The protocol is a
-// deliberately small raft subset, shaped by what a privacy ledger
-// needs:
+// majority reconstructs the exact spent/ops state. A group without
+// peers is a majority of one: it commits once its own write returns.
+// The protocol is a deliberately small raft subset, shaped by what a
+// privacy ledger needs:
 //
-//   - The single-node epoch token generalizes to a monotonic TERM. A
-//     node durably persists a term before acting at it; a persisted
-//     term write IS that node's one vote for the term, so at most one
-//     candidate can win any term and no separate votedFor state is
-//     needed. Stale primaries get 409 epoch-fenced on their next
-//     replication append — the same fencing machinery (and wire code)
-//     the single-node sequencer uses against stale clients.
+//   - The epoch token carries a monotonic TERM. A node durably persists
+//     a term before acting at it; a persisted term write IS that node's
+//     one vote for the term, so at most one candidate can win any term
+//     and no separate votedFor state is needed. Stale primaries get 409
+//     epoch-fenced on their next replication append — the same fencing
+//     machinery (and wire code) that fences stale clients.
 //   - A follower promotes only after reading a majority's durable
 //     term + log position and durably writing a higher term to a
 //     majority (the vote round). The raft up-to-date check — compare
@@ -26,17 +26,19 @@
 //   - Entries are applied only once committed, so log truncation (the
 //     conflict rule) only ever discards unapplied entries and no
 //     rollback path exists. The applied state is an in-memory ledger
-//     per key plus the op-ID dedup set; the replicated log is the
-//     durable truth, exactly as the WAL is for a DurableLedger.
+//     per key; the log is the durable truth.
 //   - The op-ID dedup index spans the ENTIRE local log, committed or
 //     not: a spend whose replication round failed stays in the log, and
 //     its retry must drive THAT entry to commit, never append a twin.
 //
 // A primary that cannot reach a quorum refuses spends with ErrNoQuorum
 // (HTTP 503 — retryable; the multi-address client walks on). All
-// decide→append→replicate→commit→apply steps run under one mutex:
-// correctness first, and the sequencer's throughput ceiling is the
-// majority fsync anyway.
+// decide→append→replicate→commit→apply steps run under one mutex, and
+// spends are group-committed through it: a spender queues its call,
+// and whoever holds the mutex next decides every queued call in order
+// against the settled state, writes the batch with one fsync and sends
+// it in one replication round. A batch holds at most one new entry per
+// key, so each spend's result reads the state exactly as of its own op.
 package ledgerd
 
 import (
@@ -73,82 +75,38 @@ const (
 	rolePrimary  = "primary"
 )
 
-// GroupOptions configures one group member.
-type GroupOptions struct {
-	// NodeID names this member; Peers maps every member ID (this node
-	// included) to its base address.
-	NodeID string
-	Peers  map[string]string
-	// Dir holds the member's replicated log and durable term file.
-	Dir string
-	// HeartbeatEvery paces primary→follower replication pings
-	// (default 100ms). Heartbeats also push commit indexes, so they are
-	// always on.
-	HeartbeatEvery time.Duration
-	// ElectionTimeout is the base follower patience before bidding for
-	// leadership; the live deadline is randomized in [T, 2T) to avoid
-	// split votes (default 1s). Negative disables automatic elections —
-	// promotion then happens only via Promote (deterministic tests).
-	ElectionTimeout time.Duration
-	// RPCTimeout bounds each peer round trip (default 1s).
-	RPCTimeout time.Duration
-	// Transport carries replication traffic; nil selects HTTP. Tests
-	// wrap it in FaultTransport to drop/delay/partition the stream.
-	Transport GroupTransport
-	// OpenWriter is the fault-injection seam for the group log's file
-	// writes (tests only), mirroring accountant.DurableOptions.
-	OpenWriter func(path string) (accountant.WriteSyncer, error)
-	// Logf, when set, receives group life-cycle events (promotions,
-	// fencings, step-downs).
-	Logf func(format string, args ...any)
-}
-
-func (o GroupOptions) withDefaults() GroupOptions {
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = 100 * time.Millisecond
-	}
-	if o.ElectionTimeout == 0 {
-		o.ElectionTimeout = time.Second
-	}
-	if o.RPCTimeout <= 0 {
-		o.RPCTimeout = time.Second
-	}
-	if o.Transport == nil {
-		o.Transport = &HTTPGroupTransport{}
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-	return o
-}
-
-// keyState is one budget key's applied state: the in-memory ledger
-// rebuilt from the committed log prefix plus its op-ID→seq dedup map.
-type keyState struct {
-	mem *accountant.MemLedger
-	ops map[string]int
-}
-
-// Group is one member of a replicated sequencer group. It serves the
-// same client wire protocol as the single-node Service when primary and
-// refuses client traffic (ErrNotPrimary) otherwise. Safe for concurrent
-// use.
+// Group is one sequencer member. It serves the client wire protocol
+// when primary and refuses client traffic (ErrNotPrimary) otherwise.
+// Safe for concurrent use.
 type Group struct {
-	opts    GroupOptions
+	opts    Options
 	self    string
 	peerIDs []string // sorted, self excluded
+	id      uint64   // the directory's random identity, half of the epoch token
+
+	// qmu guards the spend queue. A spender queues without waiting for
+	// mu, which the batch in flight holds. One spender at a time leads:
+	// it runs batches until its own call is decided, then hands the lead
+	// to the first undecided call's spender.
+	qmu     sync.Mutex
+	leading bool
+	queue   []*spendCall
 
 	mu          sync.Mutex
 	closed      bool
 	failed      error
 	role        string
 	term        uint64
+	epoch       string // the token for (id, term)
 	leader      string // "" while unknown
 	log         *groupLog
 	commit      uint64
 	applied     uint64
-	state       map[string]*keyState
+	state       map[string]*accountant.MemLedger
 	opIndex     map[string]uint64 // key+"\x00"+opID → log index (whole log)
+	waiting     []*spendCall      // drained from queue, in order, not yet decided
+	batch       []groupEntry      // the batch being decided
+	decided     []*spendCall      // the calls the batch decides
 	nextIndex   map[string]uint64
 	matchIndex  map[string]uint64
 	lastContact time.Time
@@ -159,48 +117,96 @@ type Group struct {
 	done  sync.WaitGroup
 }
 
-// NewGroup opens (creating if needed) the member's durable state and
-// starts its replication loop. Every member boots as a follower; the
-// first primary emerges from an election (automatic, or via Promote).
-func NewGroup(opts GroupOptions) (*Group, error) {
-	opts = opts.withDefaults()
-	if opts.NodeID == "" {
-		return nil, errors.New("ledgerd: GroupOptions.NodeID is required")
+// spendCall is one queued Spend: its arguments, then its outcome. index
+// is the log index of its entry once one is written. wake is held by
+// its spender while it sleeps; the leader unlocks it once, when the
+// call is decided or when the spender is to lead the next batch.
+type spendCall struct {
+	key, epoch, opID, label string
+	cost                    dp.Params
+
+	index uint64
+	res   SpendResult
+	err   error
+	done  bool
+	wake  sync.Mutex
+}
+
+// New opens (creating if needed) the member's durable state: the log
+// and the term file that also holds the directory's identity. A member
+// of a group with Peers boots as a follower and starts its replication
+// loop; the first primary emerges from an election (automatic, or via
+// Promote). Without Peers the member is the whole group and promotes
+// itself before New returns: its vote round is its own durable term
+// write, so every open bumps the term and fences the tokens of the run
+// before. A directory an older build's single-node sequencer wrote is
+// refused (ErrLedgerCorrupt), with every file in it left as it was.
+func New(opts Options) (*Group, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if opts.Dir == "" {
-		return nil, errors.New("ledgerd: GroupOptions.Dir is required")
-	}
-	if _, ok := opts.Peers[opts.NodeID]; !ok {
-		return nil, fmt.Errorf("ledgerd: GroupOptions.Peers must include this node (%q)", opts.NodeID)
+	if err := refuseLegacyDir(opts.Dir); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ledgerd: group dir: %w", err)
+		return nil, fmt.Errorf("ledgerd: ledger dir: %w", err)
 	}
-	term, err := loadTerm(opts.Dir)
+	log, err := openGroupLog(opts.Dir, accountant.DurableOptions{
+		Fsync:         opts.Fsync,
+		FsyncInterval: opts.FsyncInterval,
+		OpenWriter:    opts.OpenWriter,
+	})
 	if err != nil {
 		return nil, err
 	}
-	log, err := openGroupLog(opts.Dir, opts.OpenWriter)
+	g, err := newGroup(opts, log)
 	if err != nil {
-		return nil, err
-	}
-	var seed [8]byte
-	if _, err := cryptorand.Read(seed[:]); err != nil {
 		log.close()
-		return nil, fmt.Errorf("ledgerd: seeding election jitter: %w", err)
+		return nil, err
+	}
+	if len(opts.Peers) == 0 {
+		return g, nil
+	}
+	g.resetElectionLocked()
+	g.done.Add(1)
+	go g.run()
+	return g, nil
+}
+
+// newGroup builds the member over its opened log: the term and identity
+// read (and, the first time, drawn and stored), the dedup index
+// rebuilt, and a member without peers promoted.
+func newGroup(opts Options, log *groupLog) (*Group, error) {
+	id, term, err := loadTerm(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	var seed [16]byte
+	if _, err := cryptorand.Read(seed[:]); err != nil {
+		return nil, fmt.Errorf("ledgerd: drawing randomness: %w", err)
 	}
 	g := &Group{
 		opts:       opts,
 		self:       opts.NodeID,
+		id:         id,
 		role:       roleFollower,
-		term:       term,
 		log:        log,
-		state:      make(map[string]*keyState),
+		state:      make(map[string]*accountant.MemLedger),
 		opIndex:    make(map[string]uint64),
 		nextIndex:  make(map[string]uint64),
 		matchIndex: make(map[string]uint64),
-		rng:        rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[:])))),
+		rng:        rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[8:])))),
 		stopc:      make(chan struct{}),
+	}
+	g.setTermLocked(term)
+	if id == 0 {
+		// A fresh directory (or one from a build whose term file held no
+		// identity) draws its identity once, before any token is issued.
+		g.id = binary.LittleEndian.Uint64(seed[:8])
+		if err := g.storeTermLocked(term); err != nil {
+			return nil, err
+		}
 	}
 	for id := range opts.Peers {
 		if id != g.self {
@@ -213,23 +219,41 @@ func NewGroup(opts GroupOptions) (*Group, error) {
 	// and applies only once a primary tells it (or it wins an election
 	// and commits its whole log through a barrier).
 	g.rebuildOpIndexLocked()
-	g.resetElectionLocked()
-	g.done.Add(1)
-	go g.run()
+	if len(opts.Peers) == 0 {
+		if err := g.promoteLocked(); err != nil {
+			return nil, err
+		}
+	}
 	return g, nil
 }
 
 // quorum is the majority size, this node included.
 func (g *Group) quorum() int { return (len(g.opts.Peers) / 2) + 1 }
 
-// Epoch returns the client-visible fencing token: the monotonic term.
+// Epoch returns the client-visible fencing token: the directory's
+// identity and the monotonic term.
 func (g *Group) Epoch() string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.epochLocked()
+	return g.epoch
 }
 
-func (g *Group) epochLocked() string { return fmt.Sprintf("term:%d", g.term) }
+// setTermLocked adopts a term in memory, with the token it issues.
+func (g *Group) setTermLocked(term uint64) {
+	g.term = term
+	g.epoch = epochToken(g.id, term)
+}
+
+// storeTermLocked durably persists term, then adopts it. A failed write
+// latches the member.
+func (g *Group) storeTermLocked(term uint64) error {
+	if err := storeTerm(g.opts.Dir, g.id, term); err != nil {
+		g.failLocked(err)
+		return g.failed
+	}
+	g.setTermLocked(term)
+	return nil
+}
 
 func opIndexKey(key, opID string) string { return key + "\x00" + opID }
 
@@ -278,15 +302,11 @@ func (g *Group) stepDownLocked(leader string) {
 
 // adoptTermLocked durably persists a higher term and steps down.
 func (g *Group) adoptTermLocked(term uint64, leader string) error {
-	if term <= g.term {
-		g.stepDownLocked(leader)
-		return nil
+	if term > g.term {
+		if err := g.storeTermLocked(term); err != nil {
+			return err
+		}
 	}
-	if err := storeTerm(g.opts.Dir, term); err != nil {
-		g.failLocked(err)
-		return g.failed
-	}
-	g.term = term
 	g.stepDownLocked(leader)
 	return nil
 }
@@ -357,14 +377,16 @@ func (g *Group) settleLocked() error {
 	return nil
 }
 
-// appendLocalLocked encodes, fsyncs and indexes one locally originated
-// entry.
-func (g *Group) appendLocalLocked(e groupEntry) error {
-	if _, err := g.log.appendEntry(e); err != nil {
-		g.failLocked(fmt.Errorf("appending entry %d: %v", e.Index, err))
+// appendLocalLocked writes locally originated entries with one fsync
+// and indexes them.
+func (g *Group) appendLocalLocked(es ...groupEntry) error {
+	if err := g.log.appendEntries(es...); err != nil {
+		g.failLocked(fmt.Errorf("appending entries %d..%d: %v", es[0].Index, es[len(es)-1].Index, err))
 		return g.failed
 	}
-	g.indexEntryLocked(e)
+	for _, e := range es {
+		g.indexEntryLocked(e)
+	}
 	return nil
 }
 
@@ -482,7 +504,7 @@ func (g *Group) advanceCommitLocked() {
 		if g.log.termAt(n) != g.term {
 			return
 		}
-		count := 1 // self: appendEntry fsynced before returning
+		count := 1 // self: appendEntries wrote before returning
 		for _, p := range g.peerIDs {
 			if g.matchIndex[p] >= n {
 				count++
@@ -513,23 +535,20 @@ func (g *Group) applyToLocked(to uint64) {
 				g.failLocked(fmt.Errorf("applying attach %d (%q): %v", i, e.Key, err))
 				return
 			}
-			g.state[e.Key] = &keyState{mem: mem, ops: make(map[string]int)}
+			g.state[e.Key] = mem
 		case entrySpend:
-			ks, ok := g.state[e.Key]
+			mem, ok := g.state[e.Key]
 			if !ok {
 				g.failLocked(fmt.Errorf("entry %d spends unattached key %q", i, e.Key))
 				return
 			}
-			if err := ks.mem.Spend(e.Label, e.Cost); err != nil {
+			if err := mem.Spend(e.Label, e.Cost); err != nil {
 				g.failLocked(fmt.Errorf("entry %d diverged: %v", i, err))
 				return
 			}
-			if got := uint64(ks.mem.OpCount()); got != e.Seq {
+			if got := uint64(mem.OpCount()); got != e.Seq {
 				g.failLocked(fmt.Errorf("entry %d applied as op %d, logged as %d", i, got, e.Seq))
 				return
-			}
-			if opID, _, ok := decodeLabel(e.Label); ok {
-				ks.ops[opID] = int(e.Seq)
 			}
 		}
 		g.applied = i
@@ -546,9 +565,12 @@ func (g *Group) truncateFromLocked(idx uint64) error {
 	return nil
 }
 
-// Attach opens (or re-opens) key under budget via a replicated attach
-// entry. Idempotent; a budget mismatch is refused exactly as in
-// single-node mode. Only the primary serves it.
+// Attach opens key under budget via an attach entry and returns the
+// authoritative state plus the epoch token every later spend must
+// carry. Attach is idempotent; attaching a key the log holds under a
+// different budget fails with accountant.ErrBudgetMismatch — raising a
+// partially spent budget would mint privacy out of thin air. Only the
+// primary serves it.
 func (g *Group) Attach(key string, budget dp.Params) (AttachResult, error) {
 	if !ValidKey(key) {
 		return AttachResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
@@ -564,12 +586,12 @@ func (g *Group) Attach(key string, budget dp.Params) (AttachResult, error) {
 	if err := g.settleLocked(); err != nil {
 		return AttachResult{}, err
 	}
-	if ks, ok := g.state[key]; ok {
-		if ks.mem.Budget() != budget {
+	if mem, ok := g.state[key]; ok {
+		if mem.Budget() != budget {
 			return AttachResult{}, fmt.Errorf("%w: key %q is open with budget %s, attach requested %s",
-				accountant.ErrBudgetMismatch, key, ks.mem.Budget(), budget)
+				accountant.ErrBudgetMismatch, key, mem.Budget(), budget)
 		}
-		return g.attachResultLocked(ks), nil
+		return g.attachResultLocked(mem), nil
 	}
 	e := groupEntry{Index: g.log.len() + 1, Term: g.term, Kind: entryAttach, Key: key, Budget: budget}
 	if err := g.appendLocalLocked(e); err != nil {
@@ -585,20 +607,21 @@ func (g *Group) Attach(key string, budget dp.Params) (AttachResult, error) {
 	return g.attachResultLocked(g.state[key]), nil
 }
 
-func (g *Group) attachResultLocked(ks *keyState) AttachResult {
+func (g *Group) attachResultLocked(mem *accountant.MemLedger) AttachResult {
 	return AttachResult{
-		Epoch:     g.epochLocked(),
-		Budget:    ks.mem.Budget(),
-		Spent:     ks.mem.Spent(),
-		Remaining: ks.mem.Remaining(),
-		OpCount:   ks.mem.OpCount(),
+		Epoch:     g.epoch,
+		Budget:    mem.Budget(),
+		Spent:     mem.Spent(),
+		Remaining: mem.Remaining(),
+		OpCount:   mem.OpCount(),
 	}
 }
 
 // Spend admits one operation exactly once across the whole group: the
-// spend entry is fsynced locally AND on a majority before the ack, the
-// epoch (term) must match, and op-ID dedup spans the entire log so a
-// retry across failover converges on the recorded outcome.
+// spend entry is written locally AND fsynced on a majority before the
+// ack, the epoch must match, and op-ID dedup spans the entire log so a
+// retry across failover converges on the recorded outcome. Concurrent
+// spends share a batch (see commitBatchLocked).
 func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (SpendResult, error) {
 	if !ValidKey(key) {
 		return SpendResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
@@ -609,65 +632,159 @@ func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (SpendResu
 	if err := cost.Validate(); err != nil {
 		return SpendResult{}, err
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.writableLocked(); err != nil {
-		return SpendResult{}, err
+	c := &spendCall{key: key, epoch: epoch, opID: opID, label: label, cost: cost}
+	c.wake.Lock()
+	g.qmu.Lock()
+	g.queue = append(g.queue, c)
+	lead := !g.leading
+	g.leading = true
+	g.qmu.Unlock()
+	if !lead {
+		c.wake.Lock() // sleep until decided, or handed the lead
 	}
-	if err := g.settleLocked(); err != nil {
-		return SpendResult{}, err
+	for !c.done {
+		g.mu.Lock()
+		g.commitBatchLocked(c)
+		g.mu.Unlock()
 	}
-	if epoch != g.epochLocked() {
-		return SpendResult{}, fmt.Errorf("%w (request %q, live %q)", ErrEpochFenced, epoch, g.epochLocked())
-	}
-	// Whole-log dedup. After settle the log is fully committed and
-	// applied, so a hit is always resolvable to its recorded outcome.
-	if _, ok := g.opIndex[opIndexKey(key, opID)]; ok {
-		ks := g.state[key]
-		if ks == nil {
-			g.failLocked(fmt.Errorf("dedup hit for %q/%s but key not applied", key, opID))
-			return SpendResult{}, g.failed
-		}
-		return g.spendResultLocked(ks, ks.ops[opID], true), nil
-	}
-	ks, ok := g.state[key]
-	if !ok {
-		return SpendResult{}, fmt.Errorf("%w: %q", ErrNotAttached, key)
-	}
-	if err := ks.mem.Check(cost); err != nil {
-		return SpendResult{}, fmt.Errorf("%w (label %q)", err, label)
-	}
-	e := groupEntry{
-		Index: g.log.len() + 1,
-		Term:  g.term,
-		Kind:  entrySpend,
-		Key:   key,
-		Seq:   uint64(ks.mem.OpCount()) + 1,
-		Cost:  cost,
-		Label: encodeLabel(opID, label),
-	}
-	if err := g.appendLocalLocked(e); err != nil {
-		return SpendResult{}, err
-	}
-	g.replicateLocked()
-	if g.commit < e.Index {
-		// Locally fsynced but not majority-acked: NOT admitted. The entry
-		// stays in the log; a retry (same op ID) drives it to commit.
-		if err := g.writableLocked(); err != nil {
-			return SpendResult{}, err
-		}
-		return SpendResult{}, fmt.Errorf("%w: op %s logged at %d awaiting majority fsync", ErrNoQuorum, opID, e.Index)
-	}
-	return g.spendResultLocked(ks, int(e.Seq), false), nil
+	return c.res, c.err
 }
 
-func (g *Group) spendResultLocked(ks *keyState, seq int, replayed bool) SpendResult {
+// commitBatchLocked is one batch, led by the spender of call self: it
+// decides the queued spends in arrival order against the settled state,
+// writes the new entries with one fsync, replicates them in one round
+// and wakes every decided call's spender. A call whose key already has
+// a new entry in the batch waits, in order, for the next one. The first
+// waiting call is always decided, so self is decided after finitely
+// many batches; then the lead passes to the first undecided call.
+func (g *Group) commitBatchLocked(self *spendCall) {
+	g.qmu.Lock()
+	g.waiting = append(g.waiting, g.queue...)
+	clear(g.queue)
+	g.queue = g.queue[:0]
+	g.qmu.Unlock()
+
+	err := g.writableLocked()
+	if err == nil {
+		err = g.settleLocked()
+	}
+	batch, decided := g.batch[:0], g.decided[:0]
+	rest := g.waiting[:0]
+	for _, c := range g.waiting {
+		switch {
+		case err != nil:
+			c.err = err
+		case batchHasKey(batch, c.key):
+			rest = append(rest, c)
+			continue
+		default:
+			batch = g.decideLocked(c, batch)
+		}
+		decided = append(decided, c)
+	}
+	clear(g.waiting[len(rest):])
+	g.waiting = rest
+	if len(batch) > 0 {
+		err = g.appendLocalLocked(batch...)
+		if err == nil {
+			g.replicateLocked()
+		}
+	}
+	for _, c := range decided {
+		switch {
+		case c.index == 0:
+			// Decided without an entry: refused or replayed.
+		case err != nil:
+			c.err = err
+		case c.index <= g.commit:
+			c.res = spendResult(g.state[c.key], int(g.log.entry(c.index).Seq), false)
+		default:
+			// Written but not majority-acked: NOT admitted. The entry
+			// stays in the log; a retry (same op ID) drives it to commit.
+			c.err = g.writableLocked()
+			if c.err == nil {
+				c.err = fmt.Errorf("%w: op %s logged at %d awaiting majority fsync", ErrNoQuorum, c.opID, c.index)
+			}
+		}
+	}
+	g.qmu.Lock()
+	for _, c := range decided {
+		c.done = true
+		if c != self {
+			c.wake.Unlock()
+		}
+	}
+	if self.done {
+		switch {
+		case len(g.waiting) > 0:
+			g.waiting[0].wake.Unlock()
+		case len(g.queue) > 0:
+			g.queue[0].wake.Unlock()
+		default:
+			g.leading = false
+		}
+	}
+	g.qmu.Unlock()
+	clear(decided)
+	g.batch, g.decided = batch[:0], decided[:0]
+}
+
+func batchHasKey(batch []groupEntry, key string) bool {
+	for i := range batch {
+		if batch[i].Key == key {
+			return true
+		}
+	}
+	return false
+}
+
+// decideLocked decides one spend against the settled state: an error
+// or a replayed outcome, or a new entry appended to batch (its index
+// recorded in c.index).
+func (g *Group) decideLocked(c *spendCall, batch []groupEntry) []groupEntry {
+	if c.epoch != g.epoch {
+		c.err = fmt.Errorf("%w (request %q, live %q)", ErrEpochFenced, c.epoch, g.epoch)
+		return batch
+	}
+	mem, ok := g.state[c.key]
+	// Whole-log dedup. The log is settled (committed and applied), so a
+	// hit is always resolvable to its recorded outcome.
+	if idx, hit := g.opIndex[opIndexKey(c.key, c.opID)]; hit {
+		if !ok {
+			g.failLocked(fmt.Errorf("dedup hit for %q/%s but key not applied", c.key, c.opID))
+			c.err = g.failed
+			return batch
+		}
+		c.res = spendResult(mem, int(g.log.entry(idx).Seq), true)
+		return batch
+	}
+	if !ok {
+		c.err = fmt.Errorf("%w: %q", ErrNotAttached, c.key)
+		return batch
+	}
+	if err := mem.Check(c.cost); err != nil {
+		c.err = fmt.Errorf("%w (label %q)", err, c.label)
+		return batch
+	}
+	c.index = g.log.len() + uint64(len(batch)) + 1
+	return append(batch, groupEntry{
+		Index: c.index,
+		Term:  g.term,
+		Kind:  entrySpend,
+		Key:   c.key,
+		Seq:   uint64(mem.OpCount()) + 1,
+		Cost:  c.cost,
+		Label: encodeLabel(c.opID, c.label),
+	})
+}
+
+func spendResult(mem *accountant.MemLedger, seq int, replayed bool) SpendResult {
 	return SpendResult{
 		Seq:       seq,
 		Replayed:  replayed,
-		Spent:     ks.mem.Spent(),
-		Remaining: ks.mem.Remaining(),
-		OpCount:   ks.mem.OpCount(),
+		Spent:     mem.Spent(),
+		Remaining: mem.Remaining(),
+		OpCount:   mem.OpCount(),
 	}
 }
 
@@ -682,23 +799,24 @@ func (g *Group) Status(key string) (Status, error) {
 	if err := g.writableLocked(); err != nil {
 		return Status{}, err
 	}
-	ks, ok := g.state[key]
+	mem, ok := g.state[key]
 	if !ok {
 		return Status{}, fmt.Errorf("%w: %q", ErrNotAttached, key)
 	}
 	return Status{
 		Key:       key,
-		Epoch:     g.epochLocked(),
-		Budget:    ks.mem.Budget(),
-		Spent:     ks.mem.Spent(),
-		Remaining: ks.mem.Remaining(),
-		OpCount:   ks.mem.OpCount(),
+		Epoch:     g.epoch,
+		Budget:    mem.Budget(),
+		Spent:     mem.Spent(),
+		Remaining: mem.Remaining(),
+		OpCount:   mem.OpCount(),
 		Durable: accountant.DurableStatus{
 			Path:        g.log.path,
-			Policy:      string(accountant.FsyncAlways),
+			Policy:      string(g.opts.Fsync),
 			WALRecords:  int(g.log.len()),
 			WALBytes:    g.log.file.Size(),
 			ReplayedOps: int(g.applied),
+			Unsynced:    g.log.file.Unsynced(),
 		},
 	}, nil
 }
@@ -714,28 +832,17 @@ func (g *Group) Ops(key string) ([]accountant.Op, error) {
 	if err := g.writableLocked(); err != nil {
 		return nil, err
 	}
-	ks, ok := g.state[key]
+	mem, ok := g.state[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotAttached, key)
 	}
-	ops := ks.mem.Ops()
+	ops := mem.Ops()
 	for i := range ops {
 		if _, label, ok := decodeLabel(ops[i].Label); ok {
 			ops[i].Label = label
 		}
 	}
 	return ops, nil
-}
-
-// Keys lists the keys attached in the applied state.
-func (g *Group) Keys() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.state))
-	for k := range g.state {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Ready implements the readiness probe: a primary is ready once its
@@ -800,7 +907,6 @@ func (g *Group) HandleAppend(req AppendRequest) (AppendResponse, error) {
 		return AppendResponse{OK: false, Term: g.term, LogLen: req.PrevIndex - 1}, nil
 	}
 	idx := req.PrevIndex
-	var frames [][]byte
 	var entries []groupEntry
 	for _, raw := range req.Entries {
 		payload, n, ok := accountant.NextFrame(raw)
@@ -828,15 +934,12 @@ func (g *Group) HandleAppend(req AppendRequest) (AppendResponse, error) {
 				return AppendResponse{}, err
 			}
 		}
-		frames = append(frames, raw)
 		entries = append(entries, e)
 	}
-	if err := g.log.appendFrames(frames, entries); err != nil {
-		g.failLocked(fmt.Errorf("fsyncing replicated batch: %v", err))
-		return AppendResponse{}, g.failed
-	}
-	for _, e := range entries {
-		g.indexEntryLocked(e)
+	if len(entries) > 0 {
+		if err := g.appendLocalLocked(entries...); err != nil {
+			return AppendResponse{}, err
+		}
 	}
 	if c := min(req.Commit, g.log.len()); c > g.commit {
 		g.commit = c
@@ -960,11 +1063,9 @@ func (g *Group) promoteLocked() error {
 	// Phase B: durably write a higher term to a majority. Our own write
 	// is our self-vote.
 	newTerm := maxTerm + 1
-	if err := storeTerm(g.opts.Dir, newTerm); err != nil {
-		g.failLocked(err)
-		return g.failed
+	if err := g.storeTermLocked(newTerm); err != nil {
+		return err
 	}
-	g.term = newTerm
 	g.role = roleFollower
 	g.leader = ""
 	req := VoteRequest{Term: newTerm, Candidate: g.self, LastLogTerm: myLast, LogLen: myLen}
@@ -1039,7 +1140,7 @@ func (g *Group) GroupStatus() GroupStatus {
 		Role:    g.role,
 		Term:    g.term,
 		Leader:  g.leader,
-		Epoch:   g.epochLocked(),
+		Epoch:   g.epoch,
 		LogLen:  g.log.len(),
 		Commit:  g.commit,
 		Applied: g.applied,

@@ -73,7 +73,7 @@ func (c *cluster) start(id string, electionTimeout time.Duration) *ledgerd.Group
 	c.t.Helper()
 	nd := c.nodes[id]
 	nd.fault = &ledgerd.FaultTransport{Inner: &ledgerd.HTTPGroupTransport{}}
-	g, err := ledgerd.NewGroup(ledgerd.GroupOptions{
+	g, err := ledgerd.New(ledgerd.Options{
 		NodeID:          id,
 		Peers:           c.peers,
 		Dir:             nd.dir,
@@ -87,7 +87,7 @@ func (c *cluster) start(id string, electionTimeout time.Duration) *ledgerd.Group
 		c.t.Fatalf("starting member %s: %v", id, err)
 	}
 	nd.group = g
-	h := ledgerd.NewGroupHandler(g)
+	h := ledgerd.NewHandler(g)
 	nd.handler.Store(&h)
 	return g
 }
@@ -178,8 +178,8 @@ func TestGroupPromoteSpendReplicate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if att.Epoch != "term:1" {
-		t.Fatalf("epoch %q, want term:1", att.Epoch)
+	if !strings.HasSuffix(att.Epoch, ":1") {
+		t.Fatalf("epoch %q, want term 1", att.Epoch)
 	}
 	cost := dp.Params{Epsilon: 0.1, Delta: 1e-6}
 	for i := 1; i <= 3; i++ {
@@ -320,8 +320,8 @@ func TestGroupFencedExPrimaryCannotAdmit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-attach on n2: %v", err)
 	}
-	if att2.Epoch != "term:2" || att2.OpCount != 2 {
-		t.Fatalf("re-attach = %+v, want term:2 with the 2 committed ops", att2)
+	if !strings.HasSuffix(att2.Epoch, ":2") || att2.OpCount != 2 {
+		t.Fatalf("re-attach = %+v, want term 2 with the 2 committed ops", att2)
 	}
 	// The client retries op-3 (same ID) against the new primary: a fresh
 	// admission — the ex-primary's orphaned copy never committed.

@@ -1,7 +1,7 @@
-// The group's durable replicated log.
+// The group's durable log.
 //
-// Group mode does not replicate N per-key WAL files; it replicates ONE
-// totally ordered log of term-tagged entries (attach, spend, barrier
+// The sequencer keeps no per-key WAL files; it keeps (and, in a group
+// with peers, replicates) ONE totally ordered log of term-tagged entries (attach, spend, barrier
 // no-op) and derives every key's ledger state by applying the committed
 // prefix. The log reuses the accountant WAL frame envelope — u32 len |
 // payload | u32 crc32c — so the bytes a primary fsyncs locally are the
@@ -9,12 +9,17 @@
 // verifies the same checksum the disk replay does before fsyncing them
 // verbatim. Spend entries embed the accountant op-record payload
 // unchanged, so the replicated history stores precisely the op shape a
-// single-node DurableLedger would.
+// DurableLedger would.
 //
 // The file is an accountant.Log — the same lock, replay, torn-tail
 // truncation, fsync-before-ack and truncate-and-reopen code the per-key
-// WAL runs on — under FsyncAlways: every append batch is fsynced before
-// the caller acks anything. What is the group log's own lives here:
+// WAL runs on — under the member's fsync policy (FsyncAlways in any
+// group with peers): every append batch is written, and under
+// FsyncAlways fsynced, before the caller acks anything. The in-memory
+// copy is the decoded entries alone; a frame is re-encoded when it is
+// shipped, to the same bytes (encoding is canonical, which
+// FuzzDecodeEntryPayload holds it to). What is the group log's own
+// lives here:
 // entries are densely indexed, and an index gap or an undecodable
 // checksum-valid frame is structural corruption that refuses to open.
 // Truncation is only ever invoked on UNCOMMITTED suffixes (the group
@@ -41,8 +46,9 @@ const (
 	// groupLogMagic heads the replicated log file; distinct from the
 	// per-key WAL magic so the two formats can never be confused.
 	groupLogMagic = "GDPGRP1\n"
-	// termFile persists the node's durable term (the generalized epoch).
-	// Dot-led, so ledger keys cannot collide with it.
+	// termFile persists the node's durable term and the directory's
+	// identity: one line, the epoch token itself. Dot-led, so ledger
+	// keys cannot collide with it.
 	termFile = ".group-term"
 	// groupLogFile holds the replicated log. Dot-led for the same reason.
 	groupLogFile = ".group.wal"
@@ -136,24 +142,24 @@ func decodeEntryPayload(p []byte) (groupEntry, bool) {
 	return e, true
 }
 
-// groupLog is the durable replicated log of one group member: the file
-// plus the decoded in-memory copy and the raw frame bytes replication
-// re-ships verbatim. Callers (the group core) serialize access.
+// groupLog is the durable log of one group member: the file plus the
+// decoded entries. Callers (the group core) serialize access.
 type groupLog struct {
 	path string
 	file *accountant.Log
 
 	entries []groupEntry
-	frames  [][]byte // raw frame bytes per entry, for replication
-	scratch []byte
+	scratch []byte // payload assembly buffer
+	buf     []byte // frame assembly buffer
 }
 
-// openGroupLog opens (creating if absent) and replays the replicated
-// log at dir/groupLogFile, truncating a torn tail.
-func openGroupLog(dir string, openWriter func(string) (accountant.WriteSyncer, error)) (*groupLog, error) {
+// openGroupLog opens (creating if absent) and replays the log at
+// dir/groupLogFile, truncating a torn tail. Of opts, Fsync,
+// FsyncInterval and OpenWriter apply.
+func openGroupLog(dir string, opts accountant.DurableOptions) (*groupLog, error) {
 	l := &groupLog{path: filepath.Join(dir, groupLogFile)}
 	var err error
-	l.file, err = accountant.OpenLog(l.path, groupLogMagic, nil, accountant.DurableOptions{OpenWriter: openWriter}, func(payload []byte) error {
+	l.file, err = accountant.OpenLog(l.path, groupLogMagic, nil, opts, func(payload []byte) error {
 		e, ok := decodeEntryPayload(payload)
 		if !ok {
 			// A checksum-valid frame that does not decode is structural
@@ -165,7 +171,6 @@ func openGroupLog(dir string, openWriter func(string) (accountant.WriteSyncer, e
 				ErrGroupLogCorrupt, l.path, len(l.entries), e.Index)
 		}
 		l.entries = append(l.entries, e)
-		l.frames = append(l.frames, accountant.Frame(nil, payload))
 		return nil
 	})
 	if err != nil {
@@ -178,12 +183,7 @@ func openGroupLog(dir string, openWriter func(string) (accountant.WriteSyncer, e
 func (l *groupLog) len() uint64 { return uint64(len(l.entries)) }
 
 // lastTerm returns the last entry's term (0 for an empty log).
-func (l *groupLog) lastTerm() uint64 {
-	if len(l.entries) == 0 {
-		return 0
-	}
-	return l.entries[len(l.entries)-1].Term
-}
+func (l *groupLog) lastTerm() uint64 { return l.termAt(l.len()) }
 
 // termAt returns entry i's term (1-based; 0 for index 0).
 func (l *groupLog) termAt(i uint64) uint64 {
@@ -196,38 +196,23 @@ func (l *groupLog) termAt(i uint64) uint64 {
 // entry returns entry i (1-based).
 func (l *groupLog) entry(i uint64) groupEntry { return l.entries[i-1] }
 
-// frame returns entry i's raw frame bytes (1-based).
-func (l *groupLog) frame(i uint64) []byte { return l.frames[i-1] }
-
-// appendEntry encodes, writes and fsyncs one locally originated entry,
-// returning the frame bytes replication ships to followers.
-func (l *groupLog) appendEntry(e groupEntry) ([]byte, error) {
-	l.scratch = encodeEntryPayload(l.scratch[:0], e)
-	frame := accountant.Frame(nil, l.scratch)
-	if err := l.appendFrames([][]byte{frame}, []groupEntry{e}); err != nil {
-		return nil, err
-	}
-	return frame, nil
+// frame returns entry i's frame bytes (1-based), as the file holds them.
+func (l *groupLog) frame(i uint64) []byte {
+	return accountant.Frame(nil, encodeEntryPayload(nil, l.entries[i-1]))
 }
 
-// appendFrames writes pre-framed entries (a follower's replicated
-// batch, already checksum-verified and decoded by the caller) and
-// fsyncs once. The entries' indexes must continue the log densely.
-func (l *groupLog) appendFrames(frames [][]byte, entries []groupEntry) error {
-	if len(frames) == 0 {
-		return nil
+// appendEntries encodes and writes entries as one batch — fsynced once,
+// under FsyncAlways. Their indexes must continue the log densely.
+func (l *groupLog) appendEntries(es ...groupEntry) error {
+	l.buf = l.buf[:0]
+	for _, e := range es {
+		l.scratch = encodeEntryPayload(l.scratch[:0], e)
+		l.buf = accountant.Frame(l.buf, l.scratch)
 	}
-	var buf []byte
-	for _, f := range frames {
-		buf = append(buf, f...)
-	}
-	if err := l.file.Append(buf); err != nil {
+	if err := l.file.Append(l.buf); err != nil {
 		return err
 	}
-	for i, f := range frames {
-		l.entries = append(l.entries, entries[i])
-		l.frames = append(l.frames, append([]byte(nil), f...))
-	}
+	l.entries = append(l.entries, es...)
 	return nil
 }
 
@@ -239,44 +224,57 @@ func (l *groupLog) truncateFrom(i uint64) error {
 		return nil
 	}
 	off := l.file.Size()
-	for _, f := range l.frames[i-1:] {
-		off -= int64(len(f))
+	for j := i; j <= l.len(); j++ {
+		off -= int64(len(l.frame(j)))
 	}
 	if err := l.file.TruncateAt(off); err != nil {
 		return err
 	}
 	l.entries = l.entries[:i-1]
-	l.frames = l.frames[:i-1]
 	return nil
 }
 
 // close flushes the file and releases its lock.
 func (l *groupLog) close() error { return l.file.Close() }
 
-// loadTerm reads the durable term (0 when the file does not exist).
-func loadTerm(dir string) (uint64, error) {
+// epochToken is the fencing token a member issues at term: the
+// directory's identity, so that two directories at the same term never
+// share a token, and the term.
+func epochToken(id, term uint64) string {
+	return fmt.Sprintf("%016x:%d", id, term)
+}
+
+// loadTerm reads the directory's identity and durable term (0, 0 when
+// the file does not exist). A term file from a build that wrote the
+// term alone reads as identity 0, which New replaces with a fresh one.
+func loadTerm(dir string) (id, term uint64, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, termFile))
 	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("ledgerd: reading term file: %w", err)
+		return 0, 0, fmt.Errorf("ledgerd: reading term file: %w", err)
 	}
-	term, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
+	idStr, termStr, hasID := strings.Cut(strings.TrimSpace(string(data)), ":")
+	if !hasID {
+		idStr, termStr = "0", idStr
+	}
+	if id, err = strconv.ParseUint(idStr, 16, 64); err == nil {
+		term, err = strconv.ParseUint(termStr, 10, 64)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("ledgerd: malformed term file: %v", err)
+		return 0, 0, fmt.Errorf("ledgerd: malformed term file: %v", err)
 	}
-	return term, nil
+	return id, term, nil
 }
 
 // storeTerm durably persists a term BEFORE any reply that depends on it
-// (a vote grant, an append ack at that term), with the same atomic
-// publish as the single-node epoch file. A term write is this node's
-// one vote for that term — losing it to a crash could elect two
-// primaries for the same term.
-func storeTerm(dir string, term uint64) error {
-	data := strconv.AppendUint(nil, term, 10)
-	if err := accountant.WriteFileAtomic(filepath.Join(dir, termFile), append(data, '\n')); err != nil {
+// (a vote grant, an append ack at that term, a token issued at it),
+// published atomically. A term write is this node's one vote for that
+// term — losing it to a crash could elect two primaries for the same
+// term, or hand out a token the previous run already handed out.
+func storeTerm(dir string, id, term uint64) error {
+	if err := accountant.WriteFileAtomic(filepath.Join(dir, termFile), []byte(epochToken(id, term)+"\n")); err != nil {
 		return fmt.Errorf("ledgerd: writing term file: %w", err)
 	}
 	return nil

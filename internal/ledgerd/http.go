@@ -16,7 +16,9 @@ import (
 // the client; the codes below are the contract it keys its fail-closed
 // behavior on.
 //
-//	GET  /healthz                      {"ok":true,"epoch":...,"ledgers":n}
+//	GET  /healthz                      {"ok":true,"epoch":...,"ledgers":n,
+//	                                    "role":...,"term":t}
+//	GET  /readyz                       {"ready":b,"reason":...,"epoch":...}
 //	POST /v1/ledgers/{key}/attach      {"budget":{"epsilon":e,"delta":d}}
 //	POST /v1/ledgers/{key}/spend       {"epoch":...,"op_id":...,"label":...,
 //	                                    "cost":{"epsilon":e,"delta":d}}
@@ -67,44 +69,17 @@ type errorWire struct {
 	Term  uint64 `json:"term,omitempty"`
 }
 
-// sequencer is the admission surface the HTTP layer fronts: the
-// single-writer Service or a replicated Group member. Both serve the
-// identical client wire protocol, so gdpserve replicas cannot tell a
-// group from a single node (beyond the extra codes above).
-type sequencer interface {
-	Epoch() string
-	Attach(key string, budget dp.Params) (AttachResult, error)
-	Spend(key, epoch, opID, label string, cost dp.Params) (SpendResult, error)
-	Status(key string) (Status, error)
-	Ops(key string) ([]accountant.Op, error)
-	Keys() []string
-	Ready() (bool, string)
-}
-
-var (
-	_ sequencer = (*Service)(nil)
-	_ sequencer = (*Group)(nil)
-)
-
-// NewHandler returns the single-node sequencer's HTTP front end.
-func NewHandler(s *Service) http.Handler {
-	return newHandler(s, nil)
-}
-
-// NewGroupHandler returns a group member's HTTP front end: the client
-// wire protocol plus the replication endpoints.
+// NewHandler returns the sequencer's HTTP front end: the client wire
+// protocol above and, when the group has peers, the replication
+// endpoints.
 //
 //	POST /v1/group/append   replication stream (primary → follower)
 //	POST /v1/group/vote     durable term write (candidate → voter)
 //	GET  /v1/group/state    durable position (candidate reads a majority)
 //	GET  /v1/group/status   operator panel
 //	POST /v1/group/promote  manual failover (operator runbook)
-func NewGroupHandler(g *Group) http.Handler {
-	return newHandler(g, g)
-}
-
-func newHandler(seq sequencer, g *Group) http.Handler {
-	h := &handler{svc: seq, group: g}
+func NewHandler(g *Group) http.Handler {
+	h := &handler{g: g}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", h.healthz)
 	mux.HandleFunc("GET /readyz", h.readyz)
@@ -112,7 +87,7 @@ func newHandler(seq sequencer, g *Group) http.Handler {
 	mux.HandleFunc("POST /v1/ledgers/{key}/spend", h.spend)
 	mux.HandleFunc("GET /v1/ledgers/{key}", h.status)
 	mux.HandleFunc("GET /v1/ledgers/{key}/ops", h.ops)
-	if g != nil {
+	if len(g.opts.Peers) > 0 {
 		mux.HandleFunc("POST /v1/group/append", h.groupAppend)
 		mux.HandleFunc("POST /v1/group/vote", h.groupVote)
 		mux.HandleFunc("GET /v1/group/state", h.groupState)
@@ -122,10 +97,7 @@ func newHandler(seq sequencer, g *Group) http.Handler {
 	return mux
 }
 
-type handler struct {
-	svc   sequencer
-	group *Group
-}
+type handler struct{ g *Group }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -178,11 +150,12 @@ func writeErr(w http.ResponseWriter, err error) {
 // errBadBody marks malformed request bodies: the client's fault, 400.
 var errBadBody = errors.New("ledgerd: bad request body")
 
-// decode parses a bounded JSON body, rejecting unknown fields and
-// trailing data — a malformed spend must fail up front, never run as
+// decode parses a JSON body of at most limit bytes (maxBody or
+// maxGroupBody), rejecting unknown fields and trailing data — a
+// malformed spend or replication batch must fail up front, never run as
 // whatever its prefix happens to parse as.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+func decode(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		return fmt.Errorf("%w: reading: %v", errBadBody, err)
 	}
@@ -198,55 +171,40 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
-	body := map[string]any{
+	st := h.g.GroupStatus()
+	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":      true,
-		"epoch":   h.svc.Epoch(),
-		"ledgers": len(h.svc.Keys()),
-	}
-	if h.group != nil {
-		st := h.group.GroupStatus()
-		body["role"], body["term"] = st.Role, st.Term
-	}
-	writeJSON(w, http.StatusOK, body)
+		"epoch":   st.Epoch,
+		"ledgers": st.Keys,
+		"role":    st.Role,
+		"term":    st.Term,
+	})
 }
 
 // readyz is the load-balancer / fail-fast probe: 200 only when this
-// member can take part in admissions right now (single node: open;
-// primary: whole log committed; follower: live leader). healthz stays a
-// pure liveness signal.
+// member can take part in admissions right now (primary: whole log
+// committed; follower: live leader). healthz stays a pure liveness
+// signal.
 func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
-	ready, reason := h.svc.Ready()
+	ready, reason := h.g.Ready()
 	status := http.StatusOK
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{"ready": ready, "reason": reason, "epoch": h.svc.Epoch()})
+	writeJSON(w, status, map[string]any{"ready": ready, "reason": reason, "epoch": h.g.Epoch()})
 }
 
 // maxGroupBody bounds replication bodies: a catch-up batch of up to 512
 // framed entries with short labels fits comfortably.
 const maxGroupBody = 1 << 22
 
-// decodeGroup parses a replication request body (larger bound than
-// client bodies, same strictness).
-func decodeGroup(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxGroupBody))
-	if err != nil {
-		return fmt.Errorf("%w: reading: %v", errBadBody, err)
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("%w: parsing: %v", errBadBody, err)
-	}
-	return nil
-}
-
 func (h *handler) groupAppend(w http.ResponseWriter, r *http.Request) {
 	var req AppendRequest
-	if err := decodeGroup(w, r, &req); err != nil {
+	if err := decode(w, r, maxGroupBody, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.group.HandleAppend(req)
+	res, err := h.g.HandleAppend(req)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -256,11 +214,11 @@ func (h *handler) groupAppend(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) groupVote(w http.ResponseWriter, r *http.Request) {
 	var req VoteRequest
-	if err := decodeGroup(w, r, &req); err != nil {
+	if err := decode(w, r, maxGroupBody, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.group.HandleVote(req)
+	res, err := h.g.HandleVote(req)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -269,7 +227,7 @@ func (h *handler) groupVote(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) groupState(w http.ResponseWriter, r *http.Request) {
-	res, err := h.group.HandleState()
+	res, err := h.g.HandleState()
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -278,15 +236,15 @@ func (h *handler) groupState(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) groupStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.group.GroupStatus())
+	writeJSON(w, http.StatusOK, h.g.GroupStatus())
 }
 
 func (h *handler) groupPromote(w http.ResponseWriter, r *http.Request) {
-	if err := h.group.Promote(); err != nil {
+	if err := h.g.Promote(); err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, h.group.GroupStatus())
+	writeJSON(w, http.StatusOK, h.g.GroupStatus())
 }
 
 // attachWire is the attach request/response pair.
@@ -304,11 +262,11 @@ type attachResponse struct {
 
 func (h *handler) attach(w http.ResponseWriter, r *http.Request) {
 	var req attachRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.svc.Attach(r.PathValue("key"), req.Budget.params())
+	res, err := h.g.Attach(r.PathValue("key"), req.Budget.params())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -340,11 +298,11 @@ type spendResponse struct {
 
 func (h *handler) spend(w http.ResponseWriter, r *http.Request) {
 	var req spendRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, maxBody, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.svc.Spend(r.PathValue("key"), req.Epoch, req.OpID, req.Label, req.Cost.params())
+	res, err := h.g.Spend(r.PathValue("key"), req.Epoch, req.OpID, req.Label, req.Cost.params())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -370,7 +328,7 @@ type statusResponse struct {
 }
 
 func (h *handler) status(w http.ResponseWriter, r *http.Request) {
-	st, err := h.svc.Status(r.PathValue("key"))
+	st, err := h.g.Status(r.PathValue("key"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -395,7 +353,7 @@ type opWire struct {
 }
 
 func (h *handler) ops(w http.ResponseWriter, r *http.Request) {
-	ops, err := h.svc.Ops(r.PathValue("key"))
+	ops, err := h.g.Ops(r.PathValue("key"))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1,53 +1,56 @@
-// Package ledgerd is the shared privacy-ledger sequencer: a
-// single-writer service that owns one accountant.DurableLedger per
-// budget key and admits spends on behalf of N gdpserve replicas, so a
-// deployment behind a load balancer spends ONE (εg, δ) budget instead
-// of silently multiplying the paper's guarantee by the replica count.
-// Accounting must be centralized even when answering is not — the
-// canonical DP deployment failure this service exists to close.
+// Package ledgerd is the shared privacy-ledger sequencer: it admits
+// spends against one budget per key on behalf of N gdpserve replicas,
+// so a deployment behind a load balancer spends ONE (εg, δ) budget
+// instead of silently multiplying the paper's guarantee by the replica
+// count. Accounting must be centralized even when answering is not —
+// the canonical DP deployment failure this package exists to close.
+//
+// There is one sequencer: a Group (group.go) that keeps one totally
+// ordered log of attach and spend entries (grouplog.go) and derives
+// every key's ledger by applying its committed prefix. New opens it;
+// NewHandler serves it. With Options.Peers set, the log is replicated
+// across an odd number of members and a spend commits once a majority
+// has fsynced it. Without, the group has one member, which promotes
+// itself in New, and commits once its own log write returns.
 //
 // The admission protocol is exactly-once under retries:
 //
 //   - Every spend carries a client-generated op ID. The sequencer folds
-//     the op ID into the WAL op label before logging, so the dedup set
-//     is rebuilt from replay on restart: a retried op whose first
-//     attempt was admitted (but whose ack was lost to a timeout) is
-//     recognized and re-acked, never double-debited.
-//   - The op is fsynced into the WAL (accountant.DurableLedger under
-//     its configured policy; FsyncAlways by default) BEFORE the ack, so
-//     an admitted spend can never be forgotten — the direction of every
-//     failure is "budget charged, bytes withheld", never the reverse.
-//   - Every spend carries the epoch token the client learned at attach.
-//     The token pins both the ledger directory's persistent identity
-//     and a boot counter incremented on every sequencer start; a
-//     request carrying a stale token is refused (the client must fail
-//     closed), which fences a restarted — or worse, swapped — sequencer
-//     against writers still operating on its predecessor's state.
+//     the op ID into the logged op label, so the dedup index is rebuilt
+//     from the log on restart: a retried op whose first attempt was
+//     admitted (but whose ack was lost to a timeout) is recognized and
+//     re-acked, never double-debited.
+//   - The op is written to the log (fsynced under FsyncAlways, the
+//     default and the only policy a replicated group accepts) BEFORE
+//     the ack, so an admitted spend can never be forgotten — the
+//     direction of every failure is "budget charged, bytes withheld",
+//     never the reverse.
+//   - Every spend carries the epoch token the client learned at attach:
+//     the member directory's random identity and its durable term. A
+//     single member bumps the term on every open; a group bumps it on
+//     every election. A request carrying another token is refused (the
+//     client must fail closed or re-attach), which fences a restarted —
+//     or worse, swapped — sequencer against writers still operating on
+//     its predecessor's state.
 //
 // Budget exhaustion is a definitive answer, not a failure: the ledger
 // state only grows, so a rejected spend stays rejected and is safe to
 // report without dedup. Everything else — I/O faults, unknown keys,
 // stale epochs — is an error the client must latch on.
 //
-// Group mode (group.go, grouplog.go) replicates one log across an odd
-// number of members instead. Both modes keep their bytes in the same
-// crash-safe file type: a key's WAL is an accountant.DurableLedger over
-// an accountant.Log, the replicated log is an accountant.Log directly,
-// and the epoch and term files are published by
+// The log is an accountant.Log, the crash-safe file every durable
+// ledger sits on, and the term file is published by
 // accountant.WriteFileAtomic.
 package ledgerd
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
+	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/accountant"
@@ -67,128 +70,131 @@ var (
 	// and must re-attach (or fail closed) rather than keep spending
 	// under assumptions the restart may have invalidated.
 	ErrEpochFenced = errors.New("ledgerd: stale epoch token (sequencer restarted); re-attach before spending")
-	// ErrNotAttached refuses a spend against a key no client attached in
-	// this sequencer incarnation.
+	// ErrNotAttached refuses a spend against a key the committed log
+	// never attached.
 	ErrNotAttached = errors.New("ledgerd: ledger key not attached")
-	// ErrClosed is returned once the service is shut down.
+	// ErrClosed is returned once the sequencer is shut down.
 	ErrClosed = errors.New("ledgerd: service closed")
 )
 
-// epochFile persists the sequencer's fencing state inside the ledger
-// directory: the directory's random persistent identity plus a boot
-// counter. Ledger keys cannot collide with it (they never start with
-// a dot).
-const epochFile = ".sequencer-epoch"
-
-// Options configures a Service. Dir is required; the durability knobs
-// mirror accountant.DurableOptions and apply to every ledger the
-// service opens.
+// Options configures New. Dir is required; every other field has a
+// default.
 type Options struct {
-	// Dir holds one WAL per ledger key, plus the epoch file.
+	// Dir holds the member's log and durable term file.
 	Dir string
-	// Fsync and FsyncInterval configure every DurableLedger the service
-	// opens ("" selects FsyncAlways — the only policy under which an ack
-	// implies durability across power loss).
+	// Fsync and FsyncInterval configure the log ("" selects FsyncAlways
+	// — the only policy under which an ack implies durability across
+	// power loss, and the only one a group with Peers accepts: there a
+	// majority ack IS the durability guarantee).
 	Fsync         accountant.FsyncPolicy
 	FsyncInterval time.Duration
-	// OpenWriter is the accountant fault-injection seam, threaded into
-	// every ledger (tests only).
+	// NodeID names this member ("local" by default without Peers);
+	// Peers maps every member ID (this node included) to its base
+	// address. With no Peers the group has one member, which promotes
+	// itself in New.
+	NodeID string
+	Peers  map[string]string
+	// HeartbeatEvery paces primary→follower replication pings
+	// (default 100ms). Heartbeats also push commit indexes, so they are
+	// always on.
+	HeartbeatEvery time.Duration
+	// ElectionTimeout is the base follower patience before bidding for
+	// leadership; the live deadline is randomized in [T, 2T) to avoid
+	// split votes (default 1s). Negative disables automatic elections —
+	// promotion then happens only via Promote (deterministic tests).
+	ElectionTimeout time.Duration
+	// RPCTimeout bounds each peer round trip (default 1s).
+	RPCTimeout time.Duration
+	// Transport carries replication traffic; nil selects HTTP. Tests
+	// wrap it in FaultTransport to drop/delay/partition the stream.
+	Transport GroupTransport
+	// OpenWriter is the fault-injection seam for the log's file writes
+	// (tests only), as in accountant.DurableOptions.
 	OpenWriter func(path string) (accountant.WriteSyncer, error)
+	// Logf, when set, receives group life-cycle events (promotions,
+	// fencings, step-downs).
+	Logf func(format string, args ...any)
 }
 
-// Service is the sequencer core: a map of open durable ledgers plus the
-// idempotency state rebuilt from their WALs. Safe for concurrent use.
-type Service struct {
-	opts  Options
-	epoch string
-
-	mu      sync.Mutex
-	ledgers map[string]*ledgerEntry
-	closed  bool
-}
-
-// ledgerEntry pairs one durable ledger with its replay-derived dedup
-// set. The entry mutex serializes the dedup-check → spend → record
-// sequence so a retried op can never race its own first attempt.
-type ledgerEntry struct {
-	mu      sync.Mutex
-	dl      *accountant.DurableLedger
-	applied map[string]int // op ID → admitted seq
-}
-
-// New opens (creating if needed) the ledger directory, advances the
-// sequencer epoch, and returns an empty service. Ledgers open lazily at
-// Attach and replay any prior incarnation's spends.
-func New(opts Options) (*Service, error) {
-	if opts.Dir == "" {
-		return nil, errors.New("ledgerd: Options.Dir is required")
+func (o Options) withDefaults() (Options, error) {
+	if o.Dir == "" {
+		return o, errors.New("ledgerd: Options.Dir is required")
 	}
-	if _, err := accountant.ParseFsyncPolicy(string(opts.Fsync)); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ledgerd: ledger dir: %w", err)
-	}
-	epoch, err := advanceEpoch(opts.Dir)
+	policy, err := accountant.ParseFsyncPolicy(string(o.Fsync))
 	if err != nil {
-		return nil, err
+		return o, err
 	}
-	return &Service{
-		opts:    opts,
-		epoch:   epoch,
-		ledgers: make(map[string]*ledgerEntry),
-	}, nil
+	o.Fsync = policy
+	if len(o.Peers) > 0 {
+		if _, ok := o.Peers[o.NodeID]; !ok {
+			return o, fmt.Errorf("ledgerd: Options.Peers must include this node (%q)", o.NodeID)
+		}
+		if policy != accountant.FsyncAlways {
+			return o, fmt.Errorf("ledgerd: a replicated group always fsyncs (a majority ack IS the durability guarantee), got fsync policy %q", policy)
+		}
+		ids := make([]string, 0, len(o.Peers))
+		for id := range o.Peers {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		owner := make(map[string]string, len(ids))
+		for _, id := range ids {
+			if prev, dup := owner[o.Peers[id]]; dup {
+				return o, fmt.Errorf("ledgerd: Options.Peers gives members %s and %s the same address %q", prev, id, o.Peers[id])
+			}
+			owner[o.Peers[id]] = id
+		}
+	}
+	if len(o.Peers) == 0 && o.NodeID == "" {
+		o.NodeID = "local"
+	}
+	if o.HeartbeatEvery <= 0 {
+		o.HeartbeatEvery = 100 * time.Millisecond
+	}
+	if o.ElectionTimeout == 0 {
+		o.ElectionTimeout = time.Second
+	}
+	if o.RPCTimeout <= 0 {
+		o.RPCTimeout = time.Second
+	}
+	if o.Transport == nil {
+		o.Transport = &HTTPGroupTransport{}
+	}
+	if o.Logf == nil {
+		o.Logf = func(string, ...any) {}
+	}
+	return o, nil
 }
 
-// advanceEpoch reads, increments and durably rewrites the epoch file.
-// The token is "<dir identity>:<boot counter>": the identity is drawn
-// from OS entropy when the directory is first used and never changes,
-// so two sequencers over DIFFERENT directories can never accidentally
-// share a token even when their boot counters coincide.
-func advanceEpoch(dir string) (string, error) {
-	path := filepath.Join(dir, epochFile)
-	var id uint64
-	var boot uint64
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		idStr, bootStr, ok := strings.Cut(strings.TrimSpace(string(data)), ":")
-		if !ok {
-			return "", fmt.Errorf("ledgerd: malformed epoch file %s", path)
-		}
-		if id, err = strconv.ParseUint(idStr, 16, 64); err != nil {
-			return "", fmt.Errorf("ledgerd: malformed epoch file %s: %v", path, err)
-		}
-		if boot, err = strconv.ParseUint(bootStr, 10, 64); err != nil {
-			return "", fmt.Errorf("ledgerd: malformed epoch file %s: %v", path, err)
-		}
-	case errors.Is(err, fs.ErrNotExist):
-		var b [8]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return "", fmt.Errorf("ledgerd: drawing dir identity: %w", err)
-		}
-		id = binary.LittleEndian.Uint64(b[:])
-	default:
-		return "", fmt.Errorf("ledgerd: reading epoch file: %w", err)
+// legacyEpochFile is where the single-node sequencer of older builds
+// kept its fencing token, beside one <key>.wal per budget key.
+const legacyEpochFile = ".sequencer-epoch"
+
+// refuseLegacyDir refuses a directory an older build's single-node
+// sequencer wrote. Its per-key WALs are a format this build does not
+// read, and opening the directory as an empty group would re-arm every
+// budget they record as spent. It reads the directory listing only.
+func refuseLegacyDir(dir string) error {
+	names, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	boot++
-	token := fmt.Sprintf("%016x:%d", id, boot)
-	// Atomic publish: the token a client may pin must itself survive a
-	// crash, or a re-restart could hand out a token the previous boot
-	// already handed out.
-	if err := accountant.WriteFileAtomic(path, []byte(token+"\n")); err != nil {
-		return "", fmt.Errorf("ledgerd: writing epoch file: %w", err)
+	if err != nil {
+		return fmt.Errorf("ledgerd: ledger dir: %w", err)
 	}
-	return token, nil
+	for _, de := range names {
+		name := de.Name()
+		if name == legacyEpochFile || (strings.HasSuffix(name, ".wal") && name[0] != '.') {
+			return fmt.Errorf("%w: %s: single-node ledger directory from an older build (per-key WALs and %s), a format this build no longer reads",
+				accountant.ErrLedgerCorrupt, filepath.Join(dir, name), legacyEpochFile)
+		}
+	}
+	return nil
 }
 
-// Epoch returns the live fencing token.
-func (s *Service) Epoch() string { return s.epoch }
-
-// ValidKey reports whether a ledger key is safe to use as a filename
-// inside the ledger directory: non-empty, bounded, filesystem-safe
-// characters only, and never dot-led (which excludes ".", "..", and the
-// sequencer's own epoch file).
+// ValidKey reports whether a ledger key is safe to name a budget:
+// non-empty, bounded, filesystem-safe characters only, and never
+// dot-led (which excludes ".", "..", and the sequencer's own files).
 func ValidKey(key string) bool {
 	if key == "" || len(key) > 200 || key[0] == '.' {
 		return false
@@ -205,10 +211,9 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// opIDSep joins the op ID and the client's label inside the WAL op
+// opIDSep joins the op ID and the client's label inside the logged op
 // record; op IDs reject the separator so the split is unambiguous, and
-// labels written by a non-sequencer DurableLedger (which lack the
-// prefix entirely) simply contribute nothing to the dedup set.
+// labels without the prefix simply contribute nothing to the dedup set.
 const (
 	opIDPrefix = "id="
 	opIDSep    = '|'
@@ -252,71 +257,6 @@ type AttachResult struct {
 	OpCount   int
 }
 
-// Attach opens (creating or replaying) the durable ledger for key under
-// the given budget and returns its authoritative state plus the epoch
-// token every subsequent spend must carry. Attaching an existing key
-// with a different budget fails with accountant.ErrBudgetMismatch —
-// raising a partially spent budget would mint privacy out of thin air.
-// Attach is idempotent.
-func (s *Service) Attach(key string, budget dp.Params) (AttachResult, error) {
-	if !ValidKey(key) {
-		return AttachResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
-	}
-	if err := budget.Validate(); err != nil {
-		return AttachResult{}, err
-	}
-	e, err := s.entry(key, budget)
-	if err != nil {
-		return AttachResult{}, err
-	}
-	return AttachResult{
-		Epoch:     s.epoch,
-		Budget:    e.dl.Budget(),
-		Spent:     e.dl.Spent(),
-		Remaining: e.dl.Remaining(),
-		OpCount:   e.dl.OpCount(),
-	}, nil
-}
-
-// entry returns the open ledger for key, opening it if needed. With a
-// zero budget the key must already be open (the read-only paths).
-func (s *Service) entry(key string, budget dp.Params) (*ledgerEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if e, ok := s.ledgers[key]; ok {
-		if budget != (dp.Params{}) && e.dl.Budget() != budget {
-			return nil, fmt.Errorf("%w: key %q is open with budget %s, attach requested %s",
-				accountant.ErrBudgetMismatch, key, e.dl.Budget(), budget)
-		}
-		return e, nil
-	}
-	if budget == (dp.Params{}) {
-		return nil, fmt.Errorf("%w: %q", ErrNotAttached, key)
-	}
-	dl, err := accountant.OpenDurableLedger(budget, filepath.Join(s.opts.Dir, key+".wal"), accountant.DurableOptions{
-		Fsync:         s.opts.Fsync,
-		FsyncInterval: s.opts.FsyncInterval,
-		OpenWriter:    s.opts.OpenWriter,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild the exactly-once dedup set from the replayed trail: an op
-	// admitted by a previous incarnation must be recognized when its
-	// (timed-out) sender retries it against this one.
-	e := &ledgerEntry{dl: dl, applied: make(map[string]int)}
-	for _, op := range dl.Ops() {
-		if opID, _, ok := decodeLabel(op.Label); ok {
-			e.applied[opID] = op.Seq
-		}
-	}
-	s.ledgers[key] = e
-	return e, nil
-}
-
 // SpendResult acknowledges one admitted (or replayed) spend.
 type SpendResult struct {
 	// Seq is the admitted op's 1-based ledger sequence.
@@ -329,52 +269,7 @@ type SpendResult struct {
 	OpCount   int
 }
 
-// Spend admits one operation exactly once. The epoch must match the
-// live token (ErrEpochFenced otherwise), the key must be attached, and
-// the op ID must be well-formed. The spend is durably logged (fsynced
-// under FsyncAlways) before the result is returned; a budget rejection
-// surfaces as accountant.ErrBudgetExceeded with nothing changed, and
-// any durable-log failure latches the underlying ledger fail-closed
-// exactly as a local DurableLedger would.
-func (s *Service) Spend(key, epoch, opID, label string, cost dp.Params) (SpendResult, error) {
-	if !ValidKey(key) {
-		return SpendResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
-	}
-	if epoch != s.epoch {
-		return SpendResult{}, fmt.Errorf("%w (request %q, live %q)", ErrEpochFenced, epoch, s.epoch)
-	}
-	if !validOpID(opID) {
-		return SpendResult{}, fmt.Errorf("%w: %q", ErrBadOpID, opID)
-	}
-	e, err := s.entry(key, dp.Params{})
-	if err != nil {
-		return SpendResult{}, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if seq, ok := e.applied[opID]; ok {
-		return s.result(e, seq, true), nil
-	}
-	if err := e.dl.Spend(encodeLabel(opID, label), cost); err != nil {
-		return SpendResult{}, err
-	}
-	seq := e.dl.OpCount()
-	e.applied[opID] = seq
-	return s.result(e, seq, false), nil
-}
-
-func (s *Service) result(e *ledgerEntry, seq int, replayed bool) SpendResult {
-	return SpendResult{
-		Seq:       seq,
-		Replayed:  replayed,
-		Spent:     e.dl.Spent(),
-		Remaining: e.dl.Remaining(),
-		OpCount:   e.dl.OpCount(),
-	}
-}
-
-// Status reports one attached ledger's state (read-only; the key must
-// be attached in this incarnation).
+// Status reports one attached ledger's state.
 type Status struct {
 	Key       string
 	Epoch     string
@@ -383,84 +278,4 @@ type Status struct {
 	Remaining dp.Params
 	OpCount   int
 	Durable   accountant.DurableStatus
-}
-
-// Status returns the live state of an attached key.
-func (s *Service) Status(key string) (Status, error) {
-	if !ValidKey(key) {
-		return Status{}, fmt.Errorf("%w: %q", ErrBadKey, key)
-	}
-	e, err := s.entry(key, dp.Params{})
-	if err != nil {
-		return Status{}, err
-	}
-	return Status{
-		Key:       key,
-		Epoch:     s.epoch,
-		Budget:    e.dl.Budget(),
-		Spent:     e.dl.Spent(),
-		Remaining: e.dl.Remaining(),
-		OpCount:   e.dl.OpCount(),
-		Durable:   e.dl.Status(),
-	}, nil
-}
-
-// Ops returns an attached key's audit trail with the sequencer's op-ID
-// envelope stripped: clients see exactly the labels they spent under.
-func (s *Service) Ops(key string) ([]accountant.Op, error) {
-	if !ValidKey(key) {
-		return nil, fmt.Errorf("%w: %q", ErrBadKey, key)
-	}
-	e, err := s.entry(key, dp.Params{})
-	if err != nil {
-		return nil, err
-	}
-	ops := e.dl.Ops()
-	for i := range ops {
-		if _, label, ok := decodeLabel(ops[i].Label); ok {
-			ops[i].Label = label
-		}
-	}
-	return ops, nil
-}
-
-// Ready implements the readiness probe: a single-node sequencer is
-// ready while it is open (its durable state is local, so open means
-// attachable).
-func (s *Service) Ready() (bool, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false, "closed"
-	}
-	return true, "single-node"
-}
-
-// Keys lists the ledger keys attached in this incarnation.
-func (s *Service) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.ledgers))
-	for k := range s.ledgers {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Close flushes and closes every open ledger. Further calls fail with
-// ErrClosed; Close is idempotent.
-func (s *Service) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var errs []error
-	for key, e := range s.ledgers {
-		if err := e.dl.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("ledgerd: closing %q: %w", key, err))
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -16,7 +16,7 @@ import (
 	"repro/internal/ledgerd"
 )
 
-func newService(t *testing.T, dir string) *ledgerd.Service {
+func newService(t *testing.T, dir string) *ledgerd.Group {
 	t.Helper()
 	svc, err := ledgerd.New(ledgerd.Options{Dir: dir})
 	if err != nil {
@@ -286,7 +286,7 @@ func TestRemoteLedgerFencedLatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	var svc atomic.Pointer[ledgerd.Service]
+	var svc atomic.Pointer[ledgerd.Group]
 	svc.Store(svc1)
 	// One stable URL whose backing service is swapped mid-test — the
 	// HTTP analogue of a sequencer restart behind a stable address.

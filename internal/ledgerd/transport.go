@@ -84,7 +84,7 @@ type GroupTransport interface {
 }
 
 // HTTPGroupTransport is the production transport: JSON over the group
-// endpoints NewGroupHandler serves.
+// endpoints NewHandler serves.
 type HTTPGroupTransport struct {
 	// Client overrides the HTTP client (nil uses http.DefaultClient).
 	Client *http.Client

@@ -16,7 +16,7 @@ import (
 )
 
 // startSequencer runs a gdpledgerd service behind an httptest listener.
-func startSequencer(t *testing.T) (*httptest.Server, *ledgerd.Service) {
+func startSequencer(t *testing.T) (*httptest.Server, *ledgerd.Group) {
 	t.Helper()
 	svc, err := ledgerd.New(ledgerd.Options{Dir: t.TempDir()})
 	if err != nil {
