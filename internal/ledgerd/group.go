@@ -877,7 +877,9 @@ func (g *Group) Ready() (bool, string) {
 // HandleAppend is the follower half of the replication stream: verify
 // the sender's term (fencing stale primaries with ErrEpochFenced → 409
 // epoch-fenced), check log consistency, verify each frame's checksum,
-// fsync the batch, and advance commit/apply.
+// index and term (dense indexes, terms never falling and never above
+// the sender's), fsync the batch, and advance commit/apply — no further
+// than the batch's last entry, the one position the sender vouched for.
 func (g *Group) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -906,7 +908,7 @@ func (g *Group) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	if req.PrevIndex > 0 && g.log.termAt(req.PrevIndex) != req.PrevTerm {
 		return AppendResponse{OK: false, Term: g.term, LogLen: req.PrevIndex - 1}, nil
 	}
-	idx := req.PrevIndex
+	idx, prevTerm := req.PrevIndex, g.log.termAt(req.PrevIndex)
 	var entries []groupEntry
 	for _, raw := range req.Entries {
 		payload, n, ok := accountant.NextFrame(raw)
@@ -922,6 +924,11 @@ func (g *Group) HandleAppend(req AppendRequest) (AppendResponse, error) {
 			return AppendResponse{}, fmt.Errorf("%w: replicated batch index gap (%d at position %d)",
 				ErrGroupLogCorrupt, e.Index, idx)
 		}
+		if e.Term < prevTerm || e.Term > req.Term {
+			return AppendResponse{}, fmt.Errorf("%w: replicated entry %d at term %d out of order (previous term %d, sender term %d)",
+				ErrGroupLogCorrupt, idx, e.Term, prevTerm, req.Term)
+		}
+		prevTerm = e.Term
 		if idx <= g.log.len() {
 			if g.log.termAt(idx) == e.Term {
 				continue // already hold this entry
@@ -941,7 +948,7 @@ func (g *Group) HandleAppend(req AppendRequest) (AppendResponse, error) {
 			return AppendResponse{}, err
 		}
 	}
-	if c := min(req.Commit, g.log.len()); c > g.commit {
+	if c := min(req.Commit, idx); c > g.commit {
 		g.commit = c
 		g.applyToLocked(c)
 		if g.failed != nil {

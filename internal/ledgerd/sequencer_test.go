@@ -263,3 +263,39 @@ func TestGroupOfOneServesNoReplication(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupBodiesAreStrict: replication bodies go through the same
+// strict decoder as client bodies, so an unknown field is a 400, never
+// a batch run as whatever the known fields say.
+func TestGroupBodiesAreStrict(t *testing.T) {
+	g, err := ledgerd.New(ledgerd.Options{Dir: t.TempDir(), NodeID: "n1", ElectionTimeout: -1,
+		Peers: map[string]string{"n1": "n1.invalid", "n2": "n2.invalid", "n3": "n3.invalid"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(ledgerd.NewHandler(g))
+	defer srv.Close()
+	for body, want := range map[string]int{
+		`{"term":1,"leader":"n2","prev_index":0,"prev_term":0,"commit":0}`:            http.StatusOK,
+		`{"term":1,"leader":"n2","prev_index":0,"prev_term":0,"commit":0,"extra":1}`:  http.StatusBadRequest,
+		`{"term":1,"leader":"n2","prev_index":0,"prev_term":0,"commit":0} {"term":2}`: http.StatusBadRequest,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/group/append", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("append %s: HTTP %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+	resp, err := http.Post(srv.URL+"/v1/group/vote", "application/json", strings.NewReader(`{"term":5,"candidate":"n2","bogus":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("vote with an unknown field: HTTP %d, want 400", resp.StatusCode)
+	}
+}
