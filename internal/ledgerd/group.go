@@ -84,10 +84,12 @@ type Group struct {
 	peerIDs []string // sorted, self excluded
 	id      uint64   // the directory's random identity, half of the epoch token
 
-	// qmu guards the spend queue. A spender queues without waiting for
-	// mu, which the batch in flight holds. One spender at a time leads:
-	// it runs batches until its own call is decided, then hands the lead
-	// to the first undecided call's spender.
+	// qmu guards the spend queue, the lead and every queued call's done
+	// and asleep flags. A spender queues without waiting for mu, which
+	// the batch in flight holds. One spender at a time leads, running
+	// batches until its own call is decided; the others sleep until the
+	// batch that decides their call, or the end of a batch that leaves
+	// theirs first in line, wakes them.
 	qmu     sync.Mutex
 	leading bool
 	queue   []*spendCall
@@ -118,18 +120,20 @@ type Group struct {
 }
 
 // spendCall is one queued Spend: its arguments, then its outcome. index
-// is the log index of its entry once one is written. wake is held by
-// its spender while it sleeps; the leader unlocks it once, when the
-// call is decided or when the spender is to lead the next batch.
+// is the log index of its entry once one is written; res and err are
+// set under mu, and done, under qmu, publishes them. wake is a
+// semaphore held by the spender: asleep marks a Lock waiting on it,
+// which exactly one Unlock releases.
 type spendCall struct {
 	key, epoch, opID, label string
 	cost                    dp.Params
 
-	index uint64
-	res   SpendResult
-	err   error
-	done  bool
-	wake  sync.Mutex
+	index  uint64
+	res    SpendResult
+	err    error
+	done   bool
+	asleep bool
+	wake   sync.Mutex
 }
 
 // New opens (creating if needed) the member's durable state: the log
@@ -636,28 +640,42 @@ func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (SpendResu
 	c.wake.Lock()
 	g.qmu.Lock()
 	g.queue = append(g.queue, c)
-	lead := !g.leading
-	g.leading = true
-	g.qmu.Unlock()
-	if !lead {
-		c.wake.Lock() // sleep until decided, or handed the lead
-	}
 	for !c.done {
+		if g.leading {
+			c.asleep = true
+			g.qmu.Unlock()
+			c.wake.Lock()
+			g.qmu.Lock()
+			continue
+		}
+		g.leading = true
+		g.qmu.Unlock()
 		g.mu.Lock()
-		g.commitBatchLocked(c)
+		g.commitBatchLocked()
 		g.mu.Unlock()
+		g.qmu.Lock()
 	}
+	g.qmu.Unlock()
 	return c.res, c.err
 }
 
-// commitBatchLocked is one batch, led by the spender of call self: it
-// decides the queued spends in arrival order against the settled state,
-// writes the new entries with one fsync, replicates them in one round
-// and wakes every decided call's spender. A call whose key already has
-// a new entry in the batch waits, in order, for the next one. The first
-// waiting call is always decided, so self is decided after finitely
-// many batches; then the lead passes to the first undecided call.
-func (g *Group) commitBatchLocked(self *spendCall) {
+// wakeLocked releases c's spender if it sleeps. Callers hold qmu.
+func (c *spendCall) wakeLocked() {
+	if c.asleep {
+		c.asleep = false
+		c.wake.Unlock()
+	}
+}
+
+// commitBatchLocked is one batch: it decides the queued spends in
+// arrival order against the settled state, writes the new entries with
+// one fsync, replicates them in one round, publishes every decided
+// call's outcome and gives up the lead. A call whose key already has a
+// new entry in the batch waits, in order, for the next one. The first
+// waiting call is always decided, so every call is decided after
+// finitely many batches. The lead is free for any spender to take, and
+// the first undecided call's spender is woken to make sure one does.
+func (g *Group) commitBatchLocked() {
 	g.qmu.Lock()
 	g.waiting = append(g.waiting, g.queue...)
 	clear(g.queue)
@@ -710,19 +728,13 @@ func (g *Group) commitBatchLocked(self *spendCall) {
 	g.qmu.Lock()
 	for _, c := range decided {
 		c.done = true
-		if c != self {
-			c.wake.Unlock()
-		}
+		c.wakeLocked()
 	}
-	if self.done {
-		switch {
-		case len(g.waiting) > 0:
-			g.waiting[0].wake.Unlock()
-		case len(g.queue) > 0:
-			g.queue[0].wake.Unlock()
-		default:
-			g.leading = false
-		}
+	g.leading = false
+	if len(g.waiting) > 0 {
+		g.waiting[0].wakeLocked()
+	} else if len(g.queue) > 0 {
+		g.queue[0].wakeLocked()
 	}
 	g.qmu.Unlock()
 	clear(decided)
