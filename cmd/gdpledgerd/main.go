@@ -1,10 +1,10 @@
 // Command gdpledgerd is the shared privacy-ledger sequencer: it keeps
 // one durable budget per (dataset, data-fingerprint) key in one log and
-// admits spends over an idempotent HTTP/JSON protocol. Point N gdpserve replicas at it with
-// -ledger-addr and they spend ONE (ε, δ) budget per dataset — the
-// deployment shape where accounting stays centralized even when
-// answering is not, closing the classic "two replicas silently double
-// the budget" failure of distributed DP systems.
+// admits spends over an idempotent HTTP/JSON protocol. Point N gdpserve
+// replicas at it with -ledger-addr and they spend ONE (ε, δ) budget per
+// dataset — the deployment shape where accounting stays centralized
+// even when answering is not, closing the classic "two replicas
+// silently double the budget" failure of distributed DP systems.
 //
 // Usage (a single node — a group of one):
 //

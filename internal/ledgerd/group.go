@@ -34,11 +34,12 @@
 // A primary that cannot reach a quorum refuses spends with ErrNoQuorum
 // (HTTP 503 — retryable; the multi-address client walks on). All
 // decide→append→replicate→commit→apply steps run under one mutex, and
-// spends are group-committed through it: a spender queues its call,
-// and whoever holds the mutex next decides every queued call in order
-// against the settled state, writes the batch with one fsync and sends
-// it in one replication round. A batch holds at most one new entry per
-// key, so each spend's result reads the state exactly as of its own op.
+// spends are group-committed through it: a spender queues its call, and
+// one spender at a time leads a batch — it decides every queued call in
+// order against the settled state, writes the batch with one fsync and
+// sends it in one replication round. A batch holds at most one new
+// entry per key, so each spend's result reads the state exactly as of
+// its own op.
 package ledgerd
 
 import (
