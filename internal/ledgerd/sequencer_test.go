@@ -299,3 +299,41 @@ func TestGroupBodiesAreStrict(t *testing.T) {
 		t.Errorf("vote with an unknown field: HTTP %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestConcurrentRetriesAdmitOnce: the same op ID sent by many spenders
+// at once is admitted once. A second spend on a key waits for the next
+// batch, where the whole-log dedup index finds the first.
+func TestConcurrentRetriesAdmitOnce(t *testing.T) {
+	g := newService(t, t.TempDir())
+	att, err := g.Attach("k", dp.Params{Epsilon: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spenders = 8
+	results := make([]ledgerd.SpendResult, spenders)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := g.Spend("k", att.Epoch, "op-1", "q", dp.Params{Epsilon: 0.1})
+			if err != nil {
+				t.Errorf("spend %d: %v", i, err)
+			}
+			results[i] = res
+		}(i)
+	}
+	wg.Wait()
+	fresh := 0
+	for _, res := range results {
+		if !res.Replayed {
+			fresh++
+		}
+		if res.Seq != 1 || res.OpCount != 1 {
+			t.Fatalf("result %+v, want seq 1 of 1 op", res)
+		}
+	}
+	if fresh != 1 {
+		t.Fatalf("%d spenders were admitted fresh, want exactly 1", fresh)
+	}
+}
