@@ -89,8 +89,8 @@ type Group struct {
 	// and asleep flags. A spender queues without waiting for mu, which
 	// the batch in flight holds. One spender at a time leads, running
 	// batches until its own call is decided; the others sleep until the
-	// batch that decides their call, or the end of a batch that leaves
-	// theirs first in line, wakes them.
+	// batch that decides their call wakes them, or until a leader leaves
+	// with theirs first in line.
 	qmu     sync.Mutex
 	leading bool
 	queue   []*spendCall
@@ -651,9 +651,11 @@ func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (SpendResu
 		}
 		g.leading = true
 		g.qmu.Unlock()
-		g.mu.Lock()
-		g.commitBatchLocked()
-		g.mu.Unlock()
+		for led := false; !led; {
+			g.mu.Lock()
+			led = g.commitBatchLocked(c)
+			g.mu.Unlock()
+		}
 		g.qmu.Lock()
 	}
 	g.qmu.Unlock()
@@ -668,15 +670,16 @@ func (c *spendCall) wakeLocked() {
 	}
 }
 
-// commitBatchLocked is one batch: it decides the queued spends in
-// arrival order against the settled state, writes the new entries with
-// one fsync, replicates them in one round, publishes every decided
-// call's outcome and gives up the lead. A call whose key already has a
-// new entry in the batch waits, in order, for the next one. The first
-// waiting call is always decided, so every call is decided after
-// finitely many batches. The lead is free for any spender to take, and
-// the first undecided call's spender is woken to make sure one does.
-func (g *Group) commitBatchLocked() {
+// commitBatchLocked is one batch, led by the spender of call self: it
+// decides the queued spends in arrival order against the settled state,
+// writes the new entries with one fsync, replicates them in one round
+// and publishes every decided call's outcome. A call whose key already
+// has a new entry in the batch waits, in order, for the next one. The
+// first waiting call is always decided, so self is decided after
+// finitely many batches. Then it reports true and gives up the lead:
+// the lead is free for any spender to take, and the first undecided
+// call's spender is woken to make sure one does.
+func (g *Group) commitBatchLocked(self *spendCall) bool {
 	g.qmu.Lock()
 	g.waiting = append(g.waiting, g.queue...)
 	clear(g.queue)
@@ -731,15 +734,19 @@ func (g *Group) commitBatchLocked() {
 		c.done = true
 		c.wakeLocked()
 	}
-	g.leading = false
-	if len(g.waiting) > 0 {
-		g.waiting[0].wakeLocked()
-	} else if len(g.queue) > 0 {
-		g.queue[0].wakeLocked()
+	led := self.done
+	if led {
+		g.leading = false
+		if len(g.waiting) > 0 {
+			g.waiting[0].wakeLocked()
+		} else if len(g.queue) > 0 {
+			g.queue[0].wakeLocked()
+		}
 	}
 	g.qmu.Unlock()
 	clear(decided)
 	g.batch, g.decided = batch[:0], decided[:0]
+	return led
 }
 
 func batchHasKey(batch []groupEntry, key string) bool {
