@@ -5,8 +5,10 @@
 // noise-injection phase per group level; whether those consume independent
 // budgets (the paper's per-level reading) or compose into one global εg is
 // an evaluation knob (gdpbench's ablation A1). The Ledger gives every
-// pipeline run an auditable record of what was spent where, and refuses
-// operations that would exceed the configured total.
+// served dataset an auditable record of what was spent where, and
+// refuses operations that would exceed the configured total. A one-shot
+// pipeline run keeps no ledger: its spends are fixed before it draws any
+// noise, and its audit trail is that plan (release.Release.Audit).
 //
 // Three Ledger backends share that contract: MemLedger, DurableLedger (a
 // WAL, durable.go) and RemoteLedger (a client of the
@@ -30,7 +32,6 @@ import (
 var (
 	ErrBudgetExceeded = errors.New("accountant: operation would exceed the privacy budget")
 	ErrNoOps          = errors.New("accountant: composition over zero operations")
-	ErrBadSplit       = errors.New("accountant: invalid budget split")
 )
 
 // Op is one recorded privacy expenditure.
@@ -338,23 +339,4 @@ func AdvancedPerQueryEpsilon(epsTotal float64, k int, deltaSlack float64) (float
 		}
 	}
 	return lo, nil
-}
-
-// UniformSplitter gives every release total/n.
-type UniformSplitter struct{}
-
-// Split returns n per-release budgets whose basic composition does not
-// exceed total.
-func (UniformSplitter) Split(total dp.Params, n int) ([]dp.Params, error) {
-	if err := total.Validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: n=%d", ErrBadSplit, n)
-	}
-	out := make([]dp.Params, n)
-	for i := range out {
-		out[i] = dp.Params{Epsilon: total.Epsilon / float64(n), Delta: total.Delta / float64(n)}
-	}
-	return out, nil
 }

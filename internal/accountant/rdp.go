@@ -91,9 +91,20 @@ func (a *RDPAccountant) ToApproxDP(delta float64) (dp.Params, error) {
 // GaussianSigmaForBudget inverts the accountant for the uniform case: the
 // smallest σ (per unit sensitivity) such that k Gaussian releases compose
 // to at most (epsTotal, delta) under RDP. Solved by bisection on σ.
+//
+// No σ reaches an epsTotal at or below ln(1/δ)/(α_max − 1), the
+// conversion term of the largest default order that even infinite noise
+// leaves; such a budget fails at once, naming that floor.
 func GaussianSigmaForBudget(epsTotal, delta float64, k int) (float64, error) {
 	if !(epsTotal > 0) || k <= 0 || !(delta > 0 && delta < 1) {
 		return 0, fmt.Errorf("accountant: invalid rdp budget (eps=%v, delta=%v, k=%d)", epsTotal, delta, k)
+	}
+	maxOrder := 0.0
+	for _, a := range DefaultRDPOrders() {
+		maxOrder = math.Max(maxOrder, a)
+	}
+	if floor := math.Log(1/delta) / (maxOrder - 1); epsTotal <= floor {
+		return 0, fmt.Errorf("accountant: rdp budget eps=%v is at or below the floor ln(1/delta)/(alpha_max-1) = %.4f for delta=%v and orders up to %v", epsTotal, floor, delta, maxOrder)
 	}
 	epsFor := func(sigma float64) float64 {
 		acc, err := NewRDPAccountant(nil)

@@ -2,6 +2,7 @@ package accountant
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -220,5 +221,20 @@ func TestGaussianSigmaForBudget(t *testing.T) {
 	}
 	if _, err := GaussianSigmaForBudget(1, delta, 0); err == nil {
 		t.Error("k=0 accepted")
+	}
+}
+
+// TestGaussianSigmaForBudgetFloor: at δ = 1e-5 the default orders (up to
+// 64) cannot convert below ln(1e5)/63 ≈ 0.1827, however large σ; a
+// budget under that floor says so instead of failing to bracket σ.
+func TestGaussianSigmaForBudgetFloor(t *testing.T) {
+	t.Parallel()
+	_, err := GaussianSigmaForBudget(0.18, 1e-5, 5)
+	if err == nil || !strings.Contains(err.Error(), "floor") || !strings.Contains(err.Error(), "0.1827") {
+		t.Errorf("eps=0.18: %v, want the floor named", err)
+	}
+	sigma, err := GaussianSigmaForBudget(0.19, 1e-5, 5)
+	if err != nil || !(sigma > 0) {
+		t.Errorf("eps=0.19: sigma %v, %v", sigma, err)
 	}
 }

@@ -308,25 +308,38 @@ var errAny = errors.New("any error")
 
 // TestPureCellRelease covers the δ = 0 histogram: labels, the reported
 // standard deviation, geometric integrality, and that the chunked fill
-// is bit-identical at one and four workers.
+// is bit-identical at one and four workers. The externally calibrated
+// Gaussian runs alongside for its labels: "rdp", the advertised budget,
+// and no mechanism name on the cells.
 func TestPureCellRelease(t *testing.T) {
 	t.Parallel()
 	tree := deepTree(t, 4)
 	p := dp.Params{Epsilon: 0.7, Delta: 1e-5}
-	for _, mech := range []NoiseMechanism{MechLaplace, MechGeometric} {
-		n := Noise{Mech: mech, Budget: p}
+	for _, c := range []struct {
+		n                   Noise
+		cellMech, calibName string
+		delta               float64
+	}{
+		{Noise{Mech: MechLaplace, Budget: p}, "laplace", "pure", 0},
+		{Noise{Mech: MechGeometric, Budget: p}, "geometric", "pure", 0},
+		{external(3.5, p), "", "rdp", p.Delta},
+	} {
+		n, mech := c.n, c.n.Mech
 		rel, err := releaseCells(tree, 0, n, rng.New(21))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel.MechName != mech.String() || rel.CalibName != "pure" || rel.Delta != 0 || rel.Epsilon != p.Epsilon {
+		if rel.MechName != c.cellMech || rel.CalibName != c.calibName || rel.Delta != c.delta || rel.Epsilon != p.Epsilon {
 			t.Errorf("%v: labels = %q/%q/(%v, %v)", mech, rel.MechName, rel.CalibName, rel.Epsilon, rel.Delta)
 		}
 		count, err := ReleaseCount(tree, 0, ModelCells, n, rng.New(21))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel.Sigma <= 0 || rel.Sigma != count.Sigma {
+		if count.MechName != mech.String() || count.CalibName != c.calibName || count.Delta != c.delta || count.Epsilon != p.Epsilon {
+			t.Errorf("%v: count labels = %q/%q/(%v, %v)", mech, count.MechName, count.CalibName, count.Epsilon, count.Delta)
+		}
+		if rel.Sigma <= 0 || rel.Sigma != count.Sigma || (n.External && rel.Sigma != n.Sigma) {
 			t.Errorf("%v: cells sigma %v, count sigma %v", mech, rel.Sigma, count.Sigma)
 		}
 		var sharded CellRelease

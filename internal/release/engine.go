@@ -14,10 +14,11 @@ import (
 // hierarchy, holding the reusable histogram buffer that makes repeated
 // releases allocation-free (core.ReleaseCells' dst-reuse contract).
 //
-// Pipeline.finish runs one Engine per artifact; a serving session
-// (internal/serve) holds one Engine for its whole lifetime and answers
-// every query through it, so steady-state serving never reallocates the
-// cell buffer. An Engine is NOT safe for concurrent use — give each
+// A serving session (internal/serve) holds one Engine for its whole
+// lifetime and answers every query through it, so steady-state serving
+// never reallocates the cell buffer. Pipeline.finish needs no Engine: it
+// walks its plan through core.ReleaseCount and core.ReleaseCells, one
+// release per op. An Engine is NOT safe for concurrent use — give each
 // session or goroutine its own; Engines are cheap until the first Cells
 // call sizes the buffer.
 type Engine struct {
@@ -31,7 +32,7 @@ type Engine struct {
 	// latency knob. 0 and 1 both mean single-threaded.
 	workers int
 
-	// cells is the reusable histogram buffer. Cells and CellsSigma
+	// cells is the reusable histogram buffer. Cells and LoadCells
 	// overwrite it and return a pointer into it; the previous result is
 	// invalid after the next call.
 	cells core.CellRelease
@@ -77,26 +78,12 @@ func (e *Engine) Count(t *hierarchy.Tree, level int, budget dp.Params, src *rng.
 	return core.ReleaseCount(t, level, e.model, core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}, src)
 }
 
-// CountSigma is Count with an externally calibrated Gaussian scale (the
-// RDP-accounted path); advertised records the per-release budget implied
-// by sigma. It is Gaussian-only — pure-ε mechanisms have no external σ
-// accounting — and fails with core.ErrBadMechanism on any other engine.
-func (e *Engine) CountSigma(t *hierarchy.Tree, level int, sigma float64, advertised dp.Params, src *rng.Source) (core.LevelRelease, error) {
-	return core.ReleaseCount(t, level, e.model, core.Noise{Mech: e.mech, External: true, Sigma: sigma, Budget: advertised}, src)
-}
-
 // Cells releases a level's noisy cell histogram into the Engine's
 // reusable buffer and returns a view of it. The result is valid until the
-// next Cells or CellsSigma call; callers that retain it across calls must
+// next Cells or LoadCells call; callers that retain it across calls must
 // clone (CloneCellRelease).
 func (e *Engine) Cells(t *hierarchy.Tree, level int, budget dp.Params, src *rng.Source) (*core.CellRelease, error) {
 	return e.releaseCells(t, level, core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}, src)
-}
-
-// CellsSigma is Cells with an externally calibrated Gaussian scale;
-// Gaussian-only like CountSigma.
-func (e *Engine) CellsSigma(t *hierarchy.Tree, level int, sigma float64, advertised dp.Params, src *rng.Source) (*core.CellRelease, error) {
-	return e.releaseCells(t, level, core.Noise{Mech: e.mech, External: true, Sigma: sigma, Budget: advertised}, src)
 }
 
 // releaseCells runs one cell release into the reusable buffer.
@@ -110,7 +97,7 @@ func (e *Engine) releaseCells(t *hierarchy.Tree, level int, n core.Noise, src *r
 // LoadCells copies src into the Engine's reusable buffer and returns
 // the buffer view — how a serving-layer cache hit rehydrates a retained
 // histogram while preserving the engine's buffer-reuse contract (the
-// result is valid until the next Cells/CellsSigma/LoadCells call, and
+// result is valid until the next Cells/LoadCells call, and
 // repeated queries keep writing one backing array).
 func (e *Engine) LoadCells(src *core.CellRelease) *core.CellRelease {
 	counts := e.cells.Counts
@@ -120,8 +107,8 @@ func (e *Engine) LoadCells(src *core.CellRelease) *core.CellRelease {
 }
 
 // CloneCellRelease deep-copies a cell release so it survives the Engine
-// buffer's next reuse — what the artifact assembly does when it retains
-// every level's histogram.
+// buffer's next reuse — what a serving-layer cache does when it retains
+// a level's histogram.
 func CloneCellRelease(c core.CellRelease) core.CellRelease {
 	c.Counts = append([]float64(nil), c.Counts...)
 	return c

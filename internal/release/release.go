@@ -229,10 +229,16 @@ func WithWorkers(n int) Option {
 // Pipeline is a configured two-phase discloser.
 type Pipeline struct {
 	cfg config
+	// share is the mode's per-query noise, resolved in New without data:
+	// the full budget (per-level), its basic or advanced split, or under
+	// composed-rdp σ per unit of sensitivity with the nominal share
+	// (ε/q, δ/q) as its Budget.
+	share core.Noise
 }
 
 // New validates the options and returns a Pipeline. budget is the global
-// (εg, δ) group-privacy budget.
+// (εg, δ) group-privacy budget. A mode, strategy and budget that cannot
+// release together fail here with ErrBadOption, before any data is read.
 func New(budget dp.Params, opts ...Option) (*Pipeline, error) {
 	if err := budget.Validate(); err != nil {
 		return nil, err
@@ -278,7 +284,50 @@ func New(budget dp.Params, opts ...Option) (*Pipeline, error) {
 		}
 		seen[lvl] = true
 	}
-	return &Pipeline{cfg: cfg}, nil
+	share, err := cfg.share()
+	if err != nil {
+		return nil, err
+	}
+	return &Pipeline{cfg: cfg, share: share}, nil
+}
+
+// share resolves the mode's per-query noise over the q Phase-2 queries
+// and checks that it can perturb a release at all.
+func (cfg *config) share() (core.Noise, error) {
+	q := len(cfg.levels)
+	if cfg.cellHistograms {
+		q *= 2
+	}
+	b := cfg.budget
+	split := dp.Params{Epsilon: b.Epsilon / float64(q), Delta: b.Delta / float64(q)}
+	n := core.Noise{Mech: cfg.strategy.Mech, Calib: cfg.calib, Budget: b}
+	switch cfg.mode {
+	case ModeComposedBasic:
+		n.Budget = split
+	case ModeComposedAdvanced:
+		if b.Delta <= 0 {
+			return n, fmt.Errorf("%w: advanced composition requires delta > 0", ErrBadOption)
+		}
+		perEps, err := accountant.AdvancedPerQueryEpsilon(b.Epsilon, q, b.Delta/2)
+		if err != nil {
+			return n, fmt.Errorf("%w: advanced split: %v", ErrBadOption, err)
+		}
+		n.Budget = dp.Params{Epsilon: perEps, Delta: b.Delta / (2 * float64(q))}
+	case ModeComposedRDP:
+		if b.Delta <= 0 {
+			return n, fmt.Errorf("%w: composed-rdp requires delta > 0", ErrBadOption)
+		}
+		sigmaUnit, err := accountant.GaussianSigmaForBudget(b.Epsilon, b.Delta, q)
+		if err != nil {
+			return n, fmt.Errorf("%w: rdp calibration: %v", ErrBadOption, err)
+		}
+		// Validate refuses an external σ on a pure-ε mechanism.
+		n.Budget, n.External, n.Sigma = split, true, sigmaUnit
+	}
+	if err := n.Validate(); err != nil {
+		return n, fmt.Errorf("%w: per-query %s noise under %s: %v", ErrBadOption, n.Mech, cfg.mode, err)
+	}
+	return n, nil
 }
 
 // View is what one privilege tier receives.
@@ -326,7 +375,11 @@ type Release struct {
 	Counts core.MultiLevelRelease `json:"counts"`
 	// Cells holds the optional per-level histogram releases.
 	Cells []core.CellRelease `json:"cells,omitempty"`
-	// Audit is the privacy ledger trail.
+	// Audit is the run's spend plan in order, numbered from 1: the
+	// Phase-1 side-depth charges when the build made private cuts, then
+	// per level its count and, with cell histograms, its cells. The plan
+	// is fixed before any noise is drawn; nothing is released that it
+	// does not list.
 	Audit []accountant.Op `json:"-"`
 
 	tree *hierarchy.Tree
@@ -407,52 +460,89 @@ func (p *Pipeline) hierarchyOptions(phase1Src *rng.Source) (hierarchy.Options, e
 	return opts, nil
 }
 
+// opKind says what a plan op does besides being charged.
+type opKind int
+
+const (
+	opPhase1 opKind = iota // a Phase-1 side-depth charge; releases nothing
+	opCount                // a level's noisy association count
+	opCells                // a level's noisy cell histogram
+)
+
+// planOp is one spend of a run: its audit label and (ε, δ) cost, and
+// for a Phase-2 release the level and the noise it is released under.
+type planOp struct {
+	PhaseOp
+	kind  opKind
+	level int
+	noise core.Noise
+}
+
+// plan returns the run's spends in order: the Phase-1 side-depth
+// charges when the build made private cuts, then per level its count
+// and, with cell histograms, its cells.
+func (p *Pipeline) plan(tree *hierarchy.Tree) ([]planOp, error) {
+	cfg := p.cfg
+	var ops []planOp
+	if cfg.phase1Epsilon > 0 && tree.NumPrivateCuts() > 0 {
+		phase1, _ := PhaseCost(cfg.rounds, cfg.phase1Epsilon)
+		for _, op := range phase1 {
+			ops = append(ops, planOp{PhaseOp: op, kind: opPhase1})
+		}
+	}
+	for _, lvl := range cfg.levels {
+		n, err := p.noiseAt(tree, lvl, cfg.model)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, planOp{PhaseOp{fmt.Sprintf("phase2/count/level%d", lvl), n.Budget}, opCount, lvl, n})
+		if cfg.cellHistograms {
+			n, err := p.noiseAt(tree, lvl, core.ModelCells)
+			if err != nil {
+				return nil, err
+			}
+			ops = append(ops, planOp{PhaseOp{fmt.Sprintf("phase2/cells/level%d", lvl), n.Budget}, opCells, lvl, n})
+		}
+	}
+	return ops, nil
+}
+
+// noiseAt returns the noise of one release at a level under the group
+// model. It is the share, except under composed-rdp: there σ scales with
+// the release's sensitivity, so every query consumes an equal RDP share,
+// and the cost is the (ε, δ) that σ implies (dp.GaussianEpsilon). An
+// empty level draws no noise and is charged the nominal share.
+func (p *Pipeline) noiseAt(tree *hierarchy.Tree, lvl int, model core.GroupModel) (core.Noise, error) {
+	n := p.share
+	if !n.External {
+		return n, nil
+	}
+	sens, err := core.Sensitivity(tree, lvl, model)
+	if err != nil || sens <= 0 {
+		n.Sigma = 0
+		return n, err
+	}
+	n.Sigma *= float64(sens)
+	n.Budget.Epsilon, err = dp.GaussianEpsilon(n.Sigma, float64(sens), n.Budget.Delta)
+	return n, err
+}
+
 // finish runs Phase 2 and assembles the artifact from a built tree — the
-// shared tail of Run and RunFromEdges. The per-level releases go through
-// one Engine, the same component a serving session reuses per query.
+// shared tail of Run and RunFromEdges. It walks the plan, releasing each
+// Phase-2 op through the core kernel; the audit trail is the plan.
 func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release, error) {
 	cfg := p.cfg
 	strat := cfg.strategy
-	var err error
-
-	// Phase 1 is charged when the build actually consumed budget: a
-	// Phase-1 ε is set and the tree recorded private cuts.
-	var phase1Ops []PhaseOp
-	var phase1Cost dp.Params
-	if cfg.phase1Epsilon > 0 && tree.NumPrivateCuts() > 0 {
-		phase1Ops, phase1Cost = PhaseCost(cfg.rounds, cfg.phase1Epsilon)
-	}
-	phase1Eps := phase1Cost.Epsilon
-
-	var perQuery []dp.Params
-	var sigmas []float64
-	if cfg.mode == ModeComposedRDP {
-		perQuery, sigmas, err = p.rdpPlan(tree)
-	} else {
-		perQuery, err = p.perQueryBudgets()
-	}
+	ops, err := p.plan(tree)
 	if err != nil {
 		return nil, err
 	}
-
-	// The ledger guards the worst-case sequential total; per-level mode
-	// deliberately overshoots a single εg, which the artifact reports as
-	// ParallelCost vs SequentialCost.
-	var ledgerBudget dp.Params
-	ledgerBudget.Epsilon = phase1Cost.Epsilon
-	ledgerBudget.Delta = phase1Cost.Delta
-	for _, q := range perQuery {
-		ledgerBudget.Epsilon += q.Epsilon
-		ledgerBudget.Delta += q.Delta
-	}
-	ledger, err := accountant.NewLedger(ledgerBudget)
-	if err != nil {
-		return nil, fmt.Errorf("release: ledger: %w", err)
-	}
-	for _, op := range phase1Ops {
-		if err := ledger.Spend(op.Label, op.Cost); err != nil {
-			return nil, fmt.Errorf("release: accounting phase 1: %w", err)
-		}
+	// Phase 1's total is PhaseCost's n·ε in one rounding step, not the
+	// float sum of its ops.
+	var phase1Eps float64
+	if ops[0].kind == opPhase1 {
+		_, phase1Cost := PhaseCost(cfg.rounds, cfg.phase1Epsilon)
+		phase1Eps = phase1Cost.Epsilon
 	}
 
 	strategyName := ""
@@ -472,6 +562,7 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 		BudgetDelta:   cfg.budget.Delta,
 		Phase1Epsilon: phase1Eps,
 		Counts:        core.MultiLevelRelease{MaxLevel: tree.MaxLevel()},
+		Audit:         make([]accountant.Op, len(ops)),
 		tree:          tree,
 	}
 	for lvl := tree.MaxLevel(); lvl >= 0; lvl-- {
@@ -482,52 +573,30 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 		rel.Profiles = append(rel.Profiles, prof)
 	}
 
-	eng, err := NewEngine(cfg.model, cfg.calib, strat.Mech)
-	if err != nil {
-		return nil, err
-	}
-	// The pipeline's Workers option shards each histogram's noise pass
-	// too; releases are bit-identical for any value.
-	eng.SetWorkers(cfg.workers)
-	qi := 0
-	for _, lvl := range cfg.levels {
-		budget := perQuery[qi]
-		var count core.LevelRelease
-		if sigmas != nil {
-			count, err = eng.CountSigma(tree, lvl, sigmas[qi], budget, phase2Src.Split(uint64(lvl)))
-		} else {
-			count, err = eng.Count(tree, lvl, budget, phase2Src.Split(uint64(lvl)))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("release: phase 2 count at level %d: %w", lvl, err)
-		}
-		qi++
-		if err := ledger.Spend(fmt.Sprintf("phase2/count/level%d", lvl), budget); err != nil {
-			return nil, fmt.Errorf("release: accounting level %d: %w", lvl, err)
-		}
-		rel.Counts.Levels = append(rel.Counts.Levels, count)
-
-		if cfg.cellHistograms {
-			budget := perQuery[qi]
-			var cells *core.CellRelease
-			if sigmas != nil {
-				cells, err = eng.CellsSigma(tree, lvl, sigmas[qi], budget, phase2Src.Split(1000+uint64(lvl)))
-			} else {
-				cells, err = eng.Cells(tree, lvl, budget, phase2Src.Split(1000+uint64(lvl)))
-			}
+	var costs []dp.Params
+	for i, op := range ops {
+		rel.Audit[i] = accountant.Op{Seq: i + 1, Label: op.Label, Cost: op.Cost}
+		switch op.kind {
+		case opPhase1:
+			continue
+		case opCount:
+			count, err := core.ReleaseCount(tree, op.level, cfg.model, op.noise, phase2Src.Split(uint64(op.level)))
 			if err != nil {
-				return nil, fmt.Errorf("release: phase 2 cells at level %d: %w", lvl, err)
+				return nil, fmt.Errorf("release: phase 2 count at level %d: %w", op.level, err)
 			}
-			qi++
-			if err := ledger.Spend(fmt.Sprintf("phase2/cells/level%d", lvl), budget); err != nil {
-				return nil, fmt.Errorf("release: accounting cells %d: %w", lvl, err)
+			rel.Counts.Levels = append(rel.Counts.Levels, count)
+		case opCells:
+			// The pipeline's Workers option shards each histogram's noise
+			// pass too; releases are bit-identical for any value.
+			var cells core.CellRelease
+			if err := core.ReleaseCells(&cells, tree, op.level, op.noise, phase2Src.Split(1000+uint64(op.level)), cfg.workers); err != nil {
+				return nil, fmt.Errorf("release: phase 2 cells at level %d: %w", op.level, err)
 			}
-			rel.Cells = append(rel.Cells, CloneCellRelease(*cells))
+			rel.Cells = append(rel.Cells, cells)
 		}
+		costs = append(costs, op.Cost)
 	}
 
-	costs := make([]dp.Params, len(perQuery))
-	copy(costs, perQuery)
 	seq, err := accountant.ComposeBasic(costs)
 	if err != nil {
 		return nil, fmt.Errorf("release: composing costs: %w", err)
@@ -547,111 +616,7 @@ func (p *Pipeline) finish(tree *hierarchy.Tree, phase2Src *rng.Source) (*Release
 	}
 	rel.ParallelCostEpsilon = phase1Eps + par.Epsilon
 	rel.ParallelCostDelta = par.Delta
-	rel.Audit = ledger.Ops()
 	return rel, nil
-}
-
-// rdpPlan computes the composed-RDP noise plan: one Gaussian scale per
-// query (σ = σ_unit · Δ_query, so every query consumes an equal RDP
-// share) plus the honest per-query (ε, δ) implied by that scale for the
-// artifact's metadata. The global guarantee — all queries together are
-// (εg, δ)-DP — is enforced by calibrating σ_unit through the RDP
-// accountant.
-func (p *Pipeline) rdpPlan(tree *hierarchy.Tree) ([]dp.Params, []float64, error) {
-	cfg := p.cfg
-	if cfg.budget.Delta <= 0 {
-		return nil, nil, fmt.Errorf("%w: composed-rdp requires delta > 0", ErrBadOption)
-	}
-	if cfg.strategy.Mech != core.MechGaussian {
-		return nil, nil, fmt.Errorf("%w: composed-rdp requires the gaussian mechanism", ErrBadOption)
-	}
-	queries := len(cfg.levels)
-	if cfg.cellHistograms {
-		queries *= 2
-	}
-	sigmaUnit, err := accountant.GaussianSigmaForBudget(cfg.budget.Epsilon, cfg.budget.Delta, queries)
-	if err != nil {
-		return nil, nil, fmt.Errorf("release: rdp calibration: %w", err)
-	}
-	perDelta := cfg.budget.Delta / float64(queries)
-
-	plan := func(sens int64) (dp.Params, float64, error) {
-		if sens <= 0 {
-			// Empty level: no noise needed; advertise the nominal share.
-			return dp.Params{Epsilon: cfg.budget.Epsilon / float64(queries), Delta: perDelta}, 0, nil
-		}
-		sigma := sigmaUnit * float64(sens)
-		eps, err := dp.GaussianEpsilon(sigma, float64(sens), perDelta)
-		if err != nil {
-			return dp.Params{}, 0, err
-		}
-		return dp.Params{Epsilon: eps, Delta: perDelta}, sigma, nil
-	}
-
-	budgets := make([]dp.Params, 0, queries)
-	sigmas := make([]float64, 0, queries)
-	for _, lvl := range cfg.levels {
-		sens, err := core.Sensitivity(tree, lvl, cfg.model)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, s, err := plan(sens)
-		if err != nil {
-			return nil, nil, err
-		}
-		budgets = append(budgets, b)
-		sigmas = append(sigmas, s)
-		if cfg.cellHistograms {
-			cellSens, err := core.Sensitivity(tree, lvl, core.ModelCells)
-			if err != nil {
-				return nil, nil, err
-			}
-			b, s, err := plan(cellSens)
-			if err != nil {
-				return nil, nil, err
-			}
-			budgets = append(budgets, b)
-			sigmas = append(sigmas, s)
-		}
-	}
-	return budgets, sigmas, nil
-}
-
-// perQueryBudgets maps the global budget to one (ε, δ) per Phase-2 query
-// according to the mode.
-func (p *Pipeline) perQueryBudgets() ([]dp.Params, error) {
-	cfg := p.cfg
-	queries := len(cfg.levels)
-	if cfg.cellHistograms {
-		queries *= 2
-	}
-	switch cfg.mode {
-	case ModePerLevel:
-		out := make([]dp.Params, queries)
-		for i := range out {
-			out[i] = cfg.budget
-		}
-		return out, nil
-	case ModeComposedBasic:
-		return accountant.UniformSplitter{}.Split(cfg.budget, queries)
-	case ModeComposedAdvanced:
-		if cfg.budget.Delta <= 0 {
-			return nil, fmt.Errorf("%w: advanced composition requires delta > 0", ErrBadOption)
-		}
-		slack := cfg.budget.Delta / 2
-		perEps, err := accountant.AdvancedPerQueryEpsilon(cfg.budget.Epsilon, queries, slack)
-		if err != nil {
-			return nil, fmt.Errorf("release: advanced split: %w", err)
-		}
-		perDelta := cfg.budget.Delta / (2 * float64(queries))
-		out := make([]dp.Params, queries)
-		for i := range out {
-			out[i] = dp.Params{Epsilon: perEps, Delta: perDelta}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: mode %d", ErrBadOption, int(cfg.mode))
-	}
 }
 
 // ViewFor returns the view a privilege tier receives: the release

@@ -265,11 +265,7 @@ func TestRunComposedAdvancedBeatsBasic(t *testing.T) {
 
 func TestRunComposedAdvancedRequiresDelta(t *testing.T) {
 	t.Parallel()
-	p, err := New(dp.Params{Epsilon: 1}, WithRounds(4), WithMode(ModeComposedAdvanced))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(testGraph(t)); !errors.Is(err, ErrBadOption) {
+	if _, err := New(dp.Params{Epsilon: 1}, WithRounds(4), WithMode(ModeComposedAdvanced)); !errors.Is(err, ErrBadOption) {
 		t.Errorf("pure-dp advanced error = %v", err)
 	}
 }
@@ -344,12 +340,8 @@ func TestViewFor(t *testing.T) {
 
 func TestClassicalCalibrationRejectsLargeEpsilon(t *testing.T) {
 	t.Parallel()
-	p, err := New(dp.Params{Epsilon: 1.5, Delta: 1e-5}, WithRounds(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(testGraph(t)); err == nil {
-		t.Error("classical calibration accepted epsilon >= 1")
+	if _, err := New(dp.Params{Epsilon: 1.5, Delta: 1e-5}, WithRounds(4)); !errors.Is(err, ErrBadOption) {
+		t.Errorf("classical calibration at epsilon >= 1: %v", err)
 	}
 	// Analytic calibration handles it.
 	p2, err := New(dp.Params{Epsilon: 1.5, Delta: 1e-5}, WithRounds(4),
@@ -523,22 +515,13 @@ func TestComposedRDPBeatsBasicForManyQueries(t *testing.T) {
 
 func TestComposedRDPValidation(t *testing.T) {
 	t.Parallel()
-	g := testGraph(t)
 	// Requires delta.
-	p, err := New(dp.Params{Epsilon: 1}, WithRounds(4), WithMode(ModeComposedRDP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(g); !errors.Is(err, ErrBadOption) {
+	if _, err := New(dp.Params{Epsilon: 1}, WithRounds(4), WithMode(ModeComposedRDP)); !errors.Is(err, ErrBadOption) {
 		t.Errorf("pure budget: %v", err)
 	}
 	// Requires the gaussian mechanism.
-	p2, err := New(dp.Params{Epsilon: 1, Delta: 1e-5}, WithRounds(4),
-		WithMode(ModeComposedRDP), WithStrategy("quadtree-laplace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Run(g); !errors.Is(err, ErrBadOption) {
+	if _, err := New(dp.Params{Epsilon: 1, Delta: 1e-5}, WithRounds(4),
+		WithMode(ModeComposedRDP), WithStrategy("quadtree-laplace")); !errors.Is(err, ErrBadOption) {
 		t.Errorf("laplace + rdp: %v", err)
 	}
 }
