@@ -92,9 +92,9 @@ func (a *RDPAccountant) ToApproxDP(delta float64) (dp.Params, error) {
 // smallest σ (per unit sensitivity) such that k Gaussian releases compose
 // to at most (epsTotal, delta) under RDP. Solved by bisection on σ.
 //
-// No σ reaches an epsTotal at or below ln(1/δ)/(α_max − 1), the
-// conversion term of the largest default order that even infinite noise
-// leaves; such a budget fails at once, naming that floor.
+// Even infinite σ leaves the conversion term ln(1/δ)/(α−1), smallest at
+// the largest default order, so no σ reaches an epsTotal at or below
+// ln(1/δ)/(α_max − 1); such a budget fails at once, naming that floor.
 func GaussianSigmaForBudget(epsTotal, delta float64, k int) (float64, error) {
 	if !(epsTotal > 0) || k <= 0 || !(delta > 0 && delta < 1) {
 		return 0, fmt.Errorf("accountant: invalid rdp budget (eps=%v, delta=%v, k=%d)", epsTotal, delta, k)
