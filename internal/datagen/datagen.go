@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"repro/internal/bipartite"
-	"repro/internal/rng"
 )
 
 // Config describes a synthetic bipartite graph.
@@ -70,64 +69,27 @@ func (c Config) Validate() error {
 // every association are drawn from (independent) Zipf distributions over
 // the node ranks, which yields the heavy-tailed joint shape real
 // association data exhibits (a few prolific authors, a few heavily
-// co-authored papers).
+// co-authored papers). The edges are exactly the ones Stream emits for c.
 func Generate(c Config) (*bipartite.Graph, error) {
-	if err := c.Validate(); err != nil {
+	labels := c.Labels
+	c.Labels = false
+	edges, numLeft, numRight, err := EdgeList(c)
+	if err != nil {
 		return nil, err
 	}
-	src := rng.New(c.Seed)
-	zl, err := rng.NewZipf(src.Split(1), c.LeftZipf, 1, uint64(c.NumLeft-1))
-	if err != nil {
-		return nil, fmt.Errorf("datagen: left sampler: %w", err)
-	}
-	zr, err := rng.NewZipf(src.Split(2), c.RightZipf, 1, uint64(c.NumRight-1))
-	if err != nil {
-		return nil, fmt.Errorf("datagen: right sampler: %w", err)
-	}
-
-	b := bipartite.NewBuilder(c.NumEdges)
-	b.SetNumLeft(int32(c.NumLeft))
-	b.SetNumRight(int32(c.NumRight))
-	seen := make(map[[2]int32]struct{}, c.NumEdges)
-	uniform := src.Split(3)
-
-	// Zipf sampling revisits head pairs often; retry duplicates, and if
-	// the head is saturated (many consecutive duplicates), fall back to a
-	// uniform endpoint for that draw so generation always terminates.
-	const maxConsecutiveDup = 64
-	dups := 0
-	for len(seen) < c.NumEdges {
-		var l, r int32
-		if dups < maxConsecutiveDup {
-			l = int32(zl.Next())
-			r = int32(zr.Next())
-		} else {
-			l = int32(uniform.Intn(c.NumLeft))
-			r = int32(uniform.Intn(c.NumRight))
-		}
-		key := [2]int32{l, r}
-		if _, dup := seen[key]; dup {
-			dups++
-			continue
-		}
-		dups = 0
-		seen[key] = struct{}{}
-		b.AddEdge(l, r)
-	}
-	g, err := b.Build()
+	g, err := bipartite.FromEdges(numLeft, numRight, edges)
 	if err != nil {
 		return nil, fmt.Errorf("datagen: building graph: %w", err)
 	}
-	if c.Labels {
-		return relabel(g, c)
+	if labels {
+		return relabel(g)
 	}
 	return g, nil
 }
 
 // relabel rebuilds the graph with synthetic names attached.
-func relabel(g *bipartite.Graph, c Config) (*bipartite.Graph, error) {
+func relabel(g *bipartite.Graph) (*bipartite.Graph, error) {
 	nb := bipartite.NewBuilder(int(g.NumEdges()))
-	var err error
 	g.ForEachEdge(func(l, r int32) bool {
 		nb.AddAssociation(
 			fmt.Sprintf("left/%06d", l),
@@ -135,11 +97,11 @@ func relabel(g *bipartite.Graph, c Config) (*bipartite.Graph, error) {
 		)
 		return true
 	})
-	labeled, buildErr := nb.Build()
-	if buildErr != nil {
-		return nil, fmt.Errorf("datagen: relabeling: %w", buildErr)
+	labeled, err := nb.Build()
+	if err != nil {
+		return nil, fmt.Errorf("datagen: relabeling: %w", err)
 	}
-	return labeled, err
+	return labeled, nil
 }
 
 // Preset names accepted by ByName.

@@ -14,12 +14,10 @@ import (
 // hierarchy.BuildFromEdges can specialize a synthetic dataset straight
 // from the generator.
 //
-// The emitted edge set is exactly the set Generate(c) would put in its
-// Graph — the same RNG streams are consumed in the same order, including
-// the duplicate-retry and uniform-fallback draws — so a streamed build
-// over a Stream is bit-identical to an in-memory build over Generate's
-// output. Reset replays deterministically by re-deriving the RNG from the
-// seed.
+// Generate(c) builds its Graph from exactly these edges (through
+// EdgeList), so a build over a Stream is bit-identical to one over
+// bipartite.NewGraphSource(Generate(c)). Reset replays deterministically
+// by re-deriving the RNG from the seed.
 //
 // Memory: the duplicate-rejection set is O(E) keys (8 bytes each plus map
 // overhead) — far below a materialized Graph with its pair list and two
@@ -71,9 +69,11 @@ func (s *Stream) Reset() error {
 	return nil
 }
 
-// NextChunk implements bipartite.EdgeSource, running Generate's exact
-// draw-retry-fallback loop until the chunk is full or the edge target is
-// reached.
+// NextChunk implements bipartite.EdgeSource, drawing edges until the
+// chunk is full or the edge target is reached. Zipf sampling revisits
+// head pairs often: duplicates are retried, and once the head is
+// saturated (many consecutive duplicates) a draw falls back to uniform
+// endpoints, so generation always terminates.
 func (s *Stream) NextChunk(dst []bipartite.Edge) (int, error) {
 	if len(dst) == 0 {
 		return 0, fmt.Errorf("datagen: NextChunk called with an empty destination buffer")
