@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
@@ -151,7 +152,7 @@ func BenchmarkPhase1Specialization(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hierarchy.Build(g, hierarchy.Options{Rounds: 6, Bisector: bis}); err != nil {
+		if _, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 6, Bisector: bis}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,7 +174,7 @@ func BenchmarkPhase1SpecializationParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hierarchy.Build(g, hierarchy.Options{Rounds: 6, Bisector: bis, Workers: 4}); err != nil {
+		if _, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 6, Bisector: bis, Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +187,7 @@ func BenchmarkPhase2Release(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 6, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 6, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func releaseCellsTree(b *testing.B) *hierarchy.Tree {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 9, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 9, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,15 +316,11 @@ func BenchmarkReleaseCellsAlloc(b *testing.B) {
 	b.SetBytes(int64(cells) * 8)
 }
 
-// BenchmarkParallelTrials runs the Figure 1 trial loop serially and over
-// a four-lane fan-out on a pre-generated graph (RunFigure1On, so dataset
-// synthesis does not mask the loop); the produced figures are
-// bit-identical, only the wall time differs.
+// BenchmarkParallelTrials runs Figure 1 serially and over a four-lane
+// fan-out; each run synthesizes the edge list once and then spends most
+// of its time in the trial loop. The produced figures are bit-identical,
+// only the wall time differs.
 func BenchmarkParallelTrials(b *testing.B) {
-	g, err := datagen.Generate(datagen.DBLPTiny(1))
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg, err := experiments.DefaultFigure1Config(experiments.Options{Quick: true, Seed: 1, Workers: workers})
@@ -333,7 +330,7 @@ func BenchmarkParallelTrials(b *testing.B) {
 			cfg.Trials = 16
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunFigure1On(g, cfg); err != nil {
+				if _, err := experiments.RunFigure1(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

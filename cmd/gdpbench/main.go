@@ -15,22 +15,25 @@
 //	gdpbench -edges dblp.tsv -rounds 9
 //	gdpbench -edges dblp.bpg -streamverify
 //
-// -edges streams an edge file through the chunked two-pass build
-// (hierarchy.BuildFromEdges) instead of running experiments: pass 1
-// accumulates side degrees, pass 2 feeds the sharded cell aggregation,
-// and the file's edges are never materialized — not as a pair list and
-// not as either CSR direction — so peak memory is O(chunk + sides +
-// 4^rounds), independent of the edge count. The format is sniffed from
-// the first bytes ("BPG1" means the compact binary codec, anything else
-// is TSV). TSV inputs must not repeat pairs: the streamed build counts
-// every line while the in-memory loader deduplicates, so deduplicate
-// first (e.g. sort -u) — -streamverify catches the divergence. The
-// ingest rate (edges/sec over the whole two-pass build) is printed.
-// -streamverify additionally loads the same file in memory, runs the
-// release pipeline both ways with one seed, and fails unless the
-// artifacts are byte-identical — the self-checking mode CI's stream
-// smoke job runs; skip it for files that do not fit in RAM, which is
-// what -edges exists for.
+// -edges streams an edge file through the two-pass build
+// (hierarchy.BuildFromEdges, the one hierarchy build) instead of running
+// experiments: pass 1 accumulates side degrees, pass 2 feeds the sharded
+// cell aggregation, and the file's edges are never materialized — not as
+// a pair list and not as either CSR direction — so peak memory is
+// O(chunk + sides + 4^rounds), independent of the edge count. The format
+// is sniffed from the first bytes ("BPG1" means the compact binary codec,
+// anything else is TSV). TSV inputs must not repeat pairs: the streamed
+// file counts every line while the Graph loader deduplicates, so
+// deduplicate first (e.g. sort -u) — -streamverify catches the
+// divergence. The ingest rate (edges/sec over the whole two-pass build)
+// is printed. -streamverify additionally loads the same file through the
+// de-duplicating Graph loader and checks it against the streamed file
+// over the one build: the tree built over the loaded Graph must encode
+// byte-identically to the streamed tree, and the release pipeline run on
+// the Graph and over the file with one seed must produce byte-identical
+// artifacts. It is the self-checking mode CI's stream smoke job runs;
+// skip it for files that do not fit in RAM, which is what -edges exists
+// for.
 package main
 
 import (
@@ -75,7 +78,7 @@ func run(args []string, w io.Writer) error {
 
 		edgesFile    = fs.String("edges", "", "stream an edge file (TSV or binary graph) through the chunked build instead of running experiments")
 		rounds       = fs.Int("rounds", 9, "specialization rounds for -edges")
-		streamVerify = fs.Bool("streamverify", false, "with -edges: also run the in-memory path and fail unless the releases are byte-identical")
+		streamVerify = fs.Bool("streamverify", false, "with -edges: also load the file through the de-duplicating Graph loader and fail unless its tree and release are byte-identical to the streamed file's")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
@@ -137,7 +140,7 @@ func run(args []string, w io.Writer) error {
 
 // runEdges is the -edges mode: stream the file through the chunked build,
 // report the ingest rate, and optionally pin the result against the
-// in-memory path.
+// de-duplicating Graph loader.
 func runEdges(w io.Writer, path string, rounds, workers int, seed uint64, verify bool) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -186,15 +189,16 @@ func runEdges(w io.Writer, path string, rounds, workers int, seed uint64, verify
 		if err := verifyStreamedRelease(f, format, tree, rounds, workers, seed, src); err != nil {
 			return err
 		}
-		fmt.Fprintln(w, "verify:  streamed release is byte-identical to the in-memory path")
+		fmt.Fprintln(w, "verify:  the loaded Graph's tree and release are byte-identical to the streamed file's")
 	}
 	fmt.Fprintln(w)
 	return nil
 }
 
-// verifyStreamedRelease loads the file in memory, checks the streamed
-// tree's grouping bit-identical to the in-memory build, and runs the full
-// release pipeline down both paths, failing on any byte difference.
+// verifyStreamedRelease loads the file through the de-duplicating Graph
+// loader, checks the tree built over that Graph bit-identical to the
+// streamed tree, and runs the full release pipeline on the Graph and over
+// the file, failing on any byte difference.
 func verifyStreamedRelease(f *os.File, format string, streamedTree *hierarchy.Tree, rounds, workers int, seed uint64, src bipartite.EdgeSource) error {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return err
@@ -207,10 +211,10 @@ func verifyStreamedRelease(f *os.File, format string, streamedTree *hierarchy.Tr
 		g, err = bipartite.LoadTSV(f)
 	}
 	if err != nil {
-		return fmt.Errorf("in-memory load for -streamverify: %w", err)
+		return fmt.Errorf("graph load for -streamverify: %w", err)
 	}
 
-	memTree, err := hierarchy.Build(g, hierarchy.Options{
+	graphTree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{
 		Rounds:   rounds,
 		Bisector: partition.BalancedBisector{},
 		Workers:  workers,
@@ -218,15 +222,15 @@ func verifyStreamedRelease(f *os.File, format string, streamedTree *hierarchy.Tr
 	if err != nil {
 		return err
 	}
-	var streamedEnc, memEnc bytes.Buffer
+	var streamedEnc, graphEnc bytes.Buffer
 	if err := streamedTree.EncodeBinary(&streamedEnc); err != nil {
 		return err
 	}
-	if err := memTree.EncodeBinary(&memEnc); err != nil {
+	if err := graphTree.EncodeBinary(&graphEnc); err != nil {
 		return err
 	}
-	if !bytes.Equal(streamedEnc.Bytes(), memEnc.Bytes()) {
-		return fmt.Errorf("streamed tree differs from in-memory build (duplicate edge lines in the input? the streamed path counts every line, the in-memory loader deduplicates)")
+	if !bytes.Equal(streamedEnc.Bytes(), graphEnc.Bytes()) {
+		return fmt.Errorf("streamed tree differs from the loaded graph's (duplicate edge lines in the input? the streamed file counts every line, the graph loader deduplicates)")
 	}
 
 	newPipeline := func() (*release.Pipeline, error) {
@@ -237,11 +241,11 @@ func verifyStreamedRelease(f *os.File, format string, streamedTree *hierarchy.Tr
 			release.WithWorkers(workers),
 		)
 	}
-	pMem, err := newPipeline()
+	pGraph, err := newPipeline()
 	if err != nil {
 		return err
 	}
-	relMem, err := pMem.Run(g)
+	relGraph, err := pGraph.Run(g)
 	if err != nil {
 		return err
 	}
@@ -254,14 +258,14 @@ func verifyStreamedRelease(f *os.File, format string, streamedTree *hierarchy.Tr
 		return err
 	}
 	var a, b bytes.Buffer
-	if err := relMem.WriteJSON(&a, true); err != nil {
+	if err := relGraph.WriteJSON(&a, true); err != nil {
 		return err
 	}
 	if err := relStream.WriteJSON(&b, true); err != nil {
 		return err
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return fmt.Errorf("streamed release differs from in-memory release")
+		return fmt.Errorf("streamed release differs from the loaded graph's release")
 	}
 	return nil
 }

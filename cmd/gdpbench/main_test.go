@@ -140,8 +140,8 @@ func writeEdgeFile(t *testing.T, path, format string) {
 }
 
 // TestRunEdgesStreamedIngest drives -edges end to end for both file
-// formats with verification on: the streamed release must match the
-// in-memory path byte for byte.
+// formats with verification on: the tree and release over the streamed
+// file must match the ones over the loaded Graph byte for byte.
 func TestRunEdgesStreamedIngest(t *testing.T) {
 	for _, format := range []string{"tsv", "binary"} {
 		t.Run(format, func(t *testing.T) {

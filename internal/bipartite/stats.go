@@ -40,9 +40,8 @@ func ComputeStats(g *Graph) Stats {
 
 // StatsFromDegrees computes the summary from per-node degree slices alone
 // — everything Stats reports is a functional of the two degree sequences.
-// The streamed build path uses it to document a dataset it never held as
-// a Graph; ComputeStats delegates here, so the two paths agree bit for
-// bit. The slices are read, not modified.
+// The hierarchy build uses it to document a dataset it never holds as a
+// Graph; ComputeStats delegates here, so the two agree bit for bit. The slices are read, not modified.
 func StatsFromDegrees(leftDegrees, rightDegrees []int64) Stats {
 	var edges int64
 	for _, d := range leftDegrees {
@@ -66,10 +65,6 @@ func StatsFromDegrees(leftDegrees, rightDegrees []int64) Stats {
 	}
 	return s
 }
-
-// Degrees returns a fresh slice of per-node degrees on side s, indexed by
-// node id.
-func (g *Graph) Degrees(s Side) []int64 { return degreeSlice(g, s) }
 
 // String renders the stats as a compact single-line summary.
 func (s Stats) String() string {

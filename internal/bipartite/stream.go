@@ -89,8 +89,8 @@ func (s *SliceSource) Sides() (int32, int32, bool) { return s.numLeft, s.numRigh
 // GraphSource
 
 // GraphSource streams the edges of a built Graph in left-major order
-// without copying them — the bridge for running the streamed build path
-// (or verifying it) against a graph already in memory.
+// without copying them — how a Graph goes into the two-pass hierarchy
+// build.
 type GraphSource struct {
 	g   *Graph
 	off []int64

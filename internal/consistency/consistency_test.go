@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
@@ -23,7 +24,7 @@ func testTree(t testing.TB) *hierarchy.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func deepTree(t testing.TB, rounds int) *hierarchy.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: rounds, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: rounds, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func testTree(t testing.TB) *hierarchy.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestUniverseCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.NumGroups != 1 || u.MaxGroupRecords != tree.Graph().NumEdges() {
+	if u.NumGroups != 1 || u.MaxGroupRecords != tree.NumEdges() {
 		t.Errorf("root universe = %+v", u)
 	}
 	u1, err := Universe(tree, 1, ModelCells)
@@ -124,8 +124,8 @@ func TestUniverseIndividual(t *testing.T) {
 	if u.MaxGroupRecords != 1 {
 		t.Errorf("individual sensitivity = %d, want 1", u.MaxGroupRecords)
 	}
-	if int64(u.NumGroups) != tree.Graph().NumEdges() {
-		t.Errorf("individual groups = %d, want %d", u.NumGroups, tree.Graph().NumEdges())
+	if int64(u.NumGroups) != tree.NumEdges() {
+		t.Errorf("individual groups = %d, want %d", u.NumGroups, tree.NumEdges())
 	}
 }
 
@@ -214,7 +214,7 @@ func TestReleaseCountBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Level != 2 || rel.TrueCount != tree.Graph().NumEdges() {
+	if rel.Level != 2 || rel.TrueCount != tree.NumEdges() {
 		t.Errorf("release = %+v", rel)
 	}
 	if rel.Sigma <= 0 || rel.Sensitivity <= 0 {
@@ -309,7 +309,7 @@ func TestReleaseCells(t *testing.T) {
 	}
 	// The sum of noisy cells should be within a few sigma·sqrt(cells) of
 	// the true total.
-	trueTotal := float64(tree.Graph().NumEdges())
+	trueTotal := float64(tree.NumEdges())
 	slack := 6 * rel.Sigma * math.Sqrt(float64(len(rel.Counts)))
 	if diff := math.Abs(rel.SumCells() - trueTotal); diff > slack {
 		t.Errorf("cell sum off by %v, slack %v", diff, slack)

@@ -74,7 +74,7 @@ func emptyTree(t testing.TB) *hierarchy.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}

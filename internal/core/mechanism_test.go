@@ -185,7 +185,7 @@ func TestExpectedRERLaplaceNoiseFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := float64(sens) / 0.5 / float64(tree.Graph().NumEdges())
+	want := float64(sens) / 0.5 / float64(tree.NumEdges())
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("laplace E[RER] = %v, want %v", got, want)
 	}

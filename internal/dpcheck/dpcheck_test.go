@@ -45,7 +45,7 @@ func uniformTree(t testing.TB) *hierarchy.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 7, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 7, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func skewedTree(t testing.TB) *hierarchy.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}

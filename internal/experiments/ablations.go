@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
@@ -237,7 +238,7 @@ func RunPartitioner(opts Options) (*Report, error) {
 	for ei, e := range entries {
 		skewTable.Headers = append(skewTable.Headers, e.name)
 		rerTable.Headers = append(rerTable.Headers, e.name)
-		tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: r, Bisector: e.bis, Workers: opts.Workers})
+		tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: r, Bisector: e.bis, Workers: opts.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: partitioner %s: %w", e.name, err)
 		}
@@ -417,7 +418,7 @@ func RunScale(opts Options) (*Report, error) {
 		genMS := time.Since(t0).Seconds() * 1000
 
 		t1 := time.Now()
-		tree, err := buildTrialTree(g, r, 0.1, opts.Workers, rng.New(opts.Seed+uint64(edges)+1))
+		tree, err := buildTrialTree(bipartite.NewGraphSource(g), r, 0.1, opts.Workers, rng.New(opts.Seed+uint64(edges)+1))
 		if err != nil {
 			return nil, err
 		}
@@ -455,7 +456,7 @@ func standardTree(opts Options) (*hierarchy.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return hierarchy.Build(g, hierarchy.Options{
+	return hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{
 		Rounds:   rounds(opts.Quick),
 		Bisector: partition.BalancedBisector{},
 		Workers:  opts.Workers,

@@ -158,28 +158,11 @@ func levelsFor(r int) []int {
 	return levels
 }
 
-// buildTrialTree generates Phase 1 once for a trial: a private
-// exponential-mechanism hierarchy when phase1Eps > 0, else the balanced
-// baseline. workers parallelizes the build without changing its output.
-func buildTrialTree(g *bipartite.Graph, rnds int, phase1Eps float64, workers int, src *rng.Source) (*hierarchy.Tree, error) {
-	var bis partition.Bisector
-	if phase1Eps > 0 {
-		eb, err := partition.NewExpMechBisector(phase1Eps, src)
-		if err != nil {
-			return nil, err
-		}
-		bis = eb
-	} else {
-		bis = partition.BalancedBisector{}
-	}
-	return hierarchy.Build(g, hierarchy.Options{Rounds: rnds, Bisector: bis, Workers: workers})
-}
-
-// buildTrialTreeFromEdges is buildTrialTree over a chunked edge stream:
-// the hierarchy is specialized by hierarchy.BuildFromEdges without a
-// materialized Graph. Trees are bit-identical to the graph path for the
-// same edges, so experiments can mix the two freely.
-func buildTrialTreeFromEdges(src bipartite.EdgeSource, rnds int, phase1Eps float64, workers int, rsrc *rng.Source) (*hierarchy.Tree, error) {
+// buildTrialTree generates Phase 1 once for a trial over an edge source:
+// a private exponential-mechanism hierarchy when phase1Eps > 0, else the
+// balanced baseline. workers parallelizes the build without changing its
+// output.
+func buildTrialTree(src bipartite.EdgeSource, rnds int, phase1Eps float64, workers int, rsrc *rng.Source) (*hierarchy.Tree, error) {
 	var bis partition.Bisector
 	if phase1Eps > 0 {
 		eb, err := partition.NewExpMechBisector(phase1Eps, rsrc)

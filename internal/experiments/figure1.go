@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
-	"repro/internal/hierarchy"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 )
@@ -25,7 +24,9 @@ var PaperFigure1Reference = map[int]float64{
 	1: 0.002,
 }
 
-// Figure1Config fully specifies the Figure 1 reproduction.
+// Figure1Config fully specifies the Figure 1 reproduction. RunFigure1
+// synthesizes Dataset once as a bare edge list and builds every trial's
+// hierarchy from it; no Graph is materialized.
 type Figure1Config struct {
 	// Dataset is the synthetic DBLP stand-in.
 	Dataset datagen.Config
@@ -53,12 +54,6 @@ type Figure1Config struct {
 	// hierarchy build and on the εg × level sweep. The produced figures
 	// are bit-identical for any value.
 	Workers int
-	// Stream builds every trial hierarchy through the chunked
-	// hierarchy.BuildFromEdges path over the synthesized edge list instead
-	// of materializing a bipartite.Graph (quick runs default to this —
-	// synthesis then skips the Builder's dedup sort and both CSR
-	// directions). The produced figures are bit-identical either way.
-	Stream bool
 }
 
 // DefaultFigure1Config mirrors the paper's setup on the scaled dataset.
@@ -80,7 +75,6 @@ func DefaultFigure1Config(opts Options) (Figure1Config, error) {
 		Calib:         core.CalibrationClassical,
 		Seed:          opts.Seed,
 		Workers:       opts.Workers,
-		Stream:        opts.Quick,
 	}, nil
 }
 
@@ -102,38 +96,20 @@ type Figure1Result struct {
 // RunFigure1 reproduces Figure 1: RER of the association-count query vs εg
 // for every information level.
 //
-// Per trial, Phase 1 builds a fresh private hierarchy; the εg sweep then
-// reuses that hierarchy (changing the Phase-2 budget does not change the
-// grouping). RER is averaged across trials. Trials fan out across
-// Config.Workers lanes — each consumes a stream pre-split in trial
-// order, writes only its own result slot, and the sums reduce in trial
-// order. Inside a trial the εg × level sweep fans out too: every (level,
-// εg) pair owns a stream pre-split in serial order and writes only its
-// own grid slot, so lanes left idle by a small trial count (dense grid,
-// Trials < Workers) are spent on the sweep instead. The figure is
-// bit-identical for any worker count.
+// The dataset is synthesized once as a bare edge list (datagen.EdgeList:
+// no Graph, no CSR directions). Per trial, Phase 1 builds a fresh private
+// hierarchy through hierarchy.BuildFromEdges over a SliceSource cursor of
+// that shared, immutable list; the εg sweep then reuses that hierarchy
+// (changing the Phase-2 budget does not change the grouping). RER is
+// averaged across trials. Trials fan out across Config.Workers lanes —
+// each consumes a stream pre-split in trial order, writes only its own
+// result slot, and the sums reduce in trial order. Inside a trial the εg
+// × level sweep fans out too: every (level, εg) pair owns a stream
+// pre-split in serial order and writes only its own grid slot, so lanes
+// left idle by a small trial count (dense grid, Trials < Workers) are
+// spent on the sweep instead. The figure is bit-identical for any worker
+// count.
 func RunFigure1(cfg Figure1Config) (*Figure1Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Stream {
-		return RunFigure1Streamed(cfg)
-	}
-	g, err := datagen.Generate(cfg.Dataset)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generating dataset: %w", err)
-	}
-	return RunFigure1On(g, cfg)
-}
-
-// RunFigure1Streamed is RunFigure1 over the chunked build path: the
-// dataset is synthesized once as a bare edge list (datagen.EdgeList — no
-// Graph, no CSR directions) and every trial's hierarchy is built through
-// hierarchy.BuildFromEdges with a per-build SliceSource cursor over the
-// shared, immutable list, so trial lanes fan out without copying edges.
-// Bit-identical to the in-memory path (pinned by
-// TestFigure1StreamedMatchesInMemory).
-func RunFigure1Streamed(cfg Figure1Config) (*Figure1Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -141,43 +117,6 @@ func RunFigure1Streamed(cfg Figure1Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: synthesizing edge list: %w", err)
 	}
-	return runFigure1Trials(cfg, func(buildWorkers int, src *rng.Source) (*hierarchy.Tree, error) {
-		es := bipartite.NewSliceSource(numLeft, numRight, edges)
-		return buildTrialTreeFromEdges(es, cfg.Rounds, cfg.Phase1Epsilon, buildWorkers, src)
-	})
-}
-
-// validate rejects configs cheaply, before any dataset synthesis.
-func (cfg Figure1Config) validate() error {
-	if cfg.Trials < 1 {
-		return fmt.Errorf("experiments: trials must be >= 1 (got %d)", cfg.Trials)
-	}
-	if len(cfg.EpsGrid) == 0 || len(cfg.Levels) == 0 {
-		return fmt.Errorf("experiments: empty eps grid or level list")
-	}
-	return nil
-}
-
-// RunFigure1On is RunFigure1 over an already materialized graph,
-// ignoring cfg.Dataset — the entry point when the caller loads or reuses
-// a graph (benchmarks isolating the trial loop, repeated sweeps over one
-// dataset).
-func RunFigure1On(g *bipartite.Graph, cfg Figure1Config) (*Figure1Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("experiments: nil graph")
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return runFigure1Trials(cfg, func(buildWorkers int, src *rng.Source) (*hierarchy.Tree, error) {
-		return buildTrialTree(g, cfg.Rounds, cfg.Phase1Epsilon, buildWorkers, src)
-	})
-}
-
-// runFigure1Trials is the shared trial loop: buildTree produces one
-// trial's Phase-1 hierarchy (from a Graph or an edge stream — the loop
-// does not care), everything downstream of the build is common.
-func runFigure1Trials(cfg Figure1Config, buildTree func(buildWorkers int, src *rng.Source) (*hierarchy.Tree, error)) (*Figure1Result, error) {
 	src := rng.New(cfg.Seed)
 
 	// Per trial: rer[li][ei] and exp[li][ei] measured on the trial's own
@@ -189,9 +128,10 @@ func runFigure1Trials(cfg Figure1Config, buildTree func(buildWorkers int, src *r
 	trialSrcs := splitPerTrial(src, cfg.Trials)
 	results := make([]trialResult, cfg.Trials)
 	buildWorkers := buildWorkersFor(cfg.Workers, cfg.Trials)
-	err := runTrials(cfg.Workers, cfg.Trials, func(_, trial int) error {
+	err = runTrials(cfg.Workers, cfg.Trials, func(_, trial int) error {
 		trialSrc := trialSrcs[trial]
-		tree, err := buildTree(buildWorkers, trialSrc.Split(1))
+		es := bipartite.NewSliceSource(numLeft, numRight, edges)
+		tree, err := buildTrialTree(es, cfg.Rounds, cfg.Phase1Epsilon, buildWorkers, trialSrc.Split(1))
 		if err != nil {
 			return fmt.Errorf("experiments: trial %d phase 1: %w", trial, err)
 		}
@@ -291,6 +231,17 @@ func runFigure1Trials(cfg Figure1Config, buildTree func(buildWorkers int, src *r
 		res.Table.AddRow(row...)
 	}
 	return res, nil
+}
+
+// validate rejects configs cheaply, before any dataset synthesis.
+func (cfg Figure1Config) validate() error {
+	if cfg.Trials < 1 {
+		return fmt.Errorf("experiments: trials must be >= 1 (got %d)", cfg.Trials)
+	}
+	if len(cfg.EpsGrid) == 0 || len(cfg.Levels) == 0 {
+		return fmt.Errorf("experiments: empty eps grid or level list")
+	}
+	return nil
 }
 
 func levelNames(maxLevel int, levels []int) []string {

@@ -48,6 +48,34 @@ func TestFigure1WorkersBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFigure1ResultWorkersIdentical: the whole Figure-1 result, every
+// field but the worker knob, must serialize identically for Workers 1 and
+// 4 — every trial hierarchy built over its own SliceSource cursor of the
+// one synthesized edge list.
+func TestFigure1ResultWorkersIdentical(t *testing.T) {
+	t.Parallel()
+	encode := func(workers int) []byte {
+		cfg, err := DefaultFigure1Config(Options{Quick: true, Seed: 5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Trials = 3
+		res, err := RunFigure1(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Config.Workers = 0
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if serial, parallel := encode(1), encode(4); string(serial) != string(parallel) {
+		t.Fatal("Figure-1 result differs between workers=1 and workers=4")
+	}
+}
+
 // TestParallelTrialExperimentsBitIdentical pins every experiment that
 // fans trials out — Figure 1, the budget-split ablation, consistency,
 // and top-k — to its serial output: the whole JSON-encoded report must

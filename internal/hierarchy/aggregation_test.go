@@ -11,20 +11,50 @@ import (
 	"repro/internal/rng"
 )
 
-// naiveCellCounts recounts the depth-d cell matrix the slow way — one
-// full edge pass with a per-edge binary search over the range boundaries,
-// the seed implementation's algorithm — sharing no code with the
-// single-scan aggregation it cross-checks.
-func naiveCellCounts(tree *Tree, d int) []int64 {
+// naiveCellCounts recounts the depth-d cell matrix of a tree built over
+// g the slow way — one full edge pass with a per-edge binary search over
+// the range boundaries — sharing no code with the streamed scan and the
+// bottom-up aggregation it cross-checks.
+func naiveCellCounts(g *bipartite.Graph, tree *Tree, d int) []int64 {
 	k := 1 << d
 	counts := make([]int64, k*k)
-	tree.graph.ForEachEdge(func(l, r int32) bool {
+	g.ForEachEdge(func(l, r int32) bool {
 		i := findRange(tree.left.bounds[d], tree.left.pos[l])
 		j := findRange(tree.right.bounds[d], tree.right.pos[r])
 		counts[i*k+j]++
 		return true
 	})
 	return counts
+}
+
+// validateAgainst runs Validate plus the checks that need the edges the
+// tree does not hold: every stored degree equals g's, and every depth's
+// cell matrix equals naiveCellCounts over g.
+func validateAgainst(tree *Tree, g *bipartite.Graph) error {
+	if err := tree.Validate(); err != nil {
+		return err
+	}
+	for _, sd := range []struct {
+		st   *sideTree
+		side bipartite.Side
+	}{{&tree.left, bipartite.Left}, {&tree.right, bipartite.Right}} {
+		if len(sd.st.deg) != g.NumSide(sd.side) {
+			return fmt.Errorf("%v side: %d stored degrees, graph has %d nodes", sd.side, len(sd.st.deg), g.NumSide(sd.side))
+		}
+		for node, d := range sd.st.deg {
+			if want := g.Degree(sd.side, int32(node)); d != want {
+				return fmt.Errorf("%v side: stored degree of node %d is %d, graph says %d", sd.side, node, d, want)
+			}
+		}
+	}
+	for d := range tree.cells {
+		for i, c := range naiveCellCounts(g, tree, d) {
+			if tree.cells[d][i] != c {
+				return fmt.Errorf("depth %d cell %d stored %d, recounted %d", d, i, tree.cells[d][i], c)
+			}
+		}
+	}
+	return nil
 }
 
 // randomGraph builds a reproducible random bipartite graph.
@@ -64,12 +94,12 @@ func TestCellAggregationMatchesNaiveRecount(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range []partition.Bisector{partition.BalancedBisector{}, bis} {
-				tree, err := Build(g, Options{Rounds: shape.rounds, Bisector: b})
+				tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: shape.rounds, Bisector: b})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for d := 0; d <= shape.rounds; d++ {
-					want := naiveCellCounts(tree, d)
+					want := naiveCellCounts(g, tree, d)
 					got := tree.cells[d]
 					if len(got) != len(want) {
 						t.Fatalf("%dx%d seed %d %s: depth %d has %d cells, want %d",
@@ -82,7 +112,7 @@ func TestCellAggregationMatchesNaiveRecount(t *testing.T) {
 						}
 					}
 				}
-				if err := tree.Validate(); err != nil {
+				if err := validateAgainst(tree, g); err != nil {
 					t.Fatalf("%dx%d seed %d %s: %v", shape.nl, shape.nr, seed, b.Name(), err)
 				}
 			}
@@ -101,11 +131,11 @@ func TestBuildWorkersBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := Build(g, Options{Rounds: 5, Bisector: bis, Workers: workers})
+		tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 5, Bisector: bis, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.Validate(); err != nil {
+		if err := validateAgainst(tree, g); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return tree
@@ -157,7 +187,7 @@ func TestBuildWorkersBitIdentical(t *testing.T) {
 func TestSideGroupIncidentEdgesMatchesNaive(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 120, 90, 1500, 3)
-	tree, err := Build(g, Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
+	tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,31 +291,11 @@ func BenchmarkSideSort(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/node")
 }
 
-// BenchmarkComputeCells isolates the cell-matrix computation: one edge
-// scan at the deepest level plus bottom-up aggregation, across worker
-// counts. The graph is dense enough (300k edges over a 64×64 deepest
-// grid) that the sharded scan engages for the parallel case.
-func BenchmarkComputeCells(b *testing.B) {
-	g := randomGraph(b, 2000, 3000, 300000, 5)
-	tree, err := Build(g, Options{Rounds: 6, Bisector: partition.BalancedBisector{}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "workers1", 4: "workers4"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tree.computeCells(workers)
-			}
-		})
-	}
-}
-
 // BenchmarkSideGroupSums measures the O(groups) incident-edge answers
 // over every level of a deep tree.
 func BenchmarkSideGroupSums(b *testing.B) {
 	g := randomGraph(b, 2000, 3000, 50000, 6)
-	tree, err := Build(g, Options{Rounds: 8, Bisector: partition.BalancedBisector{}})
+	tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 8, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		b.Fatal(err)
 	}

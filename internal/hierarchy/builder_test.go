@@ -66,7 +66,7 @@ func assertTreesIdentical(t *testing.T, label string, a, b *Tree) {
 // one Builder serves a sequence of builds over graphs of different sizes
 // (including a shrink), varying worker counts and both private and
 // non-private bisectors, and every tree must be bit-identical to one from
-// a fresh hierarchy.Build with an identically seeded bisector.
+// a fresh BuildFromEdges with an identically seeded bisector.
 func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
 	t.Parallel()
 	b := NewBuilder()
@@ -94,17 +94,17 @@ func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
 			}
 			return bis
 		}
-		reused, err := b.Build(g, Options{Rounds: tc.rounds, Bisector: mkBisector(), Workers: tc.workers})
+		reused, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: tc.rounds, Bisector: mkBisector(), Workers: tc.workers})
 		if err != nil {
 			t.Fatalf("case %d: reused build: %v", ci, err)
 		}
-		fresh, err := Build(g, Options{Rounds: tc.rounds, Bisector: mkBisector(), Workers: tc.workers})
+		fresh, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: tc.rounds, Bisector: mkBisector(), Workers: tc.workers})
 		if err != nil {
 			t.Fatalf("case %d: fresh build: %v", ci, err)
 		}
 		label := "case " + string(rune('0'+ci))
 		assertTreesIdentical(t, label, reused, fresh)
-		if err := reused.Validate(); err != nil {
+		if err := validateAgainst(reused, g); err != nil {
 			t.Fatalf("case %d: reused tree invalid: %v", ci, err)
 		}
 	}
@@ -115,15 +115,15 @@ func TestBuilderCloseThenRebuild(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 100, 100, 1000, 2)
 	b := NewBuilder()
-	if _, err := b.Build(g, Options{Rounds: 3, Bisector: partition.BalancedBisector{}, Workers: 4}); err != nil {
+	if _, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 3, Bisector: partition.BalancedBisector{}, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
-	tree, err := b.Build(g, Options{Rounds: 3, Bisector: partition.BalancedBisector{}, Workers: 4})
+	tree, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 3, Bisector: partition.BalancedBisector{}, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Build(g, Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
+	fresh, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +131,19 @@ func TestBuilderCloseThenRebuild(t *testing.T) {
 	b.Close()
 }
 
-// TestBuilderValidation mirrors Build's argument validation.
+// TestBuilderValidation mirrors BuildFromEdges' argument validation.
 func TestBuilderValidation(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 10, 10, 20, 1)
 	b := NewBuilder()
 	defer b.Close()
-	if _, err := b.Build(nil, Options{Rounds: 2, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrNilGraph) {
-		t.Errorf("nil graph: got %v", err)
+	if _, err := b.BuildFromEdges(nil, Options{Rounds: 2, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrNilSource) {
+		t.Errorf("nil source: got %v", err)
 	}
-	if _, err := b.Build(g, Options{Rounds: 2}); !errors.Is(err, ErrNilBisector) {
+	if _, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 2}); !errors.Is(err, ErrNilBisector) {
 		t.Errorf("nil bisector: got %v", err)
 	}
-	if _, err := b.Build(g, Options{Rounds: 0, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrBadRounds) {
+	if _, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 0, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrBadRounds) {
 		t.Errorf("bad rounds: got %v", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestBuilderValidation(t *testing.T) {
 func TestLevelCellCountsViewAliasesStorage(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 64, 64, 800, 9)
-	tree, err := Build(g, Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
+	tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,8 @@ func TestLevelCellCountsViewAliasesStorage(t *testing.T) {
 	}
 }
 
-// BenchmarkBuilderReuse measures repeated in-memory builds of one graph
-// through a held Builder.
+// BenchmarkBuilderReuse measures repeated builds over one graph through a
+// held Builder.
 func BenchmarkBuilderReuse(b *testing.B) {
 	g := randomGraph(b, 2000, 3000, 40000, 11)
 	bld := NewBuilder()
@@ -189,7 +189,7 @@ func BenchmarkBuilderReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bld.Build(g, Options{Rounds: 6, Bisector: partition.BalancedBisector{}}); err != nil {
+		if _, err := bld.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 6, Bisector: partition.BalancedBisector{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,24 +215,19 @@ func (f *failingBisector) Bisect(prefix []int64) (int, error) {
 // build's bisector reachable. Each build hands the
 // Builder a bisector with a finalizer, drops its own reference, and waits
 // for the collector to run the finalizer while the Builder is still
-// alive — on the graph path, the streamed path, and a build that fails
-// mid-split.
+// alive — on a build that completes and on one that fails mid-split.
 func TestBuilderReleasesBisectorAfterBuild(t *testing.T) {
 	g := randomGraph(t, 300, 400, 5000, 3)
 	b := NewBuilder()
 	defer b.Close()
 
 	builds := map[string]func(partition.Bisector) error{
-		"Build": func(bis partition.Bisector) error {
-			_, err := b.Build(g, Options{Rounds: 4, Bisector: bis})
-			return err
-		},
-		"BuildFromEdges": func(bis partition.Bisector) error {
+		"build": func(bis partition.Bisector) error {
 			_, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 4, Bisector: bis})
 			return err
 		},
 		"failed build": func(bis partition.Bisector) error {
-			_, err := b.Build(g, Options{Rounds: 4, Bisector: &failingBisector{Bisector: bis, failAt: 5}})
+			_, err := b.BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 4, Bisector: &failingBisector{Bisector: bis, failAt: 5}})
 			if err == nil {
 				return errors.New("injected bisector failure did not fail the build")
 			}
@@ -270,10 +265,11 @@ func TestBuilderReleasesBisectorAfterBuild(t *testing.T) {
 // TestBuilderPinsNoPerNodeMemoryAfterBuild: a serving ingest lane holds
 // its Builder for the life of the registry, so anything a build left
 // reachable from it would be paid per lane, forever. After builds over
-// two half-million-node sides, on both paths and with both the balanced
-// and a private bisector, with the trees dropped and the Builder still held, the live heap must
-// be back within one byte per node of where it started — no array indexed
-// by node or position can have survived.
+// two half-million-node sides, over a graph cursor and a slice source and
+// with both the balanced and a private bisector, with the trees dropped
+// and the Builder still held, the live heap must be back within one byte
+// per node of where it started — no array indexed by node or position can
+// have survived.
 func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
 	const n = 1 << 19
 	edges := make([]bipartite.Edge, n)
@@ -296,7 +292,7 @@ func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
 	before := liveHeap()
 	for _, private := range []bool{false, true} {
 		opts := Options{Rounds: 9, Bisector: streamBisector(t, private, 3)}
-		if _, err := b.Build(g, opts); err != nil {
+		if _, err := b.BuildFromEdges(bipartite.NewGraphSource(g), opts); err != nil {
 			t.Fatal(err)
 		}
 		opts.Bisector = streamBisector(t, private, 3)

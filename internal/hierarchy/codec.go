@@ -21,8 +21,8 @@ import (
 //
 // Cell counts are not written: they follow from the structure and the
 // edges. The encoding is canonical, so two trees with equal encodings
-// made every cut identically — how gdpbench -streamverify compares a
-// streamed build with the in-memory one.
+// made every cut identically — how gdpbench -streamverify compares the
+// tree over a streamed file with the one over its loaded Graph.
 
 var treeMagic = [4]byte{'G', 'D', 'T', '1'}
 

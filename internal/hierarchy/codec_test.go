@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
@@ -17,7 +18,7 @@ func TestTreeEncodeBinaryCanonical(t *testing.T) {
 	g := smallGraph(t)
 	encode := func(opts Options) []byte {
 		t.Helper()
-		tree, err := Build(g, opts)
+		tree, err := BuildFromEdges(bipartite.NewGraphSource(g), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

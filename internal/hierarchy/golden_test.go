@@ -65,8 +65,9 @@ func goldenTreeDigest(t *testing.T, tree *Tree) string {
 // TestStreamedBuildGolden pins the trees the exponential-mechanism build
 // produces on a heavy-tailed 60 k × 90 k × 400 k graph to digests taken
 // before the cold-start kernels (summary, sampler, first-round sort) were
-// rewritten: for every ε × bisector seed the streamed and the in-memory
-// build, at Workers 1 and 4, must all reproduce the one recorded digest.
+// rewritten: for every ε × bisector seed the builds over a graph cursor
+// and over the generation-order edge list, at Workers 1 and 4, must all
+// reproduce the one recorded digest.
 // A moved digest means a cut, a permutation or a summary field changed —
 // and with it every fingerprint, WAL name and released byte downstream.
 func TestStreamedBuildGolden(t *testing.T) {
@@ -85,10 +86,14 @@ func TestStreamedBuildGolden(t *testing.T) {
 		"eps=2 seed=2":    "95a57d4e5d385a5699b8359e140fccc7c63962ec870881caa62f5ca17cdff471",
 		"eps=2 seed=3":    "61ac535b41d1a871dbc3f1878b7db908cfd929008a5b96a7df8113e80c14fc1a",
 	}
-	g, err := datagen.Generate(datagen.Config{
+	list, nl, nr, err := datagen.EdgeList(datagen.Config{
 		Name: "build-golden", NumLeft: 60_000, NumRight: 90_000, NumEdges: 400_000,
 		LeftZipf: 1.9, RightZipf: 2.8, Seed: 5,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := bipartite.FromEdges(nl, nr, list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,23 +101,20 @@ func TestStreamedBuildGolden(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			key := fmt.Sprintf("eps=%g seed=%d", eps, seed)
 			for _, workers := range []int{1, 4} {
-				for _, streamed := range []bool{false, true} {
+				for _, source := range []struct {
+					name string
+					src  bipartite.EdgeSource
+				}{{"graph", bipartite.NewGraphSource(g)}, {"slice", bipartite.NewSliceSource(nl, nr, list)}} {
 					bis, err := partition.NewExpMechBisector(eps, rng.New(seed))
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts := Options{Rounds: 9, Bisector: bis, Workers: workers}
-					var tree *Tree
-					if streamed {
-						tree, err = BuildFromEdges(bipartite.NewGraphSource(g), opts)
-					} else {
-						tree, err = Build(g, opts)
-					}
+					tree, err := BuildFromEdges(source.src, Options{Rounds: 9, Bisector: bis, Workers: workers})
 					if err != nil {
-						t.Fatalf("%s workers=%d streamed=%v: %v", key, workers, streamed, err)
+						t.Fatalf("%s workers=%d %s: %v", key, workers, source.name, err)
 					}
 					if got := goldenTreeDigest(t, tree); got != want[key] {
-						t.Errorf("%s workers=%d streamed=%v: digest %s, pinned %s", key, workers, streamed, got, want[key])
+						t.Errorf("%s workers=%d %s: digest %s, pinned %s", key, workers, source.name, got, want[key])
 					}
 				}
 			}

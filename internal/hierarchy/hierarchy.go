@@ -33,20 +33,25 @@
 // split only adds a boundary inside its own range, so deeper levels
 // strictly refine shallower ones and all levels share one permutation.
 //
-// # Builder
+// # One build
+//
+// Phase 1 consumes only per-node degrees and Phase 2 only the finest
+// cell counts, so every tree is built by BuildFromEdges: two passes over a
+// bipartite.EdgeSource (stream.go), the first for the degrees, the second
+// for the finest cell matrix. A caller holding a Graph passes it as
+// bipartite.NewGraphSource(g).
 //
 // A build keeps nothing behind: every array it allocates either belongs
 // to the returned Tree or is garbage when the call returns, so a Builder
 // carries no state — no scratch, no goroutines, no reference to a
-// finished build's bisector. It remains as the handle repeated-
-// build callers (experiment trials, serving ingest lanes) are written
-// against: NewBuilder, Builder.Build or Builder.BuildFromEdges per build,
-// Close when done. Build and BuildFromEdges, the package functions, are
-// the same calls on a throwaway Builder.
+// finished build's bisector. It remains as the handle repeated-build
+// callers are written against: NewBuilder, Builder.BuildFromEdges per
+// build, Close when done. BuildFromEdges, the package function, is the
+// same call on a throwaway Builder.
 //
 // # Complexity and parallelism
 //
-// Build runs in O(E + n + cuts·log n + Σ_d 4^d) time plus the private
+// A build runs in O(E + n + cuts·log n + Σ_d 4^d) time plus the private
 // sampler's live windows. The bisector ordering is a static total order
 // (degree descending, node id ascending), so each side
 // is sorted once, before the first round, by a stable counting sort of
@@ -57,12 +62,12 @@
 // SideGroupIncidentEdges O(groups) per call. The cut decisions are
 // serial, in range order, so randomized bisectors consume their stream
 // deterministically. The per-cell record counts are computed once at the
-// deepest level in a single scan of the edge array (zero-callback CSR
-// view, sharded across Options.Workers goroutines with per-worker count
-// buffers merged at the end) and every coarser level is derived by
-// summing 2×2 child blocks bottom-up — never by rescanning edges. Workers
-// shards only order-independent integer sums, so the built tree is
-// bit-identical for every worker count.
+// deepest level in the second pass (edge chunks fanned out across
+// Options.Workers goroutines with per-worker count buffers merged at the
+// end) and every coarser level is derived by summing 2×2 child blocks
+// bottom-up — never by rescanning edges. Workers shards only
+// order-independent integer sums, so the built tree is bit-identical for
+// every worker count.
 package hierarchy
 
 import (
@@ -70,7 +75,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/bipartite"
 	"repro/internal/partition"
@@ -86,11 +90,7 @@ const MaxRounds = 12
 // buffers themselves would cost more than the edge scan saves.
 const maxShardCells = 1 << 24
 
-// minShardEdges is the edge count below which sharding the cell scan is
-// not worth the goroutine handoff.
-const minShardEdges = 1 << 14
-
-// Options configures Build.
+// Options configures a build.
 type Options struct {
 	// Rounds is the number of specialization rounds; the resulting tree
 	// has Rounds+1 levels with the root at level Rounds. Must be in
@@ -98,16 +98,16 @@ type Options struct {
 	Rounds int
 	// Bisector chooses every cut. Required.
 	Bisector partition.Bisector
-	// Workers shards the deepest-level cell scan — and, for streamed
-	// builds, the degree pass — across goroutines. Sorting and the cut
-	// decisions are serial, so the built tree is identical for any worker
-	// count. Values < 2 run single-threaded.
+	// Workers shards both passes over the edges — the degree pass (for
+	// sources that declare their sides) and the deepest-level cell scan —
+	// across goroutines. Sorting and the cut decisions are serial, so the
+	// built tree is identical for any worker count. Values < 2 run
+	// single-threaded.
 	Workers int
 }
 
-// Errors returned by Build and the accessors.
+// Errors returned by a build and the accessors.
 var (
-	ErrNilGraph    = errors.New("hierarchy: nil graph")
 	ErrNilBisector = errors.New("hierarchy: nil bisector")
 	ErrBadRounds   = errors.New("hierarchy: rounds must be in [1, 12]")
 	ErrBadLevel    = errors.New("hierarchy: level out of range")
@@ -118,10 +118,8 @@ var (
 type sideTree struct {
 	perm []int32 // position -> node id
 	pos  []int32 // node id -> position
-	// deg[node] is the node's degree. It is the only per-node input the
-	// specialization consumes, which is what lets the streamed build run
-	// without a Graph: pass 1 of BuildFromEdges fills it from edge chunks,
-	// the graph path copies it out of the CSR offsets.
+	// deg[node] is the node's degree, filled by pass 1 of BuildFromEdges.
+	// It is the only per-node input the specialization consumes.
 	deg []int64
 	// bounds[d] holds the 2^d+1 range boundaries at depth d:
 	// range i spans positions [bounds[d][i], bounds[d][i+1]).
@@ -135,12 +133,10 @@ type sideTree struct {
 	degPrefix []int64
 }
 
-// Tree is the built hierarchy. It is immutable after Build.
+// Tree is the built hierarchy: both side trees with their degrees, and
+// the cell count matrices of every level. It holds no edges, and it is
+// immutable once built.
 type Tree struct {
-	// graph is the backing graph for in-memory builds; it is nil for
-	// trees built through BuildFromEdges, whose accessors all run off
-	// the side trees' degree and cell state instead.
-	graph    *bipartite.Graph
 	maxLevel int
 
 	left  sideTree
@@ -170,11 +166,6 @@ type Tree struct {
 	privateCuts int
 }
 
-// Build runs Phase-1 specialization and returns the tree.
-func Build(g *bipartite.Graph, opts Options) (*Tree, error) {
-	return NewBuilder().Build(g, opts)
-}
-
 // Builder is the handle repeated-build callers hold. It is stateless — a
 // build retains nothing, see the package comment — so one Builder may
 // serve any number of builds, concurrently too, and trees built through
@@ -188,8 +179,7 @@ func NewBuilder() *Builder { return &Builder{} }
 // compiling; the Builder remains usable.
 func (b *Builder) Close() {}
 
-// normalizeOptions validates opts; shared by the graph and streamed build
-// entry points.
+// normalizeOptions validates opts.
 func normalizeOptions(opts *Options) error {
 	if opts.Bisector == nil {
 		return ErrNilBisector
@@ -200,31 +190,9 @@ func normalizeOptions(opts *Options) error {
 	return nil
 }
 
-// Build runs Phase-1 specialization and returns the tree.
-func (b *Builder) Build(g *bipartite.Graph, opts Options) (*Tree, error) {
-	if g == nil {
-		return nil, ErrNilGraph
-	}
-	if err := normalizeOptions(&opts); err != nil {
-		return nil, err
-	}
-	t := &Tree{
-		graph:    g,
-		maxLevel: opts.Rounds,
-		left:     newSideTree(g.Degrees(bipartite.Left)),
-		right:    newSideTree(g.Degrees(bipartite.Right)),
-	}
-	if err := t.specialize(opts); err != nil {
-		return nil, err
-	}
-	t.computeCells(opts.Workers)
-	return t, nil
-}
-
 // specialize summarizes, orders and indexes both sides, then executes
-// every specialization round — the part of a build that is identical
-// whether the edges live in a Graph or behind an EdgeSource, because cuts
-// consume only the per-node degrees captured in the side trees.
+// every specialization round. Cuts consume only the per-node degrees
+// captured in the side trees.
 func (t *Tree) specialize(opts Options) error {
 	t.stats = bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
 	// Both sides in bisector order. The order is static and total, so
@@ -339,20 +307,8 @@ func (st *sideTree) splitDepth(d int, bisector partition.Bisector) (cuts int, er
 	return cuts, nil
 }
 
-// computeCells fills the per-depth cell count matrices: one edge scan at
-// the deepest level, then bottom-up aggregation. Total work is
-// O(E + Σ_d 4^d) regardless of depth count.
-func (t *Tree) computeCells(workers int) {
-	dmax := len(t.left.bounds) - 1
-	k := 1 << dmax
-	leftGroup := t.left.groupOfNode(dmax)
-	rightGroup := t.right.groupOfNode(dmax)
-	t.setCells(t.scanCells(k, leftGroup, rightGroup, workers))
-}
-
 // setCells installs the deepest-level cell matrix and derives every
-// coarser matrix plus the per-depth maxima from it — the aggregation tail
-// shared by the graph scan and the streamed scan.
+// coarser matrix plus the per-depth maxima from it.
 func (t *Tree) setCells(deepest []int64) {
 	depths := len(t.left.bounds)
 	t.cells = make([][]int64, depths)
@@ -377,59 +333,6 @@ func (t *Tree) setCells(deepest []int64) {
 			}
 			t.cells32[d] = narrow
 		}
-	}
-}
-
-// scanCells counts edges into a k×k matrix using the zero-callback CSR
-// view, sharded over contiguous edge spans when workers and the matrix
-// size allow; per-worker buffers are merged at the end so no shard ever
-// touches another's counts. Sharding only engages when the edge scan
-// dominates: allocating and merging shards·k² counters must cost less
-// than the scan it parallelizes, so sparse-but-deep levels stay serial.
-func (t *Tree) scanCells(k int, leftGroup, rightGroup []int32, workers int) []int64 {
-	counts := make([]int64, k*k)
-	off, adj := t.graph.AdjacencyView(bipartite.Left)
-	numEdges := int64(len(adj))
-	shards := workers
-	shardCells := int64(shards) * int64(k) * int64(k)
-	if shards < 2 || numEdges < minShardEdges || shardCells > maxShardCells || shardCells > numEdges {
-		countEdgeSpan(counts, off, adj, 0, numEdges, leftGroup, rightGroup, k)
-		return counts
-	}
-	parts := make([][]int64, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo := numEdges * int64(s) / int64(shards)
-		hi := numEdges * int64(s+1) / int64(shards)
-		parts[s] = make([]int64, k*k)
-		wg.Add(1)
-		go func(buf []int64, lo, hi int64) {
-			defer wg.Done()
-			countEdgeSpan(buf, off, adj, lo, hi, leftGroup, rightGroup, k)
-		}(parts[s], lo, hi)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		for i, c := range part {
-			counts[i] += c
-		}
-	}
-	return counts
-}
-
-// countEdgeSpan counts edges [lo, hi) of the left-major edge array into
-// counts. The owning left node of edge lo is found by binary search, then
-// the scan is a straight walk over the adjacency slice.
-func countEdgeSpan(counts []int64, off []int64, adj []int32, lo, hi int64, leftGroup, rightGroup []int32, k int) {
-	if lo >= hi {
-		return
-	}
-	l := sort.Search(len(off)-1, func(i int) bool { return off[i+1] > lo })
-	for e := lo; e < hi; e++ {
-		for e >= off[l+1] {
-			l++
-		}
-		counts[int(leftGroup[l])*k+int(rightGroup[adj[e]])]++
 	}
 }
 
@@ -463,27 +366,21 @@ func (st *sideTree) groupOfNode(d int) []int32 {
 	return idx
 }
 
-// Graph returns the underlying graph, or nil for a tree built through
-// BuildFromEdges — streamed builds never materialize one. Every other
-// accessor (counts, sensitivities, stats) works identically either way.
-func (t *Tree) Graph() *bipartite.Graph { return t.graph }
-
 // NumEdges returns the total number of association records the tree was
-// built over, available whether or not a Graph backs the tree.
+// built over.
 func (t *Tree) NumEdges() int64 { return t.left.degPrefix[len(t.left.degPrefix)-1] }
 
 // DatasetStats summarizes the dataset from the per-node degrees captured
-// at build time. The summary is computed once at build (graph build and
-// streamed build alike) and every call returns that
-// stored value: O(1), no allocation. For graph-backed trees it equals
-// bipartite.ComputeStats(t.Graph()) bit for bit; for streamed trees it is
-// the only dataset summary available.
+// at build time. The summary is computed once per build and every call
+// returns that stored value: O(1), no allocation. For a tree built over
+// bipartite.NewGraphSource(g) it equals bipartite.ComputeStats(g) bit for
+// bit.
 func (t *Tree) DatasetStats() bipartite.Stats { return t.stats }
 
 // MaxLevel returns the root's level number.
 func (t *Tree) MaxLevel() int { return t.maxLevel }
 
-// NumPrivateCuts returns how many budget-consuming cuts Build made (the
+// NumPrivateCuts returns how many budget-consuming cuts the build made (the
 // bisector implemented partition.PrivacyConsumer and reported Private);
 // the release pipeline multiplies it by the per-cut ε for accounting.
 func (t *Tree) NumPrivateCuts() int { return t.privateCuts }
@@ -529,7 +426,7 @@ func (t *Tree) LevelCellCounts(level int) ([]int64, error) {
 
 // LevelCellCountsView returns the level's row-major cell count matrix
 // without copying. The slice is the Tree's internal storage (immutable
-// after Build): callers must treat it as read-only. The zero-allocation
+// once built): callers must treat it as read-only. The zero-allocation
 // Phase-2 release path reads counts through it instead of paying a
 // 4^depth copy per release.
 func (t *Tree) LevelCellCountsView(level int) ([]int64, error) {
@@ -726,15 +623,14 @@ func (t *Tree) Profile(level int) (LevelProfile, error) {
 //   - permutations are bijections and pos arrays their inverses,
 //   - range boundaries are monotone, span the whole side, and every depth
 //     refines the previous one,
-//   - the deepest cell matrix matches a fresh single-scan recount and
-//     sums to the total record count, and every coarser matrix equals the
-//     2×2 block aggregation of its child (which, with the recount, pins
-//     all levels to the edges),
+//   - the deepest cell matrix sums to the total record count, and every
+//     coarser matrix equals the 2×2 block aggregation of its child,
 //   - the degree prefix sums are monotone and end at the record count,
 //     and the stored dataset summary equals a fresh one from the degrees.
 //
-// The cell checks cost O(E + Σ_d 4^d) — one edge scan total, not one per
-// depth.
+// The tree holds no edges, so Validate cannot recount cells from them:
+// BuildFromEdges cross-checks its two passes against each other instead.
+// The cell checks cost O(Σ_d 4^d).
 func (t *Tree) Validate() error {
 	if err := checkPerm(t.left.perm, t.left.pos); err != nil {
 		return fmt.Errorf("%w: left perm: %v", ErrInvalid, err)
@@ -746,26 +642,14 @@ func (t *Tree) Validate() error {
 	for _, d := range t.left.deg {
 		total += d
 	}
-	if t.graph != nil && total != t.graph.NumEdges() {
-		return fmt.Errorf("%w: stored degrees sum to %d, graph has %d edges", ErrInvalid, total, t.graph.NumEdges())
-	}
 	for _, sd := range []struct {
 		name string
 		st   *sideTree
-		side bipartite.Side
-	}{{"left", &t.left, bipartite.Left}, {"right", &t.right, bipartite.Right}} {
+	}{{"left", &t.left}, {"right", &t.right}} {
 		st := sd.st
 		n := int32(len(st.perm))
 		if len(st.deg) != int(n) {
 			return fmt.Errorf("%w: %s has %d stored degrees for %d nodes", ErrInvalid, sd.name, len(st.deg), n)
-		}
-		if t.graph != nil {
-			for node, d := range st.deg {
-				if d != t.graph.Degree(sd.side, int32(node)) {
-					return fmt.Errorf("%w: %s stored degree of node %d is %d, graph says %d",
-						ErrInvalid, sd.name, node, d, t.graph.Degree(sd.side, int32(node)))
-				}
-			}
 		}
 		for d, bounds := range st.bounds {
 			if len(bounds) != (1<<d)+1 {
@@ -807,18 +691,6 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("%w: %d cell matrices for %d depths", ErrInvalid, len(t.cells), len(t.left.bounds))
 	}
 	dmax := len(t.cells) - 1
-	if t.graph != nil {
-		// The edge recount needs the edges; streamed trees instead pin the
-		// deepest matrix to the degrees via the sum check below (and
-		// BuildFromEdges cross-checks its two passes against each other).
-		k := 1 << dmax
-		recount := t.scanCells(k, t.left.groupOfNode(dmax), t.right.groupOfNode(dmax), 1)
-		for i, c := range recount {
-			if c != t.cells[dmax][i] {
-				return fmt.Errorf("%w: depth %d cell %d stored %d, recounted %d", ErrInvalid, dmax, i, t.cells[dmax][i], c)
-			}
-		}
-	}
 	var sum int64
 	for _, c := range t.cells[dmax] {
 		sum += c

@@ -29,7 +29,7 @@ func smallGraph(t testing.TB) *bipartite.Graph {
 
 func buildTree(t testing.TB, g *bipartite.Graph, rounds int, bis partition.Bisector) *Tree {
 	t.Helper()
-	tree, err := Build(g, Options{Rounds: rounds, Bisector: bis})
+	tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: rounds, Bisector: bis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,14 @@ func buildTree(t testing.TB, g *bipartite.Graph, rounds int, bis partition.Bisec
 func TestBuildValidation(t *testing.T) {
 	t.Parallel()
 	g := smallGraph(t)
-	if _, err := Build(nil, Options{Rounds: 1, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrNilGraph) {
-		t.Errorf("nil graph: %v", err)
+	if _, err := BuildFromEdges(nil, Options{Rounds: 1, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrNilSource) {
+		t.Errorf("nil source: %v", err)
 	}
-	if _, err := Build(g, Options{Rounds: 1}); !errors.Is(err, ErrNilBisector) {
+	if _, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 1}); !errors.Is(err, ErrNilBisector) {
 		t.Errorf("nil bisector: %v", err)
 	}
 	for _, rounds := range []int{0, -1, MaxRounds + 1} {
-		if _, err := Build(g, Options{Rounds: rounds, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrBadRounds) {
+		if _, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: rounds, Bisector: partition.BalancedBisector{}}); !errors.Is(err, ErrBadRounds) {
 			t.Errorf("rounds=%d: %v", rounds, err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestBuildSmallTreeShape(t *testing.T) {
 	if root[0] != g.NumEdges() {
 		t.Errorf("root cell edges = %d, want %d", root[0], g.NumEdges())
 	}
-	if err := tree.Validate(); err != nil {
+	if err := validateAgainst(tree, g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +112,7 @@ func TestEdgePartitionPerLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := naiveCellCounts(tree, tree.MaxLevel()-level)
+		counts := naiveCellCounts(g, tree, tree.MaxLevel()-level)
 		if len(counts) != k*k {
 			t.Fatalf("level %d: %d cells for %d side groups", level, len(counts), k)
 		}
@@ -345,7 +345,7 @@ func TestEmptyGraphTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := buildTree(t, g, 2, partition.MidpointBisector{})
-	if err := tree.Validate(); err != nil {
+	if err := validateAgainst(tree, g); err != nil {
 		t.Fatal(err)
 	}
 	s, err := tree.MaxCellEdges(0)
@@ -363,7 +363,7 @@ func TestDeeperThanNodesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := buildTree(t, g, 4, partition.BalancedBisector{})
-	if err := tree.Validate(); err != nil {
+	if err := validateAgainst(tree, g); err != nil {
 		t.Fatal(err)
 	}
 	s, err := tree.MaxCellEdges(0)
@@ -408,11 +408,11 @@ func TestQuickTreeInvariants(t *testing.T) {
 			bis = rb
 		}
 		rounds := r.Intn(4) + 1
-		tree, err := Build(g, Options{Rounds: rounds, Bisector: bis})
+		tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: rounds, Bisector: bis})
 		if err != nil {
 			return false
 		}
-		if err := tree.Validate(); err != nil {
+		if err := validateAgainst(tree, g); err != nil {
 			return false
 		}
 		prof := sensitivityByDepth(t, tree)
@@ -489,7 +489,7 @@ func TestParallelBuildIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := Build(g, Options{Rounds: 5, Bisector: bis, Workers: workers})
+		tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 5, Bisector: bis, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +497,7 @@ func TestParallelBuildIdentical(t *testing.T) {
 	}
 	serial := build(1, 42)
 	parallel := build(8, 42)
-	if err := parallel.Validate(); err != nil {
+	if err := validateAgainst(parallel, g); err != nil {
 		t.Fatal(err)
 	}
 	// Worker count must not change any cut: identical cell counts at
@@ -537,7 +537,7 @@ func BenchmarkBuildRounds6(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree, err := Build(g, Options{Rounds: 6, Bisector: partition.BalancedBisector{}})
+		tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 6, Bisector: partition.BalancedBisector{}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/partition"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestLevelCellCounts32View(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 64, 64, 800, 9)
-	tree, err := Build(g, Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
+	tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestLevelCellCounts32View(t *testing.T) {
 func TestLevelCellCounts32ViewOverflow(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 32, 32, 200, 3)
-	tree, err := Build(g, Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
+	tree, err := BuildFromEdges(bipartite.NewGraphSource(g), Options{Rounds: 3, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}

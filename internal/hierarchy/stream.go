@@ -9,26 +9,25 @@ import (
 	"repro/internal/bipartite"
 )
 
-// Streamed Phase-1 builds.
+// The two-pass build.
 //
 // The deepest-level cell matrix is a pure sum over edges and every cut
-// decision consumes only per-node degrees, so the whole build needs just
-// two sequential passes over an edge stream:
+// decision consumes only per-node degrees, so a build needs just two
+// sequential passes over an edge stream:
 //
 //	pass 1 — accumulate per-node degrees on both sides (and discover the
 //	         side sizes when the source does not declare them); declared-
 //	         side sources shard across Options.Workers with per-worker
 //	         degree arrays merged at the end;
 //	pass 2 — after the cuts, count each edge into its deepest-level cell,
-//	         feeding the same bottom-up aggregation the in-memory path
-//	         uses.
+//	         feeding the bottom-up aggregation of setCells.
 //
-// Peak memory is O(chunk + sides + 4^rounds): the edges themselves are
-// never held — not as a pair list, not as either CSR direction. The
-// produced tree is bit-identical to Build on a Graph holding the same
-// associations (pinned by TestBuildFromEdgesMatchesInMemory): degrees
-// determine the cuts, the bisector consumes its stream in the same serial
-// range order, and cell counts are order-independent integer sums.
+// Peak memory is O(chunk + sides + 4^rounds) on top of what the source
+// holds: the build keeps no edges. The tree depends only on the edge
+// multiset, never on its order or chunking (pinned by
+// TestBuildFromEdgesMatchesInMemory): degrees determine the cuts, the
+// bisector consumes its stream in serial range order, and cell counts
+// are order-independent integer sums.
 
 // ErrNilSource reports a nil EdgeSource.
 var ErrNilSource = errors.New("hierarchy: nil edge source")
@@ -38,13 +37,13 @@ var ErrNilSource = errors.New("hierarchy: nil edge source")
 const streamChunkEdges = bipartite.DefaultChunkEdges
 
 // BuildFromEdges runs Phase-1 specialization over an edge stream and
-// returns the tree. The source is Reset before each of the two passes,
-// and the returned tree has no backing Graph (Tree.Graph returns nil).
+// returns the tree. The source is Reset before each of the two passes; a
+// Graph is built over as bipartite.NewGraphSource(g).
 func BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree, error) {
 	return NewBuilder().BuildFromEdges(src, opts)
 }
 
-// BuildFromEdges is the streamed counterpart of Builder.Build.
+// BuildFromEdges is the package function on this Builder.
 func (b *Builder) BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree, error) {
 	if src == nil {
 		return nil, ErrNilSource
@@ -56,7 +55,7 @@ func (b *Builder) BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree,
 	if err := src.Reset(); err != nil {
 		return nil, fmt.Errorf("hierarchy: resetting source for degree pass: %w", err)
 	}
-	leftDeg, rightDeg, err := scanStreamDegrees(src, opts.Workers)
+	leftDeg, rightDeg, edgeSum, err := scanStreamDegrees(src, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: degree pass: %w", err)
 	}
@@ -73,7 +72,7 @@ func (b *Builder) BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree,
 	if err := src.Reset(); err != nil {
 		return nil, fmt.Errorf("hierarchy: resetting source for cell pass: %w", err)
 	}
-	if err := t.finalizeFromSource(src, opts.Workers); err != nil {
+	if err := t.finalizeFromSource(src, opts.Workers, edgeSum); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -86,7 +85,18 @@ func (b *Builder) BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree,
 // the serial sweep.
 const maxShardDegreeNodes = 1 << 24
 
-// scanStreamDegrees is pass 1: a sweep accumulating per-node degrees. The
+// edgeTerm is one edge's term of the checksum both passes sum: the square
+// of the packed pair l<<32|r, mod 2^64. The sum does not depend on edge
+// order, and, unlike any linear term, it moves when two edges trade
+// endpoints — (a,x),(b,y) replayed as (a,y),(b,x) keeps every degree but
+// shifts the sum by 2^33·(a−b)·(x−y).
+func edgeTerm(e bipartite.Edge) uint64 {
+	k := uint64(uint32(e.Left))<<32 | uint64(uint32(e.Right))
+	return k * k
+}
+
+// scanStreamDegrees is pass 1: a sweep accumulating per-node degrees and
+// the edge checksum (edgeTerm summed). The
 // returned slice lengths define the side sizes: the declared sizes when
 // the source knows them, grown to cover every observed id (geometric
 // growth, trimmed back at the end — a source that hands out ascending
@@ -103,7 +113,7 @@ const maxShardDegreeNodes = 1 << 24
 // grow to O(max observed id) each, and without declared sides there is
 // no way to bound that workers× blowup up front — the serial sweep's
 // single array is the memory envelope the streamed build promises.
-func scanStreamDegrees(src bipartite.EdgeSource, workers int) (leftDeg, rightDeg []int64, err error) {
+func scanStreamDegrees(src bipartite.EdgeSource, workers int) (leftDeg, rightDeg []int64, edgeSum uint64, err error) {
 	nl, nr, known := src.Sides()
 	if workers > 1 && known && int64(workers)*(int64(nl)+int64(nr)) <= maxShardDegreeNodes {
 		return scanStreamDegreesParallel(src, workers, nl, nr)
@@ -124,6 +134,7 @@ func scanStreamDegrees(src bipartite.EdgeSource, workers int) (leftDeg, rightDeg
 			rightDeg = growCounts(rightDeg, e.Right)
 			leftDeg[e.Left]++
 			rightDeg[e.Right]++
+			edgeSum += edgeTerm(e)
 			if e.Left > maxL {
 				maxL = e.Left
 			}
@@ -134,20 +145,22 @@ func scanStreamDegrees(src bipartite.EdgeSource, workers int) (leftDeg, rightDeg
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return leftDeg[:maxL+1], rightDeg[:maxR+1], nil
+	return leftDeg[:maxL+1], rightDeg[:maxR+1], edgeSum, nil
 }
 
 // degreeShard is one worker's private accumulation state.
 type degreeShard struct {
 	left, right []int64
 	maxL, maxR  int32
+	edgeSum     uint64
 	err         error
 }
 
 // accumulate counts one chunk into the shard.
 func (s *degreeShard) accumulate(chunk []bipartite.Edge) error {
+	edgeSum := s.edgeSum
 	for _, e := range chunk {
 		if e.Left < 0 || e.Right < 0 {
 			return fmt.Errorf("negative node id in edge (%d,%d)", e.Left, e.Right)
@@ -156,6 +169,7 @@ func (s *degreeShard) accumulate(chunk []bipartite.Edge) error {
 		s.right = growCounts(s.right, e.Right)
 		s.left[e.Left]++
 		s.right[e.Right]++
+		edgeSum += edgeTerm(e)
 		if e.Left > s.maxL {
 			s.maxL = e.Left
 		}
@@ -163,6 +177,7 @@ func (s *degreeShard) accumulate(chunk []bipartite.Edge) error {
 			s.maxR = e.Right
 		}
 	}
+	s.edgeSum = edgeSum
 	return nil
 }
 
@@ -221,7 +236,7 @@ func fanOutChunks(src bipartite.EdgeSource, workers int, accumulate func(worker 
 // worker grows private per-side arrays, merged by integer addition at the
 // end — bit-identical to the serial sweep for any worker count. Only
 // called for sources with declared sides, within the memory cap.
-func scanStreamDegreesParallel(src bipartite.EdgeSource, workers int, nl, nr int32) ([]int64, []int64, error) {
+func scanStreamDegreesParallel(src bipartite.EdgeSource, workers int, nl, nr int32) ([]int64, []int64, uint64, error) {
 	shards := make([]degreeShard, workers)
 	for i := range shards {
 		shards[i].maxL, shards[i].maxR = -1, -1
@@ -232,13 +247,15 @@ func scanStreamDegreesParallel(src bipartite.EdgeSource, workers int, nl, nr int
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	maxL, maxR := nl-1, nr-1
+	var edgeSum uint64
 	for i := range shards {
 		if shards[i].err != nil {
-			return nil, nil, shards[i].err
+			return nil, nil, 0, shards[i].err
 		}
+		edgeSum += shards[i].edgeSum
 		if shards[i].maxL > maxL {
 			maxL = shards[i].maxL
 		}
@@ -256,7 +273,7 @@ func scanStreamDegreesParallel(src bipartite.EdgeSource, workers int, nl, nr int
 			rightDeg[id] += d
 		}
 	}
-	return leftDeg, rightDeg, nil
+	return leftDeg, rightDeg, edgeSum, nil
 }
 
 // growCounts extends counts so that id is a valid index. Capacity at
@@ -280,23 +297,21 @@ func growCounts(counts []int64, id int32) []int64 {
 	return grown
 }
 
-// finalizeFromSource is the streamed tail of a build: the deepest cell
-// matrix from one chunked scan of the source and the shared bottom-up
-// aggregation. It cross-checks the two passes — a source whose replay
-// yields a different edge count, or re-points an edge at a node of another
-// finest group, is rejected rather than silently producing a tree whose
-// cells contradict its own degrees: every row of the deepest matrix must
-// sum to the degree sum of its left group and every column to that of its
-// right group, which the degree prefix sums give in O(4^rounds). Validate
-// cannot stand in for this on a streamed tree: it has no edges to
-// recount. (A replay that keeps every one of those sums — edges moved
-// within a finest cell, or traded between cells so that each group keeps
-// its count — yields a tree consistent with its degrees; telling it apart
-// would take a retained copy of the first pass.)
-func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
+// finalizeFromSource is pass 2 of a build: the deepest cell matrix from
+// one chunked scan of the source and the bottom-up aggregation. It
+// cross-checks the two passes, rejecting a source whose replay differs
+// rather than producing a tree whose cells contradict its own degrees:
+// every row of the deepest matrix must sum to the degree sum of its left
+// group and every column to that of its right group (the degree prefix
+// sums give both in O(4^rounds)), and the replay's edge checksum must
+// equal the degree pass's. The sums catch a changed edge count or an
+// edge re-pointed at another finest group; the checksum catches edges
+// that trade endpoints so that every group keeps its count. Validate
+// cannot stand in for this: the tree holds no edges to recount.
+func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int, degreeEdgeSum uint64) error {
 	dmax := len(t.left.bounds) - 1
 	k := 1 << dmax
-	deepest, err := t.scanCellsFromSource(src, k, workers)
+	deepest, edgeSum, err := t.scanCellsFromSource(src, k, workers)
 	if err != nil {
 		return fmt.Errorf("hierarchy: cell pass: %w", err)
 	}
@@ -324,68 +339,79 @@ func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int) error {
 			}
 		}
 	}
+	if edgeSum != degreeEdgeSum {
+		return fmt.Errorf("hierarchy: source changed between passes: the cell pass saw other edges than the degree pass (edge checksum %#x, want %#x)", edgeSum, degreeEdgeSum)
+	}
 	t.setCells(deepest)
 	return nil
 }
 
 // scanCellsFromSource counts the stream's edges into the deepest k×k cell
-// matrix. With workers > 1 (and a matrix small enough that per-worker
+// matrix and sums their edge checksum. With workers > 1 (and a matrix small enough that per-worker
 // buffers stay under maxShardCells) chunks are fanned out over a small
 // pipeline: the reader goroutine recycles chunk buffers through a free
 // list while counting workers accumulate into private matrices merged at
 // the end — integer sums, so the result is identical for any worker
 // count.
-func (t *Tree) scanCellsFromSource(src bipartite.EdgeSource, k, workers int) ([]int64, error) {
+func (t *Tree) scanCellsFromSource(src bipartite.EdgeSource, k, workers int) ([]int64, uint64, error) {
 	leftGroup := t.left.groupOfNode(len(t.left.bounds) - 1)
 	rightGroup := t.right.groupOfNode(len(t.right.bounds) - 1)
 	shardCells := int64(workers) * int64(k) * int64(k)
 	if workers < 2 || shardCells > maxShardCells {
 		counts := make([]int64, k*k)
+		var edgeSum uint64
 		buf := make([]bipartite.Edge, streamChunkEdges)
 		err := bipartite.ForEachChunk(src, buf, func(chunk []bipartite.Edge) error {
-			return countEdgeChunk(counts, chunk, leftGroup, rightGroup, k)
+			return countEdgeChunk(counts, &edgeSum, chunk, leftGroup, rightGroup, k)
 		})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return counts, nil
+		return counts, edgeSum, nil
 	}
 
 	parts := make([][]int64, workers)
+	partSums := make([]uint64, workers)
 	workerErrs := make([]error, workers)
 	for w := range parts {
 		parts[w] = make([]int64, k*k)
 	}
 	err := fanOutChunks(src, workers, func(w int, edges []bipartite.Edge) {
 		if workerErrs[w] == nil {
-			workerErrs[w] = countEdgeChunk(parts[w], edges, leftGroup, rightGroup, k)
+			workerErrs[w] = countEdgeChunk(parts[w], &partSums[w], edges, leftGroup, rightGroup, k)
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, werr := range workerErrs {
 		if werr != nil {
-			return nil, werr
+			return nil, 0, werr
 		}
 	}
 	counts := make([]int64, k*k)
-	for _, part := range parts {
+	var edgeSum uint64
+	for w, part := range parts {
 		for i, c := range part {
 			counts[i] += c
 		}
+		edgeSum += partSums[w]
 	}
-	return counts, nil
+	return counts, edgeSum, nil
 }
 
-// countEdgeChunk counts one chunk into the k×k matrix, rejecting ids the
-// degree pass never sized for (a source that grew between passes).
-func countEdgeChunk(counts []int64, edges []bipartite.Edge, leftGroup, rightGroup []int32, k int) error {
+// countEdgeChunk counts one chunk into the k×k matrix and its edge terms
+// into *edgeSum, rejecting ids the degree pass never sized for (a source
+// that grew between passes).
+func countEdgeChunk(counts []int64, edgeSum *uint64, edges []bipartite.Edge, leftGroup, rightGroup []int32, k int) error {
+	sum := *edgeSum
 	for _, e := range edges {
 		if e.Left < 0 || int(e.Left) >= len(leftGroup) || e.Right < 0 || int(e.Right) >= len(rightGroup) {
 			return fmt.Errorf("edge (%d,%d) outside the sides seen by the degree pass", e.Left, e.Right)
 		}
 		counts[int(leftGroup[e.Left])*k+int(rightGroup[e.Right])]++
+		sum += edgeTerm(e)
 	}
+	*edgeSum = sum
 	return nil
 }

@@ -28,12 +28,15 @@ func streamBisector(t testing.TB, private bool, seed uint64) partition.Bisector 
 	return bis
 }
 
-// TestBuildFromEdgesMatchesInMemory is the golden test for the streamed
-// build: over both a graph-edge cursor and the synthetic Zipf stream, for
-// Workers ∈ {1, 4} and both private and non-private bisectors, the
-// two-pass BuildFromEdges tree must be bit-identical to Build on the
-// materialized graph — permutations, bounds, every cell matrix, degree
-// prefix sums and the private-cut count.
+// TestBuildFromEdgesMatchesInMemory holds a build over every kind of edge
+// source to the Graph the test holds: a graph cursor, a slice source in
+// generation order, TSV and binary dumps, the synthetic Zipf stream, and
+// narrow chunks with undeclared sides. For Workers ∈ {1, 4} and both
+// private and non-private bisectors, every tree must match the graph's
+// degrees and a naive recount of every cell matrix (validateAgainst) and
+// be bit-identical to the graph cursor's tree — permutations, bounds,
+// every cell matrix, degree prefix sums, the private-cut count, the
+// dataset summary and the binary encoding.
 func TestBuildFromEdgesMatchesInMemory(t *testing.T) {
 	t.Parallel()
 	cfg := datagen.Config{
@@ -44,100 +47,71 @@ func TestBuildFromEdgesMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		for _, private := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d private=%v", workers, private)
-			opts := func() Options {
-				return Options{Rounds: 7, Bisector: streamBisector(t, private, 99), Workers: workers}
-			}
-			want, err := Build(g, opts())
-			if err != nil {
-				t.Fatalf("%s: in-memory build: %v", name, err)
-			}
-
-			fromGraph, err := BuildFromEdges(bipartite.NewGraphSource(g), opts())
-			if err != nil {
-				t.Fatalf("%s: streamed build (graph cursor): %v", name, err)
-			}
-			assertTreesIdentical(t, name+" graph-cursor", want, fromGraph)
-
-			zs, err := datagen.NewStream(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromZipf, err := BuildFromEdges(zs, opts())
-			if err != nil {
-				t.Fatalf("%s: streamed build (zipf stream): %v", name, err)
-			}
-			assertTreesIdentical(t, name+" zipf-stream", want, fromZipf)
-
-			if err := fromGraph.Validate(); err != nil {
-				t.Fatalf("%s: streamed tree fails Validate: %v", name, err)
-			}
-			if fromGraph.Graph() != nil {
-				t.Fatalf("%s: streamed tree unexpectedly carries a graph", name)
-			}
-			if fromGraph.NumEdges() != g.NumEdges() {
-				t.Fatalf("%s: NumEdges = %d, want %d", name, fromGraph.NumEdges(), g.NumEdges())
-			}
-			if got, want := fromGraph.DatasetStats(), bipartite.ComputeStats(g); got != want {
-				t.Fatalf("%s: DatasetStats diverge:\n  streamed %+v\n  graph    %+v", name, got, want)
-			}
-
-			// The serialized grouping must agree byte for byte too.
-			var a, b bytes.Buffer
-			if err := want.EncodeBinary(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := fromGraph.EncodeBinary(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("%s: encoded trees differ", name)
-			}
-		}
-	}
-}
-
-// TestBuildFromEdgesFileSources runs the golden comparison through the
-// actual file codecs: a TSV dump and a binary dump of the same graph must
-// stream into trees bit-identical to the in-memory build.
-func TestBuildFromEdgesFileSources(t *testing.T) {
-	t.Parallel()
-	g := randomGraph(t, 180, 260, 3100, 21)
-	opts := Options{Rounds: 6, Bisector: partition.BalancedBisector{}}
-	want, err := Build(g, opts)
+	list, nl, nr, err := datagen.EdgeList(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var tsv bytes.Buffer
+	// The TSV dump declares no sides: the test relies on both last ids
+	// having an edge, so the observed sides are the declared ones.
+	var tsv, bin bytes.Buffer
 	if err := bipartite.SaveTSV(&tsv, g); err != nil {
 		t.Fatal(err)
 	}
-	tsvSrc, err := bipartite.NewTSVEdgeSource(bytes.NewReader(tsv.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTSV, err := BuildFromEdges(tsvSrc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTreesIdentical(t, "tsv", want, fromTSV)
-
-	var bin bytes.Buffer
 	if err := bipartite.EncodeBinary(&bin, g); err != nil {
 		t.Fatal(err)
 	}
-	binSrc, err := bipartite.NewBinaryEdgeSource(bytes.NewReader(bin.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	sources := []struct {
+		name string
+		open func() (bipartite.EdgeSource, error)
+	}{
+		{"graph", func() (bipartite.EdgeSource, error) { return bipartite.NewGraphSource(g), nil }},
+		{"slice", func() (bipartite.EdgeSource, error) { return bipartite.NewSliceSource(nl, nr, list), nil }},
+		{"tsv", func() (bipartite.EdgeSource, error) {
+			return bipartite.NewTSVEdgeSource(bytes.NewReader(tsv.Bytes()))
+		}},
+		{"binary", func() (bipartite.EdgeSource, error) {
+			return bipartite.NewBinaryEdgeSource(bytes.NewReader(bin.Bytes()))
+		}},
+		{"zipf-stream", func() (bipartite.EdgeSource, error) { return datagen.NewStream(cfg) }},
+		{"narrow-chunks", func() (bipartite.EdgeSource, error) {
+			return &narrowChunkSource{inner: bipartite.NewGraphSource(g), chunkCap: 97, hideSides: true}, nil
+		}},
 	}
-	fromBin, err := BuildFromEdges(binSrc, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		for _, private := range []bool{false, true} {
+			var want *Tree
+			var wantEnc []byte
+			for _, source := range sources {
+				name := fmt.Sprintf("%s workers=%d private=%v", source.name, workers, private)
+				src, err := source.open()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				tree, err := BuildFromEdges(src, Options{Rounds: 7, Bisector: streamBisector(t, private, 99), Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := validateAgainst(tree, g); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got, want := tree.DatasetStats(), bipartite.ComputeStats(g); got != want {
+					t.Fatalf("%s: DatasetStats diverge:\n  tree  %+v\n  graph %+v", name, got, want)
+				}
+				var enc bytes.Buffer
+				if err := tree.EncodeBinary(&enc); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want, wantEnc = tree, enc.Bytes()
+					continue
+				}
+				assertTreesIdentical(t, name, want, tree)
+				if !bytes.Equal(enc.Bytes(), wantEnc) {
+					t.Fatalf("%s: encoded tree differs from the graph cursor's", name)
+				}
+			}
+		}
 	}
-	assertTreesIdentical(t, "binary", want, fromBin)
 }
 
 // TestBuilderReuseStreamed: one retained Builder across streamed builds of
@@ -225,7 +199,29 @@ func TestBuildFromEdgesRejectsUnstableSource(t *testing.T) {
 	}
 }
 
-// TestBuildFromEdgesNilAndBadOptions mirrors Build's option validation.
+// TestBuildFromEdgesRejectsSwappedEdges: a replay in which two edges
+// trade endpoints — (0,0),(1,1) become (0,1),(1,0), across four distinct
+// finest groups — keeps every degree and so every row and column sum of
+// the deepest matrix, yet moves two records into other cells. The edge
+// checksum both passes sum must refuse it, serial and sharded.
+func TestBuildFromEdgesRejectsSwappedEdges(t *testing.T) {
+	t.Parallel()
+	first := []bipartite.Edge{
+		{Left: 0, Right: 0}, {Left: 1, Right: 1}, {Left: 2, Right: 2}, {Left: 3, Right: 0},
+	}
+	swapped := []bipartite.Edge{
+		{Left: 0, Right: 1}, {Left: 1, Right: 0}, {Left: 2, Right: 2}, {Left: 3, Right: 0},
+	}
+	for _, workers := range []int{1, 3} {
+		_, err := BuildFromEdges(&unstableSource{first: first, replay: swapped},
+			Options{Rounds: 2, Bisector: partition.BalancedBisector{}, Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "source changed between passes") {
+			t.Fatalf("workers=%d: want a refusal of the swapped replay, got %v", workers, err)
+		}
+	}
+}
+
+// TestBuildFromEdgesNilAndBadOptions checks the option validation.
 func TestBuildFromEdgesNilAndBadOptions(t *testing.T) {
 	t.Parallel()
 	if _, err := BuildFromEdges(nil, Options{Rounds: 2, Bisector: partition.BalancedBisector{}}); err != ErrNilSource {
@@ -297,8 +293,8 @@ func (s *narrowChunkSource) Sides() (int32, int32, bool) {
 
 // TestScanStreamDegreesParallelMatchesSerial pins the parallel degree
 // pass (satellite of the streamed ingest pipeline): across worker
-// counts and chunk sizes, the merged per-worker arrays must equal the
-// serial sweep exactly. Undeclared sides route to the serial fallback
+// counts and chunk sizes, the merged per-worker arrays and edge checksum
+// must equal the serial sweep exactly. Undeclared sides route to the serial fallback
 // (the workers× array blowup cannot be bounded without declared sides)
 // and must of course agree too.
 func TestScanStreamDegreesParallelMatchesSerial(t *testing.T) {
@@ -309,16 +305,16 @@ func TestScanStreamDegreesParallelMatchesSerial(t *testing.T) {
 			mk := func() bipartite.EdgeSource {
 				return &narrowChunkSource{inner: bipartite.NewGraphSource(g), chunkCap: chunkCap, hideSides: hideSides}
 			}
-			wantL, wantR, err := scanStreamDegrees(mk(), 1)
+			wantL, wantR, wantSum, err := scanStreamDegrees(mk(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				gotL, gotR, err := scanStreamDegrees(mk(), workers)
+				gotL, gotR, gotSum, err := scanStreamDegrees(mk(), workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if !slicesEqualInt64(gotL, wantL) || !slicesEqualInt64(gotR, wantR) {
+				if !slicesEqualInt64(gotL, wantL) || !slicesEqualInt64(gotR, wantR) || gotSum != wantSum {
 					t.Fatalf("hideSides=%v chunk=%d workers=%d: parallel degree pass diverges from serial",
 						hideSides, chunkCap, workers)
 				}
@@ -328,7 +324,7 @@ func TestScanStreamDegreesParallelMatchesSerial(t *testing.T) {
 
 	// Negative ids must be rejected on the parallel path too.
 	bad := bipartite.NewSliceSource(4, 4, []bipartite.Edge{{Left: 1, Right: 1}, {Left: -1, Right: 2}})
-	if _, _, err := scanStreamDegrees(&narrowChunkSource{inner: bad, chunkCap: 1}, 4); err == nil {
+	if _, _, _, err := scanStreamDegrees(&narrowChunkSource{inner: bad, chunkCap: 1}, 4); err == nil {
 		t.Fatal("parallel degree pass accepted a negative node id")
 	}
 }

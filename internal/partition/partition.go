@@ -46,20 +46,21 @@ type Bisector interface {
 	// Bisect returns the cut index for the n items whose weights are
 	// given as a prefix-sum view of n+1 entries: item i weighs
 	// prefix[i+1] − prefix[i] ≥ 0. The base prefix[0] is arbitrary —
-	// hierarchy.Build sorts a side once, sums it once and hands every
-	// range of every round a window of that one array; PrefixSums builds
-	// a view from raw weights. The view is read-only: implementations
-	// must not modify or retain it.
+	// hierarchy.BuildFromEdges sorts a side once, sums it once and hands
+	// every range of every round a window of that one array; PrefixSums
+	// builds a view from raw weights. The view is read-only:
+	// implementations must not modify or retain it.
 	Bisect(prefix []int64) (int, error)
 	// Name identifies the strategy in experiment output.
 	Name() string
 }
 
 // PrivacyConsumer is implemented by bisectors that spend privacy budget
-// on every cut. Callers that meter Phase-1 spending (hierarchy.Build's
-// private-cut counter) check for this interface instead of asserting a
-// concrete type, so wrappers and custom private bisectors are accounted
-// correctly: a wrapper should forward Private to the bisector it wraps.
+// on every cut. Callers that meter Phase-1 spending (the private-cut
+// counter of hierarchy.BuildFromEdges) check for this interface instead
+// of asserting a concrete type, so wrappers and custom private bisectors
+// are accounted correctly: a wrapper should forward Private to the
+// bisector it wraps.
 type PrivacyConsumer interface {
 	// Private reports whether each Bisect call consumes privacy budget.
 	Private() bool
@@ -122,7 +123,7 @@ func balancedCut(prefix []int64) int {
 // dp.Exponential.SelectFast — the windowed inverse-CDF path, one uniform
 // draw per cut — and reuses the window's scratch buffer across calls, so
 // a single ExpMechBisector is not safe for concurrent use (its RNG stream
-// already is not); hierarchy.Build serializes all cut decisions.
+// already is not); hierarchy.BuildFromEdges serializes all cut decisions.
 type ExpMechBisector struct {
 	mech *dp.Exponential
 	prob []float64 // SelectFast scratch, reused across Bisect calls

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dp"
@@ -22,7 +23,7 @@ func testTree(t testing.TB) *hierarchy.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := hierarchy.Build(g, hierarchy.Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
+	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(g), hierarchy.Options{Rounds: 4, Bisector: partition.BalancedBisector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +54,8 @@ func TestExactRectFullGridEqualsTotal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum != tree.Graph().NumEdges() {
-			t.Errorf("level %d full rect = %d, want %d", level, sum, tree.Graph().NumEdges())
+		if sum != tree.NumEdges() {
+			t.Errorf("level %d full rect = %d, want %d", level, sum, tree.NumEdges())
 		}
 	}
 }
@@ -71,8 +72,8 @@ func TestExactRectAdditive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if left+right != tree.Graph().NumEdges() {
-		t.Errorf("halves sum to %d, want %d", left+right, tree.Graph().NumEdges())
+	if left+right != tree.NumEdges() {
+		t.Errorf("halves sum to %d, want %d", left+right, tree.NumEdges())
 	}
 }
 

@@ -389,28 +389,20 @@ type Release struct {
 // itself is curator-side state, not part of the published artifact).
 func (r *Release) Tree() *hierarchy.Tree { return r.tree }
 
-// Run executes both phases on g.
+// Run executes both phases on g: RunFromEdges over
+// bipartite.NewGraphSource(g).
 func (p *Pipeline) Run(g *bipartite.Graph) (*Release, error) {
 	if g == nil {
 		return nil, ErrNilGraph
 	}
-	phase1Src, phase2Src := p.splitSources()
-	opts, err := p.hierarchyOptions(phase1Src)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := hierarchy.Build(g, opts)
-	if err != nil {
-		return nil, fmt.Errorf("release: phase 1: %w", err)
-	}
-	return p.finish(tree, phase2Src)
+	return p.RunFromEdges(bipartite.NewGraphSource(g))
 }
 
 // RunFromEdges executes both phases over a chunked edge stream: Phase 1
 // runs through hierarchy.BuildFromEdges (two passes over the source, peak
-// memory O(chunk + sides), never a materialized Graph) and Phase 2 is the
-// usual noise injection on the resulting tree. The artifact is
-// bit-identical to Run on a Graph holding the same associations — the
+// memory O(chunk + sides) on top of the source's own) and Phase 2 is the
+// usual noise injection on the resulting tree. The artifact depends only
+// on the source's edge multiset and sides, never on edge order — the
 // dataset summary included, which is computed from the degrees captured
 // during pass 1.
 func (p *Pipeline) RunFromEdges(src bipartite.EdgeSource) (*Release, error) {

@@ -11,9 +11,10 @@ import (
 
 // TestRunFromEdgesMatchesRun pins the streamed pipeline end to end: the
 // full artifact — dataset stats, profiles, noisy counts, cell histograms,
-// audit-bearing costs — must serialize byte-identically whether
-// Phase 1 ran over the materialized graph or over an edge stream of the
-// same associations.
+// audit-bearing costs — must serialize byte-identically whether the
+// pipeline ran on the Graph itself or over its TSV or binary encoding.
+// The TSV declares no sides; both last ids of this graph have an edge, so
+// the sides it yields are the graph's.
 func TestRunFromEdgesMatchesRun(t *testing.T) {
 	t.Parallel()
 	g, err := datagen.Generate(datagen.Config{
@@ -35,29 +36,49 @@ func TestRunFromEdgesMatchesRun(t *testing.T) {
 		}
 		return p
 	}
-
-	relMem, err := newPipeline().Run(g)
+	relRun, err := newPipeline().Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relStream, err := newPipeline().RunFromEdges(bipartite.NewGraphSource(g))
-	if err != nil {
+	var want bytes.Buffer
+	if err := relRun.WriteJSON(&want, true); err != nil {
 		t.Fatal(err)
 	}
 
-	var a, b bytes.Buffer
-	if err := relMem.WriteJSON(&a, true); err != nil {
+	var tsv, bin bytes.Buffer
+	if err := bipartite.SaveTSV(&tsv, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := relStream.WriteJSON(&b, true); err != nil {
+	if err := bipartite.EncodeBinary(&bin, g); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("streamed release differs from in-memory release:\n--- in-memory ---\n%s\n--- streamed ---\n%s",
-			a.String(), b.String())
-	}
-	if relStream.Tree().Graph() != nil {
-		t.Fatal("streamed release unexpectedly materialized a graph")
+	for _, enc := range []struct {
+		name string
+		open func() (bipartite.EdgeSource, error)
+	}{
+		{"tsv", func() (bipartite.EdgeSource, error) {
+			return bipartite.NewTSVEdgeSource(bytes.NewReader(tsv.Bytes()))
+		}},
+		{"binary", func() (bipartite.EdgeSource, error) {
+			return bipartite.NewBinaryEdgeSource(bytes.NewReader(bin.Bytes()))
+		}},
+	} {
+		src, err := enc.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := newPipeline().RunFromEdges(src)
+		if err != nil {
+			t.Fatalf("%s: %v", enc.name, err)
+		}
+		var got bytes.Buffer
+		if err := rel.WriteJSON(&got, true); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("release over the %s encoding differs from Run:\n--- Run ---\n%s\n--- %s ---\n%s",
+				enc.name, want.String(), enc.name, got.String())
+		}
 	}
 }
 

@@ -155,8 +155,7 @@ type EdgeSource = bipartite.EdgeSource
 func NewTSVEdgeSource(rs io.ReadSeeker) (EdgeSource, error) { return bipartite.NewTSVEdgeSource(rs) }
 
 // NewGraphEdgeSource streams an in-memory graph's edges in left-major
-// order (useful for verifying the streamed path against the in-memory
-// one).
+// order; Pipeline.Run(g) is RunFromEdges over this source.
 func NewGraphEdgeSource(g *Graph) EdgeSource { return bipartite.NewGraphSource(g) }
 
 // GenerateDataset builds a synthetic dataset from a preset name.
