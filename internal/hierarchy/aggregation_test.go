@@ -13,23 +13,36 @@ import (
 
 // naiveCellCounts recounts the depth-d cell matrix of a tree built over
 // g the slow way — one full edge pass with a per-edge binary search over
-// the range boundaries — sharing no code with the streamed scan and the
-// bottom-up aggregation it cross-checks.
+// the range boundaries, positions taken from an inverse permutation
+// derived here — sharing no code with the streamed scan and the bottom-up
+// aggregation it cross-checks.
 func naiveCellCounts(g *bipartite.Graph, tree *Tree, d int) []int64 {
+	leftPos, rightPos := inversePerm(tree.left.perm), inversePerm(tree.right.perm)
 	k := 1 << d
 	counts := make([]int64, k*k)
 	g.ForEachEdge(func(l, r int32) bool {
-		i := findRange(tree.left.bounds[d], tree.left.pos[l])
-		j := findRange(tree.right.bounds[d], tree.right.pos[r])
+		i := findRange(tree.left.bounds[d], leftPos[l])
+		j := findRange(tree.right.bounds[d], rightPos[r])
 		counts[i*k+j]++
 		return true
 	})
 	return counts
 }
 
-// validateAgainst runs Validate plus the checks that need the edges the
-// tree does not hold: every stored degree equals g's, and every depth's
-// cell matrix equals naiveCellCounts over g.
+// inversePerm maps each node id to its position in perm.
+func inversePerm(perm []int32) []int32 {
+	pos := make([]int32, len(perm))
+	for p, node := range perm {
+		pos[node] = int32(p)
+	}
+	return pos
+}
+
+// validateAgainst runs Validate plus the checks that need the graph the
+// tree does not hold: every depth's per-group degree sums equal g's
+// degrees summed over the group's span of the permutation, the dataset
+// summary equals g's, and every depth's cell matrix equals
+// naiveCellCounts over g.
 func validateAgainst(tree *Tree, g *bipartite.Graph) error {
 	if err := tree.Validate(); err != nil {
 		return err
@@ -38,14 +51,23 @@ func validateAgainst(tree *Tree, g *bipartite.Graph) error {
 		st   *sideTree
 		side bipartite.Side
 	}{{&tree.left, bipartite.Left}, {&tree.right, bipartite.Right}} {
-		if len(sd.st.deg) != g.NumSide(sd.side) {
-			return fmt.Errorf("%v side: %d stored degrees, graph has %d nodes", sd.side, len(sd.st.deg), g.NumSide(sd.side))
+		if len(sd.st.perm) != g.NumSide(sd.side) {
+			return fmt.Errorf("%v side: %d nodes in the permutation, graph has %d", sd.side, len(sd.st.perm), g.NumSide(sd.side))
 		}
-		for node, d := range sd.st.deg {
-			if want := g.Degree(sd.side, int32(node)); d != want {
-				return fmt.Errorf("%v side: stored degree of node %d is %d, graph says %d", sd.side, node, d, want)
+		for d, bounds := range sd.st.bounds {
+			for i := 0; i+1 < len(bounds); i++ {
+				var want int64
+				for _, node := range sd.st.perm[bounds[i]:bounds[i+1]] {
+					want += g.Degree(sd.side, node)
+				}
+				if got := sd.st.groupDeg[d][i]; got != want {
+					return fmt.Errorf("%v side depth %d group %d: stored degree sum %d, graph says %d", sd.side, d, i, got, want)
+				}
 			}
 		}
+	}
+	if got, want := tree.DatasetStats(), bipartite.ComputeStats(g); got != want {
+		return fmt.Errorf("DatasetStats diverge:\n  tree  %+v\n  graph %+v", got, want)
 	}
 	for d := range tree.cells {
 		for i, c := range naiveCellCounts(g, tree, d) {
@@ -152,11 +174,6 @@ func TestBuildWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("%s perm differs at %d: %d vs %d", side, p, a.perm[p], b.perm[p])
 			}
 		}
-		for n := range a.pos {
-			if a.pos[n] != b.pos[n] {
-				t.Fatalf("%s pos differs at %d", side, n)
-			}
-		}
 		for d := range a.bounds {
 			for i := range a.bounds[d] {
 				if a.bounds[d][i] != b.bounds[d][i] {
@@ -164,9 +181,9 @@ func TestBuildWorkersBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		for p := range a.degPrefix {
-			if a.degPrefix[p] != b.degPrefix[p] {
-				t.Fatalf("%s degPrefix differs at %d", side, p)
+		for d := range a.groupDeg {
+			if !slices.Equal(a.groupDeg[d], b.groupDeg[d]) {
+				t.Fatalf("%s degree sums differ at depth %d", side, d)
 			}
 		}
 	}
@@ -219,8 +236,8 @@ func TestSideGroupIncidentEdgesMatchesNaive(t *testing.T) {
 // degree distributions: heavy ties at both ends of the range, which only
 // the sort's stability orders, and largest degrees on each side of 2^16,
 // 2^32 and 2^48, so one, two, three and four digit passes all run and the
-// result lands in either ping-pong buffer. index must then invert
-// whichever buffer became the permutation.
+// result lands in either ping-pong buffer. index must then sum the
+// degrees over whichever buffer became the permutation.
 func TestRadixSortMatchesComparisonSort(t *testing.T) {
 	t.Parallel()
 	r := rng.New(41)
@@ -232,14 +249,19 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 		slices.SortFunc(want, cmpNodes)
 		return want
 	}
-	check := func(label string, st *sideTree, want []int32) {
+	check := func(label string, sb *sideBuild, deg []int64, want []int32) {
 		t.Helper()
-		st.index()
-		if !slices.Equal(st.perm, want) {
+		sb.index()
+		if !slices.Equal(sb.st.perm, want) {
 			t.Fatalf("%s: side sort and comparison sort disagree", label)
 		}
-		if err := checkPerm(st.perm, st.pos); err != nil {
+		if err := checkPerm(sb.st.perm); err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		for p, node := range sb.st.perm {
+			if sb.degPrefix[p+1]-sb.degPrefix[p] != deg[node] {
+				t.Fatalf("%s: degree prefix wrong at position %d", label, p)
+			}
 		}
 	}
 	for _, maxDeg := range []int64{0, 1, 4, 1<<16 - 1, 1 << 16, 1 << 20, 1<<32 - 1, 1 << 32, 1 << 40, 1 << 48, 1 << 55} {
@@ -257,9 +279,9 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 				}
 			}
 			deg[r.Intn(n)] = maxDeg // the largest degree decides the digit count
-			st := newSideTree(deg)
-			st.sortByDegree(maxDeg)
-			check(fmt.Sprintf("maxDeg=%d trial %d", maxDeg, trial), &st, sorted(n, func(a, b int32) int {
+			sb := newSideBuild(&sideTree{}, deg)
+			sb.sortByDegree(maxDeg)
+			check(fmt.Sprintf("maxDeg=%d trial %d", maxDeg, trial), &sb, deg, sorted(n, func(a, b int32) int {
 				return cmp.Or(cmp.Compare(deg[b], deg[a]), cmp.Compare(a, b))
 			}))
 		}
@@ -268,8 +290,9 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 
 // BenchmarkSideSort times ordering and indexing one 700 k-node side with
 // Zipf degrees drawn in node order — the per-side work a build does
-// before its first cut. Everything it allocates belongs to the tree,
-// apart from one digit histogram.
+// before its first cut. Of what it allocates, the tree keeps only the
+// permutation; the scratch, the prefix sums and one digit histogram are
+// build state.
 func BenchmarkSideSort(b *testing.B) {
 	const n = 700_000
 	z, err := rng.NewZipf(rng.New(1), 2, 1, 1<<15)
@@ -284,9 +307,9 @@ func BenchmarkSideSort(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := newSideTree(deg)
-		st.sortByDegree(maxDeg)
-		st.index()
+		sb := newSideBuild(&sideTree{}, deg)
+		sb.sortByDegree(maxDeg)
+		sb.index()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/node")
 }

@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // assertTreesIdentical compares the full internal state of two trees —
-// permutations, inverse positions, every depth's boundaries, degree
-// prefix sums, every cell matrix, and the private-cut count.
+// permutations, every depth's boundaries and degree sums, the record
+// count, every cell matrix, and the private-cut count.
 func assertTreesIdentical(t *testing.T, label string, a, b *Tree) {
 	t.Helper()
 	for side, pair := range map[string][2]*sideTree{
@@ -26,11 +27,6 @@ func assertTreesIdentical(t *testing.T, label string, a, b *Tree) {
 				t.Fatalf("%s: %s perm differs at %d: %d vs %d", label, side, p, x.perm[p], y.perm[p])
 			}
 		}
-		for n := range x.pos {
-			if x.pos[n] != y.pos[n] {
-				t.Fatalf("%s: %s pos differs at %d", label, side, n)
-			}
-		}
 		if len(x.bounds) != len(y.bounds) {
 			t.Fatalf("%s: %s depth count differs", label, side)
 		}
@@ -41,11 +37,14 @@ func assertTreesIdentical(t *testing.T, label string, a, b *Tree) {
 				}
 			}
 		}
-		for p := range x.degPrefix {
-			if x.degPrefix[p] != y.degPrefix[p] {
-				t.Fatalf("%s: %s degPrefix differs at %d", label, side, p)
+		for d := range x.groupDeg {
+			if !slices.Equal(x.groupDeg[d], y.groupDeg[d]) {
+				t.Fatalf("%s: %s degree sums differ at depth %d", label, side, d)
 			}
 		}
+	}
+	if a.NumEdges() != b.NumEdges() {
+		t.Fatalf("%s: record counts differ: %d vs %d", label, a.NumEdges(), b.NumEdges())
 	}
 	if len(a.cells) != len(b.cells) {
 		t.Fatalf("%s: cell depth count differs", label)
@@ -280,13 +279,6 @@ func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	b := NewBuilder()
 	defer b.Close()
 	before := liveHeap()
@@ -305,4 +297,54 @@ func TestBuilderPinsNoPerNodeMemoryAfterBuild(t *testing.T) {
 	}
 	runtime.KeepAlive(b)
 	runtime.KeepAlive(g)
+}
+
+// liveHeap returns the bytes of live heap after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestTreeRetainsFourBytesPerNode: a served dataset holds its tree for the
+// life of the registry. Holding one tree built over two 2^19-node sides
+// with a private bisector must cost no more than its two permutations'
+// 4 bytes per node, its cell matrices, and 64 KiB for the per-depth
+// boundaries and degree sums: no degree, prefix sum or inverse
+// permutation may survive the build. The node-group sensitivity, read
+// per release, must then allocate nothing.
+func TestTreeRetainsFourBytesPerNode(t *testing.T) {
+	const n = 1 << 19
+	edges := make([]bipartite.Edge, n)
+	for i := range edges {
+		edges[i] = bipartite.Edge{Left: int32(i), Right: int32((i * 7) % n)}
+	}
+	before := liveHeap()
+	tree, err := BuildFromEdges(bipartite.NewSliceSource(n, n, edges), Options{Rounds: 9, Bisector: streamBisector(t, true, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := int64(liveHeap()) - int64(before)
+	var cellBytes int64
+	for d := range tree.cells {
+		cellBytes += 8*int64(len(tree.cells[d])) + 4*int64(len(tree.cells32[d]))
+	}
+	if limit := 4*2*n + cellBytes + 64<<10; held > limit {
+		t.Fatalf("holding a tree of 2×%d nodes costs %d bytes, want at most %d (4 B per node + %d B of cells + 64 KiB)", n, held, limit, cellBytes)
+	}
+	runtime.KeepAlive(edges)
+
+	t.Run("MaxSideGroupIncidentEdges allocates nothing", func(t *testing.T) {
+		for level := 0; level <= tree.MaxLevel(); level++ {
+			var err error
+			if allocs := testing.AllocsPerRun(100, func() { _, err = tree.MaxSideGroupIncidentEdges(level) }); allocs != 0 {
+				t.Fatalf("level %d: %v allocations per call", level, allocs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

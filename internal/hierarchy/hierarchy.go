@@ -28,10 +28,14 @@
 // the paper's nine rounds the root is level 9 and level 0 is the finest.
 //
 // Representation: per side, a permutation of node ids plus, per depth, the
-// boundaries of the 2^d contiguous ranges over that permutation. The
-// permutation is the side's bisector order, fixed before the first cut; a
-// split only adds a boundary inside its own range, so deeper levels
-// strictly refine shallower ones and all levels share one permutation.
+// boundaries of the 2^d contiguous ranges over that permutation and each
+// range's summed degree. The permutation is the side's bisector order,
+// fixed before the first cut; a split only adds a boundary inside its own
+// range, so deeper levels strictly refine shallower ones and all levels
+// share one permutation. The permutation is the only per-node array a
+// built tree keeps — 4 bytes per node: the degrees, their prefix sums and
+// the sort's scratch are build state, dropped as soon as their last
+// reader is done.
 //
 // # One build
 //
@@ -42,9 +46,9 @@
 // bipartite.NewGraphSource(g).
 //
 // A build keeps nothing behind: every array it allocates either belongs
-// to the returned Tree or is garbage when the call returns, so a Builder
-// carries no state — no scratch, no goroutines, no reference to a
-// finished build's bisector. It remains as the handle repeated-build
+// to the returned Tree or is garbage by the time the call returns, so a
+// Builder carries no state — no scratch, no goroutines, no reference to
+// a finished build's bisector. It remains as the handle repeated-build
 // callers are written against: NewBuilder, Builder.BuildFromEdges per
 // build, Close when done. BuildFromEdges, the package function, is the
 // same call on a throwaway Builder.
@@ -58,16 +62,18 @@
 // the node ids; its degree prefix sums are taken once, right after; and
 // every range of every round — a contiguous span of the sorted side — is
 // handed to the bisector as a window of that one prefix array, with no
-// per-range preparation at all. The same prefix sums make
-// SideGroupIncidentEdges O(groups) per call. The cut decisions are
-// serial, in range order, so randomized bisectors consume their stream
-// deterministically. The per-cell record counts are computed once at the
-// deepest level in the second pass (edge chunks fanned out across
-// Options.Workers goroutines with per-worker count buffers merged at the
-// end) and every coarser level is derived by summing 2×2 child blocks
-// bottom-up — never by rescanning edges. Workers shards only
-// order-independent integer sums, so the built tree is bit-identical for
-// every worker count.
+// per-range preparation at all. The same prefix sums give every new
+// range's summed degree as one difference, stored per depth, so
+// SideGroupIncidentEdges is O(groups) per call and the node-group
+// sensitivity O(1) long after the prefix sums are gone. The cut
+// decisions are serial, in range order, so randomized bisectors consume
+// their stream deterministically. The per-cell record counts are
+// computed once at the deepest level in the second pass (edge chunks
+// fanned out across Options.Workers goroutines with per-worker count
+// buffers merged at the end) and every coarser level is derived by
+// summing 2×2 child blocks bottom-up — never by rescanning edges.
+// Workers shards only order-independent integer sums, so the built tree
+// is bit-identical for every worker count.
 package hierarchy
 
 import (
@@ -114,33 +120,38 @@ var (
 	ErrInvalid     = errors.New("hierarchy: invalid tree")
 )
 
-// sideTree is the recursive bisection of one node side.
+// sideTree is the recursive bisection of one node side: the published
+// order, its ranges, and each range's summed degree. Nothing in it is
+// indexed by node or by position but perm, so a built tree keeps 4 bytes
+// per node; the per-node build state lives in sideBuild.
 type sideTree struct {
 	perm []int32 // position -> node id
-	pos  []int32 // node id -> position
-	// deg[node] is the node's degree, filled by pass 1 of BuildFromEdges.
-	// It is the only per-node input the specialization consumes.
-	deg []int64
 	// bounds[d] holds the 2^d+1 range boundaries at depth d:
 	// range i spans positions [bounds[d][i], bounds[d][i+1]).
 	bounds [][]int32
-	// degPrefix[p] is the summed degree of perm[0:p]. The permutation is
-	// final once the side is ordered, before the first cut, so the array
-	// is filled once, by index, and serves both ends of the tree's life:
-	// the window degPrefix[lo:hi+1] is the bisector's whole input for
-	// range [lo, hi), and any depth's group-incident-edge sums are
-	// boundary differences.
-	degPrefix []int64
+	// groupDeg[d][i] is the summed degree of depth-d range i — the
+	// associations incident to the group's nodes — taken from the build's
+	// degree prefix sums right after the cut that made the range.
+	groupDeg [][]int64
+	// maxGroupDeg[d] caches the largest entry of groupDeg[d], the way
+	// maxCells does for the cells, so the node-group sensitivity is O(1)
+	// and allocation-free.
+	maxGroupDeg []int64
 }
 
-// Tree is the built hierarchy: both side trees with their degrees, and
-// the cell count matrices of every level. It holds no edges, and it is
-// immutable once built.
+// Tree is the built hierarchy: both sides' orders, range boundaries and
+// per-range degree sums, the edge total, the cell count matrices of every
+// level and the dataset summary. It holds no edges and no per-node data
+// beyond the two permutations, and it is immutable once built.
 type Tree struct {
 	maxLevel int
 
 	left  sideTree
 	right sideTree
+
+	// numEdges is the number of association records the tree was built
+	// over.
+	numEdges int64
 
 	// cells[d] is the row-major (2^d)x(2^d) matrix of per-cell record
 	// counts at depth d. Only cells[maxDepth] is counted from edges; every
@@ -159,8 +170,8 @@ type Tree struct {
 	// larger counts, so the fit is decided per depth, not per tree.
 	cells32 [][]int32
 
-	// stats is the dataset summary, computed once per tree from the stored
-	// degrees (specialize); DatasetStats serves it.
+	// stats is the dataset summary, computed once per build from the
+	// pass-1 degrees (specialize); DatasetStats serves it.
 	stats bipartite.Stats
 
 	privateCuts int
@@ -191,17 +202,20 @@ func normalizeOptions(opts *Options) error {
 }
 
 // specialize summarizes, orders and indexes both sides, then executes
-// every specialization round. Cuts consume only the per-node degrees
-// captured in the side trees.
-func (t *Tree) specialize(opts Options) error {
-	t.stats = bipartite.StatsFromDegrees(t.left.deg, t.right.deg)
+// every specialization round. Cuts consume only the per-node degrees,
+// held in the returned build state, which pass 2 reads for the sides'
+// finest groups (sideBuild.finestGroups).
+func (t *Tree) specialize(leftDeg, rightDeg []int64, opts Options) (left, right sideBuild, err error) {
+	t.stats = bipartite.StatsFromDegrees(leftDeg, rightDeg)
+	left, right = newSideBuild(&t.left, leftDeg), newSideBuild(&t.right, rightDeg)
 	// Both sides in bisector order. The order is static and total, so
 	// this one arrangement serves every round: each deeper range is a
 	// contiguous span of an ordered span.
-	t.left.sortByDegree(t.stats.MaxLeftDegree)
-	t.right.sortByDegree(t.stats.MaxRightDegree)
-	t.left.index()
-	t.right.index()
+	left.sortByDegree(t.stats.MaxLeftDegree)
+	right.sortByDegree(t.stats.MaxRightDegree)
+	left.index()
+	right.index()
+	t.numEdges = t.left.groupDeg[0][0]
 	private := false
 	if pc, ok := opts.Bisector.(partition.PrivacyConsumer); ok {
 		private = pc.Private()
@@ -209,30 +223,45 @@ func (t *Tree) specialize(opts Options) error {
 	for d := 0; d < opts.Rounds; d++ {
 		for _, side := range [...]struct {
 			name string
-			st   *sideTree
-		}{{"left", &t.left}, {"right", &t.right}} {
-			cuts, err := side.st.splitDepth(d, opts.Bisector)
+			sb   *sideBuild
+		}{{"left", &left}, {"right", &right}} {
+			cuts, err := side.sb.splitDepth(d, opts.Bisector)
 			if err != nil {
-				return fmt.Errorf("hierarchy: splitting %s side at depth %d: %w", side.name, d, err)
+				return sideBuild{}, sideBuild{}, fmt.Errorf("hierarchy: splitting %s side at depth %d: %w", side.name, d, err)
 			}
 			if private {
 				t.privateCuts += cuts
 			}
 		}
 	}
-	return nil
+	return left, right, nil
 }
 
-// newSideTree returns the unsplit side over the given per-node degrees.
+// sideBuild is one side's per-node build state: the arrays the cuts and
+// pass 2 read and the finished Tree does not keep. Each is dropped once
+// its last reader is done, so what outlives the build is st alone.
+type sideBuild struct {
+	st *sideTree
+	// deg[node] is the node's degree, filled by pass 1; dropped by index.
+	deg []int64
+	// degPrefix[p] is the summed degree of st.perm[0:p]. The permutation
+	// is final once the side is ordered, before the first cut, so the
+	// array is filled once, by index: the window degPrefix[lo:hi+1] is the
+	// bisector's whole input for range [lo, hi), and every range's summed
+	// degree is a boundary difference. Dropped by finestGroups.
+	degPrefix []int64
+	// scratch is the sort's ping-pong buffer, then pass 2's node id →
+	// finest-group lookup (finestGroups).
+	scratch []int32
+}
+
+// newSideBuild returns the unsplit side over the given per-node degrees.
 // Its permutation is unset until sortByDegree arranges it.
-func newSideTree(deg []int64) sideTree {
+func newSideBuild(st *sideTree, deg []int64) sideBuild {
 	n := len(deg)
-	return sideTree{
-		perm:   make([]int32, n),
-		pos:    make([]int32, n),
-		deg:    deg,
-		bounds: [][]int32{{0, int32(n)}},
-	}
+	st.perm = make([]int32, n)
+	st.bounds = [][]int32{{0, int32(n)}}
+	return sideBuild{st: st, deg: deg, scratch: make([]int32, n)}
 }
 
 // sortByDegree arranges perm by degree descending, node id breaking ties
@@ -243,12 +272,12 @@ func newSideTree(deg []int64) sideTree {
 // degrees in node order and no digit is spent on the ids; a side whose
 // largest degree is under 2^16 — any realistic one — takes that single
 // pass, over a histogram of maxDeg+1 counters. Further passes ping-pong
-// between perm and pos, which holds no information until index fills it.
-func (st *sideTree) sortByDegree(maxDeg int64) {
-	src, dst := st.pos, st.perm
+// between perm and scratch.
+func (sb *sideBuild) sortByDegree(maxDeg int64) {
+	src, dst := sb.scratch, sb.st.perm
 	for shift := 0; shift == 0 || maxDeg>>shift > 0; shift += 16 {
 		counts := make([]int32, min(maxDeg>>shift, 0xffff)+1)
-		for _, d := range st.deg {
+		for _, d := range sb.deg {
 			counts[(maxDeg-d)>>shift&0xffff]++
 		}
 		var sum int32
@@ -256,55 +285,90 @@ func (st *sideTree) sortByDegree(maxDeg int64) {
 			counts[digit], sum = sum, sum+c
 		}
 		if shift == 0 {
-			for node, d := range st.deg {
+			for node, d := range sb.deg {
 				digit := (maxDeg - d) & 0xffff
 				dst[counts[digit]] = int32(node)
 				counts[digit]++
 			}
 		} else {
 			for _, node := range src {
-				digit := (maxDeg - st.deg[node]) >> shift & 0xffff
+				digit := (maxDeg - sb.deg[node]) >> shift & 0xffff
 				dst[counts[digit]] = node
 				counts[digit]++
 			}
 		}
 		src, dst = dst, src
 	}
-	st.perm, st.pos = src, dst
+	sb.st.perm, sb.scratch = src, dst
 }
 
-// index derives the inverse permutation and the degree prefix sums from
-// perm and deg.
-func (st *sideTree) index() {
-	st.degPrefix = make([]int64, len(st.perm)+1)
-	for p, node := range st.perm {
-		st.pos[node] = int32(p)
-		st.degPrefix[p+1] = st.degPrefix[p] + st.deg[node]
+// index takes the degree prefix sums over perm, records the root's
+// degree sum, and drops the degrees: the summary and the sort were their
+// last readers.
+func (sb *sideBuild) index() {
+	sb.degPrefix = make([]int64, len(sb.st.perm)+1)
+	for p, node := range sb.st.perm {
+		sb.degPrefix[p+1] = sb.degPrefix[p] + sb.deg[node]
 	}
+	sb.deg = nil
+	sb.recordGroupDegrees(0)
 }
 
 // splitDepth refines every depth-d range of the side into two, appending
-// the depth d+1 boundaries, and returns how many cuts the bisector made.
-// A range's whole input is its window of the side's degree prefix sums.
-// Ranges with fewer than two nodes cannot be cut and keep an empty second
-// part. The decisions run serially in range order so randomized bisectors
-// consume their stream deterministically.
-func (st *sideTree) splitDepth(d int, bisector partition.Bisector) (cuts int, err error) {
-	cur := st.bounds[d]
+// the depth d+1 boundaries and degree sums, and returns how many cuts the
+// bisector made. A range's whole input is its window of the side's degree
+// prefix sums. Ranges with fewer than two nodes cannot be cut and keep an
+// empty second part. The decisions run serially in range order so
+// randomized bisectors consume their stream deterministically.
+func (sb *sideBuild) splitDepth(d int, bisector partition.Bisector) (cuts int, err error) {
+	cur := sb.st.bounds[d]
 	next := make([]int32, 0, 2*len(cur)-1)
 	for i := 0; i+1 < len(cur); i++ {
 		lo, hi := cur[i], cur[i+1]
 		cut := int(hi - lo)
 		if cut >= 2 {
-			if cut, err = bisector.Bisect(st.degPrefix[lo : hi+1]); err != nil {
+			if cut, err = bisector.Bisect(sb.degPrefix[lo : hi+1]); err != nil {
 				return 0, fmt.Errorf("range %d [%d,%d): %w", i, lo, hi, err)
 			}
 			cuts++
 		}
 		next = append(next, lo, lo+int32(cut))
 	}
-	st.bounds = append(st.bounds, append(next, cur[len(cur)-1]))
+	sb.st.bounds = append(sb.st.bounds, append(next, cur[len(cur)-1]))
+	sb.recordGroupDegrees(d + 1)
 	return cuts, nil
+}
+
+// recordGroupDegrees appends the summed degree of every depth-d range, one
+// prefix-sum difference each, and their maximum.
+func (sb *sideBuild) recordGroupDegrees(d int) {
+	bounds := sb.st.bounds[d]
+	sums := make([]int64, len(bounds)-1)
+	var max int64
+	for i := range sums {
+		sums[i] = sb.degPrefix[bounds[i+1]] - sb.degPrefix[bounds[i]]
+		if sums[i] > max {
+			max = sums[i]
+		}
+	}
+	sb.st.groupDeg = append(sb.st.groupDeg, sums)
+	sb.st.maxGroupDeg = append(sb.st.maxGroupDeg, max)
+}
+
+// finestGroups ends the side's cuts: it drops the degree prefix sums and
+// turns the sort's scratch into the node id → finest-range index pass 2
+// counts edges with, handing that array over.
+func (sb *sideBuild) finestGroups() []int32 {
+	sb.degPrefix = nil
+	idx, perm := sb.scratch, sb.st.perm
+	sb.scratch = nil
+	bounds := sb.st.bounds[len(sb.st.bounds)-1]
+	for i := 0; i < len(bounds)-1; i++ {
+		for _, node := range perm[bounds[i]:bounds[i+1]] {
+			idx[node] = int32(i)
+		}
+	}
+	return idx
 }
 
 // setCells installs the deepest-level cell matrix and derives every
@@ -353,25 +417,12 @@ func aggregateCells(child []int64, kc int) []int64 {
 	return parent
 }
 
-// groupOfNode expands the depth-d range boundaries into a node-id →
-// range-index lookup.
-func (st *sideTree) groupOfNode(d int) []int32 {
-	idx := make([]int32, len(st.perm))
-	bounds := st.bounds[d]
-	for i := 0; i < len(bounds)-1; i++ {
-		for p := bounds[i]; p < bounds[i+1]; p++ {
-			idx[st.perm[p]] = int32(i)
-		}
-	}
-	return idx
-}
-
 // NumEdges returns the total number of association records the tree was
 // built over.
-func (t *Tree) NumEdges() int64 { return t.left.degPrefix[len(t.left.degPrefix)-1] }
+func (t *Tree) NumEdges() int64 { return t.numEdges }
 
-// DatasetStats summarizes the dataset from the per-node degrees captured
-// at build time. The summary is computed once per build and every call
+// DatasetStats summarizes the dataset from the per-node degrees of the
+// build's first pass. The summary is computed once per build and every call
 // returns that stored value: O(1), no allocation. For a tree built over
 // bipartite.NewGraphSource(g) it equals bipartite.ComputeStats(g) bit for
 // bit.
@@ -499,8 +550,7 @@ func (t *Tree) sideTree(side bipartite.Side) (*sideTree, error) {
 
 // SideGroupIncidentEdges returns, per side group at the level, the number
 // of associations incident to the group's nodes (the node-group model's
-// group weight). Each group is one degree-prefix-sum difference, so a call
-// costs O(groups), not O(nodes).
+// group weight): a copy of the degree sums the build stored, O(groups).
 func (t *Tree) SideGroupIncidentEdges(level int, side bipartite.Side) ([]int64, error) {
 	d, err := t.DepthOfLevel(level)
 	if err != nil {
@@ -510,18 +560,7 @@ func (t *Tree) SideGroupIncidentEdges(level int, side bipartite.Side) ([]int64, 
 	if err != nil {
 		return nil, err
 	}
-	return st.groupDegrees(d), nil
-}
-
-// groupDegrees returns the summed degree of every depth-d range: one
-// degree-prefix-sum difference each.
-func (st *sideTree) groupDegrees(d int) []int64 {
-	bounds := st.bounds[d]
-	out := make([]int64, len(bounds)-1)
-	for i := range out {
-		out[i] = st.degPrefix[bounds[i+1]] - st.degPrefix[bounds[i]]
-	}
-	return out
+	return append([]int64(nil), st.groupDeg[d]...), nil
 }
 
 // MaxCellEdges returns the largest cell at the level — the group-DP
@@ -537,21 +576,14 @@ func (t *Tree) MaxCellEdges(level int) (int64, error) {
 
 // MaxSideGroupIncidentEdges returns the largest incident-edge sum over all
 // side groups (both sides) at the level — the sensitivity under the
-// node-group model. O(groups) via the degree prefix sums.
+// node-group model. O(1) and allocation-free: per-depth maxima are cached
+// when the degree sums are stored.
 func (t *Tree) MaxSideGroupIncidentEdges(level int) (int64, error) {
-	var max int64
-	for _, side := range []bipartite.Side{bipartite.Left, bipartite.Right} {
-		sums, err := t.SideGroupIncidentEdges(level, side)
-		if err != nil {
-			return 0, err
-		}
-		for _, s := range sums {
-			if s > max {
-				max = s
-			}
-		}
+	d, err := t.DepthOfLevel(level)
+	if err != nil {
+		return 0, err
 	}
-	return max, nil
+	return max(t.left.maxGroupDeg[d], t.right.maxGroupDeg[d]), nil
 }
 
 // SidePermutation returns a copy of one side's node permutation
@@ -618,87 +650,101 @@ func (t *Tree) Profile(level int) (LevelProfile, error) {
 }
 
 // Validate checks the structural invariants the rest of the system relies
-// on:
+// on, over what the tree holds:
 //
-//   - permutations are bijections and pos arrays their inverses,
+//   - permutations are bijections,
 //   - range boundaries are monotone, span the whole side, and every depth
 //     refines the previous one,
-//   - the deepest cell matrix sums to the total record count, and every
-//     coarser matrix equals the 2×2 block aggregation of its child,
-//   - the degree prefix sums are monotone and end at the record count,
-//     and the stored dataset summary equals a fresh one from the degrees.
+//   - every depth's degree sums have one entry per range, an empty range
+//     sums to zero, every depth's sums refine the one above, the root
+//     sums to the record count on both sides, and the cached maxima are
+//     right,
+//   - the dataset summary counts the permutations' nodes and the records,
+//   - the deepest cell matrix's rows and columns sum to the finest
+//     groups' degree sums, every coarser matrix equals the 2×2 block
+//     aggregation of its child, and the cached maxima and int32 images
+//     match their matrices.
 //
-// The tree holds no edges, so Validate cannot recount cells from them:
-// BuildFromEdges cross-checks its two passes against each other instead.
-// The cell checks cost O(Σ_d 4^d).
+// The tree holds no edges and no degrees, so Validate cannot recount
+// either: BuildFromEdges cross-checks its two passes against each other
+// instead. The checks cost O(n + Σ_d 4^d).
 func (t *Tree) Validate() error {
-	if err := checkPerm(t.left.perm, t.left.pos); err != nil {
-		return fmt.Errorf("%w: left perm: %v", ErrInvalid, err)
-	}
-	if err := checkPerm(t.right.perm, t.right.pos); err != nil {
-		return fmt.Errorf("%w: right perm: %v", ErrInvalid, err)
-	}
-	var total int64
-	for _, d := range t.left.deg {
-		total += d
-	}
+	depths := len(t.left.bounds)
 	for _, sd := range []struct {
 		name string
 		st   *sideTree
 	}{{"left", &t.left}, {"right", &t.right}} {
 		st := sd.st
+		if err := checkPerm(st.perm); err != nil {
+			return fmt.Errorf("%w: %s perm: %v", ErrInvalid, sd.name, err)
+		}
 		n := int32(len(st.perm))
-		if len(st.deg) != int(n) {
-			return fmt.Errorf("%w: %s has %d stored degrees for %d nodes", ErrInvalid, sd.name, len(st.deg), n)
+		if len(st.bounds) != depths || len(st.groupDeg) != depths || len(st.maxGroupDeg) != depths {
+			return fmt.Errorf("%w: %s side has %d bound depths, %d degree-sum depths and %d cached maxima, want %d each",
+				ErrInvalid, sd.name, len(st.bounds), len(st.groupDeg), len(st.maxGroupDeg), depths)
 		}
 		for d, bounds := range st.bounds {
 			if len(bounds) != (1<<d)+1 {
-				return fmt.Errorf("%w: depth %d has %d boundaries, want %d", ErrInvalid, d, len(bounds), (1<<d)+1)
+				return fmt.Errorf("%w: %s depth %d has %d boundaries, want %d", ErrInvalid, sd.name, d, len(bounds), (1<<d)+1)
 			}
 			if bounds[0] != 0 || bounds[len(bounds)-1] != n {
-				return fmt.Errorf("%w: depth %d boundaries do not span [0,%d]", ErrInvalid, d, n)
+				return fmt.Errorf("%w: %s depth %d boundaries do not span [0,%d]", ErrInvalid, sd.name, d, n)
 			}
 			for i := 1; i < len(bounds); i++ {
 				if bounds[i] < bounds[i-1] {
-					return fmt.Errorf("%w: depth %d boundaries decrease at %d", ErrInvalid, d, i)
+					return fmt.Errorf("%w: %s depth %d boundaries decrease at %d", ErrInvalid, sd.name, d, i)
 				}
 			}
 			if d > 0 {
 				prev := st.bounds[d-1]
 				for i, b := range prev {
 					if bounds[2*i] != b {
-						return fmt.Errorf("%w: depth %d does not refine depth %d at %d", ErrInvalid, d, d-1, i)
+						return fmt.Errorf("%w: %s depth %d does not refine depth %d at %d", ErrInvalid, sd.name, d, d-1, i)
 					}
 				}
 			}
-		}
-		if len(st.degPrefix) != int(n)+1 {
-			return fmt.Errorf("%w: %s degree prefix has %d entries, want %d", ErrInvalid, sd.name, len(st.degPrefix), n+1)
-		}
-		for p, node := range st.perm {
-			if st.degPrefix[p+1]-st.degPrefix[p] != st.deg[node] {
-				return fmt.Errorf("%w: %s degree prefix wrong at position %d", ErrInvalid, sd.name, p)
+			sums := st.groupDeg[d]
+			if len(sums) != 1<<d {
+				return fmt.Errorf("%w: %s depth %d has %d degree sums, want %d", ErrInvalid, sd.name, d, len(sums), 1<<d)
+			}
+			var max int64
+			for i, s := range sums {
+				if bounds[i] == bounds[i+1] && s != 0 {
+					return fmt.Errorf("%w: %s depth %d range %d is empty but sums to %d", ErrInvalid, sd.name, d, i, s)
+				}
+				if d > 0 && i%2 == 1 {
+					if parent := st.groupDeg[d-1][i/2]; sums[i-1]+s != parent {
+						return fmt.Errorf("%w: %s depth %d ranges %d and %d sum to %d, their parent to %d", ErrInvalid, sd.name, d, i-1, i, sums[i-1]+s, parent)
+					}
+				}
+				if s > max {
+					max = s
+				}
+			}
+			if st.maxGroupDeg[d] != max {
+				return fmt.Errorf("%w: %s depth %d cached degree-sum max %d, sums say %d", ErrInvalid, sd.name, d, st.maxGroupDeg[d], max)
 			}
 		}
-		if st.degPrefix[n] != total {
-			return fmt.Errorf("%w: %s degree prefix sums to %d, want %d", ErrInvalid, sd.name, st.degPrefix[n], total)
+		if root := st.groupDeg[0][0]; root != t.numEdges {
+			return fmt.Errorf("%w: %s degrees sum to %d, want %d records", ErrInvalid, sd.name, root, t.numEdges)
 		}
 	}
-	if want := bipartite.StatsFromDegrees(t.left.deg, t.right.deg); t.stats != want {
-		return fmt.Errorf("%w: stored dataset summary %+v, degrees say %+v", ErrInvalid, t.stats, want)
+	if t.stats.NumLeft != len(t.left.perm) || t.stats.NumRight != len(t.right.perm) || t.stats.NumEdges != t.numEdges {
+		return fmt.Errorf("%w: dataset summary counts %d × %d nodes and %d records, the tree %d × %d and %d",
+			ErrInvalid, t.stats.NumLeft, t.stats.NumRight, t.stats.NumEdges, len(t.left.perm), len(t.right.perm), t.numEdges)
 	}
-	if len(t.cells) != len(t.left.bounds) {
-		return fmt.Errorf("%w: %d cell matrices for %d depths", ErrInvalid, len(t.cells), len(t.left.bounds))
+	if len(t.cells) != depths {
+		return fmt.Errorf("%w: %d cell matrices for %d depths", ErrInvalid, len(t.cells), depths)
 	}
-	dmax := len(t.cells) - 1
-	var sum int64
-	for _, c := range t.cells[dmax] {
-		sum += c
+	for d, cells := range t.cells {
+		if len(cells) != 1<<(2*d) {
+			return fmt.Errorf("%w: depth %d has %d cells, want %d", ErrInvalid, d, len(cells), 1<<(2*d))
+		}
 	}
-	if sum != total {
-		return fmt.Errorf("%w: depth %d cells sum to %d, want %d", ErrInvalid, dmax, sum, total)
+	if err := t.checkGroupSums(t.cells[depths-1]); err != nil {
+		return fmt.Errorf("%w: deepest cells: %v", ErrInvalid, err)
 	}
-	for d := dmax; d > 0; d-- {
+	for d := depths - 1; d > 0; d-- {
 		want := aggregateCells(t.cells[d], 1<<d)
 		for i, c := range want {
 			if c != t.cells[d-1][i] {
@@ -742,17 +788,46 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-func checkPerm(perm, pos []int32) error {
-	if len(perm) != len(pos) {
-		return errors.New("perm and pos lengths differ")
+// checkGroupSums checks that every row of the deepest cell matrix sums to
+// its left finest group's degree sum and every column to its right
+// group's: the build's cross-check of its two passes, and Validate's tie
+// between the cells and the sides.
+func (t *Tree) checkGroupSums(deepest []int64) error {
+	dmax := len(t.left.groupDeg) - 1
+	k := 1 << dmax
+	rows, cols := make([]int64, k), make([]int64, k)
+	for i := range rows {
+		for j, c := range deepest[i*k : (i+1)*k] {
+			rows[i] += c
+			cols[j] += c
+		}
 	}
+	for _, side := range [...]struct {
+		name        string
+		cells, want []int64
+	}{{"left", rows, t.left.groupDeg[dmax]}, {"right", cols, t.right.groupDeg[dmax]}} {
+		for i, want := range side.want {
+			if side.cells[i] != want {
+				return fmt.Errorf("%s group %d has degree sum %d, its cells hold %d records", side.name, i, want, side.cells[i])
+			}
+		}
+	}
+	return nil
+}
+
+// checkPerm proves perm is a bijection on [0, len(perm)): every entry in
+// range and none seen twice, marked off in a scratch bitmap.
+func checkPerm(perm []int32) error {
+	seen := make([]uint64, (len(perm)+63)/64)
 	for p, node := range perm {
 		if node < 0 || int(node) >= len(perm) {
 			return fmt.Errorf("perm[%d] = %d out of range", p, node)
 		}
-		if pos[node] != int32(p) {
-			return fmt.Errorf("pos[%d] = %d, want %d", node, pos[node], p)
+		word, bit := node/64, uint64(1)<<(node%64)
+		if seen[word]&bit != 0 {
+			return fmt.Errorf("node %d appears twice, again at position %d", node, p)
 		}
+		seen[word] |= bit
 	}
 	return nil
 }

@@ -544,3 +544,78 @@ func BenchmarkBuildRounds6(b *testing.B) {
 		_ = tree
 	}
 }
+
+// TestValidateRejectsCorruptTree corrupts each field of a built tree in
+// turn, on a tree deeper than its sides so that empty ranges exist, and
+// expects Validate to refuse every one with ErrInvalid.
+func TestValidateRejectsCorruptTree(t *testing.T) {
+	t.Parallel()
+	g := randomGraph(t, 6, 5, 30, 1)
+	const rounds = 4
+	build := func() *Tree {
+		bis, err := partition.NewExpMechBisector(0.5, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buildTree(t, g, rounds, bis)
+	}
+	if err := validateAgainst(build(), g); err != nil {
+		t.Fatalf("uncorrupted tree: %v", err)
+	}
+	cases := map[string]func(tree *Tree){
+		"left perm repeats a node":    func(tree *Tree) { tree.left.perm[1] = tree.left.perm[0] },
+		"right perm out of range":     func(tree *Tree) { tree.right.perm[0] = int32(len(tree.right.perm)) },
+		"bounds lose a depth":         func(tree *Tree) { tree.left.bounds = tree.left.bounds[:rounds] },
+		"bounds decrease":             func(tree *Tree) { tree.left.bounds[1][1] = int32(len(tree.left.perm)) + 1 },
+		"bounds do not refine":        func(tree *Tree) { tree.right.bounds[2][2]++ },
+		"bounds do not span the side": func(tree *Tree) { tree.right.bounds[3][0] = 1 },
+		"degree sums lose a depth":    func(tree *Tree) { tree.right.groupDeg = tree.right.groupDeg[:rounds] },
+		"degree sums lose a range":    func(tree *Tree) { tree.left.groupDeg[2] = tree.left.groupDeg[2][:3] },
+		"degree sums do not refine":   func(tree *Tree) { tree.left.groupDeg[3][0]++ },
+		"root sum is not the records": func(tree *Tree) { tree.right.groupDeg[0][0]++ },
+		"record count off by one":     func(tree *Tree) { tree.numEdges++ },
+		"empty range sums nonzero": func(tree *Tree) {
+			bounds, sums := tree.left.bounds[rounds], tree.left.groupDeg[rounds]
+			for i := range sums {
+				if bounds[i] == bounds[i+1] {
+					sums[i]++
+					sums[i^1]-- // the parent's sum still refines
+					return
+				}
+			}
+			t.Fatal("no empty range to corrupt")
+		},
+		"cached degree-sum max wrong": func(tree *Tree) { tree.right.maxGroupDeg[2]++ },
+		"summary left count wrong":    func(tree *Tree) { tree.stats.NumLeft++ },
+		"summary right count wrong":   func(tree *Tree) { tree.stats.NumRight-- },
+		"summary record count wrong":  func(tree *Tree) { tree.stats.NumEdges++ },
+		"cell matrix lost a depth":    func(tree *Tree) { tree.cells = tree.cells[:rounds] },
+		"cell matrix wrong size":      func(tree *Tree) { tree.cells[2] = tree.cells[2][:5] },
+		"deepest cells contradict the degree sums": func(tree *Tree) {
+			// Moving a record between two cells of one 2×2 block keeps every
+			// coarser matrix; setCells keeps the maxima and int32 images
+			// consistent, so only the row and column sums can tell.
+			deepest := append([]int64(nil), tree.cells[rounds]...)
+			for i, c := range deepest {
+				if c > 0 {
+					deepest[i]--
+					deepest[i^1]++ // same row, the neighbouring column of its block
+					tree.setCells(deepest)
+					return
+				}
+			}
+			t.Fatal("no record to move")
+		},
+		"coarse cells are not the aggregate": func(tree *Tree) { tree.cells[1][0]++ },
+		"cached cell max wrong":              func(tree *Tree) { tree.maxCells[rounds]++ },
+		"narrow image wrong":                 func(tree *Tree) { tree.cells32[rounds][0]++ },
+		"narrow image missing":               func(tree *Tree) { tree.cells32[1] = nil },
+	}
+	for name, corrupt := range cases {
+		tree := build()
+		corrupt(tree)
+		if err := tree.Validate(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: Validate returned %v, want ErrInvalid", name, err)
+		}
+	}
+}

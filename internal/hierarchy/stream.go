@@ -60,19 +60,16 @@ func (b *Builder) BuildFromEdges(src bipartite.EdgeSource, opts Options) (*Tree,
 		return nil, fmt.Errorf("hierarchy: degree pass: %w", err)
 	}
 
-	t := &Tree{
-		maxLevel: opts.Rounds,
-		left:     newSideTree(leftDeg),
-		right:    newSideTree(rightDeg),
-	}
-	if err := t.specialize(opts); err != nil {
+	t := &Tree{maxLevel: opts.Rounds}
+	left, right, err := t.specialize(leftDeg, rightDeg, opts)
+	if err != nil {
 		return nil, err
 	}
 
 	if err := src.Reset(); err != nil {
 		return nil, fmt.Errorf("hierarchy: resetting source for cell pass: %w", err)
 	}
-	if err := t.finalizeFromSource(src, opts.Workers, edgeSum); err != nil {
+	if err := t.finalizeFromSource(src, opts.Workers, edgeSum, left.finestGroups(), right.finestGroups()); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -298,46 +295,32 @@ func growCounts(counts []int64, id int32) []int64 {
 }
 
 // finalizeFromSource is pass 2 of a build: the deepest cell matrix from
-// one chunked scan of the source and the bottom-up aggregation. It
+// one chunked scan of the source, with leftGroup and rightGroup mapping
+// node ids to finest groups, and the bottom-up aggregation. It
 // cross-checks the two passes, rejecting a source whose replay differs
 // rather than producing a tree whose cells contradict its own degrees:
 // every row of the deepest matrix must sum to the degree sum of its left
-// group and every column to that of its right group (the degree prefix
-// sums give both in O(4^rounds)), and the replay's edge checksum must
-// equal the degree pass's. The sums catch a changed edge count or an
-// edge re-pointed at another finest group; the checksum catches edges
-// that trade endpoints so that every group keeps its count. Validate
-// cannot stand in for this: the tree holds no edges to recount.
-func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int, degreeEdgeSum uint64) error {
-	dmax := len(t.left.bounds) - 1
-	k := 1 << dmax
-	deepest, edgeSum, err := t.scanCellsFromSource(src, k, workers)
+// group and every column to that of its right group (checkGroupSums, in
+// O(4^rounds)), and the replay's edge checksum must equal the degree
+// pass's. The sums catch a changed edge count or an edge re-pointed at
+// another finest group; the checksum catches edges that trade endpoints
+// so that every group keeps its count. Validate cannot stand in for
+// this: the tree holds no edges to recount.
+func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int, degreeEdgeSum uint64, leftGroup, rightGroup []int32) error {
+	k := 1 << (len(t.left.bounds) - 1)
+	deepest, edgeSum, err := scanCellsFromSource(src, k, workers, leftGroup, rightGroup)
 	if err != nil {
 		return fmt.Errorf("hierarchy: cell pass: %w", err)
 	}
-	rows, cols := make([]int64, k), make([]int64, k)
 	var cellSum int64
-	for i := range rows {
-		for j, c := range deepest[i*k : (i+1)*k] {
-			rows[i] += c
-			cols[j] += c
-		}
-		cellSum += rows[i]
+	for _, c := range deepest {
+		cellSum += c
 	}
-	if degSum := t.NumEdges(); cellSum != degSum {
-		return fmt.Errorf("hierarchy: source changed between passes: degree pass saw %d edges, cell pass %d", degSum, cellSum)
+	if cellSum != t.numEdges {
+		return fmt.Errorf("hierarchy: source changed between passes: degree pass saw %d edges, cell pass %d", t.numEdges, cellSum)
 	}
-	for _, side := range []struct {
-		name  string
-		cells []int64
-		want  []int64
-	}{{"left", rows, t.left.groupDegrees(dmax)}, {"right", cols, t.right.groupDegrees(dmax)}} {
-		for i, want := range side.want {
-			if side.cells[i] != want {
-				return fmt.Errorf("hierarchy: source changed between passes: degree pass saw %d edges at %s group %d, cell pass %d",
-					want, side.name, i, side.cells[i])
-			}
-		}
+	if err := t.checkGroupSums(deepest); err != nil {
+		return fmt.Errorf("hierarchy: source changed between passes: %v", err)
 	}
 	if edgeSum != degreeEdgeSum {
 		return fmt.Errorf("hierarchy: source changed between passes: the cell pass saw other edges than the degree pass (edge checksum %#x, want %#x)", edgeSum, degreeEdgeSum)
@@ -353,9 +336,7 @@ func (t *Tree) finalizeFromSource(src bipartite.EdgeSource, workers int, degreeE
 // list while counting workers accumulate into private matrices merged at
 // the end — integer sums, so the result is identical for any worker
 // count.
-func (t *Tree) scanCellsFromSource(src bipartite.EdgeSource, k, workers int) ([]int64, uint64, error) {
-	leftGroup := t.left.groupOfNode(len(t.left.bounds) - 1)
-	rightGroup := t.right.groupOfNode(len(t.right.bounds) - 1)
+func scanCellsFromSource(src bipartite.EdgeSource, k, workers int, leftGroup, rightGroup []int32) ([]int64, uint64, error) {
 	shardCells := int64(workers) * int64(k) * int64(k)
 	if workers < 2 || shardCells > maxShardCells {
 		counts := make([]int64, k*k)
