@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -574,16 +575,32 @@ func TestValidateRejectsCorruptTree(t *testing.T) {
 		"degree sums do not refine":   func(tree *Tree) { tree.left.groupDeg[3][0]++ },
 		"root sum is not the records": func(tree *Tree) { tree.right.groupDeg[0][0]++ },
 		"record count off by one":     func(tree *Tree) { tree.numEdges++ },
-		"empty range sums nonzero": func(tree *Tree) {
+		"empty range holds a record": func(tree *Tree) {
+			// One record moves from a finest left group into its empty
+			// sibling, in the degree sums and in the deepest matrix alike:
+			// the parent's sum, the cached maxima, every coarser matrix and
+			// every row and column sum still agree, so only the empty range
+			// can tell.
 			bounds, sums := tree.left.bounds[rounds], tree.left.groupDeg[rounds]
+			deepest := append([]int64(nil), tree.cells[rounds]...)
+			k := 1 << rounds
 			for i := range sums {
-				if bounds[i] == bounds[i+1] {
-					sums[i]++
-					sums[i^1]-- // the parent's sum still refines
-					return
+				if bounds[i] != bounds[i+1] {
+					continue
+				}
+				for j := 0; j < k; j++ {
+					if from := (i^1)*k + j; deepest[from] > 0 {
+						deepest[from]--
+						deepest[i*k+j]++
+						sums[i^1]--
+						sums[i]++
+						tree.left.maxGroupDeg[rounds] = slices.Max(sums)
+						tree.setCells(deepest)
+						return
+					}
 				}
 			}
-			t.Fatal("no empty range to corrupt")
+			t.Fatal("no empty range beside a record to corrupt")
 		},
 		"cached degree-sum max wrong": func(tree *Tree) { tree.right.maxGroupDeg[2]++ },
 		"summary left count wrong":    func(tree *Tree) { tree.stats.NumLeft++ },
