@@ -737,12 +737,12 @@ func (c syncCounter) Sync() error {
 }
 
 // BenchmarkDurableSpend prices one FsyncAlways spend on the default
-// writer with one and with two concurrent spenders, and counts the
+// writer with one, two and eight concurrent spenders, and counts the
 // fsyncs per spend.
 func BenchmarkDurableSpend(b *testing.B) {
 	label := []byte("s1000/q4711/marginal/level3")
 	cost := dp.Params{Epsilon: 1e-3, Delta: 1e-12}
-	for _, spenders := range []int{1, 2} {
+	for _, spenders := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("spenders=%d", spenders), func(b *testing.B) {
 			var syncs atomic.Int64
 			opts := DurableOptions{OpenWriter: func(path string) (WriteSyncer, error) {
