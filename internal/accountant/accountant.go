@@ -54,9 +54,9 @@ type Op struct {
 //
 // MemLedger is the in-memory implementation (process lifetime only);
 // DurableLedger persists every admission to an append-only WAL before
-// reporting it admitted, so spends survive crashes and restarts. A
-// future consensus-backed implementation can share budgets across
-// replicas behind the same interface.
+// reporting it admitted, so spends survive crashes and restarts; and
+// RemoteLedger spends one budget shared by every replica through the
+// ledgerd sequencer, a quorum-replicated group.
 type Ledger interface {
 	// Budget returns the configured total.
 	Budget() dp.Params
@@ -140,40 +140,23 @@ func (l *MemLedger) SpendBytes(label []byte, cost dp.Params) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.check(cost); err != nil {
+	if err := CheckSpend(l.budget, dp.Params{Epsilon: l.eps, Delta: l.delta}, cost); err != nil {
 		return fmt.Errorf("%w (label %q)", err, label)
 	}
 	l.commit(label, cost)
 	return nil
 }
 
-// Check reports whether the budget could admit cost right now, spending
-// nothing — the pre-admission probe a replicated sequencer runs before
-// appending a spend to its log (the commit happens when the replicated
-// entry applies, not here).
-func (l *MemLedger) Check(cost dp.Params) error {
-	if err := cost.Validate(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.check(cost)
-}
-
-// check reports whether the budget can admit cost on top of the
-// committed ops. Callers hold l.mu.
-func (l *MemLedger) check(cost dp.Params) error {
-	return checkSpend(l.budget, dp.Params{Epsilon: l.eps, Delta: l.delta}, cost)
-}
-
-// checkSpend reports whether budget can admit cost on top of spent,
-// mutating nothing: MemLedger checks its committed total, DurableLedger
-// its admitted one, which also counts the ops not yet durable. Only a
-// RELATIVE tolerance absorbs floating-point drift (so n spends of
-// total/n always fit); there is deliberately no absolute slack, because
-// a strictly zero-delta budget is a pure-ε guarantee and must reject ANY
-// op with Delta > 0, however tiny.
-func checkSpend(budget, spent, cost dp.Params) error {
+// CheckSpend is the one admission predicate: it reports whether budget
+// can admit cost on top of spent, mutating nothing. MemLedger checks its
+// committed total, DurableLedger its admitted one, which also counts the
+// ops not yet durable, and the ledgerd sequencer its settled total plus
+// the earlier entries of the batch being decided. Only a RELATIVE
+// tolerance absorbs floating-point drift (so n spends of total/n always
+// fit); there is deliberately no absolute slack, because a strictly
+// zero-delta budget is a pure-ε guarantee and must reject ANY op with
+// Delta > 0, however tiny.
+func CheckSpend(budget, spent, cost dp.Params) error {
 	const tol = 1e-9
 	if spent.Epsilon+cost.Epsilon > budget.Epsilon*(1+tol) ||
 		spent.Delta+cost.Delta > budget.Delta*(1+tol) {

@@ -293,7 +293,7 @@ func (d *DurableLedger) SpendBytes(label []byte, cost dp.Params) error {
 		l.mu.Unlock()
 		return fmt.Errorf("%w (label %q)", d.failed, label)
 	}
-	if err := checkSpend(l.budget, d.admitted, cost); err != nil {
+	if err := CheckSpend(l.budget, d.admitted, cost); err != nil {
 		l.mu.Unlock()
 		return fmt.Errorf("%w (label %q)", err, label)
 	}

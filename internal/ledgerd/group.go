@@ -36,10 +36,10 @@
 // decide→append→replicate→commit→apply steps run under one mutex, and
 // spends are group-committed through it: a spender queues its call, and
 // one spender at a time leads a batch — it decides every queued call in
-// order against the settled state, writes the batch with one fsync and
-// sends it in one replication round. A batch holds at most one new
-// entry per key, so each spend's result reads the state exactly as of
-// its own op.
+// order, each against the settled state plus the batch's earlier entries
+// for its key, writes the batch with one fsync and sends it in one
+// replication round. Each spend's result is taken when it is decided, so
+// it reads its key's state exactly as of its own op.
 package ledgerd
 
 import (
@@ -48,6 +48,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -87,10 +88,10 @@ type Group struct {
 
 	// qmu guards the spend queue, the lead and every queued call's done
 	// and asleep flags. A spender queues without waiting for mu, which
-	// the batch in flight holds. One spender at a time leads, running
-	// batches until its own call is decided; the others sleep until the
-	// batch that decides their call wakes them, or until a leader leaves
-	// with theirs first in line.
+	// the batch in flight holds. One spender at a time leads a batch,
+	// which decides every queued call, its own included; the others
+	// sleep until the batch that decides their call wakes them, or until
+	// a leader leaves with theirs first in line.
 	qmu     sync.Mutex
 	leading bool
 	queue   []*spendCall
@@ -107,9 +108,8 @@ type Group struct {
 	applied     uint64
 	state       map[string]*accountant.MemLedger
 	opIndex     map[string]uint64 // key+"\x00"+opID → log index (whole log)
-	waiting     []*spendCall      // drained from queue, in order, not yet decided
 	batch       []groupEntry      // the batch being decided
-	decided     []*spendCall      // the calls the batch decides
+	decided     []*spendCall      // the calls the batch decides; the queue's spare buffer between batches
 	nextIndex   map[string]uint64
 	matchIndex  map[string]uint64
 	lastContact time.Time
@@ -121,10 +121,10 @@ type Group struct {
 }
 
 // spendCall is one queued Spend: its arguments, then its outcome. index
-// is the log index of its entry once one is written; res and err are
-// set under mu, and done, under qmu, publishes them. wake is a
-// semaphore held by the spender: asleep marks a Lock waiting on it,
-// which exactly one Unlock releases.
+// is the log index of the entry it wrote or, replaying a call of the
+// same batch, shares; res and err are set under mu, and done, under
+// qmu, publishes them. wake is a semaphore held by the spender: asleep
+// marks a Lock waiting on it, which exactly one Unlock releases.
 type spendCall struct {
 	key, epoch, opID, label string
 	cost                    dp.Params
@@ -651,11 +651,9 @@ func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (SpendResu
 		}
 		g.leading = true
 		g.qmu.Unlock()
-		for led := false; !led; {
-			g.mu.Lock()
-			led = g.commitBatchLocked(c)
-			g.mu.Unlock()
-		}
+		g.mu.Lock()
+		g.commitBatchLocked()
+		g.mu.Unlock()
 		g.qmu.Lock()
 	}
 	g.qmu.Unlock()
@@ -670,42 +668,30 @@ func (c *spendCall) wakeLocked() {
 	}
 }
 
-// commitBatchLocked is one batch, led by the spender of call self: it
-// decides the queued spends in arrival order against the settled state,
-// writes the new entries with one fsync, replicates them in one round
-// and publishes every decided call's outcome. A call whose key already
-// has a new entry in the batch waits, in order, for the next one. The
-// first waiting call is always decided, so self is decided after
-// finitely many batches. Then it reports true and gives up the lead:
-// the lead is free for any spender to take, and the first undecided
-// call's spender is woken to make sure one does.
-func (g *Group) commitBatchLocked(self *spendCall) bool {
+// commitBatchLocked is one batch, led by a spender whose call is
+// queued: it decides every queued spend in arrival order, writes the new
+// entries with one fsync, replicates them in one round and publishes
+// every call's outcome. Then it gives up the lead: the lead is free for
+// any spender to take, and the first call queued meanwhile is woken to
+// make sure one does.
+func (g *Group) commitBatchLocked() {
 	g.qmu.Lock()
-	g.waiting = append(g.waiting, g.queue...)
-	clear(g.queue)
-	g.queue = g.queue[:0]
+	decided := g.queue
+	g.queue = g.decided
 	g.qmu.Unlock()
 
 	err := g.writableLocked()
 	if err == nil {
 		err = g.settleLocked()
 	}
-	batch, decided := g.batch[:0], g.decided[:0]
-	rest := g.waiting[:0]
-	for _, c := range g.waiting {
-		switch {
-		case err != nil:
+	batch := g.batch[:0]
+	for _, c := range decided {
+		if err != nil {
 			c.err = err
-		case batchHasKey(batch, c.key):
-			rest = append(rest, c)
 			continue
-		default:
-			batch = g.decideLocked(c, batch)
 		}
-		decided = append(decided, c)
+		batch = g.decideLocked(c, batch)
 	}
-	clear(g.waiting[len(rest):])
-	g.waiting = rest
 	if len(batch) > 0 {
 		err = g.appendLocalLocked(batch...)
 		if err == nil {
@@ -715,15 +701,13 @@ func (g *Group) commitBatchLocked(self *spendCall) bool {
 	for _, c := range decided {
 		switch {
 		case c.index == 0:
-			// Decided without an entry: refused or replayed.
+			// Decided without an entry: refused or replayed from the log.
 		case err != nil:
-			c.err = err
-		case c.index <= g.commit:
-			c.res = spendResult(g.state[c.key], int(g.log.entry(c.index).Seq), false)
-		default:
+			c.res, c.err = SpendResult{}, err
+		case c.index > g.commit:
 			// Written but not majority-acked: NOT admitted. The entry
 			// stays in the log; a retry (same op ID) drives it to commit.
-			c.err = g.writableLocked()
+			c.res, c.err = SpendResult{}, g.writableLocked()
 			if c.err == nil {
 				c.err = fmt.Errorf("%w: op %s logged at %d awaiting majority fsync", ErrNoQuorum, c.opID, c.index)
 			}
@@ -734,33 +718,21 @@ func (g *Group) commitBatchLocked(self *spendCall) bool {
 		c.done = true
 		c.wakeLocked()
 	}
-	led := self.done
-	if led {
-		g.leading = false
-		if len(g.waiting) > 0 {
-			g.waiting[0].wakeLocked()
-		} else if len(g.queue) > 0 {
-			g.queue[0].wakeLocked()
-		}
+	g.leading = false
+	if len(g.queue) > 0 {
+		g.queue[0].wakeLocked()
 	}
 	g.qmu.Unlock()
 	clear(decided)
 	g.batch, g.decided = batch[:0], decided[:0]
-	return led
 }
 
-func batchHasKey(batch []groupEntry, key string) bool {
-	for i := range batch {
-		if batch[i].Key == key {
-			return true
-		}
-	}
-	return false
-}
-
-// decideLocked decides one spend against the settled state: an error
-// or a replayed outcome, or a new entry appended to batch (its index
-// recorded in c.index).
+// decideLocked decides one spend against the settled state plus the
+// batch's earlier entries for its key: an error or a replayed outcome,
+// or a new entry appended to batch. c.index records the entry's index,
+// and c.res the key's state as of it. The tentative total adds the
+// earlier entries' costs one at a time in log order, the same float
+// operations their apply performs, so a spend admitted here applies.
 func (g *Group) decideLocked(c *spendCall, batch []groupEntry) []groupEntry {
 	if c.epoch != g.epoch {
 		c.err = fmt.Errorf("%w (request %q, live %q)", ErrEpochFenced, c.epoch, g.epoch)
@@ -775,36 +747,61 @@ func (g *Group) decideLocked(c *spendCall, batch []groupEntry) []groupEntry {
 			c.err = g.failed
 			return batch
 		}
-		c.res = spendResult(mem, int(g.log.entry(idx).Seq), true)
+		c.res = spendResult(mem.Budget(), mem.Spent(), int(g.log.entry(idx).Seq), mem.OpCount(), true)
 		return batch
 	}
 	if !ok {
 		c.err = fmt.Errorf("%w: %q", ErrNotAttached, c.key)
 		return batch
 	}
-	if err := mem.Check(c.cost); err != nil {
+	spent, ops := mem.Spent(), mem.OpCount()
+	var replay *groupEntry
+	for i := range batch {
+		e := &batch[i]
+		if e.Key != c.key {
+			continue
+		}
+		if opID, _, _ := decodeLabel(e.Label); opID == c.opID {
+			replay = e // the index the log learns at append
+		}
+		spent.Epsilon += e.Cost.Epsilon
+		spent.Delta += e.Cost.Delta
+		ops++
+	}
+	if replay != nil {
+		c.index = replay.Index
+		c.res = spendResult(mem.Budget(), spent, int(replay.Seq), ops, true)
+		return batch
+	}
+	if err := accountant.CheckSpend(mem.Budget(), spent, c.cost); err != nil {
 		c.err = fmt.Errorf("%w (label %q)", err, c.label)
 		return batch
 	}
+	spent.Epsilon += c.cost.Epsilon
+	spent.Delta += c.cost.Delta
+	ops++
 	c.index = g.log.len() + uint64(len(batch)) + 1
+	c.res = spendResult(mem.Budget(), spent, ops, ops, false)
 	return append(batch, groupEntry{
 		Index: c.index,
 		Term:  g.term,
 		Kind:  entrySpend,
 		Key:   c.key,
-		Seq:   uint64(mem.OpCount()) + 1,
+		Seq:   uint64(ops),
 		Cost:  c.cost,
 		Label: encodeLabel(c.opID, c.label),
 	})
 }
 
-func spendResult(mem *accountant.MemLedger, seq int, replayed bool) SpendResult {
+// spendResult reports a key's state at spent after ops ops, the way
+// accountant.MemLedger reads it.
+func spendResult(budget, spent dp.Params, seq, ops int, replayed bool) SpendResult {
 	return SpendResult{
 		Seq:       seq,
 		Replayed:  replayed,
-		Spent:     mem.Spent(),
-		Remaining: mem.Remaining(),
-		OpCount:   mem.OpCount(),
+		Spent:     spent,
+		Remaining: dp.Params{Epsilon: math.Max(0, budget.Epsilon-spent.Epsilon), Delta: math.Max(0, budget.Delta-spent.Delta)},
+		OpCount:   ops,
 	}
 }
 

@@ -119,8 +119,30 @@ func TestFreshDirsIssueDistinctTokens(t *testing.T) {
 }
 
 // syncCounter is an OpenWriter that counts fsyncs and makes each one
-// slow, so concurrent spenders pile up behind it.
-type syncCounter struct{ syncs atomic.Int64 }
+// slow, so concurrent spenders pile up behind it. Between hold and its
+// release, each fsync also announces itself and waits.
+type syncCounter struct {
+	syncs atomic.Int64
+
+	mu      sync.Mutex
+	gate    chan struct{} // closed by release; nil while nothing is held
+	entered chan struct{}
+}
+
+// hold makes every fsync from now on wait until release is called; each
+// one sends on entered first.
+func (c *syncCounter) hold() (entered <-chan struct{}, release func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	gate, in := make(chan struct{}), make(chan struct{}, 16)
+	c.gate, c.entered = gate, in
+	return in, func() {
+		c.mu.Lock()
+		c.gate = nil
+		c.mu.Unlock()
+		close(gate)
+	}
+}
 
 func (c *syncCounter) open(path string) (accountant.WriteSyncer, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
@@ -138,15 +160,32 @@ type countingFile struct {
 func (f *countingFile) Sync() error {
 	f.c.syncs.Add(1)
 	time.Sleep(time.Millisecond)
+	f.c.mu.Lock()
+	gate, entered := f.c.gate, f.c.entered
+	f.c.mu.Unlock()
+	if gate != nil {
+		entered <- struct{}{}
+		<-gate
+	}
 	return f.File.Sync()
 }
 
-// TestBatchedSpendsAcrossKeys drains six keys at once from 24 spenders.
-// Each key admits exactly its budgeted count, each key's ops are
-// numbered densely in order and survive a reopen, and the log took
-// fewer fsyncs than it admitted spends: the spends were batched.
+// TestBatchedSpendsAcrossKeys drains six keys at once from 24 spenders,
+// and one key from 24. Each key admits exactly its budgeted count, each
+// key's ops are numbered densely in order and survive a reopen, and the
+// log took fewer fsyncs than it admitted spends: the spends were
+// batched, same-key spends included.
 func TestBatchedSpendsAcrossKeys(t *testing.T) {
-	const keys, slots, perKey = 6, 10, 4
+	for _, keys := range []int{6, 1} {
+		t.Run(fmt.Sprintf("keys=%d", keys), func(t *testing.T) { drainKeys(t, keys, 24) })
+	}
+}
+
+// drainKeys runs spenders concurrent spenders, spender s on key s mod
+// keys, each trying half a key's budget in tenths, and checks what
+// TestBatchedSpendsAcrossKeys promises.
+func drainKeys(t *testing.T, keys, spenders int) {
+	const slots = 10
 	dir := t.TempDir()
 	counter := &syncCounter{}
 	g, err := ledgerd.New(ledgerd.Options{Dir: dir, OpenWriter: counter.open})
@@ -164,9 +203,10 @@ func TestBatchedSpendsAcrossKeys(t *testing.T) {
 		epochs[k] = att.Epoch
 	}
 	syncsBefore := counter.syncs.Load()
-	var admitted, rejected [keys]atomic.Int64
+	admitted := make([]atomic.Int64, keys)
+	rejected := make([]atomic.Int64, keys)
 	var wg sync.WaitGroup
-	for s := 0; s < keys*perKey; s++ {
+	for s := 0; s < spenders; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -301,14 +341,30 @@ func TestGroupBodiesAreStrict(t *testing.T) {
 }
 
 // TestConcurrentRetriesAdmitOnce: the same op ID sent by many spenders
-// at once is admitted once. A second spend on a key waits for the next
-// batch, where the whole-log dedup index finds the first.
+// at once is admitted once. A first spend is held inside its fsync, with
+// the group locked, until the duplicates have all queued behind it, so
+// one batch decides them all. There only the batch's own entries can
+// tell them apart: the dedup index learns an entry when the batch is
+// written. Every answer reads the key as of the one admitted op.
 func TestConcurrentRetriesAdmitOnce(t *testing.T) {
-	g := newService(t, t.TempDir())
+	counter := &syncCounter{}
+	g, err := ledgerd.New(ledgerd.Options{Dir: t.TempDir(), OpenWriter: counter.open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
 	att, err := g.Attach("k", dp.Params{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cost := dp.Params{Epsilon: 0.1}
+	entered, release := counter.hold()
+	first := make(chan error, 1)
+	go func() {
+		_, err := g.Spend("k", att.Epoch, "op-0", "q", cost)
+		first <- err
+	}()
+	<-entered
 	const spenders = 8
 	results := make([]ledgerd.SpendResult, spenders)
 	var wg sync.WaitGroup
@@ -316,24 +372,43 @@ func TestConcurrentRetriesAdmitOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := g.Spend("k", att.Epoch, "op-1", "q", dp.Params{Epsilon: 0.1})
+			res, err := g.Spend("k", att.Epoch, "op-1", "q", cost)
 			if err != nil {
 				t.Errorf("spend %d: %v", i, err)
 			}
 			results[i] = res
 		}(i)
 	}
+	for g.QueuedSpends() < spenders {
+		time.Sleep(time.Millisecond)
+	}
+	syncsBefore := counter.syncs.Load()
+	release()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
+	if syncs := counter.syncs.Load() - syncsBefore; syncs != 1 {
+		t.Fatalf("the duplicates took %d fsyncs, want the one of their batch", syncs)
+	}
 	fresh := 0
+	want := dp.Params{Epsilon: cost.Epsilon + cost.Epsilon}
 	for _, res := range results {
 		if !res.Replayed {
 			fresh++
 		}
-		if res.Seq != 1 || res.OpCount != 1 {
-			t.Fatalf("result %+v, want seq 1 of 1 op", res)
+		if res.Seq != 2 || res.OpCount != 2 || res.Spent != want {
+			t.Fatalf("result %+v, want seq 2 of 2 ops, %v spent", res, want)
 		}
 	}
 	if fresh != 1 {
 		t.Fatalf("%d spenders were admitted fresh, want exactly 1", fresh)
+	}
+	st, err := g.Status("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.OpCount != 2 || st.Spent != want {
+		t.Fatalf("key holds %d ops, %v spent; want 2 ops, %v", st.OpCount, st.Spent, want)
 	}
 }

@@ -6,9 +6,9 @@
 // bipartite.EdgeSource through the streamed two-pass
 // hierarchy.BuildFromEdges, so the process never holds an O(E) graph per
 // dataset — only the built Tree (degrees, permutations, cell matrices).
-// Ingest runs on a bounded set of lanes. A lane is an admission slot:
-// it bounds how many builds run at once and holds no memory between
-// them (a hierarchy.Builder keeps nothing of a finished build).
+// Ingest runs on a bounded set of lanes. A lane is an admission slot of
+// a counting semaphore: it bounds how many builds run at once and holds
+// nothing between them.
 //
 // Every dataset carries one accountant.Ledger with the dataset's total
 // (ε, δ) budget. Every query debits the ledger BEFORE any noise is
@@ -280,10 +280,10 @@ func (c Config) withDefaults() (Config, error) {
 // is safe for concurrent use.
 type Registry struct {
 	cfg   Config
-	lanes chan *hierarchy.Builder
+	lanes chan struct{} // one slot per build in flight
 	// ingests counts in-flight AddDataset calls. Close waits for it
-	// before draining the lane channel, so an ingest that passed the
-	// closed check can never block forever on a drained channel.
+	// before closing the ledgers, so the ledger of an ingest that passed
+	// the closed check is closed too.
 	ingests sync.WaitGroup
 
 	mu       sync.RWMutex
@@ -314,11 +314,8 @@ func Open(cfg Config) (*Registry, error) {
 	}
 	r := &Registry{
 		cfg:      cfg,
-		lanes:    make(chan *hierarchy.Builder, cfg.IngestLanes),
+		lanes:    make(chan struct{}, cfg.IngestLanes),
 		datasets: make(map[string]*Dataset),
-	}
-	for i := 0; i < cfg.IngestLanes; i++ {
-		r.lanes <- hierarchy.NewBuilder()
 	}
 	return r, nil
 }
@@ -326,7 +323,7 @@ func Open(cfg Config) (*Registry, error) {
 // Config returns the registry's resolved configuration.
 func (r *Registry) Config() Config { return r.cfg }
 
-// Close waits for in-flight ingests to return their lanes, then flushes
+// Close waits for in-flight ingests to finish, then flushes
 // and closes every dataset's durable ledger WAL — the graceful-shutdown
 // path that makes "every admitted spend is on disk" hold even under
 // FsyncInterval/Off.
@@ -343,9 +340,6 @@ func (r *Registry) Close() error {
 	r.closed = true
 	r.mu.Unlock()
 	r.ingests.Wait()
-	for i := 0; i < r.cfg.IngestLanes; i++ {
-		(<-r.lanes).Close()
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var errs []error
@@ -408,7 +402,7 @@ func (r *Registry) AddDatasetWith(name string, src bipartite.EdgeSource, opts Da
 		return nil, err
 	}
 	r.datasets[name] = nil // reserve the name while the build runs unlocked
-	r.ingests.Add(1)       // under r.mu, so Close cannot start draining between the closed check and here
+	r.ingests.Add(1)       // under r.mu, so Close cannot miss an ingest past the closed check
 	r.mu.Unlock()
 	defer r.ingests.Done()
 
@@ -496,7 +490,7 @@ func (c Config) checkStrategy(strat *release.Strategy) error {
 	return nil
 }
 
-// buildDataset runs the ledgered ingest on a checked-out lane.
+// buildDataset runs the ledgered ingest, its build holding a lane.
 //
 // A dataset's ledger is keyed by the data fingerprint (the WAL file
 // name, the sequencer key), which only exists after the build, so the
@@ -538,13 +532,13 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 		}
 	}
 
-	lane := <-r.lanes
-	tree, err := lane.BuildFromEdges(src, hierarchy.Options{
+	r.lanes <- struct{}{}
+	tree, err := hierarchy.BuildFromEdges(src, hierarchy.Options{
 		Rounds:   r.cfg.Rounds,
 		Bisector: bisector,
 		Workers:  r.cfg.Workers,
 	})
-	r.lanes <- lane
+	<-r.lanes
 	if err != nil {
 		return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 	}

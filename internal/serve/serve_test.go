@@ -628,8 +628,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestLanes fans several ingests across two retained
-// Builder lanes; every dataset must be independently correct.
+// TestConcurrentIngestLanes fans several ingests across two lanes;
+// every dataset must be independently correct.
 func TestConcurrentIngestLanes(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
