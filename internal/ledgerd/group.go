@@ -762,7 +762,7 @@ func (g *Group) decideLocked(c *spendCall, batch []groupEntry) []groupEntry {
 			continue
 		}
 		if opID, _, _ := decodeLabel(e.Label); opID == c.opID {
-			replay = e // the index the log learns at append
+			replay = e // opIndex learns a batch's entries only at append
 		}
 		spent.Epsilon += e.Cost.Epsilon
 		spent.Delta += e.Cost.Delta
