@@ -323,9 +323,9 @@ func Open(cfg Config) (*Registry, error) {
 // Config returns the registry's resolved configuration.
 func (r *Registry) Config() Config { return r.cfg }
 
-// Close waits for in-flight ingests to finish, then flushes
-// and closes every dataset's durable ledger WAL — the graceful-shutdown
-// path that makes "every admitted spend is on disk" hold even under
+// Close waits for in-flight ingests to finish, then flushes and closes
+// every dataset's durable ledger WAL — the graceful-shutdown path that
+// makes "every admitted spend is on disk" hold even under
 // FsyncInterval/Off.
 // Further AddDataset calls fail with ErrClosed. Datasets with in-memory
 // ledgers stay queryable; durable datasets fail closed on their next
