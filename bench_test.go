@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hierarchy"
 	"repro/internal/partition"
+	"repro/internal/query"
 	"repro/internal/rng"
 )
 
@@ -261,6 +262,48 @@ func BenchmarkReleaseCells(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(cells) * 8)
+}
+
+// BenchmarkReleaseMarginal prices a level's released marginal on the
+// nine-round tree at the deepest level (512 × 512 cells, 32 noise
+// chunks) and at level 3 (64 × 64, one chunk), for row (left) and column
+// (right) sums, one worker. path=fused is core.ReleaseMarginal: each
+// chunk is drawn, rounded and folded into the sums in one reused window.
+// path=cells is the materialised path it replaces on a serving session,
+// core.ReleaseCells into a reused histogram and then
+// query.MarginalCountsInto over it; the two paths' sums are bit-identical.
+func BenchmarkReleaseMarginal(b *testing.B) {
+	tree := releaseCellsTree(b)
+	n := classicalNoise(dp.Params{Epsilon: 0.5, Delta: 1e-5})
+	for _, level := range []int{0, 3} {
+		for _, side := range []bipartite.Side{bipartite.Left, bipartite.Right} {
+			b.Run(fmt.Sprintf("level=%d/side=%v/path=fused", level, side), func(b *testing.B) {
+				src := rng.New(5)
+				var rel core.MarginalRelease
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := core.ReleaseMarginal(&rel, tree, level, side, n, src, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("level=%d/side=%v/path=cells", level, side), func(b *testing.B) {
+				src := rng.New(5)
+				var rel core.CellRelease
+				var sums []float64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := core.ReleaseCells(&rel, tree, level, n, src, 1); err != nil {
+						b.Fatal(err)
+					}
+					var err error
+					if sums, err = query.MarginalCountsInto(sums, rel, side); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkReleaseCellsWorkers shards the same release's noise pass

@@ -390,6 +390,29 @@ func noiseChunkCount(n int) int {
 	}
 }
 
+// chunkSpan returns the cells [off, end) chunk c of an n-cell grid of
+// chunks chunks covers: noiseChunk cells, or the rest of the grid for
+// the last chunk.
+func chunkSpan(c, chunks, n int) (off, end int) {
+	off = c * noiseChunk
+	if c == chunks-1 {
+		return off, n
+	}
+	return off, off + noiseChunk
+}
+
+// narrowCounts returns counts32 when the noise pass may add through it
+// and round with roundFast — Gaussian noise with σ below
+// maxFastRoundSigma — and nil otherwise: past that σ, or under a
+// pure-ε sampler, the shift trick's range no longer covers count +
+// noise.
+func narrowCounts(counts32 []int32, mech NoiseMechanism, param float64) []int32 {
+	if mech != MechGaussian || param >= maxFastRoundSigma {
+		return nil
+	}
+	return counts32
+}
+
 // growCells returns buf resized to n cells, reallocating only when its
 // capacity is short.
 func growCells(buf []float64, n int) []float64 {
@@ -422,9 +445,7 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, mech NoiseMecha
 		}
 		return buf
 	}
-	if mech != MechGaussian || param >= maxFastRoundSigma {
-		counts32 = nil // the shift trick's range no longer covers count + noise
-	}
+	counts32 = narrowCounts(counts32, mech, param)
 	fork := src.Fork()
 	chunks := noiseChunkCount(len(buf))
 	if workers > chunks {
@@ -434,7 +455,8 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, mech NoiseMecha
 		var cs rng.Source
 		for c := 0; c < chunks; c++ {
 			fork.StreamTo(&cs, uint64(c))
-			noisyChunk(buf, counts, counts32, mech, param, &cs, c, chunks)
+			off, end := chunkSpan(c, chunks, len(buf))
+			noisyChunk(buf[off:end], off, counts, counts32, mech, param, &cs)
 		}
 		return buf
 	}
@@ -460,7 +482,8 @@ func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, mech No
 					return
 				}
 				fork.StreamTo(&cs, uint64(c))
-				noisyChunk(buf, counts, counts32, mech, param, &cs, c, chunks)
+				off, end := chunkSpan(c, chunks, len(buf))
+				noisyChunk(buf[off:end], off, counts, counts32, mech, param, &cs)
 			}
 		}()
 	}
@@ -468,7 +491,7 @@ func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, mech No
 }
 
 // Rounding the Gaussian cells: roundFast is exact only for |x| < 2^51,
-// and it has no branch, so noisyCells checks that range once per release
+// and it has no branch, so narrowCounts checks that range once per release
 // instead of per cell. The ziggurat's largest |variate| is its tail
 // sampler's r − ln(u)/r with r = 3.852… and u ≥ 2^-54 (rng.OpenFloat64):
 // below 14 (rng's TestNormalsSigmaBelow14 pins it), so σ <
@@ -505,19 +528,15 @@ func roundCell(x float64) float64 {
 	return 0
 }
 
-// noisyChunk fills chunk c of the grid: the mechanism's sampler on the
-// chunk's own stream — one batched ziggurat fill for Gaussian noise, one
-// draw per cell in index order for Laplace and geometric noise — then
-// the counts add and the rounding over the still-resident window,
-// through the narrow (int32) counts and roundFast when noisyCells passed
-// them.
-func noisyChunk(buf []float64, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, cs *rng.Source, c, chunks int) {
-	off := c * noiseChunk
-	end := off + noiseChunk
-	if c == chunks-1 {
-		end = len(buf)
-	}
-	window := buf[off:end]
+// noisyChunk fills window, the cells [off, off+len(window)) of the
+// grid, from its chunk's own stream: the mechanism's sampler — one
+// batched ziggurat fill for Gaussian noise, one draw per cell in index
+// order for Laplace and geometric noise — then the counts add and the
+// rounding over the still-resident window, through the narrow (int32)
+// counts and roundFast when narrowCounts kept them. noisyCells runs it
+// in place over the histogram; ReleaseMarginal over one reused window,
+// which it folds into the marginal before the next chunk overwrites it.
+func noisyChunk(window []float64, off int, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, cs *rng.Source) {
 	switch mech {
 	case MechLaplace:
 		for i := range window {
@@ -530,6 +549,7 @@ func noisyChunk(buf []float64, counts []int64, counts32 []int32, mech NoiseMecha
 	default:
 		cs.NormalsSigma(window, param)
 	}
+	end := off + len(window)
 	if counts32 != nil {
 		for i, v := range counts32[off:end] {
 			window[i] = roundFast(window[i] + float64(v))

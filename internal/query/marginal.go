@@ -73,10 +73,11 @@ func TopKGroups(c core.CellRelease, side bipartite.Side, k int) ([]int, error) {
 	return TopKGroupsInto(&s, c, side, k)
 }
 
-// TopKScratch holds the reusable buffers of TopKGroupsInto: the marginal
-// vector and the index permutation it ranks. A serving session retains
-// one scratch for its lifetime so steady-state top-k queries allocate
-// nothing. The zero value is ready to use.
+// TopKScratch holds the reusable buffers of TopKGroupsInto and
+// TopKOfMarginalsInto: the marginal vector (TopKGroupsInto's only) and
+// the index permutation they rank. A serving session retains one scratch
+// for its lifetime so steady-state top-k queries allocate nothing. The
+// zero value is ready to use.
 type TopKScratch struct {
 	marginals []float64
 	sorter    topkSorter
@@ -91,6 +92,15 @@ func TopKGroupsInto(s *TopKScratch, c core.CellRelease, side bipartite.Side, k i
 		return nil, err
 	}
 	s.marginals = marginals
+	return TopKOfMarginalsInto(s, marginals, k)
+}
+
+// TopKOfMarginalsInto ranks released marginals — the ranking of
+// TopKGroupsInto, for a caller that released the marginal itself
+// (core.ReleaseMarginal) rather than the cell histogram. It returns the
+// indices of the k largest, descending, ties in ascending index order;
+// the slice aliases the scratch and is valid until its next use.
+func TopKOfMarginalsInto(s *TopKScratch, marginals []float64, k int) ([]int, error) {
 	if k <= 0 || k > len(marginals) {
 		return nil, fmt.Errorf("query: k=%d outside [1,%d]", k, len(marginals))
 	}

@@ -3,6 +3,7 @@ package release
 import (
 	"fmt"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
@@ -10,17 +11,19 @@ import (
 )
 
 // Engine is the Phase-2 tail of the pipeline as a reusable component: it
-// answers count and cell-histogram releases against an already built
-// hierarchy, holding the reusable histogram buffer that makes repeated
-// releases allocation-free (core.ReleaseCells' dst-reuse contract).
+// answers count, cell-histogram and marginal releases against an already
+// built hierarchy, holding the reusable buffers that make repeated
+// releases allocation-free (the dst-reuse contract of core.ReleaseCells
+// and core.ReleaseMarginal).
 //
 // A serving session (internal/serve) holds one Engine for its whole
-// lifetime and answers every query through it, so steady-state serving
-// never reallocates the cell buffer. Pipeline.finish needs no Engine: it
-// walks its plan through core.ReleaseCount and core.ReleaseCells, one
-// release per op. An Engine is NOT safe for concurrent use — give each
-// session or goroutine its own; Engines are cheap until the first Cells
-// call sizes the buffer.
+// lifetime and answers every query through it. A marginal or top-k query
+// keeps only one noise-chunk window and the k marginal sums, never the
+// level's k² cells; a level view keeps the cell histogram it returns.
+// Pipeline.finish needs no Engine: it walks its plan through
+// core.ReleaseCount and core.ReleaseCells, one release per op. An Engine
+// is NOT safe for concurrent use — give each session or goroutine its
+// own; Engines are cheap until the first release sizes a buffer.
 type Engine struct {
 	model core.GroupModel
 	calib core.Calibration
@@ -36,6 +39,9 @@ type Engine struct {
 	// overwrite it and return a pointer into it; the previous result is
 	// invalid after the next call.
 	cells core.CellRelease
+	// marginal is Marginal's reusable sums and noise window; the slice
+	// Marginal returns is invalid after its next call.
+	marginal core.MarginalRelease
 }
 
 // NewEngine validates the release configuration and returns an Engine
@@ -84,6 +90,20 @@ func (e *Engine) Count(t *hierarchy.Tree, level int, budget dp.Params, src *rng.
 // clone (CloneCellRelease).
 func (e *Engine) Cells(t *hierarchy.Tree, level int, budget dp.Params, src *rng.Source) (*core.CellRelease, error) {
 	return e.releaseCells(t, level, core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}, src)
+}
+
+// Marginal releases a level's per-side-group association counts — the
+// row (left) or column (right) sums of the noisy cell histogram Cells
+// would release from the same budget and src, bit for bit — through
+// core.ReleaseMarginal, which never holds the histogram: the Engine keeps
+// one noise-chunk window instead of the level's cells. The result is
+// valid until the next Marginal call.
+func (e *Engine) Marginal(t *hierarchy.Tree, level int, side bipartite.Side, budget dp.Params, src *rng.Source) ([]float64, error) {
+	n := core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}
+	if err := core.ReleaseMarginal(&e.marginal, t, level, side, n, src, e.Workers()); err != nil {
+		return nil, err
+	}
+	return e.marginal.Counts, nil
 }
 
 // releaseCells runs one cell release into the reusable buffer.

@@ -17,8 +17,8 @@
 // records which session spent what.
 //
 // Queries run through Session handles. A session owns a
-// release.Engine — the reusable Phase-2 tail, whose cell buffer makes
-// repeated histogram releases allocation-free — and a private RNG
+// release.Engine — the reusable Phase-2 tail, whose retained buffers
+// make repeated releases allocation-free — and a private RNG
 // stream derived purely from (registry seed, dataset name, data
 // fingerprint, session stream id) via rng.Source.Split — the data
 // fingerprint keeps a re-ingested name from replaying stale noise
@@ -937,12 +937,14 @@ func (d *Dataset) session(stream, domain uint64, pinned bool) *Session {
 	}
 }
 
-// Session is one tenant's query handle: a reusable release engine (the
-// cell-histogram buffer survives across queries), a private pre-split
-// RNG stream, and the scratch buffers of the query tail — the per-query
-// stream chain, the ledger label, and the marginal/top-k result vectors.
-// Everything a steady-state query touches is retained here, so after
-// warm-up a Marginal or TopK performs zero heap allocations end to end.
+// Session is one tenant's query handle: a reusable release engine, a
+// private pre-split RNG stream, and the scratch buffers of the query
+// tail — the per-query stream chain, the ledger label, and the
+// marginal/top-k result vectors. Everything a steady-state query touches
+// is retained here, so after warm-up a Marginal or TopK performs zero
+// heap allocations end to end. A marginal or top-k query leaves one
+// noise-chunk window in the engine (release.Engine.Marginal), not the
+// level's cell histogram; only a level view keeps a histogram buffer.
 // A Session is NOT safe for concurrent use — open one per goroutine;
 // sessions of one dataset may run fully in parallel.
 type Session struct {
@@ -961,7 +963,8 @@ type Session struct {
 	// label is the ledger-label assembly buffer (accountant.SpendBytes).
 	label []byte
 	// marginals, topk and topkOut back the slices Marginal and TopK
-	// return; all are overwritten by the session's next query.
+	// return on a cache hit (a computed marginal is the engine's); all
+	// are overwritten by the session's next query.
 	marginals []float64
 	topk      query.TopKScratch
 	topkOut   []int
@@ -1198,16 +1201,7 @@ func (s *Session) marginalCompute(level int, side bipartite.Side) ([]float64, er
 	if err := s.spend("marginal", level, s.ds.reg.cfg.PerQuery); err != nil {
 		return nil, err
 	}
-	cells, err := s.eng.Cells(s.ds.tree, level, s.ds.reg.cfg.PerQuery, s.querySource(queryKindMarginal, level, side, 0))
-	if err != nil {
-		return nil, err
-	}
-	m, err := query.MarginalCountsInto(s.marginals, *cells, side)
-	if err != nil {
-		return nil, err
-	}
-	s.marginals = m
-	return m, nil
+	return s.eng.Marginal(s.ds.tree, level, side, s.ds.reg.cfg.PerQuery, s.querySource(queryKindMarginal, level, side, 0))
 }
 
 // TopK serves the k heaviest side groups of a level according to one
@@ -1251,9 +1245,9 @@ func (s *Session) topKCompute(level int, side bipartite.Side, k int) ([]int, err
 	if err := s.spend("topk", level, s.ds.reg.cfg.PerQuery); err != nil {
 		return nil, err
 	}
-	cells, err := s.eng.Cells(s.ds.tree, level, s.ds.reg.cfg.PerQuery, s.querySource(queryKindTopK, level, side, k))
+	m, err := s.eng.Marginal(s.ds.tree, level, side, s.ds.reg.cfg.PerQuery, s.querySource(queryKindTopK, level, side, k))
 	if err != nil {
 		return nil, err
 	}
-	return query.TopKGroupsInto(&s.topk, *cells, side, k)
+	return query.TopKOfMarginalsInto(&s.topk, m, k)
 }
