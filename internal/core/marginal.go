@@ -83,25 +83,23 @@ func noisyMarginal(m *MarginalRelease, counts []int64, counts32 []int32, k int, 
 		size = noiseChunk
 	}
 	m.window = growCells(m.window, size)
-	if param <= 0 {
-		for c := 0; c < chunks; c++ {
-			off, end := chunkSpan(c, chunks, n)
-			window := m.window[:end-off]
+	var fork rng.Fork
+	var cs rng.Source
+	if param > 0 { // a zero parameter (empty dataset) draws nothing
+		counts32 = narrowCounts(counts32, mech, param)
+		fork = src.Fork()
+	}
+	for c := 0; c < chunks; c++ {
+		off, end := chunkSpan(c, chunks, n)
+		window := m.window[:end-off]
+		if param > 0 {
+			fork.StreamTo(&cs, uint64(c))
+			noisyChunk(window, off, counts, counts32, mech, param, &cs)
+		} else {
 			for i, v := range counts[off:end] {
 				window[i] = float64(v)
 			}
-			foldMarginal(m.Counts, window, off, k, side)
 		}
-		return
-	}
-	counts32 = narrowCounts(counts32, mech, param)
-	fork := src.Fork()
-	var cs rng.Source
-	for c := 0; c < chunks; c++ {
-		fork.StreamTo(&cs, uint64(c))
-		off, end := chunkSpan(c, chunks, n)
-		window := m.window[:end-off]
-		noisyChunk(window, off, counts, counts32, mech, param, &cs)
 		foldMarginal(m.Counts, window, off, k, side)
 	}
 }
