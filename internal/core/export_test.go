@@ -10,7 +10,4 @@ var (
 	EmptyTree     = emptyTree
 )
 
-const (
-	NoiseChunk        = noiseChunk
-	MaxFastRoundSigma = maxFastRoundSigma
-)
+const MaxFastRoundSigma = maxFastRoundSigma
