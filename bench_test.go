@@ -282,7 +282,7 @@ func BenchmarkReleaseMarginal(b *testing.B) {
 				var rel core.MarginalRelease
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := core.ReleaseMarginal(&rel, tree, level, side, n, src, 1); err != nil {
+					if err := core.ReleaseMarginal(&rel, tree, level, side, n, src); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -5,7 +5,6 @@ package core
 var (
 	NoisyCells    = noisyCells
 	NoisyMarginal = noisyMarginal
-	FoldMarginal  = foldMarginal
 	DeepTree      = deepTree
 	EmptyTree     = emptyTree
 )

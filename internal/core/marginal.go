@@ -10,7 +10,7 @@ import (
 
 // MarginalRelease is a level's released marginal — the per-side-group
 // association counts of one noisy cell histogram, row sums for the left
-// side and column sums for the right — together with the scratch
+// side and column sums for the right — together with the noise window
 // ReleaseMarginal reuses, so a caller looping releases into one dst
 // allocates nothing once the buffers have grown.
 type MarginalRelease struct {
@@ -20,9 +20,8 @@ type MarginalRelease struct {
 
 	// window is the one chunk of noise the fused pass draws, rounds and
 	// folds at a time: at most noiseChunk + rng.ZigBlock − 1 cells, or
-	// the level's size when that is smaller. cells is the whole
-	// histogram, grown only when workers > 1 shards the noise pass.
-	window, cells []float64
+	// the level's size when that is smaller.
+	window []float64
 }
 
 // ReleaseMarginal releases a level's per-side-group association counts
@@ -35,14 +34,14 @@ type MarginalRelease struct {
 // The fused pass walks ReleaseCells' chunk grid with the same per-chunk
 // streams: it draws each chunk into one reused window, adds the counts
 // and rounds there (noisyChunk, shared with ReleaseCells), then folds
-// the window into the sums before the next chunk overwrites it. The sums
-// add the cells in the order query.MarginalCountsInto adds them — one
-// accumulator per row in index order, or a row-major dst[j] += cell per
-// column — so the fused marginal equals the materialised one exactly.
-// With workers > 1 and more than one chunk, the noise pass is ReleaseCells'
-// sharded one into dst's whole-histogram buffer, folded the same way, so
-// the result is bit-identical for every workers value.
-func ReleaseMarginal(dst *MarginalRelease, t *hierarchy.Tree, level int, side bipartite.Side, n Noise, src *rng.Source, workers int) error {
+// the window into the sums (FoldMarginal, which query.MarginalCountsInto
+// runs over a whole histogram) before the next chunk overwrites it. The
+// streams are per chunk, so the sums equal those of ReleaseCells at any
+// worker count; the pass itself runs on one goroutine. A caller that
+// wants the noise pass sharded releases the cells with ReleaseCells and
+// folds them (release.Engine.Marginal does, on an Engine with more than
+// one worker).
+func ReleaseMarginal(dst *MarginalRelease, t *hierarchy.Tree, level int, side bipartite.Side, n Noise, src *rng.Source) error {
 	if !side.Valid() {
 		return fmt.Errorf("core: invalid side %v", side)
 	}
@@ -59,24 +58,19 @@ func ReleaseMarginal(dst *MarginalRelease, t *hierarchy.Tree, level int, side bi
 		return err
 	}
 	counts32, _ := t.LevelCellCounts32View(level)
-	noisyMarginal(dst, counts, counts32, k, side, n.Mech, s.param, src, workers)
+	noisyMarginal(dst, counts, counts32, k, side, n.Mech, s.param, src)
 	return nil
 }
 
 // noisyMarginal is ReleaseMarginal over a row-major k × k count matrix:
-// the marginal of what noisyCells(counts, counts32, mech, param, src,
-// workers) releases, drawing the same streams and leaving src where
+// the marginal of what noisyCells(counts, counts32, mech, param, src, w)
+// releases for any w, drawing the same streams and leaving src where
 // noisyCells leaves it.
-func noisyMarginal(m *MarginalRelease, counts []int64, counts32 []int32, k int, side bipartite.Side, mech NoiseMechanism, param float64, src *rng.Source, workers int) {
+func noisyMarginal(m *MarginalRelease, counts []int64, counts32 []int32, k int, side bipartite.Side, mech NoiseMechanism, param float64, src *rng.Source) {
 	m.Counts = growCells(m.Counts, k)
 	clear(m.Counts)
 	n := len(counts)
 	chunks := noiseChunkCount(n)
-	if workers > 1 && chunks > 1 && param > 0 {
-		m.cells = noisyCells(m.cells, counts, counts32, mech, param, src, workers)
-		foldMarginal(m.Counts, m.cells, 0, k, side)
-		return
-	}
 	// The last chunk is the longest unless it is a fragment of its own.
 	size := n - (chunks-1)*noiseChunk
 	if chunks > 1 && size < noiseChunk {
@@ -100,35 +94,36 @@ func noisyMarginal(m *MarginalRelease, counts []int64, counts32 []int32, k int, 
 				window[i] = float64(v)
 			}
 		}
-		foldMarginal(m.Counts, window, off, k, side)
+		FoldMarginal(m.Counts, window, off, k, side)
 	}
 }
 
-// foldMarginal adds window, the cells [off, off+len(window)) of a
-// row-major k × k histogram, into the marginal sums, in the order
-// query.MarginalCountsInto adds them: each row's cells into one
-// accumulator in column order (a row cut by a window edge resumes from
-// its stored partial sum, the same float), or each row's cells into the
-// column sums, rows in order. Folding every window of the grid in order
-// into zeroed sums therefore yields MarginalCountsInto's marginal bit for
-// bit. Whole rows go four at a time through foldRows4, which keeps every
-// sum's order and only interleaves independent additions.
-func foldMarginal(sums, window []float64, off, k int, side bipartite.Side) {
+// FoldMarginal adds cells, the cells [off, off+len(cells)) of a
+// row-major k × k histogram, into sums, the k marginal sums of side:
+// each row's cells into that row's sum in column order (a row cut by a
+// window edge resumes from its stored partial sum, the same float), or
+// each row's cells into the column sums, rows in order. Folding a
+// histogram's cells in order — whole, or window by window as
+// ReleaseMarginal does — into zeroed sums therefore yields the same
+// marginal bit for bit. Whole rows go four at a time through foldRows4,
+// which keeps every sum's order and only interleaves independent
+// additions. Any side other than Left folds as Right; callers validate.
+func FoldMarginal(sums, cells []float64, off, k int, side bipartite.Side) {
 	row, col := off/k, off%k
 	if col > 0 {
-		n := min(k-col, len(window))
-		foldRow(sums, window[:n], row, col, side)
-		window = window[n:]
+		n := min(k-col, len(cells))
+		foldRow(sums, cells[:n], row, col, side)
+		cells = cells[n:]
 		row++
 	}
-	for ; len(window) >= 4*k; row += 4 {
-		foldRows4(sums, window[:4*k], row, k, side)
-		window = window[4*k:]
+	for ; len(cells) >= 4*k; row += 4 {
+		foldRows4(sums, cells[:4*k], row, k, side)
+		cells = cells[4*k:]
 	}
-	for ; len(window) > 0; row++ {
-		n := min(k, len(window))
-		foldRow(sums, window[:n], row, 0, side)
-		window = window[n:]
+	for ; len(cells) > 0; row++ {
+		n := min(k, len(cells))
+		foldRow(sums, cells[:n], row, 0, side)
+		cells = cells[n:]
 	}
 }
 

@@ -33,9 +33,9 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 
 // TestReleaseMarginalMatchesCells: the fused marginal is the row or
 // column sums of the histogram ReleaseCells releases from the same
-// stream, bit for bit, and leaves the stream where ReleaseCells leaves
-// it — for every mechanism, both rounding paths, σ = 0, both sides,
-// every worker count, and k × k histograms smaller than one chunk, one
+// stream at any worker count, bit for bit, and leaves the stream where
+// ReleaseCells leaves it — for every mechanism, both rounding paths,
+// σ = 0, both sides, and k × k histograms smaller than one chunk, one
 // chunk with an absorbed fragment, exact multiples of the chunk, rows
 // cut by a chunk edge, and a final fragment standing alone.
 func TestReleaseMarginalMatchesCells(t *testing.T) {
@@ -75,7 +75,7 @@ func TestReleaseMarginalMatchesCells(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					core.NoisyMarginal(&rel, counts, counts32, k, side, m.mech, m.param, fusedSrc, workers)
+					core.NoisyMarginal(&rel, counts, counts32, k, side, m.mech, m.param, fusedSrc)
 					sameBits(t, what, rel.Counts, want)
 					if got, want := fusedSrc.Uint64(), cellsSrc.Uint64(); got != want {
 						t.Fatalf("%s: next draw %#x, after the materialised release %#x", what, got, want)
@@ -122,7 +122,7 @@ func TestReleaseMarginalTreeMatchesCells(t *testing.T) {
 							t.Fatal(err)
 						}
 						var rel core.MarginalRelease
-						if err := core.ReleaseMarginal(&rel, tree, level, side, n, fusedSrc, workers); err != nil {
+						if err := core.ReleaseMarginal(&rel, tree, level, side, n, fusedSrc); err != nil {
 							t.Fatal(err)
 						}
 						sameBits(t, what, rel.Counts, want)
@@ -136,12 +136,30 @@ func TestReleaseMarginalTreeMatchesCells(t *testing.T) {
 	}
 }
 
+// naiveMarginal sums a row-major k × k matrix the plain way: one
+// accumulator per row, cells in column order, or each column's cells in
+// row order — the order every released marginal adds its cells in.
+func naiveMarginal(cells []float64, k int, side bipartite.Side) []float64 {
+	sums := make([]float64, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			if side == bipartite.Left {
+				sums[i] += cells[i*k+j]
+			} else {
+				sums[j] += cells[i*k+j]
+			}
+		}
+	}
+	return sums
+}
+
 // TestFoldMarginalWindows folds a matrix of non-integer cells, whose
 // sums depend on the order of their additions, in windows of every
 // shape: narrower than a row, so one row's sum resumes across several
 // window edges (the shape a level with more than noiseChunk side groups
-// gives the chunk grid), a row and a bit, and wide enough for the
-// four-row pass. Each must equal MarginalCountsInto bit for bit.
+// gives the chunk grid), a row and a bit, wide enough for the four-row
+// pass, and the whole matrix (query.MarginalCountsInto's one call). Each
+// must equal the plain row-by-row sums bit for bit.
 func TestFoldMarginalWindows(t *testing.T) {
 	t.Parallel()
 	const k = 20
@@ -151,10 +169,7 @@ func TestFoldMarginalWindows(t *testing.T) {
 		cells[i] = src.NormalSigma(1e6)
 	}
 	for _, side := range marginalSides {
-		want, err := query.MarginalCountsInto(nil, core.CellRelease{Counts: cells, SideGroups: k}, side)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := naiveMarginal(cells, k, side)
 		for _, width := range []int{1, 7, k - 1, k, k + 3, 4*k + 3, k * k} {
 			sums := make([]float64, k)
 			for off := 0; off < len(cells); off += width {
@@ -162,6 +177,11 @@ func TestFoldMarginalWindows(t *testing.T) {
 			}
 			sameBits(t, fmt.Sprintf("%v/width=%d", side, width), sums, want)
 		}
+		got, err := query.MarginalCountsInto(nil, core.CellRelease{Counts: cells, SideGroups: k}, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("%v/MarginalCountsInto", side), got, want)
 	}
 }
 
@@ -173,7 +193,7 @@ func TestReleaseMarginalRejectsBadSide(t *testing.T) {
 	before := *src
 	var rel core.MarginalRelease
 	n := core.Noise{Mech: core.MechGaussian, Calib: core.CalibrationClassical, Budget: dp.Params{Epsilon: 0.5, Delta: 1e-5}}
-	if err := core.ReleaseMarginal(&rel, core.EmptyTree(t), 0, bipartite.Side(0), n, src, 1); err == nil {
+	if err := core.ReleaseMarginal(&rel, core.EmptyTree(t), 0, bipartite.Side(0), n, src); err == nil {
 		t.Fatal("side 0 accepted")
 	}
 	if *src != before {

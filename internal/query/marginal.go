@@ -21,10 +21,9 @@ func MarginalCounts(c core.CellRelease, side bipartite.Side) ([]float64, error) 
 }
 
 // MarginalCountsInto is MarginalCounts writing into dst, reusing dst's
-// capacity — the serving hot path: a session passes its retained scratch
-// every query and steady-state marginals allocate nothing. dst may be
-// nil or short (it is grown as needed); the returned slice is the
-// resized dst.
+// capacity, so a caller that passes its retained scratch every release
+// allocates nothing in steady state. dst may be nil or short (it is
+// grown as needed); the returned slice is the resized dst.
 func MarginalCountsInto(dst []float64, c core.CellRelease, side bipartite.Side) ([]float64, error) {
 	if !side.Valid() {
 		return nil, fmt.Errorf("query: invalid side %v", side)
@@ -38,30 +37,12 @@ func MarginalCountsInto(dst []float64, c core.CellRelease, side bipartite.Side) 
 	} else {
 		dst = dst[:k]
 	}
-	switch side {
-	case bipartite.Left:
-		// Row sums: walk the matrix row-major so every cell is touched
-		// exactly once in memory order.
-		for i := 0; i < k; i++ {
-			var sum float64
-			for _, v := range c.Counts[i*k : (i+1)*k] {
-				sum += v
-			}
-			dst[i] = sum
-		}
-	case bipartite.Right:
-		// Column sums: accumulate rows into dst to keep the single
-		// sequential pass over the matrix.
-		for i := range dst {
-			dst[i] = 0
-		}
-		for j := 0; j < k; j++ {
-			row := c.Counts[j*k : (j+1)*k]
-			for i, v := range row {
-				dst[i] += v
-			}
-		}
-	}
+	clear(dst)
+	// One sequential pass over the matrix, row-major: row sums in one
+	// accumulator per row, column sums by adding each row into dst — the
+	// fold core.ReleaseMarginal runs window by window, so the two
+	// marginals agree bit for bit.
+	core.FoldMarginal(dst, c.Counts, 0, k, side)
 	return dst, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
+	"repro/internal/query"
 	"repro/internal/rng"
 )
 
@@ -17,9 +18,11 @@ import (
 // and core.ReleaseMarginal).
 //
 // A serving session (internal/serve) holds one Engine for its whole
-// lifetime and answers every query through it. A marginal or top-k query
-// keeps only one noise-chunk window and the k marginal sums, never the
-// level's k² cells; a level view keeps the cell histogram it returns.
+// lifetime and answers every query through it. On one worker a marginal
+// or top-k query keeps only one noise-chunk window and the k marginal
+// sums, never the level's k² cells; a level view keeps the cell
+// histogram it returns, and so does a sharded marginal (SetWorkers > 1),
+// in the same one buffer.
 // Pipeline.finish needs no Engine: it walks its plan through
 // core.ReleaseCount and core.ReleaseCells, one release per op. An Engine
 // is NOT safe for concurrent use — give each session or goroutine its
@@ -39,8 +42,8 @@ type Engine struct {
 	// overwrite it and return a pointer into it; the previous result is
 	// invalid after the next call.
 	cells core.CellRelease
-	// marginal is Marginal's reusable sums and noise window; the slice
-	// Marginal returns is invalid after its next call.
+	// marginal is Marginal's reusable sums and, on one worker, its noise
+	// window; the slice Marginal returns is invalid after its next call.
 	marginal core.MarginalRelease
 }
 
@@ -94,16 +97,34 @@ func (e *Engine) Cells(t *hierarchy.Tree, level int, budget dp.Params, src *rng.
 
 // Marginal releases a level's per-side-group association counts — the
 // row (left) or column (right) sums of the noisy cell histogram Cells
-// would release from the same budget and src, bit for bit — through
-// core.ReleaseMarginal, which never holds the histogram: the Engine keeps
-// one noise-chunk window instead of the level's cells. The result is
-// valid until the next Marginal call.
+// would release from the same budget and src, bit for bit. On one worker
+// it runs core.ReleaseMarginal, which never holds the histogram: the
+// Engine keeps one noise-chunk window instead of the level's cells. On
+// more than one it shards the noise pass through Cells' buffer and sums
+// that with query.MarginalCountsInto, so the Engine holds one histogram
+// for views and marginals alike, and the call invalidates the last Cells
+// result too. The result is valid until the next Marginal call.
 func (e *Engine) Marginal(t *hierarchy.Tree, level int, side bipartite.Side, budget dp.Params, src *rng.Source) ([]float64, error) {
 	n := core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}
-	if err := core.ReleaseMarginal(&e.marginal, t, level, side, n, src, e.Workers()); err != nil {
+	if e.Workers() == 1 {
+		if err := core.ReleaseMarginal(&e.marginal, t, level, side, n, src); err != nil {
+			return nil, err
+		}
+		return e.marginal.Counts, nil
+	}
+	if !side.Valid() {
+		return nil, fmt.Errorf("release: invalid side %v", side)
+	}
+	cells, err := e.releaseCells(t, level, n, src)
+	if err != nil {
 		return nil, err
 	}
-	return e.marginal.Counts, nil
+	m, err := query.MarginalCountsInto(e.marginal.Counts, *cells, side)
+	if err != nil {
+		return nil, err
+	}
+	e.marginal.Counts = m
+	return m, nil
 }
 
 // releaseCells runs one cell release into the reusable buffer.

@@ -19,18 +19,19 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// TestSessionMarginalRetainsNoHistogram: a session that answered a
-// level-0 marginal and a level-0 top-k keeps one noise-chunk window
-// (16 + 1 ziggurat blocks at most), the level's k marginal sums and the
-// top-k permutation — not the level's 8·k² bytes of cells, which
-// MaxSessions sessions would each pin for their whole life.
-func TestSessionMarginalRetainsNoHistogram(t *testing.T) {
+// sessionHeld opens a registry at the given ReleaseWorkers over a
+// nine-round tree, runs queries on one fresh session and returns the
+// live heap the session still holds afterwards and the level-0 side
+// group count k.
+func sessionHeld(t *testing.T, releaseWorkers int, queries func(*Session) error) (held, k int) {
+	t.Helper()
 	cfg := Config{
 		Budget:          dp.Params{Epsilon: 1e12, Delta: 0.5},
 		PerQuery:        dp.Params{Epsilon: 1e-3, Delta: 1e-12},
 		Rounds:          9,
 		Seed:            71,
 		MaxCacheEntries: -1,
+		ReleaseWorkers:  releaseWorkers,
 	}
 	reg, err := Open(cfg)
 	if err != nil {
@@ -48,27 +49,64 @@ func TestSessionMarginalRetainsNoHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := ds.Tree().NumSideGroups(0)
-	if err != nil {
+	if k, err = ds.Tree().NumSideGroups(0); err != nil {
 		t.Fatal(err)
 	}
-	histogram := 8 * k * k
 
 	before := liveHeap()
 	sess := ds.SessionAt(1)
-	if _, err := sess.Marginal(0, bipartite.Left); err != nil {
+	if err := queries(sess); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.TopK(0, bipartite.Right, 5); err != nil {
-		t.Fatal(err)
-	}
-	held := int(liveHeap()) - int(before)
+	held = int(liveHeap()) - int(before)
 	runtime.KeepAlive(sess)
+	return held, k
+}
+
+// TestSessionMarginalRetainsNoHistogram: a session that answered a
+// level-0 marginal and a level-0 top-k keeps one noise-chunk window
+// (16 + 1 ziggurat blocks at most), the level's k marginal sums and the
+// top-k permutation — not the level's 8·k² bytes of cells, which
+// MaxSessions sessions would each pin for their whole life.
+func TestSessionMarginalRetainsNoHistogram(t *testing.T) {
+	held, k := sessionHeld(t, 1, func(sess *Session) error {
+		if _, err := sess.Marginal(0, bipartite.Left); err != nil {
+			return err
+		}
+		_, err := sess.TopK(0, bipartite.Right, 5)
+		return err
+	})
+	histogram := 8 * k * k
 	t.Logf("k=%d: the session holds %d bytes; the level's histogram is %d", k, held, histogram)
 
 	window := 8 * 17 * rng.ZigBlock
 	vectors := 8*k + 8*k // the engine's sums and the top-k permutation
 	if limit := window + vectors + 16<<10; held > limit || held >= histogram {
 		t.Fatalf("a session after a level-0 marginal and top-k holds %d bytes, want at most %d (one %d-byte window, %d bytes of k=%d vectors, 16 KiB); the histogram is %d", held, limit, window, vectors, k, histogram)
+	}
+}
+
+// TestShardedSessionKeepsOneHistogram: with ReleaseWorkers > 1 a
+// marginal shards its noise pass through the engine's cell buffer, the
+// one a level view fills, so a session that answered a level-0 view, a
+// level-0 marginal and a level-0 top-k keeps that one histogram and no
+// second histogram or window beside it.
+func TestShardedSessionKeepsOneHistogram(t *testing.T) {
+	held, k := sessionHeld(t, 4, func(sess *Session) error {
+		if _, err := sess.ReleaseLevel(0); err != nil {
+			return err
+		}
+		if _, err := sess.Marginal(0, bipartite.Left); err != nil {
+			return err
+		}
+		_, err := sess.TopK(0, bipartite.Right, 5)
+		return err
+	})
+	histogram := 8 * k * k
+	t.Logf("k=%d: the session holds %d bytes; the level's histogram is %d", k, held, histogram)
+
+	vectors := 8*k + 8*k // the engine's sums and the top-k permutation
+	if limit := histogram + vectors + 16<<10; held > limit {
+		t.Fatalf("a sharded session after a level-0 view, marginal and top-k holds %d bytes, want at most %d (one %d-byte histogram, %d bytes of k=%d vectors, 16 KiB)", held, limit, histogram, vectors, k)
 	}
 }
