@@ -942,9 +942,11 @@ func (d *Dataset) session(stream, domain uint64, pinned bool) *Session {
 // tail — the per-query stream chain, the ledger label, and the
 // marginal/top-k result vectors. Everything a steady-state query touches
 // is retained here, so after warm-up a Marginal or TopK performs zero
-// heap allocations end to end. A marginal or top-k query leaves one
-// noise-chunk window in the engine (release.Engine.Marginal), not the
-// level's cell histogram; only a level view keeps a histogram buffer.
+// heap allocations end to end. At ReleaseWorkers = 1 a marginal or
+// top-k query leaves one noise-chunk window in the engine
+// (release.Engine.Marginal), not the level's cell histogram; only a
+// level view keeps a histogram buffer. Past one worker a marginal
+// shards its noise pass through that same buffer.
 // A Session is NOT safe for concurrent use — open one per goroutine;
 // sessions of one dataset may run fully in parallel.
 type Session struct {
