@@ -75,7 +75,7 @@ func TestEnforcePreservesNearExactInputs(t *testing.T) {
 	// enforcement should barely move them.
 	var rels []core.CellRelease
 	for lvl := 3; lvl >= 0; lvl-- {
-		counts, err := tree.LevelCellCounts(lvl)
+		counts, err := tree.LevelCellCountsView(lvl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestEnforceReducesError(t *testing.T) {
 	tree := testTree(t)
 	exact := map[int][]float64{}
 	for lvl := 3; lvl >= 0; lvl-- {
-		counts, err := tree.LevelCellCounts(lvl)
+		counts, err := tree.LevelCellCountsView(lvl)
 		if err != nil {
 			t.Fatal(err)
 		}

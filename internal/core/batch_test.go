@@ -58,7 +58,7 @@ func TestReleaseCellsNoiseDistribution(t *testing.T) {
 		if sigma <= 0 {
 			t.Fatalf("sigma = %v, want > 0", sigma)
 		}
-		exact, err := tree.LevelCellCounts(0)
+		exact, err := tree.LevelCellCountsView(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -349,8 +349,7 @@ func ReleaseCells(dst *CellRelease, t *hierarchy.Tree, level int, n Noise, src *
 	if err != nil {
 		return err
 	}
-	counts32, _ := t.LevelCellCounts32View(level)
-	buf := noisyCells(dst.Counts, counts, counts32, n.Mech, s.param, src, workers)
+	buf := noisyCells(dst.Counts, counts, roundFastExact(n.Mech, s.param, s.sens), n.Mech, s.param, src, workers)
 	*dst = CellRelease{
 		Level: level, Model: ModelCells, Calibration: s.calib,
 		ModelName: ModelCells.String(), CalibName: s.calibName,
@@ -401,16 +400,15 @@ func chunkSpan(c, chunks, n int) (off, end int) {
 	return off, off + noiseChunk
 }
 
-// narrowCounts returns counts32 when the noise pass may add through it
-// and round with roundFast — Gaussian noise with σ below
-// maxFastRoundSigma — and nil otherwise: past that σ, or under a
-// pure-ε sampler, the shift trick's range no longer covers count +
-// noise.
-func narrowCounts(counts32 []int32, mech NoiseMechanism, param float64) []int32 {
-	if mech != MechGaussian || param >= maxFastRoundSigma {
-		return nil
-	}
-	return counts32
+// roundFastExact reports whether roundFast rounds every cell of a
+// release exactly: Gaussian noise with σ below maxFastRoundSigma over
+// counts of at most maxCount ≤ MaxInt32. Past that σ or that count, or
+// under a pure-ε sampler, the shift trick's range no longer covers
+// count + noise. A cell release resolves under ModelCells, whose
+// sensitivity is the level's largest count (Tree.MaxCellEdges), so
+// ReleaseCells and ReleaseMarginal pass that sensitivity as maxCount.
+func roundFastExact(mech NoiseMechanism, param float64, maxCount int64) bool {
+	return mech == MechGaussian && param < maxFastRoundSigma && maxCount <= math.MaxInt32
 }
 
 // growCells returns buf resized to n cells, reallocating only when its
@@ -427,17 +425,16 @@ func growCells(buf []float64, n int) []float64 {
 // α), rounded to integers: the histogram is cut into noiseChunk-sized
 // windows, each drawing its noise from the chunk-indexed child of one
 // fork point on src (rng.Fork) with the counts add and the rounding
-// fused into the fill window while it is cache-resident. When counts32
-// is non-nil (the level's counts all fit int32 —
-// hierarchy.Tree.LevelCellCounts32View) and the noise is Gaussian with σ
-// below maxFastRoundSigma, the add pass reads 4-byte counts, halving its
-// memory traffic, and rounds with roundFast; otherwise it reads the
-// int64 counts and rounds with roundCell. workers > 1 shards the chunks
-// across goroutines; because every chunk's stream depends only on
-// (fork point, chunk index), the result is bit-identical for every
-// worker count. A zero parameter (empty dataset) copies the counts
-// unchanged and draws nothing.
-func noisyCells(buf []float64, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, src *rng.Source, workers int) []float64 {
+// fused into the fill window while it is cache-resident. The add pass
+// reads the level's one int64 count matrix and rounds with roundFast
+// when fast is set (the caller checked roundFastExact for the release)
+// and with roundCell otherwise; inside roundFast's range the two agree,
+// so fast changes no released bit. workers > 1 shards the chunks across
+// goroutines; because every chunk's stream depends only on (fork point,
+// chunk index), the result is bit-identical for every worker count. A
+// zero parameter (empty dataset) copies the counts unchanged and draws
+// nothing.
+func noisyCells(buf []float64, counts []int64, fast bool, mech NoiseMechanism, param float64, src *rng.Source, workers int) []float64 {
 	buf = growCells(buf, len(counts))
 	if param <= 0 {
 		for i, c := range counts {
@@ -445,7 +442,6 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, mech NoiseMecha
 		}
 		return buf
 	}
-	counts32 = narrowCounts(counts32, mech, param)
 	fork := src.Fork()
 	chunks := noiseChunkCount(len(buf))
 	if workers > chunks {
@@ -456,11 +452,11 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, mech NoiseMecha
 		for c := 0; c < chunks; c++ {
 			fork.StreamTo(&cs, uint64(c))
 			off, end := chunkSpan(c, chunks, len(buf))
-			noisyChunk(buf[off:end], off, counts, counts32, mech, param, &cs)
+			noisyChunk(buf[off:end], off, counts, fast, mech, param, &cs)
 		}
 		return buf
 	}
-	noisyCellsParallel(buf, counts, counts32, mech, param, fork, chunks, workers)
+	noisyCellsParallel(buf, counts, fast, mech, param, fork, chunks, workers)
 	return buf
 }
 
@@ -468,7 +464,7 @@ func noisyCells(buf []float64, counts []int64, counts32 []int32, mech NoiseMecha
 // noisyCells so the goroutine closure does not force the single-worker
 // path's locals to the heap (the serving layer's steady-state queries
 // are allocation-free through workers == 1).
-func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, fork rng.Fork, chunks, workers int) {
+func noisyCellsParallel(buf []float64, counts []int64, fast bool, mech NoiseMechanism, param float64, fork rng.Fork, chunks, workers int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -483,7 +479,7 @@ func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, mech No
 				}
 				fork.StreamTo(&cs, uint64(c))
 				off, end := chunkSpan(c, chunks, len(buf))
-				noisyChunk(buf[off:end], off, counts, counts32, mech, param, &cs)
+				noisyChunk(buf[off:end], off, counts, fast, mech, param, &cs)
 			}
 		}()
 	}
@@ -491,12 +487,12 @@ func noisyCellsParallel(buf []float64, counts []int64, counts32 []int32, mech No
 }
 
 // Rounding the Gaussian cells: roundFast is exact only for |x| < 2^51,
-// and it has no branch, so narrowCounts checks that range once per release
-// instead of per cell. The ziggurat's largest |variate| is its tail
-// sampler's r − ln(u)/r with r = 3.852… and u ≥ 2^-54 (rng.OpenFloat64):
-// below 14 (rng's TestNormalsSigmaBelow14 pins it), so σ <
-// maxFastRoundSigma = 2^47 keeps |noise| < 14·2^47, and an int32 count on
-// top still leaves |count + noise| < 2^51. The pure-ε samplers have no
+// and it has no branch, so roundFastExact checks that range once per
+// release instead of per cell. The ziggurat's largest |variate| is its
+// tail sampler's r − ln(u)/r with r = 3.852… and u ≥ 2^-54
+// (rng.OpenFloat64): below 14 (rng's TestNormalsSigmaBelow14 pins it),
+// so σ < maxFastRoundSigma = 2^47 keeps |noise| < 14·2^47, and a count
+// of at most MaxInt32 on top still leaves |count + noise| < 2^51. The pure-ε samplers have no
 // such bound at any scale this guard would admit — a Laplace variate
 // reaches ln(2^53)·b ≈ 36.7·b, a geometric one MaxInt64/2 — so their
 // chunks always round with roundCell.
@@ -532,11 +528,13 @@ func roundCell(x float64) float64 {
 // grid, from its chunk's own stream: the mechanism's sampler — one
 // batched ziggurat fill for Gaussian noise, one draw per cell in index
 // order for Laplace and geometric noise — then the counts add and the
-// rounding over the still-resident window, through the narrow (int32)
-// counts and roundFast when narrowCounts kept them. noisyCells runs it
-// in place over the histogram; ReleaseMarginal over one reused window,
-// which it folds into the marginal before the next chunk overwrites it.
-func noisyChunk(window []float64, off int, counts []int64, counts32 []int32, mech NoiseMechanism, param float64, cs *rng.Source) {
+// rounding over the still-resident window, reading the level's int64
+// counts and rounding with roundFast when fast is set (roundFastExact,
+// chosen per release from σ and the level's largest count) and with
+// roundCell otherwise. noisyCells runs it in place over the histogram;
+// ReleaseMarginal over one reused window, which it folds into the
+// marginal before the next chunk overwrites it.
+func noisyChunk(window []float64, off int, counts []int64, fast bool, mech NoiseMechanism, param float64, cs *rng.Source) {
 	switch mech {
 	case MechLaplace:
 		for i := range window {
@@ -550,8 +548,8 @@ func noisyChunk(window []float64, off int, counts []int64, counts32 []int32, mec
 		cs.NormalsSigma(window, param)
 	}
 	end := off + len(window)
-	if counts32 != nil {
-		for i, v := range counts32[off:end] {
+	if fast {
+		for i, v := range counts[off:end] {
 			window[i] = roundFast(window[i] + float64(v))
 		}
 	} else {

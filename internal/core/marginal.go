@@ -57,16 +57,15 @@ func ReleaseMarginal(dst *MarginalRelease, t *hierarchy.Tree, level int, side bi
 	if err != nil {
 		return err
 	}
-	counts32, _ := t.LevelCellCounts32View(level)
-	noisyMarginal(dst, counts, counts32, k, side, n.Mech, s.param, src)
+	noisyMarginal(dst, counts, roundFastExact(n.Mech, s.param, s.sens), k, side, n.Mech, s.param, src)
 	return nil
 }
 
 // noisyMarginal is ReleaseMarginal over a row-major k × k count matrix:
-// the marginal of what noisyCells(counts, counts32, mech, param, src, w)
+// the marginal of what noisyCells(counts, fast, mech, param, src, w)
 // releases for any w, drawing the same streams and leaving src where
 // noisyCells leaves it.
-func noisyMarginal(m *MarginalRelease, counts []int64, counts32 []int32, k int, side bipartite.Side, mech NoiseMechanism, param float64, src *rng.Source) {
+func noisyMarginal(m *MarginalRelease, counts []int64, fast bool, k int, side bipartite.Side, mech NoiseMechanism, param float64, src *rng.Source) {
 	m.Counts = growCells(m.Counts, k)
 	clear(m.Counts)
 	n := len(counts)
@@ -80,7 +79,6 @@ func noisyMarginal(m *MarginalRelease, counts []int64, counts32 []int32, k int, 
 	var fork rng.Fork
 	var cs rng.Source
 	if param > 0 { // a zero parameter (empty dataset) draws nothing
-		counts32 = narrowCounts(counts32, mech, param)
 		fork = src.Fork()
 	}
 	for c := 0; c < chunks; c++ {
@@ -88,7 +86,7 @@ func noisyMarginal(m *MarginalRelease, counts []int64, counts32 []int32, k int, 
 		window := m.window[:end-off]
 		if param > 0 {
 			fork.StreamTo(&cs, uint64(c))
-			noisyChunk(window, off, counts, counts32, mech, param, &cs)
+			noisyChunk(window, off, counts, fast, mech, param, &cs)
 		} else {
 			for i, v := range counts[off:end] {
 				window[i] = float64(v)

@@ -62,20 +62,18 @@ func TestReleaseMarginalMatchesCells(t *testing.T) {
 			var rel core.MarginalRelease // reused across sizes: stale sums must not leak
 			for _, k := range ks {
 				counts := make([]int64, k*k)
-				counts32 := make([]int32, k*k)
 				for i := range counts {
 					counts[i] = int64((i * 2654435761) % 9001)
-					counts32[i] = int32(counts[i])
 				}
 				for _, workers := range marginalWorkers {
 					what := fmt.Sprintf("%s/%v/k=%d/workers=%d", m.name, side, k, workers)
 					cellsSrc, fusedSrc := rng.New(42), rng.New(42)
-					cells := core.NoisyCells(nil, counts, counts32, m.mech, m.param, cellsSrc, workers)
+					cells := core.NoisyCells(nil, counts, m.mech, m.param, cellsSrc, workers)
 					want, err := query.MarginalCountsInto(nil, core.CellRelease{Counts: cells, SideGroups: k}, side)
 					if err != nil {
 						t.Fatal(err)
 					}
-					core.NoisyMarginal(&rel, counts, counts32, k, side, m.mech, m.param, fusedSrc)
+					core.NoisyMarginal(&rel, counts, k, side, m.mech, m.param, fusedSrc)
 					sameBits(t, what, rel.Counts, want)
 					if got, want := fusedSrc.Uint64(), cellsSrc.Uint64(); got != want {
 						t.Fatalf("%s: next draw %#x, after the materialised release %#x", what, got, want)

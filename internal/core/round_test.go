@@ -35,7 +35,7 @@ func TestRoundFastMatchesRoundToEven(t *testing.T) {
 			}
 		}
 	}
-	// Past 2^51 the trick is wrong (why noisyCells checks σ), and
+	// Past 2^51 the trick is wrong (why roundFastExact checks σ), and
 	// roundCell — what the kernel uses there — is still exact.
 	if x := float64(top) + 1; roundFast(x) == math.RoundToEven(x) {
 		t.Errorf("roundFast(2^51 + 1) is exact: the range comment is stale")
@@ -83,19 +83,19 @@ func unroundedCells(counts []int64, mech NoiseMechanism, param float64, seed uin
 
 // TestNoisyCellsRoundTheUnroundedRelease: rounding is post-processing.
 // For every mechanism — Gaussian below and above maxFastRoundSigma,
-// Laplace below and above it too — through the narrow and the wide
-// counts, at one and four workers, every released cell is roundCell of
-// the cell the unrounded kernel draws from the same streams. A Laplace
-// scale past the Gaussian guard puts most noise beyond roundFast's
-// range, so a pure-ε chunk rounding with it fails here.
+// Laplace below and above it too — with whichever rounding
+// roundFastExact picks for a level whose largest count fits int32 and
+// for one whose largest count does not, at one and four workers, every
+// released cell is roundCell of the cell the unrounded kernel draws from
+// the same streams. A Laplace scale past the Gaussian guard puts most
+// noise beyond roundFast's range, so a pure-ε chunk rounding with it
+// fails here.
 func TestNoisyCellsRoundTheUnroundedRelease(t *testing.T) {
 	t.Parallel()
 	n := 2*noiseChunk + rng.ZigBlock + 5
 	counts := make([]int64, n)
-	counts32 := make([]int32, n)
 	for i := range counts {
 		counts[i] = int64(i % 7)
-		counts32[i] = int32(counts[i])
 	}
 	cases := []struct {
 		mech  NoiseMechanism
@@ -112,16 +112,48 @@ func TestNoisyCellsRoundTheUnroundedRelease(t *testing.T) {
 		for i := range want {
 			want[i] = roundCell(want[i])
 		}
-		for _, narrow := range []([]int32){nil, counts32} {
+		for _, maxCount := range []int64{6, math.MaxInt32 + 1} {
+			fast := roundFastExact(tc.mech, tc.param, maxCount)
 			for _, workers := range []int{1, 4} {
-				got := noisyCells(nil, counts, narrow, tc.mech, tc.param, rng.New(9), workers)
+				got := noisyCells(nil, counts, fast, tc.mech, tc.param, rng.New(9), workers)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%v at %v narrow=%t workers=%d: cell %d = %v, want %v",
-							tc.mech, tc.param, narrow != nil, workers, i, got[i], want[i])
+						t.Fatalf("%v at %v fast=%t workers=%d: cell %d = %v, want %v",
+							tc.mech, tc.param, fast, workers, i, got[i], want[i])
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRoundFastExact pins the guard that picks a release's rounding:
+// roundFast only for Gaussian noise with σ below 2^47 over a level whose
+// largest count fits int32, roundCell for everything else.
+func TestRoundFastExact(t *testing.T) {
+	t.Parallel()
+	const maxFit = math.MaxInt32
+	cases := []struct {
+		mech     NoiseMechanism
+		param    float64
+		maxCount int64
+		want     bool
+	}{
+		{MechGaussian, 3.5, 0, true},
+		{MechGaussian, 3.5, maxFit, true},
+		{MechGaussian, math.Nextafter(maxFastRoundSigma, 0), maxFit, true},
+		{MechGaussian, maxFastRoundSigma, 6, false},
+		{MechGaussian, 1 << 60, 6, false},
+		{MechGaussian, 3.5, maxFit + 1, false},
+		{MechGaussian, 3.5, math.MaxInt64, false},
+		{MechLaplace, 3.5, 6, false},
+		{MechLaplace, 0.4, 0, false},
+		{MechGeometric, 0.8, 6, false},
+		{MechGeometric, 0.3, 0, false},
+	}
+	for _, tc := range cases {
+		if got := roundFastExact(tc.mech, tc.param, tc.maxCount); got != tc.want {
+			t.Errorf("roundFastExact(%v, %v, %d) = %t, want %t", tc.mech, tc.param, tc.maxCount, got, tc.want)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func RunConsistency(opts Options) (*Report, error) {
 
 	exact := map[int][]float64{}
 	for _, lvl := range levels {
-		counts, err := tree.LevelCellCounts(lvl)
+		counts, err := tree.LevelCellCountsView(lvl)
 		if err != nil {
 			return nil, err
 		}

@@ -147,8 +147,8 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-// TestLevelCellCountsViewAliasesStorage pins the view accessor to the
-// copying one.
+// TestLevelCellCountsViewAliasesStorage: the view is the tree's own
+// count matrix of the level, not a copy.
 func TestLevelCellCountsViewAliasesStorage(t *testing.T) {
 	t.Parallel()
 	g := randomGraph(t, 64, 64, 800, 9)
@@ -161,17 +161,9 @@ func TestLevelCellCountsViewAliasesStorage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		copied, err := tree.LevelCellCounts(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(view) != len(copied) {
-			t.Fatalf("level %d: view has %d cells, copy %d", lvl, len(view), len(copied))
-		}
-		for i := range view {
-			if view[i] != copied[i] {
-				t.Fatalf("level %d cell %d: view %d, copy %d", lvl, i, view[i], copied[i])
-			}
+		stored := tree.cells[tree.MaxLevel()-lvl]
+		if len(view) != len(stored) || &view[0] != &stored[0] {
+			t.Fatalf("level %d: view of %d cells does not alias the stored %d", lvl, len(view), len(stored))
 		}
 	}
 	if _, err := tree.LevelCellCountsView(-1); err == nil {
@@ -311,10 +303,11 @@ func liveHeap() uint64 {
 // TestTreeRetainsFourBytesPerNode: a served dataset holds its tree for the
 // life of the registry. Holding one tree built over two 2^19-node sides
 // with a private bisector must cost no more than its two permutations'
-// 4 bytes per node, its cell matrices, and 64 KiB for the per-depth
-// boundaries and degree sums: no degree, prefix sum or inverse
-// permutation may survive the build. The node-group sensitivity, read
-// per release, must then allocate nothing.
+// 4 bytes per node, its one cell matrix per depth at 8 bytes per cell,
+// and 64 KiB for the per-depth boundaries and degree sums: no degree,
+// prefix sum, inverse permutation or second copy of the counts may
+// survive the build. The node-group sensitivity, read per release, must
+// then allocate nothing.
 func TestTreeRetainsFourBytesPerNode(t *testing.T) {
 	const n = 1 << 19
 	edges := make([]bipartite.Edge, n)
@@ -329,7 +322,7 @@ func TestTreeRetainsFourBytesPerNode(t *testing.T) {
 	held := int64(liveHeap()) - int64(before)
 	var cellBytes int64
 	for d := range tree.cells {
-		cellBytes += 8*int64(len(tree.cells[d])) + 4*int64(len(tree.cells32[d]))
+		cellBytes += 8 * int64(len(tree.cells[d]))
 	}
 	if limit := 4*2*n + cellBytes + 64<<10; held > limit {
 		t.Fatalf("holding a tree of 2×%d nodes costs %d bytes, want at most %d (4 B per node + %d B of cells + 64 KiB)", n, held, limit, cellBytes)

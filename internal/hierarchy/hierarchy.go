@@ -79,7 +79,6 @@ package hierarchy
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/bipartite"
@@ -140,9 +139,10 @@ type sideTree struct {
 }
 
 // Tree is the built hierarchy: both sides' orders, range boundaries and
-// per-range degree sums, the edge total, the cell count matrices of every
-// level and the dataset summary. It holds no edges and no per-node data
-// beyond the two permutations, and it is immutable once built.
+// per-range degree sums, the edge total, one int64 cell count matrix per
+// level with its cached largest count, and the dataset summary. It holds
+// no edges, no per-node data beyond the two permutations and no second
+// copy of the counts, and it is immutable once built.
 type Tree struct {
 	maxLevel int
 
@@ -154,21 +154,15 @@ type Tree struct {
 	numEdges int64
 
 	// cells[d] is the row-major (2^d)x(2^d) matrix of per-cell record
-	// counts at depth d. Only cells[maxDepth] is counted from edges; every
-	// coarser matrix is the 2×2 block aggregation of its child.
+	// counts at depth d, the depth's one copy of its counts (8 B per
+	// cell). Only cells[maxDepth] is counted from edges; every coarser
+	// matrix is the 2×2 block aggregation of its child.
 	cells [][]int64
 	// maxCells[d] caches the largest entry of cells[d], so the cell-model
 	// sensitivity — consulted by every Phase-2 release — is O(1) instead
-	// of a 4^d scan per query.
+	// of a 4^d scan per query. The release also reads it to choose its
+	// rounding: every count at the depth is at most maxCells[d].
 	maxCells []int64
-	// cells32[d] is the int32 image of cells[d], materialized by setCells
-	// for every depth whose largest cell fits int32 (nil otherwise). The
-	// Phase-2 add pass reads counts once per release; serving them as
-	// 4-byte values halves that pass's memory traffic on the dominant
-	// deepest level (2 MB → 1 MB at 4^9 cells), which is where the
-	// release spends its bandwidth budget. Coarser depths aggregate
-	// larger counts, so the fit is decided per depth, not per tree.
-	cells32 [][]int32
 
 	// stats is the dataset summary, computed once per build from the
 	// pass-1 degrees (specialize); DatasetStats serves it.
@@ -381,7 +375,6 @@ func (t *Tree) setCells(deepest []int64) {
 		t.cells[d-1] = aggregateCells(t.cells[d], 1<<d)
 	}
 	t.maxCells = make([]int64, depths)
-	t.cells32 = make([][]int32, depths)
 	for d, cells := range t.cells {
 		var max int64
 		for _, c := range cells {
@@ -390,13 +383,6 @@ func (t *Tree) setCells(deepest []int64) {
 			}
 		}
 		t.maxCells[d] = max
-		if max <= math.MaxInt32 {
-			narrow := make([]int32, len(cells))
-			for i, c := range cells {
-				narrow[i] = int32(c)
-			}
-			t.cells32[d] = narrow
-		}
 	}
 }
 
@@ -465,16 +451,6 @@ func (t *Tree) NumCells(level int) (int, error) {
 	return k * k, nil
 }
 
-// LevelCellCounts returns a copy of the row-major cell count matrix at the
-// level.
-func (t *Tree) LevelCellCounts(level int) ([]int64, error) {
-	counts, err := t.LevelCellCountsView(level)
-	if err != nil {
-		return nil, err
-	}
-	return append([]int64(nil), counts...), nil
-}
-
 // LevelCellCountsView returns the level's row-major cell count matrix
 // without copying. The slice is the Tree's internal storage (immutable
 // once built): callers must treat it as read-only. The zero-allocation
@@ -486,23 +462,6 @@ func (t *Tree) LevelCellCountsView(level int) ([]int64, error) {
 		return nil, err
 	}
 	return t.cells[d], nil
-}
-
-// LevelCellCounts32View returns the level's row-major cell count matrix
-// as int32 values, without copying, when every count at the level fits
-// — the narrow image finalize materializes so the Phase-2 add pass can
-// read 4-byte counts and halve its memory traffic. It returns (nil,
-// false) when the level's largest cell exceeds int32 (the release falls
-// back to the int64 view); like LevelCellCountsView, the slice is
-// internal storage and must be treated as read-only. The level must be
-// valid: callers resolve it through LevelCellCountsView (or another
-// level-checked accessor) first.
-func (t *Tree) LevelCellCounts32View(level int) ([]int32, bool) {
-	d, err := t.DepthOfLevel(level)
-	if err != nil || t.cells32[d] == nil {
-		return nil, false
-	}
-	return t.cells32[d], true
 }
 
 // findRange locates the range containing position p via binary search over
@@ -662,8 +621,8 @@ func (t *Tree) Profile(level int) (LevelProfile, error) {
 //   - the dataset summary counts the permutations' nodes and the records,
 //   - the deepest cell matrix's rows and columns sum to the finest
 //     groups' degree sums, every coarser matrix equals the 2×2 block
-//     aggregation of its child, and the cached maxima and int32 images
-//     match their matrices.
+//     aggregation of its child, and the cached maxima match their
+//     matrices.
 //
 // The tree holds no edges and no degrees, so Validate cannot recount
 // either: BuildFromEdges cross-checks its two passes against each other
@@ -764,25 +723,6 @@ func (t *Tree) Validate() error {
 		}
 		if t.maxCells[d] != max {
 			return fmt.Errorf("%w: depth %d cached max %d, cells say %d", ErrInvalid, d, t.maxCells[d], max)
-		}
-	}
-	if len(t.cells32) != len(t.cells) {
-		return fmt.Errorf("%w: %d narrow matrices for %d depths", ErrInvalid, len(t.cells32), len(t.cells))
-	}
-	for d, narrow := range t.cells32 {
-		if narrow == nil {
-			if t.maxCells[d] <= math.MaxInt32 {
-				return fmt.Errorf("%w: depth %d max %d fits int32 but narrow matrix is missing", ErrInvalid, d, t.maxCells[d])
-			}
-			continue
-		}
-		if len(narrow) != len(t.cells[d]) {
-			return fmt.Errorf("%w: depth %d narrow matrix has %d cells, wide has %d", ErrInvalid, d, len(narrow), len(t.cells[d]))
-		}
-		for i, c := range narrow {
-			if int64(c) != t.cells[d][i] {
-				return fmt.Errorf("%w: depth %d cell %d narrow %d, wide %d", ErrInvalid, d, i, c, t.cells[d][i])
-			}
 		}
 	}
 	return nil

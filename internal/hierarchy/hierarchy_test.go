@@ -78,7 +78,7 @@ func TestBuildSmallTreeShape(t *testing.T) {
 			t.Errorf("level %d has %d side groups, want %d", lvl, n, wantGroups)
 		}
 	}
-	root, err := tree.LevelCellCounts(2)
+	root, err := tree.LevelCellCountsView(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestLevelOutOfRange(t *testing.T) {
 	if _, err := tree.NumCells(-1); !errors.Is(err, ErrBadLevel) {
 		t.Errorf("level below leaves: %v", err)
 	}
-	if _, err := tree.LevelCellCounts(5); !errors.Is(err, ErrBadLevel) {
-		t.Error("LevelCellCounts accepted bad level")
+	if _, err := tree.LevelCellCountsView(5); !errors.Is(err, ErrBadLevel) {
+		t.Error("LevelCellCountsView accepted bad level")
 	}
 }
 
@@ -117,7 +117,7 @@ func TestEdgePartitionPerLevel(t *testing.T) {
 		if len(counts) != k*k {
 			t.Fatalf("level %d: %d cells for %d side groups", level, len(counts), k)
 		}
-		stored, err := tree.LevelCellCounts(level)
+		stored, err := tree.LevelCellCountsView(level)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,11 +504,11 @@ func TestParallelBuildIdentical(t *testing.T) {
 	// Worker count must not change any cut: identical cell counts at
 	// every level.
 	for level := 0; level <= 5; level++ {
-		a, err := serial.LevelCellCounts(level)
+		a, err := serial.LevelCellCountsView(level)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := parallel.LevelCellCounts(level)
+		c, err := parallel.LevelCellCountsView(level)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,8 +610,8 @@ func TestValidateRejectsCorruptTree(t *testing.T) {
 		"cell matrix wrong size":      func(tree *Tree) { tree.cells[2] = tree.cells[2][:5] },
 		"deepest cells contradict the degree sums": func(tree *Tree) {
 			// Moving a record between two cells of one 2×2 block keeps every
-			// coarser matrix; setCells keeps the maxima and int32 images
-			// consistent, so only the row and column sums can tell.
+			// coarser matrix; setCells keeps the maxima consistent, so only
+			// the row and column sums can tell.
 			deepest := append([]int64(nil), tree.cells[rounds]...)
 			for i, c := range deepest {
 				if c > 0 {
@@ -625,8 +625,6 @@ func TestValidateRejectsCorruptTree(t *testing.T) {
 		},
 		"coarse cells are not the aggregate": func(tree *Tree) { tree.cells[1][0]++ },
 		"cached cell max wrong":              func(tree *Tree) { tree.maxCells[rounds]++ },
-		"narrow image wrong":                 func(tree *Tree) { tree.cells32[rounds][0]++ },
-		"narrow image missing":               func(tree *Tree) { tree.cells32[1] = nil },
 	}
 	for name, corrupt := range cases {
 		tree := build()

@@ -15,7 +15,7 @@ import (
 func noiselessRelease(t *testing.T, level int) core.CellRelease {
 	t.Helper()
 	tree := testTree(t)
-	counts, err := tree.LevelCellCounts(level)
+	counts, err := tree.LevelCellCountsView(level)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func ExactRect(t *hierarchy.Tree, r Rect) (int64, error) {
 	if err := r.validate(k); err != nil {
 		return 0, err
 	}
-	counts, err := t.LevelCellCounts(r.Level)
+	counts, err := t.LevelCellCountsView(r.Level)
 	if err != nil {
 		return 0, err
 	}

@@ -519,13 +519,10 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 	if charge {
 		// Pre-check against an empty budget so a misconfigured
 		// specialization fails before the build draws a single cut.
-		probe, err := accountant.NewLedger(r.cfg.Budget)
-		if err != nil {
-			return nil, err
-		}
-		if err := probe.Spend(ingestLabel, phase1Cost); err != nil {
+		if err := accountant.CheckSpend(r.cfg.Budget, dp.Params{}, phase1Cost); err != nil {
 			return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 		}
+		var err error
 		bisector, err = partition.NewExpMechBisector(r.cfg.Phase1Epsilon, r.streamFor(name, domainPhase1, salt))
 		if err != nil {
 			return nil, fmt.Errorf("serve: ingest %q: phase 1 bisector: %w", name, err)
