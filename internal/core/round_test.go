@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/dp"
 	"repro/internal/rng"
 )
@@ -154,6 +155,60 @@ func TestRoundFastExact(t *testing.T) {
 	for _, tc := range cases {
 		if got := roundFastExact(tc.mech, tc.param, tc.maxCount); got != tc.want {
 			t.Errorf("roundFastExact(%v, %v, %d) = %t, want %t", tc.mech, tc.param, tc.maxCount, got, tc.want)
+		}
+	}
+}
+
+// TestReleaseRoundsThroughTheGuard: ReleaseCells and ReleaseMarginal
+// pick their rounding with roundFastExact at the level's sensitivity, so
+// at a σ or a Laplace scale past roundFast's range every released cell,
+// and every marginal sum, is still that of roundCell over the unrounded
+// draw — as it is at a small σ, where the release takes roundFast.
+func TestReleaseRoundsThroughTheGuard(t *testing.T) {
+	t.Parallel()
+	tree := deepTree(t, 6)
+	counts, err := tree.LevelCellCountsView(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := tree.NumSideGroups(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := dp.Params{Epsilon: 50, Delta: 1e-5}
+	specs := map[string]Noise{
+		"gaussian":      external(3.5, wide),
+		"gaussian-wide": external(1<<60, wide),
+		"laplace-wide":  {Mech: MechLaplace, Budget: dp.Params{Epsilon: 1e-14}},
+	}
+	for name, n := range specs {
+		s, err := n.resolve(tree, 0, ModelCells, rng.New(9), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := unroundedCells(counts, n.Mech, s.param, 9)
+		for i := range want {
+			want[i] = roundCell(want[i])
+		}
+		var cells CellRelease
+		if err := ReleaseCells(&cells, tree, 0, n, rng.New(9), 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(cells.Counts[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: cell %d = %v, want %v", name, i, cells.Counts[i], want[i])
+			}
+		}
+		wantSums := make([]float64, k)
+		FoldMarginal(wantSums, want, 0, k, bipartite.Left)
+		var m MarginalRelease
+		if err := ReleaseMarginal(&m, tree, 0, bipartite.Left, n, rng.New(9)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantSums {
+			if math.Float64bits(m.Counts[i]) != math.Float64bits(wantSums[i]) {
+				t.Fatalf("%s: row sum %d = %v, want %v", name, i, m.Counts[i], wantSums[i])
+			}
 		}
 	}
 }
