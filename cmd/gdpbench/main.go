@@ -148,24 +148,13 @@ func runEdges(w io.Writer, path string, rounds, workers int, seed uint64, verify
 	}
 	defer f.Close()
 
-	var magic [4]byte
-	n, err := f.Read(magic[:])
-	if err != nil && n == 0 {
-		return fmt.Errorf("reading %s: %w", path, err)
+	src, err := repro.OpenEdgeSourceFile(f)
+	if err != nil {
+		return fmt.Errorf("opening edge source %s: %w", path, err)
 	}
 	format := "tsv"
-	if n == 4 && string(magic[:]) == "BPG1" {
+	if _, ok := src.(*bipartite.BinaryEdgeSource); ok {
 		format = "binary"
-	}
-
-	var src bipartite.EdgeSource
-	if format == "binary" {
-		src, err = bipartite.NewBinaryEdgeSource(f)
-	} else {
-		src, err = bipartite.NewTSVEdgeSource(f)
-	}
-	if err != nil {
-		return fmt.Errorf("opening %s source %s: %w", format, path, err)
 	}
 
 	start := time.Now()
@@ -186,7 +175,7 @@ func runEdges(w io.Writer, path string, rounds, workers int, seed uint64, verify
 		rounds, workers, float64(wall.Nanoseconds())/1e6, edgesSec)
 
 	if verify {
-		if err := verifyStreamedRelease(f, format, tree, rounds, workers, seed, src); err != nil {
+		if err := verifyStreamedRelease(f, tree, rounds, workers, seed, src); err != nil {
 			return err
 		}
 		fmt.Fprintln(w, "verify:  the loaded Graph's tree and release are byte-identical to the streamed file's")
@@ -199,17 +188,15 @@ func runEdges(w io.Writer, path string, rounds, workers int, seed uint64, verify
 // loader, checks the tree built over that Graph bit-identical to the
 // streamed tree, and runs the full release pipeline on the Graph and over
 // the file, failing on any byte difference.
-func verifyStreamedRelease(f *os.File, format string, streamedTree *hierarchy.Tree, rounds, workers int, seed uint64, src bipartite.EdgeSource) error {
+func verifyStreamedRelease(f *os.File, streamedTree *hierarchy.Tree, rounds, workers int, seed uint64, src bipartite.EdgeSource) error {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	var g *bipartite.Graph
-	var err error
-	if format == "binary" {
-		g, err = bipartite.DecodeBinary(f)
-	} else {
-		g, err = bipartite.LoadTSV(f)
+	load := bipartite.LoadTSV
+	if _, ok := src.(*bipartite.BinaryEdgeSource); ok {
+		load = bipartite.DecodeBinary
 	}
+	g, err := load(f)
 	if err != nil {
 		return fmt.Errorf("graph load for -streamverify: %w", err)
 	}

@@ -80,15 +80,14 @@ type config struct {
 func parseArgs(args []string) (config, error) {
 	fs := flag.NewFlagSet("gdpledgerd", flag.ContinueOnError)
 	var (
-		addrFlag   = fs.String("addr", "127.0.0.1:8850", "listen address")
-		ledgerDir  = fs.String("ledger-dir", "", "directory holding the durable budget log and term file (required)")
-		fsync      = fs.String("fsync", "", "log fsync policy: always (the default; every admission is durable before its ack), interval, or off (a single node only)")
-		fsyncEvery = fs.Duration("fsync-interval", 0, "max unsynced window under -fsync interval (0 = 100ms default)")
-		pprofFlag  = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6061; empty = disabled)")
-		nodeID     = fs.String("node-id", "", "this member's ID in a replicated group (requires -peers)")
-		peersFlag  = fs.String("peers", "", "replicated-group membership as id=host:port[,id=host:port...], including this node (requires -node-id)")
-		heartbeat  = fs.Duration("heartbeat", 0, "group replication heartbeat (0 = 100ms default)")
-		election   = fs.Duration("election-timeout", 0, "base follower patience before bidding for leadership, randomized in [T, 2T) (0 = 1s default; negative disables auto elections — promote via POST /v1/group/promote)")
+		addrFlag  = fs.String("addr", "127.0.0.1:8850", "listen address")
+		ledgerDir = fs.String("ledger-dir", "", "directory holding the durable budget log and term file (required)")
+		fsync     = fs.String("fsync", "", "log fsync policy: always (the default; every admission is durable before its ack) or off (a single node only)")
+		pprofFlag = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6061; empty = disabled)")
+		nodeID    = fs.String("node-id", "", "this member's ID in a replicated group (requires -peers)")
+		peersFlag = fs.String("peers", "", "replicated-group membership as id=host:port[,id=host:port...], including this node (requires -node-id)")
+		heartbeat = fs.Duration("heartbeat", 0, "group replication heartbeat (0 = 100ms default)")
+		election  = fs.Duration("election-timeout", 0, "base follower patience before bidding for leadership, randomized in [T, 2T) (0 = 1s default; negative disables auto elections — promote via POST /v1/group/promote)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -104,7 +103,6 @@ func parseArgs(args []string) (config, error) {
 		opts: ledgerd.Options{
 			Dir:             *ledgerDir,
 			Fsync:           policy,
-			FsyncInterval:   *fsyncEvery,
 			NodeID:          *nodeID,
 			HeartbeatEvery:  *heartbeat,
 			ElectionTimeout: *election,

@@ -23,7 +23,7 @@ func TestParseArgs(t *testing.T) {
 	dir := t.TempDir()
 	cfg, err := parseArgs([]string{
 		"-addr", "127.0.0.1:9999", "-ledger-dir", dir,
-		"-fsync", "interval", "-fsync-interval", "50ms",
+		"-fsync", "off",
 		"-pprof", "127.0.0.1:6061",
 	})
 	if err != nil {
@@ -32,16 +32,20 @@ func TestParseArgs(t *testing.T) {
 	if cfg.addr != "127.0.0.1:9999" || cfg.pprofAddr != "127.0.0.1:6061" {
 		t.Fatalf("addr %q pprof %q", cfg.addr, cfg.pprofAddr)
 	}
-	if cfg.opts.Dir != dir || cfg.opts.Fsync != accountant.FsyncInterval ||
-		cfg.opts.FsyncInterval != 50*time.Millisecond {
+	if cfg.opts.Dir != dir || cfg.opts.Fsync != accountant.FsyncOff {
 		t.Fatalf("opts = %+v", cfg.opts)
 	}
 
 	if _, err := parseArgs(nil); err == nil {
 		t.Fatal("missing -ledger-dir accepted")
 	}
-	if _, err := parseArgs([]string{"-ledger-dir", dir, "-fsync", "sometimes"}); err == nil {
-		t.Fatal("bogus -fsync policy accepted")
+	for _, policy := range []string{"sometimes", "interval"} {
+		if _, err := parseArgs([]string{"-ledger-dir", dir, "-fsync", policy}); err == nil {
+			t.Fatalf("-fsync %s accepted", policy)
+		}
+	}
+	if _, err := parseArgs([]string{"-ledger-dir", dir, "-fsync-interval", "50ms"}); err == nil {
+		t.Fatal("-fsync-interval accepted")
 	}
 
 	// Group-mode flag validation.

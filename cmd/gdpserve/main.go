@@ -73,17 +73,14 @@ func parseArgs(args []string) (cfg repro.ServeConfig, hopts repro.ServeHandlerOp
 		seed       = fs.Uint64("seed", 1, "RNG seed; 0 draws one from OS entropy (non-replayable)")
 		strategy   = fs.String("strategy", "", "release strategy for ingested datasets (empty = "+repro.DefaultReleaseStrategy+"; per-dataset override via ingest ?strategy=); one of: "+strings.Join(repro.ReleaseStrategyNames(), ", "))
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "ingest build parallelism")
-		relWorkers = fs.Int("release-workers", 1, "per-query noise-pass parallelism (responses are bit-identical for any value; >1 trades cores per query for single-query latency on large levels)")
 		lanes      = fs.Int("lanes", 2, "concurrent ingest lanes: how many dataset builds may run at once")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060; empty = disabled)")
 		pathIngest = fs.Bool("allow-path-ingest", false, "allow HTTP clients to ingest server-side files via JSON {\"path\": ...} (file-read oracle on open listeners; uploads are always allowed)")
 		maxUpload  = fs.Int64("max-upload-bytes", 0, "cap on one ingest upload body spooled to temp disk (0 = 1 GiB default, negative = unlimited)")
 		maxSess    = fs.Int("max-sessions", 0, "cap on concurrently open session handles (0 = 1024 default, negative = unlimited)")
 		maxCache   = fs.Int("max-cache-entries", 0, "per-dataset response-cache capacity; replayed (stream, seq, query) keys serve their prior answer without re-debiting the ledger (0 = 1024 default, negative = disable caching)")
-		ledgerDir  = fs.String("ledger-dir", "", "directory for durable per-dataset privacy ledgers (one WAL each); restarts replay spent budget so exhausted datasets stay exhausted (empty = in-memory ledgers, forgotten on exit)")
-		ledgerAddr = fs.String("ledger-addr", "", "address of a shared gdpledgerd privacy-ledger sequencer (host:port, or a comma-separated replicated-group member list a:8850,b:8850,c:8850); all replicas pointed at it spend ONE budget per dataset; mutually exclusive with -ledger-dir and the -fsync* knobs")
-		fsync      = fs.String("fsync", "", "durable-ledger fsync policy: always (the default; sync before every admitted spend), interval, or off")
-		fsyncEvery = fs.Duration("fsync-interval", 0, "max unsynced window under -fsync interval (0 = 100ms default)")
+		ledgerDir  = fs.String("ledger-dir", "", "directory for durable per-dataset privacy ledgers (one WAL each, fsynced before every admitted spend); restarts replay spent budget so exhausted datasets stay exhausted (empty = in-memory ledgers, forgotten on exit)")
+		ledgerAddr = fs.String("ledger-addr", "", "address of a shared gdpledgerd privacy-ledger sequencer (host:port, or a comma-separated replicated-group member list a:8850,b:8850,c:8850); all replicas pointed at it spend ONE budget per dataset; mutually exclusive with -ledger-dir")
 	)
 	fs.Var(preloadFlag{&loads}, "dataset", "preload a dataset as name=path (repeatable; TSV or binary, sniffed)")
 	if err := fs.Parse(args); err != nil {
@@ -101,19 +98,16 @@ func parseArgs(args []string) (cfg repro.ServeConfig, hopts repro.ServeHandlerOp
 		Budget: repro.Params{Epsilon: *eps, Delta: *delta},
 		// A zero PerQuery (neither flag set) selects the Budget/64
 		// serving default in OpenRegistry.
-		PerQuery:            repro.Params{Epsilon: *queryEps, Delta: *queryDelta},
-		Rounds:              *rounds,
-		Phase1Epsilon:       *phase1,
-		Strategy:            *strategy,
-		Seed:                resolvedSeed,
-		Workers:             *workers,
-		ReleaseWorkers:      *relWorkers,
-		IngestLanes:         *lanes,
-		MaxCacheEntries:     *maxCache,
-		LedgerDir:           *ledgerDir,
-		LedgerAddr:          *ledgerAddr,
-		LedgerFsync:         repro.LedgerFsyncPolicy(*fsync),
-		LedgerFsyncInterval: *fsyncEvery,
+		PerQuery:        repro.Params{Epsilon: *queryEps, Delta: *queryDelta},
+		Rounds:          *rounds,
+		Phase1Epsilon:   *phase1,
+		Strategy:        *strategy,
+		Seed:            resolvedSeed,
+		Workers:         *workers,
+		IngestLanes:     *lanes,
+		MaxCacheEntries: *maxCache,
+		LedgerDir:       *ledgerDir,
+		LedgerAddr:      *ledgerAddr,
 	}
 	hopts = repro.ServeHandlerOptions{
 		AllowPathIngest: *pathIngest,

@@ -18,14 +18,11 @@ func TestParseArgs(t *testing.T) {
 	cfg, hopts, addr, loads, pprofAddr, err := parseArgs([]string{
 		"-addr", "127.0.0.1:9999", "-eps", "3", "-delta", "1e-6",
 		"-rounds", "5", "-seed", "42", "-allow-path-ingest",
-		"-release-workers", "4", "-pprof", "127.0.0.1:6060",
+		"-pprof", "127.0.0.1:6060",
 		"-dataset", "a=/tmp/a.tsv", "-dataset", "b=/tmp/b.bpg",
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.ReleaseWorkers != 4 {
-		t.Fatalf("ReleaseWorkers = %d, want 4", cfg.ReleaseWorkers)
 	}
 	if pprofAddr != "127.0.0.1:6060" {
 		t.Fatalf("pprof addr = %q", pprofAddr)
@@ -41,13 +38,24 @@ func TestParseArgs(t *testing.T) {
 		t.Fatal("-allow-path-ingest not threaded through")
 	}
 
-	if defCfg, hopts, _, _, pprofDef, err := parseArgs(nil); err != nil || hopts.AllowPathIngest {
+	if _, hopts, _, _, pprofDef, err := parseArgs(nil); err != nil || hopts.AllowPathIngest {
 		t.Fatalf("path ingest must default off (hopts=%+v err=%v)", hopts, err)
-	} else if defCfg.ReleaseWorkers != 1 || pprofDef != "" {
-		t.Fatalf("defaults: release-workers=%d pprof=%q", defCfg.ReleaseWorkers, pprofDef)
+	} else if pprofDef != "" {
+		t.Fatalf("defaults: pprof=%q", pprofDef)
 	}
 	if _, _, _, _, _, err := parseArgs([]string{"-dataset", "missing-equals"}); err == nil {
 		t.Fatal("malformed -dataset accepted")
+	}
+	// A served query has one kernel path and a -ledger-dir spend is
+	// always fsynced: neither is a flag.
+	for _, args := range [][]string{
+		{"-release-workers", "2"},
+		{"-ledger-dir", t.TempDir(), "-fsync", "off"},
+		{"-ledger-dir", t.TempDir(), "-fsync-interval", "50ms"},
+	} {
+		if _, _, _, _, _, err := parseArgs(args); err == nil {
+			t.Errorf("parseArgs(%q) accepted", args)
+		}
 	}
 
 	// seed 0 draws entropy.

@@ -50,7 +50,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"time"
 
 	"repro/internal/dp"
 )
@@ -83,10 +82,6 @@ const (
 	// FsyncAlways syncs every record before its spend is admitted: a
 	// reported admission is durable even across power loss. The default.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval syncs at most every FsyncInterval of wall time:
-	// admissions inside the window may be lost to a crash (the reopened
-	// ledger then under-counts spend — it never over-counts).
-	FsyncInterval FsyncPolicy = "interval"
 	// FsyncOff never syncs except on Close; durability degrades to
 	// whatever the OS page cache survives.
 	FsyncOff FsyncPolicy = "off"
@@ -97,11 +92,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch FsyncPolicy(s) {
 	case "":
 		return FsyncAlways, nil
-	case FsyncAlways, FsyncInterval, FsyncOff:
+	case FsyncAlways, FsyncOff:
 		return FsyncPolicy(s), nil
 	}
-	return "", fmt.Errorf("accountant: unknown fsync policy %q (want %q, %q or %q)",
-		s, FsyncAlways, FsyncInterval, FsyncOff)
+	return "", fmt.Errorf("accountant: unknown fsync policy %q (want %q or %q)",
+		s, FsyncAlways, FsyncOff)
 }
 
 // WriteSyncer is the durable ledger's file-write seam: *os.File in
@@ -112,18 +107,11 @@ type WriteSyncer interface {
 	Close() error
 }
 
-// DefaultFsyncInterval bounds the unsynced window under FsyncInterval
-// when DurableOptions.FsyncInterval is unset.
-const DefaultFsyncInterval = 100 * time.Millisecond
-
 // DurableOptions configures OpenDurableLedger. The zero value selects
 // FsyncAlways and real files.
 type DurableOptions struct {
 	// Fsync is the WAL sync policy; "" selects FsyncAlways.
 	Fsync FsyncPolicy
-	// FsyncInterval bounds the unsynced window under FsyncInterval
-	// (default DefaultFsyncInterval).
-	FsyncInterval time.Duration
 	// OpenWriter opens a path for appending — the fault-injection seam.
 	// nil writes the WAL through a writer that keeps zeros ahead of its
 	// position (log.go). Replay reads and the flock are NOT routed
@@ -138,9 +126,6 @@ func (o DurableOptions) withDefaults() (DurableOptions, error) {
 		return DurableOptions{}, err
 	}
 	o.Fsync = p
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = DefaultFsyncInterval
-	}
 	return o, nil
 }
 

@@ -43,7 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // errTornFrame is what an OpenLog apply callback returns to end replay
@@ -73,7 +72,6 @@ type Log struct {
 
 	size     int64
 	unsynced int
-	lastSync time.Time
 	failed   error
 }
 
@@ -89,8 +87,8 @@ type Log struct {
 // with (nil for none). A file that ends before its magic, or before a
 // whole header frame, was torn during creation and holds nothing: it
 // restarts as magic + header frame, written in one call, after header
-// has been through apply like any frame read back. Of opts, Fsync,
-// FsyncInterval and OpenWriter apply.
+// has been through apply like any frame read back. Of opts, Fsync and
+// OpenWriter apply.
 func OpenLog(path, magic string, header []byte, opts DurableOptions, apply func(payload []byte) error) (*Log, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -159,7 +157,6 @@ func OpenLog(path, magic string, header []byte, opts DurableOptions, apply func(
 	if l.w, err = opts.OpenWriter(path); err != nil {
 		return fail(fmt.Errorf("accountant: opening log writer %s: %w", path, err))
 	}
-	l.lastSync = time.Now()
 	if fresh {
 		if err := l.writeHead(); err != nil {
 			l.w.Close()
@@ -256,8 +253,7 @@ func (l *Log) flush() {
 	ticket := l.next
 	l.next++
 	l.flushing = true
-	syncNow := l.opts.Fsync == FsyncAlways ||
-		(l.opts.Fsync == FsyncInterval && time.Since(l.lastSync) >= l.opts.FsyncInterval)
+	syncNow := l.opts.Fsync == FsyncAlways
 	l.mu.Unlock()
 	_, err := l.w.Write(batch)
 	if err == nil && syncNow {
@@ -275,7 +271,6 @@ func (l *Log) flush() {
 	l.unsynced += records
 	if syncNow {
 		l.unsynced = 0
-		l.lastSync = time.Now()
 	}
 	l.spare = batch
 }
@@ -310,7 +305,6 @@ func (l *Log) syncLocked() error {
 		return l.latch(err)
 	}
 	l.unsynced = 0
-	l.lastSync = time.Now()
 	return nil
 }
 

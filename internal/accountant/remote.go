@@ -199,8 +199,7 @@ func OpenRemoteLedger(base, key string, budget dp.Params, opts RemoteOptions) (*
 	if err != nil {
 		return nil, fmt.Errorf("accountant: attaching remote ledger %q at %s: %w", key, base, err)
 	}
-	got := dp.Params{Epsilon: res.Budget.Epsilon, Delta: res.Budget.Delta}
-	if got != budget {
+	if got := dp.Params(res.Budget); got != budget {
 		return nil, fmt.Errorf("%w: sequencer has %s, configured %s", ErrBudgetMismatch, got, budget)
 	}
 	if res.Epoch == "" {
@@ -214,7 +213,7 @@ func OpenRemoteLedger(base, key string, budget dp.Params, opts RemoteOptions) (*
 }
 
 func (r *RemoteLedger) attachBody() any {
-	return map[string]any{"budget": wireBudget{r.budget.Epsilon, r.budget.Delta}}
+	return map[string]any{"budget": dp.ParamsJSON(r.budget)}
 }
 
 // opContext derives the deadline bounding one whole operation. An
@@ -274,23 +273,18 @@ func (r *RemoteLedger) Close() error {
 	return nil
 }
 
-// wireBudget and the response shapes mirror internal/ledgerd's wire
-// protocol (kept in sync by the conformance tests, which run this
-// client against the real service).
-type wireBudget struct {
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
-}
-
+// The response shapes mirror internal/ledgerd's wire protocol (kept in
+// sync by the conformance tests, which run this client against the real
+// service).
 type wireState struct {
-	Epoch     string     `json:"epoch"`
-	Admitted  bool       `json:"admitted"`
-	Replayed  bool       `json:"replayed"`
-	Seq       int        `json:"seq"`
-	Budget    wireBudget `json:"budget"`
-	Spent     wireBudget `json:"spent"`
-	Remaining wireBudget `json:"remaining"`
-	Ops       int        `json:"ops"`
+	Epoch     string        `json:"epoch"`
+	Admitted  bool          `json:"admitted"`
+	Replayed  bool          `json:"replayed"`
+	Seq       int           `json:"seq"`
+	Budget    dp.ParamsJSON `json:"budget"`
+	Spent     dp.ParamsJSON `json:"spent"`
+	Remaining dp.ParamsJSON `json:"remaining"`
+	Ops       int           `json:"ops"`
 }
 
 type wireError struct {
@@ -340,7 +334,7 @@ func (r *RemoteLedger) SpendContext(ctx context.Context, label string, cost dp.P
 			"epoch": epoch,
 			"op_id": opID,
 			"label": label,
-			"cost":  wireBudget{cost.Epsilon, cost.Delta},
+			"cost":  dp.ParamsJSON(cost),
 		}
 	}, &res)
 	if err != nil {
@@ -578,8 +572,7 @@ func (r *RemoteLedger) reattach(ctx context.Context) error {
 	if class != classOK {
 		return err
 	}
-	got := dp.Params{Epsilon: res.Budget.Epsilon, Delta: res.Budget.Delta}
-	if got != r.budget || res.Epoch == "" {
+	if got := dp.Params(res.Budget); got != r.budget || res.Epoch == "" {
 		return fmt.Errorf("%w: re-attach returned budget %s epoch %q", ErrRemoteProtocol, got, res.Epoch)
 	}
 	r.mu.Lock()

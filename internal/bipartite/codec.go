@@ -20,7 +20,9 @@ import (
 // Adjacency lists are strictly increasing after Build, so delta encoding
 // is lossless and compact.
 
-var binaryMagic = [4]byte{'B', 'P', 'G', '1'}
+// BinaryMagic opens every file in the binary format; a file that starts
+// with anything else is read as TSV.
+const BinaryMagic = "BPG1"
 
 const flagNames = 1 << 0
 
@@ -31,7 +33,7 @@ var ErrBadFormat = errors.New("bipartite: bad binary format")
 // format.
 func EncodeBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
+	if _, err := bw.WriteString(BinaryMagic); err != nil {
 		return fmt.Errorf("bipartite: writing magic: %w", err)
 	}
 	var flags uint64
@@ -76,7 +78,7 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
 	}
-	if magic != binaryMagic {
+	if string(magic[:]) != BinaryMagic {
 		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, magic[:])
 	}
 	flags, err := binary.ReadUvarint(br)

@@ -94,7 +94,7 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeRejectsHugeCounts(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	buf.Write(binaryMagic[:])
+	buf.WriteString(BinaryMagic)
 	buf.Write([]byte{0x00})                                           // flags
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // absurd numLeft
 	if _, err := DecodeBinary(&buf); !errors.Is(err, ErrBadFormat) {

@@ -377,7 +377,7 @@ func (s *BinaryEdgeSource) Reset() error {
 	if _, err := io.ReadFull(s.br, magic[:]); err != nil {
 		return fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
 	}
-	if magic != binaryMagic {
+	if string(magic[:]) != BinaryMagic {
 		return fmt.Errorf("%w: magic %q", ErrBadFormat, magic[:])
 	}
 	if _, err := binary.ReadUvarint(s.br); err != nil { // flags

@@ -184,7 +184,7 @@ func referenceBinaryDrain(data []byte) ([]Edge, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
 	}
-	if magic != binaryMagic {
+	if string(magic[:]) != BinaryMagic {
 		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, magic[:])
 	}
 	if _, err := binary.ReadUvarint(br); err != nil {

@@ -34,6 +34,17 @@ type Params struct {
 	Delta   float64
 }
 
+// ParamsJSON is the one JSON shape of an (ε, δ) pair, {"epsilon",
+// "delta"}, that every HTTP body carrying a budget or a cost uses. It
+// differs from Params only in its tags, so ParamsJSON(p) and Params(j)
+// convert. Params stays untagged: its default encoding, {"Epsilon",
+// "Delta"}, is the Cost of every encoded accountant.Op, whose bytes the
+// release package's config-matrix golden pins.
+type ParamsJSON struct {
+	Epsilon float64 `json:"epsilon"`
+	Delta   float64 `json:"delta"`
+}
+
 // Validate checks that the parameters describe a meaningful guarantee.
 func (p Params) Validate() error {
 	if !(p.Epsilon > 0) || math.IsInf(p.Epsilon, 0) || math.IsNaN(p.Epsilon) {

@@ -115,39 +115,19 @@ func scanStreamDegrees(src bipartite.EdgeSource, workers int) (leftDeg, rightDeg
 	if workers > 1 && known && int64(workers)*(int64(nl)+int64(nr)) <= maxShardDegreeNodes {
 		return scanStreamDegreesParallel(src, workers, nl, nr)
 	}
-	var maxL, maxR int32 = -1, -1
+	s := degreeShard{maxL: -1, maxR: -1}
 	if known {
-		leftDeg = make([]int64, nl)
-		rightDeg = make([]int64, nr)
-		maxL, maxR = nl-1, nr-1
+		s.left, s.right = make([]int64, nl), make([]int64, nr)
+		s.maxL, s.maxR = nl-1, nr-1
 	}
-	buf := make([]bipartite.Edge, streamChunkEdges)
-	err = bipartite.ForEachChunk(src, buf, func(chunk []bipartite.Edge) error {
-		for _, e := range chunk {
-			if e.Left < 0 || e.Right < 0 {
-				return fmt.Errorf("negative node id in edge (%d,%d)", e.Left, e.Right)
-			}
-			leftDeg = growCounts(leftDeg, e.Left)
-			rightDeg = growCounts(rightDeg, e.Right)
-			leftDeg[e.Left]++
-			rightDeg[e.Right]++
-			edgeSum += edgeTerm(e)
-			if e.Left > maxL {
-				maxL = e.Left
-			}
-			if e.Right > maxR {
-				maxR = e.Right
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := bipartite.ForEachChunk(src, make([]bipartite.Edge, streamChunkEdges), s.accumulate); err != nil {
 		return nil, nil, 0, err
 	}
-	return leftDeg[:maxL+1], rightDeg[:maxR+1], edgeSum, nil
+	return s.left[:s.maxL+1], s.right[:s.maxR+1], s.edgeSum, nil
 }
 
-// degreeShard is one worker's private accumulation state.
+// degreeShard is one sweep's accumulation state: the serial sweep's
+// whole result, or one parallel worker's private share of it.
 type degreeShard struct {
 	left, right []int64
 	maxL, maxR  int32

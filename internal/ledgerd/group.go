@@ -158,9 +158,8 @@ func New(opts Options) (*Group, error) {
 		return nil, fmt.Errorf("ledgerd: ledger dir: %w", err)
 	}
 	log, err := openGroupLog(opts.Dir, accountant.DurableOptions{
-		Fsync:         opts.Fsync,
-		FsyncInterval: opts.FsyncInterval,
-		OpenWriter:    opts.OpenWriter,
+		Fsync:      opts.Fsync,
+		OpenWriter: opts.OpenWriter,
 	})
 	if err != nil {
 		return nil, err

@@ -154,8 +154,8 @@ type groupLog struct {
 }
 
 // openGroupLog opens (creating if absent) and replays the log at
-// dir/groupLogFile, truncating a torn tail. Of opts, Fsync,
-// FsyncInterval and OpenWriter apply.
+// dir/groupLogFile, truncating a torn tail. Of opts, Fsync and
+// OpenWriter apply.
 func openGroupLog(dir string, opts accountant.DurableOptions) (*groupLog, error) {
 	l := &groupLog{path: filepath.Join(dir, groupLogFile)}
 	var err error

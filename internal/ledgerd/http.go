@@ -52,15 +52,6 @@ const (
 	CodeNoQuorum   = "no-quorum"
 )
 
-// budgetWire is the (ε, δ) wire shape.
-type budgetWire struct {
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
-}
-
-func toWire(p dp.Params) budgetWire    { return budgetWire{Epsilon: p.Epsilon, Delta: p.Delta} }
-func (b budgetWire) params() dp.Params { return dp.Params{Epsilon: b.Epsilon, Delta: b.Delta} }
-
 // errorWire is the uniform error body. Term rides along on group-mode
 // epoch-fenced refusals so a fenced sender can adopt the newer term.
 type errorWire struct {
@@ -249,15 +240,15 @@ func (h *handler) groupPromote(w http.ResponseWriter, r *http.Request) {
 
 // attachWire is the attach request/response pair.
 type attachRequest struct {
-	Budget budgetWire `json:"budget"`
+	Budget dp.ParamsJSON `json:"budget"`
 }
 
 type attachResponse struct {
-	Epoch     string     `json:"epoch"`
-	Budget    budgetWire `json:"budget"`
-	Spent     budgetWire `json:"spent"`
-	Remaining budgetWire `json:"remaining"`
-	Ops       int        `json:"ops"`
+	Epoch     string        `json:"epoch"`
+	Budget    dp.ParamsJSON `json:"budget"`
+	Spent     dp.ParamsJSON `json:"spent"`
+	Remaining dp.ParamsJSON `json:"remaining"`
+	Ops       int           `json:"ops"`
 }
 
 func (h *handler) attach(w http.ResponseWriter, r *http.Request) {
@@ -266,34 +257,34 @@ func (h *handler) attach(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.g.Attach(r.PathValue("key"), req.Budget.params())
+	res, err := h.g.Attach(r.PathValue("key"), dp.Params(req.Budget))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, attachResponse{
 		Epoch:     res.Epoch,
-		Budget:    toWire(res.Budget),
-		Spent:     toWire(res.Spent),
-		Remaining: toWire(res.Remaining),
+		Budget:    dp.ParamsJSON(res.Budget),
+		Spent:     dp.ParamsJSON(res.Spent),
+		Remaining: dp.ParamsJSON(res.Remaining),
 		Ops:       res.OpCount,
 	})
 }
 
 type spendRequest struct {
-	Epoch string     `json:"epoch"`
-	OpID  string     `json:"op_id"`
-	Label string     `json:"label"`
-	Cost  budgetWire `json:"cost"`
+	Epoch string        `json:"epoch"`
+	OpID  string        `json:"op_id"`
+	Label string        `json:"label"`
+	Cost  dp.ParamsJSON `json:"cost"`
 }
 
 type spendResponse struct {
-	Admitted  bool       `json:"admitted"`
-	Replayed  bool       `json:"replayed,omitempty"`
-	Seq       int        `json:"seq"`
-	Spent     budgetWire `json:"spent"`
-	Remaining budgetWire `json:"remaining"`
-	Ops       int        `json:"ops"`
+	Admitted  bool          `json:"admitted"`
+	Replayed  bool          `json:"replayed,omitempty"`
+	Seq       int           `json:"seq"`
+	Spent     dp.ParamsJSON `json:"spent"`
+	Remaining dp.ParamsJSON `json:"remaining"`
+	Ops       int           `json:"ops"`
 }
 
 func (h *handler) spend(w http.ResponseWriter, r *http.Request) {
@@ -302,7 +293,7 @@ func (h *handler) spend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.g.Spend(r.PathValue("key"), req.Epoch, req.OpID, req.Label, req.Cost.params())
+	res, err := h.g.Spend(r.PathValue("key"), req.Epoch, req.OpID, req.Label, dp.Params(req.Cost))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -311,8 +302,8 @@ func (h *handler) spend(w http.ResponseWriter, r *http.Request) {
 		Admitted:  true,
 		Replayed:  res.Replayed,
 		Seq:       res.Seq,
-		Spent:     toWire(res.Spent),
-		Remaining: toWire(res.Remaining),
+		Spent:     dp.ParamsJSON(res.Spent),
+		Remaining: dp.ParamsJSON(res.Remaining),
 		Ops:       res.OpCount,
 	})
 }
@@ -320,9 +311,9 @@ func (h *handler) spend(w http.ResponseWriter, r *http.Request) {
 type statusResponse struct {
 	Key        string                   `json:"key"`
 	Epoch      string                   `json:"epoch"`
-	Budget     budgetWire               `json:"budget"`
-	Spent      budgetWire               `json:"spent"`
-	Remaining  budgetWire               `json:"remaining"`
+	Budget     dp.ParamsJSON            `json:"budget"`
+	Spent      dp.ParamsJSON            `json:"spent"`
+	Remaining  dp.ParamsJSON            `json:"remaining"`
 	Ops        int                      `json:"ops"`
 	Durability accountant.DurableStatus `json:"durability"`
 }
@@ -336,9 +327,9 @@ func (h *handler) status(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statusResponse{
 		Key:        st.Key,
 		Epoch:      st.Epoch,
-		Budget:     toWire(st.Budget),
-		Spent:      toWire(st.Spent),
-		Remaining:  toWire(st.Remaining),
+		Budget:     dp.ParamsJSON(st.Budget),
+		Spent:      dp.ParamsJSON(st.Spent),
+		Remaining:  dp.ParamsJSON(st.Remaining),
 		Ops:        st.OpCount,
 		Durability: st.Durable,
 	})

@@ -82,12 +82,11 @@ var (
 type Options struct {
 	// Dir holds the member's log and durable term file.
 	Dir string
-	// Fsync and FsyncInterval configure the log ("" selects FsyncAlways
-	// — the only policy under which an ack implies durability across
-	// power loss, and the only one a group with Peers accepts: there a
-	// majority ack IS the durability guarantee).
-	Fsync         accountant.FsyncPolicy
-	FsyncInterval time.Duration
+	// Fsync configures the log ("" selects FsyncAlways — the only
+	// policy under which an ack implies durability across power loss,
+	// and the only one a group with Peers accepts: there a majority ack
+	// IS the durability guarantee).
+	Fsync accountant.FsyncPolicy
 	// NodeID names this member ("local" by default without Peers);
 	// Peers maps every member ID (this node included) to its base
 	// address. With no Peers the group has one member, which promotes

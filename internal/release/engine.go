@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/hierarchy"
-	"repro/internal/query"
 	"repro/internal/rng"
 )
 
@@ -18,11 +17,11 @@ import (
 // and core.ReleaseMarginal).
 //
 // A serving session (internal/serve) holds one Engine for its whole
-// lifetime and answers every query through it. On one worker a marginal
-// or top-k query keeps only one noise-chunk window and the k marginal
-// sums, never the level's k² cells; a level view keeps the cell
-// histogram it returns, and so does a sharded marginal (SetWorkers > 1),
-// in the same one buffer.
+// lifetime and answers every query through it. A marginal or top-k
+// query keeps only one noise-chunk window and the k marginal sums,
+// never the level's k² cells; a level view keeps the cell histogram it
+// returns. Every release runs on the calling goroutine; a histogram's
+// noise pass is sharded only by Pipeline.WithWorkers.
 // Pipeline.finish needs no Engine: it walks its plan through
 // core.ReleaseCount and core.ReleaseCells, one release per op. An Engine
 // is NOT safe for concurrent use — give each session or goroutine its
@@ -33,17 +32,12 @@ type Engine struct {
 	// mech perturbs every count and cell release.
 	mech core.NoiseMechanism
 
-	// workers shards each cell release's noise pass across goroutines;
-	// releases are bit-identical for every value, so it is purely a
-	// latency knob. 0 and 1 both mean single-threaded.
-	workers int
-
 	// cells is the reusable histogram buffer. Cells and LoadCells
 	// overwrite it and return a pointer into it; the previous result is
 	// invalid after the next call.
 	cells core.CellRelease
-	// marginal is Marginal's reusable sums and, on one worker, its noise
-	// window; the slice Marginal returns is invalid after its next call.
+	// marginal is Marginal's reusable sums and noise window; the slice
+	// Marginal returns is invalid after its next call.
 	marginal core.MarginalRelease
 }
 
@@ -62,25 +56,6 @@ func NewEngine(model core.GroupModel, calib core.Calibration, mech core.NoiseMec
 	return &Engine{model: model, calib: calib, mech: mech}, nil
 }
 
-// SetWorkers sets the per-release noise-pass parallelism. Every cell
-// release draws per-chunk forked streams regardless, so the released
-// values are bit-identical across worker counts — n only changes how
-// many cores one release occupies. Values below 1 select 1.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// Workers returns the per-release noise-pass parallelism (at least 1).
-func (e *Engine) Workers() int {
-	if e.workers < 1 {
-		return 1
-	}
-	return e.workers
-}
-
 // Count answers the association-count query at one level, consuming the
 // given budget.
 func (e *Engine) Count(t *hierarchy.Tree, level int, budget dp.Params, src *rng.Source) (core.LevelRelease, error) {
@@ -92,47 +67,25 @@ func (e *Engine) Count(t *hierarchy.Tree, level int, budget dp.Params, src *rng.
 // next Cells or LoadCells call; callers that retain it across calls must
 // clone (CloneCellRelease).
 func (e *Engine) Cells(t *hierarchy.Tree, level int, budget dp.Params, src *rng.Source) (*core.CellRelease, error) {
-	return e.releaseCells(t, level, core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}, src)
+	if err := core.ReleaseCells(&e.cells, t, level, core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}, src, 1); err != nil {
+		return nil, err
+	}
+	return &e.cells, nil
 }
 
 // Marginal releases a level's per-side-group association counts — the
 // row (left) or column (right) sums of the noisy cell histogram Cells
-// would release from the same budget and src, bit for bit. On one worker
-// it runs core.ReleaseMarginal, which never holds the histogram: the
-// Engine keeps one noise-chunk window instead of the level's cells. On
-// more than one it shards the noise pass through Cells' buffer and sums
-// that with query.MarginalCountsInto, so the Engine holds one histogram
-// for views and marginals alike, and the call invalidates the last Cells
-// result too. The result is valid until the next Marginal call.
+// would release from the same budget and src, bit for bit. It runs
+// core.ReleaseMarginal, which never holds the histogram: the Engine
+// keeps one noise-chunk window instead of the level's cells, and the
+// last Cells result stays valid. The result is valid until the next
+// Marginal call.
 func (e *Engine) Marginal(t *hierarchy.Tree, level int, side bipartite.Side, budget dp.Params, src *rng.Source) ([]float64, error) {
 	n := core.Noise{Mech: e.mech, Calib: e.calib, Budget: budget}
-	if e.Workers() == 1 {
-		if err := core.ReleaseMarginal(&e.marginal, t, level, side, n, src); err != nil {
-			return nil, err
-		}
-		return e.marginal.Counts, nil
-	}
-	if !side.Valid() {
-		return nil, fmt.Errorf("release: invalid side %v", side)
-	}
-	cells, err := e.releaseCells(t, level, n, src)
-	if err != nil {
+	if err := core.ReleaseMarginal(&e.marginal, t, level, side, n, src); err != nil {
 		return nil, err
 	}
-	m, err := query.MarginalCountsInto(e.marginal.Counts, *cells, side)
-	if err != nil {
-		return nil, err
-	}
-	e.marginal.Counts = m
-	return m, nil
-}
-
-// releaseCells runs one cell release into the reusable buffer.
-func (e *Engine) releaseCells(t *hierarchy.Tree, level int, n core.Noise, src *rng.Source) (*core.CellRelease, error) {
-	if err := core.ReleaseCells(&e.cells, t, level, n, src, e.Workers()); err != nil {
-		return nil, err
-	}
-	return &e.cells, nil
+	return e.marginal.Counts, nil
 }
 
 // LoadCells copies src into the Engine's reusable buffer and returns

@@ -14,11 +14,10 @@ import (
 )
 
 // TestEngineMarginalWorkers: Engine.Marginal answers the sums of the
-// histogram Cells releases from the same stream, bit for bit, on one
-// worker, where it runs the fused pass, and on four, where it folds the
-// sharded cell release — over every level of a seven-round tree, whose
-// level 0 spans two noise chunks, and for both sides. Either way an
-// invalid side is refused.
+// histogram Cells releases from the same stream, bit for bit, through
+// the fused pass — over every level of a seven-round tree, whose level 0
+// spans two noise chunks, and for both sides. An invalid side is
+// refused.
 func TestEngineMarginalWorkers(t *testing.T) {
 	t.Parallel()
 	tree, err := hierarchy.BuildFromEdges(bipartite.NewGraphSource(testGraph(t)),
@@ -26,16 +25,14 @@ func TestEngineMarginalWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newEngine := func(workers int) *Engine {
+	newEngine := func() *Engine {
 		e, err := NewEngine(core.ModelCells, core.CalibrationClassical, core.MechGaussian)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkers(workers)
 		return e
 	}
-	ref := newEngine(1)
-	engines := map[int]*Engine{1: newEngine(1), 4: newEngine(4)}
+	ref, e := newEngine(), newEngine()
 	for level := 0; level <= tree.MaxLevel(); level++ {
 		for _, side := range []bipartite.Side{bipartite.Left, bipartite.Right} {
 			cells, err := ref.Cells(tree, level, defaultBudget(), rng.New(5))
@@ -46,26 +43,22 @@ func TestEngineMarginalWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for workers, e := range engines {
-				what := fmt.Sprintf("level%d/%v/workers=%d", level, side, workers)
-				got, err := e.Marginal(tree, level, side, defaultBudget(), rng.New(5))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d sums, want %d", what, len(got), len(want))
-				}
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s: sum %d is %v, Cells' %v", what, i, got[i], want[i])
-					}
+			what := fmt.Sprintf("level%d/%v", level, side)
+			got, err := e.Marginal(tree, level, side, defaultBudget(), rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d sums, want %d", what, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: sum %d is %v, Cells' %v", what, i, got[i], want[i])
 				}
 			}
 		}
 	}
-	for workers, e := range engines {
-		if _, err := e.Marginal(tree, 0, bipartite.Side(0), defaultBudget(), rng.New(5)); err == nil {
-			t.Fatalf("workers=%d: side 0 accepted", workers)
-		}
+	if _, err := e.Marginal(tree, 0, bipartite.Side(0), defaultBudget(), rng.New(5)); err == nil {
+		t.Fatal("side 0 accepted")
 	}
 }

@@ -338,16 +338,6 @@ func TestBudgetEndpointDurability(t *testing.T) {
 	check(testConfig(), false)
 }
 
-// TestDurableBadFsyncPolicyRejected: Open must refuse an unknown policy.
-func TestDurableBadFsyncPolicyRejected(t *testing.T) {
-	t.Parallel()
-	cfg := durableConfig(t)
-	cfg.LedgerFsync = "sometimes"
-	if _, err := Open(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Open with bad fsync policy: got %v, want ErrBadConfig", err)
-	}
-}
-
 // failNextWrite is a serve-layer fault injector for cfg.ledgerOpenWriter:
 // real files until fail is set, then every write errors.
 type failNextWrite struct {

@@ -249,14 +249,6 @@ func (s *httpServer) readyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{"ready": ready, "reason": reason})
 }
 
-// budgetJSON serializes one (ε, δ) pair.
-type budgetJSON struct {
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
-}
-
-func toBudgetJSON(p dp.Params) budgetJSON { return budgetJSON{Epsilon: p.Epsilon, Delta: p.Delta} }
-
 // datasetJSON is the dataset summary shape shared by list/info/ingest.
 type datasetJSON struct {
 	Name     string          `json:"name"`
@@ -266,10 +258,10 @@ type datasetJSON struct {
 	// default — absence IS the default, the same convention the release
 	// artifact uses, which keeps default-strategy response bytes
 	// identical to the pre-strategy serving layer.
-	Strategy  string     `json:"strategy,omitempty"`
-	Budget    budgetJSON `json:"budget"`
-	Spent     budgetJSON `json:"spent"`
-	Remaining budgetJSON `json:"remaining"`
+	Strategy  string        `json:"strategy,omitempty"`
+	Budget    dp.ParamsJSON `json:"budget"`
+	Spent     dp.ParamsJSON `json:"spent"`
+	Remaining dp.ParamsJSON `json:"remaining"`
 }
 
 // strategyLabel is a dataset's strategy name for response bodies: empty
@@ -287,9 +279,9 @@ func describeDataset(d *Dataset) datasetJSON {
 		Stats:     d.Stats(),
 		MaxLevel:  d.MaxLevel(),
 		Strategy:  strategyLabel(d),
-		Budget:    toBudgetJSON(d.Budget()),
-		Spent:     toBudgetJSON(d.Spent()),
-		Remaining: toBudgetJSON(d.Remaining()),
+		Budget:    dp.ParamsJSON(d.Budget()),
+		Spent:     dp.ParamsJSON(d.Spent()),
+		Remaining: dp.ParamsJSON(d.Remaining()),
 	}
 }
 
@@ -459,16 +451,17 @@ func (t *trackedWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// OpenEdgeSourceFile sniffs an edge file's format ("BPG1" magic =
-// binary codec, otherwise TSV) and returns a chunked source over it —
-// the ingest path cmd/gdpserve and the HTTP upload share.
+// OpenEdgeSourceFile sniffs an edge file's format (bipartite.BinaryMagic
+// = binary codec, otherwise TSV) and returns a chunked source over it —
+// the ingest path cmd/gdpserve, the HTTP upload and gdpbench -edges
+// share.
 func OpenEdgeSourceFile(f *os.File) (bipartite.EdgeSource, error) {
-	var magic [4]byte
+	var magic [len(bipartite.BinaryMagic)]byte
 	n, err := io.ReadFull(f, magic[:])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, fmt.Errorf("serve: sniffing %s: %w", f.Name(), err)
 	}
-	if n == 4 && string(magic[:]) == "BPG1" {
+	if n == len(magic) && string(magic[:]) == bipartite.BinaryMagic {
 		return bipartite.NewBinaryEdgeSource(f)
 	}
 	return bipartite.NewTSVEdgeSource(f)
@@ -519,9 +512,9 @@ func (s *httpServer) budget(w http.ResponseWriter, r *http.Request) {
 	}
 	body := map[string]any{
 		"dataset":    ds.Name(),
-		"budget":     toBudgetJSON(ds.Budget()),
-		"spent":      toBudgetJSON(ds.Spent()),
-		"remaining":  toBudgetJSON(ds.Remaining()),
+		"budget":     dp.ParamsJSON(ds.Budget()),
+		"spent":      dp.ParamsJSON(ds.Spent()),
+		"remaining":  dp.ParamsJSON(ds.Remaining()),
 		"ops":        ds.OpCount(),
 		"cache":      ds.CacheStats(),
 		"durability": describeDurability(ds),

@@ -2,84 +2,19 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"sync"
 	"testing"
 
 	"repro/internal/bipartite"
 )
 
-// workerTranscript opens a fresh registry at the given ReleaseWorkers
-// setting, pins a session stream, and serializes a mixed query
-// transcript.
-func workerTranscript(t *testing.T, releaseWorkers int, stream uint64) []byte {
-	t.Helper()
-	cfg := testConfig()
-	cfg.ReleaseWorkers = releaseWorkers
-	_, ds := openTestDataset(t, cfg)
-	sess := ds.SessionAt(stream)
-	var blob []byte
-	for _, q := range []func() (any, error){
-		func() (any, error) { return sess.ReleaseLevel(2) },
-		func() (any, error) { return sess.Marginal(1, bipartite.Right) },
-		func() (any, error) { return sess.TopK(2, bipartite.Left, 3) },
-		func() (any, error) { return sess.Marginal(2, bipartite.Left) },
-	} {
-		v, err := q()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob = append(blob, b...)
-	}
-	return blob
-}
-
-// TestReleaseWorkersByteIdentical is the serving-layer face of the
-// tentpole: the same pinned stream must answer byte-identically whether
-// each release's noise pass runs on 1, 4 or 7 goroutines.
-func TestReleaseWorkersByteIdentical(t *testing.T) {
+// TestConcurrentSessionsMatchSerialReplay drives many sessions of one
+// dataset at once — the -race CI job's view of concurrent request
+// handling over one tree. Each pinned stream must still match its own
+// serial replay.
+func TestConcurrentSessionsMatchSerialReplay(t *testing.T) {
 	t.Parallel()
-	want := workerTranscript(t, 1, 7)
-	for _, workers := range []int{4, 7} {
-		if got := workerTranscript(t, workers, 7); string(got) != string(want) {
-			t.Fatalf("ReleaseWorkers=%d transcript differs from single-worker", workers)
-		}
-	}
-}
-
-// TestReleaseWorkersConfigValidation: negative rejected, zero defaults
-// to one.
-func TestReleaseWorkersConfigValidation(t *testing.T) {
-	t.Parallel()
-	cfg := testConfig()
-	cfg.ReleaseWorkers = -1
-	if _, err := Open(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("negative ReleaseWorkers: %v", err)
-	}
-	cfg.ReleaseWorkers = 0
-	reg, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	if reg.cfg.ReleaseWorkers != 1 {
-		t.Fatalf("zero ReleaseWorkers resolved to %d, want 1", reg.cfg.ReleaseWorkers)
-	}
-}
-
-// TestConcurrentSessionsParallelRelease drives many sessions at once
-// with a multi-worker noise pass — the -race CI job's view of the
-// sharded release running inside concurrent request handling. Each
-// pinned stream must still match its own serial replay.
-func TestConcurrentSessionsParallelRelease(t *testing.T) {
-	t.Parallel()
-	cfg := testConfig()
-	cfg.ReleaseWorkers = 4
-	_, ds := openTestDataset(t, cfg)
+	_, ds := openTestDataset(t, testConfig())
 
 	const sessions = 6
 	transcripts := make([][]byte, sessions)
@@ -112,11 +47,9 @@ func TestConcurrentSessionsParallelRelease(t *testing.T) {
 		}
 	}
 
-	// Replay each stream serially against a fresh single-worker registry:
-	// concurrency and the worker count must both be invisible in the bytes.
-	cfg2 := testConfig()
-	cfg2.ReleaseWorkers = 1
-	_, ds2 := openTestDataset(t, cfg2)
+	// Replay each stream serially against a fresh registry: concurrency
+	// must be invisible in the bytes.
+	_, ds2 := openTestDataset(t, testConfig())
 	for i := 0; i < sessions; i++ {
 		sess := ds2.SessionAt(uint64(100 + i))
 		var want []byte
@@ -132,7 +65,7 @@ func TestConcurrentSessionsParallelRelease(t *testing.T) {
 			want = append(want, b...)
 		}
 		if string(transcripts[i]) != string(want) {
-			t.Fatalf("session %d: concurrent parallel-release transcript differs from serial replay", i)
+			t.Fatalf("session %d: concurrent transcript differs from serial replay", i)
 		}
 	}
 }

@@ -136,26 +136,20 @@ type Config struct {
 	// pass and the cell scan shard across it). Trees are identical for
 	// any value.
 	Workers int
-	// ReleaseWorkers shards every session's Phase-2 noise pass across
-	// this many goroutines at cache-sized chunk granularity
-	// (release.Engine.SetWorkers). Each chunk draws from its own
-	// fork-derived stream, so released bytes are bit-identical for every
-	// value — the knob trades cores per query for single-query latency
-	// on large levels; under high query concurrency 1 (the default)
-	// usually wins because concurrent sessions already fill the machine.
-	ReleaseWorkers int
 	// IngestLanes bounds concurrent dataset builds (default 1). A lane
 	// is an admission slot and costs nothing while idle; each build in
 	// flight holds O(chunk + sides + 4^Rounds) of memory.
 	IngestLanes int
 	// LedgerDir enables crash-correct privacy accounting: each dataset's
 	// ledger becomes an accountant.DurableLedger backed by an
-	// append-only WAL under this directory,
-	// keyed by dataset name AND data fingerprint — re-ingesting the same
-	// data reopens the same file and replays its spent budget (exhausted
-	// stays exhausted across restarts), while different data under a
-	// reused name starts a fresh ledger. Empty (the default) keeps
-	// in-memory ledgers, which forget every debit on restart.
+	// append-only WAL under this directory, fsynced before every spend
+	// is admitted (accountant.FsyncAlways: no noise is drawn for a spend
+	// the WAL could still lose), and keyed by dataset name AND data
+	// fingerprint — re-ingesting the same data reopens the same file
+	// and replays its spent budget (exhausted stays exhausted across
+	// restarts), while different data under a reused name starts a
+	// fresh ledger. Empty (the default) keeps in-memory ledgers, which
+	// forget every debit on restart.
 	LedgerDir string
 	// LedgerAddr points privacy accounting at a shared gdpledgerd
 	// sequencer (host:port or http://host:port, or a comma-separated
@@ -166,17 +160,10 @@ type Config struct {
 	// where N replicas share ONE budget instead of silently multiplying
 	// it. With a member list the client walks the membership on network
 	// errors and primary fences, so spends survive any minority of
-	// sequencer failures. Mutually exclusive with LedgerDir and with the
-	// LedgerFsync* knobs (durability policy lives with the sequencer);
-	// conflicts fail Open with ErrBadConfig.
+	// sequencer failures. Mutually exclusive with LedgerDir (durability
+	// policy lives with the sequencer); setting both fails Open with
+	// ErrBadConfig.
 	LedgerAddr string
-	// LedgerFsync is the WAL fsync policy when LedgerDir is set:
-	// accountant.FsyncAlways (default — every admission is durable
-	// before any noise is drawn), FsyncInterval, or FsyncOff.
-	LedgerFsync accountant.FsyncPolicy
-	// LedgerFsyncInterval bounds the unsynced window under
-	// FsyncInterval (0 selects the accountant default).
-	LedgerFsyncInterval time.Duration
 	// ledgerOpenWriter is the test-only fault-injection seam threaded
 	// into accountant.DurableOptions.OpenWriter.
 	ledgerOpenWriter func(path string) (accountant.WriteSyncer, error)
@@ -239,36 +226,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.IngestLanes < 0 {
 		return Config{}, fmt.Errorf("%w: negative ingest lanes %d", ErrBadConfig, c.IngestLanes)
 	}
-	if c.ReleaseWorkers < 0 {
-		return Config{}, fmt.Errorf("%w: negative release workers %d", ErrBadConfig, c.ReleaseWorkers)
-	}
-	if c.ReleaseWorkers == 0 {
-		c.ReleaseWorkers = 1
-	}
 	if c.MaxCacheEntries == 0 {
 		c.MaxCacheEntries = DefaultMaxCacheEntries
 	}
 	if c.LedgerDir != "" && c.LedgerAddr != "" {
 		return Config{}, fmt.Errorf("%w: ledger dir %q and ledger addr %q are mutually exclusive — accounting is either local-durable or delegated to a sequencer, never both", ErrBadConfig, c.LedgerDir, c.LedgerAddr)
-	}
-	if c.LedgerAddr != "" {
-		// Durability policy lives with the sequencer; a local fsync knob
-		// alongside a remote ledger would be silently
-		// ignored, and silently ignored durability config is exactly the
-		// misconfiguration this layer exists to refuse.
-		switch {
-		case c.LedgerFsync != "":
-			return Config{}, fmt.Errorf("%w: ledger fsync policy %q has no effect with a remote ledger (set it on gdpledgerd)", ErrBadConfig, c.LedgerFsync)
-		case c.LedgerFsyncInterval != 0:
-			return Config{}, fmt.Errorf("%w: ledger fsync interval has no effect with a remote ledger (set it on gdpledgerd)", ErrBadConfig)
-		}
-	}
-	if c.LedgerDir != "" {
-		policy, err := accountant.ParseFsyncPolicy(string(c.LedgerFsync))
-		if err != nil {
-			return Config{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-		c.LedgerFsync = policy
 	}
 	if err := c.checkStrategy(strat); err != nil {
 		return Config{}, err
@@ -323,10 +285,9 @@ func Open(cfg Config) (*Registry, error) {
 // Config returns the registry's resolved configuration.
 func (r *Registry) Config() Config { return r.cfg }
 
-// Close waits for in-flight ingests to finish, then flushes and closes
-// every dataset's durable ledger WAL — the graceful-shutdown path that
-// makes "every admitted spend is on disk" hold even under
-// FsyncInterval/Off.
+// Close waits for in-flight ingests to finish, then closes every
+// dataset's durable ledger WAL and releases its lock; every admitted
+// spend was already fsynced before its admission.
 // Further AddDataset calls fail with ErrClosed. Datasets with in-memory
 // ledgers stay queryable; durable datasets fail closed on their next
 // spend (their WAL is gone — admitting unlogged ops would violate the
@@ -582,9 +543,8 @@ func (r *Registry) openLedger(ds *Dataset) (err error) {
 	case r.cfg.LedgerDir != "":
 		path := filepath.Join(r.cfg.LedgerDir, ledgerFileName(ds.name, ds.print))
 		ds.durable, err = accountant.OpenDurableLedger(r.cfg.Budget, path, accountant.DurableOptions{
-			Fsync:         r.cfg.LedgerFsync,
-			FsyncInterval: r.cfg.LedgerFsyncInterval,
-			OpenWriter:    r.cfg.ledgerOpenWriter,
+			Fsync:      accountant.FsyncAlways,
+			OpenWriter: r.cfg.ledgerOpenWriter,
 		})
 		if err != nil {
 			return fmt.Errorf("opening ledger: %w", err)
@@ -921,7 +881,6 @@ func (d *Dataset) session(stream, domain uint64, pinned bool) *Session {
 		// configuration.
 		panic(fmt.Sprintf("serve: engine config became invalid: %v", err))
 	}
-	eng.SetWorkers(d.reg.cfg.ReleaseWorkers)
 	// The data fingerprint joins the chain so a re-ingested name never
 	// replays a previous ingest's noise against different data.
 	return &Session{
@@ -939,11 +898,9 @@ func (d *Dataset) session(stream, domain uint64, pinned bool) *Session {
 // tail — the per-query stream chain, the ledger label, and the
 // marginal/top-k result vectors. Everything a steady-state query touches
 // is retained here, so after warm-up a Marginal or TopK performs zero
-// heap allocations end to end. At ReleaseWorkers = 1 a marginal or
-// top-k query leaves one noise-chunk window in the engine
-// (release.Engine.Marginal), not the level's cell histogram; only a
-// level view keeps a histogram buffer. Past one worker a marginal
-// shards its noise pass through that same buffer.
+// heap allocations end to end. A marginal or top-k query leaves one
+// noise-chunk window in the engine (release.Engine.Marginal), not the
+// level's cell histogram; only a level view keeps a histogram buffer.
 // A Session is NOT safe for concurrent use — open one per goroutine;
 // sessions of one dataset may run fully in parallel.
 type Session struct {

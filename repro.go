@@ -256,7 +256,7 @@ type (
 	// cost, hierarchy depth, seed, ingest parallelism. Set LedgerAddr to
 	// a gdpledgerd sequencer address to make N replicas of the same
 	// dataset spend one shared budget (mutually exclusive with the local
-	// LedgerDir/LedgerFsync* knobs).
+	// LedgerDir).
 	ServeConfig = serve.Config
 	// Registry owns named served datasets and their ingest lanes.
 	Registry = serve.Registry
@@ -276,10 +276,6 @@ type (
 	// (Dataset.CacheStats): hits replay prior answers without debiting
 	// the ledger.
 	ServeCacheStats = serve.CacheStats
-	// LedgerFsyncPolicy selects when a durable ledger's WAL is fsynced
-	// (ServeConfig.LedgerFsync): LedgerFsyncAlways, LedgerFsyncInterval
-	// or LedgerFsyncOff.
-	LedgerFsyncPolicy = accountant.FsyncPolicy
 	// LedgerDurability reports a dataset's durable-ledger state
 	// (Dataset.Durability): WAL path, fsync policy, record counts,
 	// replayed ops, and whether the ledger has failed closed.
@@ -290,20 +286,6 @@ type (
 	// pinned epoch token, and any latched failure. With a shared
 	// sequencer, N serving replicas spend ONE (ε, δ) budget per dataset.
 	LedgerRemoteStatus = accountant.RemoteStatus
-)
-
-// Durable-ledger fsync policies (ServeConfig.LedgerFsync).
-const (
-	// LedgerFsyncAlways fsyncs the WAL before every spend is admitted:
-	// no noise bytes are ever released for an op that is not durably
-	// logged. The default.
-	LedgerFsyncAlways = accountant.FsyncAlways
-	// LedgerFsyncInterval bounds the unsynced window by
-	// ServeConfig.LedgerFsyncInterval — a crash may forget spends
-	// admitted within the window (budget-unsafe but faster).
-	LedgerFsyncInterval = accountant.FsyncInterval
-	// LedgerFsyncOff syncs only on close and explicit Sync.
-	LedgerFsyncOff = accountant.FsyncOff
 )
 
 // OpenRegistry opens an empty serving registry. Datasets are added with
