@@ -190,8 +190,8 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	// Close flushes and syncs the log — the graceful path that makes the
-	// interval/off fsync policies safe across clean shutdowns.
+	// Close flushes and syncs the log — the graceful path that makes
+	// -fsync off safe across clean shutdowns.
 	defer func() { _ = group.Close() }()
 	who := "group of one"
 	if len(cfg.opts.Peers) > 0 {

@@ -150,10 +150,8 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	// Close flushes and syncs every durable ledger WAL — the graceful
-	// path that makes interval/off fsync policies safe across clean
-	// shutdowns. Its error must reach the operator: a spend the WAL
-	// could not persist is a budget that will under-report on restart.
+	// Close syncs and closes every durable ledger WAL; its error must
+	// reach the operator.
 	closeReg := func() error { return reg.Close() }
 	defer func() { _ = closeReg() }()
 
