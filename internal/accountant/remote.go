@@ -142,22 +142,25 @@ type RemoteLedger struct {
 var _ Ledger = (*RemoteLedger)(nil)
 
 // SplitMembers parses a sequencer address list (the -ledger-addr value:
-// one address or a comma-separated group) into base URLs: entries are
-// trimmed, empty ones dropped, a missing scheme defaults to http:// and
-// a trailing slash is stripped.
+// one address or a comma-separated group) into base URLs (MemberURL),
+// empty entries dropped.
 func SplitMembers(addr string) []string {
 	var members []string
 	for _, m := range strings.Split(addr, ",") {
-		m = strings.TrimSpace(m)
-		if m == "" {
-			continue
+		if m = strings.TrimSpace(m); m != "" {
+			members = append(members, MemberURL(m))
 		}
-		if !strings.Contains(m, "://") {
-			m = "http://" + m
-		}
-		members = append(members, strings.TrimSuffix(m, "/"))
 	}
 	return members
+}
+
+// MemberURL is the base URL of one sequencer member's address: a
+// missing scheme defaults to http:// and a trailing slash is stripped.
+func MemberURL(addr string) string {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	return strings.TrimSuffix(addr, "/")
 }
 
 // OpenRemoteLedger attaches to the sequencer at base — either one
@@ -194,13 +197,13 @@ func OpenRemoteLedger(base, key string, budget dp.Params, opts RemoteOptions) (*
 	}
 	ctx, cancel := r.opContext(context.Background())
 	defer cancel()
-	var res wireState
+	var res AttachResult
 	err := r.call(ctx, http.MethodPost, "/attach", r.attachBody, &res)
 	if err != nil {
 		return nil, fmt.Errorf("accountant: attaching remote ledger %q at %s: %w", key, base, err)
 	}
-	if got := dp.Params(res.Budget); got != budget {
-		return nil, fmt.Errorf("%w: sequencer has %s, configured %s", ErrBudgetMismatch, got, budget)
+	if res.Budget != budget {
+		return nil, fmt.Errorf("%w: sequencer has %s, configured %s", ErrBudgetMismatch, res.Budget, budget)
 	}
 	if res.Epoch == "" {
 		return nil, fmt.Errorf("%w: attach response carries no epoch", ErrRemoteProtocol)
@@ -208,12 +211,12 @@ func OpenRemoteLedger(base, key string, budget dp.Params, opts RemoteOptions) (*
 	r.mu.Lock()
 	r.epoch = res.Epoch
 	r.mu.Unlock()
-	r.observe(res)
+	r.observe(res.Spent, res.OpCount)
 	return r, nil
 }
 
 func (r *RemoteLedger) attachBody() any {
-	return map[string]any{"budget": dp.ParamsJSON(r.budget)}
+	return AttachRequest{Budget: r.budget}
 }
 
 // opContext derives the deadline bounding one whole operation. An
@@ -273,25 +276,6 @@ func (r *RemoteLedger) Close() error {
 	return nil
 }
 
-// The response shapes mirror internal/ledgerd's wire protocol (kept in
-// sync by the conformance tests, which run this client against the real
-// service).
-type wireState struct {
-	Epoch     string        `json:"epoch"`
-	Admitted  bool          `json:"admitted"`
-	Replayed  bool          `json:"replayed"`
-	Seq       int           `json:"seq"`
-	Budget    dp.ParamsJSON `json:"budget"`
-	Spent     dp.ParamsJSON `json:"spent"`
-	Remaining dp.ParamsJSON `json:"remaining"`
-	Ops       int           `json:"ops"`
-}
-
-type wireError struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
 // Budget implements Ledger.
 func (r *RemoteLedger) Budget() dp.Params { return r.budget }
 
@@ -325,17 +309,12 @@ func (r *RemoteLedger) SpendContext(ctx context.Context, label string, cost dp.P
 	opID := fmt.Sprintf("%s-%d", r.clientID, r.opSeq.Add(1))
 	ctx, cancel := r.opContext(ctx)
 	defer cancel()
-	var res wireState
+	var res SpendResult
 	err := r.call(ctx, http.MethodPost, "/spend", func() any {
 		r.mu.Lock()
 		epoch := r.epoch
 		r.mu.Unlock()
-		return map[string]any{
-			"epoch": epoch,
-			"op_id": opID,
-			"label": label,
-			"cost":  dp.ParamsJSON(cost),
-		}
+		return SpendRequest{Epoch: epoch, OpID: opID, Label: label, Cost: cost}
 	}, &res)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExceeded) {
@@ -349,7 +328,7 @@ func (r *RemoteLedger) SpendContext(ctx context.Context, label string, cost dp.P
 		// A 200 that does not admit is protocol drift; treat as latching.
 		return fmt.Errorf("%w (label %q)", r.latch(ErrRemoteProtocol), label)
 	}
-	r.observe(res)
+	r.observe(res.Spent, res.OpCount)
 	return nil
 }
 
@@ -363,16 +342,17 @@ func (r *RemoteLedger) latch(err error) error {
 	return r.failed
 }
 
-// observe folds an authoritative response into the cached read state.
-// Spent is monotone, so the freshest view is the componentwise max —
-// out-of-order responses from concurrent spends cannot roll it back.
-func (r *RemoteLedger) observe(res wireState) {
+// observe folds an authoritative response's spent and op count into
+// the cached read state. Spent is monotone, so the freshest view is the
+// componentwise max — out-of-order responses from concurrent spends
+// cannot roll it back.
+func (r *RemoteLedger) observe(spent dp.Params, ops int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spent.Epsilon = math.Max(r.spent.Epsilon, res.Spent.Epsilon)
-	r.spent.Delta = math.Max(r.spent.Delta, res.Spent.Delta)
-	if res.Ops > r.opCount {
-		r.opCount = res.Ops
+	r.spent.Epsilon = math.Max(r.spent.Epsilon, spent.Epsilon)
+	r.spent.Delta = math.Max(r.spent.Delta, spent.Delta)
+	if ops > r.opCount {
+		r.opCount = ops
 	}
 }
 
@@ -382,9 +362,9 @@ func (r *RemoteLedger) observe(res wireState) {
 func (r *RemoteLedger) refresh() {
 	ctx, cancel := r.opContext(context.Background())
 	defer cancel()
-	var res wireState
+	var res StatusResult
 	if err := r.call(ctx, http.MethodGet, "", nil, &res); err == nil {
-		r.observe(res)
+		r.observe(res.Spent, res.OpCount)
 	}
 }
 
@@ -421,14 +401,7 @@ func (r *RemoteLedger) OpCount() int {
 func (r *RemoteLedger) Ops() []Op {
 	ctx, cancel := r.opContext(context.Background())
 	defer cancel()
-	var res struct {
-		Ops []struct {
-			Seq     int     `json:"seq"`
-			Label   string  `json:"label"`
-			Epsilon float64 `json:"epsilon"`
-			Delta   float64 `json:"delta"`
-		} `json:"ops"`
-	}
+	var res OpsResult
 	if err := r.call(ctx, http.MethodGet, "/ops", nil, &res); err != nil {
 		return nil
 	}
@@ -567,18 +540,18 @@ func (r *RemoteLedger) reattach(ctx context.Context) error {
 	r.mu.Lock()
 	member := r.members[r.member]
 	r.mu.Unlock()
-	var res wireState
+	var res AttachResult
 	class, err := r.attempt(ctx, http.MethodPost, member+"/v1/ledgers/"+r.key+"/attach", payload, &res)
 	if class != classOK {
 		return err
 	}
-	if got := dp.Params(res.Budget); got != r.budget || res.Epoch == "" {
-		return fmt.Errorf("%w: re-attach returned budget %s epoch %q", ErrRemoteProtocol, got, res.Epoch)
+	if res.Budget != r.budget || res.Epoch == "" {
+		return fmt.Errorf("%w: re-attach returned budget %s epoch %q", ErrRemoteProtocol, res.Budget, res.Epoch)
 	}
 	r.mu.Lock()
 	r.epoch = res.Epoch
 	r.mu.Unlock()
-	r.observe(res)
+	r.observe(res.Spent, res.OpCount)
 	r.reattaches.Add(1)
 	return nil
 }
@@ -615,20 +588,20 @@ func (r *RemoteLedger) attempt(ctx context.Context, method, url string, payload 
 		}
 		return classOK, nil
 	}
-	var we wireError
+	var we WireError
 	_ = json.Unmarshal(data, &we)
 	msg := we.Error
 	if msg == "" {
 		msg = strings.TrimSpace(string(data))
 	}
 	switch {
-	case we.Code == "budget-exceeded":
+	case we.Code == CodeBudgetExceeded:
 		return classFatal, fmt.Errorf("%w: %s", ErrBudgetExceeded, msg)
-	case we.Code == "budget-mismatch":
+	case we.Code == CodeBudgetMismatch:
 		return classFatal, fmt.Errorf("%w: %s", ErrBudgetMismatch, msg)
-	case we.Code == "epoch-fenced", we.Code == "not-attached", we.Code == "not-primary":
+	case we.Code == CodeEpochFenced, we.Code == CodeNotAttached, we.Code == CodeNotPrimary:
 		return classFence, fmt.Errorf("accountant: sequencer fenced this writer (%s): %s", we.Code, msg)
-	case resp.StatusCode >= 500 || resp.StatusCode == http.StatusServiceUnavailable:
+	case resp.StatusCode >= 500:
 		// Sequencer-side trouble (including "no-quorum"): retrying under
 		// the same op ID is safe and may land once it recovers (or re-ack
 		// an admitted op).

@@ -28,19 +28,9 @@ var (
 )
 
 // Params carries an (ε, δ) differential-privacy budget. δ = 0 denotes pure
-// ε-DP.
+// ε-DP. Every HTTP body carrying a budget or a cost encodes it as
+// {"epsilon","delta"}.
 type Params struct {
-	Epsilon float64
-	Delta   float64
-}
-
-// ParamsJSON is the one JSON shape of an (ε, δ) pair, {"epsilon",
-// "delta"}, that every HTTP body carrying a budget or a cost uses. It
-// differs from Params only in its tags, so ParamsJSON(p) and Params(j)
-// convert. Params stays untagged: its default encoding, {"Epsilon",
-// "Delta"}, is the Cost of every encoded accountant.Op, whose bytes the
-// release package's config-matrix golden pins.
-type ParamsJSON struct {
 	Epsilon float64 `json:"epsilon"`
 	Delta   float64 `json:"delta"`
 }

@@ -158,20 +158,13 @@ func levelsFor(r int) []int {
 	return levels
 }
 
-// buildTrialTree generates Phase 1 once for a trial over an edge source:
-// a private exponential-mechanism hierarchy when phase1Eps > 0, else the
-// balanced baseline. workers parallelizes the build without changing its
-// output.
+// buildTrialTree generates Phase 1 once for a trial over an edge source,
+// with the bisector partition.ForEpsilon chooses for phase1Eps. workers
+// parallelizes the build without changing its output.
 func buildTrialTree(src bipartite.EdgeSource, rnds int, phase1Eps float64, workers int, rsrc *rng.Source) (*hierarchy.Tree, error) {
-	var bis partition.Bisector
-	if phase1Eps > 0 {
-		eb, err := partition.NewExpMechBisector(phase1Eps, rsrc)
-		if err != nil {
-			return nil, err
-		}
-		bis = eb
-	} else {
-		bis = partition.BalancedBisector{}
+	bis, err := partition.ForEpsilon(phase1Eps, rsrc)
+	if err != nil {
+		return nil, err
 	}
 	return hierarchy.BuildFromEdges(src, hierarchy.Options{Rounds: rnds, Bisector: bis, Workers: workers})
 }

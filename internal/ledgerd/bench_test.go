@@ -17,8 +17,8 @@ import (
 
 // spender is the sequencer surface BenchmarkSequencerSpend drives.
 type spender interface {
-	Attach(key string, budget dp.Params) (ledgerd.AttachResult, error)
-	Spend(key, epoch, opID, label string, cost dp.Params) (ledgerd.SpendResult, error)
+	Attach(key string, budget dp.Params) (accountant.AttachResult, error)
+	Spend(key, epoch, opID, label string, cost dp.Params) (accountant.SpendResult, error)
 }
 
 // BenchmarkSequencerSpend prices one admitted spend on the sequencer,

@@ -130,7 +130,7 @@ type spendCall struct {
 	cost                    dp.Params
 
 	index  uint64
-	res    SpendResult
+	res    accountant.SpendResult
 	err    error
 	done   bool
 	asleep bool
@@ -575,44 +575,44 @@ func (g *Group) truncateFromLocked(idx uint64) error {
 // different budget fails with accountant.ErrBudgetMismatch — raising a
 // partially spent budget would mint privacy out of thin air. Only the
 // primary serves it.
-func (g *Group) Attach(key string, budget dp.Params) (AttachResult, error) {
+func (g *Group) Attach(key string, budget dp.Params) (accountant.AttachResult, error) {
 	if !ValidKey(key) {
-		return AttachResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
+		return accountant.AttachResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
 	}
 	if err := budget.Validate(); err != nil {
-		return AttachResult{}, err
+		return accountant.AttachResult{}, err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err := g.writableLocked(); err != nil {
-		return AttachResult{}, err
+		return accountant.AttachResult{}, err
 	}
 	if err := g.settleLocked(); err != nil {
-		return AttachResult{}, err
+		return accountant.AttachResult{}, err
 	}
 	if mem, ok := g.state[key]; ok {
 		if mem.Budget() != budget {
-			return AttachResult{}, fmt.Errorf("%w: key %q is open with budget %s, attach requested %s",
+			return accountant.AttachResult{}, fmt.Errorf("%w: key %q is open with budget %s, attach requested %s",
 				accountant.ErrBudgetMismatch, key, mem.Budget(), budget)
 		}
 		return g.attachResultLocked(mem), nil
 	}
 	e := groupEntry{Index: g.log.len() + 1, Term: g.term, Kind: entryAttach, Key: key, Budget: budget}
 	if err := g.appendLocalLocked(e); err != nil {
-		return AttachResult{}, err
+		return accountant.AttachResult{}, err
 	}
 	g.replicateLocked()
 	if g.commit < e.Index {
 		if err := g.writableLocked(); err != nil {
-			return AttachResult{}, err
+			return accountant.AttachResult{}, err
 		}
-		return AttachResult{}, fmt.Errorf("%w: attach of %q logged at %d awaiting majority", ErrNoQuorum, key, e.Index)
+		return accountant.AttachResult{}, fmt.Errorf("%w: attach of %q logged at %d awaiting majority", ErrNoQuorum, key, e.Index)
 	}
 	return g.attachResultLocked(g.state[key]), nil
 }
 
-func (g *Group) attachResultLocked(mem *accountant.MemLedger) AttachResult {
-	return AttachResult{
+func (g *Group) attachResultLocked(mem *accountant.MemLedger) accountant.AttachResult {
+	return accountant.AttachResult{
 		Epoch:     g.epoch,
 		Budget:    mem.Budget(),
 		Spent:     mem.Spent(),
@@ -626,15 +626,15 @@ func (g *Group) attachResultLocked(mem *accountant.MemLedger) AttachResult {
 // ack, the epoch must match, and op-ID dedup spans the entire log so a
 // retry across failover converges on the recorded outcome. Concurrent
 // spends share a batch (see commitBatchLocked).
-func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (SpendResult, error) {
+func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (accountant.SpendResult, error) {
 	if !ValidKey(key) {
-		return SpendResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
+		return accountant.SpendResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
 	}
 	if !validOpID(opID) {
-		return SpendResult{}, fmt.Errorf("%w: %q", ErrBadOpID, opID)
+		return accountant.SpendResult{}, fmt.Errorf("%w: %q", ErrBadOpID, opID)
 	}
 	if err := cost.Validate(); err != nil {
-		return SpendResult{}, err
+		return accountant.SpendResult{}, err
 	}
 	c := &spendCall{key: key, epoch: epoch, opID: opID, label: label, cost: cost}
 	c.wake.Lock()
@@ -702,11 +702,11 @@ func (g *Group) commitBatchLocked() {
 		case c.index == 0:
 			// Decided without an entry: refused or replayed from the log.
 		case err != nil:
-			c.res, c.err = SpendResult{}, err
+			c.res, c.err = accountant.SpendResult{}, err
 		case c.index > g.commit:
 			// Written but not majority-acked: NOT admitted. The entry
 			// stays in the log; a retry (same op ID) drives it to commit.
-			c.res, c.err = SpendResult{}, g.writableLocked()
+			c.res, c.err = accountant.SpendResult{}, g.writableLocked()
 			if c.err == nil {
 				c.err = fmt.Errorf("%w: op %s logged at %d awaiting majority fsync", ErrNoQuorum, c.opID, c.index)
 			}
@@ -794,8 +794,9 @@ func (g *Group) decideLocked(c *spendCall, batch []groupEntry) []groupEntry {
 
 // spendResult reports a key's state at spent after ops ops, the way
 // accountant.MemLedger reads it.
-func spendResult(budget, spent dp.Params, seq, ops int, replayed bool) SpendResult {
-	return SpendResult{
+func spendResult(budget, spent dp.Params, seq, ops int, replayed bool) accountant.SpendResult {
+	return accountant.SpendResult{
+		Admitted:  true,
 		Seq:       seq,
 		Replayed:  replayed,
 		Spent:     spent,
@@ -806,20 +807,20 @@ func spendResult(budget, spent dp.Params, seq, ops int, replayed bool) SpendResu
 
 // Status reports one attached key's applied state. Primary only: a
 // follower's applied state may trail the truth.
-func (g *Group) Status(key string) (Status, error) {
+func (g *Group) Status(key string) (accountant.StatusResult, error) {
 	if !ValidKey(key) {
-		return Status{}, fmt.Errorf("%w: %q", ErrBadKey, key)
+		return accountant.StatusResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err := g.writableLocked(); err != nil {
-		return Status{}, err
+		return accountant.StatusResult{}, err
 	}
 	mem, ok := g.state[key]
 	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", ErrNotAttached, key)
+		return accountant.StatusResult{}, fmt.Errorf("%w: %q", ErrNotAttached, key)
 	}
-	return Status{
+	return accountant.StatusResult{
 		Key:       key,
 		Epoch:     g.epoch,
 		Budget:    mem.Budget(),

@@ -12,57 +12,12 @@ import (
 	"repro/internal/dp"
 )
 
-// HTTP/JSON wire protocol of the sequencer. accountant.RemoteLedger is
-// the client; the codes below are the contract it keys its fail-closed
-// behavior on.
-//
-//	GET  /healthz                      {"ok":true,"epoch":...,"ledgers":n,
-//	                                    "role":...,"term":t}
-//	GET  /readyz                       {"ready":b,"reason":...,"epoch":...}
-//	POST /v1/ledgers/{key}/attach      {"budget":{"epsilon":e,"delta":d}}
-//	POST /v1/ledgers/{key}/spend       {"epoch":...,"op_id":...,"label":...,
-//	                                    "cost":{"epsilon":e,"delta":d}}
-//	GET  /v1/ledgers/{key}             status + durability panel
-//	GET  /v1/ledgers/{key}/ops         audit trail (client labels)
-//
-// Status mapping: 200 admitted/replayed, 429 "budget-exceeded"
-// (definitive rejection — spent is unchanged and retrying cannot
-// succeed), 409 "epoch-fenced" / "not-attached" / "budget-mismatch"
-// (the writer's view is stale or wrong; it must latch fail-closed),
-// 400 malformed requests, 500 "ledger-failed" (the durable log could
-// not admit the op; the underlying ledger is latched), 503
-// "service-closed".
-
 // maxBody bounds request bodies: spends carry short labels.
 const maxBody = 1 << 16
 
-// Wire error codes.
-const (
-	CodeBudgetExceeded = "budget-exceeded"
-	CodeBudgetMismatch = "budget-mismatch"
-	CodeEpochFenced    = "epoch-fenced"
-	CodeNotAttached    = "not-attached"
-	CodeBadRequest     = "bad-request"
-	CodeLedgerFailed   = "ledger-failed"
-	CodeServiceClosed  = "service-closed"
-	// Group-mode codes: a follower refuses client ops (the multi-address
-	// client walks the member list), and a primary without a majority
-	// refuses to admit (503 — retryable under the same op ID).
-	CodeNotPrimary = "not-primary"
-	CodeNoQuorum   = "no-quorum"
-)
-
-// errorWire is the uniform error body. Term rides along on group-mode
-// epoch-fenced refusals so a fenced sender can adopt the newer term.
-type errorWire struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-	Term  uint64 `json:"term,omitempty"`
-}
-
 // NewHandler returns the sequencer's HTTP front end: the client wire
-// protocol above and, when the group has peers, the replication
-// endpoints.
+// protocol (declared in package accountant, wire.go) and, when the
+// group has peers, the replication endpoints.
 //
 //	POST /v1/group/append   replication stream (primary → follower)
 //	POST /v1/group/vote     durable term write (candidate → voter)
@@ -96,40 +51,49 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// reply writes res, or err mapped onto the wire contract.
+func reply(w http.ResponseWriter, res any, err error) {
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
+}
+
 // writeErr maps service errors onto the wire contract.
 func writeErr(w http.ResponseWriter, err error) {
-	status, code := http.StatusBadRequest, CodeBadRequest
+	status, code := http.StatusBadRequest, accountant.CodeBadRequest
 	switch {
 	case errors.Is(err, accountant.ErrBudgetExceeded):
-		status, code = http.StatusTooManyRequests, CodeBudgetExceeded
+		status, code = http.StatusTooManyRequests, accountant.CodeBudgetExceeded
 	case errors.Is(err, accountant.ErrBudgetMismatch):
-		status, code = http.StatusConflict, CodeBudgetMismatch
+		status, code = http.StatusConflict, accountant.CodeBudgetMismatch
 	case errors.Is(err, ErrEpochFenced):
-		status, code = http.StatusConflict, CodeEpochFenced
+		status, code = http.StatusConflict, accountant.CodeEpochFenced
 	case errors.Is(err, ErrNotAttached):
-		status, code = http.StatusConflict, CodeNotAttached
+		status, code = http.StatusConflict, accountant.CodeNotAttached
 	case errors.Is(err, ErrNotPrimary):
-		status, code = http.StatusConflict, CodeNotPrimary
+		status, code = http.StatusConflict, accountant.CodeNotPrimary
 	case errors.Is(err, ErrNoQuorum):
-		status, code = http.StatusServiceUnavailable, CodeNoQuorum
+		status, code = http.StatusServiceUnavailable, accountant.CodeNoQuorum
 	case errors.Is(err, ErrClosed):
-		status, code = http.StatusServiceUnavailable, CodeServiceClosed
+		status, code = http.StatusServiceUnavailable, accountant.CodeServiceClosed
 	case errors.Is(err, ErrBadKey), errors.Is(err, ErrBadOpID), errors.Is(err, errBadBody):
-		status, code = http.StatusBadRequest, CodeBadRequest
+		status, code = http.StatusBadRequest, accountant.CodeBadRequest
 	case errors.Is(err, accountant.ErrLedgerFailed),
 		errors.Is(err, accountant.ErrLedgerClosed),
 		errors.Is(err, accountant.ErrLedgerCorrupt),
 		errors.Is(err, accountant.ErrLedgerLocked):
-		status, code = http.StatusInternalServerError, CodeLedgerFailed
+		status, code = http.StatusInternalServerError, accountant.CodeLedgerFailed
 	case errors.Is(err, dp.ErrEpsilon), errors.Is(err, dp.ErrDelta):
-		status, code = http.StatusBadRequest, CodeBadRequest
+		status, code = http.StatusBadRequest, accountant.CodeBadRequest
 	default:
 		// Unclassified failures are server-side: the client must latch,
 		// not blame its request.
-		status, code = http.StatusInternalServerError, CodeLedgerFailed
+		status, code = http.StatusInternalServerError, accountant.CodeLedgerFailed
 	}
-	body := errorWire{Error: err.Error(), Code: code}
-	if code == CodeEpochFenced {
+	body := accountant.WireError{Error: err.Error(), Code: code}
+	if code == accountant.CodeEpochFenced {
 		var fe *fencedError
 		if errors.As(err, &fe) {
 			body.Term = fe.term
@@ -196,11 +160,7 @@ func (h *handler) groupAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := h.g.HandleAppend(req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, res, err)
 }
 
 func (h *handler) groupVote(w http.ResponseWriter, r *http.Request) {
@@ -210,20 +170,12 @@ func (h *handler) groupVote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := h.g.HandleVote(req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, res, err)
 }
 
 func (h *handler) groupState(w http.ResponseWriter, r *http.Request) {
 	res, err := h.g.HandleState()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, res, err)
 }
 
 func (h *handler) groupStatus(w http.ResponseWriter, r *http.Request) {
@@ -238,109 +190,29 @@ func (h *handler) groupPromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.g.GroupStatus())
 }
 
-// attachWire is the attach request/response pair.
-type attachRequest struct {
-	Budget dp.ParamsJSON `json:"budget"`
-}
-
-type attachResponse struct {
-	Epoch     string        `json:"epoch"`
-	Budget    dp.ParamsJSON `json:"budget"`
-	Spent     dp.ParamsJSON `json:"spent"`
-	Remaining dp.ParamsJSON `json:"remaining"`
-	Ops       int           `json:"ops"`
-}
-
 func (h *handler) attach(w http.ResponseWriter, r *http.Request) {
-	var req attachRequest
+	var req accountant.AttachRequest
 	if err := decode(w, r, maxBody, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.g.Attach(r.PathValue("key"), dp.Params(req.Budget))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, attachResponse{
-		Epoch:     res.Epoch,
-		Budget:    dp.ParamsJSON(res.Budget),
-		Spent:     dp.ParamsJSON(res.Spent),
-		Remaining: dp.ParamsJSON(res.Remaining),
-		Ops:       res.OpCount,
-	})
-}
-
-type spendRequest struct {
-	Epoch string        `json:"epoch"`
-	OpID  string        `json:"op_id"`
-	Label string        `json:"label"`
-	Cost  dp.ParamsJSON `json:"cost"`
-}
-
-type spendResponse struct {
-	Admitted  bool          `json:"admitted"`
-	Replayed  bool          `json:"replayed,omitempty"`
-	Seq       int           `json:"seq"`
-	Spent     dp.ParamsJSON `json:"spent"`
-	Remaining dp.ParamsJSON `json:"remaining"`
-	Ops       int           `json:"ops"`
+	res, err := h.g.Attach(r.PathValue("key"), req.Budget)
+	reply(w, res, err)
 }
 
 func (h *handler) spend(w http.ResponseWriter, r *http.Request) {
-	var req spendRequest
+	var req accountant.SpendRequest
 	if err := decode(w, r, maxBody, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	res, err := h.g.Spend(r.PathValue("key"), req.Epoch, req.OpID, req.Label, dp.Params(req.Cost))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, spendResponse{
-		Admitted:  true,
-		Replayed:  res.Replayed,
-		Seq:       res.Seq,
-		Spent:     dp.ParamsJSON(res.Spent),
-		Remaining: dp.ParamsJSON(res.Remaining),
-		Ops:       res.OpCount,
-	})
-}
-
-type statusResponse struct {
-	Key        string                   `json:"key"`
-	Epoch      string                   `json:"epoch"`
-	Budget     dp.ParamsJSON            `json:"budget"`
-	Spent      dp.ParamsJSON            `json:"spent"`
-	Remaining  dp.ParamsJSON            `json:"remaining"`
-	Ops        int                      `json:"ops"`
-	Durability accountant.DurableStatus `json:"durability"`
+	res, err := h.g.Spend(r.PathValue("key"), req.Epoch, req.OpID, req.Label, req.Cost)
+	reply(w, res, err)
 }
 
 func (h *handler) status(w http.ResponseWriter, r *http.Request) {
-	st, err := h.g.Status(r.PathValue("key"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, statusResponse{
-		Key:        st.Key,
-		Epoch:      st.Epoch,
-		Budget:     dp.ParamsJSON(st.Budget),
-		Spent:      dp.ParamsJSON(st.Spent),
-		Remaining:  dp.ParamsJSON(st.Remaining),
-		Ops:        st.OpCount,
-		Durability: st.Durable,
-	})
-}
-
-// opWire is one audit-trail entry on the wire.
-type opWire struct {
-	Seq     int     `json:"seq"`
-	Label   string  `json:"label"`
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
+	res, err := h.g.Status(r.PathValue("key"))
+	reply(w, res, err)
 }
 
 func (h *handler) ops(w http.ResponseWriter, r *http.Request) {
@@ -349,9 +221,9 @@ func (h *handler) ops(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	out := make([]opWire, len(ops))
+	res := accountant.OpsResult{Key: r.PathValue("key"), Ops: make([]accountant.WireOp, len(ops))}
 	for i, op := range ops {
-		out[i] = opWire{Seq: op.Seq, Label: op.Label, Epsilon: op.Cost.Epsilon, Delta: op.Cost.Delta}
+		res.Ops[i] = accountant.WireOp{Seq: op.Seq, Label: op.Label, Epsilon: op.Cost.Epsilon, Delta: op.Cost.Delta}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": r.PathValue("key"), "ops": out})
+	writeJSON(w, http.StatusOK, res)
 }

@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"repro/internal/accountant"
-	"repro/internal/dp"
 )
 
 // Errors returned by the sequencer core; the HTTP layer maps them onto
@@ -244,37 +243,4 @@ func decodeLabel(stored string) (opID, label string, ok bool) {
 		return "", "", false
 	}
 	return rest[:i], rest[i+1:], true
-}
-
-// AttachResult reports the authoritative ledger state a client pins at
-// attach time.
-type AttachResult struct {
-	Epoch     string
-	Budget    dp.Params
-	Spent     dp.Params
-	Remaining dp.Params
-	OpCount   int
-}
-
-// SpendResult acknowledges one admitted (or replayed) spend.
-type SpendResult struct {
-	// Seq is the admitted op's 1-based ledger sequence.
-	Seq int
-	// Replayed reports that the op ID was already admitted (a retry of
-	// an op whose first ack was lost) and nothing was re-debited.
-	Replayed  bool
-	Spent     dp.Params
-	Remaining dp.Params
-	OpCount   int
-}
-
-// Status reports one attached ledger's state.
-type Status struct {
-	Key       string
-	Epoch     string
-	Budget    dp.Params
-	Spent     dp.Params
-	Remaining dp.Params
-	OpCount   int
-	Durable   accountant.DurableStatus
 }

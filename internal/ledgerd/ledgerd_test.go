@@ -1,8 +1,11 @@
 package ledgerd_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -369,14 +372,14 @@ func TestHTTPProtocol(t *testing.T) {
 	// Stale epoch → 409 epoch-fenced.
 	status, body = post("/v1/ledgers/web/spend",
 		`{"epoch":"0000000000000000:0","op_id":"c-2","label":"q1","cost":{"epsilon":0.1,"delta":1e-6}}`)
-	if status != http.StatusConflict || !contains(body, ledgerd.CodeEpochFenced) {
-		t.Fatalf("stale epoch: HTTP %d: %s, want 409 %s", status, body, ledgerd.CodeEpochFenced)
+	if status != http.StatusConflict || !contains(body, accountant.CodeEpochFenced) {
+		t.Fatalf("stale epoch: HTTP %d: %s, want 409 %s", status, body, accountant.CodeEpochFenced)
 	}
 
 	// Conflicting budget → 409 budget-mismatch.
 	status, body = post("/v1/ledgers/web/attach", `{"budget":{"epsilon":9,"delta":2e-6}}`)
-	if status != http.StatusConflict || !contains(body, ledgerd.CodeBudgetMismatch) {
-		t.Fatalf("budget mismatch: HTTP %d: %s, want 409 %s", status, body, ledgerd.CodeBudgetMismatch)
+	if status != http.StatusConflict || !contains(body, accountant.CodeBudgetMismatch) {
+		t.Fatalf("budget mismatch: HTTP %d: %s, want 409 %s", status, body, accountant.CodeBudgetMismatch)
 	}
 
 	// Drain the second half of the budget, then over-spend → 429.
@@ -387,8 +390,8 @@ func TestHTTPProtocol(t *testing.T) {
 	}
 	status, body = post("/v1/ledgers/web/spend",
 		fmt.Sprintf(`{"epoch":%q,"op_id":"c-4","label":"q2","cost":{"epsilon":0.1,"delta":1e-6}}`, epoch))
-	if status != http.StatusTooManyRequests || !contains(body, ledgerd.CodeBudgetExceeded) {
-		t.Fatalf("over-spend: HTTP %d: %s, want 429 %s", status, body, ledgerd.CodeBudgetExceeded)
+	if status != http.StatusTooManyRequests || !contains(body, accountant.CodeBudgetExceeded) {
+		t.Fatalf("over-spend: HTTP %d: %s, want 429 %s", status, body, accountant.CodeBudgetExceeded)
 	}
 
 	// Unknown field → 400 (a malformed spend must not run as whatever
@@ -410,3 +413,121 @@ func TestHTTPProtocol(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// liveEpoch in a fuzzed body stands for the group's epoch, so a seed
+// can reach admission.
+const liveEpoch = "@live"
+
+// fuzzGroup is a group of one behind its handler, and a source of key
+// names no call has used: a fuzzed body meets a fresh key, so none is
+// refused for its key's budget or an earlier op ID.
+func fuzzGroup(f *testing.F) (*ledgerd.Group, http.Handler, func() string) {
+	g, err := ledgerd.New(ledgerd.Options{Dir: f.TempDir(), Fsync: accountant.FsyncOff})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { g.Close() })
+	n := 0
+	return g, ledgerd.NewHandler(g), func() string {
+		n++
+		return fmt.Sprintf("k%d", n)
+	}
+}
+
+// postBody serves one POST and returns the status, the wire error code
+// ("" on 200) and the body.
+func postBody(h http.Handler, path string, body []byte) (int, string, []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	var we accountant.WireError
+	if rec.Code != http.StatusOK {
+		_ = json.Unmarshal(rec.Body.Bytes(), &we)
+	}
+	return rec.Code, we.Code, rec.Body.Bytes()
+}
+
+// roundTrips checks that v, encoded through its wire type, decodes to
+// itself.
+func roundTrips[T comparable](t *testing.T, v T) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back T
+	if err := json.Unmarshal(data, &back); err != nil || back != v {
+		t.Fatalf("%+v re-encodes as %s, which decodes to %+v (%v)", v, data, back, err)
+	}
+}
+
+// FuzzSpendBody: the strict spend decoder refuses a body with 400
+// bad-request or admits it (a well-formed body carrying another epoch is
+// fenced with 409). An admitted op's trail entry holds the decoded
+// request's label and cost.
+func FuzzSpendBody(f *testing.F) {
+	for _, body := range []string{
+		`{"epoch":"@live","op_id":"c-1","label":"q0","cost":{"epsilon":0.1,"delta":1e-6}}`,
+		`{"epoch":"0000000000000000:0","op_id":"c-2","label":"q1","cost":{"epsilon":0.1,"delta":1e-6}}`,
+		`{"oops":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	g, h, freshKey := fuzzGroup(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		key := freshKey()
+		if _, err := g.Attach(key, dp.Params{Epsilon: math.MaxFloat64, Delta: math.Nextafter(1, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		body = bytes.ReplaceAll(body, []byte(liveEpoch), []byte(g.Epoch()))
+		status, code, resp := postBody(h, "/v1/ledgers/"+key+"/spend", body)
+		if status == http.StatusBadRequest && code == accountant.CodeBadRequest {
+			return
+		}
+		var req accountant.SpendRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("HTTP %d (%s) for a body that does not decode: %v", status, code, err)
+		}
+		if status == http.StatusConflict && code == accountant.CodeEpochFenced && req.Epoch != g.Epoch() {
+			return
+		}
+		var res accountant.SpendResult
+		if status != http.StatusOK || json.Unmarshal(resp, &res) != nil || !res.Admitted || res.Seq != 1 {
+			t.Fatalf("HTTP %d (%s): %s", status, code, resp)
+		}
+		ops, err := g.Ops(key)
+		if err != nil || len(ops) != 1 || ops[0].Label != req.Label || ops[0].Cost != req.Cost {
+			t.Fatalf("trail %+v (%v), want one op %q %v", ops, err, req.Label, req.Cost)
+		}
+		roundTrips(t, req)
+	})
+}
+
+// FuzzAttachBody: the strict attach decoder refuses a body with 400
+// bad-request or opens the key under the decoded budget.
+func FuzzAttachBody(f *testing.F) {
+	for _, body := range []string{
+		`{"budget":{"epsilon":0.2,"delta":2e-6}}`,
+		`{"budget":{"epsilon":9,"delta":2e-6}}`,
+		`{"oops":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	g, h, freshKey := fuzzGroup(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		key := freshKey()
+		status, code, resp := postBody(h, "/v1/ledgers/"+key+"/attach", body)
+		if status == http.StatusBadRequest && code == accountant.CodeBadRequest {
+			return
+		}
+		var req accountant.AttachRequest
+		var res accountant.AttachResult
+		if status != http.StatusOK || json.Unmarshal(body, &req) != nil || json.Unmarshal(resp, &res) != nil {
+			t.Fatalf("HTTP %d (%s): %s", status, code, resp)
+		}
+		st, err := g.Status(key)
+		if err != nil || res.Budget != req.Budget || st.Budget != req.Budget || res.Epoch != g.Epoch() || res.OpCount != 0 {
+			t.Fatalf("attach of %+v answered %+v, key holds %+v (%v)", req, res, st, err)
+		}
+		roundTrips(t, req)
+	})
+}

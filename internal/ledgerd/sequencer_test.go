@@ -366,7 +366,7 @@ func TestConcurrentRetriesAdmitOnce(t *testing.T) {
 	}()
 	<-entered
 	const spenders = 8
-	results := make([]ledgerd.SpendResult, spenders)
+	results := make([]accountant.SpendResult, spenders)
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)

@@ -15,9 +15,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/accountant"
 )
 
 // ErrPeerUnreachable wraps transport-level failures (network errors,
@@ -97,20 +98,24 @@ func (t *HTTPGroupTransport) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (t *HTTPGroupTransport) post(ctx context.Context, addr, path string, body, out any) error {
-	payload, err := json.Marshal(body)
+// roundTrip sends one request to the member at addr and decodes its 200
+// body into out; body nil sends none (a GET).
+func (t *HTTPGroupTransport) roundTrip(ctx context.Context, method, addr, path string, body, out any) error {
+	var payload io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		payload = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, accountant.MemberURL(addr)+path, payload)
 	if err != nil {
 		return err
 	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(addr, "/")+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := t.client().Do(req)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrPeerUnreachable, err)
@@ -121,16 +126,19 @@ func (t *HTTPGroupTransport) post(ctx context.Context, addr, path string, body, 
 		return fmt.Errorf("%w: %v", ErrPeerUnreachable, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var we errorWire
+		var we accountant.WireError
 		_ = json.Unmarshal(data, &we)
-		if we.Code == CodeEpochFenced {
+		if we.Code == accountant.CodeEpochFenced {
 			// The peer's durable term is newer: the sender is fenced. Term
 			// rides in the error body so the sender can adopt it.
 			return &fencedError{term: we.Term, msg: we.Error}
 		}
 		return fmt.Errorf("%w: HTTP %d (%s): %s", ErrPeerUnreachable, resp.StatusCode, we.Code, we.Error)
 	}
-	return json.Unmarshal(data, out)
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("%w: %v", ErrPeerUnreachable, err)
+	}
+	return nil
 }
 
 // fencedError carries the fencing peer's term back to a stale sender.
@@ -147,39 +155,20 @@ func (e *fencedError) Is(target error) bool { return target == ErrEpochFenced }
 
 func (t *HTTPGroupTransport) Append(ctx context.Context, addr string, req AppendRequest) (AppendResponse, error) {
 	var res AppendResponse
-	err := t.post(ctx, addr, "/v1/group/append", req, &res)
+	err := t.roundTrip(ctx, http.MethodPost, addr, "/v1/group/append", req, &res)
 	return res, err
 }
 
 func (t *HTTPGroupTransport) Vote(ctx context.Context, addr string, req VoteRequest) (VoteResponse, error) {
 	var res VoteResponse
-	err := t.post(ctx, addr, "/v1/group/vote", req, &res)
+	err := t.roundTrip(ctx, http.MethodPost, addr, "/v1/group/vote", req, &res)
 	return res, err
 }
 
 func (t *HTTPGroupTransport) State(ctx context.Context, addr string) (StateResponse, error) {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(addr, "/")+"/v1/group/state", nil)
-	if err != nil {
-		return StateResponse{}, err
-	}
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return StateResponse{}, fmt.Errorf("%w: %v", ErrPeerUnreachable, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return StateResponse{}, fmt.Errorf("%w: state HTTP %d: %v", ErrPeerUnreachable, resp.StatusCode, err)
-	}
 	var res StateResponse
-	if err := json.Unmarshal(data, &res); err != nil {
-		return StateResponse{}, fmt.Errorf("%w: %v", ErrPeerUnreachable, err)
-	}
-	return res, nil
+	err := t.roundTrip(ctx, http.MethodGet, addr, "/v1/group/state", nil, &res)
+	return res, err
 }
 
 // FaultTransport wraps a GroupTransport with per-destination drop and

@@ -166,6 +166,16 @@ func (b *ExpMechBisector) Name() string { return "expmech" }
 // Private implements PrivacyConsumer.
 func (b *ExpMechBisector) Private() bool { return true }
 
+// ForEpsilon chooses the Phase-1 bisector for a per-cut budget: the
+// public BalancedBisector when eps is 0, an ExpMechBisector drawing
+// from src otherwise.
+func ForEpsilon(eps float64, src *rng.Source) (Bisector, error) {
+	if eps == 0 {
+		return BalancedBisector{}, nil
+	}
+	return NewExpMechBisector(eps, src)
+}
+
 // BalancedBisector deterministically picks the most edge-balanced cut —
 // the earliest one on ties, the choice the utility argmax makes. It is
 // the non-private skyline for ablation A3.

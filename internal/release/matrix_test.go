@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accountant"
 	"repro/internal/bipartite"
 	"repro/internal/dp"
 )
@@ -83,10 +84,29 @@ func matrixOutcome(t *testing.T, g *bipartite.Graph, budget dp.Params, opts ...O
 	if err != nil {
 		return "refused"
 	}
-	audit, err := json.Marshal(rel.Audit)
+	audit, err := json.Marshal(auditShape(rel.Audit))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(audit)
 	return "artifact=" + artifactHash(t, rel)[:16] + " audit=" + hex.EncodeToString(sum[:8])
+}
+
+// auditEntry is the shape the golden's audit hashes were taken over:
+// each op under its Go field names, {"Seq","Label","Cost":{"Epsilon",
+// "Delta"}}. The hash pins the plan, not an encoding: no program
+// encodes an accountant.Op.
+type auditEntry struct {
+	Seq   int
+	Label string
+	Cost  struct{ Epsilon, Delta float64 }
+}
+
+func auditShape(ops []accountant.Op) []auditEntry {
+	out := make([]auditEntry, len(ops))
+	for i, op := range ops {
+		out[i].Seq, out[i].Label = op.Seq, op.Label
+		out[i].Cost.Epsilon, out[i].Cost.Delta = op.Cost.Epsilon, op.Cost.Delta
+	}
+	return out
 }

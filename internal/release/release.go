@@ -433,23 +433,15 @@ func (p *Pipeline) splitSources() (phase1, phase2 *rng.Source) {
 	return src.Split(1), src.Split(2)
 }
 
-// hierarchyOptions assembles the Phase-1 build options: the
-// exponential-mechanism bisector on the phase-1 stream when a Phase-1
-// budget is set, the public balanced bisector otherwise.
+// hierarchyOptions assembles the Phase-1 build options: the bisector
+// partition.ForEpsilon chooses for the Phase-1 budget, on the phase-1
+// stream.
 func (p *Pipeline) hierarchyOptions(phase1Src *rng.Source) (hierarchy.Options, error) {
-	opts := hierarchy.Options{
-		Rounds:   p.cfg.rounds,
-		Bisector: partition.BalancedBisector{},
-		Workers:  p.cfg.workers,
+	b, err := partition.ForEpsilon(p.cfg.phase1Epsilon, phase1Src)
+	if err != nil {
+		return hierarchy.Options{}, fmt.Errorf("release: phase 1 bisector: %w", err)
 	}
-	if p.cfg.phase1Epsilon > 0 {
-		b, err := partition.NewExpMechBisector(p.cfg.phase1Epsilon, phase1Src)
-		if err != nil {
-			return hierarchy.Options{}, fmt.Errorf("release: phase 1 bisector: %w", err)
-		}
-		opts.Bisector = b
-	}
-	return opts, nil
+	return hierarchy.Options{Rounds: p.cfg.rounds, Bisector: b, Workers: p.cfg.workers}, nil
 }
 
 // opKind says what a plan op does besides being charged.

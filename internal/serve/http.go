@@ -258,10 +258,10 @@ type datasetJSON struct {
 	// default — absence IS the default, the same convention the release
 	// artifact uses, which keeps default-strategy response bytes
 	// identical to the pre-strategy serving layer.
-	Strategy  string        `json:"strategy,omitempty"`
-	Budget    dp.ParamsJSON `json:"budget"`
-	Spent     dp.ParamsJSON `json:"spent"`
-	Remaining dp.ParamsJSON `json:"remaining"`
+	Strategy  string    `json:"strategy,omitempty"`
+	Budget    dp.Params `json:"budget"`
+	Spent     dp.Params `json:"spent"`
+	Remaining dp.Params `json:"remaining"`
 }
 
 // strategyLabel is a dataset's strategy name for response bodies: empty
@@ -279,9 +279,9 @@ func describeDataset(d *Dataset) datasetJSON {
 		Stats:     d.Stats(),
 		MaxLevel:  d.MaxLevel(),
 		Strategy:  strategyLabel(d),
-		Budget:    dp.ParamsJSON(d.Budget()),
-		Spent:     dp.ParamsJSON(d.Spent()),
-		Remaining: dp.ParamsJSON(d.Remaining()),
+		Budget:    d.Budget(),
+		Spent:     d.Spent(),
+		Remaining: d.Remaining(),
 	}
 }
 
@@ -512,9 +512,9 @@ func (s *httpServer) budget(w http.ResponseWriter, r *http.Request) {
 	}
 	body := map[string]any{
 		"dataset":    ds.Name(),
-		"budget":     dp.ParamsJSON(ds.Budget()),
-		"spent":      dp.ParamsJSON(ds.Spent()),
-		"remaining":  dp.ParamsJSON(ds.Remaining()),
+		"budget":     ds.Budget(),
+		"spent":      ds.Spent(),
+		"remaining":  ds.Remaining(),
 		"ops":        ds.OpCount(),
 		"cache":      ds.CacheStats(),
 		"durability": describeDurability(ds),

@@ -476,18 +476,16 @@ func (r *Registry) buildDataset(name string, src bipartite.EdgeSource, strat *re
 	// cuts for free.
 	_, phase1Cost := release.PhaseCost(r.cfg.Rounds, r.cfg.Phase1Epsilon)
 	charge := r.cfg.Phase1Epsilon > 0
-	var bisector partition.Bisector = partition.BalancedBisector{}
 	if charge {
 		// Pre-check against an empty budget so a misconfigured
 		// specialization fails before the build draws a single cut.
 		if err := accountant.CheckSpend(r.cfg.Budget, dp.Params{}, phase1Cost); err != nil {
 			return nil, fmt.Errorf("serve: ingest %q: %w", name, err)
 		}
-		var err error
-		bisector, err = partition.NewExpMechBisector(r.cfg.Phase1Epsilon, r.streamFor(name, domainPhase1, salt))
-		if err != nil {
-			return nil, fmt.Errorf("serve: ingest %q: phase 1 bisector: %w", name, err)
-		}
+	}
+	bisector, err := partition.ForEpsilon(r.cfg.Phase1Epsilon, r.streamFor(name, domainPhase1, salt))
+	if err != nil {
+		return nil, fmt.Errorf("serve: ingest %q: phase 1 bisector: %w", name, err)
 	}
 
 	r.lanes <- struct{}{}
