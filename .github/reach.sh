@@ -18,8 +18,11 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 export GOTOOLCHAIN=local LC_ALL=C
 
-go build -gcflags=all=-l -o "$out/" ./cmd/... ./examples/...
-go build -C benchmark -gcflags=all=-l -o "$out/benchmark" .
+# The binaries get a directory of their own: the lists below are
+# written into "$out", and the glob must not see them.
+mkdir "$out/bin"
+go build -gcflags=all=-l -o "$out/bin/" ./cmd/... ./examples/...
+go build -C benchmark -gcflags=all=-l -o "$out/bin/benchmark" .
 
 # normalize: pkg.(*T[K]).M → pkg.T.M, pkg.F[go.shape.int] → pkg.F, and
 # the module prefix dropped (the root package stays "repro").
@@ -28,7 +31,7 @@ normalize() {
 		-e 's/\(\*([^)]*)\)/\1/g' -e 's#^repro/##'
 }
 
-for bin in "$out"/*; do
+for bin in "$out"/bin/*; do
 	go tool nm "$bin" | awk '$2 == "T" || $2 == "t" { sub(/^ *[0-9a-f]+ [Tt] /, ""); print }'
 done | grep -E '^repro[./]' | normalize | sort -u >"$out/reached"
 

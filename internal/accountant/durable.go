@@ -10,13 +10,13 @@
 // replays the log: spent budget stays spent, the audit trail is
 // bit-identical, and an exhausted ledger reopens exhausted.
 //
-// Spends are group-committed. The budget check, the sequence number and
-// the frame's place in the log are fixed under the ledger lock, in
-// admission order, and the check counts the ops already admitted whose
-// frames are not yet durable. The write and fsync then run outside the
-// lock, one batch at a time, shared by every spender queued in the batch
-// (Log.Queue/Wait). An op enters Spent, Ops and OpCount only once the
-// fsync covering its frame has returned.
+// Spends are group-committed through a Batcher (batcher.go): one batch
+// at a time decides its spends in arrival order, each against the
+// committed state plus the batch's earlier admissions, numbers them and
+// writes their frames with one fsync, shared by every spender queued in
+// the batch. The ledger lock is not held across the write. An op enters
+// Spent, Ops and OpCount only once the fsync covering its frame has
+// returned.
 //
 // Failure semantics are strictly fail-closed. If a WAL write or fsync
 // fails, no member of the failed batch, nor any op queued behind it, is
@@ -38,9 +38,9 @@
 // is ever re-armed.
 //
 // The WAL file itself — lock, replay, torn-tail truncation, fsync
-// policy, batching, close — is a Log (log.go); this file keeps what is
-// the ledger's own: the header record, the op-sequence rule and the
-// pending ops. All file writes go through the WriteSyncer seam so tests
+// policy, close — is a Log (log.go); this file keeps what is the
+// ledger's own: the header record, the op-sequence rule and the batch
+// run. All file writes go through the WriteSyncer seam so tests
 // can fail any write or fsync and assert the fail-closed contract.
 package accountant
 
@@ -59,10 +59,11 @@ var (
 	// ErrLedgerClosed is returned by spends after Close: a closed ledger
 	// fails closed rather than admitting unlogged spends.
 	ErrLedgerClosed = errors.New("accountant: durable ledger is closed")
-	// ErrLedgerFailed is the latched state after a WAL write or fsync
-	// failure: no further spends are admitted until the ledger is
-	// reopened (which replays the durable prefix).
-	ErrLedgerFailed = errors.New("accountant: durable ledger write failed; ledger is latched closed, reopen to recover")
+	// ErrLedgerFailed is the latched state after a failure no spend may
+	// pass: a WAL write or fsync, or a remote ledger's fence, protocol
+	// error or exhausted retries. No further spends are admitted until
+	// the ledger is reopened (a WAL replays its durable prefix).
+	ErrLedgerFailed = errors.New("accountant: ledger latched closed after a failure; reopen to recover")
 	// ErrLedgerCorrupt marks structural corruption replay cannot repair
 	// by truncating a torn tail: sequence gaps, foreign file magic, a
 	// legacy snapshot file.
@@ -158,30 +159,25 @@ type DurableLedger struct {
 	opts DurableOptions
 
 	// mem holds the replayed and committed state; its mutex also guards
-	// every field below (one lock keeps check→number→queue atomic, and
-	// commits in sequence order).
-	mem     MemLedger
-	log     *Log
-	scratch []byte // payload assembly buffer
-	buf     []byte // frame assembly buffer
-	// admitted composes every admitted op, committed or pending, in
-	// admission order — the spent the budget check runs against.
-	admitted dp.Params
-	// pending holds the admitted ops whose frames are queued or being
-	// synced, in sequence order.
-	pending  []pendingOp
+	// failed and closed.
+	mem      MemLedger
+	log      *Log
+	spends   *Batcher[*walSpend]
+	scratch  []byte // payload assembly buffer, the running batch's
+	buf      []byte // frame assembly buffer, the running batch's
 	replayed int
 	failed   error
 	closed   bool
 }
 
-// pendingOp is an admitted op waiting for the fsync that covers its
-// frame. label aliases the spender's bytes: the spender stays inside
-// SpendBytes until the op is committed or, its batch failed, dropped.
-type pendingOp struct {
-	ticket uint64
+// walSpend is one queued SpendBytes call: its arguments, then its
+// outcome. label aliases the spender's bytes, which stay put while the
+// spender waits in Do.
+type walSpend struct {
 	label  []byte
 	cost   dp.Params
+	logged bool // its frame is in the batch's write
+	err    error
 }
 
 // OpenDurableLedger opens (creating if absent) the WAL at path and
@@ -236,7 +232,7 @@ func OpenDurableLedger(budget dp.Params, path string, opts DurableOptions) (*Dur
 		return nil, err
 	}
 	d.replayed = len(d.mem.ops)
-	d.admitted = dp.Params{Epsilon: d.mem.eps, Delta: d.mem.delta}
+	d.spends = NewBatcher(d.spendBatch)
 	return d, nil
 }
 
@@ -264,79 +260,66 @@ func (d *DurableLedger) Spend(label string, cost dp.Params) error {
 	return d.SpendBytes([]byte(label), cost)
 }
 
-// SpendBytes implements Ledger: check the budget, queue the op, wait
-// for the fsync that covers it (per the fsync policy), and only then
-// commit it. Any logging failure latches the ledger (see the package
-// comment) and admits nothing.
+// SpendBytes implements Ledger: queue the op and return once its batch
+// has checked the budget, logged it and, per the fsync policy, synced
+// it, and only then committed it. Any logging failure latches the
+// ledger (see the package comment) and admits nothing.
 func (d *DurableLedger) SpendBytes(label []byte, cost dp.Params) error {
 	if err := cost.Validate(); err != nil {
 		return err
 	}
+	c := &walSpend{label: label, cost: cost}
+	d.spends.Do(c)
+	return c.err
+}
+
+// spendBatch is the WAL's batch: it decides each spend in arrival order
+// against the committed state plus the batch's earlier admissions,
+// writes the admitted ops' frames with one Append and, once that
+// returns, commits them in sequence order. A failed Append latches the
+// ledger: the batch's admitted spends and every spend behind them fail.
+func (d *DurableLedger) spendBatch(batch []*walSpend) {
 	l := &d.mem
 	l.mu.Lock()
-	if d.failed != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("%w (label %q)", d.failed, label)
-	}
-	if err := CheckSpend(l.budget, d.admitted, cost); err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("%w (label %q)", err, label)
-	}
-	seq := uint64(len(l.ops)+len(d.pending)) + 1
-	d.buf, d.scratch = appendOpFrame(d.buf[:0], d.scratch, seq, cost, label)
-	ticket := d.log.Queue(d.buf)
-	d.pending = append(d.pending, pendingOp{ticket: ticket, label: label, cost: cost})
-	d.admitted.Epsilon += cost.Epsilon
-	d.admitted.Delta += cost.Delta
+	failed := d.failed
+	spent := dp.Params{Epsilon: l.eps, Delta: l.delta}
+	seq := uint64(len(l.ops))
 	l.mu.Unlock()
-
-	err := d.log.Wait(ticket)
-
+	first := seq + 1
+	d.buf = d.buf[:0]
+	for _, c := range batch {
+		err := failed
+		if err == nil {
+			err = CheckSpend(l.budget, spent, c.cost)
+		}
+		if err != nil {
+			c.err = fmt.Errorf("%w (label %q)", err, c.label)
+			continue
+		}
+		seq++
+		d.buf, d.scratch = appendOpFrame(d.buf, d.scratch, seq, c.cost, c.label)
+		spent.Epsilon += c.cost.Epsilon
+		spent.Delta += c.cost.Delta
+		c.logged = true
+	}
+	if seq < first {
+		return
+	}
+	err := d.log.Append(d.buf)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err != nil {
-		// This batch and every later one failed: drop their ops, which
-		// also ends the aliasing of their spenders' labels.
-		for i, p := range d.pending {
-			if p.ticket >= ticket {
-				d.pending = d.pending[:i]
-				break
-			}
+		d.latch(fmt.Errorf("op %d: %w", first, err))
+	}
+	for _, c := range batch {
+		switch {
+		case !c.logged:
+		case err != nil:
+			c.err = fmt.Errorf("%w (label %q)", d.failed, c.label)
+		default:
+			l.commit(c.label, c.cost)
 		}
-		d.latch(fmt.Errorf("op %d: %w", seq, err))
-		return fmt.Errorf("%w (label %q)", d.failed, label)
 	}
-	d.commitThrough(ticket)
-	return nil
-}
-
-// commitThrough commits, in sequence order, every pending op whose batch
-// is at or before ticket — durable, since batches complete in order.
-// Callers hold the lock.
-func (d *DurableLedger) commitThrough(ticket uint64) {
-	n := 0
-	for _, p := range d.pending {
-		if p.ticket > ticket {
-			break
-		}
-		d.mem.commit(p.label, p.cost)
-		n++
-	}
-	d.pending = d.pending[:copy(d.pending, d.pending[n:])]
-}
-
-// drainLocked waits, holding the lock, until every pending op is durable
-// and commits them all. Callers hold the lock.
-func (d *DurableLedger) drainLocked() error {
-	if len(d.pending) == 0 {
-		return nil
-	}
-	last := d.pending[len(d.pending)-1].ticket
-	if err := d.log.Wait(last); err != nil {
-		return err
-	}
-	d.commitThrough(last)
-	return nil
 }
 
 // latch records the ledger's first failure. Callers hold the lock.
@@ -346,23 +329,9 @@ func (d *DurableLedger) latch(err error) {
 	}
 }
 
-// Sync flushes the WAL to stable storage regardless of policy.
-func (d *DurableLedger) Sync() error {
-	d.mem.mu.Lock()
-	defer d.mem.mu.Unlock()
-	if d.failed != nil {
-		return d.failed
-	}
-	if err := d.log.Sync(); err != nil {
-		d.latch(fmt.Errorf("%w: sync: %v", ErrLedgerFailed, err))
-		return d.failed
-	}
-	return nil
-}
-
-// Close commits what is pending, flushes and closes the WAL and releases
-// the file lock. The ledger fails closed afterwards: further spends
-// return ErrLedgerClosed. Close is idempotent.
+// Close flushes and closes the WAL and releases the file lock. The
+// ledger fails closed afterwards: further spends return ErrLedgerClosed.
+// Close is idempotent.
 func (d *DurableLedger) Close() error {
 	d.mem.mu.Lock()
 	defer d.mem.mu.Unlock()
@@ -370,12 +339,8 @@ func (d *DurableLedger) Close() error {
 		return nil
 	}
 	d.closed = true
-	var err error
-	if d.failed == nil {
-		err = d.drainLocked()
-		d.failed = ErrLedgerClosed
-	}
-	return errors.Join(err, d.log.Close())
+	d.latch(ErrLedgerClosed)
+	return d.log.Close()
 }
 
 // Status reports the ledger's durable-backing state.

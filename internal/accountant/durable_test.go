@@ -356,7 +356,7 @@ func runBatchFault(t *testing.T, budget, cost dp.Params, waves []int, f int, kin
 			}
 			started <- j
 			if j+1 < len(waves) {
-				waitQueued(t, d.log, waves[j+1])
+				waitQueued(t, d, waves[j+1])
 			}
 		}
 	}))
@@ -434,17 +434,15 @@ func runBatchFault(t *testing.T, budget, cost dp.Params, waves []int, f int, kin
 	}
 }
 
-// waitQueued blocks until the log's open batch holds at least n records.
-func waitQueued(t *testing.T, l *Log, n int) {
+// waitQueued blocks until the ledger's open batch holds at least n
+// spends.
+func waitQueued(t *testing.T, d *DurableLedger, n int) {
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
-		l.mu.Lock()
-		q := l.queued
-		l.mu.Unlock()
-		if q >= n {
+		if d.spends.Queued() >= n {
 			return
 		}
 	}
-	t.Errorf("the open batch never reached %d records", n)
+	t.Errorf("the open batch never reached %d spends", n)
 }
 
 // TestDurableReopenAfterConcurrentDrain races 8 spenders through a

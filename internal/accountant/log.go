@@ -2,9 +2,8 @@
 //
 // A log file is a magic string followed by frames (wal.go). Log owns
 // the file's whole life — single-writer lock, replay to the first torn
-// frame, tail truncation, the writer, the fsync policy, group commit,
-// truncate-and-reopen, close — so the fail-closed rules have one place
-// to hold:
+// frame, tail truncation, the writer, the fsync policy, truncate-and-
+// reopen, close — so the fail-closed rules have one place to hold:
 //
 //   - a failed write, fsync, truncate or reopen latches the log, and a
 //     latched log refuses every later mutation (a failed write may have
@@ -19,12 +18,9 @@
 //     concurrent fsync could return success for a frame that never
 //     reached the disk.
 //
-// Frames are group-committed: Queue adds them to the next batch under
-// the caller's own lock, in the caller's order, and Wait, called outside
-// that lock, returns once the batch holding them is written and synced.
-// The first waiter that finds no batch in flight writes and syncs the
-// whole queue for everyone behind it (leader/follower), so concurrent
-// spenders share one fsync and no caller's lock is held across it.
+// The log does not batch: Append writes and syncs under the log's lock.
+// Concurrent spenders share an fsync one level up, where a Batcher
+// (batcher.go) hands the log one Append per batch.
 //
 // The default writer keeps a tail of zeros ahead of the write position
 // (zeroTailFile), so an fsync of frames that land inside it changes no
@@ -57,19 +53,10 @@ type Log struct {
 	opts  DurableOptions
 	lockF *os.File // flock holder; also the replay read handle
 
-	// mu guards every field below. The batch leader releases it for the
-	// write and fsync; flushing keeps w to the leader meanwhile.
-	mu   sync.Mutex
-	cond sync.Cond // broadcast when a batch completes
-	w    WriteSyncer
-
-	queue    []byte // frames of the open batch
-	spare    []byte // the last written batch's buffer, reused by the next
-	queued   int    // records in queue
-	next     uint64 // the open batch's ticket
-	done     uint64 // the last batch written (and synced, per policy)
-	flushing bool   // a batch is being written and synced
-
+	// mu guards every field below and is held across each write and
+	// fsync, so exactly one is in flight.
+	mu       sync.Mutex
+	w        WriteSyncer
 	size     int64
 	unsynced int
 	failed   error
@@ -108,8 +95,7 @@ func OpenLog(path, magic string, header []byte, opts DurableOptions, apply func(
 	if err := lockLedgerFile(lockF); err != nil {
 		return fail(fmt.Errorf("%w: %s", err, path))
 	}
-	l := &Log{path: path, head: []byte(magic), opts: opts, lockF: lockF, next: 1}
-	l.cond.L = &l.mu
+	l := &Log{path: path, head: []byte(magic), opts: opts, lockF: lockF}
 	if header != nil {
 		l.head = frame(l.head, header)
 	}
@@ -167,8 +153,7 @@ func OpenLog(path, magic string, header []byte, opts DurableOptions, apply func(
 }
 
 // Size is the file's length in bytes: the head plus every frame
-// written or replayed. Frames still queued or in flight are not counted;
-// the zero tail never is.
+// written or replayed; the zero tail is never counted.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -204,103 +189,32 @@ func (l *Log) writeHead() error {
 	return l.syncLocked()
 }
 
-// Queue adds whole frames to the open batch and returns its ticket; it
-// writes nothing. Frames are written in the order they are queued, so a
-// caller that queues under its own lock fixes their order on disk.
-// Wait(ticket) makes them durable.
-func (l *Log) Queue(frames []byte) uint64 {
+// Append writes whole frames in one write and, per the fsync policy,
+// syncs them: under FsyncAlways a nil return means the frames are on
+// stable storage. A failed write or fsync latches the log, and it and
+// every later Append return ErrLedgerFailed.
+func (l *Log) Append(frames []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.failed == nil {
-		l.queue = append(l.queue, frames...)
-		l.queued += countFrames(frames)
+	if l.failed != nil {
+		return l.failed
 	}
-	return l.next
-}
-
-// Wait returns once the batch holding ticket has been written and, per
-// the fsync policy, synced — under FsyncAlways a nil return means its
-// frames are on stable storage. If no batch is in flight, the caller
-// becomes the leader and writes and syncs the open batch for every
-// frame queued in it. A failed batch latches the log: its members, and
-// every batch queued behind it, get ErrLedgerFailed.
-func (l *Log) Wait(ticket uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for ticket > l.done {
-		if l.failed != nil {
-			return l.failed
-		}
-		if l.flushing {
-			l.cond.Wait()
-		} else {
-			l.flush()
-		}
+	_, err := l.w.Write(frames)
+	if err == nil && l.opts.Fsync == FsyncAlways {
+		err = l.w.Sync()
+	}
+	if err != nil {
+		l.latch(err)
+		return l.failed
+	}
+	l.size += int64(len(frames))
+	if l.opts.Fsync == FsyncOff {
+		l.unsynced += countFrames(frames)
 	}
 	return nil
 }
 
-// Append writes whole frames as one batch and waits for it: under
-// FsyncAlways a nil return means the frames are on stable storage.
-func (l *Log) Append(frames []byte) error { return l.Wait(l.Queue(frames)) }
-
-// flush writes the open batch and syncs it per the policy. Callers hold
-// l.mu, with no batch in flight and the log healthy; flush releases the
-// lock for the I/O and holds it again on return.
-func (l *Log) flush() {
-	batch, records := l.queue, l.queued
-	l.queue, l.spare, l.queued = l.spare[:0], nil, 0
-	ticket := l.next
-	l.next++
-	l.flushing = true
-	syncNow := l.opts.Fsync == FsyncAlways
-	l.mu.Unlock()
-	_, err := l.w.Write(batch)
-	if err == nil && syncNow {
-		err = l.w.Sync()
-	}
-	l.mu.Lock()
-	l.flushing = false
-	l.cond.Broadcast()
-	if err != nil {
-		l.latch(err)
-		return
-	}
-	l.done = ticket
-	l.size += int64(len(batch))
-	l.unsynced += records
-	if syncNow {
-		l.unsynced = 0
-	}
-	l.spare = batch
-}
-
-// settle waits out the batch in flight and writes whatever is queued, so
-// the caller, holding l.mu, has the writer to itself. It returns the
-// latched failure, if any.
-func (l *Log) settle() error {
-	for l.failed == nil && (l.flushing || len(l.queue) > 0) {
-		if l.flushing {
-			l.cond.Wait()
-		} else {
-			l.flush()
-		}
-	}
-	return l.failed
-}
-
-// Sync writes every queued frame and flushes the file to stable storage
-// regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
 func (l *Log) syncLocked() error {
-	if err := l.settle(); err != nil {
-		return err
-	}
 	if err := l.w.Sync(); err != nil {
 		return l.latch(err)
 	}
@@ -309,13 +223,12 @@ func (l *Log) syncLocked() error {
 }
 
 // TruncateAt cuts the file to off bytes — a frame boundary the caller
-// tracked — and reopens the writer there. Queued frames are written
-// first.
+// tracked — and reopens the writer there.
 func (l *Log) TruncateAt(off int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.settle(); err != nil {
-		return err
+	if l.failed != nil {
+		return l.failed
 	}
 	err := l.w.Close()
 	l.w = nil
@@ -333,10 +246,10 @@ func (l *Log) TruncateAt(off int64) error {
 	return nil
 }
 
-// Close writes what is queued and flushes (under every policy: Close is
-// the graceful-shutdown path), closes the writer — which cuts the zero
-// tail — and releases the lock. A latched log skips the flush: its tail
-// is torn and replay will discard it. Idempotent.
+// Close flushes (under every policy: Close is the graceful-shutdown
+// path), closes the writer — which cuts the zero tail — and releases
+// the lock. A latched log skips the flush: its tail is torn and replay
+// will discard it. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

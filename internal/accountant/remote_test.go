@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,6 +91,9 @@ func TestRemoteClassifiesEveryCode(t *testing.T) {
 				case "latch":
 					if !errors.Is(err, accountant.ErrLedgerFailed) {
 						t.Fatalf("spend: %v, want the ledger latched", err)
+					}
+					if strings.Contains(err.Error(), "write failed") {
+						t.Fatalf("spend: %v: a latched remote ledger reports a write failure", err)
 					}
 				case "fence", "retry":
 					if err != nil {

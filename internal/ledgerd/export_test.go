@@ -1,9 +1,5 @@
 package ledgerd
 
 // QueuedSpends reports how many spend calls wait in the queue for a
-// leader to decide them.
-func (g *Group) QueuedSpends() int {
-	g.qmu.Lock()
-	defer g.qmu.Unlock()
-	return len(g.queue)
-}
+// batch to decide them.
+func (g *Group) QueuedSpends() int { return g.spends.Queued() }

@@ -34,12 +34,12 @@
 // A primary that cannot reach a quorum refuses spends with ErrNoQuorum
 // (HTTP 503 — retryable; the multi-address client walks on). All
 // decide→append→replicate→commit→apply steps run under one mutex, and
-// spends are group-committed through it: a spender queues its call, and
-// one spender at a time leads a batch — it decides every queued call in
-// order, each against the settled state plus the batch's earlier entries
-// for its key, writes the batch with one fsync and sends it in one
-// replication round. Each spend's result is taken when it is decided, so
-// it reads its key's state exactly as of its own op.
+// spends are group-committed through an accountant.Batcher: one batch
+// at a time, under the mutex, decides every queued call in order, each
+// against the settled state plus the batch's earlier entries for its
+// key, writes the batch with one fsync and sends it in one replication
+// round. Each spend's result is taken when it is decided, so it reads
+// its key's state exactly as of its own op.
 package ledgerd
 
 import (
@@ -86,15 +86,9 @@ type Group struct {
 	peerIDs []string // sorted, self excluded
 	id      uint64   // the directory's random identity, half of the epoch token
 
-	// qmu guards the spend queue, the lead and every queued call's done
-	// and asleep flags. A spender queues without waiting for mu, which
-	// the batch in flight holds. One spender at a time leads a batch,
-	// which decides every queued call, its own included; the others
-	// sleep until the batch that decides their call wakes them, or until
-	// a leader leaves with theirs first in line.
-	qmu     sync.Mutex
-	leading bool
-	queue   []*spendCall
+	// spends queues Spend calls without waiting for mu, which the batch
+	// in flight holds; each batch runs commitBatch.
+	spends *accountant.Batcher[*spendCall]
 
 	mu          sync.Mutex
 	closed      bool
@@ -109,7 +103,6 @@ type Group struct {
 	state       map[string]*accountant.MemLedger
 	opIndex     map[string]uint64 // key+"\x00"+opID → log index (whole log)
 	batch       []groupEntry      // the batch being decided
-	decided     []*spendCall      // the calls the batch decides; the queue's spare buffer between batches
 	nextIndex   map[string]uint64
 	matchIndex  map[string]uint64
 	lastContact time.Time
@@ -120,21 +113,16 @@ type Group struct {
 	done  sync.WaitGroup
 }
 
-// spendCall is one queued Spend: its arguments, then its outcome. index
-// is the log index of the entry it wrote or, replaying a call of the
-// same batch, shares; res and err are set under mu, and done, under
-// qmu, publishes them. wake is a semaphore held by the spender: asleep
-// marks a Lock waiting on it, which exactly one Unlock releases.
+// spendCall is one queued Spend: its arguments, then its outcome, set by
+// the batch that decides it. index is the log index of the entry it
+// wrote or, replaying a call of the same batch, shares.
 type spendCall struct {
 	key, epoch, opID, label string
 	cost                    dp.Params
 
-	index  uint64
-	res    accountant.SpendResult
-	err    error
-	done   bool
-	asleep bool
-	wake   sync.Mutex
+	index uint64
+	res   accountant.SpendResult
+	err   error
 }
 
 // New opens (creating if needed) the member's durable state: the log
@@ -203,6 +191,7 @@ func newGroup(opts Options, log *groupLog) (*Group, error) {
 		rng:        rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[8:])))),
 		stopc:      make(chan struct{}),
 	}
+	g.spends = accountant.NewBatcher(g.commitBatch)
 	g.setTermLocked(term)
 	if id == 0 {
 		// A fresh directory (or one from a build whose term file held no
@@ -625,7 +614,7 @@ func (g *Group) attachResultLocked(mem *accountant.MemLedger) accountant.AttachR
 // spend entry is written locally AND fsynced on a majority before the
 // ack, the epoch must match, and op-ID dedup spans the entire log so a
 // retry across failover converges on the recorded outcome. Concurrent
-// spends share a batch (see commitBatchLocked).
+// spends share a batch (see commitBatch).
 func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (accountant.SpendResult, error) {
 	if !ValidKey(key) {
 		return accountant.SpendResult{}, fmt.Errorf("%w: %q", ErrBadKey, key)
@@ -637,48 +626,16 @@ func (g *Group) Spend(key, epoch, opID, label string, cost dp.Params) (accountan
 		return accountant.SpendResult{}, err
 	}
 	c := &spendCall{key: key, epoch: epoch, opID: opID, label: label, cost: cost}
-	c.wake.Lock()
-	g.qmu.Lock()
-	g.queue = append(g.queue, c)
-	for !c.done {
-		if g.leading {
-			c.asleep = true
-			g.qmu.Unlock()
-			c.wake.Lock()
-			g.qmu.Lock()
-			continue
-		}
-		g.leading = true
-		g.qmu.Unlock()
-		g.mu.Lock()
-		g.commitBatchLocked()
-		g.mu.Unlock()
-		g.qmu.Lock()
-	}
-	g.qmu.Unlock()
+	g.spends.Do(c)
 	return c.res, c.err
 }
 
-// wakeLocked releases c's spender if it sleeps. Callers hold qmu.
-func (c *spendCall) wakeLocked() {
-	if c.asleep {
-		c.asleep = false
-		c.wake.Unlock()
-	}
-}
-
-// commitBatchLocked is one batch, led by a spender whose call is
-// queued: it decides every queued spend in arrival order, writes the new
-// entries with one fsync, replicates them in one round and publishes
-// every call's outcome. Then it gives up the lead: the lead is free for
-// any spender to take, and the first call queued meanwhile is woken to
-// make sure one does.
-func (g *Group) commitBatchLocked() {
-	g.qmu.Lock()
-	decided := g.queue
-	g.queue = g.decided
-	g.qmu.Unlock()
-
+// commitBatch is one batch: under mu it decides every queued spend in
+// arrival order, writes the new entries with one fsync, replicates them
+// in one round and sets every call's outcome.
+func (g *Group) commitBatch(decided []*spendCall) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	err := g.writableLocked()
 	if err == nil {
 		err = g.settleLocked()
@@ -712,18 +669,7 @@ func (g *Group) commitBatchLocked() {
 			}
 		}
 	}
-	g.qmu.Lock()
-	for _, c := range decided {
-		c.done = true
-		c.wakeLocked()
-	}
-	g.leading = false
-	if len(g.queue) > 0 {
-		g.queue[0].wakeLocked()
-	}
-	g.qmu.Unlock()
-	clear(decided)
-	g.batch, g.decided = batch[:0], decided[:0]
+	g.batch = batch[:0]
 }
 
 // decideLocked decides one spend against the settled state plus the

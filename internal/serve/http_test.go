@@ -797,3 +797,65 @@ func TestHTTPConcurrentCloseOneWinner(t *testing.T) {
 		}
 	}
 }
+
+// FuzzOpenSessionBody posts fuzzed bodies to the session-creation
+// endpoint of a tiny dataset. A body is refused with 400 bad-request or
+// opens a session (201), and it opens one exactly when it is empty or a
+// strict encoding/json decode (unknown fields and trailing data refused)
+// accepts it. The session is pinned iff the decoded stream is set, and
+// then echoes it; opening a session spends nothing.
+func FuzzOpenSessionBody(f *testing.F) {
+	for _, body := range []string{`{}`, `{"stream": 7}`, `{"stream": null}`, ``, `{"stream": 7} {}`} {
+		f.Add([]byte(body))
+	}
+	reg, ds := openTestDataset(f, testConfig())
+	h := NewHandler(reg)
+	ops := ds.OpCount()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want struct {
+			Stream *uint64 `json:"stream"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&want)
+		if err == nil {
+			if _, tok := dec.Token(); tok != io.EOF {
+				err = fmt.Errorf("trailing data")
+			}
+		}
+		if len(body) == 0 {
+			err = nil // no body: an auto session
+		}
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets/tiny/sessions", bytes.NewReader(body)))
+		var got struct {
+			Session uint64 `json:"session"`
+			Stream  uint64 `json:"stream"`
+			Pinned  bool   `json:"pinned"`
+			Code    string `json:"code"`
+		}
+		if derr := json.Unmarshal(rec.Body.Bytes(), &got); derr != nil {
+			t.Fatalf("HTTP %d with an undecodable body: %v\n%s", rec.Code, derr, rec.Body)
+		}
+		switch {
+		case err != nil:
+			if rec.Code != http.StatusBadRequest || got.Code != "bad-request" {
+				t.Fatalf("body %q refused by encoding/json (%v): HTTP %d %s, want 400 bad-request", body, err, rec.Code, got.Code)
+			}
+		case rec.Code != http.StatusCreated:
+			t.Fatalf("body %q: HTTP %d %s, want 201", body, rec.Code, got.Code)
+		case got.Pinned != (want.Stream != nil) || (want.Stream != nil && got.Stream != *want.Stream):
+			t.Fatalf("body %q opened stream %d (pinned %v), want %v", body, got.Stream, got.Pinned, want.Stream)
+		default:
+			del := httptest.NewRecorder()
+			h.ServeHTTP(del, httptest.NewRequest(http.MethodDelete, fmt.Sprintf("/v1/sessions/%d", got.Session), nil))
+			if del.Code != http.StatusOK {
+				t.Fatalf("closing session %d: HTTP %d", got.Session, del.Code)
+			}
+		}
+		if n := ds.OpCount(); n != ops {
+			t.Fatalf("body %q: dataset op count %d after opening a session, want %d", body, n, ops)
+		}
+	})
+}
