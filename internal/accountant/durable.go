@@ -345,15 +345,18 @@ func (d *DurableLedger) Close() error {
 
 // Status reports the ledger's durable-backing state.
 func (d *DurableLedger) Status() DurableStatus {
+	// The log holds its lock across an fsync: read it before taking the
+	// ledger lock, which a batch's commit waits for.
+	size, unsynced := d.log.Size(), d.log.Unsynced()
 	d.mem.mu.Lock()
 	defer d.mem.mu.Unlock()
 	st := DurableStatus{
 		Path:        d.path,
 		Policy:      string(d.opts.Fsync),
 		WALRecords:  len(d.mem.ops),
-		WALBytes:    d.log.Size(),
+		WALBytes:    size,
 		ReplayedOps: d.replayed,
-		Unsynced:    d.log.Unsynced(),
+		Unsynced:    unsynced,
 		Closed:      d.closed,
 	}
 	if d.failed != nil && !errors.Is(d.failed, ErrLedgerClosed) {

@@ -846,7 +846,8 @@ func FuzzOpenSessionBody(f *testing.F) {
 		case rec.Code != http.StatusCreated:
 			t.Fatalf("body %q: HTTP %d %s, want 201", body, rec.Code, got.Code)
 		case got.Pinned != (want.Stream != nil) || (want.Stream != nil && got.Stream != *want.Stream):
-			t.Fatalf("body %q opened stream %d (pinned %v), want %v", body, got.Stream, got.Pinned, want.Stream)
+			decoded, _ := json.Marshal(want)
+			t.Fatalf("body %q opened stream %d (pinned %v), decoded as %s", body, got.Stream, got.Pinned, decoded)
 		default:
 			del := httptest.NewRecorder()
 			h.ServeHTTP(del, httptest.NewRequest(http.MethodDelete, fmt.Sprintf("/v1/sessions/%d", got.Session), nil))
