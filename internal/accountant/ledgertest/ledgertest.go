@@ -7,7 +7,8 @@
 //
 //   - admission exactness: admitted ops appear in the trail in order,
 //     spent composes to exactly their sum, and the first over-budget
-//     spend is rejected with ErrBudgetExceeded having changed nothing;
+//     spend is rejected with ErrBudgetExceeded having changed nothing,
+//     also when it overshoots by a relative 1e-6 in ε or in δ alone;
 //   - zero-delta rejection: a δ=0 budget admits no op with any δ > 0,
 //     however small — there is no absolute slack to hide under;
 //   - concurrent drain: racing spenders admit exactly the budgeted
@@ -15,7 +16,8 @@
 //     ErrBudgetExceeded;
 //   - fail-closed latching (backends with a failure mode): after the
 //     backend fails, every spend errors and the observed spent never
-//     decreases — a broken ledger refuses, it never forgets.
+//     decreases — a broken ledger refuses, it never forgets — and a
+//     spend the budget alone would refuse reports ErrLedgerFailed.
 package ledgertest
 
 import (
@@ -70,6 +72,12 @@ func testAdmissionExactness(t *testing.T, f Factory) {
 	}
 	if err := l.Spend("over", per); !errors.Is(err, accountant.ErrBudgetExceeded) {
 		t.Fatalf("over-budget spend: got %v, want ErrBudgetExceeded", err)
+	}
+	// The tolerance absorbs float drift, never a real overshoot.
+	for _, over := range []dp.Params{{Epsilon: 1e-6 * budget.Epsilon}, {Epsilon: 1e-12, Delta: 1e-6 * budget.Delta}} {
+		if err := l.Spend("over-1e-6", over); !errors.Is(err, accountant.ErrBudgetExceeded) {
+			t.Fatalf("spend %v past a full budget: got %v, want ErrBudgetExceeded", over, err)
+		}
 	}
 	if got := l.OpCount(); got != 4 {
 		t.Fatalf("op count after rejection: got %d, want 4 (the rejected op must not appear)", got)
@@ -182,6 +190,9 @@ func testFailClosedLatching(t *testing.T, f Factory) {
 		if err := l.Spend(fmt.Sprintf("latched-%d", i), per); err == nil {
 			t.Fatalf("spend %d after latch succeeded", i)
 		}
+	}
+	if err := l.Spend("latched-over", dp.Params{Epsilon: 2 * budget.Epsilon, Delta: 2 * budget.Delta}); !errors.Is(err, accountant.ErrLedgerFailed) {
+		t.Fatalf("over-budget spend after latch: got %v, want ErrLedgerFailed", err)
 	}
 	// Observed spent never decreases across the failure: a broken
 	// ledger may report stale-but-admitted state, never less.

@@ -223,9 +223,10 @@ func TestGroupPromoteSpendReplicate(t *testing.T) {
 // The group must be indistinguishable from any other Ledger backend —
 // including exact admission counts under concurrent drain.
 func TestGroupConformance(t *testing.T) {
+	var c *cluster // the most recently started group
 	ledgertest.Run(t, ledgertest.Factory{
 		New: func(t *testing.T, budget dp.Params) accountant.Ledger {
-			c := newCluster(t, 3, -1)
+			c = newCluster(t, 3, -1)
 			if err := c.group("n1").Promote(); err != nil {
 				t.Fatalf("promoting n1: %v", err)
 			}
@@ -235,15 +236,19 @@ func TestGroupConformance(t *testing.T) {
 			}
 			return rl
 		},
-		// Fail-closed latching has its own group-shaped test below (the
-		// Factory.Fail hook has no handle on the cluster to kill).
+		// Failure mode: every member of the group stops.
+		Fail: func(t *testing.T, _ accountant.Ledger) {
+			for _, id := range c.ids {
+				c.stop(id)
+			}
+		},
 	})
 }
 
-// TestGroupFailClosedLatching is the group-backed half of the
-// conformance Fail check, written directly (the Factory.Fail hook has
-// no handle on the cluster): once every member is gone, the client
-// latches and stays latched.
+// TestGroupFailClosedLatching checks what the conformance suite's
+// latching step cannot see through the Ledger interface: once every
+// member is gone, the client latches, stays latched, and its Status
+// reports the failure.
 func TestGroupFailClosedLatching(t *testing.T) {
 	c := newCluster(t, 3, -1)
 	if err := c.group("n1").Promote(); err != nil {

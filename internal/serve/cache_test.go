@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -103,6 +104,32 @@ func TestCacheHitSkipsLedgerAndPreservesStream(t *testing.T) {
 		if top[i] != refTop[i] {
 			t.Fatalf("post-hit query diverged from the no-cache reference: %v vs %v", top, refTop)
 		}
+	}
+}
+
+// TestCacheKeyCarriesK: two sessions pinned to one stream ask TopK at
+// the same (seq, level, side), the first with k = 2 and the second with
+// k = 3. The second is another query, so it must miss and answer with
+// three groups — the answer a session without a cache gives.
+func TestCacheKeyCarriesK(t *testing.T) {
+	t.Parallel()
+	_, ds := openTestDataset(t, testConfig())
+	if _, err := ds.SessionAt(5).TopK(2, bipartite.Left, 2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ds.SessionAt(5).TopK(2, bipartite.Left, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := testConfig()
+	ref.MaxCacheEntries = -1
+	_, refDS := openTestDataset(t, ref)
+	want, err := refDS.SessionAt(5).TopK(2, bipartite.Left, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("top-3 after a cached top-2 at the same seq = %v, want the uncached %v", got, want)
 	}
 }
 
