@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -31,12 +32,23 @@ import (
 // owner's answer without spending. If the owner fails (typically
 // ErrBudgetExceeded), the entry is aborted and each waiter retries —
 // one becomes the new owner, so an error never caches.
+//
+// A completed marginal or top-k entry also keeps the HTTP response its
+// first HTTP hit encoded (encodedResponse), so every later hit is one
+// Write. The body is a pure function of the key and the dataset, so it
+// does not matter which of several concurrent first hits publishes it.
+// A miss never builds one, and neither does a Session caller outside
+// the handler. Level views keep no encoded body: a view body is about
+// twice its cells (≈ 60 KB against 32 KB at level 3), and memoising it
+// needs a byte cap on the cache, which the entry count is not.
 
 // DefaultMaxCacheEntries is the per-dataset response-cache capacity used
 // when Config.MaxCacheEntries is zero. Entries are whole answers; a
 // cached level view holds its full cell histogram (4^rounds float64s at
 // the deepest level), so deployments serving deep levels to many
-// replayed streams should size this against memory deliberately.
+// replayed streams should size this against memory deliberately. A
+// marginal or top-k entry replayed over HTTP also holds its encoded
+// body (≈ 830 B for 64 groups of five-digit counts).
 const DefaultMaxCacheEntries = 1024
 
 // cacheKey is a query's full identity within one dataset incarnation.
@@ -73,8 +85,31 @@ type cacheEntry struct {
 	topk      []int
 	view      *cachedView
 
+	// encoded is set once, by the entry's first HTTP hit
+	// (respondCached). A pointer keeps the entry in its allocation size
+	// class, so a miss allocates no more than before.
+	encoded atomic.Pointer[encodedResponse]
+
 	elem *list.Element // non-nil once completed and LRU-resident
 }
+
+// encodedResponse is a marginal or top-k entry's 200 response: the
+// body and its formatted Content-Length. first backs the header values
+// of the one response that built it, which saves that response an
+// allocation; every later response gets values of its own
+// (writeEncoded), so no value slice is shared between responses.
+type encodedResponse struct {
+	body          []byte
+	contentLength string
+	first         headerValues
+}
+
+// headerValues backs a response's Content-Type and Content-Length
+// values, one slice each. It is a named type so that the equality
+// function the compiler emits for it is linked among serve's symbols;
+// an unnamed [2]string's lands among the runtime's and moves every
+// noise-kernel symbol after it.
+type headerValues [2]string
 
 // respCache is the per-dataset bounded LRU + singleflight. max is the
 // capacity, fixed when the dataset is built (Config.MaxCacheEntries); a

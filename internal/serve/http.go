@@ -176,6 +176,43 @@ func respond(w http.ResponseWriter, status int, encode func(b []byte) ([]byte, e
 	putBody(bp, body)
 }
 
+// respondCached writes a 200 for a cache hit on a marginal or top-k
+// entry. The entry's first HTTP hit encodes the answer into a pooled
+// buffer as respond does, keeps an exact-size copy on the entry and
+// writes it; every later hit writes that copy with no encode. Of
+// concurrent first hits one CAS publishes its copy; the others write
+// their own, byte-identical one. An encode error memoises nothing:
+// respond encodes again and answers the 500.
+func respondCached(w http.ResponseWriter, e *cacheEntry, encode func(b []byte) ([]byte, error)) {
+	if m := e.encoded.Load(); m != nil {
+		writeEncoded(w, m.body, &headerValues{"application/json", m.contentLength})
+		return
+	}
+	bp := bodyBuffers.Get().(*[]byte)
+	body, err := encode((*bp)[:0])
+	if err != nil {
+		putBody(bp, body)
+		respond(w, http.StatusOK, encode)
+		return
+	}
+	m := &encodedResponse{body: make([]byte, len(body)), contentLength: strconv.Itoa(len(body))}
+	copy(m.body, body)
+	putBody(bp, body)
+	m.first = headerValues{"application/json", m.contentLength}
+	e.encoded.CompareAndSwap(nil, m)
+	writeEncoded(w, m.body, &m.first)
+}
+
+// writeEncoded writes body as a 200 whose Content-Type and
+// Content-Length values are vals, each its own one-element slice.
+func writeEncoded(w http.ResponseWriter, body []byte, vals *headerValues) {
+	h := w.Header()
+	h["Content-Type"] = vals[0:1:1]
+	h["Content-Length"] = vals[1:2:2]
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 // writeJSON writes one response through encoding/json: the cold shapes
 // (health, dataset list and info, budget, session open and close). The
 // query responses and the error body have append encoders (encode.go).
@@ -737,14 +774,19 @@ func (s *httpServer) marginal(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		seq := hs.sess.Seq()
-		marginals, err := hs.sess.Marginal(level, side)
+		marginals, hit, err := hs.sess.marginal(level, side)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		respond(w, http.StatusOK, func(b []byte) ([]byte, error) {
+		encode := func(b []byte) ([]byte, error) {
 			return appendMarginalResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), level, side.String(), marginals)
-		})
+		}
+		if hit != nil {
+			respondCached(w, hit, encode)
+			return
+		}
+		respond(w, http.StatusOK, encode)
 	})
 }
 
@@ -760,13 +802,18 @@ func (s *httpServer) topk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		seq := hs.sess.Seq()
-		groups, err := hs.sess.TopK(level, side, *req.K)
+		groups, hit, err := hs.sess.topK(level, side, *req.K)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		respond(w, http.StatusOK, func(b []byte) ([]byte, error) {
+		encode := func(b []byte) ([]byte, error) {
 			return appendTopKResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), level, side.String(), *req.K, groups), nil
-		})
+		}
+		if hit != nil {
+			respondCached(w, hit, encode)
+			return
+		}
+		respond(w, http.StatusOK, encode)
 	})
 }

@@ -710,11 +710,27 @@ func TestHTTPResponsesCarryContentLength(t *testing.T) {
 	do(t, "POST", base+"/v1/datasets/dblp", testTSV(t), "", http.StatusCreated)
 	sess := do(t, "POST", base+"/v1/datasets/dblp/sessions", []byte(`{"stream": 3}`), "application/json", http.StatusCreated)
 	sid := fmt.Sprintf("%.0f", sess["session"].(float64))
+	// A handle on stream 4 pays for a marginal and a top-k answer; two
+	// more replay them: the first builds each encoded response, the
+	// second writes it.
+	stream4 := func() string {
+		s := do(t, "POST", base+"/v1/datasets/dblp/sessions", []byte(`{"stream": 4}`), "application/json", http.StatusCreated)
+		return fmt.Sprintf("/v1/sessions/%.0f", s["session"].(float64))
+	}
+	const marginal, topk = `{"level": 0, "side": "right"}`, `{"level": 1, "side": "left", "k": 5}`
+	paid := stream4()
+	doRaw(t, "POST", base+paid+"/marginal", []byte(marginal), "application/json", http.StatusOK)
+	doRaw(t, "POST", base+paid+"/topk", []byte(topk), "application/json", http.StatusOK)
+	first, later := stream4(), stream4()
 
 	for _, q := range []struct{ path, body string }{
 		{"/v1/sessions/" + sid + "/level", `{"level": 2}`},  // level view
 		{"/v1/datasets/dblp/budget", ""},                    // cold shape
 		{"/v1/sessions/" + sid + "/level", `{"level": 99}`}, // error body
+		{first + "/marginal", marginal},                     // replay that encodes
+		{first + "/topk", topk},
+		{later + "/marginal", marginal}, // replay of the encoded response
+		{later + "/topk", topk},
 	} {
 		method := "POST"
 		if q.body == "" {

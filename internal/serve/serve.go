@@ -973,7 +973,7 @@ func (s *Session) serveCached(key cacheKey, compute func() error, publish func(*
 		if !e.ok {
 			continue // owner aborted; retry (one waiter becomes owner)
 		}
-		s.querySource(int(key.kind), int(key.level), bipartite.Side(key.side), int(key.k))
+		s.advance()
 		return e, nil
 	}
 }
@@ -1004,6 +1004,16 @@ type LevelView struct {
 	Cells *core.CellRelease `json:"cells"`
 }
 
+// advance consumes the session's next query slot: its seq number and
+// the parent stream's one draw, the fork point of the slot's Split
+// chain. A cache hit consumes its slot with this alone; querySource
+// derives the chain from what it returns.
+func (s *Session) advance() (rng.Fork, uint64) {
+	seq := s.seq
+	s.seq++
+	return s.src.Fork(), seq
+}
+
 // querySource advances the session to its next per-query stream.
 // Every query owns a Split chain keyed by its sequence number AND its
 // full identity — one Split level per parameter, so distinct tuples
@@ -1017,13 +1027,13 @@ type LevelView struct {
 // (values identical to the allocating Split chain); the returned
 // pointer is invalidated by the session's next query.
 func (s *Session) querySource(kind, level int, side bipartite.Side, k int) *rng.Source {
+	fork, seq := s.advance()
 	q := &s.qsrc
-	s.src.SplitTo(q, s.seq)
+	fork.StreamTo(q, seq)
 	q.SplitTo(q, uint64(kind))
 	q.SplitTo(q, uint64(level))
 	q.SplitTo(q, uint64(side))
 	q.SplitTo(q, uint64(k))
-	s.seq++
 	return q
 }
 
@@ -1127,11 +1137,23 @@ func (s *Session) releaseLevelCompute(level int) (LevelView, error) {
 // scratch — like LevelView.Cells, it is valid until the session's next
 // query; copy to retain.
 func (s *Session) Marginal(level int, side bipartite.Side) ([]float64, error) {
+	m, hit, err := s.marginal(level, side)
+	if hit != nil { // copy into the session's reusable scratch
+		s.marginals = append(s.marginals[:0], m...)
+		return s.marginals, nil
+	}
+	return m, err
+}
+
+// marginal is Marginal that also returns the entry of a cache hit; the
+// answer it returns on a hit is the entry's own, which the caller must
+// not modify.
+func (s *Session) marginal(level int, side bipartite.Side) ([]float64, *cacheEntry, error) {
 	if err := s.checkLevel(level); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !side.Valid() {
-		return nil, fmt.Errorf("serve: invalid side %v", side)
+		return nil, nil, fmt.Errorf("serve: invalid side %v", side)
 	}
 	if s.useCache() {
 		var m []float64
@@ -1139,15 +1161,15 @@ func (s *Session) Marginal(level int, side bipartite.Side) ([]float64, error) {
 			func() (err error) { m, err = s.marginalCompute(level, side); return err },
 			func(e *cacheEntry) { e.marginals = append([]float64(nil), m...) })
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if e != nil { // hit: copy into the session's reusable scratch
-			s.marginals = append(s.marginals[:0], e.marginals...)
-			return s.marginals, nil
+		if e != nil {
+			return e.marginals, e, nil
 		}
-		return m, nil
+		return m, nil, nil
 	}
-	return s.marginalCompute(level, side)
+	m, err := s.marginalCompute(level, side)
+	return m, nil, err
 }
 
 // marginalCompute is the ledgered Phase-2 path of Marginal.
@@ -1164,18 +1186,30 @@ func (s *Session) marginalCompute(level int, side bipartite.Side) ([]float64, er
 // session's reusable scratch — valid until the session's next query;
 // copy to retain.
 func (s *Session) TopK(level int, side bipartite.Side, k int) ([]int, error) {
+	groups, hit, err := s.topK(level, side, k)
+	if hit != nil { // copy into the session's reusable scratch
+		s.topkOut = append(s.topkOut[:0], groups...)
+		return s.topkOut, nil
+	}
+	return groups, err
+}
+
+// topK is TopK that also returns the entry of a cache hit; the answer
+// it returns on a hit is the entry's own, which the caller must not
+// modify.
+func (s *Session) topK(level int, side bipartite.Side, k int) ([]int, *cacheEntry, error) {
 	if err := s.checkLevel(level); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !side.Valid() {
-		return nil, fmt.Errorf("serve: invalid side %v", side)
+		return nil, nil, fmt.Errorf("serve: invalid side %v", side)
 	}
 	n, err := s.ds.tree.NumSideGroups(level)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if k <= 0 || k > n {
-		return nil, fmt.Errorf("serve: k=%d outside [1,%d]", k, n)
+		return nil, nil, fmt.Errorf("serve: k=%d outside [1,%d]", k, n)
 	}
 	if s.useCache() {
 		var groups []int
@@ -1183,15 +1217,15 @@ func (s *Session) TopK(level int, side bipartite.Side, k int) ([]int, error) {
 			func() (err error) { groups, err = s.topKCompute(level, side, k); return err },
 			func(e *cacheEntry) { e.topk = append([]int(nil), groups...) })
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if e != nil { // hit: copy into the session's reusable scratch
-			s.topkOut = append(s.topkOut[:0], e.topk...)
-			return s.topkOut, nil
+		if e != nil {
+			return e.topk, e, nil
 		}
-		return groups, nil
+		return groups, nil, nil
 	}
-	return s.topKCompute(level, side, k)
+	groups, err := s.topKCompute(level, side, k)
+	return groups, nil, err
 }
 
 // topKCompute is the ledgered Phase-2 path of TopK.
