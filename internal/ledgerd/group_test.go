@@ -283,6 +283,51 @@ func TestGroupFailClosedLatching(t *testing.T) {
 	}
 }
 
+// TestGroupIsolatedBidsLeavePrimary: a member cut off from the group
+// bids for promotion again and again, then rejoins. Its bids must not
+// raise its term — Phase A of promoteLocked refuses to bid without a
+// majority's state — so on healing it follows the healthy primary,
+// which keeps its role and term and admits the next spend.
+func TestGroupIsolatedBidsLeavePrimary(t *testing.T) {
+	c := newCluster(t, 3, -1)
+	g1 := c.group("n1")
+	if err := g1.Promote(); err != nil {
+		t.Fatalf("promoting n1: %v", err)
+	}
+	budget := dp.Params{Epsilon: 1, Delta: 1e-5}
+	cost := dp.Params{Epsilon: 0.1, Delta: 1e-6}
+	att, err := g1.Attach("k", budget)
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	if _, err := g1.Spend("k", att.Epoch, "op-1", "q1", cost); err != nil {
+		t.Fatalf("spend before the partition: %v", err)
+	}
+	before := g1.GroupStatus()
+
+	c.partition("n3")
+	for i := 0; i < 5; i++ {
+		if err := c.group("n3").Promote(); !errors.Is(err, ledgerd.ErrNoQuorum) {
+			t.Fatalf("isolated bid %d: got %v, want ErrNoQuorum", i, err)
+		}
+	}
+	if st := c.group("n3").GroupStatus(); st.Term != before.Term {
+		t.Fatalf("isolated member's bids moved its term %d -> %d", before.Term, st.Term)
+	}
+	c.heal()
+	waitFor(t, 5*time.Second, "n3 following n1 again", func() bool {
+		st := c.group("n3").GroupStatus()
+		return st.Leader == "n1" && st.Applied == g1.GroupStatus().Commit
+	})
+	if st := g1.GroupStatus(); st.Role != "primary" || st.Term != before.Term {
+		t.Fatalf("after the isolated bids n1 is %s at term %d, want primary at term %d", st.Role, st.Term, before.Term)
+	}
+	res, err := g1.Spend("k", att.Epoch, "op-2", "q2", cost)
+	if err != nil || res.Replayed || res.Seq != 2 {
+		t.Fatalf("spend after healing = %+v, %v; want fresh seq 2", res, err)
+	}
+}
+
 // TestGroupFencedExPrimaryCannotAdmit is the partition-injection
 // safety test the tentpole promises: once a new term exists, the
 // partitioned ex-primary can NEVER admit a spend the new term doesn't
