@@ -33,14 +33,19 @@ import (
 // ErrBudgetExceeded), the entry is aborted and each waiter retries —
 // one becomes the new owner, so an error never caches.
 //
+// Session.answer is the one caller: every query kind takes the same
+// acquire / compute-or-wait / complete-or-abort round on its full
+// identity (query, cacheKeyFor).
+//
 // A completed marginal or top-k entry also keeps the HTTP response its
-// first HTTP hit encoded (encodedResponse), so every later hit is one
-// Write. The body is a pure function of the key and the dataset, so it
-// does not matter which of several concurrent first hits publishes it.
-// A miss never builds one, and neither does a Session caller outside
-// the handler. Level views keep no encoded body: a view body is about
-// twice its cells (≈ 60 KB against 32 KB at level 3), and memoising it
-// needs a byte cap on the cache, which the entry count is not.
+// first HTTP hit encoded (encodedResponse, built by respond), so every
+// later hit is one Write. The body is a pure function of the key and
+// the dataset, so it does not matter which of several concurrent first
+// hits publishes it. A miss never builds one, and neither does a
+// Session caller outside the handler. Level views keep no encoded body:
+// a view body is about twice its cells (≈ 60 KB against 32 KB at level
+// 3), and memoising it needs a byte cap on the cache, which the entry
+// count is not.
 
 // DefaultMaxCacheEntries is the per-dataset response-cache capacity used
 // when Config.MaxCacheEntries is zero. Entries are whole answers; a
@@ -85,9 +90,9 @@ type cacheEntry struct {
 	topk      []int
 	view      *cachedView
 
-	// encoded is set once, by the entry's first HTTP hit
-	// (respondCached). A pointer keeps the entry in its allocation size
-	// class, so a miss allocates no more than before.
+	// encoded is set once, by the entry's first HTTP hit (respond). A
+	// pointer keeps the entry in its allocation size class, so a miss
+	// allocates no more than before.
 	encoded atomic.Pointer[encodedResponse]
 
 	elem *list.Element // non-nil once completed and LRU-resident
@@ -96,8 +101,8 @@ type cacheEntry struct {
 // encodedResponse is a marginal or top-k entry's 200 response: the
 // body and its formatted Content-Length. first backs the header values
 // of the one response that built it, which saves that response an
-// allocation; every later response gets values of its own
-// (writeEncoded), so no value slice is shared between responses.
+// allocation; every later response gets values of its own (respond),
+// so no value slice is shared between responses.
 type encodedResponse struct {
 	body          []byte
 	contentLength string

@@ -7,17 +7,20 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"repro/internal/bipartite"
 )
 
 // Request bodies. Every JSON body is read whole, under maxQueryBody,
 // into a pooled buffer and parsed by encoding/json with unknown fields
 // and trailing data refused. The query endpoints' bodies — a replayed
 // answer costs no ε, so they are most of what a serving front end
-// parses — have a hand-written scanner in front of that path for the
-// canonical shape (queryRequest.scan); every other body goes to
-// encoding/json as before, so each accept or reject decision and each
-// error message is the one encoding/json gives. FuzzDecodeQueryBody
-// holds the two to each other.
+// parses — have their own typed decode (decodeQuery) with a
+// hand-written scanner in front of that path for the canonical shape
+// (queryRequest.scan); every other body goes to encoding/json as
+// before, so each accept or reject decision and each error message is
+// the one encoding/json gives. FuzzDecodeQueryBody holds the two to
+// each other.
 
 // decodeBody parses a bounded JSON body into v; an empty body leaves v
 // at its zero value. Unknown fields are rejected: a misspelled key must
@@ -27,13 +30,94 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	bp := bodyBuffers.Get().(*[]byte)
 	body, err := readBody(w, r, (*bp)[:0])
 	if err == nil {
-		if q, ok := v.(*queryRequest); !ok || !q.scan(body) {
-			err = parseBody(body, v)
-		}
+		err = parseBody(body, v)
 	}
-	// Safe to reuse: neither path leaves v pointing into body.
+	// Safe to reuse: parseBody leaves nothing in v pointing into body.
 	putBody(bp, body)
 	return err
+}
+
+// queryRequest is a decoded query body: each field, and whether the
+// body named level and k — a query must name its parameters explicitly
+// before it may spend budget, and each endpoint rejects fields it does
+// not consume (a body shaped for one query kind must not silently run
+// as another). It holds no pointer, so a scanned body allocates
+// nothing.
+type queryRequest struct {
+	level, k       int
+	hasLevel, hasK bool
+	side           string
+}
+
+// decodeQuery parses a bounded query body into q, which must be zero,
+// as decodeBody would: the scanner answers the canonical shape, and
+// encoding/json (parse) every other body.
+func decodeQuery(w http.ResponseWriter, r *http.Request, q *queryRequest) error {
+	bp := bodyBuffers.Get().(*[]byte)
+	body, err := readBody(w, r, (*bp)[:0])
+	if err == nil && !q.scan(body) {
+		err = q.parse(body)
+	}
+	putBody(bp, body)
+	return err
+}
+
+// parse decodes body into q with encoding/json. Level and K are
+// pointers so an omitted field is told apart from a zero one.
+func (q *queryRequest) parse(body []byte) error {
+	var v struct {
+		Level *int   `json:"level"`
+		Side  string `json:"side"`
+		K     *int   `json:"k"`
+	}
+	if err := parseBody(body, &v); err != nil {
+		return err
+	}
+	*q = queryRequest{side: v.Side}
+	if v.Level != nil {
+		q.level, q.hasLevel = *v.Level, true
+	}
+	if v.K != nil {
+		q.k, q.hasK = *v.K, true
+	}
+	return nil
+}
+
+// query checks the request against kind's route and returns the query
+// it names. The checks run in one order for every route: the level is
+// required; side is refused on /level; k is refused on /level and
+// /marginal; a marginal's or top-k's side must be "left" (the default)
+// or "right"; k is required on /topk. Silently dropping a field could
+// spend budget on a query the client did not intend.
+func (q queryRequest) query(kind int) (query, error) {
+	if !q.hasLevel {
+		return query{}, errors.New("serve: query body requires \"level\"")
+	}
+	if kind == queryKindView && q.side != "" {
+		return query{}, errors.New("serve: \"side\" is not valid for this endpoint")
+	}
+	if kind != queryKindTopK && q.hasK {
+		return query{}, errors.New("serve: \"k\" is not valid for this endpoint")
+	}
+	out := query{kind: kind, level: q.level}
+	if kind == queryKindView {
+		return out, nil
+	}
+	switch q.side {
+	case "left", "":
+		out.side = bipartite.Left
+	case "right":
+		out.side = bipartite.Right
+	default:
+		return query{}, fmt.Errorf("serve: side must be \"left\" or \"right\" (got %q)", q.side)
+	}
+	if kind == queryKindTopK {
+		if !q.hasK {
+			return query{}, errors.New("serve: top-k body requires \"k\"")
+		}
+		out.k = q.k
+	}
+	return out, nil
 }
 
 // readBody appends the request body to b, refusing more than
@@ -127,13 +211,7 @@ func (q *queryRequest) scan(body []byte) bool {
 	if s.space(); s.i != len(s.b) {
 		return false
 	}
-	*q = queryRequest{Side: side, level: level, k: k}
-	if hasLevel {
-		q.Level = &q.level
-	}
-	if hasK {
-		q.K = &q.k
-	}
+	*q = queryRequest{level: level, k: k, hasLevel: hasLevel, hasK: hasK, side: side}
 	return true
 }
 

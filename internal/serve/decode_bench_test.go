@@ -20,8 +20,8 @@ func BenchmarkDecodeQueryBody(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rd.Reset(body)
 		var req queryRequest
-		if err := decodeBody(w, r, &req); err != nil || req.Level == nil || *req.Level != 3 || req.Side != "left" {
-			b.Fatalf("decodeBody = %+v, %v", req, err)
+		if err := decodeQuery(w, r, &req); err != nil || !req.hasLevel || req.level != 3 || req.side != "left" {
+			b.Fatalf("decodeQuery = %+v, %v", req, err)
 		}
 	}
 }

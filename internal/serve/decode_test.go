@@ -50,26 +50,26 @@ var fallbackBodies = []string{
 // encoding/json alone.
 func decodeReference(body []byte) (queryRequest, error) {
 	var q queryRequest
-	err := parseBody(body, &q)
+	err := q.parse(body)
 	return q, err
 }
 
-// decodeServed runs a body through decodeBody as a query endpoint does.
+// decodeServed runs a body through decodeQuery as a query endpoint does.
 func decodeServed(body []byte) (queryRequest, error) {
 	var q queryRequest
 	r := httptest.NewRequest("POST", "/v1/sessions/1/marginal", bytes.NewReader(body))
-	err := decodeBody(httptest.NewRecorder(), r, &q)
+	err := decodeQuery(httptest.NewRecorder(), r, &q)
 	return q, err
 }
 
 // queryString renders a request's decoded fields for comparison.
 func queryString(q queryRequest) string {
-	s := fmt.Sprintf("side=%q", q.Side)
-	if q.Level != nil {
-		s += fmt.Sprintf(" level=%d", *q.Level)
+	s := fmt.Sprintf("side=%q", q.side)
+	if q.hasLevel {
+		s += fmt.Sprintf(" level=%d", q.level)
 	}
-	if q.K != nil {
-		s += fmt.Sprintf(" k=%d", *q.K)
+	if q.hasK {
+		s += fmt.Sprintf(" k=%d", q.k)
 	}
 	return s
 }
@@ -83,7 +83,7 @@ func errString(err error) string {
 
 // checkDecode holds the scanner and the served decode of one body to
 // encoding/json: scan accepts only what encoding/json accepts, with the
-// same request, and decodeBody gives the same request or error message.
+// same request, and decodeQuery gives the same request or error message.
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
 	want, wantErr := decodeReference(body)
@@ -98,10 +98,10 @@ func checkDecode(t *testing.T, body []byte) {
 	}
 	got, err := decodeServed(body)
 	if errString(err) != errString(wantErr) {
-		t.Fatalf("decodeBody(%q): error %q, encoding/json: %q", body, errString(err), errString(wantErr))
+		t.Fatalf("decodeQuery(%q): error %q, encoding/json: %q", body, errString(err), errString(wantErr))
 	}
 	if err == nil && queryString(got) != queryString(want) {
-		t.Fatalf("decodeBody(%q) = %s, encoding/json: %s", body, queryString(got), queryString(want))
+		t.Fatalf("decodeQuery(%q) = %s, encoding/json: %s", body, queryString(got), queryString(want))
 	}
 }
 
@@ -143,6 +143,6 @@ func TestDecodeBodyLimit(t *testing.T) {
 	_, err := decodeServed([]byte(body))
 	var tooLarge *http.MaxBytesError
 	if !errors.As(err, &tooLarge) {
-		t.Fatalf("decodeBody of a %d-byte body: %v, want a MaxBytesError", len(body), err)
+		t.Fatalf("decodeQuery of a %d-byte body: %v, want a MaxBytesError", len(body), err)
 	}
 }

@@ -100,9 +100,9 @@ func NewHandlerWith(reg *Registry, opts HandlerOptions) http.Handler {
 	mux.HandleFunc("GET /v1/datasets/{name}/budget", s.budget)
 	mux.HandleFunc("POST /v1/datasets/{name}/sessions", s.openSession)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.closeSession)
-	mux.HandleFunc("POST /v1/sessions/{id}/level", s.level)
-	mux.HandleFunc("POST /v1/sessions/{id}/marginal", s.marginal)
-	mux.HandleFunc("POST /v1/sessions/{id}/topk", s.topk)
+	mux.HandleFunc("POST /v1/sessions/{id}/level", s.query(queryKindView))
+	mux.HandleFunc("POST /v1/sessions/{id}/marginal", s.query(queryKindMarginal))
+	mux.HandleFunc("POST /v1/sessions/{id}/topk", s.query(queryKindTopK))
 	return mux
 }
 
@@ -156,68 +156,62 @@ func putBody(bp *[]byte, b []byte) {
 // encodeFailedBody is the 500 a response that cannot be encoded gets.
 const encodeFailedBody = `{"error":"serve: encoding response","code":"encode-failed"}` + "\n"
 
-// respond writes one response whose body encode appends to a pooled
-// buffer. The body is complete before the first byte goes out, so an
-// encode error (a NaN or ±Inf has no JSON form; a released count that is
-// not an integer) surfaces as a clean 500 in the error shape every other
-// response uses, and Content-Length is always known — net/http does not
-// fall back to chunked encoding past its sniff buffer.
-func respond(w http.ResponseWriter, status int, encode func(b []byte) ([]byte, error)) {
-	bp := bodyBuffers.Get().(*[]byte)
-	body, err := encode((*bp)[:0])
-	if err != nil {
-		status, body = http.StatusInternalServerError, append(body[:0], encodeFailedBody...)
+// respond is the one response writer. The body is complete before the
+// first byte goes out, so an encode error (a NaN or ±Inf has no JSON
+// form; a released count that is not an integer) surfaces as a clean
+// 500 in the error shape every other response uses, and Content-Length
+// is always known — net/http does not fall back to chunked encoding past
+// its sniff buffer. Content-Type and Content-Length come from one
+// headerValues pair, each value its own capped one-element slice, so no
+// value slice is shared between responses.
+//
+// e is the cache entry of a hit on a marginal or top-k, else nil. The
+// entry's first HTTP hit encodes into a pooled buffer as a miss does,
+// keeps an exact-size copy of the body on the entry, and writes it;
+// every later hit writes that copy with no encode. Of concurrent first
+// hits one CAS publishes its copy; the others write their own,
+// byte-identical one. An encode error keeps nothing.
+func respond(w http.ResponseWriter, status int, e *cacheEntry, encode func(b []byte) ([]byte, error)) {
+	var m *encodedResponse
+	if e != nil {
+		m = e.encoded.Load()
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-	putBody(bp, body)
-}
-
-// respondCached writes a 200 for a cache hit on a marginal or top-k
-// entry. The entry's first HTTP hit encodes the answer into a pooled
-// buffer as respond does, keeps an exact-size copy on the entry and
-// writes it; every later hit writes that copy with no encode. Of
-// concurrent first hits one CAS publishes its copy; the others write
-// their own, byte-identical one. An encode error memoises nothing:
-// respond encodes again and answers the 500.
-func respondCached(w http.ResponseWriter, e *cacheEntry, encode func(b []byte) ([]byte, error)) {
-	if m := e.encoded.Load(); m != nil {
-		writeEncoded(w, m.body, &headerValues{"application/json", m.contentLength})
-		return
+	var vals *headerValues
+	var body []byte
+	var bp *[]byte
+	if m != nil {
+		vals, body = &headerValues{"application/json", m.contentLength}, m.body
+	} else {
+		bp = bodyBuffers.Get().(*[]byte)
+		var err error
+		body, err = encode((*bp)[:0])
+		if err != nil {
+			status, body = http.StatusInternalServerError, append(body[:0], encodeFailedBody...)
+		}
+		length := strconv.Itoa(len(body))
+		if err == nil && e != nil {
+			m = &encodedResponse{body: bytes.Clone(body), contentLength: length, first: headerValues{"application/json", length}}
+			e.encoded.CompareAndSwap(nil, m)
+			vals = &m.first
+		} else {
+			vals = &headerValues{"application/json", length}
+		}
 	}
-	bp := bodyBuffers.Get().(*[]byte)
-	body, err := encode((*bp)[:0])
-	if err != nil {
-		putBody(bp, body)
-		respond(w, http.StatusOK, encode)
-		return
-	}
-	m := &encodedResponse{body: make([]byte, len(body)), contentLength: strconv.Itoa(len(body))}
-	copy(m.body, body)
-	putBody(bp, body)
-	m.first = headerValues{"application/json", m.contentLength}
-	e.encoded.CompareAndSwap(nil, m)
-	writeEncoded(w, m.body, &m.first)
-}
-
-// writeEncoded writes body as a 200 whose Content-Type and
-// Content-Length values are vals, each its own one-element slice.
-func writeEncoded(w http.ResponseWriter, body []byte, vals *headerValues) {
 	h := w.Header()
 	h["Content-Type"] = vals[0:1:1]
 	h["Content-Length"] = vals[1:2:2]
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	_, _ = w.Write(body)
+	if bp != nil {
+		putBody(bp, body)
+	}
 }
 
 // writeJSON writes one response through encoding/json: the cold shapes
 // (health, dataset list and info, budget, session open and close). The
 // query responses and the error body have append encoders (encode.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	respond(w, status, func(b []byte) ([]byte, error) {
+	respond(w, status, nil, func(b []byte) ([]byte, error) {
 		buf := bytes.NewBuffer(b)
 		enc := json.NewEncoder(buf)
 		enc.SetIndent("", "  ")
@@ -228,7 +222,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError writes the uniform error shape {error, code}.
 func writeError(w http.ResponseWriter, status int, msg, code string) {
-	respond(w, status, func(b []byte) ([]byte, error) { return appendErrorBody(b, msg, code), nil })
+	respond(w, status, nil, func(b []byte) ([]byte, error) { return appendErrorBody(b, msg, code), nil })
 }
 
 // errSpool marks server-side ingest-spool failures (temp-disk full,
@@ -681,139 +675,49 @@ func (s *httpServer) closeSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"closed": id})
 }
 
-// queryRequest is the shared query body shape. Level and K are pointers
-// so omitted fields are distinguishable from zero values — a query must
-// name its parameters explicitly before it may spend budget, and each
-// endpoint rejects fields it does not consume (a body shaped for one
-// query kind must not silently run as another).
-type queryRequest struct {
-	Level *int   `json:"level"`
-	Side  string `json:"side"`
-	K     *int   `json:"k"`
-
-	// level and k are what a scanned body's Level and K point at
-	// (scan), sparing the fast path an allocation each.
-	level, k int
-}
-
-// reject returns an error when the request carries fields the endpoint
-// ignores; silently dropping them could spend budget on a query the
-// client did not intend.
-func (q queryRequest) reject(side, k bool) error {
-	if side && q.Side != "" {
-		return errors.New("serve: \"side\" is not valid for this endpoint")
-	}
-	if k && q.K != nil {
-		return errors.New("serve: \"k\" is not valid for this endpoint")
-	}
-	return nil
-}
-
-// side parses the request's side field.
-func (q queryRequest) side() (bipartite.Side, error) {
-	switch q.Side {
-	case "left", "":
-		return bipartite.Left, nil
-	case "right":
-		return bipartite.Right, nil
-	default:
-		return 0, fmt.Errorf("serve: side must be \"left\" or \"right\" (got %q)", q.Side)
-	}
-}
-
-// withSession parses the body, locks the handle, and runs fn with the
-// request's level. The level must be present: every query endpoint
-// debits the ledger, so nothing may run against a defaulted level.
-func (s *httpServer) withSession(w http.ResponseWriter, r *http.Request, fn func(hs *httpSession, req queryRequest, level int)) {
-	hs, err := s.session(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req queryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.Level == nil {
-		writeErr(w, errors.New("serve: query body requires \"level\""))
-		return
-	}
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	fn(hs, req, *req.Level)
-}
-
-func (s *httpServer) level(w http.ResponseWriter, r *http.Request) {
-	s.withSession(w, r, func(hs *httpSession, req queryRequest, level int) {
-		if err := req.reject(true, true); err != nil {
-			writeErr(w, err)
-			return
-		}
-		seq := hs.sess.Seq()
-		view, err := hs.sess.ReleaseLevel(level)
+// query returns the handler of one query kind's route: it resolves the
+// handle, decodes the body into the query value, locks the handle, asks
+// the session, and writes the answer. The level must be present: every
+// query endpoint debits the ledger, so nothing may run against a
+// defaulted level.
+func (s *httpServer) query(kind int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		hs, err := s.session(r)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		respond(w, http.StatusOK, func(b []byte) ([]byte, error) {
-			return appendLevelResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), view)
+		var req queryRequest
+		if err := decodeQuery(w, r, &req); err != nil {
+			writeErr(w, err)
+			return
+		}
+		q, err := req.query(kind)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		hs.mu.Lock()
+		defer hs.mu.Unlock()
+		sess := hs.sess
+		seq := sess.Seq()
+		a, hit, err := sess.answer(q)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		if q.kind == queryKindView {
+			hit = nil // a view keeps no encoded body (cache.go)
+		}
+		respond(w, http.StatusOK, hit, func(b []byte) ([]byte, error) {
+			name, stream := sess.Dataset().Name(), sess.Stream()
+			switch q.kind {
+			case queryKindView:
+				return appendLevelResponse(b, name, seq, stream, a.view)
+			case queryKindMarginal:
+				return appendMarginalResponse(b, name, seq, stream, q.level, q.side.String(), a.marginals)
+			}
+			return appendTopKResponse(b, name, seq, stream, q.level, q.side.String(), q.k, a.groups), nil
 		})
-	})
-}
-
-func (s *httpServer) marginal(w http.ResponseWriter, r *http.Request) {
-	s.withSession(w, r, func(hs *httpSession, req queryRequest, level int) {
-		if err := req.reject(false, true); err != nil {
-			writeErr(w, err)
-			return
-		}
-		side, err := req.side()
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		seq := hs.sess.Seq()
-		marginals, hit, err := hs.sess.marginal(level, side)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		encode := func(b []byte) ([]byte, error) {
-			return appendMarginalResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), level, side.String(), marginals)
-		}
-		if hit != nil {
-			respondCached(w, hit, encode)
-			return
-		}
-		respond(w, http.StatusOK, encode)
-	})
-}
-
-func (s *httpServer) topk(w http.ResponseWriter, r *http.Request) {
-	s.withSession(w, r, func(hs *httpSession, req queryRequest, level int) {
-		side, err := req.side()
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		if req.K == nil {
-			writeErr(w, errors.New("serve: top-k body requires \"k\""))
-			return
-		}
-		seq := hs.sess.Seq()
-		groups, hit, err := hs.sess.topK(level, side, *req.K)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		encode := func(b []byte) ([]byte, error) {
-			return appendTopKResponse(b, hs.sess.Dataset().Name(), seq, hs.sess.Stream(), level, side.String(), *req.K, groups), nil
-		}
-		if hit != nil {
-			respondCached(w, hit, encode)
-			return
-		}
-		respond(w, http.StatusOK, encode)
-	})
+	}
 }

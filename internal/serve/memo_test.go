@@ -330,10 +330,9 @@ func TestHTTPConcurrentReplayMemo(t *testing.T) {
 // maxMemoHitAllocs is the measured allocation count of a /marginal hit
 // whose entry already holds its encoded response
 // (TestHTTPMarginalMemoHitAllocs): net/http's route match (the {id}
-// path value), the decoded query request (it escapes through
-// decodeBody's encoding/json fallback), and the response's pair of
-// Content-Type and Content-Length values.
-const maxMemoHitAllocs = 3
+// path value) and the response's pair of Content-Type and
+// Content-Length values. A scanned query body allocates nothing.
+const maxMemoHitAllocs = 2
 
 // TestHTTPMarginalMemoHitAllocs holds the steady-state replay path to
 // maxMemoHitAllocs: the keys a first handle paid for are replayed by a

@@ -377,7 +377,7 @@ func TestQueryDerivationsDistinct(t *testing.T) {
 			for _, side := range []bipartite.Side{bipartite.Left, bipartite.Right} {
 				for k := 0; k <= 8; k++ {
 					key := fmt.Sprintf("kind=%d level=%d side=%d k=%d", kind, level, side, k)
-					first := ds.SessionAt(11).querySource(kind, level, side, k).Uint64()
+					first := ds.SessionAt(11).querySource(query{kind, level, side, k}).Uint64()
 					if prev, ok := seen[first]; ok {
 						t.Fatalf("query stream collision: %s and %s draw the same first variate", prev, key)
 					}
@@ -389,7 +389,7 @@ func TestQueryDerivationsDistinct(t *testing.T) {
 	// Sequence numbers separate streams too.
 	s := ds.SessionAt(11)
 	s.seq = 1
-	if _, ok := seen[s.querySource(queryKindView, 0, 0, 0).Uint64()]; ok {
+	if _, ok := seen[s.querySource(query{queryKindView, 0, 0, 0}).Uint64()]; ok {
 		t.Fatal("seq=1 derivation collided with a seq=0 stream")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/dp"
-	"repro/internal/query"
+	querytail "repro/internal/query"
 	"repro/internal/release"
 	"repro/internal/rng"
 )
@@ -19,6 +19,25 @@ const (
 	queryKindMarginal
 	queryKindTopK
 )
+
+// query is one served query's identity: its kind and its parameters. A
+// level view names no side and no k, and a marginal no k; their zero
+// values stand in the cache key and the stream derivation. The HTTP
+// routes and the Session methods build one and hand it to
+// Session.answer.
+type query struct {
+	kind, level int
+	side        bipartite.Side
+	k           int
+}
+
+// result is a query's answer, in the field its kind fills: a level
+// view's view, a marginal's marginals, a top-k's groups.
+type result struct {
+	view      LevelView
+	marginals []float64
+	groups    []int
+}
 
 // NewSession returns a session on the next auto-assigned stream id.
 // Auto sessions derive their noise from a stream domain disjoint from
@@ -94,7 +113,7 @@ type Session struct {
 	// return on a cache hit (a computed marginal is the engine's); all
 	// are overwritten by the session's next query.
 	marginals []float64
-	topk      query.TopKScratch
+	topk      querytail.TopKScratch
 	topkOut   []int
 }
 
@@ -108,47 +127,17 @@ func (s *Session) useCache() bool { return s.pinned && s.ds.cache.enabled() }
 
 // cacheKeyFor is the query's full identity in the dataset's response
 // cache — the same tuple the per-query stream derivation folds in, so
-// equal keys imply byte-identical answers.
-func (s *Session) cacheKeyFor(kind, level int, side bipartite.Side, k int) cacheKey {
+// equal keys imply byte-identical answers. answer narrows level and k
+// only after check has bounded them.
+func (s *Session) cacheKeyFor(q query) cacheKey {
 	return cacheKey{
 		domain: s.domain,
 		stream: s.stream,
 		seq:    s.seq,
-		kind:   uint8(kind),
-		level:  int32(level),
-		side:   uint8(side),
-		k:      int32(k),
-	}
-}
-
-// serveCached is the one implementation of the cache singleflight
-// protocol every query kind runs: acquire the key; as owner, compute
-// (debiting the ledger) and publish into the entry before waking
-// waiters; as waiter, wait — retrying if the owner aborted — and on a
-// hit consume the seq slot and advance the session stream exactly as
-// computing would have, WITHOUT a ledger debit. It returns the resident
-// entry on a hit and nil after an owner compute, so callers load the
-// payload without passing a third closure (keeping the hit path
-// allocation-free).
-func (s *Session) serveCached(key cacheKey, compute func() error, publish func(*cacheEntry)) (*cacheEntry, error) {
-	c := s.ds.cache
-	for {
-		e, owner := c.acquire(key)
-		if owner {
-			if err := compute(); err != nil {
-				c.abort(e)
-				return nil, err
-			}
-			publish(e)
-			c.complete(e)
-			return nil, nil
-		}
-		<-e.ready
-		if !e.ok {
-			continue // owner aborted; retry (one waiter becomes owner)
-		}
-		s.advance()
-		return e, nil
+		kind:   uint8(q.kind),
+		level:  int32(q.level),
+		side:   uint8(q.side),
+		k:      int32(q.k),
 	}
 }
 
@@ -200,15 +189,15 @@ func (s *Session) advance() (rng.Fork, uint64) {
 // The chain collapses in place through the session's scratch Source
 // (values identical to the allocating Split chain); the returned
 // pointer is invalidated by the session's next query.
-func (s *Session) querySource(kind, level int, side bipartite.Side, k int) *rng.Source {
+func (s *Session) querySource(q query) *rng.Source {
 	fork, seq := s.advance()
-	q := &s.qsrc
-	fork.StreamTo(q, seq)
-	q.SplitTo(q, uint64(kind))
-	q.SplitTo(q, uint64(level))
-	q.SplitTo(q, uint64(side))
-	q.SplitTo(q, uint64(k))
-	return q
+	src := &s.qsrc
+	fork.StreamTo(src, seq)
+	src.SplitTo(src, uint64(q.kind))
+	src.SplitTo(src, uint64(q.level))
+	src.SplitTo(src, uint64(q.side))
+	src.SplitTo(src, uint64(q.k))
+	return src
 }
 
 // spend debits the ledger, labeling the op with this session's stream
@@ -248,10 +237,109 @@ func (s *Session) spend(what string, level int, cost dp.Params) error {
 	return nil
 }
 
-// checkLevel validates the level before any budget is spent.
-func (s *Session) checkLevel(level int) error {
-	_, err := s.ds.tree.DepthOfLevel(level)
-	return err
+// check validates q before any budget is spent: its level, then a
+// marginal's or top-k's side, then a top-k's k.
+func (s *Session) check(q query) error {
+	n, err := s.ds.tree.NumSideGroups(q.level)
+	if err != nil || q.kind == queryKindView {
+		return err
+	}
+	if !q.side.Valid() {
+		return fmt.Errorf("serve: invalid side %v", q.side)
+	}
+	if q.kind == queryKindTopK && (q.k <= 0 || q.k > n) {
+		return fmt.Errorf("serve: k=%d outside [1,%d]", q.k, n)
+	}
+	return nil
+}
+
+// answer is the one path every served query takes. It checks q, and on
+// a session without the cache computes it. Otherwise it runs the
+// cache's singleflight round on q's full identity: the owner computes
+// (spending) and publishes the answer into the entry before waking the
+// waiters; a waiter waits, retrying if the owner aborted, and on a hit
+// consumes the seq slot and advances the session stream exactly as
+// computing would have, WITHOUT a ledger debit, and returns the entry
+// too. A hit's marginals and groups are the entry's own, which the
+// caller must not modify; a hit's view is rehydrated through the
+// session's engine buffer.
+func (s *Session) answer(q query) (result, *cacheEntry, error) {
+	if err := s.check(q); err != nil {
+		return result{}, nil, err
+	}
+	if !s.useCache() {
+		r, err := s.compute(q)
+		return r, nil, err
+	}
+	c, key := s.ds.cache, s.cacheKeyFor(q)
+	for {
+		e, owner := c.acquire(key)
+		if owner {
+			r, err := s.compute(q)
+			if err != nil {
+				c.abort(e)
+				return result{}, nil, err
+			}
+			e.marginals = append([]float64(nil), r.marginals...)
+			e.topk = append([]int(nil), r.groups...)
+			if r.view.Cells != nil {
+				e.view = &cachedView{count: r.view.Count, cells: release.CloneCellRelease(*r.view.Cells)}
+			}
+			c.complete(e)
+			return r, nil, nil
+		}
+		<-e.ready
+		if !e.ok {
+			continue // owner aborted; retry (one waiter becomes owner)
+		}
+		s.advance()
+		r := result{marginals: e.marginals, groups: e.topk}
+		if e.view != nil {
+			r.view = LevelView{Level: q.level, Count: e.view.count, Cells: s.eng.LoadCells(&e.view.cells)}
+		}
+		return r, e, nil
+	}
+}
+
+// compute is the ledgered Phase-2 path of every query: it spends q's
+// cost — a level view's count and histogram are two mechanism
+// invocations, 2·PerQuery as one op; a marginal or top-k is one
+// PerQuery histogram draw — and then draws q's answer from q's stream.
+func (s *Session) compute(q query) (result, error) {
+	pq := s.ds.reg.cfg.PerQuery
+	what, cost := "marginal", pq
+	switch q.kind {
+	case queryKindView:
+		what, cost = "view", dp.Params{Epsilon: 2 * pq.Epsilon, Delta: 2 * pq.Delta}
+	case queryKindTopK:
+		what = "topk"
+	}
+	if err := s.spend(what, q.level, cost); err != nil {
+		return result{}, err
+	}
+	src := s.querySource(q)
+	if q.kind == queryKindView {
+		src.SplitTo(&s.qsub, 0)
+		count, err := s.eng.Count(s.ds.tree, q.level, pq, &s.qsub)
+		if err != nil {
+			return result{}, err
+		}
+		src.SplitTo(&s.qsub, 1)
+		cells, err := s.eng.Cells(s.ds.tree, q.level, pq, &s.qsub)
+		if err != nil {
+			return result{}, err
+		}
+		// A tier receives the publishable form: the exact count and the
+		// error rate computed from it stay with the curator. The cached
+		// view is built from this one, so replays are stripped too.
+		return result{view: LevelView{Level: q.level, Count: count.OmitTrue(), Cells: cells}}, nil
+	}
+	m, err := s.eng.Marginal(s.ds.tree, q.level, q.side, pq, src)
+	if err != nil || q.kind == queryKindMarginal {
+		return result{marginals: m}, err
+	}
+	groups, err := querytail.TopKOfMarginalsInto(&s.topk, m, q.k)
+	return result{groups: groups}, err
 }
 
 // ReleaseLevel serves a level view: the εg-group-DP association count
@@ -260,49 +348,8 @@ func (s *Session) checkLevel(level int) error {
 // A response-cache hit on the full query identity returns the
 // byte-identical prior answer without debiting the ledger (cache.go).
 func (s *Session) ReleaseLevel(level int) (LevelView, error) {
-	if err := s.checkLevel(level); err != nil {
-		return LevelView{}, err
-	}
-	if s.useCache() {
-		var view LevelView
-		e, err := s.serveCached(s.cacheKeyFor(queryKindView, level, 0, 0),
-			func() (err error) { view, err = s.releaseLevelCompute(level); return err },
-			func(e *cacheEntry) {
-				e.view = &cachedView{count: view.Count, cells: release.CloneCellRelease(*view.Cells)}
-			})
-		if err != nil {
-			return LevelView{}, err
-		}
-		if e != nil { // hit: rehydrate through the session's engine buffer
-			return LevelView{Level: level, Count: e.view.count, Cells: s.eng.LoadCells(&e.view.cells)}, nil
-		}
-		return view, nil
-	}
-	return s.releaseLevelCompute(level)
-}
-
-// releaseLevelCompute is the ledgered Phase-2 path of ReleaseLevel.
-func (s *Session) releaseLevelCompute(level int) (LevelView, error) {
-	pq := s.ds.reg.cfg.PerQuery
-	cost := dp.Params{Epsilon: 2 * pq.Epsilon, Delta: 2 * pq.Delta}
-	if err := s.spend("view", level, cost); err != nil {
-		return LevelView{}, err
-	}
-	qsrc := s.querySource(queryKindView, level, 0, 0)
-	qsrc.SplitTo(&s.qsub, 0)
-	count, err := s.eng.Count(s.ds.tree, level, pq, &s.qsub)
-	if err != nil {
-		return LevelView{}, err
-	}
-	qsrc.SplitTo(&s.qsub, 1)
-	cells, err := s.eng.Cells(s.ds.tree, level, pq, &s.qsub)
-	if err != nil {
-		return LevelView{}, err
-	}
-	// A tier receives the publishable form: the exact count and the
-	// error rate computed from it stay with the curator. The cached view
-	// is built from this one, so replays are stripped too.
-	return LevelView{Level: level, Count: count.OmitTrue(), Cells: cells}, nil
+	r, _, err := s.answer(query{kind: queryKindView, level: level})
+	return r.view, err
 }
 
 // Marginal serves the per-side-group association counts of a level: one
@@ -311,47 +358,12 @@ func (s *Session) releaseLevelCompute(level int) (LevelView, error) {
 // scratch — like LevelView.Cells, it is valid until the session's next
 // query; copy to retain.
 func (s *Session) Marginal(level int, side bipartite.Side) ([]float64, error) {
-	m, hit, err := s.marginal(level, side)
+	r, hit, err := s.answer(query{kind: queryKindMarginal, level: level, side: side})
 	if hit != nil { // copy into the session's reusable scratch
-		s.marginals = append(s.marginals[:0], m...)
+		s.marginals = append(s.marginals[:0], r.marginals...)
 		return s.marginals, nil
 	}
-	return m, err
-}
-
-// marginal is Marginal that also returns the entry of a cache hit; the
-// answer it returns on a hit is the entry's own, which the caller must
-// not modify.
-func (s *Session) marginal(level int, side bipartite.Side) ([]float64, *cacheEntry, error) {
-	if err := s.checkLevel(level); err != nil {
-		return nil, nil, err
-	}
-	if !side.Valid() {
-		return nil, nil, fmt.Errorf("serve: invalid side %v", side)
-	}
-	if s.useCache() {
-		var m []float64
-		e, err := s.serveCached(s.cacheKeyFor(queryKindMarginal, level, side, 0),
-			func() (err error) { m, err = s.marginalCompute(level, side); return err },
-			func(e *cacheEntry) { e.marginals = append([]float64(nil), m...) })
-		if err != nil {
-			return nil, nil, err
-		}
-		if e != nil {
-			return e.marginals, e, nil
-		}
-		return m, nil, nil
-	}
-	m, err := s.marginalCompute(level, side)
-	return m, nil, err
-}
-
-// marginalCompute is the ledgered Phase-2 path of Marginal.
-func (s *Session) marginalCompute(level int, side bipartite.Side) ([]float64, error) {
-	if err := s.spend("marginal", level, s.ds.reg.cfg.PerQuery); err != nil {
-		return nil, err
-	}
-	return s.eng.Marginal(s.ds.tree, level, side, s.ds.reg.cfg.PerQuery, s.querySource(queryKindMarginal, level, side, 0))
+	return r.marginals, err
 }
 
 // TopK serves the k heaviest side groups of a level according to one
@@ -360,56 +372,10 @@ func (s *Session) marginalCompute(level int, side bipartite.Side) ([]float64, er
 // session's reusable scratch — valid until the session's next query;
 // copy to retain.
 func (s *Session) TopK(level int, side bipartite.Side, k int) ([]int, error) {
-	groups, hit, err := s.topK(level, side, k)
+	r, hit, err := s.answer(query{kind: queryKindTopK, level: level, side: side, k: k})
 	if hit != nil { // copy into the session's reusable scratch
-		s.topkOut = append(s.topkOut[:0], groups...)
+		s.topkOut = append(s.topkOut[:0], r.groups...)
 		return s.topkOut, nil
 	}
-	return groups, err
-}
-
-// topK is TopK that also returns the entry of a cache hit; the answer
-// it returns on a hit is the entry's own, which the caller must not
-// modify.
-func (s *Session) topK(level int, side bipartite.Side, k int) ([]int, *cacheEntry, error) {
-	if err := s.checkLevel(level); err != nil {
-		return nil, nil, err
-	}
-	if !side.Valid() {
-		return nil, nil, fmt.Errorf("serve: invalid side %v", side)
-	}
-	n, err := s.ds.tree.NumSideGroups(level)
-	if err != nil {
-		return nil, nil, err
-	}
-	if k <= 0 || k > n {
-		return nil, nil, fmt.Errorf("serve: k=%d outside [1,%d]", k, n)
-	}
-	if s.useCache() {
-		var groups []int
-		e, err := s.serveCached(s.cacheKeyFor(queryKindTopK, level, side, k),
-			func() (err error) { groups, err = s.topKCompute(level, side, k); return err },
-			func(e *cacheEntry) { e.topk = append([]int(nil), groups...) })
-		if err != nil {
-			return nil, nil, err
-		}
-		if e != nil {
-			return e.topk, e, nil
-		}
-		return groups, nil, nil
-	}
-	groups, err := s.topKCompute(level, side, k)
-	return groups, nil, err
-}
-
-// topKCompute is the ledgered Phase-2 path of TopK.
-func (s *Session) topKCompute(level int, side bipartite.Side, k int) ([]int, error) {
-	if err := s.spend("topk", level, s.ds.reg.cfg.PerQuery); err != nil {
-		return nil, err
-	}
-	m, err := s.eng.Marginal(s.ds.tree, level, side, s.ds.reg.cfg.PerQuery, s.querySource(queryKindTopK, level, side, k))
-	if err != nil {
-		return nil, err
-	}
-	return query.TopKOfMarginalsInto(&s.topk, m, k)
+	return r.groups, err
 }
