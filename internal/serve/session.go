@@ -21,9 +21,9 @@ const (
 )
 
 // query is one served query's identity: its kind and its parameters. A
-// level view names no side and no k, and a marginal no k; their zero
-// values stand in the cache key and the stream derivation. The HTTP
-// routes and the Session methods build one and hand it to
+// level view names no side and no k, and a marginal no k; zero values
+// stand in for them in the cache key and the stream derivation. The
+// HTTP routes and the Session methods build one and hand it to
 // Session.answer.
 type query struct {
 	kind, level int
